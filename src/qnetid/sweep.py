@@ -5,15 +5,23 @@ Erdos-Renyi graphs with a uniformly chosen single-node excitation, runs
 the full-information identification pipeline, and aggregates the mean
 solvability label and the quartiles of the relative reconstruction
 error over solvable trials.  Per-trial seeds are derived from the master
-seed and the cell key, so any cell (and any single trial) is
+seed and (d, tau, trial), so any cell (and any single trial) is
 reproducible in isolation and cells can run in any order or in
 parallel without changing a single record.
+
+The seeds ignore n~, so the cells of one (d, tau) row share their
+networks: each network is drawn and simulated once per row and its one
+trajectory is identified at every subsample divisor.  With ``timing``,
+a cell's ``wall_ms`` is its own identification time plus an equal share
+of the row's draws and simulations, scaled so that a row's cells add up
+to the row's wall time.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -209,29 +217,41 @@ def benchmark_network(d: int, trial_seed: int, cfg: SweepConfig) -> tuple[np.nda
 def run_benchmark_trial(
     d: int,
     tau: float,
-    subsample: int,
+    subsamples: Sequence[int],
     trial_seed: int,
     cfg: SweepConfig,
-) -> tuple[int, float | None]:
-    """One seeded network draw, simulation, and identification.
+    stage_ns: list[int] | None = None,
+) -> list[tuple[int, float | None]]:
+    """One seeded network draw and simulation, identified at every divisor.
 
-    Returns (solvability label, relative error or None).  The error is
-    reported only for solvable trials with a nonzero ground truth.
+    The network is drawn and simulated once; its trajectory is then
+    identified at each divisor of ``subsamples``.  Returns one
+    (solvability label, relative error or None) per divisor, in the given
+    order.  The error is reported only for solvable trials with a nonzero
+    ground truth.  If ``stage_ns`` is given, the draw-and-simulate time
+    and then each identification time are appended to it, in ns.
     """
+    marks = [time.perf_counter_ns()]
     adjacency, rho0 = benchmark_network(d, trial_seed, cfg)
     traj = sample_trajectory(adjacency.astype(complex), rho0, tau, cfg.dt, cfg.hbar)
-    report = identify_topology(
-        traj,
-        subsample=subsample,
-        hbar=cfg.hbar,
-        truth=adjacency,
-        rtol=cfg.rtol,
-        real_coupling=cfg.real_coupling,
-        label_rtol=cfg.label_rtol,
-    )
-    label = report.solvability
-    eps = report.epsilon if label == 1 else None
-    return label, eps
+    marks.append(time.perf_counter_ns())
+    out = []
+    for subsample in subsamples:
+        report = identify_topology(
+            traj,
+            subsample=subsample,
+            hbar=cfg.hbar,
+            truth=adjacency,
+            rtol=cfg.rtol,
+            real_coupling=cfg.real_coupling,
+            label_rtol=cfg.label_rtol,
+        )
+        label = report.solvability
+        out.append((label, report.epsilon if label == 1 else None))
+        marks.append(time.perf_counter_ns())
+    if stage_ns is not None:
+        stage_ns.extend(b - a for a, b in zip(marks, marks[1:]))
+    return out
 
 
 def _quartiles(values: list[float]) -> tuple[float | None, float | None, float | None]:
@@ -241,38 +261,68 @@ def _quartiles(values: list[float]) -> tuple[float | None, float | None, float |
     return float(med), float(q1), float(q3)
 
 
-def _run_cell(cfg: SweepConfig, d: int, tau: float, subsample: int) -> CellRecord:
-    n_tilde = cfg.n_samples(tau) // subsample
+def _apportion(row_ms: float, stage_ns: list[list[int]]) -> list[int]:
+    """Split a row's wall time over its cells, in whole ms.
+
+    Cell i weighs its own identification time plus an equal share of the
+    row's draws and simulations.  The weights are scaled to the row's
+    wall time and rounded on their running sum, so the cells add up to
+    the rounded row time exactly.
+    """
+    n = len(stage_ns[0]) - 1
+    shared = sum(stages[0] for stages in stage_ns) / n
+    weights = [shared + sum(stages[i + 1] for stages in stage_ns) for i in range(n)]
+    total = sum(weights) or 1.0
+    bounds = [int(round(row_ms * sum(weights[:i]) / total)) for i in range(n + 1)]
+    return [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _run_row(cfg: SweepConfig, d: int, tau: float) -> list[CellRecord]:
+    """The records of every subsample divisor at (d, tau), divisors descending.
+
+    The trial seeds are independent of n~, so each trial's network is
+    drawn and simulated once and identified at every divisor.
+    """
+    subsamples = sorted(cfg.subsamples, reverse=True)
     t0 = time.perf_counter()
-    # the trial seed is independent of the quadrature resolution, so cells
-    # that differ only in n~ see the same networks (paired comparisons)
     seeds = [derive_seed(cfg.seed, d, tau, trial) for trial in range(cfg.trials)]
 
     def work(seed):
-        return run_benchmark_trial(d, tau, subsample, seed, cfg)
+        stages: list[int] = []
+        return run_benchmark_trial(d, tau, subsamples, seed, cfg, stages), stages
 
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(work, seeds))
+            outcomes = list(pool.map(work, seeds))
     else:
-        results = [work(s) for s in seeds]
+        outcomes = [work(s) for s in seeds]
 
-    labels = [r[0] for r in results]
-    epses = [r[1] for r in results if r[0] == 1 and r[1] is not None]
-    med, q1, q3 = _quartiles(epses)
-    wall_ms = int(round(1000.0 * (time.perf_counter() - t0))) if cfg.timing else 0
-    return CellRecord(
-        d=d,
-        tau=tau,
-        n_tilde=n_tilde,
-        trials=cfg.trials,
-        solvability_mean=float(np.mean(labels)),
-        eps_median=med,
-        eps_q1=q1,
-        eps_q3=q3,
-        wall_ms=wall_ms,
-        seed=cfg.seed,
-    )
+    if cfg.timing:
+        row_ms = 1000.0 * (time.perf_counter() - t0)
+        wall_ms = _apportion(row_ms, [stages for _, stages in outcomes])
+    else:
+        wall_ms = [0] * len(subsamples)
+    records = []
+    for i, subsample in enumerate(subsamples):
+        results = [per_divisor[i] for per_divisor, _ in outcomes]
+        labels = [r[0] for r in results]
+        epses = [r[1] for r in results if r[0] == 1 and r[1] is not None]
+        med, q1, q3 = _quartiles(epses)
+        records.append(
+            CellRecord(
+                d=d,
+                tau=tau,
+                n_tilde=cfg.n_samples(tau) // subsample,
+                trials=cfg.trials,
+                solvability_mean=float(np.mean(labels)),
+                eps_median=med,
+                eps_q1=q1,
+                eps_q3=q3,
+                wall_ms=wall_ms[i],
+                seed=cfg.seed,
+            )
+        )
+    return records
 
 
 def _fmt(value) -> str:
@@ -309,8 +359,8 @@ def _config_preamble(kind: str, cfg: SweepConfig) -> str:
 def run_sweep(cfg: SweepConfig, kind: str = "solvability", out_csv=None) -> SweepResult:
     """Run every (d, tau, subsample) cell; optionally stream rows to CSV.
 
-    Rows are flushed per cell, so a failing later cell leaves a valid
-    partial CSV behind.
+    The CSV is flushed after each (d, tau) row of cells, so a failing
+    later row leaves a valid partial CSV behind.
     """
     cfg = cfg.validated()
     result = SweepResult(kind=kind, config=cfg)
@@ -323,12 +373,11 @@ def run_sweep(cfg: SweepConfig, kind: str = "solvability", out_csv=None) -> Swee
     try:
         for d in cfg.d_values:
             for tau in cfg.taus:
-                for sub in sorted(cfg.subsamples, reverse=True):
-                    rec = _run_cell(cfg, d, tau, sub)
-                    result.records.append(rec)
-                    if fh is not None:
-                        fh.write(_record_row(rec) + "\n")
-                        fh.flush()
+                records = _run_row(cfg, d, tau)
+                result.records.extend(records)
+                if fh is not None:
+                    fh.writelines(_record_row(rec) + "\n" for rec in records)
+                    fh.flush()
     finally:
         if fh is not None:
             fh.close()

@@ -12,10 +12,13 @@ solution exists exactly when no nonzero admissible matrix commutes with
 the exact time integral P.  Criterion 3 separates the solver from the
 quadrature: the exact-P solve must recover the network, the median error
 must fall as h^2 along the paired subsampling axis, and it must stay
-below 0.05 from 20 trapezoid panels on.
+below 0.05 from 20 trapezoid panels on.  Both also compare their sweep
+records with the golden seed-0 records in ``golden_sweeps.json``.
 """
 
+import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +62,34 @@ MASTER_SEED = 0
 #: ones and >= 1e-5 on the solvable ones, so the verdict does not hinge
 #: on this value
 COMMUTANT_RTOL = 1e-9
+#: golden records of the seed-0 sweeps of criteria 1 and 3
+GOLDEN_SWEEPS = Path(__file__).with_name("golden_sweeps.json")
+GOLDEN_EPS_RTOL = 1e-9
+
+
+def golden_mismatches(name: str, records) -> list[str]:
+    """Where ``records`` differ from the golden records ``name``
+    (``golden_sweeps.json``, written by ``record_golden_sweeps.py``): the
+    grid and ``solvability_mean`` must match exactly, the ``eps_*`` fields
+    to ``GOLDEN_EPS_RTOL`` relative."""
+    golden = json.loads(GOLDEN_SWEEPS.read_text())[name]
+    if len(golden) != len(records):
+        return [f"{name}: {len(records)} records, golden has {len(golden)}"]
+    out = []
+    for rec, ref in zip(records, golden):
+        cell = f"{name} d={ref['d']} tau={ref['tau']:g} n~={ref['n_tilde']}"
+        if (rec.d, rec.tau, rec.n_tilde, rec.solvability_mean) != (
+            ref["d"], ref["tau"], ref["n_tilde"], ref["solvability_mean"]
+        ):
+            out.append(f"{cell}: record {rec} differs from golden {ref}")
+            continue
+        for key in ("eps_median", "eps_q1", "eps_q3"):
+            got, want = getattr(rec, key), ref[key]
+            if (got is None) != (want is None) or (
+                want is not None and abs(got - want) > GOLDEN_EPS_RTOL * abs(want)
+            ):
+                out.append(f"{cell}: {key} {got} differs from golden {want}")
+    return out
 
 
 def report(criterion: str, passed: bool, detail: str) -> bool:
@@ -132,6 +163,8 @@ class TestCriterion1RoundTripSolvability:
             f"{detail}; {n_draws - len(identifiable_labels)} of {n_draws} draws have a "
             f"nontrivial commutant, {len(disagreements)} label/commutant disagreements",
         )
+        golden = golden_mismatches("criterion1", res.records)
+        assert not golden, "sweep records differ from the golden records: " + "; ".join(golden)
         assert ok_records, f"recomputed labels differ from the sweep records at {unmatched_records}"
         assert ok_small, f"mean solvability below 0.9 at d in 2..3: {detail}"
         assert ok_band, "label disagrees with the commutant condition: " + "; ".join(disagreements)
@@ -192,6 +225,7 @@ class TestCriterion3ErrorBenchmark:
                 dt=0.01, subsamples=(20, 10, 5, 1), trials=100,
             )
             res = run_error_sweep(cfg)
+            failures.extend(golden_mismatches(f"criterion3_tau{tau:g}", res.records))
             n_s = cfg.n_samples(tau)
             medians = {(rec.d, n_s // rec.n_tilde): rec.eps_median for rec in res.records}
             for d in cfg.d_values:

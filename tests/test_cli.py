@@ -55,6 +55,16 @@ class TestSimulateIdentify:
         bad.write_text("x,y\n1,2\n")
         assert run("identify", "--trajectory", bad) == 3
 
+    def test_non_uniform_trajectory_exits_3(self, tmp_path):
+        h_path = tmp_path / "h.json"
+        save_matrix(h_path, SX)
+        traj = tmp_path / "t.csv"
+        run("simulate", "--hamiltonian", h_path, "--tau", 1.0, "--dt", 0.1, "--out", traj)
+        lines = traj.read_text().splitlines()
+        del lines[2]  # drop the sample at t = 0.1
+        traj.write_text("\n".join(lines) + "\n")
+        assert run("identify", "--trajectory", traj) == 3
+
     def test_missing_file_exits_2(self, tmp_path):
         assert run("identify", "--trajectory", tmp_path / "absent.csv") == 2
 

@@ -159,6 +159,22 @@ class TestSampleTrajectory:
         with pytest.raises(ValueError, match="integer"):
             sample_trajectory(SX, E1, 1.0, 0.3)
 
+    @pytest.mark.parametrize("n_s", [1, 15, 16, 17, 33])
+    def test_block_edges_match_propagate(self, n_s):
+        # sample counts around the propagation block size; a mixed state
+        # has coherences in every entry
+        rng = np.random.default_rng(40 + n_s)
+        h = random_hermitian(rng, 4)
+        rho0 = random_density(rng, 4)
+        rho0 = 0.5 * (rho0 + rho0.conj().T)
+        tau = 0.05 * n_s
+        traj = sample_trajectory(h, rho0, tau, 0.05)
+        assert traj.n_samples == n_s
+        assert traj.times[-1] == tau
+        assert np.array_equal(traj.states[0], rho0)
+        for t, st in zip(traj.times, traj.states):
+            assert np.max(np.abs(st - propagate(h, rho0, t))) <= 1e-14
+
 
 class TestExactGram:
     def test_zero_hamiltonian(self):
@@ -226,3 +242,27 @@ class TestTrajectoryCsv:
         bad.write_text("x,y\n1,2\n")
         with pytest.raises(ValueError):
             read_trajectory_csv(bad)
+
+    def test_shifted_times_keep_window(self, tmp_path):
+        traj = sample_trajectory(SX, E1, 0.4, 0.1)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(Trajectory(times=traj.times + 1.0, states=traj.states), path)
+        back = read_trajectory_csv(path)
+        assert back.times[0] == 1.0
+        assert back.tau == pytest.approx(0.4, rel=1e-12)
+        assert back.dt == pytest.approx(0.1, rel=1e-12)
+
+    def test_rejects_non_uniform_times(self, tmp_path):
+        traj = sample_trajectory(SX, E1, 1.0, 0.1)
+        keep = [0, 2, 4, 5, 6, 7, 8, 9, 10]  # alternate samples dropped early on
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(Trajectory(times=traj.times[keep], states=traj.states[keep]), path)
+        with pytest.raises(ValueError, match="not uniform"):
+            read_trajectory_csv(path)
+
+    def test_rejects_non_increasing_times(self, tmp_path):
+        traj = sample_trajectory(SX, E1, 0.4, 0.1)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(Trajectory(times=traj.times[::-1], states=traj.states), path)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            read_trajectory_csv(path)

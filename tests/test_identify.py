@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qnetid.dynamics import exact_gram, propagate, sample_trajectory
+from qnetid.dynamics import Trajectory, exact_gram, propagate, sample_trajectory
 from qnetid.identify import (
     admissible_embedding,
     build_P_trapezoid,
@@ -252,6 +252,18 @@ class TestIdentifyTopology:
         rep = identify_topology(traj, truth=SX)
         assert rep.solvability == 1
         assert rep.epsilon <= 1e-3
+
+    def test_shifted_time_grid(self):
+        # the quadrature window is times[-1] - times[0], so a trajectory
+        # whose clock starts at t = 1 identifies like the one starting at 0
+        rng = np.random.default_rng(5)
+        m_true = random_admissible(rng, 6, real=True)
+        traj = sample_trajectory(m_true, random_density(rng, 6), 2.0, 0.01)
+        shifted = Trajectory(times=traj.times + 1.0, states=traj.states)
+        rep = identify_topology(traj, truth=m_true)
+        rep_shifted = identify_topology(shifted, truth=m_true)
+        assert rep.solvability == rep_shifted.solvability == 1
+        assert rep_shifted.epsilon == pytest.approx(rep.epsilon, rel=1e-9)
 
     def test_no_interaction_instance(self):
         traj = sample_trajectory(np.zeros((2, 2)), E1, 1.0, 0.01)

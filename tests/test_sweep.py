@@ -1,6 +1,11 @@
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import qnetid.sweep
+from qnetid.dynamics import sample_trajectory
 from qnetid.sweep import (
     CSV_HEADER,
     ConfigError,
@@ -10,6 +15,7 @@ from qnetid.sweep import (
     run_error_sweep,
     run_solvability_sweep,
     run_sweep,
+    _apportion,
     write_sweep_csv,
 )
 
@@ -66,16 +72,28 @@ class TestConfigValidation:
 
 class TestTrial:
     def test_deterministic(self):
-        a = run_benchmark_trial(3, 1.0, 1, 12345, TINY)
-        b = run_benchmark_trial(3, 1.0, 1, 12345, TINY)
+        a = run_benchmark_trial(3, 1.0, (5, 1), 12345, TINY)
+        b = run_benchmark_trial(3, 1.0, (5, 1), 12345, TINY)
         assert a == b
 
     def test_solvable_has_epsilon(self):
-        label, eps = run_benchmark_trial(3, 1.0, 1, 7, TINY)
-        if label == 1:
-            assert eps is not None and eps >= 0.0
-        else:
-            assert eps is None
+        for label, eps in run_benchmark_trial(3, 1.0, (5, 1), 7, TINY):
+            if label == 1:
+                assert eps is not None and eps >= 0.0
+            else:
+                assert eps is None
+
+    def test_one_result_per_divisor_in_order(self):
+        # one simulation serves every divisor: the results are those of
+        # single-divisor trials on the same seed, in the given order
+        both = run_benchmark_trial(4, 1.0, (1, 20), 3, TINY)
+        assert both == [run_benchmark_trial(4, 1.0, (sub,), 3, TINY)[0] for sub in (1, 20)]
+
+    def test_stage_times(self):
+        stages = []
+        run_benchmark_trial(3, 1.0, (10, 5, 1), 7, TINY, stages)
+        assert len(stages) == 4  # draw and simulate, then one per divisor
+        assert all(isinstance(t, int) and t >= 0 for t in stages)
 
 
 class TestSweep:
@@ -118,9 +136,46 @@ class TestSweep:
         assert wide_d3 == narrow.records
 
     def test_jobs_do_not_change_records(self):
-        seq = run_sweep(TINY)
-        par = run_sweep(TINY.override(jobs=4))
-        assert seq.records == par.records
+        for cfg in (TINY, TINY.override(subsamples=(5, 1))):
+            seq = run_sweep(cfg)
+            par = run_sweep(cfg.override(jobs=4))
+            assert seq.records == par.records
+
+    @pytest.mark.parametrize("subsamples", [(1,), (20, 10, 5, 1)])
+    def test_one_simulation_per_network(self, monkeypatch, subsamples):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return sample_trajectory(*args, **kwargs)
+
+        monkeypatch.setattr(qnetid.sweep, "sample_trajectory", counting)
+        cfg = TINY.override(taus=(1.0, 2.0), subsamples=subsamples, trials=3)
+        res = run_sweep(cfg)
+        assert len(res.records) == len(cfg.d_values) * len(cfg.taus) * len(subsamples)
+        assert len(calls) == cfg.trials * len(cfg.d_values) * len(cfg.taus)
+
+    def test_timing_changes_only_wall_ms(self):
+        cfg = TINY.override(subsamples=(20, 10, 5, 1))
+        plain = run_sweep(cfg).records
+        t0 = time.perf_counter()
+        timed = run_sweep(cfg.override(timing=True)).records
+        sweep_ms = 1000.0 * (time.perf_counter() - t0)
+        assert [replace(r, wall_ms=0) for r in timed] == plain
+        assert all(isinstance(r.wall_ms, int) and r.wall_ms >= 0 for r in timed)
+        # the cells share out their row's wall time, so they cannot add up
+        # to more than the sweep's (up to rounding, half a ms per row)
+        rows = len(cfg.d_values) * len(cfg.taus)
+        assert sum(r.wall_ms for r in timed) <= sweep_ms + 0.5 * rows
+
+    def test_wall_ms_apportioning(self):
+        # two trials of three divisors: 6 ns of draws and simulations are
+        # shared equally, the identification times (2, 4, 6 ns) are the
+        # cells' own; the cells always add up to the rounded row time
+        stages = [[4, 1, 2, 3], [2, 1, 2, 3]]
+        assert _apportion(18.0, stages) == [4, 6, 8]
+        assert _apportion(9.0, stages) == [2, 3, 4]
+        assert sum(_apportion(7.3, stages)) == 7
 
     def test_write_sweep_csv_matches_streaming(self, tmp_path):
         streamed = tmp_path / "st.csv"
