@@ -17,7 +17,6 @@ from .linalg import (
     SvdResult,
     eig_hermitian,
     hermitize,
-    kron,
     load_matrix,
     save_matrix,
     spectral_norm,
@@ -119,7 +118,6 @@ __all__ = [
     "identify_topology",
     "identity_initial_batch",
     "is_connected",
-    "kron",
     "liouvillian",
     "load_matrix",
     "observability_rank",

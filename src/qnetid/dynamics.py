@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitize, kron, vec
+from .linalg import hermitize
 
 #: tolerated negative eigenvalue on density operators (round-off slack)
 PSD_TOL = 1e-10
@@ -27,7 +27,7 @@ OMEGA_TAU_TOL = 1e-8
 #: samples per batched matmul in ``sample_trajectory``; one batch over
 #: all samples is slower at d = 30 because its temporaries leave the cache
 SAMPLE_BLOCK = 16
-#: relative spread of the sampling steps tolerated in a trajectory CSV
+#: relative spread of the sampling steps tolerated in a trajectory
 GRID_RTOL = 1e-9
 
 
@@ -53,11 +53,27 @@ class Trajectory:
 
     times[k] = times[0] + k * dt (times[0] = 0 for simulated
     trajectories); states[k] is the d x d density operator at times[k].
-    ``tau`` is the window length times[-1] - times[0].
+    ``tau`` is the window length times[-1] - times[0].  The trapezoid
+    integral assumes this grid, so construction raises ValueError unless
+    there are at least two times, strictly increasing and uniform to
+    ``GRID_RTOL`` relative; they need not start at 0.
     """
 
     times: np.ndarray   # (n_s + 1,)
     states: np.ndarray  # (n_s + 1, d, d)
+
+    def __post_init__(self) -> None:
+        if len(self.times) < 2:
+            raise ValueError("a trajectory needs at least two samples")
+        steps = np.diff(self.times)
+        if not np.all(steps > 0):
+            raise ValueError("trajectory times are not strictly increasing")
+        step = (self.times[-1] - self.times[0]) / len(steps)
+        if np.max(np.abs(steps - step)) > GRID_RTOL * step:
+            raise ValueError(
+                f"trajectory times are not uniform to {GRID_RTOL:g} relative "
+                f"(steps {steps.min():.17g} to {steps.max():.17g})"
+            )
 
     @property
     def dim(self) -> int:
@@ -88,7 +104,7 @@ def liouvillian(h: np.ndarray, hbar: float = 1.0) -> np.ndarray:
     h = hermitize(h)
     d = h.shape[0]
     eye = np.eye(d)
-    return (-1j / hbar) * (kron(eye, h) - kron(h.T, eye))
+    return (-1j / hbar) * (np.kron(eye, h) - np.kron(h.T, eye))
 
 
 def unitary_conjugate(h: np.ndarray, x: np.ndarray, t: float, hbar: float = 1.0) -> np.ndarray:
@@ -207,9 +223,8 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 def read_trajectory_csv(path) -> Trajectory:
     """Parse a trajectory CSV; raises ValueError on malformed input.
 
-    The times must be strictly increasing and uniform to ``GRID_RTOL``
-    relative, since the trapezoid integral assumes a uniform grid; they
-    need not start at 0.
+    The times are checked by ``Trajectory``: at least two, strictly
+    increasing and uniform to ``GRID_RTOL`` relative.
     """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -230,16 +245,4 @@ def read_trajectory_csv(path) -> Trajectory:
             times.append(vals[0])
             flat = np.asarray(vals[1::2]) + 1j * np.asarray(vals[2::2])
             states.append(flat.reshape((d, d), order="F"))
-    if len(times) < 2:
-        raise ValueError("trajectory CSV needs at least two samples")
-    times = np.asarray(times)
-    steps = np.diff(times)
-    if not np.all(steps > 0):
-        raise ValueError("trajectory CSV times are not strictly increasing")
-    step = (times[-1] - times[0]) / len(steps)
-    if np.max(np.abs(steps - step)) > GRID_RTOL * step:
-        raise ValueError(
-            f"trajectory CSV times are not uniform to {GRID_RTOL:g} relative "
-            f"(steps {steps.min():.17g} to {steps.max():.17g})"
-        )
-    return Trajectory(times=times, states=np.asarray(states))
+    return Trajectory(times=np.asarray(times), states=np.asarray(states))

@@ -3,10 +3,18 @@
 Given the time integral P of a measured trajectory and the endpoint
 difference Q = i*hbar*(rho_tau - rho_0), the coupling matrix is the
 admissible (Hermitian, zero-diagonal) solution M of the commutator
-equation [M, P] = Q.  Vectorizing with Ptilde = P^T kron I - I kron P
-turns that into a linear system; restricting to an explicit real
-parametrization of the admissible set keeps the constraints exact and
-makes the uniqueness question a plain column-rank question.
+equation [M, P] = Q.  Restricting M to an explicit real parametrization
+of the admissible set keeps the constraints exact and makes the
+uniqueness question a plain column-rank question.  The system's columns
+are written in closed form.  The column of x_ij is vec([E_ij + E_ji, P]):
+row i of the commutator is P[j, :], row j is P[i, :], column j is
+-P[:, i] and column i is -P[:, j].  The column of y_ij is
+i * vec([E_ij - E_ji, P]), the same four pieces with the row-j and
+column-i signs flipped.  Since i != j, every entry is a sum of at most
+two entries of P.  By vec(A X B) = (B^T kron A) vec(X), these are the
+columns of (P^T kron I - I kron P) applied to the parametrization, entry
+for entry; neither the d^2 x d^2 Kronecker matrix nor a dense basis of
+the parametrization is ever formed.
 
 Two parameter classes are supported:
 
@@ -31,6 +39,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,10 +49,8 @@ from .linalg import (
     DEFAULT_RTOL,
     EPS,
     hermitize,
-    kron,
     matrix_to_json,
     spectral_norm,
-    unvec,
     vec,
 )
 
@@ -61,69 +68,90 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # admissible parametrization
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _pairs(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Upper-triangle pairs (i, j), i < j row-major, and their index k."""
+    i, j = np.triu_indices(d, 1)
+    k = np.arange(i.size)
+    for a in (i, j, k):
+        a.flags.writeable = False  # shared by every caller through the cache
+    return i, j, k
+
+
 @dataclass(frozen=True)
 class AdmissibleEmbedding:
-    """Linear map S from real parameters to vec(M) of an admissible matrix.
+    """Linear map from real parameters to an admissible matrix M.
 
     Parameters are ordered by upper-triangle pair (i < j, row-major); in
     the full class each pair contributes (x_ij, y_ij) with
     M_ij = x_ij + i y_ij and M_ji its conjugate, in the real-coupling
-    class just x_ij.  Every matrix in the range is exactly Hermitian with
-    exactly zero diagonal, so no constraint rows are ever needed.
+    class just x_ij.  ``to_matrix`` scatters them into the upper triangle
+    and their conjugates into the lower one, so every matrix in the range
+    is exactly Hermitian with exactly zero diagonal and no constraint rows
+    are ever needed.  ``from_matrix`` reads them back from the upper
+    triangle.
     """
 
     dim: int
     real_coupling: bool
-    basis: np.ndarray  # (d*d, n_params) complex
 
     @property
     def n_params(self) -> int:
-        return self.basis.shape[1]
+        n_pairs = self.dim * (self.dim - 1) // 2
+        return n_pairs if self.real_coupling else 2 * n_pairs
 
     def to_matrix(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.n_params,):
             raise ValueError(f"expected {self.n_params} parameters, got {theta.shape}")
-        m = unvec(self.basis @ theta, self.dim, self.dim)
-        return m.real if self.real_coupling else m
+        i, j, _ = _pairs(self.dim)
+        if self.real_coupling:
+            m = np.zeros((self.dim, self.dim))
+            m[i, j] = m[j, i] = theta
+        else:
+            m = np.zeros((self.dim, self.dim), dtype=complex)
+            m[i, j] = theta[0::2] + 1j * theta[1::2]
+            m[j, i] = m[i, j].conj()
+        return m
 
     def from_matrix(self, m: np.ndarray) -> np.ndarray:
-        m = np.asarray(m, dtype=complex)
-        theta = []
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                theta.append(m[i, j].real)
-                if not self.real_coupling:
-                    theta.append(m[i, j].imag)
-        return np.asarray(theta)
+        i, j, _ = _pairs(self.dim)
+        upper = np.asarray(m, dtype=complex)[i, j]
+        if self.real_coupling:
+            return upper.real
+        return np.column_stack([upper.real, upper.imag]).ravel()
 
 
 def admissible_embedding(d: int, real_coupling: bool = False) -> AdmissibleEmbedding:
     """Build the admissible parametrization for dimension d (d >= 2)."""
     if d < 2:
         raise ValueError("d must be at least 2")
-    cols = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            ex = np.zeros((d, d), dtype=complex)
-            ex[i, j] = 1.0
-            ex[j, i] = 1.0
-            cols.append(vec(ex))
-            if not real_coupling:
-                ey = np.zeros((d, d), dtype=complex)
-                ey[i, j] = 1j
-                ey[j, i] = -1j
-                cols.append(vec(ey))
-    return AdmissibleEmbedding(dim=d, real_coupling=real_coupling, basis=np.array(cols).T)
+    return AdmissibleEmbedding(dim=d, real_coupling=real_coupling)
 
 
 def _realified_system(p: np.ndarray, embedding: AdmissibleEmbedding) -> np.ndarray:
-    """Real coefficient matrix of theta -> vec([M(theta), P]) stacked Re/Im."""
+    """Real coefficient matrix of theta -> vec([M(theta), P]) stacked Re/Im.
+
+    Written in closed form (module docstring) into an array indexed
+    [Re/Im, column c, row r, pair k, x/y], which is the row-stacked vec
+    layout with each pair's (x_ij, y_ij) columns side by side.
+    """
     d = embedding.dim
-    eye = np.eye(d)
-    ptilde = kron(p.T, eye) - kron(eye, p)
-    ps = ptilde @ embedding.basis
-    return np.vstack([ps.real, ps.imag])
+    i, j, k = _pairs(d)
+    # (Re/Im source, sign of the row-j and column-i pieces) per column kind:
+    # x_ij takes Re/Im of P; y_ij = i * vec([E_ij - E_ji, P]) has real part
+    # -Im and imaginary part Re of the unscaled column
+    parts = [(np.stack([p.real, p.imag]), 1.0)]
+    if not embedding.real_coupling:
+        parts.append((np.stack([-p.imag, p.real]), -1.0))
+    a = np.zeros((2, d, d, k.size, len(parts)))
+    for t, (src, sign) in enumerate(parts):
+        col = a[..., t]
+        col[:, :, i, k] += src[:, j, :].transpose(0, 2, 1)         # row i: P[j, :]
+        col[:, :, j, k] += sign * src[:, i, :].transpose(0, 2, 1)  # row j: P[i, :]
+        col[:, j, :, k] -= src[:, :, i].transpose(2, 0, 1)         # column j: -P[:, i]
+        col[:, i, :, k] -= sign * src[:, :, j].transpose(2, 0, 1)  # column i: -P[:, j]
+    return a.reshape(2 * d * d, -1)
 
 
 def _label_tolerance(shape: tuple[int, int], sigma_max: float) -> float:

@@ -1,8 +1,8 @@
 """Dense complex linear-algebra kernel.
 
-Kronecker products, column-stacking vectorization, Hermitian
-eigendecomposition, SVD-based numerical rank / pseudoinverse, spectral
-norm, and the JSON matrix file format shared by the whole package.
+Column-stacking vectorization, Hermitian eigendecomposition, SVD-based
+numerical rank / pseudoinverse, spectral norm, and the JSON matrix file
+format shared by the whole package.
 
 The vectorization convention is column stacking throughout:
 ``vec(M)[(j-1)*d + i] = M[i, j]`` (1-based), i.e. the first column of M
@@ -25,11 +25,6 @@ DEFAULT_RTOL = 1e-9
 ABS_FLOOR = 1e-12
 #: largest tolerated relative asymmetry when symmetrizing a Hermitian input
 HERMITIAN_RTOL = 1e-10
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with block (i, j) equal to ``a[i, j] * b``."""
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 def vec(m: np.ndarray) -> np.ndarray:

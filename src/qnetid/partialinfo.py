@@ -30,7 +30,6 @@ from .linalg import (
     DEFAULT_RTOL,
     EPS,
     hermitize,
-    kron,
     matrix_from_json,
     matrix_to_json,
     spectral_norm,
@@ -279,7 +278,7 @@ def extract_hamiltonian(
             basis.append(ey)
 
     eye = np.eye(d)
-    cols = [vec((-1j / hbar) * (kron(eye, h) - kron(h.T, eye))) for h in basis]
+    cols = [vec((-1j / hbar) * (np.kron(eye, h) - np.kron(h.T, eye))) for h in basis]
     t = np.array(cols).T
     a = np.vstack([t.real, t.imag])
     b = np.concatenate([vec(l_hat).real, vec(l_hat).imag])

@@ -21,6 +21,15 @@ SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 E1 = np.diag([1.0, 0.0]).astype(complex)
 
 
+def write_csv_rows(path, traj, picks, times):
+    """Write the CSV of ``traj``, then rewrite its rows as text: row k holds
+    times[k] and the states of sample picks[k]."""
+    write_trajectory_csv(traj, path)
+    header, *rows = path.read_text().splitlines()
+    body = [f"{t:.17g}," + rows[k].split(",", 1)[1] for k, t in zip(picks, times)]
+    path.write_text("\n".join([header, *body]) + "\n")
+
+
 class TestCheckDensity:
     def test_accepts_valid(self):
         rng = np.random.default_rng(0)
@@ -220,6 +229,19 @@ class TestExactGram:
         assert np.linalg.eigvalsh(p)[0] >= -1e-10
 
 
+class TestTrajectory:
+    def test_rejects_bad_grid_in_memory(self):
+        # the trapezoid P assumes a uniform grid, so a Trajectory cannot hold another
+        traj = sample_trajectory(SX, E1, 1.0, 0.1)
+        keep = [0, 2, 4, 5, 6, 7, 8, 9, 10]
+        with pytest.raises(ValueError, match="not uniform"):
+            Trajectory(times=traj.times[keep], states=traj.states[keep])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Trajectory(times=traj.times[::-1], states=traj.states)
+        with pytest.raises(ValueError, match="at least two"):
+            Trajectory(times=traj.times[:1], states=traj.states[:1])
+
+
 class TestTrajectoryCsv:
     def test_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -256,13 +278,13 @@ class TestTrajectoryCsv:
         traj = sample_trajectory(SX, E1, 1.0, 0.1)
         keep = [0, 2, 4, 5, 6, 7, 8, 9, 10]  # alternate samples dropped early on
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(Trajectory(times=traj.times[keep], states=traj.states[keep]), path)
+        write_csv_rows(path, traj, keep, traj.times[keep])
         with pytest.raises(ValueError, match="not uniform"):
             read_trajectory_csv(path)
 
     def test_rejects_non_increasing_times(self, tmp_path):
         traj = sample_trajectory(SX, E1, 0.4, 0.1)
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(Trajectory(times=traj.times[::-1], states=traj.states), path)
+        write_csv_rows(path, traj, range(len(traj.times)), traj.times[::-1])
         with pytest.raises(ValueError, match="strictly increasing"):
             read_trajectory_csv(path)

