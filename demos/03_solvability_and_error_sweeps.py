@@ -14,7 +14,7 @@ time integral; both effects are visible already in this small run.
 
 from pathlib import Path
 
-from qnetid import SweepConfig, emit_plot, run_error_sweep, run_solvability_sweep
+from qnetid import SweepConfig, emit_plot, run_sweep
 
 out = Path(__file__).resolve().parent / "demo_output"
 out.mkdir(exist_ok=True)
@@ -30,22 +30,21 @@ cfg = SweepConfig(
     trials=30,
 )
 
-print("running solvability sweep (this is the slow part) ...")
-solv = run_solvability_sweep(cfg, out_csv=out / "solvability.csv")
-for curve, marks in solv.critical_sizes().items():
+# solvability and error sweeps compute the same records (kind only names
+# the sweep in the CSV preamble), so one sweep feeds both figures
+print("running the sweep (this is the slow part) ...")
+res = run_sweep(cfg, kind="solvability", out_csv=out / "sweep.csv")
+for curve, marks in res.critical_sizes().items():
     print(f"  {curve}: last d at full solvability -> {marks['last_full_d']}")
-
-print("running error sweep ...")
-err = run_error_sweep(cfg, out_csv=out / "error.csv")
-worst = max(r.eps_median for r in err.records if r.eps_median is not None)
+worst = max(r.eps_median for r in res.records if r.eps_median is not None)
 print(f"  worst median relative error on solvable cells: {worst:.3f}")
 
-emit_plot(out / "solvability.csv", "solvability", out / "solvability.svg")
-emit_plot(out / "error.csv", "error", out / "error.svg")
+emit_plot(out / "sweep.csv", "solvability", out / "solvability.svg")
+emit_plot(out / "sweep.csv", "error", out / "error.svg")
 print(f"figures written to {out}/solvability.svg and {out}/error.svg")
 
 print("\nsample rows (d, tau, n~, mean solvability, median error):")
-for rec in solv.records:
+for rec in res.records:
     if rec.d in (4, 8, 10):
         print(f"  d={rec.d:2d} tau={rec.tau:g} n~={rec.n_tilde:3d} "
               f"sbar={rec.solvability_mean:4.2f} eps={rec.eps_median:.4f}")

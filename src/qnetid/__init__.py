@@ -14,13 +14,11 @@ quantum-walk networks and renders solvability and error curves.
 __version__ = "0.1.0"
 
 from .linalg import (
-    SvdResult,
-    eig_hermitian,
     hermitize,
     load_matrix,
+    numerical_rank,
     save_matrix,
     spectral_norm,
-    svd_rank_pinv,
     unvec,
     vec,
 )
@@ -77,10 +75,7 @@ from .sweep import (
     SweepResult,
     read_sweep_csv,
     run_benchmark_trial,
-    run_error_sweep,
-    run_solvability_sweep,
     run_sweep,
-    write_sweep_csv,
 )
 from .svgplot import emit_plot
 
@@ -92,7 +87,6 @@ __all__ = [
     "IdentificationReport",
     "ManyBodySpec",
     "SeededRng",
-    "SvdResult",
     "SweepConfig",
     "SweepResult",
     "Trajectory",
@@ -107,7 +101,6 @@ __all__ = [
     "commutator",
     "derive_seed",
     "diagonal_selector",
-    "eig_hermitian",
     "emit_plot",
     "erdos_renyi",
     "estimate_derivative_stacks",
@@ -120,6 +113,7 @@ __all__ = [
     "is_connected",
     "liouvillian",
     "load_matrix",
+    "numerical_rank",
     "observability_rank",
     "physical_decomposition",
     "physical_initial_batch",
@@ -129,18 +123,14 @@ __all__ = [
     "reconstruct_liouvillian",
     "relative_error",
     "run_benchmark_trial",
-    "run_error_sweep",
-    "run_solvability_sweep",
     "run_sweep",
     "sample_output_stacks",
     "sample_trajectory",
     "save_matrix",
     "solve_commutator",
     "spectral_norm",
-    "svd_rank_pinv",
     "unitary_conjugate",
     "unvec",
     "vec",
-    "write_sweep_csv",
     "write_trajectory_csv",
 ]

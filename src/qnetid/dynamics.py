@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitize
+from .linalg import ABS_FLOOR, HERMITIAN_RTOL, hermitize
 
 #: tolerated negative eigenvalue on density operators (round-off slack)
 PSD_TOL = 1e-10
@@ -47,6 +47,47 @@ def check_density(rho: np.ndarray, name: str = "rho") -> np.ndarray:
     return rho
 
 
+def _check_grid(times: np.ndarray) -> None:
+    """Raise ValueError unless ``times`` is a uniform sampling grid.
+
+    That is at least two times, strictly increasing, every step within
+    ``GRID_RTOL`` relative of the mean step.
+    """
+    if len(times) < 2:
+        raise ValueError("a trajectory needs at least two samples")
+    steps = np.diff(times)
+    if not np.all(steps > 0):
+        raise ValueError("trajectory times are not strictly increasing")
+    step = (times[-1] - times[0]) / len(steps)
+    if np.max(np.abs(steps - step)) > GRID_RTOL * step:
+        raise ValueError(
+            f"trajectory times are not uniform to {GRID_RTOL:g} relative "
+            f"(steps {steps.min():.17g} to {steps.max():.17g})"
+        )
+
+
+def sample_times(tau: float, dt: float) -> np.ndarray:
+    """The sampling grid t_k = k*dt, k = 0..n, with t_n = tau exactly.
+
+    This is the one rule for which (tau, dt) pairs are accepted: n is
+    tau/dt rounded, and it must be positive with |tau - n*dt| at most
+    ``GRID_RTOL * dt`` (the last step's deviation from dt).  The grid is
+    then checked as ``Trajectory`` checks it, so every accepted pair
+    yields a valid trajectory.  Raises ValueError otherwise.
+    """
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    n = int(round(tau / dt))
+    if n < 1 or abs(tau - n * dt) > GRID_RTOL * dt:
+        raise ValueError(f"tau/dt = {tau / dt!r} is not a positive integer")
+    times = np.arange(n + 1) * dt
+    times[-1] = tau  # kill accumulated grid round-off at the endpoint
+    _check_grid(times)
+    return times
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Uniformly sampled density-operator trajectory.
@@ -63,17 +104,7 @@ class Trajectory:
     states: np.ndarray  # (n_s + 1, d, d)
 
     def __post_init__(self) -> None:
-        if len(self.times) < 2:
-            raise ValueError("a trajectory needs at least two samples")
-        steps = np.diff(self.times)
-        if not np.all(steps > 0):
-            raise ValueError("trajectory times are not strictly increasing")
-        step = (self.times[-1] - self.times[0]) / len(steps)
-        if np.max(np.abs(steps - step)) > GRID_RTOL * step:
-            raise ValueError(
-                f"trajectory times are not uniform to {GRID_RTOL:g} relative "
-                f"(steps {steps.min():.17g} to {steps.max():.17g})"
-            )
+        _check_grid(self.times)
 
     @property
     def dim(self) -> int:
@@ -138,21 +169,14 @@ def sample_trajectory(
 ) -> Trajectory:
     """Sample rho_t on the uniform grid t_k = k*dt, k = 0..tau/dt.
 
-    tau/dt must be an integer; a single eigendecomposition of H is reused
-    for every sample.  The samples are propagated in blocks of
-    ``SAMPLE_BLOCK`` as batched matmuls; every entry goes through the same
-    floating-point operations as a per-sample propagation, so the states
-    are bit-identical to it (the blocks only keep the batch temporaries in
-    cache).
+    tau/dt must be an integer by the rule of ``sample_times``; a single
+    eigendecomposition of H is reused for every sample.  The samples are
+    propagated in blocks of ``SAMPLE_BLOCK`` as batched matmuls; every
+    entry goes through the same floating-point operations as a per-sample
+    propagation, so the states are bit-identical to it (the blocks only
+    keep the batch temporaries in cache).
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    n_float = tau / dt
-    n = int(round(n_float))
-    if n < 1 or abs(n_float - n) > 1e-9 * max(1.0, n_float):
-        raise ValueError(f"tau/dt = {n_float!r} is not a positive integer")
+    times = sample_times(tau, dt)
     rho0 = check_density(rho0, "rho0")
     h = hermitize(h)
     d = h.shape[0]
@@ -161,15 +185,16 @@ def sample_trajectory(
     w, v = np.linalg.eigh(h)
     vh = v.conj().T
     rho_eig = vh @ rho0 @ v
-    times = np.arange(n + 1) * dt
-    phase = np.exp(-1j * w[None, :] * (times[:, None] / hbar))
-    states = np.empty((n + 1, d, d), dtype=complex)
+    # every sample, the last too, is propagated to k*dt: it differs from
+    # times[-1] = tau only within the grid tolerance
+    k_dt = np.arange(len(times)) * dt
+    phase = np.exp(-1j * w[None, :] * (k_dt[:, None] / hbar))
+    states = np.empty((len(times), d, d), dtype=complex)
     states[0] = rho0  # the t = 0 propagator is the identity, exactly
-    for start in range(1, n + 1, SAMPLE_BLOCK):
+    for start in range(1, len(times), SAMPLE_BLOCK):
         p = phase[start:start + SAMPLE_BLOCK]
         st = v @ ((p[:, :, None] * p.conj()[:, None, :]) * rho_eig) @ vh
         states[start:start + SAMPLE_BLOCK] = 0.5 * (st + st.conj().transpose(0, 2, 1))
-    times[-1] = tau  # kill accumulated grid round-off at the endpoint
     return Trajectory(times=times, states=states)
 
 
@@ -224,7 +249,10 @@ def read_trajectory_csv(path) -> Trajectory:
     """Parse a trajectory CSV; raises ValueError on malformed input.
 
     The times are checked by ``Trajectory``: at least two, strictly
-    increasing and uniform to ``GRID_RTOL`` relative.
+    increasing and uniform to ``GRID_RTOL`` relative.  Every state must
+    have trace 1 to ``TRACE_TOL`` and relative Hermitian asymmetry (in
+    the Frobenius norm) at most ``HERMITIAN_RTOL``; all rows are checked
+    at once, without an eigendecomposition per sample.
     """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -245,4 +273,18 @@ def read_trajectory_csv(path) -> Trajectory:
             times.append(vals[0])
             flat = np.asarray(vals[1::2]) + 1j * np.asarray(vals[2::2])
             states.append(flat.reshape((d, d), order="F"))
-    return Trajectory(times=np.asarray(times), states=np.asarray(states))
+    traj = Trajectory(times=np.asarray(times), states=np.asarray(states))
+    traces = np.trace(traj.states, axis1=1, axis2=2)
+    off_trace = np.abs(traces - 1.0) > TRACE_TOL
+    if off_trace.any():
+        k = int(np.argmax(off_trace))
+        raise ValueError(f"state at t = {times[k]!r} has trace {complex(traces[k])}, expected 1")
+    asym = np.linalg.norm(traj.states - traj.states.conj().transpose(0, 2, 1), axis=(1, 2))
+    rel_asym = asym / np.maximum(np.linalg.norm(traj.states, axis=(1, 2)), ABS_FLOOR)
+    if np.any(rel_asym > HERMITIAN_RTOL):
+        k = int(np.argmax(rel_asym))
+        raise ValueError(
+            f"state at t = {times[k]!r} is not Hermitian: relative asymmetry "
+            f"{rel_asym[k]:.3e} exceeds {HERMITIAN_RTOL:.1e}"
+        )
+    return traj

@@ -50,6 +50,7 @@ from .linalg import (
     EPS,
     hermitize,
     matrix_to_json,
+    numerical_rank,
     spectral_norm,
     vec,
 )
@@ -152,11 +153,6 @@ def _realified_system(p: np.ndarray, embedding: AdmissibleEmbedding) -> np.ndarr
         col[:, j, :, k] -= src[:, :, i].transpose(2, 0, 1)         # column j: -P[:, i]
         col[:, i, :, k] -= sign * src[:, :, j].transpose(2, 0, 1)  # column i: -P[:, j]
     return a.reshape(2 * d * d, -1)
-
-
-def _label_tolerance(shape: tuple[int, int], sigma_max: float) -> float:
-    """LAPACK-style absolute rank cutoff max(m, n) * eps * sigma_max."""
-    return max(shape) * EPS * sigma_max
 
 
 # ---------------------------------------------------------------------------
@@ -295,16 +291,11 @@ def solve_commutator(
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     sigma_max = float(s[0]) if s.size else 0.0
 
-    if sigma_max < ABS_FLOOR:
-        rank = 0
-    else:
-        rank = int(np.sum(s > rtol * sigma_max))
-    label_cut = (
-        _label_tolerance(a.shape, sigma_max)
-        if label_rtol is None
-        else label_rtol * sigma_max
-    )
-    label_rank = int(np.sum(s > label_cut)) if sigma_max >= ABS_FLOOR else 0
+    rank = numerical_rank(s, rtol)
+    if label_rtol is None:
+        label_rtol = max(a.shape) * EPS  # LAPACK-style machine tolerance
+    label_rank = numerical_rank(s, label_rtol)
+    label_cut = label_rtol * sigma_max
 
     inv = np.zeros_like(s)
     if rank > 0:
@@ -357,10 +348,7 @@ def commutant_dimension(p: np.ndarray, rtol: float = DEFAULT_RTOL, real_coupling
     p = np.asarray(p, dtype=complex)
     embedding = admissible_embedding(p.shape[0], real_coupling=real_coupling)
     a = _realified_system(p, embedding)
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] < ABS_FLOOR:
-        return embedding.n_params
-    return embedding.n_params - int(np.sum(s > rtol * s[0]))
+    return embedding.n_params - numerical_rank(np.linalg.svd(a, compute_uv=False), rtol)
 
 
 def relative_error(m_hat: np.ndarray, truth: np.ndarray) -> float:

@@ -1,8 +1,8 @@
 """Dense complex linear-algebra kernel.
 
-Column-stacking vectorization, Hermitian eigendecomposition, SVD-based
-numerical rank / pseudoinverse, spectral norm, and the JSON matrix file
-format shared by the whole package.
+Column-stacking vectorization, Hermitian symmetrization, the one
+numerical-rank rule, spectral norm, and the JSON matrix file format
+shared by the whole package.
 
 The vectorization convention is column stacking throughout:
 ``vec(M)[(j-1)*d + i] = M[i, j]`` (1-based), i.e. the first column of M
@@ -13,7 +13,6 @@ particular ``vec(A X B) = (B^T kron A) vec(X)``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,57 +59,15 @@ def hermitize(m: np.ndarray, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def is_hermitian(m: np.ndarray, rtol: float = HERMITIAN_RTOL) -> bool:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    asym = np.linalg.norm(m - m.conj().T)
-    return asym <= rtol * max(np.linalg.norm(m), ABS_FLOOR)
+def numerical_rank(s: np.ndarray, rtol: float) -> int:
+    """Numerical rank from descending singular values: #{s_i > rtol * s_0}.
 
-
-def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition H = V diag(w) V† of a Hermitian matrix.
-
-    Returns eigenvalues ascending and a unitary V.  Non-Hermitian input is
-    rejected rather than silently projected.
+    The rank is 0 when there are no singular values or when the largest
+    is below ABS_FLOOR (the matrix counts as zero).
     """
-    h = hermitize(h)
-    w, v = np.linalg.eigh(h)
-    return w, v
-
-
-@dataclass(frozen=True)
-class SvdResult:
-    """Singular values (descending), bases, and the numerical rank decision."""
-
-    singular_values: np.ndarray
-    left: np.ndarray   # U, columns are left singular vectors
-    right: np.ndarray  # V†, rows are right singular vectors
-    rank: int
-    rtol: float
-
-
-def svd_rank_pinv(a: np.ndarray, rtol: float = DEFAULT_RTOL) -> tuple[SvdResult, np.ndarray]:
-    """SVD with relative-threshold numerical rank and truncated pseudoinverse.
-
-    rank = #{sigma_i > rtol * sigma_max}, with rank 0 whenever
-    sigma_max < ABS_FLOOR.  The pseudoinverse inverts only retained
-    singular values, so rank-deficient systems get the minimum-norm
-    least-squares inverse.
-    """
-    if rtol <= 0:
-        raise ValueError("rtol must be positive")
-    a = np.asarray(a, dtype=complex)
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] < ABS_FLOOR:
-        rank = 0
-    else:
-        rank = int(np.sum(s > rtol * s[0]))
-    inv = np.zeros_like(s)
-    if rank > 0:
-        inv[:rank] = 1.0 / s[:rank]
-    pinv = (vh.conj().T * inv) @ u.conj().T
-    return SvdResult(s, u, vh, rank, rtol), pinv
+        return 0
+    return int(np.sum(s > rtol * s[0]))
 
 
 def spectral_norm(a: np.ndarray) -> float:

@@ -32,6 +32,7 @@ from .linalg import (
     hermitize,
     matrix_from_json,
     matrix_to_json,
+    numerical_rank,
     spectral_norm,
     unvec,
     vec,
@@ -80,11 +81,7 @@ def observability_rank(
 ) -> tuple[int, bool]:
     """Numerical rank of the observability stack and the full-rank flag."""
     stack = observability_stack(c, liouv)
-    s = np.linalg.svd(stack, compute_uv=False)
-    if s.size == 0 or s[0] < ABS_FLOOR:
-        rank = 0
-    else:
-        rank = int(np.sum(s > rtol * s[0]))
+    rank = numerical_rank(np.linalg.svd(stack, compute_uv=False), rtol)
     return rank, rank == liouv.shape[0]
 
 
@@ -218,16 +215,14 @@ def reconstruct_liouvillian(
         raise ValueError("Lambda0 must be square (columns = vectorized initial states)")
     if stacks.order < n:
         raise ValueError(f"stacks of order {stacks.order} are incomplete; need order {n}")
-    sv = np.linalg.svd(lambda0, compute_uv=False)
-    if sv[0] < ABS_FLOOR or int(np.sum(sv > rtol * sv[0])) < n:
+    if numerical_rank(np.linalg.svd(lambda0, compute_uv=False), rtol) < n:
         raise ValueError("initial-state matrix is numerically singular; "
                          "states are not linearly independent")
     inv0 = np.linalg.inv(lambda0)
     moments = np.asarray([ys @ inv0 for ys in stacks.ys[: n + 1]])
     obs = np.concatenate(moments[:n], axis=0)
     shifted = np.concatenate(moments[1 : n + 1], axis=0)
-    s = np.linalg.svd(obs, compute_uv=False)
-    rank = int(np.sum(s > rtol * s[0])) if s[0] >= ABS_FLOOR else 0
+    rank = numerical_rank(np.linalg.svd(obs, compute_uv=False), rtol)
     if rank < n:
         raise UnobservableError(
             f"observability rank {rank} < {n}: pair not observable, "
@@ -242,13 +237,16 @@ def extract_hamiltonian(
 ) -> np.ndarray:
     """Invert L = -(i/hbar)(I kron H - H^T kron I) for Hermitian H.
 
-    The map's kernel is the identity direction (H and H + c*I generate
-    identical dynamics), so the traceless representative is returned;
-    the minimum-norm least-squares solution lands on it because the
-    parametrization weights all diagonal entries equally.  Inputs whose
-    residual exceeds residual_rtol * ||L|| are rejected as not being
-    closed-system generators; loosen residual_rtol when L itself is a
-    finite-difference estimate rather than exact.
+    In closed form, H = (i*hbar/2d)(Tr_1 L - (Tr_2 L)^T), where Tr_1 and
+    Tr_2 trace out the outer (column) and inner (row) index of the
+    column-stacked vec: X -> Tr_1 X - (Tr_2 X)^T is the adjoint of
+    H -> I kron H - H^T kron I, and adjoint after map is 2d times the
+    identity on traceless H, so the traceless Hermitian part of this H is
+    the least-squares solution.  The map's kernel is the identity direction (H and H + c*I
+    generate identical dynamics), so the traceless representative is
+    returned.  Inputs whose residual exceeds residual_rtol * ||L|| are
+    rejected as not being closed-system generators; loosen residual_rtol
+    when L itself is a finite-difference estimate rather than exact.
     """
     l_hat = np.asarray(l_hat, dtype=complex)
     n = l_hat.shape[0]
@@ -260,30 +258,8 @@ def extract_hamiltonian(
     if skew > max(SKEW_INPUT_RTOL, residual_rtol) * max(scale, ABS_FLOOR):
         raise ValueError("input generator is not skew-Hermitian")
 
-    # Hermitian basis: diagonal units, then (x, y) units per pair i < j.
-    basis = []
-    for i in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[i, i] = 1.0
-        basis.append(e)
-    for i in range(d):
-        for j in range(i + 1, d):
-            ex = np.zeros((d, d), dtype=complex)
-            ex[i, j] = 1.0
-            ex[j, i] = 1.0
-            basis.append(ex)
-            ey = np.zeros((d, d), dtype=complex)
-            ey[i, j] = 1j
-            ey[j, i] = -1j
-            basis.append(ey)
-
-    eye = np.eye(d)
-    cols = [vec((-1j / hbar) * (np.kron(eye, h) - np.kron(h.T, eye))) for h in basis]
-    t = np.array(cols).T
-    a = np.vstack([t.real, t.imag])
-    b = np.concatenate([vec(l_hat).real, vec(l_hat).imag])
-    theta, *_ = np.linalg.lstsq(a, b, rcond=None)
-    h_hat = sum(th * e for th, e in zip(theta, basis))
+    l4 = l_hat.reshape(d, d, d, d)  # l4[p, i, q, j] = L[p*d + i, q*d + j]
+    h_hat = (1j * hbar / (2 * d)) * (np.einsum("kikj->ij", l4) - np.einsum("pkqk->qp", l4))
     h_hat -= (np.trace(h_hat) / d) * np.eye(d)
     h_hat = 0.5 * (h_hat + h_hat.conj().T)
 

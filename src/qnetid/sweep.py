@@ -30,7 +30,7 @@ import numpy as np
 
 from .identify import identify_topology
 from .netmodel import basis_density, derive_seed, erdos_renyi, is_connected
-from .dynamics import sample_trajectory
+from .dynamics import sample_times, sample_trajectory
 
 CSV_HEADER = "d,tau,n_tilde,trials,solvability_mean,eps_median,eps_q1,eps_q3,wall_ms,seed"
 
@@ -88,16 +88,14 @@ class SweepConfig:
                 errors.append(f"tau must be positive, got {tau}")
                 continue
             if self.dt > 0:
-                n = tau / self.dt
-                if abs(n - round(n)) > 1e-9 * max(1.0, n) or round(n) < 1:
+                try:
+                    n = len(sample_times(tau, self.dt)) - 1
+                except ValueError:
                     errors.append(f"dt {self.dt} does not divide tau {tau}")
-                else:
-                    for sub in self.subsamples:
-                        if int(round(n)) % sub != 0:
-                            errors.append(
-                                f"subsample {sub} does not divide n_s = {int(round(n))} "
-                                f"(tau = {tau})"
-                            )
+                    continue
+                for sub in self.subsamples:
+                    if sub >= 1 and n % sub != 0:
+                        errors.append(f"subsample {sub} does not divide n_s = {n} (tau = {tau})")
         if not self.subsamples:
             errors.append("at least one subsample divisor is required")
         if any(s < 1 for s in self.subsamples):
@@ -351,23 +349,22 @@ def _record_row(rec: CellRecord) -> str:
     )
 
 
-def _config_preamble(kind: str, cfg: SweepConfig) -> str:
-    payload = json.dumps({"kind": kind, "config": cfg.to_json()}, sort_keys=True)
-    return f"# {payload}\n"
-
-
 def run_sweep(cfg: SweepConfig, kind: str = "solvability", out_csv=None) -> SweepResult:
     """Run every (d, tau, subsample) cell; optionally stream rows to CSV.
 
-    The CSV is flushed after each (d, tau) row of cells, so a failing
-    later row leaves a valid partial CSV behind.
+    Solvability and error sweeps compute the same records: ``kind``
+    ('solvability' or 'error') only names the sweep in the result and in
+    the CSV's one-line JSON preamble, which also records the config.  The
+    CSV is flushed after each (d, tau) row of cells, so a failing later
+    row leaves a valid partial CSV behind.
     """
     cfg = cfg.validated()
     result = SweepResult(kind=kind, config=cfg)
     fh = None
     if out_csv is not None:
         fh = open(out_csv, "w", newline="")
-        fh.write(_config_preamble(kind, cfg))
+        preamble = json.dumps({"kind": kind, "config": cfg.to_json()}, sort_keys=True)
+        fh.write(f"# {preamble}\n")
         fh.write(CSV_HEADER + "\n")
         fh.flush()
     try:
@@ -382,24 +379,6 @@ def run_sweep(cfg: SweepConfig, kind: str = "solvability", out_csv=None) -> Swee
         if fh is not None:
             fh.close()
     return result
-
-
-def run_solvability_sweep(cfg: SweepConfig, out_csv=None) -> SweepResult:
-    """Mean-solvability benchmark over the configured grid."""
-    return run_sweep(cfg, kind="solvability", out_csv=out_csv)
-
-
-def run_error_sweep(cfg: SweepConfig, out_csv=None) -> SweepResult:
-    """Reconstruction-error benchmark; errors are taken on solvable trials."""
-    return run_sweep(cfg, kind="error", out_csv=out_csv)
-
-
-def write_sweep_csv(result: SweepResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(_config_preamble(result.kind, result.config))
-        fh.write(CSV_HEADER + "\n")
-        for rec in result.records:
-            fh.write(_record_row(rec) + "\n")
 
 
 def read_sweep_csv(path) -> list[dict]:

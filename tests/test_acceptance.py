@@ -49,8 +49,6 @@ from qnetid.svgplot import emit_plot
 from qnetid.sweep import (
     SweepConfig,
     benchmark_network,
-    run_error_sweep,
-    run_solvability_sweep,
     run_sweep,
 )
 
@@ -132,7 +130,7 @@ class TestCriterion1RoundTripSolvability:
             seed=MASTER_SEED, d_min=2, d_max=12, p_link=0.5, taus=(3.0,),
             dt=0.01, subsamples=(1,), trials=100,
         )
-        res = run_solvability_sweep(cfg)
+        res = run_sweep(cfg)
         sbar = {rec.d: rec.solvability_mean for rec in res.records}
         detail = " ".join(f"d={d}:{v:.2f}" for d, v in sorted(sbar.items()))
         ok_small = all(sbar[d] >= 0.9 for d in (2, 3))
@@ -184,7 +182,7 @@ class TestCriterion2CriticalSize:
             seed=MASTER_SEED, d_min=2, d_max=30, p_link=0.5, taus=(3.0,),
             dt=0.01, subsamples=(5,), trials=100,
         )
-        res = run_solvability_sweep(cfg)
+        res = run_sweep(cfg)
         curve = {rec.d: rec.solvability_mean for rec in res.records}
         marks = res.critical_sizes()["tau=3,n_tilde=60"]
         d_c = marks["last_full_d"]
@@ -224,7 +222,7 @@ class TestCriterion3ErrorBenchmark:
                 seed=MASTER_SEED, d_min=2, d_max=d_hi, p_link=0.5, taus=(tau,),
                 dt=0.01, subsamples=(20, 10, 5, 1), trials=100,
             )
-            res = run_error_sweep(cfg)
+            res = run_sweep(cfg, kind="error")
             failures.extend(golden_mismatches(f"criterion3_tau{tau:g}", res.records))
             n_s = cfg.n_samples(tau)
             medians = {(rec.d, n_s // rec.n_tilde): rec.eps_median for rec in res.records}
@@ -467,16 +465,16 @@ class TestCriterion9Determinism:
             subsamples=(5, 1), trials=10,
         )
         csv_a, csv_b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_solvability_sweep(cfg, out_csv=csv_a)
-        run_solvability_sweep(cfg, out_csv=csv_b)
+        run_sweep(cfg, out_csv=csv_a)
+        run_sweep(cfg, out_csv=csv_b)
         svg_a = emit_plot(csv_a, "solvability", tmp_path / "a.svg")
         svg_b = emit_plot(csv_b, "solvability", tmp_path / "b.svg")
         csv_same = csv_a.read_bytes() == csv_b.read_bytes()
         svg_same = svg_a.read_bytes() == svg_b.read_bytes()
 
         err_a, err_b = tmp_path / "ea.csv", tmp_path / "eb.csv"
-        run_error_sweep(cfg, out_csv=err_a)
-        run_error_sweep(cfg, out_csv=err_b)
+        run_sweep(cfg, kind="error", out_csv=err_a)
+        run_sweep(cfg, kind="error", out_csv=err_b)
         err_same = err_a.read_bytes() == err_b.read_bytes()
 
         ok = csv_same and svg_same and err_same

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qnetid.cli import main
+from qnetid.dynamics import Trajectory, read_trajectory_csv, write_trajectory_csv
 from qnetid.linalg import load_matrix, save_matrix
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -65,6 +66,15 @@ class TestSimulateIdentify:
         traj.write_text("\n".join(lines) + "\n")
         assert run("identify", "--trajectory", traj) == 3
 
+    def test_non_density_trajectory_exits_3(self, tmp_path):
+        h_path = tmp_path / "h.json"
+        save_matrix(h_path, SX)
+        traj = tmp_path / "t.csv"
+        run("simulate", "--hamiltonian", h_path, "--tau", 1.0, "--dt", 0.1, "--out", traj)
+        back = read_trajectory_csv(traj)
+        write_trajectory_csv(Trajectory(times=back.times, states=2.0 * back.states), traj)
+        assert run("identify", "--trajectory", traj) == 3
+
     def test_missing_file_exits_2(self, tmp_path):
         assert run("identify", "--trajectory", tmp_path / "absent.csv") == 2
 
@@ -97,6 +107,8 @@ class TestSweepPlot:
 
     def test_bad_subsample_exits_2(self, tmp_path):
         assert run("sweep", "solvability", "--tau", 1.0, "--subsample", 7,
+                   "--out-dir", tmp_path) == 2
+        assert run("sweep", "solvability", "--tau", 1.0, "--subsample", 0,
                    "--out-dir", tmp_path) == 2
 
 

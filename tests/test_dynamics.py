@@ -9,11 +9,14 @@ from qnetid.dynamics import (
     liouvillian,
     propagate,
     read_trajectory_csv,
+    sample_times,
     sample_trajectory,
     unitary_conjugate,
     write_trajectory_csv,
 )
+from qnetid.identify import identify_topology
 from qnetid.linalg import spectral_norm, vec
+from qnetid.sweep import SweepConfig, benchmark_network
 
 from conftest import random_density, random_hermitian
 
@@ -168,6 +171,51 @@ class TestSampleTrajectory:
         with pytest.raises(ValueError, match="integer"):
             sample_trajectory(SX, E1, 1.0, 0.3)
 
+    @pytest.mark.parametrize(
+        "tau, dt",
+        [
+            (1.0, 0.01 * (1 + 5e-11)),   # last step 5e-9 off dt
+            (1.0, 0.01 * (1 + 5e-12)),   # last step 5e-10 off dt
+            (3.0, 0.01),
+            (2.0, 0.01),
+            (1.0, 0.3),
+            (0.3, 0.1),
+            (0.04, 0.1),
+        ],
+    )
+    def test_grid_rule_agrees_with_config_validation(self, tau, dt):
+        # one rule decides both: a (tau, dt) pair the sweep config accepts
+        # samples to a valid Trajectory, and one it rejects cannot be sampled
+        errors = SweepConfig(taus=(tau,), dt=dt, subsamples=(1,)).validate()
+        try:
+            traj = sample_trajectory(SX, E1, tau, dt)
+        except ValueError as exc:
+            assert "integer" in str(exc)
+            assert errors == [f"dt {dt} does not divide tau {tau}"]
+        else:
+            assert errors == []
+            assert traj.n_samples == SweepConfig(dt=dt).n_samples(tau)
+            assert traj.times[-1] == tau
+
+    def test_grid_of_existing_configs_unchanged(self):
+        for tau in (1.0, 2.0, 3.0):
+            n = int(round(tau / 0.01))
+            expected = np.arange(n + 1) * 0.01
+            expected[-1] = tau
+            assert np.array_equal(sample_times(tau, 0.01), expected)
+
+    def test_last_sample_propagated_to_n_dt(self):
+        # times[-1] is tau, but the last state is propagated to n*dt like
+        # every other sample (230 * 0.01 != 2.3 in floating point), which
+        # keeps sampled trajectories, and the sweep records, unchanged
+        rng = np.random.default_rng(14)
+        h, rho0 = random_hermitian(rng, 4), random_density(rng, 4)
+        rho0 = 0.5 * (rho0 + rho0.conj().T)
+        short = sample_trajectory(h, rho0, 2.3, 0.01)
+        longer = sample_trajectory(h, rho0, 3.0, 0.01)
+        assert short.times[-1] == 2.3 != longer.times[230]
+        assert np.array_equal(short.states, longer.states[:231])
+
     @pytest.mark.parametrize("n_s", [1, 15, 16, 17, 33])
     def test_block_edges_match_propagate(self, n_s):
         # sample counts around the propagation block size; a mixed state
@@ -288,3 +336,27 @@ class TestTrajectoryCsv:
         write_csv_rows(path, traj, range(len(traj.times)), traj.times[::-1])
         with pytest.raises(ValueError, match="strictly increasing"):
             read_trajectory_csv(path)
+
+    def test_rejects_states_off_trace_one(self, tmp_path):
+        # a trace-2 copy of a seed-0 draw used to identify with the same eps
+        adjacency, rho0 = benchmark_network(6, 0, SweepConfig())
+        traj = sample_trajectory(adjacency.astype(complex), rho0, 2.0, 0.01)
+        good, doubled = tmp_path / "good.csv", tmp_path / "doubled.csv"
+        write_trajectory_csv(traj, good)
+        write_trajectory_csv(Trajectory(times=traj.times, states=2.0 * traj.states), doubled)
+        rep = identify_topology(read_trajectory_csv(good), truth=adjacency, real_coupling=True)
+        assert rep.epsilon == pytest.approx(3.1e-5, rel=0.05)
+        with pytest.raises(ValueError, match="has trace"):
+            read_trajectory_csv(doubled)
+
+    def test_rejects_non_hermitian_states(self, tmp_path):
+        traj = sample_trajectory(SX, E1, 0.4, 0.1)
+        states = traj.states.copy()
+        states[3, 0, 1] += 1e-6  # trace kept, asymmetry 1e-6 relative
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(Trajectory(times=traj.times, states=states), path)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            read_trajectory_csv(path)
+        states[3, 0, 1] -= 1e-6 - 1e-12  # round-off-sized asymmetry passes
+        write_trajectory_csv(Trajectory(times=traj.times, states=states), path)
+        assert np.array_equal(read_trajectory_csv(path).states, states)

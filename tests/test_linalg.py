@@ -1,21 +1,20 @@
 import numpy as np
 import pytest
 
+import qnetid
 from qnetid.linalg import (
-    SvdResult,
-    eig_hermitian,
+    ABS_FLOOR,
+    EPS,
     hermitize,
     load_matrix,
     matrix_from_json,
     matrix_to_json,
+    numerical_rank,
     save_matrix,
     spectral_norm,
-    svd_rank_pinv,
     unvec,
     vec,
 )
-
-from conftest import random_hermitian
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -90,70 +89,32 @@ class TestVec:
             unvec(np.arange(5), 2, 2)
 
 
-class TestEigHermitian:
-    def test_pauli_x_spectrum(self):
-        w, v = eig_hermitian(SX)
-        assert np.allclose(w, [-1.0, 1.0])
-        assert np.allclose(v @ v.conj().T, np.eye(2), atol=1e-12)
+class TestNumericalRank:
+    @pytest.mark.parametrize(
+        "s, rtol, rank",
+        [
+            pytest.param([], 1e-9, 0, id="empty"),
+            pytest.param([0.5 * ABS_FLOOR, 1e-22], 1e-9, 0, id="below-floor"),
+            pytest.param([ABS_FLOOR, 1e-22], 1e-9, 1, id="at-floor"),
+            pytest.param([1.0, 2e-9, 1e-9], 1e-9, 2, id="at-cut-not-counted"),
+            pytest.param([4.0, 4.0000001e-9, 4e-9], 1e-9, 2, id="cut-scales-with-s0"),
+            pytest.param([3.0, 2.0, 1.0], 1e-9, 3, id="full"),
+            pytest.param([1.0, 1e-14], 1e-9, 1, id="threshold"),
+            # the solvability label cut max(m, n) * eps of a 50 x 10 system
+            pytest.param([2.0, 101 * EPS, 100 * EPS], 50 * EPS, 2, id="label-cut"),
+            pytest.param([2.0, 101 * EPS, 100 * EPS], 1e-16, 3, id="below-label-cut"),
+        ],
+    )
+    def test_table(self, s, rtol, rank):
+        assert numerical_rank(np.asarray(s, dtype=float), rtol) == rank
 
-    def test_diagonal_input(self):
-        w, v = eig_hermitian(np.diag([3.0, -2.0]).astype(complex))
-        assert np.allclose(w, [-2.0, 3.0])
-        assert np.allclose(np.abs(v), [[0, 1], [1, 0]])
-
-    def test_reconstruction_residual(self):
-        rng = np.random.default_rng(11)
-        h = random_hermitian(rng, 5)
-        w, v = eig_hermitian(h)
-        rebuilt = v @ np.diag(w) @ v.conj().T
-        assert spectral_norm(rebuilt - h) <= 1e-12 * spectral_norm(h)
-        assert np.all(np.diff(w) >= 0)
-
-    def test_trace_sum(self):
-        rng = np.random.default_rng(12)
-        h = random_hermitian(rng, 6)
-        w, _ = eig_hermitian(h)
-        assert abs(w.sum() - np.trace(h).real) <= 1e-12 * 6 * spectral_norm(h)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="not Hermitian"):
-            eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestSvdRankPinv:
-    def test_identity(self):
-        res, pinv = svd_rank_pinv(np.eye(3), 1e-9)
-        assert isinstance(res, SvdResult)
-        assert res.rank == 3
-        assert np.allclose(pinv, np.eye(3), atol=1e-14)
-
-    def test_zero_matrix(self):
-        res, pinv = svd_rank_pinv(np.zeros((3, 2)), 1e-9)
-        assert res.rank == 0
-        assert np.array_equal(pinv, np.zeros((2, 3)))
-
-    def test_threshold_definition(self):
-        res, pinv = svd_rank_pinv(np.diag([1.0, 1e-14]), 1e-9)
-        assert res.rank == 1
-        assert np.allclose(pinv, np.diag([1.0, 0.0]))
-
-    def test_pinv_property(self):
+    def test_matches_svd_of_deficient_matrix(self):
         rng = np.random.default_rng(21)
         full = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
         deficient = full[:, [0, 1, 0]]  # duplicated column, rank 2
-        for a in (full, deficient):
-            res, pinv = svd_rank_pinv(a, 1e-9)
-            assert spectral_norm(a @ pinv @ a - a) <= 1e-10 * spectral_norm(a)
-        assert svd_rank_pinv(deficient, 1e-9)[0].rank == 2
-
-    def test_descending_singular_values(self):
-        rng = np.random.default_rng(22)
-        res, _ = svd_rank_pinv(rng.normal(size=(4, 4)), 1e-9)
-        assert np.all(np.diff(res.singular_values) <= 0)
-
-    def test_rejects_bad_rtol(self):
-        with pytest.raises(ValueError):
-            svd_rank_pinv(np.eye(2), 0.0)
+        assert numerical_rank(np.linalg.svd(full, compute_uv=False), 1e-9) == 3
+        assert numerical_rank(np.linalg.svd(deficient, compute_uv=False), 1e-9) == 2
+        assert numerical_rank(np.linalg.svd(np.zeros((3, 2)), compute_uv=False), 1e-9) == 0
 
 
 class TestSpectralNorm:
@@ -166,8 +127,7 @@ class TestSpectralNorm:
     def test_matches_svd_backend(self):
         rng = np.random.default_rng(31)
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        res, _ = svd_rank_pinv(a, 1e-9)
-        assert spectral_norm(a) == pytest.approx(res.singular_values[0])
+        assert spectral_norm(a) == pytest.approx(np.linalg.svd(a, compute_uv=False)[0])
 
 
 class TestHermitize:
@@ -209,3 +169,10 @@ class TestMatrixJson:
     def test_json_fields(self):
         obj = matrix_to_json(np.array([[1 + 2j]]))
         assert obj == {"rows": 1, "cols": 1, "re": [[1.0]], "im": [[2.0]]}
+
+
+class TestExports:
+    def test_all_resolves_without_duplicates(self):
+        assert len(qnetid.__all__) == len(set(qnetid.__all__))
+        missing = [name for name in qnetid.__all__ if not hasattr(qnetid, name)]
+        assert missing == []

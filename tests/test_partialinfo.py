@@ -228,6 +228,41 @@ class TestExtractHamiltonian:
         with pytest.raises(ValueError, match="skew"):
             extract_hamiltonian(np.eye(4))
 
+    @staticmethod
+    def lstsq_reference(l_hat, hbar):
+        """Least squares over a Hermitian basis, its traceless Hermitian part."""
+        d = int(round(np.sqrt(l_hat.shape[0])))
+        basis = []
+        for i in range(d):
+            for j in range(i, d):
+                e = np.zeros((d, d), dtype=complex)
+                e[i, j] = e[j, i] = 1.0
+                basis.append(e)
+                if i < j:
+                    e = np.zeros((d, d), dtype=complex)
+                    e[i, j], e[j, i] = 1j, -1j
+                    basis.append(e)
+        t = np.array([vec(liouvillian(e, hbar)) for e in basis]).T
+        a = np.vstack([t.real, t.imag])
+        b = np.concatenate([vec(l_hat).real, vec(l_hat).imag])
+        theta, *_ = np.linalg.lstsq(a, b, rcond=None)
+        h = sum(th * e for th, e in zip(theta, basis))
+        h -= np.trace(h) / d * np.eye(d)
+        return 0.5 * (h + h.conj().T)
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-4])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_matches_lstsq_reference(self, d, noise):
+        rng = np.random.default_rng(100 + d)
+        hbar = 0.7
+        l_hat = liouvillian(random_hermitian(rng, d, norm=1.0), hbar)
+        g = rng.normal(size=l_hat.shape) + 1j * rng.normal(size=l_hat.shape)
+        l_hat = l_hat + noise * spectral_norm(l_hat) * 0.5 * (g - g.conj().T) / spectral_norm(g)
+        h_hat = extract_hamiltonian(l_hat, hbar, residual_rtol=1e-3)
+        assert abs(np.trace(h_hat)) <= 1e-14
+        assert np.array_equal(h_hat, h_hat.conj().T)
+        assert spectral_norm(h_hat - self.lstsq_reference(l_hat, hbar)) <= 1e-12
+
 
 class TestPhysicalDecomposition:
     def test_identity_reconstruction_exact(self):

@@ -1,7 +1,7 @@
 import pytest
 
 from qnetid.svgplot import emit_plot
-from qnetid.sweep import CSV_HEADER, SweepConfig, run_solvability_sweep
+from qnetid.sweep import CSV_HEADER, SweepConfig, run_sweep
 
 CFG = SweepConfig(seed=21, d_min=2, d_max=4, taus=(1.0,), subsamples=(5, 1), trials=4)
 
@@ -9,7 +9,7 @@ CFG = SweepConfig(seed=21, d_min=2, d_max=4, taus=(1.0,), subsamples=(5, 1), tri
 @pytest.fixture(scope="module")
 def sweep_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("sweep") / "solv.csv"
-    run_solvability_sweep(CFG, out_csv=path)
+    run_sweep(CFG, out_csv=path)
     return path
 
 
@@ -35,7 +35,7 @@ class TestEmitPlot:
     def test_single_cell_point_marker(self, tmp_path):
         cfg = SweepConfig(seed=2, d_min=3, d_max=3, taus=(1.0,), subsamples=(1,), trials=3)
         csv = tmp_path / "one.csv"
-        run_solvability_sweep(cfg, out_csv=csv)
+        run_sweep(cfg, out_csv=csv)
         out = emit_plot(csv, "solvability", tmp_path / "one.svg")
         text = out.read_text()
         assert "circle" in text

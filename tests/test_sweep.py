@@ -1,3 +1,4 @@
+import json
 import time
 from dataclasses import replace
 
@@ -12,11 +13,8 @@ from qnetid.sweep import (
     SweepConfig,
     read_sweep_csv,
     run_benchmark_trial,
-    run_error_sweep,
-    run_solvability_sweep,
     run_sweep,
     _apportion,
-    write_sweep_csv,
 )
 
 TINY = SweepConfig(seed=11, d_min=2, d_max=3, taus=(1.0,), subsamples=(1,), trials=4)
@@ -46,6 +44,11 @@ class TestConfigValidation:
                       "hbar", "rtol", "jobs"):
             assert token in joined
         assert len(errors) >= 9
+
+    def test_zero_subsample_listed_not_raised(self):
+        # on a dividing grid, a zero divisor is reported, not divided by
+        errors = SweepConfig(taus=(1.0,), subsamples=(0, 5)).validate()
+        assert errors == ["subsample divisors must be positive"]
 
     def test_validated_raises(self):
         with pytest.raises(ConfigError, match="p_link"):
@@ -99,7 +102,7 @@ class TestTrial:
 class TestSweep:
     def test_records_and_csv(self, tmp_path):
         out = tmp_path / "s.csv"
-        res = run_solvability_sweep(TINY, out_csv=out)
+        res = run_sweep(TINY, out_csv=out)
         assert len(res.records) == 2  # two d values, one tau, one subsample
         lines = out.read_text().splitlines()
         assert lines[0].startswith("# ")
@@ -112,19 +115,25 @@ class TestSweep:
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_solvability_sweep(TINY, out_csv=a)
-        run_solvability_sweep(TINY, out_csv=b)
+        run_sweep(TINY, out_csv=a)
+        run_sweep(TINY, out_csv=b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_error_sweep_same_schema(self, tmp_path):
         out = tmp_path / "e.csv"
-        res = run_error_sweep(TINY, out_csv=out)
+        res = run_sweep(TINY, kind="error", out_csv=out)
         rows = read_sweep_csv(out)
         assert len(rows) == len(res.records)
+        assert res.kind == "error"
+        # the kind only changes the preamble: records and rows are the solvability sweep's
+        solv = tmp_path / "s.csv"
+        assert run_sweep(TINY, out_csv=solv).records == res.records
+        assert json.loads(out.read_text().splitlines()[0][2:])["kind"] == "error"
+        assert out.read_text().splitlines()[1:] == solv.read_text().splitlines()[1:]
 
     def test_wall_ms_zero_without_timing(self, tmp_path):
         out = tmp_path / "s.csv"
-        run_solvability_sweep(TINY, out_csv=out)
+        run_sweep(TINY, out_csv=out)
         assert all(r["wall_ms"] == 0 for r in read_sweep_csv(out))
 
     def test_cells_independent_of_grid(self):
@@ -177,16 +186,9 @@ class TestSweep:
         assert _apportion(9.0, stages) == [2, 3, 4]
         assert sum(_apportion(7.3, stages)) == 7
 
-    def test_write_sweep_csv_matches_streaming(self, tmp_path):
-        streamed = tmp_path / "st.csv"
-        res = run_solvability_sweep(TINY, out_csv=streamed)
-        rewritten = tmp_path / "rw.csv"
-        write_sweep_csv(res, rewritten)
-        assert streamed.read_bytes() == rewritten.read_bytes()
-
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
-            run_solvability_sweep(SweepConfig(trials=0))
+            run_sweep(SweepConfig(trials=0))
 
     def test_critical_sizes(self):
         res = run_sweep(SweepConfig(seed=1, d_min=2, d_max=4, taus=(3.0,),
