@@ -2,9 +2,11 @@
 
 When only diag(rho_t) is measurable, a single trajectory is not enough:
 the network must be re-initialized in d^2 linearly independent states.
-The vectorized generator L is then recovered from the output derivatives
-at t = 0, provided the (selector, generator) pair is observable, and the
-Hamiltonian follows from L up to an identity shift.
+Their populations, sampled every Delta = hbar/||H||_2, are the Markov
+parameters C A^k of the sampled propagator A = e^(L Delta).  When the
+(selector, propagator) pair is observable they determine A, the
+principal logarithm of A gives the generator L, and the Hamiltonian
+follows from L up to an identity shift.
 
 The demo also shows the structural catch: a zero-diagonal Hamiltonian
 (a bare coupling matrix) is never observable through the diagonal
@@ -18,16 +20,16 @@ import numpy as np
 
 from qnetid import (
     diagonal_selector,
-    estimate_derivative_stacks,
-    exact_derivative_stacks,
     extract_hamiltonian,
     identity_initial_batch,
     liouvillian,
     observability_rank,
+    output_stacks,
     physical_decomposition,
     physical_initial_batch,
+    propagator,
     reconstruct_liouvillian,
-    sample_output_stacks,
+    sampling_period,
     spectral_norm,
 )
 
@@ -35,26 +37,26 @@ d = 2
 h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)  # coupled, detuned nodes
 lv = liouvillian(h)
 c = diagonal_selector(d)
+delta = sampling_period(h)
+a = propagator(h, delta)
+print(f"sampling period hbar/||H|| = {delta:.4f}")
 
-rank, observable = observability_rank(c, lv)
+rank, observable = observability_rank(c, a)
 print(f"pair rank {rank} of {d * d}: {'observable' if observable else 'not observable'}")
 
-# exact-derivative oracle with the canonical (non-physical) basis states
+# the canonical basis elements |k><j| as (non-physical) initializations
 lam0 = identity_initial_batch(d)
-stacks = exact_derivative_stacks(lv, lam0, d * d)
-l_hat = reconstruct_liouvillian(stacks, lam0)
+l_hat = reconstruct_liouvillian(output_stacks(a, lam0, d * d), lam0, delta)
 h_hat = extract_hamiltonian(l_hat)
-print(f"exact oracle:   generator error {spectral_norm(l_hat - lv):.2e}, "
+print(f"basis elements:    generator error {spectral_norm(l_hat - lv):.2e}, "
       f"Hamiltonian error {spectral_norm(h_hat - h):.2e} (h is traceless here)")
 
-# measured-data route: preparable states + finite differences
+# measured-data route: the populations of d^2 preparable states
 lam_phys, states = physical_initial_batch(d)
 print(f"\npreparable initializations: {[label for _, label in states]}")
-outputs = sample_output_stacks(h, lam_phys, n_half=8, step=1e-3)
-est = estimate_derivative_stacks(outputs, d * d, 1e-3)
-l_est = reconstruct_liouvillian(est, lam_phys)
-print(f"finite differences: generator error {spectral_norm(l_est - lv):.2e} "
-      "(order-4 differentiation is the accuracy bottleneck)")
+l_est = reconstruct_liouvillian(output_stacks(a, lam_phys, d * d), lam_phys, delta)
+print(f"preparable states: generator error {spectral_norm(l_est - lv):.2e} "
+      f"from {d * d + 1} population samples per run")
 
 # the basis element |1><2| is not a physical state; its preparable surrogate
 terms = physical_decomposition(d, 1, 2)
@@ -64,6 +66,6 @@ for rho, coeff in terms:
 
 # and the structural obstruction for bare coupling matrices
 sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-rank, observable = observability_rank(c, liouvillian(sx))
+rank, observable = observability_rank(c, propagator(sx, sampling_period(sx)))
 print(f"\nbare coupling matrix: rank {rank} of {d * d} -> "
       f"{'observable' if observable else 'not observable (structural)'}")

@@ -6,9 +6,10 @@ trajectories: the time integral P of the trajectory and the endpoint
 difference Q = i*hbar*(rho_tau - rho_0) pin the coupling matrix M down
 to the commutator equation [M, P] = Q, which is solved as a constrained
 linear system with an explicit uniqueness certificate.  A second route
-recovers the vectorized generator from diagonal-only measurements via
-an observability argument.  A benchmark harness sweeps random
-quantum-walk networks and renders solvability and error curves.
+recovers the vectorized generator from populations sampled after d^2
+preparations, via an observability argument on the sampled propagator.
+A benchmark harness sweeps random quantum-walk networks and renders
+solvability and error curves.
 """
 
 __version__ = "0.1.0"
@@ -28,6 +29,7 @@ from .dynamics import (
     exact_gram,
     liouvillian,
     propagate,
+    propagator,
     read_trajectory_csv,
     sample_trajectory,
     unitary_conjugate,
@@ -55,18 +57,16 @@ from .identify import (
     solve_commutator,
 )
 from .partialinfo import (
-    DerivativeStacks,
     UnobservableError,
     diagonal_selector,
-    estimate_derivative_stacks,
-    exact_derivative_stacks,
     extract_hamiltonian,
     identity_initial_batch,
     observability_rank,
+    output_stacks,
     physical_decomposition,
     physical_initial_batch,
     reconstruct_liouvillian,
-    sample_output_stacks,
+    sampling_period,
 )
 from .sweep import (
     CellRecord,
@@ -83,7 +83,6 @@ __all__ = [
     "AdmissibleEmbedding",
     "CellRecord",
     "ConfigError",
-    "DerivativeStacks",
     "IdentificationReport",
     "ManyBodySpec",
     "SeededRng",
@@ -103,8 +102,6 @@ __all__ = [
     "diagonal_selector",
     "emit_plot",
     "erdos_renyi",
-    "estimate_derivative_stacks",
-    "exact_derivative_stacks",
     "exact_gram",
     "extract_hamiltonian",
     "hermitize",
@@ -115,17 +112,19 @@ __all__ = [
     "load_matrix",
     "numerical_rank",
     "observability_rank",
+    "output_stacks",
     "physical_decomposition",
     "physical_initial_batch",
     "propagate",
+    "propagator",
     "read_sweep_csv",
     "read_trajectory_csv",
     "reconstruct_liouvillian",
     "relative_error",
     "run_benchmark_trial",
     "run_sweep",
-    "sample_output_stacks",
     "sample_trajectory",
+    "sampling_period",
     "save_matrix",
     "solve_commutator",
     "spectral_norm",

@@ -16,21 +16,26 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import liouvillian, sample_trajectory, write_trajectory_csv, read_trajectory_csv
+from .dynamics import (
+    liouvillian,
+    propagator,
+    read_trajectory_csv,
+    sample_trajectory,
+    write_trajectory_csv,
+)
 from .identify import identify_topology
 from .linalg import hermitize, load_matrix, matrix_from_json, save_matrix, spectral_norm
 from .netmodel import basis_density, erdos_renyi, is_connected
 from .partialinfo import (
     diagonal_selector,
-    estimate_derivative_stacks,
-    exact_derivative_stacks,
     extract_hamiltonian,
     identity_initial_batch,
     observability_rank,
+    output_stacks,
     physical_decomposition,
     physical_initial_batch,
     reconstruct_liouvillian,
-    sample_output_stacks,
+    sampling_period,
     simulate_diagonal_outputs,
     write_output_batch,
 )
@@ -109,7 +114,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="identify in the full admissible class")
     sw.add_argument("--out-dir", required=True)
 
-    obs = sub.add_parser("observability", help="rank test of the diagonal-output pair")
+    obs = sub.add_parser("observability",
+                         help="rank test of the diagonal-output pair, sampled every "
+                              "hbar/||H||_2")
     osrc = obs.add_mutually_exclusive_group(required=True)
     osrc.add_argument("--hamiltonian", help="matrix JSON with the Hamiltonian")
     osrc.add_argument("--report", help="identification report JSON; checks its estimate "
@@ -118,16 +125,15 @@ def _build_parser() -> argparse.ArgumentParser:
     obs.add_argument("--rtol", type=float, default=1e-9)
 
     part = sub.add_parser("partial-identify",
-                          help="recover the generator from diagonal outputs only")
+                          help="recover the generator from diagonal outputs only, "
+                               "sampled every hbar/||H||_2")
     part.add_argument("--hamiltonian", required=True,
                       help="matrix JSON with the network Hamiltonian to simulate")
     part.add_argument("--hbar", type=float, default=1.0)
     part.add_argument("--rtol", type=float, default=1e-9)
     part.add_argument("--estimate", action="store_true",
-                      help="estimate output derivatives by finite differences instead of "
-                           "using the exact oracle")
-    part.add_argument("--fd-step", type=float, default=1e-3,
-                      help="finite-difference step for --estimate")
+                      help="identify from the populations of the d^2 preparable states "
+                           "instead of the d^2 basis elements |k><j|")
     part.add_argument("--save-outputs", help="directory for the per-initialization output CSVs")
     part.add_argument("--tau", type=float, default=1.0, help="span of saved output records")
     part.add_argument("--dt", type=float, default=0.01, help="sampling period of saved outputs")
@@ -253,10 +259,10 @@ def _cmd_observability(args) -> int:
             report = json.load(fh)
         h = hermitize(matrix_from_json(report["m_hat"]))
         source = f"{args.report} (reconstructed estimate)"
-    liouv = liouvillian(h, args.hbar)
+    a = propagator(h, sampling_period(h, args.hbar), args.hbar)
     c = diagonal_selector(h.shape[0])
-    rank, observable = observability_rank(c, liouv, args.rtol)
-    n = liouv.shape[0]
+    rank, observable = observability_rank(c, a, args.rtol)
+    n = a.shape[0]
     print(f"source: {source}")
     print(f"observability rank: {rank} of {n}")
     print(f"observable: {'yes' if observable else 'no'}")
@@ -266,26 +272,23 @@ def _cmd_observability(args) -> int:
 def _cmd_partial_identify(args) -> int:
     h = _load_hermitian(args.hamiltonian)
     d = h.shape[0]
-    liouv = liouvillian(h, args.hbar)
-    c = diagonal_selector(d)
-    rank, observable = observability_rank(c, liouv, args.rtol)
+    period = sampling_period(h, args.hbar)
+    a = propagator(h, period, args.hbar)
+    rank, observable = observability_rank(diagonal_selector(d), a, args.rtol)
     print(f"observability rank: {rank} of {d * d} ({'observable' if observable else 'NOT observable'})")
 
     if args.estimate:
-        lambda0, _states = physical_initial_batch(d)
-        n_half = 2 * ((d * d + 1) // 2)
-        outputs = sample_output_stacks(h, lambda0, n_half, args.fd_step, args.hbar)
-        stacks = estimate_derivative_stacks(outputs, d * d, args.fd_step)
-        mode = f"finite differences (step {args.fd_step:g})"
-        extract_rtol = 1e-2  # estimated generators carry differentiation error
+        lambda0, _ = physical_initial_batch(d)
+        batch = "preparable states"
     else:
         lambda0 = identity_initial_batch(d)
-        stacks = exact_derivative_stacks(liouv, lambda0, d * d)
-        mode = "exact derivative oracle"
-        extract_rtol = 1e-6
+        batch = "basis elements"
+    mode = f"populations of the {batch}, sampled every {period:.6g}"
 
-    l_hat = reconstruct_liouvillian(stacks, lambda0, rtol=args.rtol)
-    h_hat = extract_hamiltonian(l_hat, hbar=args.hbar, residual_rtol=extract_rtol)
+    ys = output_stacks(a, lambda0, d * d)
+    l_hat = reconstruct_liouvillian(ys, lambda0, period, rtol=args.rtol)
+    h_hat = extract_hamiltonian(l_hat, hbar=args.hbar)
+    liouv = liouvillian(h, args.hbar)
     h_traceless = h - (np.trace(h) / d) * np.eye(d)
     gen_err = spectral_norm(l_hat - liouv) / max(spectral_norm(liouv), 1e-300)
     ham_err = spectral_norm(h_hat - h_traceless) / max(spectral_norm(h_traceless), 1e-300)
@@ -297,8 +300,8 @@ def _cmd_partial_identify(args) -> int:
         _, states = physical_initial_batch(d)
         runs = []
         for rho, label in states:
-            times, ys = simulate_diagonal_outputs(h, rho, args.tau, args.dt, args.hbar)
-            runs.append((label, times, ys))
+            times, pops = simulate_diagonal_outputs(h, rho, args.tau, args.dt, args.hbar)
+            runs.append((label, times, pops))
         lambda0_phys, _ = physical_initial_batch(d)
         manifest = write_output_batch(args.save_outputs, runs, lambda0_phys)
         print(f"output batch written to {manifest.parent}")

@@ -4,9 +4,9 @@ The state rho obeys d/dt rho = -(i/hbar) [H, rho] and is propagated
 exactly through the eigendecomposition of the (time-independent)
 Hermitian H: one decomposition per trajectory, unitary conjugation per
 sample.  The module also builds the vectorized generator
-L = -(i/hbar) (I kron H - H^T kron I), samples uniform-grid trajectories,
-and provides a closed-form time integral of rho as an oracle for
-quadrature-based estimates.
+L = -(i/hbar) (I kron H - H^T kron I) and its propagator e^(L t),
+samples uniform-grid trajectories, and provides a closed-form time
+integral of rho as an oracle for quadrature-based estimates.
 """
 
 from __future__ import annotations
@@ -149,6 +149,18 @@ def unitary_conjugate(h: np.ndarray, x: np.ndarray, t: float, hbar: float = 1.0)
     phase = np.exp(-1j * w * (t / hbar))
     xt = v.conj().T @ np.asarray(x, dtype=complex) @ v
     return v @ (np.outer(phase, phase.conj()) * xt) @ v.conj().T
+
+
+def propagator(h: np.ndarray, t: float, hbar: float = 1.0) -> np.ndarray:
+    """Vectorized propagator e^(L t) = conj(U) kron U, U = exp(-i H t / hbar).
+
+    Under column stacking, propagator(h, t) @ vec(X) = vec(U X U†), the
+    matrix form of ``unitary_conjugate``; U comes from one
+    eigendecomposition of H.
+    """
+    w, v = np.linalg.eigh(hermitize(h))
+    u = (v * np.exp(-1j * w * (t / hbar))) @ v.conj().T
+    return np.kron(u.conj(), u)
 
 
 def propagate(h: np.ndarray, rho0: np.ndarray, t: float, hbar: float = 1.0) -> np.ndarray:

@@ -57,7 +57,7 @@ from .linalg import (
 
 #: relative residual above which a full-rank system is reported inconsistent
 RESIDUAL_RTOL = 1e-6
-#: relative tolerance for the skew-Hermitian sanity check on Q
+#: relative tolerance for the skew-Hermitian sanity check on Q (Frobenius norm)
 SKEW_RTOL = 1e-10
 
 
@@ -197,8 +197,8 @@ def build_Q(
         if p is None:
             raise ValueError("P is required when a known H0 is supplied")
         q = q - commutator(hermitize(known_h0), np.asarray(p, dtype=complex))
-    asym = spectral_norm(q + q.conj().T)
-    if asym > SKEW_RTOL * max(spectral_norm(q), ABS_FLOOR):
+    asym = np.linalg.norm(q + q.conj().T)
+    if asym > SKEW_RTOL * max(np.linalg.norm(q), ABS_FLOOR):
         raise ValueError("Q is not skew-Hermitian; check the input states")
     return 0.5 * (q - q.conj().T)
 
@@ -289,13 +289,11 @@ def solve_commutator(
     b = np.concatenate([vec(q).real, vec(q).imag])
 
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    sigma_max = float(s[0]) if s.size else 0.0
 
     rank = numerical_rank(s, rtol)
     if label_rtol is None:
         label_rtol = max(a.shape) * EPS  # LAPACK-style machine tolerance
     label_rank = numerical_rank(s, label_rtol)
-    label_cut = label_rtol * sigma_max
 
     inv = np.zeros_like(s)
     if rank > 0:
@@ -334,7 +332,7 @@ def solve_commutator(
         sigma_max_discarded=float(s[rank]) if rank < s.size else 0.0,
         real_coupling=real_coupling,
         rtol=float(rtol),
-        label_rtol=float(label_cut / sigma_max) if sigma_max > 0 else 0.0,
+        label_rtol=float(label_rtol),
     )
 
 

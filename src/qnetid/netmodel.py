@@ -15,8 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import load_matrix, matrix_to_json, spectral_norm
+from .linalg import load_matrix, matrix_to_json
 
+#: relative asymmetry (Frobenius norm) tolerated in a summed coupling pair
 HERMITICITY_RTOL = 1e-12
 
 
@@ -148,8 +149,8 @@ def assemble_hamiltonian(spec: ManyBodySpec) -> tuple[np.ndarray, np.ndarray]:
     h_int = np.zeros((d, d), dtype=complex)
     for key in sorted(pair_sums, key=sorted):
         term = pair_sums[key]
-        asym = spectral_norm(term - term.conj().T)
-        scale = max(spectral_norm(term), 1e-300)
+        asym = np.linalg.norm(term - term.conj().T)
+        scale = max(np.linalg.norm(term), 1e-300)
         if asym > HERMITICITY_RTOL * scale and asym > 1e-12:
             k, j = sorted(key)
             raise ValueError(

@@ -1,13 +1,23 @@
 """Identification from diagonal-only measurements.
 
 When only the populations (diagonal of rho_t) are observable, the
-vectorized dynamics pair (C, L): output selector C and generator L -
-is identifiable exactly when the observability matrix
-[C; CL; ...; CL^(d^2-1)] has full column rank.  The constructive route
-implemented here estimates output derivatives at t = 0 for a batch of
-d^2 linearly independent initializations, converts them to the moment
-matrices C L^k, and recovers L by one shifted least-squares solve; the
-network Hamiltonian then follows from L up to the identity gauge.
+network is re-initialized in d^2 linearly independent states, the
+columns of Lambda0, and each run's populations are sampled at
+t = k*Delta for k = 0..d^2.  These samples are y_k = C A^k Lambda0,
+with output selector C and vectorized propagator A = e^(L Delta), so
+the Markov parameters C A^k = y_k Lambda0^-1 determine A by one shifted
+least-squares solve whenever the pair (C, A) is observable, i.e.
+[C; CA; ...; CA^(d^2-1)] has full column rank (the eigensystem
+realization idea of Ho & Kalman and of Juang & Pappa).  The generator
+is the principal logarithm L = log(A)/Delta, and the network
+Hamiltonian follows from L up to the identity gauge.
+
+The sampling period is Delta = hbar/||H||_2, H traceless
+(``sampling_period``).  Every phase (lambda_j - lambda_k)*Delta/hbar of A is then at most 2 in
+modulus, below pi: the principal logarithm returns L, and distinct
+frequencies of L stay distinct eigenvalues of A, so (C, A) is
+observable exactly when (C, L) is.  A is unitary, so its stack carries
+no scaling artifact of the kind the powers of L have.
 
 Basis elements |k><j| with k != j are not valid states; they are mapped
 onto four preparable states by an exact decomposition, and the linearity
@@ -18,23 +28,19 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dynamics import Trajectory, check_density, sample_trajectory, unitary_conjugate
+from .dynamics import Trajectory, check_density, liouvillian, sample_trajectory
 from .linalg import (
     ABS_FLOOR,
     DEFAULT_RTOL,
-    EPS,
     hermitize,
     matrix_from_json,
     matrix_to_json,
     numerical_rank,
     spectral_norm,
-    unvec,
     vec,
 )
 
@@ -43,12 +49,10 @@ from .linalg import (
 GENERATOR_RESIDUAL_RTOL = 1e-6
 #: maximum tolerated relative non-skewness of a candidate generator
 SKEW_INPUT_RTOL = 1e-6
-#: finite-difference noise amplification eps/step^K above this emits a warning
-FD_NOISE_WARN = 1e-9
 
 
 class UnobservableError(RuntimeError):
-    """The (C, L) pair is not observable; the generator is not unique."""
+    """The (C, A) pair is not observable; the generator is not unique."""
 
 
 def diagonal_selector(d: int) -> np.ndarray:
@@ -65,171 +69,115 @@ def diagonal_selector(d: int) -> np.ndarray:
     return c
 
 
-def observability_stack(c: np.ndarray, liouv: np.ndarray) -> np.ndarray:
-    """Stack [C; CL; ...; CL^(n-1)] with n = d^2 block rows."""
-    n = liouv.shape[0]
+def sampling_period(h: np.ndarray, hbar: float = 1.0) -> float:
+    """The sampling period Delta = hbar/||H||_2 of the populations.
+
+    H is taken in the traceless gauge: H and H + c*I generate the same
+    dynamics, and an energy offset must not shrink the period (powers
+    of A = e^(L Delta) close to the identity bring back the rank
+    artifacts of the powers of L).  With it ||H|| Delta/hbar = 1 < pi/2,
+    so the principal logarithm of the sampled propagator is the
+    generator.  A zero traceless part has no time scale; its norm is
+    floored at ABS_FLOOR.
+    """
+    h = hermitize(h)
+    h = h - (np.trace(h) / h.shape[0]) * np.eye(h.shape[0])
+    return hbar / max(spectral_norm(h), ABS_FLOOR)
+
+
+def observability_stack(c: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Stack [C; CA; ...; CA^(n-1)] with n = d^2 block rows."""
+    n = a.shape[0]
     if c.shape[1] != n:
-        raise ValueError(f"selector width {c.shape[1]} does not match generator size {n}")
+        raise ValueError(f"selector width {c.shape[1]} does not match propagator size {n}")
     blocks = [np.asarray(c, dtype=complex)]
     for _ in range(n - 1):
-        blocks.append(blocks[-1] @ liouv)
+        blocks.append(blocks[-1] @ a)
     return np.vstack(blocks)
 
 
 def observability_rank(
-    c: np.ndarray, liouv: np.ndarray, rtol: float = DEFAULT_RTOL
+    c: np.ndarray, a: np.ndarray, rtol: float = DEFAULT_RTOL
 ) -> tuple[int, bool]:
-    """Numerical rank of the observability stack and the full-rank flag."""
-    stack = observability_stack(c, liouv)
-    rank = numerical_rank(np.linalg.svd(stack, compute_uv=False), rtol)
-    return rank, rank == liouv.shape[0]
+    """Numerical rank of the (C, A) observability stack and the full-rank flag.
 
-
-# ---------------------------------------------------------------------------
-# derivative stacks
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DerivativeStacks:
-    """Output derivatives at t = 0 for a batch of initializations.
-
-    ys[k] = C L^k Lambda0, shape (d, d^2): the k-th time derivative of
-    the stacked outputs at t = 0, exact or estimated.
+    ``a`` is the sampled propagator e^(L Delta) (``dynamics.propagator``
+    at ``sampling_period``).
     """
+    stack = observability_stack(c, a)
+    rank = numerical_rank(np.linalg.svd(stack, compute_uv=False), rtol)
+    return rank, rank == a.shape[0]
 
-    order: int
-    ys: np.ndarray  # (order + 1, d, d^2)
 
+# ---------------------------------------------------------------------------
+# sampled outputs, generator reconstruction and Hamiltonian extraction
+# ---------------------------------------------------------------------------
 
-def exact_derivative_stacks(liouv: np.ndarray, lambda0: np.ndarray, order: int) -> DerivativeStacks:
-    """Y_k = C L^k Lambda0 by repeated multiplication (exact-data oracle)."""
+def output_stacks(a: np.ndarray, lambda0: np.ndarray, order: int) -> np.ndarray:
+    """Sampled outputs ys[k] = C A^k Lambda0 for k = 0..order.
+
+    Column i of ys[k], shape (d, d^2), holds the populations at t = k*Delta
+    of the run started in column i of Lambda0, when A = e^(L Delta).
+    """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    n = liouv.shape[0]
+    n = a.shape[0]
     d = math.isqrt(n)
     if d * d != n:
-        raise ValueError(f"generator size {n} is not a perfect square")
+        raise ValueError(f"propagator size {n} is not a perfect square")
     c = diagonal_selector(d)
     ys = np.empty((order + 1, d, n), dtype=complex)
     z = np.asarray(lambda0, dtype=complex)
     for k in range(order + 1):
         ys[k] = c @ z
         if k < order:
-            z = liouv @ z
-    return DerivativeStacks(order=order, ys=ys)
+            z = a @ z
+    return ys
 
-
-def _fd_weights(offsets: np.ndarray, order: int) -> np.ndarray:
-    """Finite-difference weights on unit-spaced offsets for one derivative.
-
-    Fornberg's recursion evaluated at 0; multiply by step**-order for a
-    physical grid of spacing ``step``.
-    """
-    x = np.asarray(offsets, dtype=float)
-    n = len(x) - 1
-    c = np.zeros((n + 1, order + 1))
-    c[0, 0] = 1.0
-    c1 = 1.0
-    c4 = x[0]
-    for i in range(1, n + 1):
-        mn = min(i, order)
-        c2 = 1.0
-        c5 = c4
-        c4 = x[i]
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c[:, order]
-
-
-def estimate_derivative_stacks(outputs: np.ndarray, order: int, step: float) -> DerivativeStacks:
-    """Estimate Y_k from outputs sampled on a symmetric grid around t = 0.
-
-    ``outputs`` has shape (2N+1, d, n_states): the stacked outputs
-    C Lambda(t) at t = m*step for m = -N..N (closed dynamics are
-    time-reversible, so negative-time samples are well defined and keep
-    the stencils central).  Each derivative uses the minimal central
-    stencil at spacings step and 2*step combined by one Richardson step,
-    so the truncation error is O(step^4) while round-off grows like
-    step**-k; high orders are genuinely ill-conditioned and trigger a
-    warning.
-    """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    if step <= 0:
-        raise ValueError("step must be positive")
-    outputs = np.asarray(outputs)
-    if outputs.ndim != 3 or outputs.shape[0] % 2 == 0:
-        raise ValueError("outputs must have shape (2N+1, d, n_states)")
-    n_half = (outputs.shape[0] - 1) // 2
-    need = 2 * ((order + 1) // 2)
-    if n_half < need:
-        raise ValueError(
-            f"derivative order {order} needs samples out to +-{need}*step, "
-            f"got +-{n_half}"
-        )
-    if order >= 1 and EPS / step**order > FD_NOISE_WARN:
-        warnings.warn(
-            f"finite differences of order {order} at step {step:g} amplify "
-            f"round-off by ~{EPS / step**order:.1e}; treat the stacks as "
-            "ill-conditioned",
-            stacklevel=2,
-        )
-    ys = np.empty((order + 1,) + outputs.shape[1:], dtype=complex)
-    ys[0] = outputs[n_half]
-    for k in range(1, order + 1):
-        half = (k + 1) // 2
-        offs = np.arange(-half, half + 1)
-        w = _fd_weights(offs, k)
-        d_h = np.tensordot(w, outputs[n_half + offs], axes=(0, 0)) / step**k
-        d_2h = np.tensordot(w, outputs[n_half + 2 * offs], axes=(0, 0)) / (2 * step) ** k
-        ys[k] = (4.0 * d_h - d_2h) / 3.0
-    return DerivativeStacks(order=order, ys=ys)
-
-
-# ---------------------------------------------------------------------------
-# generator reconstruction and Hamiltonian extraction
-# ---------------------------------------------------------------------------
 
 def reconstruct_liouvillian(
-    stacks: DerivativeStacks, lambda0: np.ndarray, rtol: float = DEFAULT_RTOL
+    ys: np.ndarray, lambda0: np.ndarray, period: float, rtol: float = DEFAULT_RTOL
 ) -> np.ndarray:
-    """Recover the generator L from derivative stacks of order d^2.
+    """Recover the generator L from outputs sampled every ``period``.
 
-    Inverts Lambda0 to obtain the moments G_k = C L^k, stacks
+    ``ys`` holds ys[k] = C A^k Lambda0 for k = 0..d^2 (``output_stacks``).
+    Inverts Lambda0 to obtain the Markov parameters G_k = C A^k, stacks
     O = [G_0; ...; G_(d^2-1)] and its shift O' = [G_1; ...; G_(d^2)],
-    and solves O L = O' in least squares.  Requires rank(O) = d^2, i.e.
-    an observable pair; otherwise raises UnobservableError.
+    and solves O A = O' in least squares.  Requires rank(O) = d^2, i.e.
+    an observable pair; otherwise raises UnobservableError.  Returns
+    L = log(A)/period on the principal branch, by eigendecomposition;
+    raises ValueError when an eigenvalue of A lies on the branch cut,
+    the closed negative real axis (within ``rtol`` of it, relative).
     """
     lambda0 = np.asarray(lambda0, dtype=complex)
     n = lambda0.shape[0]
     if lambda0.shape != (n, n):
         raise ValueError("Lambda0 must be square (columns = vectorized initial states)")
-    if stacks.order < n:
-        raise ValueError(f"stacks of order {stacks.order} are incomplete; need order {n}")
+    if period <= 0:
+        raise ValueError("period must be positive")
+    if len(ys) < n + 1:
+        raise ValueError(f"{len(ys)} output samples are incomplete; need {n + 1}")
     if numerical_rank(np.linalg.svd(lambda0, compute_uv=False), rtol) < n:
         raise ValueError("initial-state matrix is numerically singular; "
                          "states are not linearly independent")
-    inv0 = np.linalg.inv(lambda0)
-    moments = np.asarray([ys @ inv0 for ys in stacks.ys[: n + 1]])
-    obs = np.concatenate(moments[:n], axis=0)
-    shifted = np.concatenate(moments[1 : n + 1], axis=0)
-    rank = numerical_rank(np.linalg.svd(obs, compute_uv=False), rtol)
+    moments = np.asarray(ys[: n + 1]) @ np.linalg.inv(lambda0)
+    obs = moments[:n].reshape(-1, n)
+    shifted = moments[1:].reshape(-1, n)
+    u, s, vh = np.linalg.svd(obs, full_matrices=False)
+    rank = numerical_rank(s, rtol)
     if rank < n:
         raise UnobservableError(
             f"observability rank {rank} < {n}: pair not observable, "
             "generator not unique"
         )
-    l_hat, *_ = np.linalg.lstsq(obs, shifted, rcond=None)
-    return l_hat
+    a_hat = vh.conj().T @ ((u.conj().T @ shifted) / s[:, None])
+    mu, v = np.linalg.eig(a_hat)
+    if np.any((mu.real <= 0) & (np.abs(mu.imag) <= rtol * np.abs(mu))):
+        raise ValueError(
+            "an eigenvalue of the sampled propagator lies on the negative real "
+            "axis: the period is too long for the principal logarithm"
+        )
+    return (v * np.log(mu)) @ np.linalg.inv(v) / period
 
 
 def extract_hamiltonian(
@@ -245,17 +193,17 @@ def extract_hamiltonian(
     the least-squares solution.  The map's kernel is the identity direction (H and H + c*I
     generate identical dynamics), so the traceless representative is
     returned.  Inputs whose residual exceeds residual_rtol * ||L|| are
-    rejected as not being closed-system generators; loosen residual_rtol
-    when L itself is a finite-difference estimate rather than exact.
+    rejected as not being closed-system generators.  These tolerance
+    checks measure in the Frobenius norm.
     """
     l_hat = np.asarray(l_hat, dtype=complex)
     n = l_hat.shape[0]
     d = math.isqrt(n)
     if l_hat.shape != (n, n) or d * d != n:
         raise ValueError(f"generator shape {l_hat.shape} is not (d^2, d^2)")
-    scale = spectral_norm(l_hat)
-    skew = spectral_norm(l_hat + l_hat.conj().T)
-    if skew > max(SKEW_INPUT_RTOL, residual_rtol) * max(scale, ABS_FLOOR):
+    scale = max(np.linalg.norm(l_hat), ABS_FLOOR)
+    skew = np.linalg.norm(l_hat + l_hat.conj().T)
+    if skew > max(SKEW_INPUT_RTOL, residual_rtol) * scale:
         raise ValueError("input generator is not skew-Hermitian")
 
     l4 = l_hat.reshape(d, d, d, d)  # l4[p, i, q, j] = L[p*d + i, q*d + j]
@@ -263,13 +211,11 @@ def extract_hamiltonian(
     h_hat -= (np.trace(h_hat) / d) * np.eye(d)
     h_hat = 0.5 * (h_hat + h_hat.conj().T)
 
-    from .dynamics import liouvillian  # deferred: dynamics imports linalg only
-
-    residual = spectral_norm(liouvillian(h_hat, hbar) - l_hat)
-    if residual > residual_rtol * max(scale, ABS_FLOOR):
+    residual = np.linalg.norm(liouvillian(h_hat, hbar) - l_hat)
+    if residual > residual_rtol * scale:
         raise ValueError(
             f"input is not a closed-system generator: residual {residual:.3e} "
-            f"exceeds {residual_rtol:.0e} * ||L||"
+            f"exceeds {residual_rtol:.0e} * ||L|| (Frobenius)"
         )
     return h_hat
 
@@ -331,28 +277,6 @@ def physical_initial_batch(d: int) -> tuple[np.ndarray, list[tuple[np.ndarray, s
             states.append((terms[1][0], f"plus_y_{k}_{j}"))
     lambda0 = np.array([vec(rho) for rho, _ in states]).T
     return lambda0, states
-
-
-def sample_output_stacks(
-    h: np.ndarray, lambda0: np.ndarray, n_half: int, step: float, hbar: float = 1.0
-) -> np.ndarray:
-    """Outputs C Lambda(t) on the symmetric grid t = m*step, m = -N..N.
-
-    Every column of Lambda0 (a vectorized, not necessarily physical,
-    matrix) is evolved by unitary conjugation; the result feeds
-    :func:`estimate_derivative_stacks`.
-    """
-    h = hermitize(h)
-    d = h.shape[0]
-    if lambda0.shape[0] != d * d:
-        raise ValueError("Lambda0 row count must be d^2")
-    c = diagonal_selector(d)
-    mats = [unvec(lambda0[:, i], d, d) for i in range(lambda0.shape[1])]
-    out = np.empty((2 * n_half + 1, d, lambda0.shape[1]), dtype=complex)
-    for m in range(-n_half, n_half + 1):
-        cols = [vec(unitary_conjugate(h, x, m * step, hbar)) for x in mats]
-        out[m + n_half] = c @ np.array(cols).T
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qnetid.dynamics import exact_gram, liouvillian, propagate, sample_trajectory, unitary_conjugate
+from qnetid.dynamics import (
+    exact_gram,
+    liouvillian,
+    propagate,
+    propagator,
+    sample_trajectory,
+    unitary_conjugate,
+)
 from qnetid.identify import (
     build_P_trapezoid,
     build_Q,
@@ -38,12 +45,14 @@ from qnetid.netmodel import basis_density, derive_seed
 from qnetid.partialinfo import (
     UnobservableError,
     diagonal_selector,
-    exact_derivative_stacks,
     extract_hamiltonian,
     identity_initial_batch,
     observability_rank,
+    output_stacks,
     physical_decomposition,
+    physical_initial_batch,
     reconstruct_liouvillian,
+    sampling_period,
 )
 from qnetid.svgplot import emit_plot
 from qnetid.sweep import (
@@ -372,37 +381,40 @@ class TestCriterion6TrapezoidConvergence:
 
 
 class TestCriterion7PartialInformationRoundTrip:
-    """Exact derivative stacks for 100 random Hamiltonians with nonzero
-    diagonal (d in {2, 3}): observable pairs reconstruct the generator
-    and the traceless Hamiltonian to 1e-8, unobservable ones report
-    failure; every zero-diagonal Hamiltonian is structurally
-    unobservable."""
+    """Populations sampled every hbar/||H||_2 for random Hamiltonians with
+    nonzero diagonal (the 100 draws with d in {2, 3}, then 25 each with
+    d = 4, 5, 6), each from the basis-element batch and from the
+    preparable batch: observable pairs reconstruct the generator and the traceless
+    Hamiltonian to 1e-8, unobservable ones report failure; every
+    zero-diagonal Hamiltonian is structurally unobservable."""
 
     def test_round_trip(self):
         rng = np.random.default_rng(MASTER_SEED + 7)
         worst_l = worst_h = 0.0
         observable = unobservable = 0
-        for i in range(100):
-            d = 2 if i % 2 == 0 else 3
+        for d in [2, 3] * 50 + [4, 5, 6] * 25:
             while True:
                 h = random_hermitian(rng, d, norm=1.0)
                 if np.max(np.abs(np.diag(h).real)) >= 0.1:
                     break
             lv = liouvillian(h)
-            _, obs = observability_rank(diagonal_selector(d), lv)
-            stacks = exact_derivative_stacks(lv, identity_initial_batch(d), d * d)
-            if obs:
-                observable += 1
-                l_hat = reconstruct_liouvillian(stacks, identity_initial_batch(d))
-                worst_l = max(worst_l, spectral_norm(l_hat - lv))
-                h_traceless = h - np.trace(h) / d * np.eye(d)
-                worst_h = max(
-                    worst_h, spectral_norm(extract_hamiltonian(l_hat) - h_traceless)
-                )
-            else:
-                unobservable += 1
-                with pytest.raises(UnobservableError):
-                    reconstruct_liouvillian(stacks, identity_initial_batch(d))
+            period = sampling_period(h)
+            a = propagator(h, period)
+            _, obs = observability_rank(diagonal_selector(d), a)
+            for lambda0 in (identity_initial_batch(d), physical_initial_batch(d)[0]):
+                ys = output_stacks(a, lambda0, d * d)
+                if obs:
+                    observable += 1
+                    l_hat = reconstruct_liouvillian(ys, lambda0, period)
+                    worst_l = max(worst_l, spectral_norm(l_hat - lv))
+                    h_traceless = h - np.trace(h) / d * np.eye(d)
+                    worst_h = max(
+                        worst_h, spectral_norm(extract_hamiltonian(l_hat) - h_traceless)
+                    )
+                else:
+                    unobservable += 1
+                    with pytest.raises(UnobservableError):
+                        reconstruct_liouvillian(ys, lambda0, period)
         ok = worst_l <= 1e-8 and worst_h <= 1e-8
         report(
             "criterion 7 (partial-information round trip)", ok,
@@ -417,7 +429,8 @@ class TestCriterion7PartialInformationRoundTrip:
         for i in range(100):
             d = 2 if i % 2 == 0 else 3
             h = random_admissible(rng, d)
-            rank, _ = observability_rank(diagonal_selector(d), liouvillian(h))
+            a = propagator(h, sampling_period(h))
+            rank, _ = observability_rank(diagonal_selector(d), a)
             if rank > d * d - 1:
                 violations += 1
         ok = violations == 0

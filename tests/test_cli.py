@@ -1,7 +1,6 @@
 import json
 
 import numpy as np
-import pytest
 
 from qnetid.cli import main
 from qnetid.dynamics import Trajectory, read_trajectory_csv, write_trajectory_csv
@@ -120,6 +119,14 @@ class TestObservability:
         out = capsys.readouterr().out
         assert "observable: yes" in out
 
+    def test_full_rank_at_d6(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        h_path = tmp_path / "h.json"
+        save_matrix(h_path, 0.5 * (g + g.conj().T))
+        assert run("observability", "--hamiltonian", h_path) == 0
+        assert "rank: 36 of 36" in capsys.readouterr().out
+
     def test_unobservable_zero_diagonal(self, tmp_path, capsys):
         h_path = tmp_path / "h.json"
         save_matrix(h_path, SX)
@@ -153,11 +160,13 @@ class TestPartialIdentify:
         h_path = tmp_path / "h.json"
         save_matrix(h_path, np.array([[1.0, 1.0], [1.0, -1.0]]))
         batch = tmp_path / "batch"
-        with pytest.warns(UserWarning):  # order-4 differentiation is noisy
-            code = run("partial-identify", "--hamiltonian", h_path, "--estimate",
-                       "--fd-step", 1e-3, "--save-outputs", batch,
-                       "--tau", 0.5, "--dt", 0.05)
+        summary = tmp_path / "s.json"
+        code = run("partial-identify", "--hamiltonian", h_path, "--estimate",
+                   "--save-outputs", batch, "--tau", 0.5, "--dt", 0.05, "--out", summary)
         assert code == 0
+        obj = json.loads(summary.read_text())
+        assert "preparable" in obj["mode"]
+        assert obj["hamiltonian_relative_error"] <= 1e-8
         manifest = json.loads((batch / "manifest.json").read_text())
         assert len(manifest["outputs"]) == 4  # d^2 initializations
         assert (batch / manifest["outputs"]["1"]).exists()

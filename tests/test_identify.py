@@ -13,7 +13,7 @@ from qnetid.identify import (
     relative_error,
     solve_commutator,
 )
-from qnetid.linalg import spectral_norm, vec
+from qnetid.linalg import EPS, spectral_norm, vec
 from qnetid.netmodel import basis_density, derive_seed, erdos_renyi, is_connected
 from qnetid.sweep import SweepConfig, benchmark_network
 
@@ -101,6 +101,12 @@ class TestBuildQ:
         rng = np.random.default_rng(3)
         q = build_Q(random_density(rng, 4), random_density(rng, 4), hbar=0.5)
         assert np.array_equal(q, -q.conj().T)
+
+    def test_rejects_non_skew(self):
+        # rho_tau - rho_0 is not Hermitian, so i*hbar*(rho_tau - rho_0) is not skew
+        rho_tau = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
+        with pytest.raises(ValueError, match="not skew-Hermitian"):
+            build_Q(E1, rho_tau)
 
 
 class TestAdmissibleEmbedding:
@@ -218,6 +224,18 @@ class TestSolveCommutator:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="square"):
             solve_commutator(np.eye(3), np.zeros((2, 2)))
+
+    def test_records_configured_label_rtol(self):
+        p = exact_gram(SX, E1, 1.0)
+        q = build_Q(E1, propagate(SX, E1, 1.0))
+        system = _realified_system(p, admissible_embedding(2))
+        sigma_max = np.linalg.svd(system, compute_uv=False)[0]
+        # a label rtol that does not survive the round trip through the cut
+        drifting = [r for r in (1e-12 * (1 + k / 17) for k in range(40))
+                    if (r * sigma_max) / sigma_max != r]
+        assert drifting
+        assert solve_commutator(p, q, label_rtol=drifting[0]).label_rtol == drifting[0]
+        assert solve_commutator(p, q).label_rtol == max(system.shape) * EPS
 
     def test_sigma_diagnostics(self):
         rep = solve_commutator(np.diag([1.0, 0.0]).astype(complex), np.zeros((2, 2)))

@@ -1,22 +1,21 @@
 import numpy as np
 import pytest
 
-from qnetid.dynamics import liouvillian, propagate, unitary_conjugate
-from qnetid.linalg import spectral_norm, vec
+from qnetid.dynamics import liouvillian, propagate, propagator, unitary_conjugate
+from qnetid.linalg import spectral_norm, unvec, vec
 from qnetid.partialinfo import (
     UnobservableError,
     diagonal_selector,
-    estimate_derivative_stacks,
-    exact_derivative_stacks,
     extract_hamiltonian,
     identity_initial_batch,
     observability_rank,
     observability_stack,
+    output_stacks,
     physical_decomposition,
     physical_initial_batch,
     read_output_batch,
     reconstruct_liouvillian,
-    sample_output_stacks,
+    sampling_period,
     simulate_diagonal_outputs,
     write_output_batch,
 )
@@ -32,6 +31,19 @@ def hermitian_with_diagonal(rng, d, norm=1.0):
         h = random_hermitian(rng, d, norm=norm)
         if np.max(np.abs(np.diag(h).real)) >= 0.1:
             return h
+
+
+def sampled(h, hbar=1.0):
+    """(propagator, period) at the sampling period of H."""
+    period = sampling_period(h, hbar)
+    return propagator(h, period, hbar), period
+
+
+def identify(h, lambda0, hbar=1.0):
+    """Generator reconstructed from the populations of the batch ``lambda0``."""
+    a, period = sampled(h, hbar)
+    d = h.shape[0]
+    return reconstruct_liouvillian(output_stacks(a, lambda0, d * d), lambda0, period)
 
 
 class TestDiagonalSelector:
@@ -58,140 +70,152 @@ class TestDiagonalSelector:
         assert np.array_equal(diagonal_selector(4) @ vec(h), np.zeros(4))
 
 
+class TestSamplingPeriod:
+    def test_unit_phase(self):
+        rng = np.random.default_rng(20)
+        for d in (2, 4, 6):
+            h = random_hermitian(rng, d)
+            h -= np.trace(h) / d * np.eye(d)
+            hbar = 0.7
+            assert spectral_norm(h) * sampling_period(h, hbar) / hbar == pytest.approx(1.0)
+
+    def test_energy_offset_invariant(self):
+        # an offset c*I changes neither the dynamics nor the period, so
+        # the sampled pair stays observable at any offset
+        rng = np.random.default_rng(22)
+        h = hermitian_with_diagonal(rng, 5)
+        for c in (10.0, 100.0, -1e3):
+            shifted = h + c * np.eye(5)
+            assert sampling_period(shifted) == pytest.approx(sampling_period(h), rel=1e-12)
+            assert observability_rank(diagonal_selector(5), sampled(shifted)[0]) == (25, True)
+
+    def test_zero_hamiltonian_floored(self):
+        assert np.isfinite(sampling_period(np.zeros((3, 3))))
+        assert np.array_equal(propagator(np.zeros((2, 2)), sampling_period(np.zeros((2, 2)))),
+                              np.eye(4))
+
+
 class TestObservabilityRank:
     def test_zero_generator(self):
-        rank, obs = observability_rank(diagonal_selector(2), np.zeros((4, 4)))
+        rank, obs = observability_rank(diagonal_selector(2), sampled(np.zeros((2, 2)))[0])
         assert rank == 2
         assert not obs
 
     def test_observable_pair(self):
-        rank, obs = observability_rank(diagonal_selector(2), liouvillian(H_OBS))
+        rank, obs = observability_rank(diagonal_selector(2), sampled(H_OBS)[0])
         assert rank == 4
         assert obs
 
     def test_zero_diagonal_unobservable(self):
-        rank, obs = observability_rank(diagonal_selector(2), liouvillian(SX))
+        rank, obs = observability_rank(diagonal_selector(2), sampled(SX)[0])
         assert rank == 3
         assert not obs
 
     def test_structural_unobservability(self):
-        # L vec(H) = 0 and C vec(H) = 0 for every zero-diagonal H != 0
+        # A vec(H) = vec(H) and C vec(H) = 0 for every zero-diagonal H != 0
         rng = np.random.default_rng(2)
         for _ in range(25):
             d = int(rng.integers(2, 5))
             h = random_admissible(rng, d)
-            stack = observability_stack(diagonal_selector(d), liouvillian(h))
+            a, _ = sampled(h)
+            stack = observability_stack(diagonal_selector(d), a)
             residual = np.max(np.abs(stack @ vec(h)))
             assert residual <= 1e-12 * spectral_norm(stack) * max(spectral_norm(h), 1.0)
-            rank, _ = observability_rank(diagonal_selector(d), liouvillian(h))
+            rank, _ = observability_rank(diagonal_selector(d), a)
             assert rank <= d * d - 1
 
+    def test_full_rank_at_d6(self):
+        # the powers of the unitary propagator keep unit scale, so the
+        # stack has no rank artifact of the kind the powers of L have
+        rng = np.random.default_rng(21)
+        h = hermitian_with_diagonal(rng, 6)
+        assert observability_rank(diagonal_selector(6), sampled(h)[0]) == (36, True)
 
-class TestExactDerivativeStacks:
+
+class TestOutputStacks:
     def test_order_zero(self):
-        lv = liouvillian(H_OBS)
-        st = exact_derivative_stacks(lv, identity_initial_batch(2), 0)
-        assert st.order == 0
-        assert np.array_equal(st.ys[0], diagonal_selector(2))
+        ys = output_stacks(sampled(H_OBS)[0], identity_initial_batch(2), 0)
+        assert ys.shape == (1, 2, 4)
+        assert np.array_equal(ys[0], diagonal_selector(2))
 
     def test_zero_generator(self):
-        st = exact_derivative_stacks(np.zeros((4, 4)), identity_initial_batch(2), 3)
-        assert np.array_equal(st.ys[1:], np.zeros((3, 2, 4)))
+        ys = output_stacks(sampled(np.zeros((2, 2)))[0], identity_initial_batch(2), 3)
+        assert np.array_equal(ys[1:], np.broadcast_to(ys[0], (3, 2, 4)))
 
-    def test_matches_independent_stencil(self):
-        # second derivative from a plain [1, -2, 1]/h^2 stencil on the outputs
-        rng = np.random.default_rng(3)
-        h = random_hermitian(rng, 2, norm=1.0)
-        lv = liouvillian(h)
-        lam0 = identity_initial_batch(2)
-        st = exact_derivative_stacks(lv, lam0, 2)
-        step = 1e-3
-        outs = sample_output_stacks(h, lam0, 1, step)
-        fd2 = (outs[2] - 2.0 * outs[1] + outs[0]) / step**2
-        assert np.max(np.abs(fd2 - st.ys[2])) <= 1e-4
-
-
-class TestEstimateDerivativeStacks:
-    def test_constant_outputs(self):
-        outs = np.ones((9, 2, 4))
-        st = estimate_derivative_stacks(outs, 3, 0.1)
-        assert np.allclose(st.ys[1:], 0.0, atol=1e-12)
-
-    def test_matches_exact(self):
-        rng = np.random.default_rng(4)
-        h = random_hermitian(rng, 2, norm=1.0)
-        lam0 = identity_initial_batch(2)
-        exact = exact_derivative_stacks(liouvillian(h), lam0, 2)
-        outs = sample_output_stacks(h, lam0, 2, 1e-3)
-        est = estimate_derivative_stacks(outs, 2, 1e-3)
-        assert np.max(np.abs(est.ys - exact.ys[:3])) <= 1e-4
-
-    def test_high_order_warns(self):
-        rng = np.random.default_rng(5)
-        h = random_hermitian(rng, 2, norm=1.0)
-        lam0 = identity_initial_batch(2)
-        outs = sample_output_stacks(h, lam0, 4, 1e-2)
-        with pytest.warns(UserWarning, match="amplif"):
-            est = estimate_derivative_stacks(outs, 4, 1e-2)
-        exact = exact_derivative_stacks(liouvillian(h), lam0, 4)
-        rel = np.max(np.abs(est.ys[4] - exact.ys[4])) / max(np.max(np.abs(exact.ys[4])), 1.0)
-        assert rel > 1e-14  # visibly above machine precision, as documented
-
-    def test_insufficient_samples(self):
-        outs = np.ones((5, 2, 4))
-        with pytest.raises(ValueError, match="samples"):
-            estimate_derivative_stacks(outs, 4, 0.01)
-
-    def test_even_sample_count_rejected(self):
-        with pytest.raises(ValueError, match="2N\\+1"):
-            estimate_derivative_stacks(np.ones((4, 2, 4)), 1, 0.1)
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_matches_unitary_conjugate(self, d):
+        # column i of ys[k] is diag(U^k X_i U^-k), X_i = column i of Lambda0
+        rng = np.random.default_rng(30 + d)
+        h = random_hermitian(rng, d, norm=1.0)
+        a, period = sampled(h)
+        for lam0 in (identity_initial_batch(d), physical_initial_batch(d)[0]):
+            ys = output_stacks(a, lam0, d * d)
+            for k in range(d * d + 1):
+                ref = np.array([np.diag(unitary_conjugate(h, unvec(x, d, d), k * period))
+                                for x in lam0.T]).T
+                assert np.max(np.abs(ys[k] - ref)) <= 1e-13
 
 
 class TestReconstructLiouvillian:
     def test_exact_roundtrip(self):
-        lv = liouvillian(H_OBS)
-        st = exact_derivative_stacks(lv, identity_initial_batch(2), 4)
-        l_hat = reconstruct_liouvillian(st, identity_initial_batch(2))
-        assert spectral_norm(l_hat - lv) <= 1e-9
+        l_hat = identify(H_OBS, identity_initial_batch(2))
+        assert spectral_norm(l_hat - liouvillian(H_OBS)) <= 1e-9
 
     def test_zero_generator_fails_rank(self):
-        st = exact_derivative_stacks(np.zeros((4, 4)), identity_initial_batch(2), 4)
-        with pytest.raises(UnobservableError):
-            reconstruct_liouvillian(st, identity_initial_batch(2))
+        with pytest.raises(UnobservableError, match="rank 2"):
+            identify(np.zeros((2, 2)), identity_initial_batch(2))
 
     def test_unobservable_instance(self):
-        st = exact_derivative_stacks(liouvillian(SX), identity_initial_batch(2), 4)
         with pytest.raises(UnobservableError, match="rank 3"):
-            reconstruct_liouvillian(st, identity_initial_batch(2))
+            identify(SX, identity_initial_batch(2))
 
     def test_incomplete_stacks_rejected(self):
-        st = exact_derivative_stacks(liouvillian(H_OBS), identity_initial_batch(2), 2)
+        a, period = sampled(H_OBS)
+        ys = output_stacks(a, identity_initial_batch(2), 2)
         with pytest.raises(ValueError, match="incomplete"):
-            reconstruct_liouvillian(st, identity_initial_batch(2))
+            reconstruct_liouvillian(ys, identity_initial_batch(2), period)
 
     def test_singular_lambda0_rejected(self):
         lam = np.eye(4, dtype=complex)
         lam[:, 3] = lam[:, 2]
-        st = exact_derivative_stacks(liouvillian(H_OBS), lam, 4)
+        a, period = sampled(H_OBS)
         with pytest.raises(ValueError, match="singular"):
-            reconstruct_liouvillian(st, lam)
+            reconstruct_liouvillian(output_stacks(a, lam, 4), lam, period)
 
     def test_physical_batch_roundtrip(self):
         lam0, states = physical_initial_batch(2)
         assert lam0.shape == (4, 4)
-        lv = liouvillian(H_OBS)
-        st = exact_derivative_stacks(lv, lam0, 4)
-        l_hat = reconstruct_liouvillian(st, lam0)
-        assert spectral_norm(l_hat - lv) <= 1e-9
+        assert spectral_norm(identify(H_OBS, lam0) - liouvillian(H_OBS)) <= 1e-9
 
     def test_estimated_roundtrip(self):
-        # measured-data path: finite differences on physically preparable runs
-        lam0, _ = physical_initial_batch(2)
-        outs = sample_output_stacks(H_OBS, lam0, 4, 1e-3)
-        with pytest.warns(UserWarning, match="amplif"):  # order 4 at step 1e-3
-            st = estimate_derivative_stacks(outs, 4, 1e-3)
-        l_hat = reconstruct_liouvillian(st, lam0)
-        assert spectral_norm(l_hat - liouvillian(H_OBS)) <= 1e-3
+        # measured-data path: populations of each preparable run, simulated
+        # as a density-operator trajectory on the grid k * period
+        rng = np.random.default_rng(14)
+        d = 3
+        h = hermitian_with_diagonal(rng, d)
+        lam0, states = physical_initial_batch(d)
+        period = sampling_period(h)
+        runs = [simulate_diagonal_outputs(h, rho, d * d * period, period)[1] for rho, _ in states]
+        ys = np.stack(runs, axis=2)  # (d^2 + 1, d, d^2): ys[k][:, i] = run i at k * period
+        l_hat = reconstruct_liouvillian(ys, lam0, period)
+        assert spectral_norm(l_hat - liouvillian(h)) <= 1e-9
+
+    def test_principal_branch_guard(self):
+        # a period at which two eigenvalues of A reach e^(+-i pi) = -1
+        rng = np.random.default_rng(15)
+        h = random_hermitian(rng, 3, norm=1.0)
+        w = np.linalg.eigvalsh(h)
+        period = np.pi / (w[-1] - w[0])
+        lam0 = identity_initial_batch(3)
+        ys = output_stacks(propagator(h, period), lam0, 9)
+        with pytest.raises(ValueError, match="negative real axis"):
+            reconstruct_liouvillian(ys, lam0, period)
+
+    def test_nonpositive_period_rejected(self):
+        a, _ = sampled(H_OBS)
+        lam0 = identity_initial_batch(2)
+        with pytest.raises(ValueError, match="period"):
+            reconstruct_liouvillian(output_stacks(a, lam0, 4), lam0, 0.0)
 
 
 class TestExtractHamiltonian:
@@ -315,17 +339,18 @@ class TestRoundTripInvariant:
             d = int(rng.integers(2, 4))
             h = hermitian_with_diagonal(rng, d)
             lv = liouvillian(h)
-            rank, obs = observability_rank(diagonal_selector(d), lv)
-            st = exact_derivative_stacks(lv, identity_initial_batch(d), d * d)
+            a, period = sampled(h)
+            rank, obs = observability_rank(diagonal_selector(d), a)
+            ys = output_stacks(a, identity_initial_batch(d), d * d)
             if obs:
                 seen_observable += 1
-                l_hat = reconstruct_liouvillian(st, identity_initial_batch(d))
+                l_hat = reconstruct_liouvillian(ys, identity_initial_batch(d), period)
                 assert spectral_norm(l_hat - lv) <= 1e-8
                 h_traceless = h - np.trace(h) / d * np.eye(d)
                 assert spectral_norm(extract_hamiltonian(l_hat) - h_traceless) <= 1e-8
             else:
                 with pytest.raises(UnobservableError):
-                    reconstruct_liouvillian(st, identity_initial_batch(d))
+                    reconstruct_liouvillian(ys, identity_initial_batch(d), period)
         assert seen_observable > 0
 
 
