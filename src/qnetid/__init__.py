@@ -73,6 +73,7 @@ from .sweep import (
     ConfigError,
     SweepConfig,
     SweepResult,
+    TrialRecord,
     read_sweep_csv,
     run_benchmark_trial,
     run_sweep,
@@ -89,6 +90,7 @@ __all__ = [
     "SweepConfig",
     "SweepResult",
     "Trajectory",
+    "TrialRecord",
     "UnobservableError",
     "admissible_embedding",
     "assemble_hamiltonian",

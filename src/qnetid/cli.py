@@ -36,7 +36,6 @@ from .partialinfo import (
     physical_initial_batch,
     reconstruct_liouvillian,
     sampling_period,
-    simulate_diagonal_outputs,
     write_output_batch,
 )
 from .sweep import ConfigError, SweepConfig, run_sweep
@@ -103,11 +102,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--hbar", type=float, default=None)
     sw.add_argument("--rtol", type=float, default=None)
     sw.add_argument("--label-rtol", type=float, default=None)
-    sw.add_argument("--jobs", type=int, default=None)
     sw.add_argument("--extended", action="store_true",
                     help="extend the grid to d = 30 (transition region; slower)")
-    sw.add_argument("--timing", action="store_true",
-                    help="record wall-clock times in the CSV (breaks byte reproducibility)")
     sw.add_argument("--allow-disconnected", action="store_true",
                     help="keep disconnected graph draws instead of redrawing")
     sw.add_argument("--general-coupling", action="store_true",
@@ -134,9 +130,9 @@ def _build_parser() -> argparse.ArgumentParser:
     part.add_argument("--estimate", action="store_true",
                       help="identify from the populations of the d^2 preparable states "
                            "instead of the d^2 basis elements |k><j|")
-    part.add_argument("--save-outputs", help="directory for the per-initialization output CSVs")
-    part.add_argument("--tau", type=float, default=1.0, help="span of saved output records")
-    part.add_argument("--dt", type=float, default=0.01, help="sampling period of saved outputs")
+    part.add_argument("--save-outputs",
+                      help="directory for the populations of the d^2 preparable states "
+                           "at t = k*period, k = 0..d^2, one CSV per state")
     part.add_argument("--out", help="write a summary JSON here")
 
     dec = sub.add_parser("decompose", help="physical decomposition of a basis element |k><j|")
@@ -226,13 +222,10 @@ def _cmd_sweep(args) -> int:
         hbar=args.hbar,
         rtol=args.rtol,
         label_rtol=args.label_rtol,
-        jobs=args.jobs,
     )
     cfg = cfg.override(**overrides)
     if args.extended:
         cfg = cfg.override(d_max=max(cfg.d_max, 30))
-    if args.timing:
-        cfg = cfg.override(timing=True)
     if args.allow_disconnected:
         cfg = cfg.override(connected_only=False)
     if args.general_coupling:
@@ -297,12 +290,10 @@ def _cmd_partial_identify(args) -> int:
     print(f"hamiltonian relative error: {ham_err:.3e} (traceless gauge)")
 
     if args.save_outputs:
-        _, states = physical_initial_batch(d)
-        runs = []
-        for rho, label in states:
-            times, pops = simulate_diagonal_outputs(h, rho, args.tau, args.dt, args.hbar)
-            runs.append((label, times, pops))
-        lambda0_phys, _ = physical_initial_batch(d)
+        lambda0_phys, states = physical_initial_batch(d)
+        pops = output_stacks(a, lambda0_phys, d * d).real
+        times = period * np.arange(d * d + 1)
+        runs = [(label, times, pops[:, :, i]) for i, (_, label) in enumerate(states)]
         manifest = write_output_batch(args.save_outputs, runs, lambda0_phys)
         print(f"output batch written to {manifest.parent}")
 

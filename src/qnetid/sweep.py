@@ -6,23 +6,20 @@ the full-information identification pipeline, and aggregates the mean
 solvability label and the quartiles of the relative reconstruction
 error over solvable trials.  Per-trial seeds are derived from the master
 seed and (d, tau, trial), so any cell (and any single trial) is
-reproducible in isolation and cells can run in any order or in
-parallel without changing a single record.
+reproducible in isolation and cells can run in any order without
+changing a single record.
 
 The seeds ignore n~, so the cells of one (d, tau) row share their
 networks: each network is drawn and simulated once per row and its one
-trajectory is identified at every subsample divisor.  With ``timing``,
-a cell's ``wall_ms`` is its own identification time plus an equal share
-of the row's draws and simulations, scaled so that a row's cells add up
-to the row's wall time.
+trajectory is identified at every subsample divisor.  The result keeps
+every trial's label and error next to the cell records they aggregate
+to.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -59,8 +56,6 @@ class SweepConfig:
     label_rtol: float | None = None
     connected_only: bool = True
     real_coupling: bool = True
-    jobs: int = 1
-    timing: bool = False
 
     def n_samples(self, tau: float) -> int:
         return int(round(tau / self.dt))
@@ -108,8 +103,6 @@ class SweepConfig:
             errors.append(f"rtol must be positive, got {self.rtol}")
         if self.label_rtol is not None and self.label_rtol <= 0:
             errors.append(f"label_rtol must be positive when given, got {self.label_rtol}")
-        if self.jobs < 1:
-            errors.append(f"jobs must be >= 1, got {self.jobs}")
         return errors
 
     def validated(self) -> "SweepConfig":
@@ -160,11 +153,29 @@ class CellRecord:
     seed: int
 
 
+@dataclass(frozen=True)
+class TrialRecord:
+    """One trial of one cell: its trial seed, label and error (None
+    unless solvable with a nonzero ground truth)."""
+
+    d: int
+    tau: float
+    n_tilde: int
+    trial: int
+    seed: int
+    solvability: int
+    epsilon: float | None
+
+
 @dataclass
 class SweepResult:
+    """Cell records in CSV row order, and the trials of each cell in
+    the same order, trial by trial."""
+
     kind: str
     config: SweepConfig
     records: list[CellRecord] = field(default_factory=list)
+    trials: list[TrialRecord] = field(default_factory=list)
 
     def critical_sizes(self) -> dict[str, dict]:
         """Per-(tau, n~) estimates of where solvability breaks down.
@@ -218,7 +229,6 @@ def run_benchmark_trial(
     subsamples: Sequence[int],
     trial_seed: int,
     cfg: SweepConfig,
-    stage_ns: list[int] | None = None,
 ) -> list[tuple[int, float | None]]:
     """One seeded network draw and simulation, identified at every divisor.
 
@@ -226,13 +236,10 @@ def run_benchmark_trial(
     identified at each divisor of ``subsamples``.  Returns one
     (solvability label, relative error or None) per divisor, in the given
     order.  The error is reported only for solvable trials with a nonzero
-    ground truth.  If ``stage_ns`` is given, the draw-and-simulate time
-    and then each identification time are appended to it, in ns.
+    ground truth.
     """
-    marks = [time.perf_counter_ns()]
     adjacency, rho0 = benchmark_network(d, trial_seed, cfg)
     traj = sample_trajectory(adjacency.astype(complex), rho0, tau, cfg.dt, cfg.hbar)
-    marks.append(time.perf_counter_ns())
     out = []
     for subsample in subsamples:
         report = identify_topology(
@@ -246,9 +253,6 @@ def run_benchmark_trial(
         )
         label = report.solvability
         out.append((label, report.epsilon if label == 1 else None))
-        marks.append(time.perf_counter_ns())
-    if stage_ns is not None:
-        stage_ns.extend(b - a for a, b in zip(marks, marks[1:]))
     return out
 
 
@@ -259,68 +263,40 @@ def _quartiles(values: list[float]) -> tuple[float | None, float | None, float |
     return float(med), float(q1), float(q3)
 
 
-def _apportion(row_ms: float, stage_ns: list[list[int]]) -> list[int]:
-    """Split a row's wall time over its cells, in whole ms.
-
-    Cell i weighs its own identification time plus an equal share of the
-    row's draws and simulations.  The weights are scaled to the row's
-    wall time and rounded on their running sum, so the cells add up to
-    the rounded row time exactly.
-    """
-    n = len(stage_ns[0]) - 1
-    shared = sum(stages[0] for stages in stage_ns) / n
-    weights = [shared + sum(stages[i + 1] for stages in stage_ns) for i in range(n)]
-    total = sum(weights) or 1.0
-    bounds = [int(round(row_ms * sum(weights[:i]) / total)) for i in range(n + 1)]
-    return [hi - lo for lo, hi in zip(bounds, bounds[1:])]
-
-
-def _run_row(cfg: SweepConfig, d: int, tau: float) -> list[CellRecord]:
-    """The records of every subsample divisor at (d, tau), divisors descending.
+def _run_row(cfg: SweepConfig, d: int, tau: float) -> tuple[list[CellRecord], list[TrialRecord]]:
+    """The records and trials of every subsample divisor at (d, tau),
+    divisors descending.
 
     The trial seeds are independent of n~, so each trial's network is
     drawn and simulated once and identified at every divisor.
     """
     subsamples = sorted(cfg.subsamples, reverse=True)
-    t0 = time.perf_counter()
     seeds = [derive_seed(cfg.seed, d, tau, trial) for trial in range(cfg.trials)]
-
-    def work(seed):
-        stages: list[int] = []
-        return run_benchmark_trial(d, tau, subsamples, seed, cfg, stages), stages
-
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            outcomes = list(pool.map(work, seeds))
-    else:
-        outcomes = [work(s) for s in seeds]
-
-    if cfg.timing:
-        row_ms = 1000.0 * (time.perf_counter() - t0)
-        wall_ms = _apportion(row_ms, [stages for _, stages in outcomes])
-    else:
-        wall_ms = [0] * len(subsamples)
-    records = []
+    outcomes = [run_benchmark_trial(d, tau, subsamples, seed, cfg) for seed in seeds]
+    records, trials = [], []
     for i, subsample in enumerate(subsamples):
-        results = [per_divisor[i] for per_divisor, _ in outcomes]
-        labels = [r[0] for r in results]
-        epses = [r[1] for r in results if r[0] == 1 and r[1] is not None]
-        med, q1, q3 = _quartiles(epses)
+        n_tilde = cfg.n_samples(tau) // subsample
+        cell = [
+            TrialRecord(d, tau, n_tilde, trial, seed, *outcome[i])
+            for trial, (seed, outcome) in enumerate(zip(seeds, outcomes))
+        ]
+        med, q1, q3 = _quartiles([t.epsilon for t in cell if t.epsilon is not None])
         records.append(
             CellRecord(
                 d=d,
                 tau=tau,
-                n_tilde=cfg.n_samples(tau) // subsample,
+                n_tilde=n_tilde,
                 trials=cfg.trials,
-                solvability_mean=float(np.mean(labels)),
+                solvability_mean=float(np.mean([t.solvability for t in cell])),
                 eps_median=med,
                 eps_q1=q1,
                 eps_q3=q3,
-                wall_ms=wall_ms[i],
+                wall_ms=0,
                 seed=cfg.seed,
             )
         )
-    return records
+        trials.extend(cell)
+    return records, trials
 
 
 def _fmt(value) -> str:
@@ -356,7 +332,8 @@ def run_sweep(cfg: SweepConfig, kind: str = "solvability", out_csv=None) -> Swee
     ('solvability' or 'error') only names the sweep in the result and in
     the CSV's one-line JSON preamble, which also records the config.  The
     CSV is flushed after each (d, tau) row of cells, so a failing later
-    row leaves a valid partial CSV behind.
+    row leaves a valid partial CSV behind.  Its ``wall_ms`` column is
+    always 0, which keeps the file byte-reproducible.
     """
     cfg = cfg.validated()
     result = SweepResult(kind=kind, config=cfg)
@@ -370,8 +347,9 @@ def run_sweep(cfg: SweepConfig, kind: str = "solvability", out_csv=None) -> Swee
     try:
         for d in cfg.d_values:
             for tau in cfg.taus:
-                records = _run_row(cfg, d, tau)
+                records, trials = _run_row(cfg, d, tau)
                 result.records.extend(records)
+                result.trials.extend(trials)
                 if fh is not None:
                     fh.writelines(_record_row(rec) + "\n" for rec in records)
                     fh.flush()

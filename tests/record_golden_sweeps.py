@@ -1,10 +1,10 @@
 """Record the seed-0 acceptance sweeps into ``tests/golden_sweeps.json``.
 
 The file holds the records of the criterion-1 solvability sweep and the
-two criterion-3 error sweeps (tau = 1 and tau = 2), keyed as the tests in
-``test_acceptance.py`` key them.  Those tests compare their own sweep
-records against it: ``solvability_mean`` exactly, the ``eps_*`` fields to
-1e-9 relative.  Re-record only when a change to the records is intended:
+two criterion-3 error sweeps (tau = 1 and tau = 2), keyed by ``CONFIGS``.
+The tests in ``test_acceptance.py`` run the same ``CONFIGS`` and compare
+their sweep records against it: ``solvability_mean`` exactly, the
+``eps_*`` fields to 1e-9 relative.  Re-record only when a change to the records is intended:
 
     PYTHONPATH=src python tests/record_golden_sweeps.py
 """

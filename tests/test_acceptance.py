@@ -4,16 +4,18 @@ Criterion 2 (the d = 30 transition sweep) takes a few minutes and is
 opt-in: run it with `QNETID_EXTENDED=1 pytest tests/test_acceptance.py`
 or `pytest -m extended`.
 
-Criteria 1 and 3 run the seed-0 benchmark sweeps and then score every
-network of those sweeps draw by draw (the recomputed labels and errors
-must reproduce the sweep records exactly).  Criterion 1 checks each
-solvability label against the paper's condition: a unique admissible
-solution exists exactly when no nonzero admissible matrix commutes with
-the exact time integral P.  Criterion 3 separates the solver from the
-quadrature: the exact-P solve must recover the network, the median error
-must fall as h^2 along the paired subsampling axis, and it must stay
-below 0.05 from 20 trapezoid panels on.  Both also compare their sweep
-records with the golden seed-0 records in ``golden_sweeps.json``.
+Criteria 1 and 3 run the seed-0 benchmark sweeps of
+``record_golden_sweeps.CONFIGS`` and score every trial the sweep returns,
+draw by draw.  Each trial must carry the test's own seed for its cell,
+and the trials' labels and errors must aggregate to the sweep records
+exactly.  Criterion 1 checks each solvability label against the paper's
+condition: a unique admissible solution exists exactly when no nonzero
+admissible matrix commutes with the exact time integral P of the
+redrawn network.  Criterion 3 separates the solver from the quadrature:
+the exact-P solve must recover the network, the median error must fall
+as h^2 along the paired subsampling axis, and it must stay below 0.05
+from 20 trapezoid panels on.  Both also compare their sweep records with
+the golden seed-0 records in ``golden_sweeps.json``.
 """
 
 import json
@@ -36,7 +38,6 @@ from qnetid.identify import (
     build_Q,
     commutant_dimension,
     commutator,
-    identify_topology,
     relative_error,
     solve_commutator,
 )
@@ -62,6 +63,7 @@ from qnetid.sweep import (
 )
 
 from conftest import random_admissible, random_density, random_hermitian
+from record_golden_sweeps import CONFIGS
 
 MASTER_SEED = 0
 #: relative rank cut for the admissible commutant of the exact P; on the
@@ -104,26 +106,49 @@ def report(criterion: str, passed: bool, detail: str) -> bool:
     return passed
 
 
-def sweep_draws(cfg: SweepConfig, d: int, tau: float):
-    """Yield (adjacency, trajectory, {subsample: report}) per trial of the
-    sweep cells at (d, tau), in trial order.
+def cell_trials(res):
+    """Pair each sweep record with its trials; also list where the trials
+    are not the cell's own draws.
 
-    The networks and seeds are the sweep's own; each network is simulated
-    once and identified at every subsample divisor with the arguments of
-    ``run_benchmark_trial``.  Callers check that the reports reproduce the
-    sweep records.
+    A cell's trials must carry its (d, tau, n~), trial numbers 0..trials-1
+    and the seeds ``derive_seed(seed, d, tau, trial)`` the test derives
+    itself, so redrawing a network from a trial's seed redraws the
+    sweep's network.
     """
-    for trial in range(cfg.trials):
-        adjacency, rho0 = benchmark_network(d, derive_seed(cfg.seed, d, tau, trial), cfg)
-        traj = sample_trajectory(adjacency.astype(complex), rho0, tau, cfg.dt, cfg.hbar)
-        reports = {
-            sub: identify_topology(
-                traj, subsample=sub, hbar=cfg.hbar, truth=adjacency, rtol=cfg.rtol,
-                real_coupling=cfg.real_coupling, label_rtol=cfg.label_rtol,
+    cfg = res.config
+    n = cfg.trials
+    problems = []
+    if len(res.trials) != n * len(res.records):
+        problems.append(f"{len(res.trials)} trials for {len(res.records)} records of {n}")
+    pairs = []
+    for i, rec in enumerate(res.records):
+        cell = res.trials[i * n:(i + 1) * n]
+        want = [
+            (rec.d, rec.tau, rec.n_tilde, trial, derive_seed(cfg.seed, rec.d, rec.tau, trial))
+            for trial in range(n)
+        ]
+        if [(t.d, t.tau, t.n_tilde, t.trial, t.seed) for t in cell] != want:
+            problems.append(
+                f"d={rec.d} tau={rec.tau:g} n~={rec.n_tilde}: trials are not the cell's draws"
             )
-            for sub in cfg.subsamples
-        }
-        yield adjacency, traj, reports
+        pairs.append((rec, cell))
+    return pairs, problems
+
+
+def aggregation_mismatches(rec, cell) -> list[str]:
+    """Where the trials' labels and errors do not reproduce the record."""
+    where = f"tau={rec.tau:g} n~={rec.n_tilde} d={rec.d}"
+    out = []
+    labels = [t.solvability for t in cell]
+    if float(np.mean(labels)) != rec.solvability_mean:
+        out.append(f"{where}: trial labels average to {np.mean(labels)}, "
+                   f"the record has {rec.solvability_mean}")
+    eps = [t.epsilon for t in cell if t.solvability == 1]
+    quartiles = (tuple(float(q) for q in np.percentile(eps, [50.0, 25.0, 75.0]))
+                 if eps else (None, None, None))
+    if quartiles != (rec.eps_median, rec.eps_q1, rec.eps_q3):
+        out.append(f"{where}: trial eps quartiles {quartiles} differ from the record's")
+    return out
 
 
 class TestCriterion1RoundTripSolvability:
@@ -132,36 +157,33 @@ class TestCriterion1RoundTripSolvability:
     >= 0.9 for d in {2, 3}, and on every draw the sweep's solvability
     label is 1 exactly when the admissible commutant of the exact P is
     trivial, so the mean label over identifiable draws is exactly 1.0.
-    The recomputed labels must average to each record's solvability."""
+    The sweep's trial labels must average to each record's solvability."""
 
     def test_solvability_plateau(self):
-        cfg = SweepConfig(
-            seed=MASTER_SEED, d_min=2, d_max=12, p_link=0.5, taus=(3.0,),
-            dt=0.01, subsamples=(1,), trials=100,
-        )
+        cfg = CONFIGS["criterion1"]
         res = run_sweep(cfg)
         sbar = {rec.d: rec.solvability_mean for rec in res.records}
         detail = " ".join(f"d={d}:{v:.2f}" for d, v in sorted(sbar.items()))
         ok_small = all(sbar[d] >= 0.9 for d in (2, 3))
 
-        unmatched_records = []
+        pairs, unmatched_records = cell_trials(res)
         disagreements = []
         identifiable_labels = []
-        for rec in res.records:
-            labels = []
-            for trial, (adjacency, traj, reports) in enumerate(sweep_draws(cfg, rec.d, rec.tau)):
-                label = reports[1].solvability
-                labels.append(label)
-                p_exact = exact_gram(adjacency.astype(complex), traj.states[0], rec.tau, cfg.hbar)
+        for rec, cell in pairs:
+            unmatched_records.extend(aggregation_mismatches(rec, cell))
+            for t in cell:
+                seed = derive_seed(cfg.seed, rec.d, rec.tau, t.trial)
+                adjacency, rho0 = benchmark_network(rec.d, seed, cfg)
+                p_exact = exact_gram(adjacency.astype(complex), rho0, rec.tau, cfg.hbar)
                 dim = commutant_dimension(
                     p_exact, rtol=COMMUTANT_RTOL, real_coupling=cfg.real_coupling
                 )
                 if dim == 0:
-                    identifiable_labels.append(label)
-                if label != int(dim == 0):
-                    disagreements.append(f"d={rec.d} trial={trial} label={label} commutant={dim}")
-            if float(np.mean(labels)) != rec.solvability_mean:
-                unmatched_records.append(f"d={rec.d}")
+                    identifiable_labels.append(t.solvability)
+                if t.solvability != int(dim == 0):
+                    disagreements.append(
+                        f"d={rec.d} trial={t.trial} label={t.solvability} commutant={dim}"
+                    )
         n_draws = len(res.records) * cfg.trials
         ok_band = not disagreements and float(np.mean(identifiable_labels)) == 1.0
         ok_records = not unmatched_records
@@ -172,7 +194,7 @@ class TestCriterion1RoundTripSolvability:
         )
         golden = golden_mismatches("criterion1", res.records)
         assert not golden, "sweep records differ from the golden records: " + "; ".join(golden)
-        assert ok_records, f"recomputed labels differ from the sweep records at {unmatched_records}"
+        assert ok_records, "sweep trials differ from the records: " + "; ".join(unmatched_records)
         assert ok_small, f"mean solvability below 0.9 at d in 2..3: {detail}"
         assert ok_band, "label disagrees with the commutant condition: " + "; ".join(disagreements)
 
@@ -218,7 +240,7 @@ class TestCriterion3ErrorBenchmark:
       than criterion 6's);
     * the median is <= 0.05 from n~ = n_s/5 (at least 20 panels) on.
 
-    The recomputed trapezoid errors must reproduce each record's median.
+    The sweep's trial errors must reproduce each record's quartiles.
     """
 
     def test_error_medians(self):
@@ -226,42 +248,39 @@ class TestCriterion3ErrorBenchmark:
         lines = []
         worst_exact = 0.0
         ratios = {}
-        for tau, d_hi in ((1.0, 8), (2.0, 12)):
-            cfg = SweepConfig(
-                seed=MASTER_SEED, d_min=2, d_max=d_hi, p_link=0.5, taus=(tau,),
-                dt=0.01, subsamples=(20, 10, 5, 1), trials=100,
-            )
+        for name in ("criterion3_tau1", "criterion3_tau2"):
+            cfg = CONFIGS[name]
+            (tau,) = cfg.taus
             res = run_sweep(cfg, kind="error")
-            failures.extend(golden_mismatches(f"criterion3_tau{tau:g}", res.records))
+            failures.extend(golden_mismatches(name, res.records))
+            pairs, problems = cell_trials(res)
+            failures.extend(problems)
             n_s = cfg.n_samples(tau)
             medians = {(rec.d, n_s // rec.n_tilde): rec.eps_median for rec in res.records}
+            cells = {(rec.d, n_s // rec.n_tilde): cell for rec, cell in pairs}
+            for rec, cell in pairs:
+                failures.extend(aggregation_mismatches(rec, cell))
             for d in cfg.d_values:
                 band = [sub for sub in cfg.subsamples if d <= 8 or (tau == 2.0 and sub == 1)]
                 if not band:
                     continue
-                eps = {sub: [] for sub in cfg.subsamples}
-                for adjacency, traj, reports in sweep_draws(cfg, d, tau):
+                # the exact-P solve of every draw that is solvable in a band cell
+                solvable = sorted({t.trial for sub in band for t in cells[(d, sub)]
+                                   if t.solvability == 1})
+                for trial in solvable:
+                    seed = derive_seed(cfg.seed, d, tau, trial)
+                    adjacency, rho0 = benchmark_network(d, seed, cfg)
+                    h = adjacency.astype(complex)
                     exact = solve_commutator(
-                        exact_gram(adjacency.astype(complex), traj.states[0], tau, cfg.hbar),
-                        build_Q(traj.states[0], traj.states[-1], hbar=cfg.hbar),
+                        exact_gram(h, rho0, tau, cfg.hbar),
+                        build_Q(rho0, propagate(h, rho0, tau, cfg.hbar), hbar=cfg.hbar),
                         rtol=cfg.rtol, real_coupling=cfg.real_coupling,
                     )
                     eps_exact = relative_error(exact.m_hat, adjacency)
-                    for sub, rep in reports.items():
-                        if rep.solvability == 1:
-                            eps[sub].append(rep.epsilon)
-                            if sub in band:
-                                worst_exact = max(worst_exact, eps_exact)
-                                if eps_exact > 1e-9:
-                                    failures.append(
-                                        f"tau={tau:g} n~=ns/{sub} d={d}: exact-P eps {eps_exact:.2e}"
-                                    )
-                for sub in cfg.subsamples:
-                    recomputed = float(np.percentile(eps[sub], 50.0)) if eps[sub] else None
-                    if recomputed != medians[(d, sub)]:
+                    worst_exact = max(worst_exact, eps_exact)
+                    if eps_exact > 1e-9:
                         failures.append(
-                            f"tau={tau:g} n~=ns/{sub} d={d}: recomputed median {recomputed} "
-                            f"differs from the record {medians[(d, sub)]}"
+                            f"tau={tau:g} d={d} trial={trial}: exact-P eps {eps_exact:.2e}"
                         )
                 for sub in band:
                     med = medians[(d, sub)]

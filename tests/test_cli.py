@@ -3,8 +3,18 @@ import json
 import numpy as np
 
 from qnetid.cli import main
-from qnetid.dynamics import Trajectory, read_trajectory_csv, write_trajectory_csv
-from qnetid.linalg import load_matrix, save_matrix
+from qnetid.dynamics import Trajectory, propagator, read_trajectory_csv, write_trajectory_csv
+from qnetid.linalg import hermitize, load_matrix, save_matrix, spectral_norm
+from qnetid.partialinfo import (
+    extract_hamiltonian,
+    output_stacks,
+    physical_initial_batch,
+    read_output_batch,
+    reconstruct_liouvillian,
+    sampling_period,
+)
+
+from conftest import random_hermitian
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -100,6 +110,12 @@ class TestSweepPlot:
         text = (out_dir / "error.csv").read_text()
         assert '"seed": 4' in text.splitlines()[0]
 
+    def test_removed_config_keys_exit_2(self, tmp_path):
+        for key, value in (("jobs", 2), ("timing", True)):
+            cfg = tmp_path / f"{key}.json"
+            cfg.write_text(json.dumps({"d_max": 2, "trials": 1, key: value}))
+            assert run("sweep", "solvability", "--config", cfg, "--out-dir", tmp_path) == 2
+
     def test_invalid_config_exits_2(self, tmp_path):
         assert run("sweep", "solvability", "--d-min", 5, "--d-max", 2,
                    "--out-dir", tmp_path) == 2
@@ -162,7 +178,7 @@ class TestPartialIdentify:
         batch = tmp_path / "batch"
         summary = tmp_path / "s.json"
         code = run("partial-identify", "--hamiltonian", h_path, "--estimate",
-                   "--save-outputs", batch, "--tau", 0.5, "--dt", 0.05, "--out", summary)
+                   "--save-outputs", batch, "--out", summary)
         assert code == 0
         obj = json.loads(summary.read_text())
         assert "preparable" in obj["mode"]
@@ -170,6 +186,36 @@ class TestPartialIdentify:
         manifest = json.loads((batch / "manifest.json").read_text())
         assert len(manifest["outputs"]) == 4  # d^2 initializations
         assert (batch / manifest["outputs"]["1"]).exists()
+
+    def test_saved_outputs_reproduce_estimate(self, tmp_path):
+        # the saved batch holds the samples the estimate was computed from:
+        # identified from the files alone, it gives the same Hamiltonian
+        rng = np.random.default_rng(21)
+        for d in (2, 3, 3, 4, 4, 5):
+            while True:
+                h = random_hermitian(rng, d, norm=1.0)
+                if np.max(np.abs(np.diag(h).real)) >= 0.1:
+                    break
+            h_path = tmp_path / f"h{d}.json"
+            save_matrix(h_path, h)
+            batch = tmp_path / f"batch{d}"
+            assert run("partial-identify", "--hamiltonian", h_path, "--estimate",
+                       "--save-outputs", batch) == 0
+
+            h = hermitize(load_matrix(h_path))
+            period = sampling_period(h)
+            lambda0, _ = physical_initial_batch(d)
+            ys = output_stacks(propagator(h, period), lambda0, d * d)
+            h_estimate = extract_hamiltonian(reconstruct_liouvillian(ys, lambda0, period))
+
+            lambda0_saved, runs = read_output_batch(batch / "manifest.json")
+            times = runs[0][1]
+            assert len(times) == d * d + 1
+            ys_saved = np.stack([pops for _, _, pops in runs], axis=2)
+            h_saved = extract_hamiltonian(
+                reconstruct_liouvillian(ys_saved, lambda0_saved, times[1] - times[0])
+            )
+            assert spectral_norm(h_saved - h_estimate) <= 1e-12 * spectral_norm(h_estimate)
 
     def test_unobservable_exits_3(self, tmp_path, capsys):
         h_path = tmp_path / "h.json"

@@ -1,12 +1,11 @@
 import json
-import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import qnetid.sweep
 from qnetid.dynamics import sample_trajectory
+from qnetid.netmodel import derive_seed
 from qnetid.sweep import (
     CSV_HEADER,
     ConfigError,
@@ -14,7 +13,6 @@ from qnetid.sweep import (
     read_sweep_csv,
     run_benchmark_trial,
     run_sweep,
-    _apportion,
 )
 
 TINY = SweepConfig(seed=11, d_min=2, d_max=3, taus=(1.0,), subsamples=(1,), trials=4)
@@ -35,13 +33,12 @@ class TestConfigValidation:
             trials=0,
             hbar=0.0,
             rtol=0.0,
-            jobs=0,
         )
         errors = cfg.validate()
         joined = "\n".join(errors)
         for token in ("d_min", "d_max", "p_link", "tau must be positive",
                       "does not divide", "subsample divisors", "trials",
-                      "hbar", "rtol", "jobs"):
+                      "hbar", "rtol"):
             assert token in joined
         assert len(errors) >= 9
 
@@ -92,12 +89,6 @@ class TestTrial:
         both = run_benchmark_trial(4, 1.0, (1, 20), 3, TINY)
         assert both == [run_benchmark_trial(4, 1.0, (sub,), 3, TINY)[0] for sub in (1, 20)]
 
-    def test_stage_times(self):
-        stages = []
-        run_benchmark_trial(3, 1.0, (10, 5, 1), 7, TINY, stages)
-        assert len(stages) == 4  # draw and simulate, then one per divisor
-        assert all(isinstance(t, int) and t >= 0 for t in stages)
-
 
 class TestSweep:
     def test_records_and_csv(self, tmp_path):
@@ -144,12 +135,6 @@ class TestSweep:
         wide_d3 = [r for r in wide.records if r.d == 3]
         assert wide_d3 == narrow.records
 
-    def test_jobs_do_not_change_records(self):
-        for cfg in (TINY, TINY.override(subsamples=(5, 1))):
-            seq = run_sweep(cfg)
-            par = run_sweep(cfg.override(jobs=4))
-            assert seq.records == par.records
-
     @pytest.mark.parametrize("subsamples", [(1,), (20, 10, 5, 1)])
     def test_one_simulation_per_network(self, monkeypatch, subsamples):
         calls = []
@@ -163,28 +148,6 @@ class TestSweep:
         res = run_sweep(cfg)
         assert len(res.records) == len(cfg.d_values) * len(cfg.taus) * len(subsamples)
         assert len(calls) == cfg.trials * len(cfg.d_values) * len(cfg.taus)
-
-    def test_timing_changes_only_wall_ms(self):
-        cfg = TINY.override(subsamples=(20, 10, 5, 1))
-        plain = run_sweep(cfg).records
-        t0 = time.perf_counter()
-        timed = run_sweep(cfg.override(timing=True)).records
-        sweep_ms = 1000.0 * (time.perf_counter() - t0)
-        assert [replace(r, wall_ms=0) for r in timed] == plain
-        assert all(isinstance(r.wall_ms, int) and r.wall_ms >= 0 for r in timed)
-        # the cells share out their row's wall time, so they cannot add up
-        # to more than the sweep's (up to rounding, half a ms per row)
-        rows = len(cfg.d_values) * len(cfg.taus)
-        assert sum(r.wall_ms for r in timed) <= sweep_ms + 0.5 * rows
-
-    def test_wall_ms_apportioning(self):
-        # two trials of three divisors: 6 ns of draws and simulations are
-        # shared equally, the identification times (2, 4, 6 ns) are the
-        # cells' own; the cells always add up to the rounded row time
-        stages = [[4, 1, 2, 3], [2, 1, 2, 3]]
-        assert _apportion(18.0, stages) == [4, 6, 8]
-        assert _apportion(9.0, stages) == [2, 3, 4]
-        assert sum(_apportion(7.3, stages)) == 7
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
@@ -208,6 +171,32 @@ class TestSweep:
             by_sub = {rec.n_tilde: rec.solvability_mean for rec in res.records}
             n_s = cfg.n_samples(3.0)
             assert abs(by_sub[n_s] - by_sub[n_s // 20]) <= 0.05
+
+
+class TestTrials:
+    @pytest.mark.parametrize("subsamples", [(1,), (20, 10, 5, 1)])
+    def test_one_trial_per_divisor_in_record_order(self, subsamples):
+        # each cell's trials follow its record, carry the sweep's trial
+        # seeds and reproduce the record's mean label and eps quartiles
+        cfg = TINY.override(subsamples=subsamples)
+        res = run_sweep(cfg)
+        assert len(res.trials) == len(res.records) * cfg.trials
+        for i, rec in enumerate(res.records):
+            cell = res.trials[i * cfg.trials:(i + 1) * cfg.trials]
+            assert {(t.d, t.tau, t.n_tilde) for t in cell} == {(rec.d, rec.tau, rec.n_tilde)}
+            assert [t.trial for t in cell] == list(range(cfg.trials))
+            assert [t.seed for t in cell] == [
+                derive_seed(cfg.seed, rec.d, rec.tau, trial) for trial in range(cfg.trials)
+            ]
+            assert float(np.mean([t.solvability for t in cell])) == rec.solvability_mean
+            assert all((t.epsilon is not None) == (t.solvability == 1) for t in cell)
+            eps = [t.epsilon for t in cell if t.solvability == 1]
+            q1, med, q3 = np.percentile(eps, [25.0, 50.0, 75.0])
+            assert (float(med), float(q1), float(q3)) == (rec.eps_median, rec.eps_q1, rec.eps_q3)
+
+    def test_trials_reproducible(self):
+        cfg = TINY.override(subsamples=(20, 10, 5, 1))
+        assert run_sweep(cfg).trials == run_sweep(cfg).trials
 
 
 class TestReadSweepCsv:
