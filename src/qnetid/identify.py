@@ -16,6 +16,24 @@ columns of (P^T kron I - I kron P) applied to the parametrization, entry
 for entry; neither the d^2 x d^2 Kronecker matrix nor a dense basis of
 the parametrization is ever formed.
 
+Only d^2 of the 2d^2 real rows [Re vec; Im vec] are kept.  With M and P
+Hermitian, [M, P] is skew-Hermitian, and so is Q: Re[M, P] is
+antisymmetric and Im[M, P] symmetric.  The halved system's rows are
+
+* sqrt(2) * Re of the entries (i, j), i < j row-major (as ``_pairs``),
+* sqrt(2) * Im of the same entries,
+* Im of the diagonal entries (i, i), i = 0..d-1.
+
+A dropped row is either zero with a zero right-hand side (Re of a
+diagonal entry) or the row of entry (j, i), which equals the kept row
+of (i, j) times -1 (Re) or +1 (Im), right-hand side included.  Two equal
+rows add to A^T A and A^T b exactly what one row scaled by sqrt(2)
+adds, so both are unchanged: the halving is an orthogonal compression.
+The singular values, the right singular vectors and the least-squares
+theta are those of the 2d^2-row system in exact arithmetic, and differ
+only by rounding.  The right-hand side vec(Q) is halved by the same
+rows and weights.
+
 Two parameter classes are supported:
 
 * the full admissible class, parameters (Re M_ij, Im M_ij) for i < j,
@@ -30,9 +48,11 @@ Each report carries two verdicts.  ``outcome`` is the conservative
 uniqueness certificate: full column rank at the configured relative
 tolerance plus a small equation residual.  ``solvability`` is the
 classical full-rank label of the stacked linear system at an
-LAPACK-style machine tolerance; it is the quantity averaged by the
-benchmark sweeps, and it deliberately ignores the residual so that
-coarsely integrated P still counts as solvable.
+LAPACK-style machine tolerance, 2d^2 * eps relative to sigma_max: the
+max(m, n) of the unhalved system, kept so that the halving moves no
+label.  It is the quantity averaged by the benchmark sweeps, and it
+deliberately ignores the residual so that coarsely integrated P still
+counts as solvable.
 """
 
 from __future__ import annotations
@@ -59,6 +79,7 @@ from .linalg import (
 RESIDUAL_RTOL = 1e-6
 #: relative tolerance for the skew-Hermitian sanity check on Q (Frobenius norm)
 SKEW_RTOL = 1e-10
+_SQRT2 = float(np.sqrt(2.0))
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -130,12 +151,30 @@ def admissible_embedding(d: int, real_coupling: bool = False) -> AdmissibleEmbed
     return AdmissibleEmbedding(dim=d, real_coupling=real_coupling)
 
 
+@lru_cache(maxsize=None)
+def _halving(d: int) -> np.ndarray:
+    """Indices into [Re vec; Im vec] of the halved system's rows (module docstring)."""
+    i, j, _ = _pairs(d)
+    upper = j * d + i  # vec index of entry (i, j)
+    rows = np.concatenate([upper, d * d + upper, d * d + np.arange(d) * (d + 1)])
+    rows.flags.writeable = False  # shared by every caller through the cache
+    return rows
+
+
+def _halve(stack: np.ndarray, d: int) -> np.ndarray:
+    """The d^2 rows of a 2d^2-row [Re vec; Im vec] stack that the halved system keeps."""
+    out = stack[_halving(d)]
+    out[: d * (d - 1)] *= _SQRT2  # the off-diagonal rows stand for two rows each
+    return out
+
+
 def _realified_system(p: np.ndarray, embedding: AdmissibleEmbedding) -> np.ndarray:
-    """Real coefficient matrix of theta -> vec([M(theta), P]) stacked Re/Im.
+    """Real coefficient matrix of theta -> vec([M(theta), P]), halved.
 
     Written in closed form (module docstring) into an array indexed
     [Re/Im, column c, row r, pair k, x/y], which is the row-stacked vec
-    layout with each pair's (x_ij, y_ij) columns side by side.
+    layout with each pair's (x_ij, y_ij) columns side by side, and
+    reduced to its d^2 determining rows by ``_halve``.
     """
     d = embedding.dim
     i, j, k = _pairs(d)
@@ -152,7 +191,12 @@ def _realified_system(p: np.ndarray, embedding: AdmissibleEmbedding) -> np.ndarr
         col[:, :, j, k] += sign * src[:, i, :].transpose(0, 2, 1)  # row j: P[i, :]
         col[:, j, :, k] -= src[:, :, i].transpose(2, 0, 1)         # column j: -P[:, i]
         col[:, i, :, k] -= sign * src[:, :, j].transpose(2, 0, 1)  # column i: -P[:, j]
-    return a.reshape(2 * d * d, -1)
+    return _halve(a.reshape(2 * d * d, -1), d)
+
+
+def _realified_rhs(q: np.ndarray) -> np.ndarray:
+    """Right-hand side vec(Q) stacked Re/Im, halved like the system."""
+    return _halve(np.concatenate([vec(q).real, vec(q).imag]), q.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +319,11 @@ def solve_commutator(
     tolerance (or ``label_rtol`` relative to sigma_max when given).
     A Q of zero with full rank yields the zero matrix and 'unique':
     no interaction detected.
+
+    P is taken to be Hermitian and Q skew-Hermitian, as
+    ``build_P_trapezoid`` and ``build_Q`` return them: the halved system
+    (module docstring) keeps only the rows that these symmetries make
+    independent.  The residual is still measured on the full equation.
     """
     if rtol <= 0:
         raise ValueError("rtol must be positive")
@@ -286,13 +335,15 @@ def solve_commutator(
 
     embedding = admissible_embedding(d, real_coupling=real_coupling)
     a = _realified_system(p, embedding)
-    b = np.concatenate([vec(q).real, vec(q).imag])
+    b = _realified_rhs(q)
 
     u, s, vt = np.linalg.svd(a, full_matrices=False)
 
     rank = numerical_rank(s, rtol)
     if label_rtol is None:
-        label_rtol = max(a.shape) * EPS  # LAPACK-style machine tolerance
+        # LAPACK-style machine tolerance max(m, n) * eps of the unhalved
+        # 2d^2-row system, kept so that halving moves no label
+        label_rtol = 2 * d * d * EPS
     label_rank = numerical_rank(s, label_rtol)
 
     inv = np.zeros_like(s)
@@ -301,7 +352,8 @@ def solve_commutator(
     theta = vt.T @ (inv * (u.T @ b))
     m_hat = embedding.to_matrix(theta)
 
-    residual = spectral_norm(commutator(m_hat, p) - q) / max(spectral_norm(q), EPS)
+    m_comm_p = commutator(m_hat, p)
+    residual = spectral_norm(m_comm_p - q) / max(spectral_norm(q), EPS)
 
     required = embedding.n_params
     if rank < required:
@@ -316,7 +368,7 @@ def solve_commutator(
         commutes = None
     else:
         comm_scale = m_scale * max(spectral_norm(p), ABS_FLOOR)
-        commutes = bool(spectral_norm(commutator(m_hat, p)) <= 1e-10 * comm_scale)
+        commutes = bool(spectral_norm(m_comm_p) <= 1e-10 * comm_scale)
 
     return IdentificationReport(
         outcome=outcome,
@@ -341,7 +393,8 @@ def commutant_dimension(p: np.ndarray, rtol: float = DEFAULT_RTOL, real_coupling
 
     Counts the independent nonzero admissible matrices commuting with P
     (nullity of the homogeneous realified system at ``rtol``); zero
-    means the identification problem has a unique solution.
+    means the identification problem has a unique solution.  P is
+    taken to be Hermitian, as in ``solve_commutator``.
     """
     p = np.asarray(p, dtype=complex)
     embedding = admissible_embedding(p.shape[0], real_coupling=real_coupling)
@@ -376,7 +429,7 @@ def identify_topology(
     p = build_P_trapezoid(traj, subsample=subsample)
     q = build_Q(traj.states[0], traj.states[-1], hbar=hbar, known_h0=known_h0, p=p)
     report = solve_commutator(p, q, rtol=rtol, real_coupling=real_coupling, label_rtol=label_rtol)
-    if truth is not None and spectral_norm(truth) > 0.0:
+    if truth is not None and np.any(truth):
         report.epsilon = relative_error(report.m_hat, truth)
     report.parameters.update(subsample=int(subsample), hbar=float(hbar))
     return report

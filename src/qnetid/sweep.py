@@ -25,7 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .identify import identify_topology
+from .identify import build_P_trapezoid, build_Q, solve_commutator
+from .linalg import spectral_norm
 from .netmodel import basis_density, derive_seed, erdos_renyi, is_connected
 from .dynamics import sample_times, sample_trajectory
 
@@ -232,27 +233,31 @@ def run_benchmark_trial(
 ) -> list[tuple[int, float | None]]:
     """One seeded network draw and simulation, identified at every divisor.
 
-    The network is drawn and simulated once; its trajectory is then
-    identified at each divisor of ``subsamples``.  Returns one
-    (solvability label, relative error or None) per divisor, in the given
-    order.  The error is reported only for solvable trials with a nonzero
-    ground truth.
+    The network is drawn and simulated once, and Q (from the trajectory's
+    endpoints) and the ground truth's norm are computed once; the
+    trajectory is then identified at each divisor of ``subsamples``, as
+    ``identify_topology`` would.  Returns one (solvability label,
+    relative error or None) per divisor, in the given order.  The error
+    is reported only for solvable trials with a nonzero ground truth.
     """
     adjacency, rho0 = benchmark_network(d, trial_seed, cfg)
     traj = sample_trajectory(adjacency.astype(complex), rho0, tau, cfg.dt, cfg.hbar)
+    q = build_Q(traj.states[0], traj.states[-1], hbar=cfg.hbar)
+    scale = spectral_norm(adjacency)
     out = []
     for subsample in subsamples:
-        report = identify_topology(
-            traj,
-            subsample=subsample,
-            hbar=cfg.hbar,
-            truth=adjacency,
+        report = solve_commutator(
+            build_P_trapezoid(traj, subsample=subsample),
+            q,
             rtol=cfg.rtol,
             real_coupling=cfg.real_coupling,
             label_rtol=cfg.label_rtol,
         )
         label = report.solvability
-        out.append((label, report.epsilon if label == 1 else None))
+        eps = None
+        if label == 1 and scale > 0.0:
+            eps = spectral_norm(report.m_hat - adjacency) / scale
+        out.append((label, eps))
     return out
 
 

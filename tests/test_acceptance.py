@@ -2,7 +2,8 @@
 
 Criterion 2 (the d = 30 transition sweep) takes a few minutes and is
 opt-in: run it with `QNETID_EXTENDED=1 pytest tests/test_acceptance.py`
-or `pytest -m extended`.
+or `pytest -m extended`.  One of its cells (d = 26..30, 5 draws per d)
+runs in tier 1, checked draw by draw against golden labels.
 
 Criteria 1 and 3 run the seed-0 benchmark sweeps of
 ``record_golden_sweeps.CONFIGS`` and score every trial the sweep returns,
@@ -63,7 +64,7 @@ from qnetid.sweep import (
 )
 
 from conftest import random_admissible, random_density, random_hermitian
-from record_golden_sweeps import CONFIGS
+from record_golden_sweeps import CONFIGS, LABEL_CONFIGS, LABEL_FIELDS
 
 MASTER_SEED = 0
 #: relative rank cut for the admissible commutant of the exact P; on the
@@ -224,6 +225,35 @@ class TestCriterion2CriticalSize:
         report("criterion 2 (critical size)", ok, detail)
         assert d_c is not None and 24 <= d_c <= 32, detail
         assert first_zero is not None and first_zero > d_c, detail
+
+
+class TestCriterion2GoldenCell:
+    """The seed-0 cell d = 26..30, tau = 3, n~ = n_s/5, 5 draws per d, in
+    tier 1: every draw's solvability label equals its golden label.
+
+    The errors are deliberately not gated here.  At d >= 24 the
+    rtol-truncated solve of a solvable draw keeps a condition number of
+    4e7 to 1e9, so any change of rounding (the same system with its rows
+    reordered or recombined orthogonally, or 1 against 2 BLAS threads)
+    moves its eps far beyond 1e-9: halving the realified system moved the
+    eps of the 111 solvable of the 210 seed-0 draws at d = 24..30 (30 per
+    d) by 9e-7 to 5.5e-3 relative, and moved no label and no rank.  The
+    golden records of criteria 1 and 3 (d <= 12, retained condition
+    number below 1e6) keep their 1e-9 eps gate on the quartiles: the
+    same change moved those quartiles by at most 7e-11."""
+
+    def test_labels_draw_by_draw(self):
+        name = "extended_d26_30"
+        res = run_sweep(LABEL_CONFIGS[name])
+        golden = json.loads(GOLDEN_SWEEPS.read_text())[name]
+        got = [{f: getattr(t, f) for f in LABEL_FIELDS} for t in res.trials]
+        differ = [f"{g} != golden {w}" for g, w in zip(got, golden) if g != w]
+        if len(got) != len(golden):
+            differ.append(f"{len(got)} draws, golden has {len(golden)}")
+        curve = " ".join(f"d={rec.d}:{rec.solvability_mean:.1f}" for rec in res.records)
+        report("criterion 2 golden cell (labels draw by draw)", not differ,
+               f"{len(got)} draws; {curve}; {len(differ)} differ")
+        assert not differ, "labels differ from the golden draws: " + "; ".join(differ)
 
 
 class TestCriterion3ErrorBenchmark:

@@ -3,6 +3,7 @@ import pytest
 
 from qnetid.dynamics import Trajectory, exact_gram, propagate, sample_trajectory
 from qnetid.identify import (
+    _realified_rhs,
     _realified_system,
     admissible_embedding,
     build_P_trapezoid,
@@ -41,6 +42,17 @@ def kron_reference_system(p, real_coupling):
     eye = np.eye(d)
     ps = (np.kron(p.T, eye) - np.kron(eye, p)) @ np.array(cols).T
     return np.vstack([ps.real, ps.imag])
+
+
+def halve_reference(stack, d):
+    """The rows of a 2d^2-row [Re vec; Im vec] stack that the halved system
+    keeps, picked one by one: sqrt(2) * Re of entry (i, j) for i < j
+    row-major, then sqrt(2) * Im of the same entries, then Im of (i, i)."""
+    re, im = stack.reshape((2, d, d) + stack.shape[1:])  # [c, r] holds entry (r, c)
+    upper = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    return np.array([np.sqrt(2) * re[j, i] for i, j in upper]
+                    + [np.sqrt(2) * im[j, i] for i, j in upper]
+                    + [im[i, i] for i in range(d)])
 
 
 class TestBuildPTrapezoid:
@@ -167,7 +179,8 @@ class TestRealifiedSystem:
     @pytest.mark.parametrize("kind", ["hermitian", "diagonal", "sweep"])
     @pytest.mark.parametrize("d", [2, 3, 5, 8, 13])
     def test_equals_kron_reference(self, d, kind, real_coupling):
-        # the closed-form columns are the Kronecker product's, value for value
+        # the closed-form rows are the Kronecker product's halved rows,
+        # value for value, and the right-hand side is halved alike
         rng = np.random.default_rng(100 + d)
         if kind == "hermitian":
             p = random_hermitian(rng, d)
@@ -177,8 +190,34 @@ class TestRealifiedSystem:
             p = _sweep_p(d)
         emb = admissible_embedding(d, real_coupling=real_coupling)
         a = _realified_system(p, emb)
-        assert a.shape == (2 * d * d, emb.n_params)
-        assert np.array_equal(a, kron_reference_system(p, real_coupling))
+        assert a.shape == (d * d, emb.n_params)
+        assert np.array_equal(a, halve_reference(kron_reference_system(p, real_coupling), d))
+        q = commutator(random_admissible(rng, d, real=real_coupling), p)
+        b = np.concatenate([vec(q).real, vec(q).imag])
+        assert np.array_equal(_realified_rhs(q), halve_reference(b, d))
+
+    @pytest.mark.parametrize("real_coupling", [False, True])
+    @pytest.mark.parametrize("d", [10, 20])
+    def test_halving_keeps_normal_equations(self, d, real_coupling):
+        # [M, P] and Q are skew-Hermitian, so the halving is an orthogonal
+        # compression: A^T A, A^T b and the singular values of the unhalved
+        # system survive it up to rounding
+        cfg = SweepConfig()
+        for trial in range(2):
+            adjacency, rho0 = benchmark_network(d, derive_seed(0, d, 3.0, trial), cfg)
+            traj = sample_trajectory(adjacency.astype(complex), rho0, 3.0, cfg.dt)
+            p = build_P_trapezoid(traj, 5)
+            q = build_Q(traj.states[0], traj.states[-1])
+            a = _realified_system(p, admissible_embedding(d, real_coupling=real_coupling))
+            b = _realified_rhs(q)
+            a_full = kron_reference_system(p, real_coupling)
+            b_full = np.concatenate([vec(q).real, vec(q).imag])
+            assert a.shape == (d * d, a_full.shape[1]) and b.shape == (d * d,)
+            for got, want in ((a.T @ a, a_full.T @ a_full), (a.T @ b, a_full.T @ b_full)):
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+            s = np.linalg.svd(a, compute_uv=False)
+            s_full = np.linalg.svd(a_full, compute_uv=False)
+            assert np.max(np.abs(s - s_full)) <= 1e-14 * s_full[0]
 
 
 class TestSolveCommutator:
@@ -235,7 +274,10 @@ class TestSolveCommutator:
                     if (r * sigma_max) / sigma_max != r]
         assert drifting
         assert solve_commutator(p, q, label_rtol=drifting[0]).label_rtol == drifting[0]
-        assert solve_commutator(p, q).label_rtol == max(system.shape) * EPS
+        # the default cut is max(m, n) * eps of the unhalved 2d^2-row
+        # system, twice the halved system's d^2 rows
+        assert system.shape == (4, 2)
+        assert solve_commutator(p, q).label_rtol == 2 * 4 * EPS
 
     def test_sigma_diagnostics(self):
         rep = solve_commutator(np.diag([1.0, 0.0]).astype(complex), np.zeros((2, 2)))
