@@ -32,7 +32,9 @@ adds, so both are unchanged: the halving is an orthogonal compression.
 The singular values, the right singular vectors and the least-squares
 theta are those of the 2d^2-row system in exact arithmetic, and differ
 only by rounding.  The right-hand side vec(Q) is halved by the same
-rows and weights.
+rows and weights.  LAPACK's gelsd solves the halved system: it returns
+the singular values and the truncated minimum-norm theta without
+forming U or V.
 
 Two parameter classes are supported:
 
@@ -310,7 +312,8 @@ def solve_commutator(
     """Solve [M, P] = Q for an admissible M and certify uniqueness.
 
     The equation is realified on the admissible parametrization and
-    solved by truncated-SVD least squares.  ``outcome`` is 'unique' when
+    solved by LAPACK's gelsd: truncated minimum-norm least squares at
+    ``rtol``, forming neither U nor V.  ``outcome`` is 'unique' when
     the system has full column rank at ``rtol`` and the solution's
     relative equation residual is at most RESIDUAL_RTOL, 'non_unique'
     when rank deficient (the minimum-norm estimate is still emitted,
@@ -337,19 +340,17 @@ def solve_commutator(
     a = _realified_system(p, embedding)
     b = _realified_rhs(q)
 
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-
+    # gelsd cuts s_i <= rtol * s_0, the complement of numerical_rank's rule
+    theta, _, _, s = np.linalg.lstsq(a, b, rcond=rtol)
     rank = numerical_rank(s, rtol)
+    if rank == 0:
+        theta = np.zeros_like(theta)  # gelsd would invert an s_0 below ABS_FLOOR
     if label_rtol is None:
         # LAPACK-style machine tolerance max(m, n) * eps of the unhalved
         # 2d^2-row system, kept so that halving moves no label
         label_rtol = 2 * d * d * EPS
     label_rank = numerical_rank(s, label_rtol)
 
-    inv = np.zeros_like(s)
-    if rank > 0:
-        inv[:rank] = 1.0 / s[:rank]
-    theta = vt.T @ (inv * (u.T @ b))
     m_hat = embedding.to_matrix(theta)
 
     m_comm_p = commutator(m_hat, p)

@@ -30,7 +30,7 @@ from .linalg import spectral_norm
 from .netmodel import basis_density, derive_seed, erdos_renyi, is_connected
 from .dynamics import sample_times, sample_trajectory
 
-CSV_HEADER = "d,tau,n_tilde,trials,solvability_mean,eps_median,eps_q1,eps_q3,wall_ms,seed"
+CSV_HEADER = "d,tau,n_tilde,trials,solvability_mean,eps_median,eps_q1,eps_q3,seed"
 
 #: resampling cap when conditioning on connected graphs
 MAX_CONNECTED_DRAWS = 100_000
@@ -150,7 +150,6 @@ class CellRecord:
     eps_median: float | None
     eps_q1: float | None
     eps_q3: float | None
-    wall_ms: int
     seed: int
 
 
@@ -296,7 +295,6 @@ def _run_row(cfg: SweepConfig, d: int, tau: float) -> tuple[list[CellRecord], li
                 eps_median=med,
                 eps_q1=q1,
                 eps_q3=q3,
-                wall_ms=0,
                 seed=cfg.seed,
             )
         )
@@ -324,7 +322,6 @@ def _record_row(rec: CellRecord) -> str:
             rec.eps_median,
             rec.eps_q1,
             rec.eps_q3,
-            rec.wall_ms,
             rec.seed,
         )
     )
@@ -337,8 +334,7 @@ def run_sweep(cfg: SweepConfig, kind: str = "solvability", out_csv=None) -> Swee
     ('solvability' or 'error') only names the sweep in the result and in
     the CSV's one-line JSON preamble, which also records the config.  The
     CSV is flushed after each (d, tau) row of cells, so a failing later
-    row leaves a valid partial CSV behind.  Its ``wall_ms`` column is
-    always 0, which keeps the file byte-reproducible.
+    row leaves a valid partial CSV behind.
     """
     cfg = cfg.validated()
     result = SweepResult(kind=kind, config=cfg)
@@ -386,7 +382,7 @@ def read_sweep_csv(path) -> list[dict]:
             for key, val in zip(header, parts):
                 if val == "":
                     row[key] = None
-                elif key in ("d", "n_tilde", "trials", "wall_ms", "seed"):
+                elif key in ("d", "n_tilde", "trials", "seed"):
                     row[key] = int(val)
                 else:
                     row[key] = float(val)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qnetid.dynamics import Trajectory, exact_gram, propagate, sample_trajectory
 from qnetid.identify import (
@@ -14,11 +16,12 @@ from qnetid.identify import (
     relative_error,
     solve_commutator,
 )
-from qnetid.linalg import EPS, spectral_norm, vec
+from qnetid.linalg import ABS_FLOOR, DEFAULT_RTOL, EPS, numerical_rank, spectral_norm, vec
 from qnetid.netmodel import basis_density, derive_seed, erdos_renyi, is_connected
-from qnetid.sweep import SweepConfig, benchmark_network
+from qnetid.sweep import SweepConfig, benchmark_network, run_sweep
 
 from conftest import random_admissible, random_density, random_hermitian
+from record_golden_sweeps import CONFIGS
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 E1 = np.diag([1.0, 0.0]).astype(complex)
@@ -167,11 +170,12 @@ class TestAdmissibleEmbedding:
             assert np.array_equal(emb.to_matrix(emb.from_matrix(admissible)), admissible)
 
 
-def _sweep_p(d):
-    # the trapezoid P of one seeded sweep draw (tau = 2, n~ = n_s/5)
+def _sweep_draw(d, trial, tau=3.0):
+    """Adjacency, trapezoid P (n~ = n_s/5) and Q of one seed-0 sweep draw."""
     cfg = SweepConfig()
-    adjacency, rho0 = benchmark_network(d, derive_seed(0, d, 2.0, 0), cfg)
-    return build_P_trapezoid(sample_trajectory(adjacency.astype(complex), rho0, 2.0, cfg.dt), 5)
+    adjacency, rho0 = benchmark_network(d, derive_seed(0, d, tau, trial), cfg)
+    traj = sample_trajectory(adjacency.astype(complex), rho0, tau, cfg.dt)
+    return adjacency, build_P_trapezoid(traj, 5), build_Q(traj.states[0], traj.states[-1])
 
 
 class TestRealifiedSystem:
@@ -187,7 +191,7 @@ class TestRealifiedSystem:
         elif kind == "diagonal":
             p = np.diag(rng.normal(size=d)).astype(complex)
         else:
-            p = _sweep_p(d)
+            _, p, _ = _sweep_draw(d, 0, tau=2.0)
         emb = admissible_embedding(d, real_coupling=real_coupling)
         a = _realified_system(p, emb)
         assert a.shape == (d * d, emb.n_params)
@@ -202,12 +206,8 @@ class TestRealifiedSystem:
         # [M, P] and Q are skew-Hermitian, so the halving is an orthogonal
         # compression: A^T A, A^T b and the singular values of the unhalved
         # system survive it up to rounding
-        cfg = SweepConfig()
         for trial in range(2):
-            adjacency, rho0 = benchmark_network(d, derive_seed(0, d, 3.0, trial), cfg)
-            traj = sample_trajectory(adjacency.astype(complex), rho0, 3.0, cfg.dt)
-            p = build_P_trapezoid(traj, 5)
-            q = build_Q(traj.states[0], traj.states[-1])
+            _, p, q = _sweep_draw(d, trial)
             a = _realified_system(p, admissible_embedding(d, real_coupling=real_coupling))
             b = _realified_rhs(q)
             a_full = kron_reference_system(p, real_coupling)
@@ -310,7 +310,7 @@ class TestSolveCommutator:
         assert obj["m_hat"]["rows"] == 2
 
     def test_brute_force_equivalence(self):
-        # SVD solution matches dense normal equations when well conditioned
+        # the least-squares solution matches dense normal equations when well conditioned
         rng = np.random.default_rng(5)
         for d in (2, 3):
             emb = admissible_embedding(d)
@@ -322,8 +322,105 @@ class TestSolveCommutator:
             a = kron_reference_system(p, real_coupling=False)
             b = np.concatenate([vec(q).real, vec(q).imag])
             theta_ne = np.linalg.solve(a.T @ a, a.T @ b)
-            theta_svd = emb.from_matrix(rep.m_hat)
-            assert np.linalg.norm(theta_svd - theta_ne) <= 1e-8
+            theta = emb.from_matrix(rep.m_hat)
+            assert np.linalg.norm(theta - theta_ne) <= 1e-8
+
+
+def _svd_reference_solve(a, b, rtol):
+    """Truncated minimum-norm least squares written out with both SVD
+    factors, theta = V diag(1/s_i if s_i > rtol*s_0 else 0) U^T b;
+    returns theta and the singular values."""
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    inv = np.zeros_like(s)
+    rank = numerical_rank(s, rtol)
+    inv[:rank] = 1.0 / s[:rank]
+    return vt.T @ (inv * (u.T @ b)), s
+
+
+@pytest.fixture
+def lstsq_calls(monkeypatch):
+    """Record the rcond, rank and singular values of every np.linalg.lstsq call."""
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def spy(a, b, rcond=None):
+        out = lstsq(a, b, rcond=rcond)
+        calls.append({"rcond": rcond, "rank": int(out[2]), "s": out[3]})
+        return out
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    return calls
+
+
+class TestLeastSquaresSolve:
+    """solve_commutator's gelsd solve against the SVD with both factors."""
+
+    @pytest.mark.parametrize("real_coupling", [False, True])
+    @pytest.mark.parametrize("d", [10, 20])
+    def test_matches_svd_reference(self, d, real_coupling, lstsq_calls):
+        _, p, q = _sweep_draw(d, 0)
+        emb = admissible_embedding(d, real_coupling=real_coupling)
+        a, b = _realified_system(p, emb), _realified_rhs(q)
+        rep = solve_commutator(p, q, real_coupling=real_coupling)
+        theta_ref, s_ref = _svd_reference_solve(a, b, rep.rtol)
+        theta = emb.from_matrix(rep.m_hat)
+        # both solves are backward stable, so they differ by rounding times
+        # the retained conditioning: 1e-10 relative in the real class.  In
+        # the full class, real-valued data leave the imaginary parts barely
+        # determined (kappa 1e7..1e9), and the first-order least-squares
+        # bound eps * kappa * (1 + kappa * eta) applies instead
+        kappa = s_ref[0] / s_ref[rep.rank - 1]
+        eta = np.linalg.norm(a @ theta_ref - b) / (s_ref[0] * np.linalg.norm(theta_ref))
+        tol = 1e-10 if real_coupling else 10 * EPS * kappa * (1 + kappa * eta)
+        assert np.linalg.norm(theta - theta_ref) <= tol * np.linalg.norm(theta_ref)
+        [call] = lstsq_calls
+        assert call["rcond"] == rep.rtol
+        assert np.max(np.abs(call["s"] - s_ref)) <= 1e-14 * s_ref[0]
+        assert rep.rank == numerical_rank(s_ref, rep.rtol)
+        assert rep.label_rank == numerical_rank(s_ref, rep.label_rtol)
+
+    def test_truncation_decides_rank_deficient_theta(self):
+        # a full-class draw whose P has a 2-dimensional admissible commutant,
+        # nudged so that those two singular values sit near 1e-12 * s_0:
+        # above lstsq's default cut, below rtol.  Q is consistent, so keeping
+        # them would rebuild the adjacency; the truncated solve must give the
+        # minimum-norm estimate instead
+        adjacency, p, _ = _sweep_draw(6, 0)
+        assert commutant_dimension(p) == 2
+        h = random_hermitian(np.random.default_rng(1), 6)
+        p = p + 1e-11 * spectral_norm(p) / spectral_norm(h) * h
+        q = commutator(adjacency.astype(complex), p)
+        emb = admissible_embedding(6)
+        a, b = _realified_system(p, emb), _realified_rhs(q)
+        rep = solve_commutator(p, q)
+        assert rep.outcome == "non_unique" and rep.rank == rep.required_rank - 2
+        theta_ref, _ = _svd_reference_solve(a, b, rep.rtol)
+        theta = emb.from_matrix(rep.m_hat)
+        assert np.linalg.norm(theta - theta_ref) <= 1e-10 * np.linalg.norm(theta_ref)
+        untruncated = np.linalg.lstsq(a, b)[0]
+        assert np.linalg.norm(untruncated - theta_ref) > 0.1 * np.linalg.norm(theta_ref)
+
+    def test_p_below_floor_gives_zero(self):
+        # s_0 < ABS_FLOOR: the system counts as zero although gelsd alone
+        # would keep and invert its singular values
+        _, p, q = _sweep_draw(5, 0)
+        p = 1e-15 * p
+        a = _realified_system(p, admissible_embedding(5))
+        assert np.linalg.svd(a, compute_uv=False)[0] < ABS_FLOOR
+        assert np.linalg.lstsq(a, _realified_rhs(q), rcond=DEFAULT_RTOL)[2] > 0
+        rep = solve_commutator(p, q)
+        assert rep.rank == rep.label_rank == 0
+        assert rep.outcome == "non_unique"
+        assert not np.any(rep.m_hat)
+
+    def test_lstsq_rank_is_the_rank_rule_on_criterion1(self, lstsq_calls):
+        # every draw of the seed-0 criterion-1 sweep: gelsd's own rank is
+        # numerical_rank of the singular values it returns
+        cfg = CONFIGS["criterion1"]
+        run_sweep(cfg)
+        assert len(lstsq_calls) == (cfg.d_max - cfg.d_min + 1) * cfg.trials
+        mismatched = [c for c in lstsq_calls if c["rank"] != numerical_rank(c["s"], c["rcond"])]
+        assert not mismatched
 
 
 class TestCommutantDimension:
@@ -488,3 +585,38 @@ class TestRankTestAgreement:
             full_stacked = self._stacked_rank(p) == d * d
             full_real = commutant_dimension(p, real_coupling=True) == 0
             assert full_stacked == full_real
+
+
+class TestPermutationEquivariance:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        data=st.data(),
+        d=st.integers(3, 8),
+        seed=st.integers(0, 2**32 - 1),
+        real_coupling=st.booleans(),
+    )
+    def test_relabelled_nodes(self, data, d, seed, real_coupling):
+        # relabelling the nodes of a connected network permutes the rows and
+        # columns of the realified system (up to signs): the labels are the
+        # same and m_hat permutes with the nodes
+        perm = np.array(data.draw(st.permutations(range(d))))
+        adjacency, rho0 = benchmark_network(d, seed, SweepConfig())
+        reports = []
+        for adj, rho in ((adjacency, rho0), (adjacency[np.ix_(perm, perm)], rho0[np.ix_(perm, perm)])):
+            traj = sample_trajectory(adj.astype(complex), rho, 1.0, 0.01)
+            p = build_P_trapezoid(traj)
+            q = build_Q(traj.states[0], traj.states[-1])
+            reports.append(solve_commutator(p, q, real_coupling=real_coupling))
+        rep, rep_perm = reports
+        s = np.linalg.svd(_realified_system(p, admissible_embedding(d, real_coupling)),
+                          compute_uv=False)
+        # rounding must decide neither label: no singular value within a
+        # factor 1e3 of the label cut, and a retained spectrum conditioned
+        # well enough for m_hat to carry 1e-10 relative
+        assume(not rep.label_rtol / 1e3 < s[-1] / s[0] < rep.label_rtol * 1e3)
+        assume(rep.sigma_min_retained >= 1e-5 * s[0])
+        assume(rep.sigma_max_discarded <= rep.label_rtol / 1e3 * s[0])
+        labels = ("outcome", "rank", "label_rank", "solvability")
+        assert [getattr(rep, k) for k in labels] == [getattr(rep_perm, k) for k in labels]
+        expected = rep.m_hat[np.ix_(perm, perm)]
+        assert np.linalg.norm(rep_perm.m_hat - expected) <= 1e-10 * np.linalg.norm(expected)

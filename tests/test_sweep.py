@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from qnetid.dynamics import sample_trajectory
 from qnetid.netmodel import derive_seed
 from qnetid.sweep import (
     CSV_HEADER,
+    CellRecord,
     ConfigError,
     SweepConfig,
     read_sweep_csv,
@@ -122,10 +124,18 @@ class TestSweep:
         assert json.loads(out.read_text().splitlines()[0][2:])["kind"] == "error"
         assert out.read_text().splitlines()[1:] == solv.read_text().splitlines()[1:]
 
-    def test_wall_ms_zero_without_timing(self, tmp_path):
+    def test_header_has_no_wall_time(self, tmp_path):
+        # the columns are the record's fields, none of them a time, so
+        # the file is a function of the seed alone
         out = tmp_path / "s.csv"
-        run_sweep(TINY, out_csv=out)
-        assert all(r["wall_ms"] == 0 for r in read_sweep_csv(out))
+        res = run_sweep(TINY, out_csv=out)
+        assert CSV_HEADER == (
+            "d,tau,n_tilde,trials,solvability_mean,eps_median,eps_q1,eps_q3,seed"
+        )
+        assert CSV_HEADER.split(",") == [f.name for f in fields(CellRecord)]
+        rows = read_sweep_csv(out)
+        assert [list(r) for r in rows] == [CSV_HEADER.split(",")] * len(res.records)
+        assert [r["seed"] for r in rows] == [TINY.seed] * len(res.records)
 
     def test_cells_independent_of_grid(self):
         # the same (d, tau, n~) cell yields identical records no matter
