@@ -19,7 +19,6 @@ with distinguishable node frequencies.
 import numpy as np
 
 from qnetid import (
-    diagonal_selector,
     extract_hamiltonian,
     identity_initial_batch,
     liouvillian,
@@ -36,12 +35,11 @@ from qnetid import (
 d = 2
 h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)  # coupled, detuned nodes
 lv = liouvillian(h)
-c = diagonal_selector(d)
 delta = sampling_period(h)
 a = propagator(h, delta)
 print(f"sampling period hbar/||H|| = {delta:.4f}")
 
-rank, observable = observability_rank(c, a)
+rank, observable = observability_rank(a)
 print(f"pair rank {rank} of {d * d}: {'observable' if observable else 'not observable'}")
 
 # the canonical basis elements |k><j| as (non-physical) initializations
@@ -66,6 +64,6 @@ for rho, coeff in terms:
 
 # and the structural obstruction for bare coupling matrices
 sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-rank, observable = observability_rank(c, propagator(sx, sampling_period(sx)))
+rank, observable = observability_rank(propagator(sx, sampling_period(sx)))
 print(f"\nbare coupling matrix: rank {rank} of {d * d} -> "
       f"{'observable' if observable else 'not observable (structural)'}")

@@ -14,13 +14,16 @@ from qnetid import (
     basis_density,
     identify_topology,
     load_matrix,
+    output_stacks,
     physical_initial_batch,
+    propagator,
     read_trajectory_csv,
     sample_trajectory,
+    sampling_period,
     save_matrix,
     write_trajectory_csv,
 )
-from qnetid.partialinfo import read_output_batch, simulate_diagonal_outputs, write_output_batch
+from qnetid.partialinfo import read_output_batch, write_output_batch
 
 out = Path(__file__).resolve().parent / "demo_output"
 out.mkdir(exist_ok=True)
@@ -49,13 +52,15 @@ print("\nreport.json keys:", ", ".join(sorted(obj)))
 print(f"  outcome={obj['outcome']} solvability={obj['solvability']} "
       f"epsilon={obj['epsilon']:.2e}")
 
-# diagonal-output batch: one CSV per initialization plus a manifest
+# diagonal-output batch: one CSV per initialization plus a manifest, with
+# the populations sampled every hbar/||H||_2, as partial-identify saves them
 lam0, states = physical_initial_batch(2)
 h2 = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
-runs = []
-for rho, label in states:
-    times, ys = simulate_diagonal_outputs(h2, rho, 0.5, 0.05)
-    runs.append((label, times, ys))
+period = sampling_period(h2)
+n = lam0.shape[0]  # d^2 runs, each sampled at t = k * period for k = 0..d^2
+pops = output_stacks(propagator(h2, period), lam0, n).real
+times = period * np.arange(n + 1)
+runs = [(label, times, pops[:, :, i]) for i, (_, label) in enumerate(states)]
 manifest = write_output_batch(out / "batch", runs, lam0)
 lam_back, runs_back = read_output_batch(manifest)
 assert np.array_equal(lam_back, lam0)

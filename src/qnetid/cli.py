@@ -25,9 +25,8 @@ from .dynamics import (
 )
 from .identify import identify_topology
 from .linalg import hermitize, load_matrix, matrix_from_json, save_matrix, spectral_norm
-from .netmodel import basis_density, erdos_renyi, is_connected
+from .netmodel import basis_density, connected_erdos_renyi, erdos_renyi
 from .partialinfo import (
-    diagonal_selector,
     extract_hamiltonian,
     identity_initial_batch,
     observability_rank,
@@ -159,10 +158,10 @@ def _cmd_simulate(args) -> int:
     else:
         if args.er_d is None or args.er_d < 2:
             raise ConfigError("--er-d must be at least 2")
-        rng = np.random.default_rng(args.seed)
-        h = erdos_renyi(args.er_d, args.er_p, rng).astype(complex)
-        while args.connected_only and not is_connected(h.real):
-            h = erdos_renyi(args.er_d, args.er_p, rng).astype(complex)
+        if args.connected_only and args.er_p == 0.0:
+            raise ConfigError("--connected-only is impossible with --er-p 0")
+        draw = connected_erdos_renyi if args.connected_only else erdos_renyi
+        h = draw(args.er_d, args.er_p, np.random.default_rng(args.seed)).astype(complex)
     d = h.shape[0]
     if args.rho0:
         rho0 = load_matrix(args.rho0)
@@ -253,8 +252,7 @@ def _cmd_observability(args) -> int:
         h = hermitize(matrix_from_json(report["m_hat"]))
         source = f"{args.report} (reconstructed estimate)"
     a = propagator(h, sampling_period(h, args.hbar), args.hbar)
-    c = diagonal_selector(h.shape[0])
-    rank, observable = observability_rank(c, a, args.rtol)
+    rank, observable = observability_rank(a, args.rtol)
     n = a.shape[0]
     print(f"source: {source}")
     print(f"observability rank: {rank} of {n}")
@@ -267,8 +265,6 @@ def _cmd_partial_identify(args) -> int:
     d = h.shape[0]
     period = sampling_period(h, args.hbar)
     a = propagator(h, period, args.hbar)
-    rank, observable = observability_rank(diagonal_selector(d), a, args.rtol)
-    print(f"observability rank: {rank} of {d * d} ({'observable' if observable else 'NOT observable'})")
 
     if args.estimate:
         lambda0, _ = physical_initial_batch(d)
@@ -278,8 +274,11 @@ def _cmd_partial_identify(args) -> int:
         batch = "basis elements"
     mode = f"populations of the {batch}, sampled every {period:.6g}"
 
-    ys = output_stacks(a, lambda0, d * d)
-    l_hat = reconstruct_liouvillian(ys, lambda0, period, rtol=args.rtol)
+    # the observability stack has full rank n = d^2 once this returns; it
+    # raises UnobservableError, naming the rank, otherwise
+    l_hat = reconstruct_liouvillian(output_stacks(a, lambda0, d * d), lambda0, period,
+                                    rtol=args.rtol)
+    print(f"observability rank: {d * d} of {d * d} (observable)")
     h_hat = extract_hamiltonian(l_hat, hbar=args.hbar)
     liouv = liouvillian(h, args.hbar)
     h_traceless = h - (np.trace(h) / d) * np.eye(d)
@@ -299,8 +298,8 @@ def _cmd_partial_identify(args) -> int:
 
     if args.out:
         payload = {
-            "observability_rank": rank,
-            "observable": observable,
+            "observability_rank": d * d,
+            "observable": True,
             "mode": mode,
             "generator_relative_error": gen_err,
             "hamiltonian_relative_error": ham_err,

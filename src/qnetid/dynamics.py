@@ -260,11 +260,12 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 def read_trajectory_csv(path) -> Trajectory:
     """Parse a trajectory CSV; raises ValueError on malformed input.
 
-    The times are checked by ``Trajectory``: at least two, strictly
-    increasing and uniform to ``GRID_RTOL`` relative.  Every state must
-    have trace 1 to ``TRACE_TOL`` and relative Hermitian asymmetry (in
-    the Frobenius norm) at most ``HERMITIAN_RTOL``; all rows are checked
-    at once, without an eigendecomposition per sample.
+    Every entry must be finite.  The times are checked by ``Trajectory``:
+    at least two, strictly increasing and uniform to ``GRID_RTOL``
+    relative.  Every state must have trace 1 to ``TRACE_TOL`` and
+    relative Hermitian asymmetry (in the Frobenius norm) at most
+    ``HERMITIAN_RTOL``; all rows are checked at once, without an
+    eigendecomposition per sample.
     """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -285,7 +286,13 @@ def read_trajectory_csv(path) -> Trajectory:
             times.append(vals[0])
             flat = np.asarray(vals[1::2]) + 1j * np.asarray(vals[2::2])
             states.append(flat.reshape((d, d), order="F"))
-    traj = Trajectory(times=np.asarray(times), states=np.asarray(states))
+    states = np.asarray(states)
+    finite = np.isfinite(times) & np.isfinite(states.reshape(len(times), d * d)).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(f"trajectory CSV data row {k + 1} (t = {times[k]!r}) "
+                         "has a NaN or infinite entry")
+    traj = Trajectory(times=np.asarray(times), states=states)
     traces = np.trace(traj.states, axis1=1, axis2=2)
     off_trace = np.abs(traces - 1.0) > TRACE_TOL
     if off_trace.any():

@@ -6,19 +6,21 @@ admissible (Hermitian, zero-diagonal) solution M of the commutator
 equation [M, P] = Q.  Restricting M to an explicit real parametrization
 of the admissible set keeps the constraints exact and makes the
 uniqueness question a plain column-rank question.  The system's columns
-are written in closed form.  The column of x_ij is vec([E_ij + E_ji, P]):
+are written in closed form.  The column of x_ij is [E_ij + E_ji, P]:
 row i of the commutator is P[j, :], row j is P[i, :], column j is
 -P[:, i] and column i is -P[:, j].  The column of y_ij is
-i * vec([E_ij - E_ji, P]), the same four pieces with the row-j and
-column-i signs flipped.  Since i != j, every entry is a sum of at most
-two entries of P.  By vec(A X B) = (B^T kron A) vec(X), these are the
+i * [E_ij - E_ji, P], the same four pieces with the row-j and column-i
+signs flipped.  Since i != j, every entry is a sum of at most two
+entries of P.  By vec(A X B) = (B^T kron A) vec(X), these are the
 columns of (P^T kron I - I kron P) applied to the parametrization, entry
 for entry; neither the d^2 x d^2 Kronecker matrix nor a dense basis of
 the parametrization is ever formed.
 
-Only d^2 of the 2d^2 real rows [Re vec; Im vec] are kept.  With M and P
-Hermitian, [M, P] is skew-Hermitian, and so is Q: Re[M, P] is
-antisymmetric and Im[M, P] symmetric.  The halved system's rows are
+Each column, like Q, is a skew-Hermitian matrix, and ``_halve`` maps
+both sides to the same d^2 real coordinates instead of the 2d^2 real
+rows [Re vec; Im vec].  With M and P Hermitian, [M, P] is
+skew-Hermitian: its real part is antisymmetric and its imaginary part
+symmetric.  The coordinates are
 
 * sqrt(2) * Re of the entries (i, j), i < j row-major (as ``_pairs``),
 * sqrt(2) * Im of the same entries,
@@ -31,8 +33,7 @@ rows add to A^T A and A^T b exactly what one row scaled by sqrt(2)
 adds, so both are unchanged: the halving is an orthogonal compression.
 The singular values, the right singular vectors and the least-squares
 theta are those of the 2d^2-row system in exact arithmetic, and differ
-only by rounding.  The right-hand side vec(Q) is halved by the same
-rows and weights.  LAPACK's gelsd solves the halved system: it returns
+only by rounding.  LAPACK's gelsd solves the halved system: it returns
 the singular values and the truncated minimum-norm theta without
 forming U or V.
 
@@ -74,7 +75,6 @@ from .linalg import (
     matrix_to_json,
     numerical_rank,
     spectral_norm,
-    vec,
 )
 
 #: relative residual above which a full-rank system is reported inconsistent
@@ -153,52 +153,49 @@ def admissible_embedding(d: int, real_coupling: bool = False) -> AdmissibleEmbed
     return AdmissibleEmbedding(dim=d, real_coupling=real_coupling)
 
 
-@lru_cache(maxsize=None)
-def _halving(d: int) -> np.ndarray:
-    """Indices into [Re vec; Im vec] of the halved system's rows (module docstring)."""
+def _halve(x: np.ndarray) -> np.ndarray:
+    """The d^2 real coordinates (module docstring) of skew-Hermitian
+    matrices on the last two axes of ``x``."""
+    d = x.shape[-1]
     i, j, _ = _pairs(d)
-    upper = j * d + i  # vec index of entry (i, j)
-    rows = np.concatenate([upper, d * d + upper, d * d + np.arange(d) * (d + 1)])
-    rows.flags.writeable = False  # shared by every caller through the cache
-    return rows
-
-
-def _halve(stack: np.ndarray, d: int) -> np.ndarray:
-    """The d^2 rows of a 2d^2-row [Re vec; Im vec] stack that the halved system keeps."""
-    out = stack[_halving(d)]
-    out[: d * (d - 1)] *= _SQRT2  # the off-diagonal rows stand for two rows each
-    return out
+    n = i.size
+    stack = x.reshape(-1, d, d)
+    # written coordinate-major: the transposed coordinates of a stack of
+    # matrices, the halved system, are then contiguous
+    out = np.empty((d * d, stack.shape[0]))
+    out[:n] = stack.real[:, i, j].T
+    out[n : 2 * n] = stack.imag[:, i, j].T
+    out[2 * n :] = np.diagonal(stack, axis1=1, axis2=2).imag.T
+    out[: 2 * n] *= _SQRT2  # the off-diagonal coordinates stand for two rows each
+    return out.T.reshape(x.shape[:-2] + (d * d,))
 
 
 def _realified_system(p: np.ndarray, embedding: AdmissibleEmbedding) -> np.ndarray:
-    """Real coefficient matrix of theta -> vec([M(theta), P]), halved.
+    """Real coefficient matrix of theta -> [M(theta), P], halved.
 
-    Written in closed form (module docstring) into an array indexed
-    [Re/Im, column c, row r, pair k, x/y], which is the row-stacked vec
-    layout with each pair's (x_ij, y_ij) columns side by side, and
-    reduced to its d^2 determining rows by ``_halve``.
+    Column k is ``_halve`` of [X_k, P], with X_k the admissible matrix of
+    parameter k.  These commutators are written in closed form (module
+    docstring) into a complex stack laid out [row, column, pair, x/y],
+    so that each entry's parameters lie side by side in memory.
     """
     d = embedding.dim
     i, j, k = _pairs(d)
-    # (Re/Im source, sign of the row-j and column-i pieces) per column kind:
-    # x_ij takes Re/Im of P; y_ij = i * vec([E_ij - E_ji, P]) has real part
-    # -Im and imaginary part Re of the unscaled column
-    parts = [(np.stack([p.real, p.imag]), 1.0)]
+    # (source, its sign-flipped copy for the row-j and column-i pieces) per
+    # column kind: x_ij takes P itself; y_ij = i * [E_ij - E_ji, P] takes
+    # i * P, written part by part so that no complex product rounds a zero
+    parts = [(p, p)]
     if not embedding.real_coupling:
-        parts.append((np.stack([-p.imag, p.real]), -1.0))
-    a = np.zeros((2, d, d, k.size, len(parts)))
-    for t, (src, sign) in enumerate(parts):
-        col = a[..., t]
-        col[:, :, i, k] += src[:, j, :].transpose(0, 2, 1)         # row i: P[j, :]
-        col[:, :, j, k] += sign * src[:, i, :].transpose(0, 2, 1)  # row j: P[i, :]
-        col[:, j, :, k] -= src[:, :, i].transpose(2, 0, 1)         # column j: -P[:, i]
-        col[:, i, :, k] -= sign * src[:, :, j].transpose(2, 0, 1)  # column i: -P[:, j]
-    return _halve(a.reshape(2 * d * d, -1), d)
-
-
-def _realified_rhs(q: np.ndarray) -> np.ndarray:
-    """Right-hand side vec(Q) stacked Re/Im, halved like the system."""
-    return _halve(np.concatenate([vec(q).real, vec(q).imag]), q.shape[0])
+        ip = np.empty_like(p)
+        ip.real, ip.imag = -p.imag, p.real
+        parts.append((ip, -ip))
+    c = np.zeros((d, d, k.size, len(parts)), dtype=complex)
+    for t, (src, flipped) in enumerate(parts):
+        col = c[..., t]
+        col[i, :, k] += src[j]          # row i: P[j, :]
+        col[j, :, k] += flipped[i]      # row j: P[i, :]
+        col[:, j, k] -= src[:, i]       # column j: -P[:, i]
+        col[:, i, k] -= flipped[:, j]   # column i: -P[:, j]
+    return _halve(c.reshape(d, d, -1).transpose(2, 0, 1)).T
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +335,7 @@ def solve_commutator(
 
     embedding = admissible_embedding(d, real_coupling=real_coupling)
     a = _realified_system(p, embedding)
-    b = _realified_rhs(q)
+    b = _halve(q)
 
     # gelsd cuts s_i <= rtol * s_0, the complement of numerical_rank's rule
     theta, _, _, s = np.linalg.lstsq(a, b, rcond=rtol)
@@ -364,12 +361,13 @@ def solve_commutator(
     else:
         outcome = "inconsistent"
 
-    m_scale = spectral_norm(m_hat)
+    # a tolerance-only flag, so measured in the Frobenius norm
+    m_scale = np.linalg.norm(m_hat)
     if m_scale <= ABS_FLOOR:
         commutes = None
     else:
-        comm_scale = m_scale * max(spectral_norm(p), ABS_FLOOR)
-        commutes = bool(spectral_norm(m_comm_p) <= 1e-10 * comm_scale)
+        comm_scale = m_scale * max(np.linalg.norm(p), ABS_FLOOR)
+        commutes = bool(np.linalg.norm(m_comm_p) <= 1e-10 * comm_scale)
 
     return IdentificationReport(
         outcome=outcome,

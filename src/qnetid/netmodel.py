@@ -19,6 +19,8 @@ from .linalg import load_matrix, matrix_to_json
 
 #: relative asymmetry (Frobenius norm) tolerated in a summed coupling pair
 HERMITICITY_RTOL = 1e-12
+#: resampling cap when conditioning on connected graphs
+MAX_CONNECTED_DRAWS = 100_000
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -88,6 +90,20 @@ def is_connected(adjacency: np.ndarray) -> bool:
                 seen[v] = True
                 frontier.append(int(v))
     return bool(seen.all())
+
+
+def connected_erdos_renyi(d: int, p_link: float, rng) -> np.ndarray:
+    """Draw ``erdos_renyi`` graphs from ``rng`` until one is connected.
+
+    Raises RuntimeError after MAX_CONNECTED_DRAWS disconnected draws.
+    """
+    gen = _as_generator(rng)
+    for _ in range(MAX_CONNECTED_DRAWS):
+        adjacency = erdos_renyi(d, p_link, gen)
+        if is_connected(adjacency):
+            return adjacency
+    raise RuntimeError(f"no connected graph after {MAX_CONNECTED_DRAWS} draws "
+                       f"(d={d}, p_link={p_link})")
 
 
 def basis_density(d: int, k: int) -> np.ndarray:

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import Trajectory, check_density, liouvillian, sample_trajectory
+from .dynamics import liouvillian
 from .linalg import (
     ABS_FLOOR,
     DEFAULT_RTOL,
@@ -85,30 +85,6 @@ def sampling_period(h: np.ndarray, hbar: float = 1.0) -> float:
     return hbar / max(spectral_norm(h), ABS_FLOOR)
 
 
-def observability_stack(c: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Stack [C; CA; ...; CA^(n-1)] with n = d^2 block rows."""
-    n = a.shape[0]
-    if c.shape[1] != n:
-        raise ValueError(f"selector width {c.shape[1]} does not match propagator size {n}")
-    blocks = [np.asarray(c, dtype=complex)]
-    for _ in range(n - 1):
-        blocks.append(blocks[-1] @ a)
-    return np.vstack(blocks)
-
-
-def observability_rank(
-    c: np.ndarray, a: np.ndarray, rtol: float = DEFAULT_RTOL
-) -> tuple[int, bool]:
-    """Numerical rank of the (C, A) observability stack and the full-rank flag.
-
-    ``a`` is the sampled propagator e^(L Delta) (``dynamics.propagator``
-    at ``sampling_period``).
-    """
-    stack = observability_stack(c, a)
-    rank = numerical_rank(np.linalg.svd(stack, compute_uv=False), rtol)
-    return rank, rank == a.shape[0]
-
-
 # ---------------------------------------------------------------------------
 # sampled outputs, generator reconstruction and Hamiltonian extraction
 # ---------------------------------------------------------------------------
@@ -133,6 +109,20 @@ def output_stacks(a: np.ndarray, lambda0: np.ndarray, order: int) -> np.ndarray:
         if k < order:
             z = a @ z
     return ys
+
+
+def observability_rank(a: np.ndarray, rtol: float = DEFAULT_RTOL) -> tuple[int, bool]:
+    """Numerical rank of the observability stack and the full-rank flag.
+
+    ``a`` is the sampled propagator e^(L Delta) (``dynamics.propagator``
+    at ``sampling_period``).  The stack [C; CA; ...; CA^(n-1)], C the
+    diagonal selector, holds the outputs of ``output_stacks`` from
+    Lambda0 = I.
+    """
+    n = a.shape[0]
+    stack = output_stacks(a, np.eye(n), n - 1).reshape(-1, n)
+    rank = numerical_rank(np.linalg.svd(stack, compute_uv=False), rtol)
+    return rank, rank == n
 
 
 def reconstruct_liouvillian(
@@ -282,16 +272,6 @@ def physical_initial_batch(d: int) -> tuple[np.ndarray, list[tuple[np.ndarray, s
 # ---------------------------------------------------------------------------
 # measured-output batch files: one CSV per initialization + manifest
 # ---------------------------------------------------------------------------
-
-def simulate_diagonal_outputs(
-    h: np.ndarray, rho0: np.ndarray, tau: float, dt: float, hbar: float = 1.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample the populations y(t) = diag(rho_t) of one physical run."""
-    rho0 = check_density(rho0)
-    traj: Trajectory = sample_trajectory(h, rho0, tau, dt, hbar)
-    ys = np.einsum("kii->ki", traj.states).real
-    return traj.times, ys
-
 
 def write_output_batch(
     out_dir,

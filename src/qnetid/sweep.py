@@ -27,13 +27,10 @@ import numpy as np
 
 from .identify import build_P_trapezoid, build_Q, solve_commutator
 from .linalg import spectral_norm
-from .netmodel import basis_density, derive_seed, erdos_renyi, is_connected
+from .netmodel import basis_density, connected_erdos_renyi, derive_seed, erdos_renyi
 from .dynamics import sample_times, sample_trajectory
 
 CSV_HEADER = "d,tau,n_tilde,trials,solvability_mean,eps_median,eps_q1,eps_q3,seed"
-
-#: resampling cap when conditioning on connected graphs
-MAX_CONNECTED_DRAWS = 100_000
 
 
 class ConfigError(ValueError):
@@ -208,17 +205,8 @@ def benchmark_network(d: int, trial_seed: int, cfg: SweepConfig) -> tuple[np.nda
     ``trial_seed``; returns (adjacency, initial basis-state density).
     """
     rng = np.random.default_rng(trial_seed)
-    adjacency = erdos_renyi(d, cfg.p_link, rng)
-    if cfg.connected_only:
-        draws = 1
-        while not is_connected(adjacency):
-            draws += 1
-            if draws > MAX_CONNECTED_DRAWS:
-                raise RuntimeError(
-                    f"no connected graph after {MAX_CONNECTED_DRAWS} draws "
-                    f"(d={d}, p_link={cfg.p_link})"
-                )
-            adjacency = erdos_renyi(d, cfg.p_link, rng)
+    draw = connected_erdos_renyi if cfg.connected_only else erdos_renyi
+    adjacency = draw(d, cfg.p_link, rng)
     node = int(rng.integers(1, d + 1))
     return adjacency, basis_density(d, node)
 

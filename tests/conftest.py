@@ -1,4 +1,9 @@
 import numpy as np
+import pytest
+
+from qnetid.sweep import run_sweep
+
+from record_golden_sweeps import CONFIGS
 
 
 def random_hermitian(rng, d, norm=None):
@@ -22,3 +27,35 @@ def random_admissible(rng, d, real=False):
         h = 0.5 * (h + h.T)
     np.fill_diagonal(h, 0.0)
     return h
+
+
+def lstsq_recorder(calls):
+    """A stand-in for np.linalg.lstsq that appends the rcond, rank and
+    singular values of every call to ``calls``."""
+    lstsq = np.linalg.lstsq
+
+    def spy(a, b, rcond=None):
+        out = lstsq(a, b, rcond=rcond)
+        calls.append({"rcond": rcond, "rank": int(out[2]), "s": out[3]})
+        return out
+
+    return spy
+
+
+@pytest.fixture
+def lstsq_calls(monkeypatch):
+    """Record every np.linalg.lstsq call of one test."""
+    calls = []
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq_recorder(calls))
+    return calls
+
+
+@pytest.fixture(scope="session")
+def criterion1_sweep():
+    """The seed-0 criterion-1 sweep, run once for the session with its
+    np.linalg.lstsq calls recorded: (SweepResult, calls)."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "lstsq", lstsq_recorder(calls))
+        res = run_sweep(CONFIGS["criterion1"])
+    return res, calls

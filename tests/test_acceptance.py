@@ -46,7 +46,6 @@ from qnetid.linalg import spectral_norm
 from qnetid.netmodel import basis_density, derive_seed
 from qnetid.partialinfo import (
     UnobservableError,
-    diagonal_selector,
     extract_hamiltonian,
     identity_initial_batch,
     observability_rank,
@@ -160,9 +159,9 @@ class TestCriterion1RoundTripSolvability:
     trivial, so the mean label over identifiable draws is exactly 1.0.
     The sweep's trial labels must average to each record's solvability."""
 
-    def test_solvability_plateau(self):
+    def test_solvability_plateau(self, criterion1_sweep):
         cfg = CONFIGS["criterion1"]
-        res = run_sweep(cfg)
+        res, _ = criterion1_sweep
         sbar = {rec.d: rec.solvability_mean for rec in res.records}
         detail = " ".join(f"d={d}:{v:.2f}" for d, v in sorted(sbar.items()))
         ok_small = all(sbar[d] >= 0.9 for d in (2, 3))
@@ -449,7 +448,7 @@ class TestCriterion7PartialInformationRoundTrip:
             lv = liouvillian(h)
             period = sampling_period(h)
             a = propagator(h, period)
-            _, obs = observability_rank(diagonal_selector(d), a)
+            _, obs = observability_rank(a)
             for lambda0 in (identity_initial_batch(d), physical_initial_batch(d)[0]):
                 ys = output_stacks(a, lambda0, d * d)
                 if obs:
@@ -479,7 +478,7 @@ class TestCriterion7PartialInformationRoundTrip:
             d = 2 if i % 2 == 0 else 3
             h = random_admissible(rng, d)
             a = propagator(h, sampling_period(h))
-            rank, _ = observability_rank(diagonal_selector(d), a)
+            rank, _ = observability_rank(a)
             if rank > d * d - 1:
                 violations += 1
         ok = violations == 0

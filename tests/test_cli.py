@@ -84,6 +84,27 @@ class TestSimulateIdentify:
         write_trajectory_csv(Trajectory(times=back.times, states=2.0 * back.states), traj)
         assert run("identify", "--trajectory", traj) == 3
 
+    def test_non_finite_trajectory_exits_3(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        h_path = tmp_path / "h.json"
+        save_matrix(h_path, random_hermitian(rng, 3))
+        traj = tmp_path / "t.csv"
+        run("simulate", "--hamiltonian", h_path, "--tau", 1.0, "--dt", 0.1, "--out", traj)
+        back = read_trajectory_csv(traj)
+        back.states[4, 0, 1] = back.states[4, 1, 0] = np.nan
+        write_trajectory_csv(back, traj)
+        capsys.readouterr()
+        assert run("identify", "--trajectory", traj) == 3
+        err = capsys.readouterr().err
+        assert "data row 5 (t = 0.4" in err and "NaN or infinite" in err
+
+    def test_connected_only_with_p_zero_exits_2(self, tmp_path, capsys):
+        # no draw at p = 0 is connected; the redraw loop must not start
+        assert run("simulate", "--er-d", 3, "--er-p", 0, "--connected-only",
+                   "--tau", 1.0, "--dt", 0.1, "--out", tmp_path / "t.csv") == 2
+        assert "--er-p 0" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
     def test_missing_file_exits_2(self, tmp_path):
         assert run("identify", "--trajectory", tmp_path / "absent.csv") == 2
 

@@ -349,6 +349,19 @@ class TestTrajectoryCsv:
         with pytest.raises(ValueError, match="has trace"):
             read_trajectory_csv(doubled)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, tmp_path, bad):
+        # NaN compares false in the trace and Hermitian checks, and inf - inf
+        # is NaN, so both used to read back without error
+        rng = np.random.default_rng(12)
+        traj = sample_trajectory(random_hermitian(rng, 3), random_density(rng, 3), 0.4, 0.1)
+        states = traj.states.copy()
+        states[2, 0, 1] = states[2, 1, 0] = bad
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(Trajectory(times=traj.times, states=states), path)
+        with pytest.raises(ValueError, match=r"data row 3 \(t = 0.2\) has a NaN or infinite"):
+            read_trajectory_csv(path)
+
     def test_rejects_non_hermitian_states(self, tmp_path):
         traj = sample_trajectory(SX, E1, 0.4, 0.1)
         states = traj.states.copy()

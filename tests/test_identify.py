@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from qnetid.dynamics import Trajectory, exact_gram, propagate, sample_trajectory
 from qnetid.identify import (
-    _realified_rhs,
+    _halve,
     _realified_system,
     admissible_embedding,
     build_P_trapezoid,
@@ -18,7 +18,7 @@ from qnetid.identify import (
 )
 from qnetid.linalg import ABS_FLOOR, DEFAULT_RTOL, EPS, numerical_rank, spectral_norm, vec
 from qnetid.netmodel import basis_density, derive_seed, erdos_renyi, is_connected
-from qnetid.sweep import SweepConfig, benchmark_network, run_sweep
+from qnetid.sweep import SweepConfig, benchmark_network
 
 from conftest import random_admissible, random_density, random_hermitian
 from record_golden_sweeps import CONFIGS
@@ -198,7 +198,7 @@ class TestRealifiedSystem:
         assert np.array_equal(a, halve_reference(kron_reference_system(p, real_coupling), d))
         q = commutator(random_admissible(rng, d, real=real_coupling), p)
         b = np.concatenate([vec(q).real, vec(q).imag])
-        assert np.array_equal(_realified_rhs(q), halve_reference(b, d))
+        assert np.array_equal(_halve(q), halve_reference(b, d))
 
     @pytest.mark.parametrize("real_coupling", [False, True])
     @pytest.mark.parametrize("d", [10, 20])
@@ -209,7 +209,7 @@ class TestRealifiedSystem:
         for trial in range(2):
             _, p, q = _sweep_draw(d, trial)
             a = _realified_system(p, admissible_embedding(d, real_coupling=real_coupling))
-            b = _realified_rhs(q)
+            b = _halve(q)
             a_full = kron_reference_system(p, real_coupling)
             b_full = np.concatenate([vec(q).real, vec(q).imag])
             assert a.shape == (d * d, a_full.shape[1]) and b.shape == (d * d,)
@@ -337,21 +337,6 @@ def _svd_reference_solve(a, b, rtol):
     return vt.T @ (inv * (u.T @ b)), s
 
 
-@pytest.fixture
-def lstsq_calls(monkeypatch):
-    """Record the rcond, rank and singular values of every np.linalg.lstsq call."""
-    calls = []
-    lstsq = np.linalg.lstsq
-
-    def spy(a, b, rcond=None):
-        out = lstsq(a, b, rcond=rcond)
-        calls.append({"rcond": rcond, "rank": int(out[2]), "s": out[3]})
-        return out
-
-    monkeypatch.setattr(np.linalg, "lstsq", spy)
-    return calls
-
-
 class TestLeastSquaresSolve:
     """solve_commutator's gelsd solve against the SVD with both factors."""
 
@@ -360,7 +345,7 @@ class TestLeastSquaresSolve:
     def test_matches_svd_reference(self, d, real_coupling, lstsq_calls):
         _, p, q = _sweep_draw(d, 0)
         emb = admissible_embedding(d, real_coupling=real_coupling)
-        a, b = _realified_system(p, emb), _realified_rhs(q)
+        a, b = _realified_system(p, emb), _halve(q)
         rep = solve_commutator(p, q, real_coupling=real_coupling)
         theta_ref, s_ref = _svd_reference_solve(a, b, rep.rtol)
         theta = emb.from_matrix(rep.m_hat)
@@ -391,7 +376,7 @@ class TestLeastSquaresSolve:
         p = p + 1e-11 * spectral_norm(p) / spectral_norm(h) * h
         q = commutator(adjacency.astype(complex), p)
         emb = admissible_embedding(6)
-        a, b = _realified_system(p, emb), _realified_rhs(q)
+        a, b = _realified_system(p, emb), _halve(q)
         rep = solve_commutator(p, q)
         assert rep.outcome == "non_unique" and rep.rank == rep.required_rank - 2
         theta_ref, _ = _svd_reference_solve(a, b, rep.rtol)
@@ -407,19 +392,19 @@ class TestLeastSquaresSolve:
         p = 1e-15 * p
         a = _realified_system(p, admissible_embedding(5))
         assert np.linalg.svd(a, compute_uv=False)[0] < ABS_FLOOR
-        assert np.linalg.lstsq(a, _realified_rhs(q), rcond=DEFAULT_RTOL)[2] > 0
+        assert np.linalg.lstsq(a, _halve(q), rcond=DEFAULT_RTOL)[2] > 0
         rep = solve_commutator(p, q)
         assert rep.rank == rep.label_rank == 0
         assert rep.outcome == "non_unique"
         assert not np.any(rep.m_hat)
 
-    def test_lstsq_rank_is_the_rank_rule_on_criterion1(self, lstsq_calls):
+    def test_lstsq_rank_is_the_rank_rule_on_criterion1(self, criterion1_sweep):
         # every draw of the seed-0 criterion-1 sweep: gelsd's own rank is
         # numerical_rank of the singular values it returns
         cfg = CONFIGS["criterion1"]
-        run_sweep(cfg)
-        assert len(lstsq_calls) == (cfg.d_max - cfg.d_min + 1) * cfg.trials
-        mismatched = [c for c in lstsq_calls if c["rank"] != numerical_rank(c["s"], c["rcond"])]
+        _, calls = criterion1_sweep
+        assert len(calls) == (cfg.d_max - cfg.d_min + 1) * cfg.trials
+        mismatched = [c for c in calls if c["rank"] != numerical_rank(c["s"], c["rcond"])]
         assert not mismatched
 
 

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from qnetid import netmodel
 from qnetid.netmodel import (
     ManyBodySpec,
     SeededRng,
     assemble_hamiltonian,
     basis_density,
+    connected_erdos_renyi,
     derive_seed,
     erdos_renyi,
     is_connected,
@@ -64,6 +66,24 @@ class TestConnectivity:
         a = np.zeros((3, 3))
         a[0, 1] = a[1, 0] = 1.0
         assert not is_connected(a)
+
+    def test_connected_draw_redraws_from_the_same_stream(self):
+        # the graph and the stream state of erdos_renyi redrawn by hand
+        rng = np.random.default_rng(4)
+        a = erdos_renyi(6, 0.3, rng)
+        draws = 1
+        while not is_connected(a):
+            a = erdos_renyi(6, 0.3, rng)
+            draws += 1
+        assert draws > 1
+        fresh = np.random.default_rng(4)
+        assert np.array_equal(connected_erdos_renyi(6, 0.3, fresh), a)
+        assert fresh.random() == rng.random()
+
+    def test_connected_draw_is_capped(self, monkeypatch):
+        monkeypatch.setattr(netmodel, "MAX_CONNECTED_DRAWS", 5)
+        with pytest.raises(RuntimeError, match="no connected graph after 5 draws"):
+            connected_erdos_renyi(4, 0.0, 0)
 
 
 class TestBasisDensity:

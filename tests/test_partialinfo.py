@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from qnetid.dynamics import liouvillian, propagate, propagator, unitary_conjugate
+from qnetid.dynamics import (
+    liouvillian,
+    propagate,
+    propagator,
+    sample_trajectory,
+    unitary_conjugate,
+)
 from qnetid.linalg import spectral_norm, unvec, vec
 from qnetid.partialinfo import (
     UnobservableError,
@@ -9,14 +15,12 @@ from qnetid.partialinfo import (
     extract_hamiltonian,
     identity_initial_batch,
     observability_rank,
-    observability_stack,
     output_stacks,
     physical_decomposition,
     physical_initial_batch,
     read_output_batch,
     reconstruct_liouvillian,
     sampling_period,
-    simulate_diagonal_outputs,
     write_output_batch,
 )
 
@@ -37,6 +41,13 @@ def sampled(h, hbar=1.0):
     """(propagator, period) at the sampling period of H."""
     period = sampling_period(h, hbar)
     return propagator(h, period, hbar), period
+
+
+def populations(h, rho0, tau, dt):
+    """Times and populations diag(rho_t) of one run, from the sampled
+    density-operator trajectory."""
+    traj = sample_trajectory(h, rho0, tau, dt)
+    return traj.times, np.einsum("kii->ki", traj.states).real
 
 
 def identify(h, lambda0, hbar=1.0):
@@ -87,7 +98,7 @@ class TestSamplingPeriod:
         for c in (10.0, 100.0, -1e3):
             shifted = h + c * np.eye(5)
             assert sampling_period(shifted) == pytest.approx(sampling_period(h), rel=1e-12)
-            assert observability_rank(diagonal_selector(5), sampled(shifted)[0]) == (25, True)
+            assert observability_rank(sampled(shifted)[0]) == (25, True)
 
     def test_zero_hamiltonian_floored(self):
         assert np.isfinite(sampling_period(np.zeros((3, 3))))
@@ -97,17 +108,17 @@ class TestSamplingPeriod:
 
 class TestObservabilityRank:
     def test_zero_generator(self):
-        rank, obs = observability_rank(diagonal_selector(2), sampled(np.zeros((2, 2)))[0])
+        rank, obs = observability_rank(sampled(np.zeros((2, 2)))[0])
         assert rank == 2
         assert not obs
 
     def test_observable_pair(self):
-        rank, obs = observability_rank(diagonal_selector(2), sampled(H_OBS)[0])
+        rank, obs = observability_rank(sampled(H_OBS)[0])
         assert rank == 4
         assert obs
 
     def test_zero_diagonal_unobservable(self):
-        rank, obs = observability_rank(diagonal_selector(2), sampled(SX)[0])
+        rank, obs = observability_rank(sampled(SX)[0])
         assert rank == 3
         assert not obs
 
@@ -118,10 +129,10 @@ class TestObservabilityRank:
             d = int(rng.integers(2, 5))
             h = random_admissible(rng, d)
             a, _ = sampled(h)
-            stack = observability_stack(diagonal_selector(d), a)
+            stack = output_stacks(a, identity_initial_batch(d), d * d - 1).reshape(-1, d * d)
             residual = np.max(np.abs(stack @ vec(h)))
             assert residual <= 1e-12 * spectral_norm(stack) * max(spectral_norm(h), 1.0)
-            rank, _ = observability_rank(diagonal_selector(d), a)
+            rank, _ = observability_rank(a)
             assert rank <= d * d - 1
 
     def test_full_rank_at_d6(self):
@@ -129,7 +140,7 @@ class TestObservabilityRank:
         # stack has no rank artifact of the kind the powers of L have
         rng = np.random.default_rng(21)
         h = hermitian_with_diagonal(rng, 6)
-        assert observability_rank(diagonal_selector(6), sampled(h)[0]) == (36, True)
+        assert observability_rank(sampled(h)[0]) == (36, True)
 
 
 class TestOutputStacks:
@@ -195,7 +206,7 @@ class TestReconstructLiouvillian:
         h = hermitian_with_diagonal(rng, d)
         lam0, states = physical_initial_batch(d)
         period = sampling_period(h)
-        runs = [simulate_diagonal_outputs(h, rho, d * d * period, period)[1] for rho, _ in states]
+        runs = [populations(h, rho, d * d * period, period)[1] for rho, _ in states]
         ys = np.stack(runs, axis=2)  # (d^2 + 1, d, d^2): ys[k][:, i] = run i at k * period
         l_hat = reconstruct_liouvillian(ys, lam0, period)
         assert spectral_norm(l_hat - liouvillian(h)) <= 1e-9
@@ -340,7 +351,7 @@ class TestRoundTripInvariant:
             h = hermitian_with_diagonal(rng, d)
             lv = liouvillian(h)
             a, period = sampled(h)
-            rank, obs = observability_rank(diagonal_selector(d), a)
+            rank, obs = observability_rank(a)
             ys = output_stacks(a, identity_initial_batch(d), d * d)
             if obs:
                 seen_observable += 1
@@ -361,7 +372,7 @@ class TestOutputBatchFiles:
         lam0, states = physical_initial_batch(2)
         runs = []
         for rho, label in states:
-            times, ys = simulate_diagonal_outputs(h, rho, 0.5, 0.05)
+            times, ys = populations(h, rho, 0.5, 0.05)
             runs.append((label, times, ys))
         manifest = write_output_batch(tmp_path / "batch", runs, lam0)
         lam_back, runs_back = read_output_batch(manifest)
@@ -375,7 +386,7 @@ class TestOutputBatchFiles:
     def test_csv_header(self, tmp_path):
         rng = np.random.default_rng(13)
         h = random_hermitian(rng, 3, norm=1.0)
-        times, ys = simulate_diagonal_outputs(h, np.diag([1.0, 0, 0]).astype(complex), 0.2, 0.1)
+        times, ys = populations(h, np.diag([1.0, 0, 0]).astype(complex), 0.2, 0.1)
         write_output_batch(tmp_path / "b", [("node_1", times, ys)], np.eye(9, dtype=complex))
         header = (tmp_path / "b" / "output_001.csv").read_text().splitlines()[0]
         assert header == "t,y_1,y_2,y_3"
