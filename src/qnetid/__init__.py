@@ -20,7 +20,6 @@ from .linalg import (
     numerical_rank,
     save_matrix,
     spectral_norm,
-    unvec,
     vec,
 )
 from .dynamics import (
@@ -36,9 +35,6 @@ from .dynamics import (
     write_trajectory_csv,
 )
 from .netmodel import (
-    ManyBodySpec,
-    SeededRng,
-    assemble_hamiltonian,
     basis_density,
     derive_seed,
     erdos_renyi,
@@ -85,15 +81,12 @@ __all__ = [
     "CellRecord",
     "ConfigError",
     "IdentificationReport",
-    "ManyBodySpec",
-    "SeededRng",
     "SweepConfig",
     "SweepResult",
     "Trajectory",
     "TrialRecord",
     "UnobservableError",
     "admissible_embedding",
-    "assemble_hamiltonian",
     "basis_density",
     "build_P_trapezoid",
     "build_Q",
@@ -131,7 +124,6 @@ __all__ = [
     "solve_commutator",
     "spectral_norm",
     "unitary_conjugate",
-    "unvec",
     "vec",
     "write_trajectory_csv",
 ]

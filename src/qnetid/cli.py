@@ -267,7 +267,7 @@ def _cmd_partial_identify(args) -> int:
     a = propagator(h, period, args.hbar)
 
     if args.estimate:
-        lambda0, _ = physical_initial_batch(d)
+        lambda0, states = physical_initial_batch(d)
         batch = "preparable states"
     else:
         lambda0 = identity_initial_batch(d)
@@ -276,8 +276,8 @@ def _cmd_partial_identify(args) -> int:
 
     # the observability stack has full rank n = d^2 once this returns; it
     # raises UnobservableError, naming the rank, otherwise
-    l_hat = reconstruct_liouvillian(output_stacks(a, lambda0, d * d), lambda0, period,
-                                    rtol=args.rtol)
+    ys = output_stacks(a, lambda0, d * d)
+    l_hat = reconstruct_liouvillian(ys, lambda0, period, rtol=args.rtol)
     print(f"observability rank: {d * d} of {d * d} (observable)")
     h_hat = extract_hamiltonian(l_hat, hbar=args.hbar)
     liouv = liouvillian(h, args.hbar)
@@ -289,11 +289,15 @@ def _cmd_partial_identify(args) -> int:
     print(f"hamiltonian relative error: {ham_err:.3e} (traceless gauge)")
 
     if args.save_outputs:
-        lambda0_phys, states = physical_initial_batch(d)
-        pops = output_stacks(a, lambda0_phys, d * d).real
+        # the batch holds the preparable runs; in estimate mode these are
+        # the samples the identification used
+        if not args.estimate:
+            lambda0, states = physical_initial_batch(d)
+            ys = output_stacks(a, lambda0, d * d)
+        pops = ys.real
         times = period * np.arange(d * d + 1)
         runs = [(label, times, pops[:, :, i]) for i, (_, label) in enumerate(states)]
-        manifest = write_output_batch(args.save_outputs, runs, lambda0_phys)
+        manifest = write_output_batch(args.save_outputs, runs, lambda0)
         print(f"output batch written to {manifest.parent}")
 
     if args.out:

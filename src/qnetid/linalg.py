@@ -31,14 +31,6 @@ def vec(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).reshape(-1, order="F")
 
 
-def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vec`; raises on length mismatch."""
-    v = np.asarray(v)
-    if v.size != rows * cols:
-        raise ValueError(f"cannot reshape length-{v.size} vector to {rows}x{cols}")
-    return v.reshape((rows, cols), order="F")
-
-
 def hermitize(m: np.ndarray, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
     """Return the Hermitian part (M + M†)/2, rejecting badly asymmetric input.
 

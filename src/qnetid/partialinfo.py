@@ -93,7 +93,9 @@ def output_stacks(a: np.ndarray, lambda0: np.ndarray, order: int) -> np.ndarray:
     """Sampled outputs ys[k] = C A^k Lambda0 for k = 0..order.
 
     Column i of ys[k], shape (d, d^2), holds the populations at t = k*Delta
-    of the run started in column i of Lambda0, when A = e^(L Delta).
+    of the run started in column i of Lambda0, when A = e^(L Delta).  The
+    d x d^2 Markov parameter G_k = C A^k is propagated, not the d^2 states:
+    each power costs 2 d n^2, not n^3, for n = d^2 initial states.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -101,13 +103,13 @@ def output_stacks(a: np.ndarray, lambda0: np.ndarray, order: int) -> np.ndarray:
     d = math.isqrt(n)
     if d * d != n:
         raise ValueError(f"propagator size {n} is not a perfect square")
-    c = diagonal_selector(d)
-    ys = np.empty((order + 1, d, n), dtype=complex)
-    z = np.asarray(lambda0, dtype=complex)
+    g = diagonal_selector(d)
+    lambda0 = np.asarray(lambda0, dtype=complex)
+    ys = np.empty((order + 1, d, lambda0.shape[1]), dtype=complex)
     for k in range(order + 1):
-        ys[k] = c @ z
+        ys[k] = g @ lambda0
         if k < order:
-            z = a @ z
+            g = g @ a
     return ys
 
 

@@ -238,6 +238,21 @@ class TestPartialIdentify:
             )
             assert spectral_norm(h_saved - h_estimate) <= 1e-12 * spectral_norm(h_estimate)
 
+    def test_estimate_outputs_computed_once(self, tmp_path, monkeypatch):
+        # the saved batch reuses the stack the estimate was computed from
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return output_stacks(*args)
+
+        monkeypatch.setattr("qnetid.cli.output_stacks", counting)
+        h_path = tmp_path / "h.json"
+        save_matrix(h_path, np.array([[1.0, 1.0], [1.0, -1.0]]))
+        assert run("partial-identify", "--hamiltonian", h_path, "--estimate",
+                   "--save-outputs", tmp_path / "batch") == 0
+        assert len(calls) == 1
+
     def test_unobservable_exits_3(self, tmp_path, capsys):
         h_path = tmp_path / "h.json"
         save_matrix(h_path, SX)

@@ -572,6 +572,25 @@ class TestRankTestAgreement:
             assert full_stacked == full_real
 
 
+LABELS = ("outcome", "rank", "label_rank", "solvability")
+
+
+def assume_labels_decided(rep, p, real_coupling):
+    """Skip draws where rounding could decide a label or blur m_hat.
+
+    No singular value of the realified system lies within a factor 1e3
+    of the label cut, and the retained spectrum is conditioned well
+    enough for m_hat to carry 1e-10 relative.  Returns the condition
+    number of the retained spectrum.
+    """
+    s = np.linalg.svd(_realified_system(p, admissible_embedding(p.shape[0], real_coupling)),
+                      compute_uv=False)
+    assume(not rep.label_rtol / 1e3 < s[-1] / s[0] < rep.label_rtol * 1e3)
+    assume(rep.sigma_min_retained >= 1e-5 * s[0])
+    assume(rep.sigma_max_discarded <= rep.label_rtol / 1e3 * s[0])
+    return s[0] / rep.sigma_min_retained
+
+
 class TestPermutationEquivariance:
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(
@@ -593,15 +612,52 @@ class TestPermutationEquivariance:
             q = build_Q(traj.states[0], traj.states[-1])
             reports.append(solve_commutator(p, q, real_coupling=real_coupling))
         rep, rep_perm = reports
-        s = np.linalg.svd(_realified_system(p, admissible_embedding(d, real_coupling)),
-                          compute_uv=False)
-        # rounding must decide neither label: no singular value within a
-        # factor 1e3 of the label cut, and a retained spectrum conditioned
-        # well enough for m_hat to carry 1e-10 relative
-        assume(not rep.label_rtol / 1e3 < s[-1] / s[0] < rep.label_rtol * 1e3)
-        assume(rep.sigma_min_retained >= 1e-5 * s[0])
-        assume(rep.sigma_max_discarded <= rep.label_rtol / 1e3 * s[0])
-        labels = ("outcome", "rank", "label_rank", "solvability")
-        assert [getattr(rep, k) for k in labels] == [getattr(rep_perm, k) for k in labels]
+        assume_labels_decided(rep, p, real_coupling)
+        assert [getattr(rep, k) for k in LABELS] == [getattr(rep_perm, k) for k in LABELS]
         expected = rep.m_hat[np.ix_(perm, perm)]
         assert np.linalg.norm(rep_perm.m_hat - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+class TestHbarScalingAndTimeReversal:
+    # at fixed data P is unchanged and Q = i*hbar*(rho_tau - rho_0) is
+    # linear in hbar and odd under rho_t -> rho_(tau - t), so m_hat follows
+    # Q while the system matrix, hence every label, stays the same; m_hat
+    # moves only by rounding, at most 5.4 EPS times the retained condition
+    # number over 815 random draws
+    @staticmethod
+    def _draw(d, seed, real_coupling):
+        adjacency, rho0 = benchmark_network(d, seed, SweepConfig())
+        traj = sample_trajectory(adjacency.astype(complex), rho0, 1.0, 0.01)
+        rep = identify_topology(traj, real_coupling=real_coupling)
+        cond = assume_labels_decided(rep, build_P_trapezoid(traj), real_coupling)
+        return traj, rep, cond
+
+    @staticmethod
+    def _assert_follows(rep, other, factor, cond):
+        assert [getattr(rep, k) for k in LABELS] == [getattr(other, k) for k in LABELS]
+        expected = factor * rep.m_hat
+        assert np.linalg.norm(other.m_hat - expected) <= 16 * cond * EPS * np.linalg.norm(expected)
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        d=st.sampled_from([3, 5, 8]),
+        seed=st.integers(0, 2**32 - 1),
+        real_coupling=st.booleans(),
+        hbar=st.floats(0.01, 100.0),
+    )
+    def test_hbar_scaling(self, d, seed, real_coupling, hbar):
+        traj, rep, cond = self._draw(d, seed, real_coupling)
+        other = identify_topology(traj, hbar=hbar, real_coupling=real_coupling)
+        self._assert_follows(rep, other, hbar, cond)
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        d=st.sampled_from([3, 5, 8]),
+        seed=st.integers(0, 2**32 - 1),
+        real_coupling=st.booleans(),
+    )
+    def test_time_reversal(self, d, seed, real_coupling):
+        traj, rep, cond = self._draw(d, seed, real_coupling)
+        other = identify_topology(Trajectory(traj.times, traj.states[::-1]),
+                                  real_coupling=real_coupling)
+        self._assert_follows(rep, other, -1.0, cond)

@@ -12,7 +12,6 @@ from qnetid.linalg import (
     numerical_rank,
     save_matrix,
     spectral_norm,
-    unvec,
     vec,
 )
 
@@ -66,10 +65,6 @@ class TestVec:
         m = np.array([[1.0, 3.0], [2.0, 4.0]])
         assert np.array_equal(vec(m), np.array([1.0, 2.0, 3.0, 4.0]))
 
-    def test_unvec_inverse(self):
-        v = np.array([1.0, 2.0, 3.0, 4.0])
-        assert np.array_equal(unvec(v, 2, 2), np.array([[1.0, 3.0], [2.0, 4.0]]))
-
     def test_identity_positions(self):
         for d in (2, 3, 5):
             v = vec(np.eye(d))
@@ -82,11 +77,7 @@ class TestVec:
     def test_roundtrip_all_shapes(self, rows, cols):
         rng = np.random.default_rng(rows * 10 + cols)
         m = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
-        assert np.array_equal(unvec(vec(m), rows, cols), m)
-
-    def test_unvec_length_mismatch(self):
-        with pytest.raises(ValueError, match="reshape"):
-            unvec(np.arange(5), 2, 2)
+        assert np.array_equal(vec(m), m.T.ravel())
 
 
 class TestNumericalRank:

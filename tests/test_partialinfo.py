@@ -8,7 +8,7 @@ from qnetid.dynamics import (
     sample_trajectory,
     unitary_conjugate,
 )
-from qnetid.linalg import spectral_norm, unvec, vec
+from qnetid.linalg import spectral_norm, vec
 from qnetid.partialinfo import (
     UnobservableError,
     diagonal_selector,
@@ -162,7 +162,7 @@ class TestOutputStacks:
         for lam0 in (identity_initial_batch(d), physical_initial_batch(d)[0]):
             ys = output_stacks(a, lam0, d * d)
             for k in range(d * d + 1):
-                ref = np.array([np.diag(unitary_conjugate(h, unvec(x, d, d), k * period))
+                ref = np.array([np.diag(unitary_conjugate(h, x.reshape((d, d), order="F"), k * period))
                                 for x in lam0.T]).T
                 assert np.max(np.abs(ys[k] - ref)) <= 1e-13
 
