@@ -44,6 +44,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
+#: ``sweep`` flags whose destination is the SweepConfig field of that name
+_SWEEP_OVERRIDES = ("seed", "d_min", "d_max", "p_link", "taus", "dt", "subsamples",
+                    "trials", "hbar", "rtol")
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -79,7 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ident.add_argument("--h0", help="matrix JSON of a known node Hamiltonian to subtract")
     ident.add_argument("--truth", help="matrix JSON of the true coupling matrix (for epsilon)")
     ident.add_argument("--rtol", type=float, default=1e-9)
-    ident.add_argument("--label-rtol", type=float, default=None)
     ident.add_argument("--general-coupling", action="store_true",
                        help="solve in the full admissible class instead of real couplings")
     ident.add_argument("--seed", type=int, default=None, help="seed recorded in the report")
@@ -92,19 +95,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--d-min", type=int, default=None)
     sw.add_argument("--d-max", type=int, default=None)
     sw.add_argument("--p-link", type=float, default=None)
-    sw.add_argument("--tau", type=float, action="append", default=None,
+    sw.add_argument("--tau", type=float, action="append", dest="taus", metavar="TAU",
                     help="repeatable; evolution lengths")
     sw.add_argument("--dt", type=float, default=None)
-    sw.add_argument("--subsample", type=int, action="append", default=None,
-                    help="repeatable; quadrature subsampling divisors")
+    sw.add_argument("--subsample", type=int, action="append", dest="subsamples",
+                    metavar="SUBSAMPLE", help="repeatable; quadrature subsampling divisors")
     sw.add_argument("--trials", type=int, default=None)
     sw.add_argument("--hbar", type=float, default=None)
     sw.add_argument("--rtol", type=float, default=None)
-    sw.add_argument("--label-rtol", type=float, default=None)
-    sw.add_argument("--extended", action="store_true",
-                    help="extend the grid to d = 30 (transition region; slower)")
-    sw.add_argument("--allow-disconnected", action="store_true",
-                    help="keep disconnected graph draws instead of redrawing")
     sw.add_argument("--general-coupling", action="store_true",
                     help="identify in the full admissible class")
     sw.add_argument("--out-dir", required=True)
@@ -189,7 +187,6 @@ def _cmd_identify(args) -> int:
         truth=truth,
         rtol=args.rtol,
         real_coupling=not args.general_coupling,
-        label_rtol=args.label_rtol,
     )
     report.seed = args.seed
     print(f"outcome:     {report.outcome}")
@@ -209,27 +206,10 @@ def _cmd_sweep(args) -> int:
             cfg = SweepConfig.from_json(json.load(fh))
     else:
         cfg = SweepConfig()
-    overrides = dict(
-        seed=args.seed,
-        d_min=args.d_min,
-        d_max=args.d_max,
-        p_link=args.p_link,
-        taus=args.tau,
-        dt=args.dt,
-        subsamples=args.subsample,
-        trials=args.trials,
-        hbar=args.hbar,
-        rtol=args.rtol,
-        label_rtol=args.label_rtol,
-    )
-    cfg = cfg.override(**overrides)
-    if args.extended:
-        cfg = cfg.override(d_max=max(cfg.d_max, 30))
-    if args.allow_disconnected:
-        cfg = cfg.override(connected_only=False)
-    if args.general_coupling:
-        cfg = cfg.override(real_coupling=False)
-    cfg = cfg.validated()
+    cfg = cfg.override(
+        real_coupling=False if args.general_coupling else None,
+        **{f: getattr(args, f) for f in _SWEEP_OVERRIDES},
+    ).validated()
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -249,6 +229,8 @@ def _cmd_observability(args) -> int:
     else:
         with open(args.report) as fh:
             report = json.load(fh)
+        if "m_hat" not in report:
+            raise ConfigError(f"{args.report} is not an identification report: no 'm_hat' key")
         h = hermitize(matrix_from_json(report["m_hat"]))
         source = f"{args.report} (reconstructed estimate)"
     a = propagator(h, sampling_period(h, args.hbar), args.hbar)

@@ -304,7 +304,6 @@ def solve_commutator(
     q: np.ndarray,
     rtol: float = DEFAULT_RTOL,
     real_coupling: bool = False,
-    label_rtol: float | None = None,
 ) -> IdentificationReport:
     """Solve [M, P] = Q for an admissible M and certify uniqueness.
 
@@ -316,7 +315,7 @@ def solve_commutator(
     when rank deficient (the minimum-norm estimate is still emitted,
     untrusted), and 'inconsistent' when full rank but the residual is
     large.  ``solvability`` is the rank-only label at the machine
-    tolerance (or ``label_rtol`` relative to sigma_max when given).
+    tolerance 2d^2 * eps relative to sigma_max (module docstring).
     A Q of zero with full rank yields the zero matrix and 'unique':
     no interaction detected.
 
@@ -342,10 +341,9 @@ def solve_commutator(
     rank = numerical_rank(s, rtol)
     if rank == 0:
         theta = np.zeros_like(theta)  # gelsd would invert an s_0 below ABS_FLOOR
-    if label_rtol is None:
-        # LAPACK-style machine tolerance max(m, n) * eps of the unhalved
-        # 2d^2-row system, kept so that halving moves no label
-        label_rtol = 2 * d * d * EPS
+    # LAPACK-style machine tolerance max(m, n) * eps of the unhalved
+    # 2d^2-row system, kept so that halving moves no label
+    label_rtol = 2 * d * d * EPS
     label_rank = numerical_rank(s, label_rtol)
 
     m_hat = embedding.to_matrix(theta)
@@ -383,7 +381,7 @@ def solve_commutator(
         sigma_max_discarded=float(s[rank]) if rank < s.size else 0.0,
         real_coupling=real_coupling,
         rtol=float(rtol),
-        label_rtol=float(label_rtol),
+        label_rtol=label_rtol,
     )
 
 
@@ -417,7 +415,6 @@ def identify_topology(
     truth: np.ndarray | None = None,
     rtol: float = DEFAULT_RTOL,
     real_coupling: bool = False,
-    label_rtol: float | None = None,
 ) -> IdentificationReport:
     """Full pipeline: trapezoid P, endpoint Q, solve, score.
 
@@ -427,7 +424,7 @@ def identify_topology(
     """
     p = build_P_trapezoid(traj, subsample=subsample)
     q = build_Q(traj.states[0], traj.states[-1], hbar=hbar, known_h0=known_h0, p=p)
-    report = solve_commutator(p, q, rtol=rtol, real_coupling=real_coupling, label_rtol=label_rtol)
+    report = solve_commutator(p, q, rtol=rtol, real_coupling=real_coupling)
     if truth is not None and np.any(truth):
         report.epsilon = relative_error(report.m_hat, truth)
     report.parameters.update(subsample=int(subsample), hbar=float(hbar))

@@ -31,22 +31,22 @@ def vec(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).reshape(-1, order="F")
 
 
-def hermitize(m: np.ndarray, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
+def hermitize(m: np.ndarray) -> np.ndarray:
     """Return the Hermitian part (M + M†)/2, rejecting badly asymmetric input.
 
     File round-off must not break Hermiticity invariants, so inputs are
-    symmetrized; anything with relative asymmetry above ``rtol`` is not
-    round-off and is rejected.
+    symmetrized; anything with relative asymmetry above HERMITIAN_RTOL is
+    not round-off and is rejected.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     asym = np.linalg.norm(m - m.conj().T)
     scale = max(np.linalg.norm(m), ABS_FLOOR)
-    if asym > rtol * scale:
+    if asym > HERMITIAN_RTOL * scale:
         raise ValueError(
             f"matrix is not Hermitian: relative asymmetry {asym / scale:.3e} "
-            f"exceeds {rtol:.1e}"
+            f"exceeds {HERMITIAN_RTOL:.1e}"
         )
     return 0.5 * (m + m.conj().T)
 

@@ -89,13 +89,11 @@ def sampling_period(h: np.ndarray, hbar: float = 1.0) -> float:
 # sampled outputs, generator reconstruction and Hamiltonian extraction
 # ---------------------------------------------------------------------------
 
-def output_stacks(a: np.ndarray, lambda0: np.ndarray, order: int) -> np.ndarray:
-    """Sampled outputs ys[k] = C A^k Lambda0 for k = 0..order.
+def _markov_parameters(a: np.ndarray, order: int) -> np.ndarray:
+    """The Markov parameters G_k = C A^k for k = 0..order, shape (order + 1, d, n).
 
-    Column i of ys[k], shape (d, d^2), holds the populations at t = k*Delta
-    of the run started in column i of Lambda0, when A = e^(L Delta).  The
-    d x d^2 Markov parameter G_k = C A^k is propagated, not the d^2 states:
-    each power costs 2 d n^2, not n^3, for n = d^2 initial states.
+    The d x n selector rows are propagated, not the n = d^2 states: each
+    power costs 2 d n^2, not n^3.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -103,14 +101,20 @@ def output_stacks(a: np.ndarray, lambda0: np.ndarray, order: int) -> np.ndarray:
     d = math.isqrt(n)
     if d * d != n:
         raise ValueError(f"propagator size {n} is not a perfect square")
-    g = diagonal_selector(d)
-    lambda0 = np.asarray(lambda0, dtype=complex)
-    ys = np.empty((order + 1, d, lambda0.shape[1]), dtype=complex)
-    for k in range(order + 1):
-        ys[k] = g @ lambda0
-        if k < order:
-            g = g @ a
-    return ys
+    g = np.empty((order + 1, d, n), dtype=complex)
+    g[0] = diagonal_selector(d)
+    for k in range(order):
+        g[k + 1] = g[k] @ a
+    return g
+
+
+def output_stacks(a: np.ndarray, lambda0: np.ndarray, order: int) -> np.ndarray:
+    """Sampled outputs ys[k] = C A^k Lambda0 for k = 0..order.
+
+    Column i of ys[k], shape (d, d^2), holds the populations at t = k*Delta
+    of the run started in column i of Lambda0, when A = e^(L Delta).
+    """
+    return _markov_parameters(a, order) @ np.asarray(lambda0, dtype=complex)
 
 
 def observability_rank(a: np.ndarray, rtol: float = DEFAULT_RTOL) -> tuple[int, bool]:
@@ -118,11 +122,10 @@ def observability_rank(a: np.ndarray, rtol: float = DEFAULT_RTOL) -> tuple[int, 
 
     ``a`` is the sampled propagator e^(L Delta) (``dynamics.propagator``
     at ``sampling_period``).  The stack [C; CA; ...; CA^(n-1)], C the
-    diagonal selector, holds the outputs of ``output_stacks`` from
-    Lambda0 = I.
+    diagonal selector, holds the Markov parameters themselves.
     """
     n = a.shape[0]
-    stack = output_stacks(a, np.eye(n), n - 1).reshape(-1, n)
+    stack = _markov_parameters(a, n - 1).reshape(-1, n)
     rank = numerical_rank(np.linalg.svd(stack, compute_uv=False), rtol)
     return rank, rank == n
 

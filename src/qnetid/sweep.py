@@ -27,7 +27,7 @@ import numpy as np
 
 from .identify import build_P_trapezoid, build_Q, solve_commutator
 from .linalg import spectral_norm
-from .netmodel import basis_density, connected_erdos_renyi, derive_seed, erdos_renyi
+from .netmodel import basis_density, connected_erdos_renyi, derive_seed
 from .dynamics import sample_times, sample_trajectory
 
 CSV_HEADER = "d,tau,n_tilde,trials,solvability_mean,eps_median,eps_q1,eps_q3,seed"
@@ -35,6 +35,17 @@ CSV_HEADER = "d,tau,n_tilde,trials,solvability_mean,eps_median,eps_q1,eps_q3,see
 
 class ConfigError(ValueError):
     """Invalid sweep configuration; message lists every violation."""
+
+
+def _fits(value, default) -> bool:
+    """Whether a parsed JSON value has the type of a field's default: an
+    integer is also a float, a boolean is neither, and a tuple field takes
+    a list of its elements' type."""
+    if isinstance(default, tuple):
+        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
+    if isinstance(default, bool) or isinstance(value, bool):
+        return type(value) is type(default)
+    return isinstance(value, int) or isinstance(value, type(default))
 
 
 @dataclass(frozen=True)
@@ -51,8 +62,6 @@ class SweepConfig:
     trials: int = 100
     hbar: float = 1.0
     rtol: float = 1e-9
-    label_rtol: float | None = None
-    connected_only: bool = True
     real_coupling: bool = True
 
     def n_samples(self, tau: float) -> int:
@@ -68,10 +77,9 @@ class SweepConfig:
             errors.append(f"d_min must be >= 2, got {self.d_min}")
         if self.d_max < self.d_min:
             errors.append(f"d_max {self.d_max} is below d_min {self.d_min}")
-        if not 0.0 <= self.p_link <= 1.0:
-            errors.append(f"p_link must be in [0, 1], got {self.p_link}")
-        if self.connected_only and self.p_link == 0.0:
-            errors.append("connected_only is impossible with p_link = 0")
+        if not 0.0 < self.p_link <= 1.0:
+            errors.append(f"p_link must be in (0, 1], got {self.p_link}: "
+                          "sweeps draw connected graphs, and none is connected at 0")
         if not self.taus:
             errors.append("at least one tau is required")
         if self.dt <= 0:
@@ -99,8 +107,6 @@ class SweepConfig:
             errors.append(f"hbar must be positive, got {self.hbar}")
         if self.rtol <= 0:
             errors.append(f"rtol must be positive, got {self.rtol}")
-        if self.label_rtol is not None and self.label_rtol <= 0:
-            errors.append(f"label_rtol must be positive when given, got {self.label_rtol}")
         return errors
 
     def validated(self) -> "SweepConfig":
@@ -117,15 +123,18 @@ class SweepConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SweepConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(obj) - known
+        unknown = set(obj) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        wrong = [f"{key} = {json.dumps(value)} (default {json.dumps(getattr(cls, key))})"
+                 for key, value in obj.items() if not _fits(value, getattr(cls, key))]
+        if wrong:
+            raise ConfigError(f"config values of the wrong type: {'; '.join(wrong)}")
         kwargs = dict(obj)
         if "taus" in kwargs:
             kwargs["taus"] = tuple(float(t) for t in kwargs["taus"])
         if "subsamples" in kwargs:
-            kwargs["subsamples"] = tuple(int(s) for s in kwargs["subsamples"])
+            kwargs["subsamples"] = tuple(kwargs["subsamples"])
         return cls(**kwargs)
 
     def override(self, **kwargs) -> "SweepConfig":
@@ -200,13 +209,12 @@ class SweepResult:
 def benchmark_network(d: int, trial_seed: int, cfg: SweepConfig) -> tuple[np.ndarray, np.ndarray]:
     """The seeded network of one benchmark trial.
 
-    Draws an Erdos-Renyi graph (resampled until connected when
-    ``cfg.connected_only``) and a uniformly chosen excited node from
-    ``trial_seed``; returns (adjacency, initial basis-state density).
+    Draws an Erdos-Renyi graph, resampled until connected, and a
+    uniformly chosen excited node from ``trial_seed``; returns
+    (adjacency, initial basis-state density).
     """
     rng = np.random.default_rng(trial_seed)
-    draw = connected_erdos_renyi if cfg.connected_only else erdos_renyi
-    adjacency = draw(d, cfg.p_link, rng)
+    adjacency = connected_erdos_renyi(d, cfg.p_link, rng)
     node = int(rng.integers(1, d + 1))
     return adjacency, basis_density(d, node)
 
@@ -238,7 +246,6 @@ def run_benchmark_trial(
             q,
             rtol=cfg.rtol,
             real_coupling=cfg.real_coupling,
-            label_rtol=cfg.label_rtol,
         )
         label = report.solvability
         eps = None

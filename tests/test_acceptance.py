@@ -1,9 +1,9 @@
 """Acceptance suite: one test per benchmark criterion, printed pass/fail.
 
 Criterion 2 (the d = 30 transition sweep) takes a few minutes and is
-opt-in: run it with `QNETID_EXTENDED=1 pytest tests/test_acceptance.py`
-or `pytest -m extended`.  One of its cells (d = 26..30, 5 draws per d)
-runs in tier 1, checked draw by draw against golden labels.
+opt-in: run it with `QNETID_EXTENDED=1 pytest tests/test_acceptance.py`.
+One of its cells (d = 26..30, 5 draws per d) runs in tier 1, checked
+draw by draw against golden labels.
 
 Criteria 1 and 3 run the seed-0 benchmark sweeps of
 ``record_golden_sweeps.CONFIGS`` and score every trial the sweep returns,

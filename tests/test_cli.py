@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from qnetid.cli import main
 from qnetid.dynamics import Trajectory, propagator, read_trajectory_csv, write_trajectory_csv
@@ -131,11 +132,43 @@ class TestSweepPlot:
         text = (out_dir / "error.csv").read_text()
         assert '"seed": 4' in text.splitlines()[0]
 
+    def test_every_override_reaches_the_preamble(self, tmp_path):
+        out_dir = tmp_path / "o"
+        assert run("sweep", "error", "--seed", 7, "--d-min", 3, "--d-max", 3,
+                   "--p-link", 0.75, "--tau", 0.5, "--tau", 0.25, "--dt", 0.05,
+                   "--subsample", 5, "--subsample", 1, "--trials", 2, "--hbar", 0.5,
+                   "--rtol", 1e-8, "--general-coupling", "--out-dir", out_dir) == 0
+        preamble = (out_dir / "error.csv").read_text().splitlines()[0]
+        assert json.loads(preamble[2:])["config"] == {
+            "seed": 7, "d_min": 3, "d_max": 3, "p_link": 0.75, "taus": [0.5, 0.25],
+            "dt": 0.05, "subsamples": [5, 1], "trials": 2, "hbar": 0.5, "rtol": 1e-8,
+            "real_coupling": False,
+        }
+
     def test_removed_config_keys_exit_2(self, tmp_path):
-        for key, value in (("jobs", 2), ("timing", True)):
+        for key, value in (("jobs", 2), ("timing", True), ("label_rtol", 1e-12),
+                           ("connected_only", False)):
             cfg = tmp_path / f"{key}.json"
             cfg.write_text(json.dumps({"d_max": 2, "trials": 1, key: value}))
             assert run("sweep", "solvability", "--config", cfg, "--out-dir", tmp_path) == 2
+
+    def test_removed_flags_exit_2(self, tmp_path):
+        sweep = ("sweep", "solvability", "--out-dir", tmp_path)
+        for argv in (sweep + ("--label-rtol", 1e-12), sweep + ("--extended",),
+                     sweep + ("--allow-disconnected",),
+                     ("identify", "--trajectory", tmp_path / "t.csv", "--label-rtol", 1e-12)):
+            with pytest.raises(SystemExit) as exc:
+                run(*argv)
+            assert exc.value.code == 2
+
+    def test_wrongly_typed_config_values_exit_2(self, tmp_path, capsys):
+        for key, value in (("d_min", "x"), ("taus", 3), ("trials", True),
+                           ("subsamples", [5.5]), ("real_coupling", "no")):
+            cfg = tmp_path / f"{key}.json"
+            cfg.write_text(json.dumps({"d_max": 2, "trials": 1, key: value}))
+            capsys.readouterr()
+            assert run("sweep", "solvability", "--config", cfg, "--out-dir", tmp_path) == 2
+            assert f"{key} = {json.dumps(value)}" in capsys.readouterr().err
 
     def test_invalid_config_exits_2(self, tmp_path):
         assert run("sweep", "solvability", "--d-min", 5, "--d-max", 2,
@@ -171,6 +204,12 @@ class TestObservability:
         out = capsys.readouterr().out
         assert "observable: no" in out
         assert "rank: 3 of 4" in out
+
+    def test_report_without_m_hat_exits_2(self, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        report.write_text(json.dumps({"outcome": "unique"}))
+        assert run("observability", "--report", report) == 2
+        assert "'m_hat'" in capsys.readouterr().err
 
     def test_posterior_check_from_report(self, tmp_path, capsys):
         h_path = tmp_path / "h.json"

@@ -153,6 +153,18 @@ class TestOutputStacks:
         ys = output_stacks(sampled(np.zeros((2, 2)))[0], identity_initial_batch(2), 3)
         assert np.array_equal(ys[1:], np.broadcast_to(ys[0], (3, 2, 4)))
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_matches_per_power_products(self, d):
+        # the batched product of the Markov parameters with Lambda0 does
+        # the arithmetic of one product per power, so equals it bit for bit
+        rng = np.random.default_rng(50 + d)
+        a, _ = sampled(random_hermitian(rng, d, norm=1.0))
+        for lam0 in (identity_initial_batch(d), physical_initial_batch(d)[0]):
+            g = diagonal_selector(d).astype(complex)
+            for k, y in enumerate(output_stacks(a, lam0, d * d)):
+                assert np.array_equal(y, g @ lam0), k
+                g = g @ a
+
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_matches_unitary_conjugate(self, d):
         # column i of ys[k] is diag(U^k X_i U^-k), X_i = column i of Lambda0

@@ -54,11 +54,14 @@ class TestConfigValidation:
             SweepConfig(p_link=2.0).validated()
 
     def test_connected_with_p_zero(self):
-        cfg = SweepConfig(p_link=0.0, connected_only=True)
-        assert any("connected_only" in e for e in cfg.validate())
+        # sweeps draw connected graphs, and no draw at p = 0 is connected
+        errors = SweepConfig(p_link=0.0).validate()
+        assert len(errors) == 1 and "p_link must be in (0, 1]" in errors[0]
+        assert SweepConfig(p_link=1.0).validate() == []
 
     def test_json_roundtrip(self):
-        cfg = SweepConfig(seed=3, taus=(1.0, 2.0), subsamples=(5, 1), label_rtol=1e-12)
+        cfg = SweepConfig(seed=3, taus=(1.0, 2.0), subsamples=(5, 1), rtol=1e-8,
+                          real_coupling=False)
         back = SweepConfig.from_json(cfg.to_json())
         assert back == cfg
 
