@@ -338,10 +338,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    # a JSONDecodeError is a ValueError: caught here, before the numerical failures
+    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:

@@ -5,12 +5,14 @@ exactly through the eigendecomposition of the (time-independent)
 Hermitian H: one decomposition per trajectory, unitary conjugation per
 sample.  The module also builds the vectorized generator
 L = -(i/hbar) (I kron H - H^T kron I) and its propagator e^(L t),
-samples uniform-grid trajectories, and provides a closed-form time
-integral of rho as an oracle for quadrature-based estimates.
+samples uniform-grid trajectories, and writes the time integral of rho
+in closed form: exactly, as an oracle for quadrature-based estimates, and
+as the composite trapezoid sum that a sampled trajectory would give.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,6 +178,28 @@ def propagate(h: np.ndarray, rho0: np.ndarray, t: float, hbar: float = 1.0) -> n
     return 0.5 * (rho_t + rho_t.conj().T)
 
 
+def _eigenbasis(h: np.ndarray, rho0: np.ndarray):
+    """The checked rho0, the eigenvalues w and eigenvectors V of H, and
+    rho0 in that eigenbasis, V-dagger rho0 V; raises ValueError on an
+    invalid rho0 or one whose shape does not match H."""
+    rho0 = check_density(rho0, "rho0")
+    h = hermitize(h)
+    d = h.shape[0]
+    if rho0.shape != (d, d):
+        raise ValueError(f"rho0 shape {rho0.shape} does not match H dimension {d}")
+    w, v = np.linalg.eigh(h)
+    return rho0, w, v, v.conj().T @ rho0 @ v
+
+
+def check_subsample(n_s: int, subsample: int) -> None:
+    """Raise ValueError unless ``subsample`` is a positive divisor of the
+    number of sampling intervals ``n_s``."""
+    if subsample < 1:
+        raise ValueError("subsample must be a positive integer")
+    if n_s % subsample != 0:
+        raise ValueError(f"subsample {subsample} does not divide n_s = {n_s}")
+
+
 def sample_trajectory(
     h: np.ndarray, rho0: np.ndarray, tau: float, dt: float, hbar: float = 1.0
 ) -> Trajectory:
@@ -189,14 +213,9 @@ def sample_trajectory(
     keep the batch temporaries in cache).
     """
     times = sample_times(tau, dt)
-    rho0 = check_density(rho0, "rho0")
-    h = hermitize(h)
-    d = h.shape[0]
-    if rho0.shape != (d, d):
-        raise ValueError(f"rho0 shape {rho0.shape} does not match H dimension {d}")
-    w, v = np.linalg.eigh(h)
+    rho0, w, v, rho_eig = _eigenbasis(h, rho0)
     vh = v.conj().T
-    rho_eig = vh @ rho0 @ v
+    d = len(w)
     # every sample, the last too, is propagated to k*dt: it differs from
     # times[-1] = tau only within the grid tolerance
     k_dt = np.arange(len(times)) * dt
@@ -210,6 +229,30 @@ def sample_trajectory(
     return Trajectory(times=times, states=states)
 
 
+def _mode_factors(omega: np.ndarray, tau: float, step=None) -> np.ndarray:
+    """Weight of each eigenmode exp(-i omega t) in the integral of rho_t.
+
+    Without ``step`` this is the integral over [0, tau],
+    (exp(-i omega tau) - 1)/(-i omega).  With a step tau/N (a scalar, or
+    an array broadcasting against ``omega``), it is the composite
+    trapezoid sum on the grid t_m = m*step, m = 0..N: a geometric series,
+    (step/2) (1 - exp(-i omega tau)) (-i cot(omega step/2)), which is the
+    integral's weight with -i omega replaced by -(2i/step) tan(omega step/2).
+    Both weights tend to tau at their removable singularities, where
+    |omega tau| < OMEGA_TAU_TOL takes the limit.  The trapezoid sum sees
+    omega only modulo 2 pi/step, so its test applies to the alias of omega
+    nearest zero: on a nonzero alias both factors of the formula vanish,
+    each to its own rounding error, and their ratio is noise.
+    """
+    near = omega
+    if step is not None:
+        near = omega - (2 * np.pi / step) * np.round(omega * step / (2 * np.pi))
+    small = np.abs(near * tau) < OMEGA_TAU_TOL
+    omega = np.where(small, 1.0, omega)
+    rate = -1j * omega if step is None else (-2j / step) * np.tan(0.5 * step * omega)
+    return np.where(small, tau, (np.exp(-1j * omega * tau) - 1.0) / rate)
+
+
 def exact_gram(h: np.ndarray, rho0: np.ndarray, tau: float, hbar: float = 1.0) -> np.ndarray:
     """Closed form of the time integral of rho_t over [0, tau].
 
@@ -221,15 +264,42 @@ def exact_gram(h: np.ndarray, rho0: np.ndarray, tau: float, hbar: float = 1.0) -
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    rho0 = check_density(rho0, "rho0")
-    w, v = np.linalg.eigh(hermitize(h))
-    rho_eig = v.conj().T @ rho0 @ v
-    omega = (w[:, None] - w[None, :]) / hbar
-    small = np.abs(omega * tau) < OMEGA_TAU_TOL
-    omega_safe = np.where(small, 1.0, omega)
-    factor = np.where(small, tau, (np.exp(-1j * omega * tau) - 1.0) / (-1j * omega_safe))
-    p = v @ (rho_eig * factor) @ v.conj().T
+    _, w, v, rho_eig = _eigenbasis(h, rho0)
+    p = v @ (rho_eig * _mode_factors((w[:, None] - w[None, :]) / hbar, tau)) @ v.conj().T
     return 0.5 * (p + p.conj().T)
+
+
+def trapezoid_grams(
+    h: np.ndarray,
+    rho0: np.ndarray,
+    tau: float,
+    dt: float,
+    subsamples: Sequence[int],
+    hbar: float = 1.0,
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The endpoint state and the trapezoid integrals of a trajectory,
+    without sampling it.
+
+    Returns rho_t at t = n*dt, the last sample of ``sample_trajectory(h,
+    rho0, tau, dt, hbar)``, and for each divisor s of ``subsamples`` the
+    composite trapezoid integral that ``build_P_trapezoid`` takes of that
+    trajectory at subsample s: the sum on n/s panels of step s*dt, as
+    V (rho~ * T) V-dagger with the closed-form weights of ``_mode_factors``.
+    One eigendecomposition of H serves every divisor; the cost is O(d^3)
+    per divisor instead of O(n d^3).  Raises ValueError as
+    ``sample_trajectory`` and ``build_P_trapezoid`` would.
+    """
+    n = len(sample_times(tau, dt)) - 1
+    for subsample in subsamples:
+        check_subsample(n, subsample)
+    _, w, v, rho_eig = _eigenbasis(h, rho0)
+    vh = v.conj().T
+    phase = np.exp(-1j * w * (n * dt / hbar))
+    rho_end = v @ (np.outer(phase, phase.conj()) * rho_eig) @ vh
+    steps = np.array([tau / (n // s) for s in subsamples])[:, None, None]
+    p = v @ (rho_eig * _mode_factors((w[:, None] - w[None, :]) / hbar, tau, steps)) @ vh
+    p = 0.5 * (p + p.conj().transpose(0, 2, 1))
+    return 0.5 * (rho_end + rho_end.conj().T), list(p)
 
 
 # ---------------------------------------------------------------------------

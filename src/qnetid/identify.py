@@ -66,7 +66,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import Trajectory
+from .dynamics import Trajectory, check_subsample
 from .linalg import (
     ABS_FLOOR,
     DEFAULT_RTOL,
@@ -209,11 +209,8 @@ def build_P_trapezoid(traj: Trajectory, subsample: int = 1) -> np.ndarray:
     quadrature then runs on the coarser uniform grid with
     n~ = n_s/subsample panels, endpoints always included.
     """
-    if subsample < 1:
-        raise ValueError("subsample must be a positive integer")
     n_s = traj.n_samples
-    if n_s % subsample != 0:
-        raise ValueError(f"subsample {subsample} does not divide n_s = {n_s}")
+    check_subsample(n_s, subsample)
     sub = traj.states[::subsample]
     h = traj.tau / (n_s // subsample)
     p = h * (sub.sum(axis=0) - 0.5 * sub[0] - 0.5 * sub[-1])

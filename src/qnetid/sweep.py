@@ -10,10 +10,13 @@ reproducible in isolation and cells can run in any order without
 changing a single record.
 
 The seeds ignore n~, so the cells of one (d, tau) row share their
-networks: each network is drawn and simulated once per row and its one
-trajectory is identified at every subsample divisor.  The result keeps
-every trial's label and error next to the cell records they aggregate
-to.
+networks: each network is drawn once per row and its Hamiltonian
+decomposed once.  No trajectory is sampled: the trapezoid integral P at
+every subsample divisor and the endpoint state behind Q come in closed
+form from that one eigendecomposition (``dynamics.trapezoid_grams``),
+equal to what sampling the trajectory and summing it would give.  The
+result keeps every trial's label and error next to the cell records
+they aggregate to.
 """
 
 from __future__ import annotations
@@ -25,10 +28,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .identify import build_P_trapezoid, build_Q, solve_commutator
+from .identify import build_Q, solve_commutator
 from .linalg import spectral_norm
 from .netmodel import basis_density, connected_erdos_renyi, derive_seed
-from .dynamics import sample_times, sample_trajectory
+from .dynamics import sample_times, trapezoid_grams
 
 CSV_HEADER = "d,tau,n_tilde,trials,solvability_mean,eps_median,eps_q1,eps_q3,seed"
 
@@ -123,6 +126,9 @@ class SweepConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SweepConfig":
+        if not isinstance(obj, dict):
+            raise ConfigError(f"a sweep config is a JSON object, got {type(obj).__name__} "
+                              f"{json.dumps(obj)[:60]}")
         unknown = set(obj) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -226,27 +232,27 @@ def run_benchmark_trial(
     trial_seed: int,
     cfg: SweepConfig,
 ) -> list[tuple[int, float | None]]:
-    """One seeded network draw and simulation, identified at every divisor.
+    """One seeded network draw, identified at every divisor.
 
-    The network is drawn and simulated once, and Q (from the trajectory's
-    endpoints) and the ground truth's norm are computed once; the
-    trajectory is then identified at each divisor of ``subsamples``, as
+    The network is drawn and its Hamiltonian decomposed once
+    (``trapezoid_grams``): that gives the state at tau, hence Q, and the
+    trapezoid P of every divisor of ``subsamples`` in closed form, the
+    values that sampling the trajectory on the ``cfg.dt`` grid and
+    applying ``build_P_trapezoid`` would give, without the samples.  The
+    ground truth's norm is also computed once.  Each P is solved as
     ``identify_topology`` would.  Returns one (solvability label,
     relative error or None) per divisor, in the given order.  The error
     is reported only for solvable trials with a nonzero ground truth.
     """
     adjacency, rho0 = benchmark_network(d, trial_seed, cfg)
-    traj = sample_trajectory(adjacency.astype(complex), rho0, tau, cfg.dt, cfg.hbar)
-    q = build_Q(traj.states[0], traj.states[-1], hbar=cfg.hbar)
+    rho_tau, grams = trapezoid_grams(
+        adjacency.astype(complex), rho0, tau, cfg.dt, subsamples, cfg.hbar
+    )
+    q = build_Q(rho0, rho_tau, hbar=cfg.hbar)
     scale = spectral_norm(adjacency)
     out = []
-    for subsample in subsamples:
-        report = solve_commutator(
-            build_P_trapezoid(traj, subsample=subsample),
-            q,
-            rtol=cfg.rtol,
-            real_coupling=cfg.real_coupling,
-        )
+    for p in grams:
+        report = solve_commutator(p, q, rtol=cfg.rtol, real_coupling=cfg.real_coupling)
         label = report.solvability
         eps = None
         if label == 1 and scale > 0.0:
@@ -267,7 +273,7 @@ def _run_row(cfg: SweepConfig, d: int, tau: float) -> tuple[list[CellRecord], li
     divisors descending.
 
     The trial seeds are independent of n~, so each trial's network is
-    drawn and simulated once and identified at every divisor.
+    drawn and decomposed once and identified at every divisor.
     """
     subsamples = sorted(cfg.subsamples, reverse=True)
     seeds = [derive_seed(cfg.seed, d, tau, trial) for trial in range(cfg.trials)]

@@ -170,6 +170,24 @@ class TestSweepPlot:
             assert run("sweep", "solvability", "--config", cfg, "--out-dir", tmp_path) == 2
             assert f"{key} = {json.dumps(value)}" in capsys.readouterr().err
 
+    def test_config_not_an_object_exits_2(self, tmp_path, capsys):
+        for value, type_name in ((3, "int"), ([{"a": 1}], "list")):
+            cfg = tmp_path / f"{type_name}.json"
+            cfg.write_text(json.dumps(value))
+            capsys.readouterr()
+            assert run("sweep", "error", "--config", cfg, "--out-dir", tmp_path) == 2
+            assert f"got {type_name}" in capsys.readouterr().err
+
+    def test_unparsable_json_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"d_max": 2,')
+        for argv in (("sweep", "solvability", "--config", bad, "--out-dir", tmp_path),
+                     ("observability", "--report", bad),
+                     ("observability", "--hamiltonian", bad)):
+            capsys.readouterr()
+            assert run(*argv) == 2
+            assert "configuration error" in capsys.readouterr().err
+
     def test_invalid_config_exits_2(self, tmp_path):
         assert run("sweep", "solvability", "--d-min", 5, "--d-max", 2,
                    "--out-dir", tmp_path) == 2

@@ -11,10 +11,11 @@ from qnetid.dynamics import (
     read_trajectory_csv,
     sample_times,
     sample_trajectory,
+    trapezoid_grams,
     unitary_conjugate,
     write_trajectory_csv,
 )
-from qnetid.identify import identify_topology
+from qnetid.identify import build_P_trapezoid, identify_topology
 from qnetid.linalg import spectral_norm, vec
 from qnetid.sweep import SweepConfig, benchmark_network
 
@@ -275,6 +276,56 @@ class TestExactGram:
         p = exact_gram(h, random_density(rng, 4), 2.0)
         assert np.array_equal(p, p.conj().T)
         assert np.linalg.eigvalsh(p)[0] >= -1e-10
+
+
+def closed_form_case(kind, d, rng):
+    """(H, rho0) of one closed-form case: a generic H; a diagonal H whose
+    eigenvalues are 5 pi times 0, 1 or 2, so its frequencies repeat,
+    include zero and, on the panels of width 0.2, fall on the alias
+    2 pi/0.2 of zero and on the Nyquist frequency pi/0.2; or a complete
+    graph, whose eigenvalue -1 has multiplicity d - 1."""
+    if kind == "generic":
+        h = random_hermitian(rng, d, norm=3.0)
+    elif kind == "diagonal":
+        h = np.diag(5 * np.pi * (np.arange(d) % 3)).astype(complex)
+    else:
+        h = (np.ones((d, d)) - np.eye(d)).astype(complex)
+    return h, random_density(rng, d)
+
+
+class TestTrapezoidGrams:
+    #: (tau, dt, subsamples): the sweep's grid, and a coarse one on which
+    #: one panel spans up to 2 time units, so |omega| h exceeds pi
+    GRIDS = ((3.0, 0.01, (20, 10, 5, 1)), (2.0, 0.25, (8, 4, 2, 1)))
+
+    @pytest.mark.parametrize("d", [2, 5, 12, 30])
+    @pytest.mark.parametrize("kind", ["generic", "diagonal", "complete"])
+    def test_equals_sampled_trapezoid(self, d, kind):
+        rng = np.random.default_rng(d)
+        h, rho0 = closed_form_case(kind, d, rng)
+        w = np.linalg.eigvalsh(h)
+        for tau, dt, subsamples in self.GRIDS:
+            traj = sample_trajectory(h, rho0, tau, dt)
+            rho_end, grams = trapezoid_grams(h, rho0, tau, dt, subsamples)
+            end = traj.states[-1]
+            assert spectral_norm(rho_end - end) <= 1e-13 * spectral_norm(end)
+            assert len(grams) == len(subsamples)
+            for sub, p in zip(subsamples, grams):
+                ref = build_P_trapezoid(traj, subsample=sub)
+                assert spectral_norm(p - ref) <= 1e-13 * spectral_norm(ref), (tau, sub)
+                assert np.array_equal(p, p.conj().T)
+        # the coarse grid aliases: some frequency exceeds pi per panel
+        assert (w[-1] - w[0]) * 2.0 > np.pi
+
+    def test_rejects_what_sampling_rejects(self):
+        with pytest.raises(ValueError, match="not a positive integer"):
+            trapezoid_grams(SX, E1, 1.0, 0.3, (1,))
+        with pytest.raises(ValueError, match="does not divide"):
+            trapezoid_grams(SX, E1, 1.0, 0.01, (20, 7))
+        with pytest.raises(ValueError, match="positive integer"):
+            trapezoid_grams(SX, E1, 1.0, 0.01, (0,))
+        with pytest.raises(ValueError, match="does not match"):
+            trapezoid_grams(SX, np.eye(3) / 3, 1.0, 0.01, (1,))
 
 
 class TestTrajectory:

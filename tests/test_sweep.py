@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import qnetid.sweep
-from qnetid.dynamics import sample_trajectory
+from qnetid.dynamics import trapezoid_grams
 from qnetid.netmodel import derive_seed
 from qnetid.sweep import (
     CSV_HEADER,
@@ -89,7 +89,7 @@ class TestTrial:
                 assert eps is None
 
     def test_one_result_per_divisor_in_order(self):
-        # one simulation serves every divisor: the results are those of
+        # one decomposition serves every divisor: the results are those of
         # single-divisor trials on the same seed, in the given order
         both = run_benchmark_trial(4, 1.0, (1, 20), 3, TINY)
         assert both == [run_benchmark_trial(4, 1.0, (sub,), 3, TINY)[0] for sub in (1, 20)]
@@ -150,17 +150,19 @@ class TestSweep:
 
     @pytest.mark.parametrize("subsamples", [(1,), (20, 10, 5, 1)])
     def test_one_simulation_per_network(self, monkeypatch, subsamples):
+        # one closed-form call per network serves every divisor
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return sample_trajectory(*args, **kwargs)
+            return trapezoid_grams(*args, **kwargs)
 
-        monkeypatch.setattr(qnetid.sweep, "sample_trajectory", counting)
+        monkeypatch.setattr(qnetid.sweep, "trapezoid_grams", counting)
         cfg = TINY.override(taus=(1.0, 2.0), subsamples=subsamples, trials=3)
         res = run_sweep(cfg)
         assert len(res.records) == len(cfg.d_values) * len(cfg.taus) * len(subsamples)
         assert len(calls) == cfg.trials * len(cfg.d_values) * len(cfg.taus)
+        assert all(tuple(args[4]) == tuple(sorted(subsamples, reverse=True)) for args in calls)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
