@@ -24,7 +24,7 @@ from .dynamics import (
     write_trajectory_csv,
 )
 from .identify import identify_topology
-from .linalg import hermitize, load_matrix, matrix_from_json, save_matrix, spectral_norm
+from .linalg import hermitize, matrix_from_json, save_matrix, spectral_norm
 from .netmodel import basis_density, connected_erdos_renyi, erdos_renyi
 from .partialinfo import (
     extract_hamiltonian,
@@ -146,8 +146,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_json(path):
+    """Parse a JSON input file; one that does not parse is a ConfigError
+    that names the file."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _load_hermitian(path) -> np.ndarray:
-    return hermitize(load_matrix(path))
+    return hermitize(matrix_from_json(_load_json(path)))
 
 
 def _cmd_simulate(args) -> int:
@@ -162,7 +172,7 @@ def _cmd_simulate(args) -> int:
         h = draw(args.er_d, args.er_p, np.random.default_rng(args.seed)).astype(complex)
     d = h.shape[0]
     if args.rho0:
-        rho0 = load_matrix(args.rho0)
+        rho0 = matrix_from_json(_load_json(args.rho0))
     else:
         node = 1 if args.excite_node is None else args.excite_node
         rho0 = basis_density(d, node)
@@ -201,11 +211,7 @@ def _cmd_identify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.config:
-        with open(args.config) as fh:
-            cfg = SweepConfig.from_json(json.load(fh))
-    else:
-        cfg = SweepConfig()
+    cfg = SweepConfig.from_json(_load_json(args.config)) if args.config else SweepConfig()
     cfg = cfg.override(
         real_coupling=False if args.general_coupling else None,
         **{f: getattr(args, f) for f in _SWEEP_OVERRIDES},
@@ -227,8 +233,7 @@ def _cmd_observability(args) -> int:
         h = _load_hermitian(args.hamiltonian)
         source = args.hamiltonian
     else:
-        with open(args.report) as fh:
-            report = json.load(fh)
+        report = _load_json(args.report)
         if "m_hat" not in report:
             raise ConfigError(f"{args.report} is not an identification report: no 'm_hat' key")
         h = hermitize(matrix_from_json(report["m_hat"]))
@@ -338,8 +343,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    # a JSONDecodeError is a ValueError: caught here, before the numerical failures
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:

@@ -8,10 +8,14 @@ L = -(i/hbar) (I kron H - H^T kron I) and its propagator e^(L t),
 samples uniform-grid trajectories, and writes the time integral of rho
 in closed form: exactly, as an oracle for quadrature-based estimates, and
 as the composite trapezoid sum that a sampled trajectory would give.
+Both weigh each eigenmode by a sinc, accurate to round-off at every
+frequency, zero and its aliases included.  Trajectory CSVs are written
+by ``np.savetxt`` and read by ``np.loadtxt``, one call each.
 """
 
 from __future__ import annotations
 
+import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -23,9 +27,6 @@ from .linalg import ABS_FLOOR, HERMITIAN_RTOL, hermitize
 PSD_TOL = 1e-10
 #: tolerated trace deviation on density operators
 TRACE_TOL = 1e-10
-#: |omega * tau| below this uses the linear-in-tau limit of the
-#: oscillatory integral (removable singularity of the ratio formula)
-OMEGA_TAU_TOL = 1e-8
 #: samples per batched matmul in ``sample_trajectory``; one batch over
 #: all samples is slower at d = 30 because its temporaries leave the cache
 SAMPLE_BLOCK = 16
@@ -233,24 +234,22 @@ def _mode_factors(omega: np.ndarray, tau: float, step=None) -> np.ndarray:
     """Weight of each eigenmode exp(-i omega t) in the integral of rho_t.
 
     Without ``step`` this is the integral over [0, tau],
-    (exp(-i omega tau) - 1)/(-i omega).  With a step tau/N (a scalar, or
-    an array broadcasting against ``omega``), it is the composite
-    trapezoid sum on the grid t_m = m*step, m = 0..N: a geometric series,
-    (step/2) (1 - exp(-i omega tau)) (-i cot(omega step/2)), which is the
-    integral's weight with -i omega replaced by -(2i/step) tan(omega step/2).
-    Both weights tend to tau at their removable singularities, where
-    |omega tau| < OMEGA_TAU_TOL takes the limit.  The trapezoid sum sees
-    omega only modulo 2 pi/step, so its test applies to the alias of omega
-    nearest zero: on a nonzero alias both factors of the formula vanish,
-    each to its own rounding error, and their ratio is noise.
+    (exp(-i omega tau) - 1)/(-i omega) = tau sinc(omega tau/2) exp(-i omega tau/2)
+    with sinc(x) = sin(x)/x.  With a step h = tau/N (a scalar, or an array
+    broadcasting against ``omega``), it is the composite trapezoid sum on
+    the grid t_m = m*h, m = 0..N: a geometric series that, with
+    x = omega h/2, sums to tau cos(x) sinc(N x)/sinc(x) exp(-i N x).  That
+    sum is periodic in x with period pi, so x is first reduced to
+    [-pi/2, pi/2], where sinc(x) >= 2/pi.  Neither form subtracts nearly
+    equal numbers, so both stay accurate to round-off through omega = 0
+    and, for the trapezoid, through every alias 2 pi m/h of zero.
     """
-    near = omega
-    if step is not None:
-        near = omega - (2 * np.pi / step) * np.round(omega * step / (2 * np.pi))
-    small = np.abs(near * tau) < OMEGA_TAU_TOL
-    omega = np.where(small, 1.0, omega)
-    rate = -1j * omega if step is None else (-2j / step) * np.tan(0.5 * step * omega)
-    return np.where(small, tau, (np.exp(-1j * omega * tau) - 1.0) / rate)
+    if step is None:
+        return tau * np.sinc(omega * tau / (2 * np.pi)) * np.exp(-0.5j * omega * tau)
+    n = np.round(tau / step)
+    x = 0.5 * step * omega
+    x = x - np.pi * np.round(x / np.pi)
+    return tau * np.cos(x) * np.sinc(n * x / np.pi) / np.sinc(x / np.pi) * np.exp(-1j * n * x)
 
 
 def exact_gram(h: np.ndarray, rho0: np.ndarray, tau: float, hbar: float = 1.0) -> np.ndarray:
@@ -307,29 +306,22 @@ def trapezoid_grams(
 # column-major (i, j) order; one row per sample; 17 significant digits
 # ---------------------------------------------------------------------------
 
-def _entry_order(d: int):
-    return [(i, j) for j in range(d) for i in range(d)]
-
-
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     d = traj.dim
-    cols = ["t"]
-    for i, j in _entry_order(d):
-        cols.append(f"re_{i + 1}_{j + 1}")
-        cols.append(f"im_{i + 1}_{j + 1}")
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        for t, st in zip(traj.times, traj.states):
-            row = [f"{t:.17g}"]
-            for i, j in _entry_order(d):
-                row.append(f"{st[i, j].real:.17g}")
-                row.append(f"{st[i, j].imag:.17g}")
-            fh.write(",".join(row) + "\n")
+    header = ",".join(["t"] + [f"{part}_{i}_{j}" for j in range(1, d + 1)
+                               for i in range(1, d + 1) for part in ("re", "im")])
+    # entry (i, j) of state k is flat[k, j, i]; the float view of a row
+    # interleaves the real and imaginary parts of its entries
+    flat = np.ascontiguousarray(traj.states.transpose(0, 2, 1), dtype=complex)
+    rows = np.column_stack([traj.times, flat.reshape(len(traj.times), -1).view(float)])
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def read_trajectory_csv(path) -> Trajectory:
     """Parse a trajectory CSV; raises ValueError on malformed input.
 
+    The data rows are read by ``np.loadtxt``: blank lines are skipped,
+    and a ragged row, a non-numeric field or a ``#`` line is an error.
     Every entry must be finite.  The times are checked by ``Trajectory``:
     at least two, strictly increasing and uniform to ``GRID_RTOL``
     relative.  Every state must have trace 1 to ``TRACE_TOL`` and
@@ -344,36 +336,34 @@ def read_trajectory_csv(path) -> Trajectory:
         d = int(round(np.sqrt((len(header) - 1) / 2)))
         if 2 * d * d + 1 != len(header):
             raise ValueError("trajectory CSV header does not describe a square matrix")
-        times = []
-        states = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            vals = [float(x) for x in line.split(",")]
-            if len(vals) != len(header):
-                raise ValueError("trajectory CSV row length mismatch")
-            times.append(vals[0])
-            flat = np.asarray(vals[1::2]) + 1j * np.asarray(vals[2::2])
-            states.append(flat.reshape((d, d), order="F"))
-    states = np.asarray(states)
-    finite = np.isfinite(times) & np.isfinite(states.reshape(len(times), d * d)).all(axis=1)
+        with warnings.catch_warnings():
+            # numpy warns on a header without data rows; Trajectory then
+            # rejects it for having fewer than two samples
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+    if rows.size and rows.shape[1] != len(header):
+        raise ValueError("trajectory CSV row length mismatch")
+    finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         k = int(np.argmin(finite))
-        raise ValueError(f"trajectory CSV data row {k + 1} (t = {times[k]!r}) "
+        raise ValueError(f"trajectory CSV data row {k + 1} (t = {float(rows[k, 0])!r}) "
                          "has a NaN or infinite entry")
-    traj = Trajectory(times=np.asarray(times), states=states)
+    times = np.ascontiguousarray(rows[:, 0])
+    flat = rows[:, 1::2] + 1j * rows[:, 2::2]
+    states = np.ascontiguousarray(flat.reshape(-1, d, d).transpose(0, 2, 1))
+    traj = Trajectory(times=times, states=states)
     traces = np.trace(traj.states, axis1=1, axis2=2)
     off_trace = np.abs(traces - 1.0) > TRACE_TOL
     if off_trace.any():
         k = int(np.argmax(off_trace))
-        raise ValueError(f"state at t = {times[k]!r} has trace {complex(traces[k])}, expected 1")
+        raise ValueError(f"state at t = {float(times[k])!r} has trace "
+                         f"{complex(traces[k])}, expected 1")
     asym = np.linalg.norm(traj.states - traj.states.conj().transpose(0, 2, 1), axis=(1, 2))
     rel_asym = asym / np.maximum(np.linalg.norm(traj.states, axis=(1, 2)), ABS_FLOOR)
     if np.any(rel_asym > HERMITIAN_RTOL):
         k = int(np.argmax(rel_asym))
         raise ValueError(
-            f"state at t = {times[k]!r} is not Hermitian: relative asymmetry "
+            f"state at t = {float(times[k])!r} is not Hermitian: relative asymmetry "
             f"{rel_asym[k]:.3e} exceeds {HERMITIAN_RTOL:.1e}"
         )
     return traj

@@ -296,10 +296,9 @@ def write_output_batch(
     for idx, (label, times, ys) in enumerate(runs, start=1):
         ys = np.asarray(ys)
         name = f"output_{idx:03d}.csv"
-        with open(out_dir / name, "w", newline="") as fh:
-            fh.write("t," + ",".join(f"y_{i + 1}" for i in range(ys.shape[1])) + "\n")
-            for t, row in zip(times, ys):
-                fh.write(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+        header = ",".join(["t"] + [f"y_{i + 1}" for i in range(ys.shape[1])])
+        np.savetxt(out_dir / name, np.column_stack([times, ys]), fmt="%.17g", delimiter=",",
+                   header=header, comments="")
         files[str(idx)] = name
         labels[str(idx)] = label
     manifest = {

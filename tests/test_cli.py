@@ -178,16 +178,6 @@ class TestSweepPlot:
             assert run("sweep", "error", "--config", cfg, "--out-dir", tmp_path) == 2
             assert f"got {type_name}" in capsys.readouterr().err
 
-    def test_unparsable_json_exits_2(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"d_max": 2,')
-        for argv in (("sweep", "solvability", "--config", bad, "--out-dir", tmp_path),
-                     ("observability", "--report", bad),
-                     ("observability", "--hamiltonian", bad)):
-            capsys.readouterr()
-            assert run(*argv) == 2
-            assert "configuration error" in capsys.readouterr().err
-
     def test_invalid_config_exits_2(self, tmp_path):
         assert run("sweep", "solvability", "--d-min", 5, "--d-max", 2,
                    "--out-dir", tmp_path) == 2
@@ -334,3 +324,27 @@ class TestDecompose:
 
     def test_bad_index_exits_3(self, tmp_path):
         assert run("decompose", "--dim", 3, "--k", 0, "--j", 2) == 3
+
+
+class TestJsonInputs:
+    @pytest.mark.parametrize("flag", ["--config", "--report", "--hamiltonian", "--truth",
+                                      "--h0", "--rho0"])
+    def test_unparsable_json_names_the_file(self, tmp_path, capsys, flag):
+        good, bad, traj = tmp_path / "h.json", tmp_path / "bad.json", tmp_path / "t.csv"
+        save_matrix(good, SX)
+        bad.write_text('{"d_max": 2,')
+        assert run("simulate", "--hamiltonian", good, "--tau", 1.0, "--dt", 0.1,
+                   "--out", traj) == 0
+        argv = {
+            "--config": ("sweep", "solvability", "--out-dir", tmp_path),
+            "--report": ("observability",),
+            "--hamiltonian": ("observability",),
+            "--truth": ("identify", "--trajectory", traj),
+            "--h0": ("identify", "--trajectory", traj),
+            "--rho0": ("simulate", "--hamiltonian", good, "--tau", 1.0, "--dt", 0.1,
+                       "--out", traj),
+        }[flag]
+        capsys.readouterr()
+        assert run(*argv, flag, bad) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {bad}: Expecting property name")

@@ -317,6 +317,21 @@ class TestTrapezoidGrams:
         # the coarse grid aliases: some frequency exceeds pi per panel
         assert (w[-1] - w[0]) * 2.0 > np.pi
 
+    @pytest.mark.parametrize("m", [0, 1])
+    @pytest.mark.parametrize("r", [1e-6, 1e-8, 1e-9, 1e-10])
+    def test_near_zero_and_near_alias(self, m, r):
+        # the frequency pi (m + r) lies within pi r of zero (m = 0) or of its
+        # alias 2 pi/h = pi on panels of width h = 2 (m = 1): a weight that
+        # cancels there used to lose up to 4e-8 relative
+        h = np.diag([0.0, np.pi * (m + r)]).astype(complex)
+        plus = np.full((2, 2), 0.5, dtype=complex)
+        subsamples = (2, 1)
+        traj = sample_trajectory(h, plus, 20.0, 1.0)
+        _, grams = trapezoid_grams(h, plus, 20.0, 1.0, subsamples)
+        for sub, p in zip(subsamples, grams):
+            ref = build_P_trapezoid(traj, subsample=sub)
+            assert spectral_norm(p - ref) <= 1e-13 * spectral_norm(ref), sub
+
     def test_rejects_what_sampling_rejects(self):
         with pytest.raises(ValueError, match="not a positive integer"):
             trapezoid_grams(SX, E1, 1.0, 0.3, (1,))
@@ -359,10 +374,42 @@ class TestTrajectoryCsv:
         assert header == "t,re_1_1,im_1_1,re_2_1,im_2_1,re_1_2,im_1_2,re_2_2,im_2_2"
 
     def test_rejects_malformed(self, tmp_path):
+        # the last three fail in np.loadtxt, whose messages are its own
+        header = "t,re_1_1,im_1_1\n"
+        cases = (
+            ("x,y\n1,2\n", "header"),
+            (header, "at least two samples"),
+            (header + "0,1\n0.5,1\n", "row length mismatch"),
+            (header + "0,1,0\n0.5,1\n", None),
+            (header + "0,1,0\n0.5,one,0\n", None),
+            (header + "# comment\n0,1,0\n0.5,1,0\n", None),
+        )
         bad = tmp_path / "bad.csv"
-        bad.write_text("x,y\n1,2\n")
-        with pytest.raises(ValueError):
-            read_trajectory_csv(bad)
+        for text, message in cases:
+            bad.write_text(text)
+            with pytest.raises(ValueError, match=message):
+                read_trajectory_csv(bad)
+
+    def test_accepts_blank_lines_and_crlf(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        path.write_bytes(b"t,re_1_1,im_1_1\r\n\r\n0,1,0\r\n\n0.5,1,0\r\n\n")
+        back = read_trajectory_csv(path)
+        assert np.array_equal(back.times, [0.0, 0.5])
+        assert np.array_equal(back.states, np.ones((2, 1, 1)))
+
+    def test_on_disk_text(self, tmp_path):
+        # a shifted start time, signed zeros, a subnormal and 1e-05, which
+        # 17 significant digits write with its rounding error
+        states = np.array([[[1.0, complex(1e-5, 5e-324)], [complex(1e-5, -5e-324), 0.0]],
+                           [[0.5, complex(-0.0, 0.5)], [complex(-0.0, -0.5), 0.5]]])
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(Trajectory(times=np.array([0.25, 1.25]), states=states), path)
+        assert path.read_bytes() == (
+            b"t,re_1_1,im_1_1,re_2_1,im_2_1,re_1_2,im_1_2,re_2_2,im_2_2\n"
+            b"0.25,1,0,1.0000000000000001e-05,-4.9406564584124654e-324,"
+            b"1.0000000000000001e-05,4.9406564584124654e-324,0,0\n"
+            b"1.25,0.5,0,-0,-0.5,-0,0.5,0.5,0\n"
+        )
 
     def test_shifted_times_keep_window(self, tmp_path):
         traj = sample_trajectory(SX, E1, 0.4, 0.1)

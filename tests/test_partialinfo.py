@@ -402,3 +402,14 @@ class TestOutputBatchFiles:
         write_output_batch(tmp_path / "b", [("node_1", times, ys)], np.eye(9, dtype=complex))
         header = (tmp_path / "b" / "output_001.csv").read_text().splitlines()[0]
         assert header == "t,y_1,y_2,y_3"
+
+    def test_on_disk_text(self, tmp_path):
+        # a signed zero, a subnormal and 1e-05, as in the trajectory CSV
+        ys = np.array([[1.0, -0.0], [5e-324, 1e-5]])
+        write_output_batch(tmp_path / "b", [("node_1", np.array([0.0, 0.5]), ys)],
+                           np.eye(4, dtype=complex))
+        assert (tmp_path / "b" / "output_001.csv").read_bytes() == (
+            b"t,y_1,y_2\n"
+            b"0,1,-0\n"
+            b"0.5,4.9406564584124654e-324,1.0000000000000001e-05\n"
+        )
