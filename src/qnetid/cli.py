@@ -156,8 +156,22 @@ def _load_json(path):
             raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _load_hermitian(path) -> np.ndarray:
-    return hermitize(matrix_from_json(_load_json(path)))
+def _load_matrix(path, key=None) -> np.ndarray:
+    """The matrix object of a JSON file, or the one under ``key`` of its
+    object; a file that holds none is a ConfigError that names it."""
+    obj = _load_json(path)
+    if key is not None:
+        if not isinstance(obj, dict) or key not in obj:
+            raise ConfigError(f"{path} is not an identification report: no {key!r} key")
+        obj = obj[key]
+    try:
+        return matrix_from_json(obj)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _load_hermitian(path, key=None) -> np.ndarray:
+    return hermitize(_load_matrix(path, key))
 
 
 def _cmd_simulate(args) -> int:
@@ -172,7 +186,7 @@ def _cmd_simulate(args) -> int:
         h = draw(args.er_d, args.er_p, np.random.default_rng(args.seed)).astype(complex)
     d = h.shape[0]
     if args.rho0:
-        rho0 = matrix_from_json(_load_json(args.rho0))
+        rho0 = _load_matrix(args.rho0)
     else:
         node = 1 if args.excite_node is None else args.excite_node
         rho0 = basis_density(d, node)
@@ -233,10 +247,7 @@ def _cmd_observability(args) -> int:
         h = _load_hermitian(args.hamiltonian)
         source = args.hamiltonian
     else:
-        report = _load_json(args.report)
-        if "m_hat" not in report:
-            raise ConfigError(f"{args.report} is not an identification report: no 'm_hat' key")
-        h = hermitize(matrix_from_json(report["m_hat"]))
+        h = _load_hermitian(args.report, "m_hat")
         source = f"{args.report} (reconstructed estimate)"
     a = propagator(h, sampling_period(h, args.hbar), args.hbar)
     rank, observable = observability_rank(a, args.rtol)

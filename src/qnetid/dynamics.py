@@ -317,11 +317,25 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
+def _bad_data_row(lines, width: int) -> str:
+    """The first non-blank line of ``lines`` that is not ``width`` numbers,
+    numbered as ``np.loadtxt`` numbers the data rows."""
+    for k, line in enumerate(filter(None, (ln.rstrip("\r\n") for ln in lines)), start=1):
+        try:
+            numbers = [float(f) for f in line.split(",")]
+        except ValueError:
+            numbers = []
+        if len(numbers) != width:
+            return f"data row {k} is {line!r}, not {width} comma-separated numbers"
+    return "a data row is not a list of numbers"
+
+
 def read_trajectory_csv(path) -> Trajectory:
     """Parse a trajectory CSV; raises ValueError on malformed input.
 
     The data rows are read by ``np.loadtxt``: blank lines are skipped,
-    and a ragged row, a non-numeric field or a ``#`` line is an error.
+    and a ragged row, a non-numeric field or a ``#`` line is an error
+    that names the file and the first such row.
     Every entry must be finite.  The times are checked by ``Trajectory``:
     at least two, strictly increasing and uniform to ``GRID_RTOL``
     relative.  Every state must have trace 1 to ``TRACE_TOL`` and
@@ -340,9 +354,14 @@ def read_trajectory_csv(path) -> Trajectory:
             # numpy warns on a header without data rows; Trajectory then
             # rejects it for having fewer than two samples
             warnings.simplefilter("ignore", UserWarning)
-            rows = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+            try:
+                rows = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+            except ValueError:
+                fh.seek(0)
+                fh.readline()
+                raise ValueError(f"{path}: {_bad_data_row(fh, len(header))}") from None
     if rows.size and rows.shape[1] != len(header):
-        raise ValueError("trajectory CSV row length mismatch")
+        raise ValueError(f"{path}: trajectory CSV row length mismatch")
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         k = int(np.argmin(finite))

@@ -16,15 +16,16 @@ every subsample divisor and the endpoint state behind Q come in closed
 form from that one eigendecomposition (``dynamics.trapezoid_grams``),
 equal to what sampling the trajectory and summing it would give.  The
 result keeps every trial's label and error next to the cell records
-they aggregate to.
+they aggregate to.  The CSV's columns are ``CellRecord``'s fields, read
+back as their types, and its JSON preamble holds ``asdict`` of the config.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
+from contextlib import nullcontext
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -32,8 +33,6 @@ from .identify import build_Q, solve_commutator
 from .linalg import spectral_norm
 from .netmodel import basis_density, connected_erdos_renyi, derive_seed
 from .dynamics import sample_times, trapezoid_grams
-
-CSV_HEADER = "d,tau,n_tilde,trials,solvability_mean,eps_median,eps_q1,eps_q3,seed"
 
 
 class ConfigError(ValueError):
@@ -43,9 +42,9 @@ class ConfigError(ValueError):
 def _fits(value, default) -> bool:
     """Whether a parsed JSON value has the type of a field's default: an
     integer is also a float, a boolean is neither, and a tuple field takes
-    a list of its elements' type."""
+    a list or tuple of its elements' type."""
     if isinstance(default, tuple):
-        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
+        return isinstance(value, (list, tuple)) and all(_fits(v, default[0]) for v in value)
     if isinstance(default, bool) or isinstance(value, bool):
         return type(value) is type(default)
     return isinstance(value, int) or isinstance(value, type(default))
@@ -66,6 +65,11 @@ class SweepConfig:
     hbar: float = 1.0
     rtol: float = 1e-9
     real_coupling: bool = True
+
+    def __post_init__(self):
+        # the element values are kept: derive_seed hashes repr(tau)
+        object.__setattr__(self, "taus", tuple(self.taus))
+        object.__setattr__(self, "subsamples", tuple(self.subsamples))
 
     def n_samples(self, tau: float) -> int:
         return int(round(tau / self.dt))
@@ -119,10 +123,7 @@ class SweepConfig:
         return self
 
     def to_json(self) -> dict:
-        obj = asdict(self)
-        obj["taus"] = list(self.taus)
-        obj["subsamples"] = list(self.subsamples)
-        return obj
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "SweepConfig":
@@ -136,24 +137,18 @@ class SweepConfig:
                  for key, value in obj.items() if not _fits(value, getattr(cls, key))]
         if wrong:
             raise ConfigError(f"config values of the wrong type: {'; '.join(wrong)}")
-        kwargs = dict(obj)
-        if "taus" in kwargs:
-            kwargs["taus"] = tuple(float(t) for t in kwargs["taus"])
-        if "subsamples" in kwargs:
-            kwargs["subsamples"] = tuple(kwargs["subsamples"])
-        return cls(**kwargs)
+        if "taus" in obj:
+            obj = {**obj, "taus": [float(t) for t in obj["taus"]]}
+        return cls(**obj)
 
     def override(self, **kwargs) -> "SweepConfig":
-        kwargs = {k: v for k, v in kwargs.items() if v is not None}
-        if "taus" in kwargs:
-            kwargs["taus"] = tuple(kwargs["taus"])
-        if "subsamples" in kwargs:
-            kwargs["subsamples"] = tuple(kwargs["subsamples"])
-        return replace(self, **kwargs)
+        return replace(self, **{k: v for k, v in kwargs.items() if v is not None})
 
 
 @dataclass(frozen=True)
 class CellRecord:
+    """One cell of a sweep; its fields, in order, are the CSV columns."""
+
     d: int
     tau: float
     n_tilde: int
@@ -163,6 +158,9 @@ class CellRecord:
     eps_q1: float | None
     eps_q3: float | None
     seed: int
+
+
+CSV_HEADER = ",".join(f.name for f in fields(CellRecord))
 
 
 @dataclass(frozen=True)
@@ -262,6 +260,7 @@ def run_benchmark_trial(
 
 
 def _quartiles(values: list[float]) -> tuple[float | None, float | None, float | None]:
+    """(median, q1, q3), the order of CellRecord's eps fields; None if empty."""
     if not values:
         return None, None, None
     q1, med, q3 = np.percentile(np.asarray(values), [25.0, 50.0, 75.0])
@@ -285,47 +284,16 @@ def _run_row(cfg: SweepConfig, d: int, tau: float) -> tuple[list[CellRecord], li
             TrialRecord(d, tau, n_tilde, trial, seed, *outcome[i])
             for trial, (seed, outcome) in enumerate(zip(seeds, outcomes))
         ]
-        med, q1, q3 = _quartiles([t.epsilon for t in cell if t.epsilon is not None])
-        records.append(
-            CellRecord(
-                d=d,
-                tau=tau,
-                n_tilde=n_tilde,
-                trials=cfg.trials,
-                solvability_mean=float(np.mean([t.solvability for t in cell])),
-                eps_median=med,
-                eps_q1=q1,
-                eps_q3=q3,
-                seed=cfg.seed,
-            )
-        )
+        mean = float(np.mean([t.solvability for t in cell]))
+        eps = _quartiles([t.epsilon for t in cell if t.epsilon is not None])
+        records.append(CellRecord(d, tau, n_tilde, cfg.trials, mean, *eps, cfg.seed))
         trials.extend(cell)
     return records, trials
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _record_row(rec: CellRecord) -> str:
-    return ",".join(
-        _fmt(v)
-        for v in (
-            rec.d,
-            rec.tau,
-            rec.n_tilde,
-            rec.trials,
-            rec.solvability_mean,
-            rec.eps_median,
-            rec.eps_q1,
-            rec.eps_q3,
-            rec.seed,
-        )
-    )
+    """``str`` of each field (a float's ``repr``), empty for None."""
+    return ",".join("" if v is None else str(v) for v in astuple(rec))
 
 
 def run_sweep(cfg: SweepConfig, kind: str = "solvability", out_csv=None) -> SweepResult:
@@ -339,14 +307,11 @@ def run_sweep(cfg: SweepConfig, kind: str = "solvability", out_csv=None) -> Swee
     """
     cfg = cfg.validated()
     result = SweepResult(kind=kind, config=cfg)
-    fh = None
-    if out_csv is not None:
-        fh = open(out_csv, "w", newline="")
-        preamble = json.dumps({"kind": kind, "config": cfg.to_json()}, sort_keys=True)
-        fh.write(f"# {preamble}\n")
-        fh.write(CSV_HEADER + "\n")
-        fh.flush()
-    try:
+    with (nullcontext() if out_csv is None else open(out_csv, "w", newline="")) as fh:
+        if fh is not None:
+            preamble = json.dumps({"kind": kind, "config": cfg.to_json()}, sort_keys=True)
+            fh.write(f"# {preamble}\n{CSV_HEADER}\n")
+            fh.flush()
         for d in cfg.d_values:
             for tau in cfg.taus:
                 records, trials = _run_row(cfg, d, tau)
@@ -355,39 +320,33 @@ def run_sweep(cfg: SweepConfig, kind: str = "solvability", out_csv=None) -> Swee
                 if fh is not None:
                     fh.writelines(_record_row(rec) + "\n" for rec in records)
                     fh.flush()
-    finally:
-        if fh is not None:
-            fh.close()
     return result
 
 
 def read_sweep_csv(path) -> list[dict]:
-    """Parse a sweep CSV back into row dictionaries (floats or None)."""
-    path = Path(path)
-    rows = []
+    """Parse a sweep CSV back into row dictionaries: ``CellRecord``'s
+    ``int`` fields as int, the others as float, an empty field as None.
+    Every error names the file and the line."""
+    types = {f.name: int if f.type == "int" else float for f in fields(CellRecord)}
+    rows, header = [], False
     with open(path) as fh:
-        header = None
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if header is None:
-                header = line.split(",")
-                if header != CSV_HEADER.split(","):
-                    raise ValueError(f"unexpected sweep CSV header: {line!r}")
-                continue
-            parts = line.split(",")
-            if len(parts) != len(header):
-                raise ValueError(f"malformed sweep CSV row: {line!r}")
-            row: dict = {}
-            for key, val in zip(header, parts):
-                if val == "":
-                    row[key] = None
-                elif key in ("d", "n_tilde", "trials", "seed"):
-                    row[key] = int(val)
-                else:
-                    row[key] = float(val)
-            rows.append(row)
-    if header is None:
+            try:
+                if not header:
+                    if line != CSV_HEADER:
+                        raise ValueError(f"unexpected sweep CSV header: {line!r}")
+                    header = True
+                    continue
+                parts = line.split(",")
+                if len(parts) != len(types):
+                    raise ValueError(f"malformed sweep CSV row: {line!r}")
+                rows.append({key: None if val == "" else kind(val)
+                             for (key, kind), val in zip(types.items(), parts)})
+            except ValueError as exc:
+                raise ValueError(f"{path} line {lineno}: {exc}") from None
+    if not header:
         raise ValueError(f"{path} contains no CSV header")
     return rows

@@ -327,15 +327,14 @@ class TestDecompose:
 
 
 class TestJsonInputs:
-    @pytest.mark.parametrize("flag", ["--config", "--report", "--hamiltonian", "--truth",
-                                      "--h0", "--rho0"])
-    def test_unparsable_json_names_the_file(self, tmp_path, capsys, flag):
-        good, bad, traj = tmp_path / "h.json", tmp_path / "bad.json", tmp_path / "t.csv"
+    @staticmethod
+    def argv_reading(flag, tmp_path):
+        """A command line that reads a JSON file given after ``flag``."""
+        good, traj = tmp_path / "h.json", tmp_path / "t.csv"
         save_matrix(good, SX)
-        bad.write_text('{"d_max": 2,')
         assert run("simulate", "--hamiltonian", good, "--tau", 1.0, "--dt", 0.1,
                    "--out", traj) == 0
-        argv = {
+        return {
             "--config": ("sweep", "solvability", "--out-dir", tmp_path),
             "--report": ("observability",),
             "--hamiltonian": ("observability",),
@@ -343,8 +342,28 @@ class TestJsonInputs:
             "--h0": ("identify", "--trajectory", traj),
             "--rho0": ("simulate", "--hamiltonian", good, "--tau", 1.0, "--dt", 0.1,
                        "--out", traj),
-        }[flag]
+        }[flag] + (flag,)
+
+    @pytest.mark.parametrize("flag", ["--config", "--report", "--hamiltonian", "--truth",
+                                      "--h0", "--rho0"])
+    def test_unparsable_json_names_the_file(self, tmp_path, capsys, flag):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"d_max": 2,')
+        argv = self.argv_reading(flag, tmp_path)
         capsys.readouterr()
-        assert run(*argv, flag, bad) == 2
+        assert run(*argv, bad) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {bad}: Expecting property name")
+
+    @pytest.mark.parametrize("flag", ["--report", "--hamiltonian", "--truth", "--h0",
+                                      "--rho0"])
+    def test_malformed_matrix_names_the_file(self, tmp_path, capsys, flag):
+        # JSON that parses but holds no matrix object is a configuration error
+        bad = tmp_path / "bad.json"
+        matrix = {"rows": 2}
+        bad.write_text(json.dumps({"m_hat": matrix} if flag == "--report" else matrix))
+        argv = self.argv_reading(flag, tmp_path)
+        capsys.readouterr()
+        assert run(*argv, bad) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {bad}: malformed matrix object")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -374,21 +376,27 @@ class TestTrajectoryCsv:
         assert header == "t,re_1_1,im_1_1,re_2_1,im_2_1,re_1_2,im_1_2,re_2_2,im_2_2"
 
     def test_rejects_malformed(self, tmp_path):
-        # the last three fail in np.loadtxt, whose messages are its own
+        # the last four fail in np.loadtxt; the message names the file and
+        # the data row, not numpy's arguments
         header = "t,re_1_1,im_1_1\n"
+        bad = tmp_path / "bad.csv"
         cases = (
             ("x,y\n1,2\n", "header"),
             (header, "at least two samples"),
             (header + "0,1\n0.5,1\n", "row length mismatch"),
-            (header + "0,1,0\n0.5,1\n", None),
-            (header + "0,1,0\n0.5,one,0\n", None),
-            (header + "# comment\n0,1,0\n0.5,1,0\n", None),
+            (header + "0,1,0\n\n0.5,1\n",
+             f"{bad}: data row 2 is '0.5,1', not 3 comma-separated numbers"),
+            (header + "0,1,0\n   \n0.5,1,0\n",
+             f"{bad}: data row 2 is '   ', not 3 comma-separated numbers"),
+            (header + "0,1,0\n0.5,one,0\n",
+             f"{bad}: data row 2 is '0.5,one,0', not 3 comma-separated numbers"),
+            (header + "# comment\n0,1,0\n0.5,1,0\n", f"{bad}: data row 1 is '# comment'"),
         )
-        bad = tmp_path / "bad.csv"
         for text, message in cases:
             bad.write_text(text)
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError, match=re.escape(message)) as exc:
                 read_trajectory_csv(bad)
+            assert "usecols" not in str(exc.value)
 
     def test_accepts_blank_lines_and_crlf(self, tmp_path):
         path = tmp_path / "traj.csv"

@@ -1,5 +1,6 @@
 import json
-from dataclasses import fields
+import re
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -140,6 +141,57 @@ class TestSweep:
         assert [list(r) for r in rows] == [CSV_HEADER.split(",")] * len(res.records)
         assert [r["seed"] for r in rows] == [TINY.seed] * len(res.records)
 
+    def test_csv_text_of_records(self, tmp_path, monkeypatch):
+        # floats are written with repr, None as an empty field and an int
+        # tau as an int; reading back gives each column its field's type
+        rows = {
+            2: [CellRecord(2, 1, 100, 4, 0.1 + 0.2, None, None, None, 11)],
+            3: [CellRecord(3, 1.0, 100, 4, 1.0, 1e-05, 2.5e-07, 0.30000000000000004, 11),
+                CellRecord(3, 1.0, 20, 4, 0.0, None, None, None, 11)],
+        }
+        monkeypatch.setattr(qnetid.sweep, "_run_row", lambda cfg, d, tau: (rows[d], []))
+        out = tmp_path / "s.csv"
+        res = run_sweep(TINY, out_csv=out)
+        assert out.read_text() == (
+            '# {"config": {"d_max": 3, "d_min": 2, "dt": 0.01, "hbar": 1.0, "p_link": 0.5, '
+            '"real_coupling": true, "rtol": 1e-09, "seed": 11, "subsamples": [1], '
+            '"taus": [1.0], "trials": 4}, "kind": "solvability"}\n'
+            "d,tau,n_tilde,trials,solvability_mean,eps_median,eps_q1,eps_q3,seed\n"
+            "2,1,100,4,0.30000000000000004,,,,11\n"
+            "3,1.0,100,4,1.0,1e-05,2.5e-07,0.30000000000000004,11\n"
+            "3,1.0,20,4,0.0,,,,11\n"
+        )
+        back = read_sweep_csv(out)
+        assert back == [asdict(rec) for rec in res.records]
+        kinds = {"d": int, "tau": float, "n_tilde": int, "trials": int,
+                 "solvability_mean": float, "seed": int}
+        for row in back:
+            assert {k: type(v) for k, v in row.items() if k in kinds} == kinds
+            assert {type(row[k]) for k in ("eps_median", "eps_q1", "eps_q3")} <= {
+                float, type(None)}
+        assert [row["eps_q3"] for row in back] == [None, 0.30000000000000004, None]
+
+    def test_failing_row_leaves_partial_csv(self, tmp_path, monkeypatch):
+        # the rows written before a failure stay behind, flushed and whole
+        cfg = TINY.override(subsamples=(2, 1))
+        full = tmp_path / "full.csv"
+        run_sweep(cfg, out_csv=full)
+        run_row, calls = qnetid.sweep._run_row, []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("second row fails")
+            return run_row(*args)
+
+        monkeypatch.setattr(qnetid.sweep, "_run_row", failing)
+        out = tmp_path / "partial.csv"
+        with pytest.raises(RuntimeError, match="second row fails"):
+            run_sweep(cfg, out_csv=out)
+        # preamble, header and the two records of the first (d, tau) row
+        assert out.read_text().splitlines() == full.read_text().splitlines()[:4]
+        assert [(r["d"], r["n_tilde"]) for r in read_sweep_csv(out)] == [(2, 50), (2, 100)]
+
     def test_cells_independent_of_grid(self):
         # the same (d, tau, n~) cell yields identical records no matter
         # which other cells the sweep contains
@@ -225,6 +277,16 @@ class TestReadSweepCsv:
         bad = tmp_path / "bad.csv"
         bad.write_text(CSV_HEADER + "\n1,2\n")
         with pytest.raises(ValueError, match="malformed"):
+            read_sweep_csv(bad)
+
+    @pytest.mark.parametrize("row, message", [
+        ("2,3.0,300,4,abc,,,,0", "line 3: could not convert string to float: 'abc'"),
+        ("2.5,3.0,300,4,1.0,,,,0", "line 3: invalid literal for int() with base 10: '2.5'"),
+    ], ids=["float-column", "int-column"])
+    def test_bad_value_names_file_and_line(self, tmp_path, row, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"# preamble\n{CSV_HEADER}\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{bad} {message}")):
             read_sweep_csv(bad)
 
     def test_empty_file_rejected(self, tmp_path):
