@@ -319,12 +319,12 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
 def _bad_data_row(lines, width: int) -> str:
     """The first non-blank line of ``lines`` that is not ``width`` numbers,
-    numbered as ``np.loadtxt`` numbers the data rows."""
+    each line parsed and the data rows numbered as ``np.loadtxt`` does."""
     for k, line in enumerate(filter(None, (ln.rstrip("\r\n") for ln in lines)), start=1):
         try:
-            numbers = [float(f) for f in line.split(",")]
+            numbers = np.loadtxt([line], delimiter=",", ndmin=1, comments=None)
         except ValueError:
-            numbers = []
+            numbers = ()
         if len(numbers) != width:
             return f"data row {k} is {line!r}, not {width} comma-separated numbers"
     return "a data row is not a list of numbers"

@@ -376,8 +376,8 @@ class TestTrajectoryCsv:
         assert header == "t,re_1_1,im_1_1,re_2_1,im_2_1,re_1_2,im_1_2,re_2_2,im_2_2"
 
     def test_rejects_malformed(self, tmp_path):
-        # the last four fail in np.loadtxt; the message names the file and
-        # the data row, not numpy's arguments
+        # the last five fail in np.loadtxt; the message names the file and
+        # the data row, not numpy's arguments; Python's float would take 1_0
         header = "t,re_1_1,im_1_1\n"
         bad = tmp_path / "bad.csv"
         cases = (
@@ -391,6 +391,8 @@ class TestTrajectoryCsv:
             (header + "0,1,0\n0.5,one,0\n",
              f"{bad}: data row 2 is '0.5,one,0', not 3 comma-separated numbers"),
             (header + "# comment\n0,1,0\n0.5,1,0\n", f"{bad}: data row 1 is '# comment'"),
+            (header + "0,1,0\n0.5,1,0\n1,1_0,0\n",
+             f"{bad}: data row 3 is '1,1_0,0', not 3 comma-separated numbers"),
         )
         for text, message in cases:
             bad.write_text(text)

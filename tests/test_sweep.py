@@ -1,6 +1,12 @@
 import json
+import os
 import re
+import subprocess
+import sys
+import threading
+import time
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,6 +270,106 @@ class TestTrials:
     def test_trials_reproducible(self):
         cfg = TINY.override(subsamples=(20, 10, 5, 1))
         assert run_sweep(cfg).trials == run_sweep(cfg).trials
+
+
+class TestTrialThreads:
+    @pytest.mark.parametrize("d, trials, cores, environ, threads", [
+        (12, 5, 2, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+        (15, 5, 2, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+        (16, 5, 2, {}, 1),
+        (16, 5, 2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
+        (16, 5, 2, {"OMP_NUM_THREADS": "1"}, 2),
+        (16, 5, 2, {"GOTO_NUM_THREADS": "1"}, 2),
+        (16, 5, 2, {"OPENBLAS_NUM_THREADS": "2"}, 1),
+        (16, 5, 2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+        (16, 5, 2, {"OPENBLAS_NUM_THREADS": "4"}, 1),
+        (16, 5, 1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+        (16, 1, 2, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+        (16, 5, 2, {"OPENBLAS_NUM_THREADS": "0"}, 1),
+        (16, 5, 2, {"OPENBLAS_NUM_THREADS": "abc"}, 1),
+        (16, 5, 2, {"OPENBLAS_NUM_THREADS": "abc", "OMP_NUM_THREADS": "1"}, 2),
+        (30, 5, 4, {"OPENBLAS_NUM_THREADS": "2"}, 2),
+        (30, 3, 8, {"OPENBLAS_NUM_THREADS": "1"}, 3),
+    ], ids=["d12", "d15", "unpinned", "openblas1", "omp1", "goto1", "openblas2",
+            "openblas-before-omp", "more-blas-than-cores", "one-core", "one-trial",
+            "zero", "not-a-number", "not-a-number-then-omp", "two-per-trial",
+            "one-per-trial"])
+    def test_rule(self, d, trials, cores, environ, threads):
+        # threads only at d >= 16, only with whole cores per trial, and
+        # never more threads than trials
+        assert qnetid.sweep._trial_threads(d, trials, cores, environ) == threads
+
+    def test_threaded_rows_match_serial(self, tmp_path, monkeypatch):
+        # records, trials and CSV bytes do not depend on the thread count
+        cfg = SweepConfig(seed=0, d_min=15, d_max=16, taus=(3.0,), subsamples=(5, 1),
+                          trials=3)
+        run_trial, threads_seen = qnetid.sweep.run_benchmark_trial, set()
+
+        def recording(*args, **kwargs):
+            threads_seen.add(threading.get_ident())
+            return run_trial(*args, **kwargs)
+
+        monkeypatch.setattr(qnetid.sweep, "run_benchmark_trial", recording)
+        runs = {}
+        for threads in (1, 2):
+            monkeypatch.setattr(qnetid.sweep, "_trial_threads", lambda *args, n=threads: n)
+            threads_seen.clear()
+            out = tmp_path / f"{threads}.csv"
+            runs[threads] = run_sweep(cfg, out_csv=out), out.read_bytes()
+            assert (threading.main_thread().ident in threads_seen) == (threads == 1)
+        (serial, serial_csv), (threaded, threaded_csv) = runs[1], runs[2]
+        assert threaded.records == serial.records
+        assert threaded.trials == serial.trials
+        assert threaded_csv == serial_csv
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_first_failure_in_seed_order_raised(self, monkeypatch, threads):
+        # trials 1 and 3 fail: trial 1's error is raised, as in a serial
+        # run, the trials not yet started are cancelled, and no pool
+        # thread outlives the sweep
+        cfg = SweepConfig(seed=0, d_min=16, d_max=16, subsamples=(5,), trials=16)
+        seeds = [derive_seed(cfg.seed, 16, 3.0, trial) for trial in range(cfg.trials)]
+        calls = []
+
+        def trial(d, tau, subsamples, seed, cfg):
+            calls.append(seed)
+            if seed in (seeds[1], seeds[3]):
+                raise RuntimeError(f"trial {seeds.index(seed)} fails")
+            time.sleep(0.05)
+            return [(1, 0.0)]
+
+        monkeypatch.setattr(qnetid.sweep, "run_benchmark_trial", trial)
+        monkeypatch.setattr(qnetid.sweep, "_trial_threads", lambda *args: threads)
+        running = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="^trial 1 fails$"):
+            run_sweep(cfg)
+        if threads == 1:
+            assert calls == seeds[:2]
+        else:
+            assert len(calls) < cfg.trials
+        assert set(threading.enumerate()) <= running
+
+    def test_cores_without_sched_getaffinity(self, monkeypatch):
+        # platforms without affinity masks fall back to the CPU count
+        seen = []
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(qnetid.sweep, "_trial_threads",
+                            lambda d, trials, cores, environ: seen.append(cores) or 1)
+        run_sweep(TINY)
+        assert seen == [3] * len(TINY.d_values)
+
+    def test_import_and_small_sweep_leave_concurrent_futures_unloaded(self):
+        # the pool's module is imported by threaded rows only, so that it
+        # does not add to the import and first-sweep time of every run
+        code = ("import sys, qnetid; "
+                "qnetid.run_sweep(qnetid.SweepConfig(d_min=3, d_max=3, trials=2)); "
+                "assert 'concurrent.futures' not in sys.modules")
+        src = Path(qnetid.sweep.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestReadSweepCsv:
