@@ -3,10 +3,12 @@
 When only diag(rho_t) is measurable, a single trajectory is not enough:
 the network must be re-initialized in d^2 linearly independent states.
 Their populations, sampled every Delta = hbar/||H||_2, are the Markov
-parameters C A^k of the sampled propagator A = e^(L Delta).  When the
-(selector, propagator) pair is observable they determine A, the
-principal logarithm of A gives the generator L, and the Hamiltonian
-follows from L up to an identity shift.
+parameters C A^k of the vectorized propagator A = e^(L Delta) =
+conj(U) kron U.  The simulation below builds them from the powers of the
+d x d propagator U = exp(-i H Delta/hbar) alone.  When the
+(selector, propagator) pair is observable the Markov parameters
+determine A, the principal logarithm of A gives the generator L, and the
+Hamiltonian follows from L up to an identity shift.
 
 The demo also shows the structural catch: a zero-diagonal Hamiltonian
 (a bare coupling matrix) is never observable through the diagonal
@@ -36,15 +38,15 @@ d = 2
 h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)  # coupled, detuned nodes
 lv = liouvillian(h)
 delta = sampling_period(h)
-a = propagator(h, delta)
+u = propagator(h, delta)
 print(f"sampling period hbar/||H|| = {delta:.4f}")
 
-rank, observable = observability_rank(a)
+rank, observable = observability_rank(u)
 print(f"pair rank {rank} of {d * d}: {'observable' if observable else 'not observable'}")
 
 # the canonical basis elements |k><j| as (non-physical) initializations
 lam0 = identity_initial_batch(d)
-l_hat = reconstruct_liouvillian(output_stacks(a, lam0, d * d), lam0, delta)
+l_hat = reconstruct_liouvillian(output_stacks(u, lam0, d * d), lam0, delta)
 h_hat = extract_hamiltonian(l_hat)
 print(f"basis elements:    generator error {spectral_norm(l_hat - lv):.2e}, "
       f"Hamiltonian error {spectral_norm(h_hat - h):.2e} (h is traceless here)")
@@ -52,7 +54,7 @@ print(f"basis elements:    generator error {spectral_norm(l_hat - lv):.2e}, "
 # measured-data route: the populations of d^2 preparable states
 lam_phys, states = physical_initial_batch(d)
 print(f"\npreparable initializations: {[label for _, label in states]}")
-l_est = reconstruct_liouvillian(output_stacks(a, lam_phys, d * d), lam_phys, delta)
+l_est = reconstruct_liouvillian(output_stacks(u, lam_phys, d * d), lam_phys, delta)
 print(f"preparable states: generator error {spectral_norm(l_est - lv):.2e} "
       f"from {d * d + 1} population samples per run")
 

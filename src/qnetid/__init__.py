@@ -54,7 +54,6 @@ from .identify import (
 )
 from .partialinfo import (
     UnobservableError,
-    diagonal_selector,
     extract_hamiltonian,
     identity_initial_batch,
     observability_rank,
@@ -94,7 +93,6 @@ __all__ = [
     "commutant_dimension",
     "commutator",
     "derive_seed",
-    "diagonal_selector",
     "emit_plot",
     "erdos_renyi",
     "exact_gram",

@@ -2,8 +2,8 @@
 
 Verbs: simulate, identify, sweep solvability|error, observability,
 partial-identify, decompose, plot.  Exit codes: 0 on success, 2 for
-configuration errors, 3 for numerical failures (partial sweep CSVs are
-flushed row by row, so whatever completed survives).
+configuration errors and bad flag values, 3 for numerical failures
+(partial sweep CSVs are flushed row by row, so whatever completed survives).
 """
 
 from __future__ import annotations
@@ -49,6 +49,14 @@ _SWEEP_OVERRIDES = ("seed", "d_min", "d_max", "p_link", "taus", "dt", "subsample
                     "trials", "hbar", "rtol")
 
 
+def _positive_float(text: str) -> float:
+    """The argparse type of ``--hbar`` and ``--rtol``: a number above zero."""
+    value = float(text)
+    if not value > 0:  # rejects NaN as well
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qnetid",
@@ -71,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="start from the basis state of this node (1-based, default 1)")
     sim.add_argument("--tau", type=float, required=True)
     sim.add_argument("--dt", type=float, required=True)
-    sim.add_argument("--hbar", type=float, default=1.0)
+    sim.add_argument("--hbar", type=_positive_float, default=1.0)
     sim.add_argument("--out", required=True, help="trajectory CSV to write")
     sim.add_argument("--save-hamiltonian", help="also save the (generated) Hamiltonian")
 
@@ -79,10 +87,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ident.add_argument("--trajectory", required=True, help="trajectory CSV from 'simulate'")
     ident.add_argument("--subsample", type=int, default=1,
                        help="quadrature subsampling divisor of n_s")
-    ident.add_argument("--hbar", type=float, default=1.0)
+    ident.add_argument("--hbar", type=_positive_float, default=1.0)
     ident.add_argument("--h0", help="matrix JSON of a known node Hamiltonian to subtract")
     ident.add_argument("--truth", help="matrix JSON of the true coupling matrix (for epsilon)")
-    ident.add_argument("--rtol", type=float, default=1e-9)
+    ident.add_argument("--rtol", type=_positive_float, default=1e-9)
     ident.add_argument("--general-coupling", action="store_true",
                        help="solve in the full admissible class instead of real couplings")
     ident.add_argument("--seed", type=int, default=None, help="seed recorded in the report")
@@ -114,16 +122,16 @@ def _build_parser() -> argparse.ArgumentParser:
     osrc.add_argument("--hamiltonian", help="matrix JSON with the Hamiltonian")
     osrc.add_argument("--report", help="identification report JSON; checks its estimate "
                                        "(a-posteriori observability of the reconstruction)")
-    obs.add_argument("--hbar", type=float, default=1.0)
-    obs.add_argument("--rtol", type=float, default=1e-9)
+    obs.add_argument("--hbar", type=_positive_float, default=1.0)
+    obs.add_argument("--rtol", type=_positive_float, default=1e-9)
 
     part = sub.add_parser("partial-identify",
                           help="recover the generator from diagonal outputs only, "
                                "sampled every hbar/||H||_2")
     part.add_argument("--hamiltonian", required=True,
                       help="matrix JSON with the network Hamiltonian to simulate")
-    part.add_argument("--hbar", type=float, default=1.0)
-    part.add_argument("--rtol", type=float, default=1e-9)
+    part.add_argument("--hbar", type=_positive_float, default=1.0)
+    part.add_argument("--rtol", type=_positive_float, default=1e-9)
     part.add_argument("--estimate", action="store_true",
                       help="identify from the populations of the d^2 preparable states "
                            "instead of the d^2 basis elements |k><j|")
@@ -171,7 +179,11 @@ def _load_matrix(path, key=None) -> np.ndarray:
 
 
 def _load_hermitian(path, key=None) -> np.ndarray:
-    return hermitize(_load_matrix(path, key))
+    """A Hermitian matrix of at least 2 x 2 (a network of two nodes or more)."""
+    h = hermitize(_load_matrix(path, key))
+    if h.shape[0] < 2:
+        raise ConfigError(f"{path}: a network needs d >= 2 nodes, got a {h.shape} matrix")
+    return h
 
 
 def _cmd_simulate(args) -> int:
@@ -249,11 +261,10 @@ def _cmd_observability(args) -> int:
     else:
         h = _load_hermitian(args.report, "m_hat")
         source = f"{args.report} (reconstructed estimate)"
-    a = propagator(h, sampling_period(h, args.hbar), args.hbar)
-    rank, observable = observability_rank(a, args.rtol)
-    n = a.shape[0]
+    u = propagator(h, sampling_period(h, args.hbar), args.hbar)
+    rank, observable = observability_rank(u, args.rtol)
     print(f"source: {source}")
-    print(f"observability rank: {rank} of {n}")
+    print(f"observability rank: {rank} of {h.shape[0] ** 2}")
     print(f"observable: {'yes' if observable else 'no'}")
     return EXIT_OK
 
@@ -262,7 +273,7 @@ def _cmd_partial_identify(args) -> int:
     h = _load_hermitian(args.hamiltonian)
     d = h.shape[0]
     period = sampling_period(h, args.hbar)
-    a = propagator(h, period, args.hbar)
+    u = propagator(h, period, args.hbar)
 
     if args.estimate:
         lambda0, states = physical_initial_batch(d)
@@ -274,7 +285,7 @@ def _cmd_partial_identify(args) -> int:
 
     # the observability stack has full rank n = d^2 once this returns; it
     # raises UnobservableError, naming the rank, otherwise
-    ys = output_stacks(a, lambda0, d * d)
+    ys = output_stacks(u, lambda0, d * d)
     l_hat = reconstruct_liouvillian(ys, lambda0, period, rtol=args.rtol)
     print(f"observability rank: {d * d} of {d * d} (observable)")
     h_hat = extract_hamiltonian(l_hat, hbar=args.hbar)
@@ -291,7 +302,7 @@ def _cmd_partial_identify(args) -> int:
         # the samples the identification used
         if not args.estimate:
             lambda0, states = physical_initial_batch(d)
-            ys = output_stacks(a, lambda0, d * d)
+            ys = output_stacks(u, lambda0, d * d)
         pops = ys.real
         times = period * np.arange(d * d + 1)
         runs = [(label, times, pops[:, :, i]) for i, (_, label) in enumerate(states)]

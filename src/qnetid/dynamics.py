@@ -4,7 +4,7 @@ The state rho obeys d/dt rho = -(i/hbar) [H, rho] and is propagated
 exactly through the eigendecomposition of the (time-independent)
 Hermitian H: one decomposition per trajectory, unitary conjugation per
 sample.  The module also builds the vectorized generator
-L = -(i/hbar) (I kron H - H^T kron I) and its propagator e^(L t),
+L = -(i/hbar) (I kron H - H^T kron I) and the d x d propagator U = e^(-iHt/hbar),
 samples uniform-grid trajectories, and writes the time integral of rho
 in closed form: exactly, as an oracle for quadrature-based estimates, and
 as the composite trapezoid sum that a sampled trajectory would give.
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ABS_FLOOR, HERMITIAN_RTOL, hermitize
+from .linalg import ABS_FLOOR, HERMITIAN_RTOL, check_positive, hermitize
 
 #: tolerated negative eigenvalue on density operators (round-off slack)
 PSD_TOL = 1e-10
@@ -133,37 +133,33 @@ def liouvillian(h: np.ndarray, hbar: float = 1.0) -> np.ndarray:
     Under column stacking, L @ vec(rho) = vec(-(i/hbar) [H, rho]).
     L is skew-Hermitian by construction.
     """
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
+    check_positive("hbar", hbar)
     h = hermitize(h)
     d = h.shape[0]
     eye = np.eye(d)
     return (-1j / hbar) * (np.kron(eye, h) - np.kron(h.T, eye))
 
 
+def propagator(h: np.ndarray, t: float, hbar: float = 1.0) -> np.ndarray:
+    """The d x d propagator U = exp(-i H t / hbar), from one eigendecomposition of H.
+
+    The vectorized propagator e^(L t) is conj(U) kron U under column
+    stacking; it is never formed.
+    """
+    check_positive("hbar", hbar)
+    w, v = np.linalg.eigh(hermitize(h))
+    return (v * np.exp(-1j * w * (t / hbar))) @ v.conj().T
+
+
 def unitary_conjugate(h: np.ndarray, x: np.ndarray, t: float, hbar: float = 1.0) -> np.ndarray:
-    """Evolve an arbitrary matrix X by U X U† with U = exp(-i H t / hbar).
+    """Evolve an arbitrary matrix X by U X U† with U = ``propagator(h, t, hbar)``.
 
     This is the linear extension of the state propagation to matrices
     that need not be valid density operators (used e.g. to evolve the
     terms of a basis-element decomposition); no state validation is done.
     """
-    w, v = np.linalg.eigh(hermitize(h))
-    phase = np.exp(-1j * w * (t / hbar))
-    xt = v.conj().T @ np.asarray(x, dtype=complex) @ v
-    return v @ (np.outer(phase, phase.conj()) * xt) @ v.conj().T
-
-
-def propagator(h: np.ndarray, t: float, hbar: float = 1.0) -> np.ndarray:
-    """Vectorized propagator e^(L t) = conj(U) kron U, U = exp(-i H t / hbar).
-
-    Under column stacking, propagator(h, t) @ vec(X) = vec(U X U†), the
-    matrix form of ``unitary_conjugate``; U comes from one
-    eigendecomposition of H.
-    """
-    w, v = np.linalg.eigh(hermitize(h))
-    u = (v * np.exp(-1j * w * (t / hbar))) @ v.conj().T
-    return np.kron(u.conj(), u)
+    u = propagator(h, t, hbar)
+    return u @ np.asarray(x, dtype=complex) @ u.conj().T
 
 
 def propagate(h: np.ndarray, rho0: np.ndarray, t: float, hbar: float = 1.0) -> np.ndarray:
@@ -179,10 +175,11 @@ def propagate(h: np.ndarray, rho0: np.ndarray, t: float, hbar: float = 1.0) -> n
     return 0.5 * (rho_t + rho_t.conj().T)
 
 
-def _eigenbasis(h: np.ndarray, rho0: np.ndarray):
+def _eigenbasis(h: np.ndarray, rho0: np.ndarray, hbar: float):
     """The checked rho0, the eigenvalues w and eigenvectors V of H, and
     rho0 in that eigenbasis, V-dagger rho0 V; raises ValueError on an
-    invalid rho0 or one whose shape does not match H."""
+    invalid rho0, one whose shape does not match H, or hbar <= 0."""
+    check_positive("hbar", hbar)
     rho0 = check_density(rho0, "rho0")
     h = hermitize(h)
     d = h.shape[0]
@@ -214,7 +211,7 @@ def sample_trajectory(
     keep the batch temporaries in cache).
     """
     times = sample_times(tau, dt)
-    rho0, w, v, rho_eig = _eigenbasis(h, rho0)
+    rho0, w, v, rho_eig = _eigenbasis(h, rho0, hbar)
     vh = v.conj().T
     d = len(w)
     # every sample, the last too, is propagated to k*dt: it differs from
@@ -263,7 +260,7 @@ def exact_gram(h: np.ndarray, rho0: np.ndarray, tau: float, hbar: float = 1.0) -
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    _, w, v, rho_eig = _eigenbasis(h, rho0)
+    _, w, v, rho_eig = _eigenbasis(h, rho0, hbar)
     p = v @ (rho_eig * _mode_factors((w[:, None] - w[None, :]) / hbar, tau)) @ v.conj().T
     return 0.5 * (p + p.conj().T)
 
@@ -291,7 +288,7 @@ def trapezoid_grams(
     n = len(sample_times(tau, dt)) - 1
     for subsample in subsamples:
         check_subsample(n, subsample)
-    _, w, v, rho_eig = _eigenbasis(h, rho0)
+    _, w, v, rho_eig = _eigenbasis(h, rho0, hbar)
     vh = v.conj().T
     phase = np.exp(-1j * w * (n * dt / hbar))
     rho_end = v @ (np.outer(phase, phase.conj()) * rho_eig) @ vh

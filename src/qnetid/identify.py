@@ -71,6 +71,7 @@ from .linalg import (
     ABS_FLOOR,
     DEFAULT_RTOL,
     EPS,
+    check_positive,
     hermitize,
     matrix_to_json,
     numerical_rank,
@@ -228,8 +229,9 @@ def build_Q(
 
     With a known node Hamiltonian H0, its contribution [H0, P] is
     subtracted so that the remaining equation targets the interaction
-    part only; P is then required.
+    part only; P is then required.  Raises ValueError unless hbar > 0.
     """
+    check_positive("hbar", hbar)
     rho0 = np.asarray(rho0, dtype=complex)
     rho_tau = np.asarray(rho_tau, dtype=complex)
     q = 1j * hbar * (rho_tau - rho0)
@@ -321,8 +323,6 @@ def solve_commutator(
     (module docstring) keeps only the rows that these symmetries make
     independent.  The residual is still measured on the full equation.
     """
-    if rtol <= 0:
-        raise ValueError("rtol must be positive")
     p = np.asarray(p, dtype=complex)
     q = np.asarray(q, dtype=complex)
     if p.shape != q.shape or p.ndim != 2 or p.shape[0] != p.shape[1]:

@@ -51,12 +51,19 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
+def check_positive(name: str, value: float) -> None:
+    """Raise ValueError("<name> must be positive") unless value > 0 (NaN is not)."""
+    if not value > 0:
+        raise ValueError(f"{name} must be positive")
+
+
 def numerical_rank(s: np.ndarray, rtol: float) -> int:
     """Numerical rank from descending singular values: #{s_i > rtol * s_0}.
 
-    The rank is 0 when there are no singular values or when the largest
-    is below ABS_FLOOR (the matrix counts as zero).
+    rtol must be positive.  The rank is 0 when there are no singular values
+    or when the largest is below ABS_FLOOR (the matrix counts as zero).
     """
+    check_positive("rtol", rtol)
     if s.size == 0 or s[0] < ABS_FLOOR:
         return 0
     return int(np.sum(s > rtol * s[0]))

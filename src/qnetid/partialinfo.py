@@ -1,16 +1,17 @@
 """Identification from diagonal-only measurements.
 
-When only the populations (diagonal of rho_t) are observable, the
-network is re-initialized in d^2 linearly independent states, the
-columns of Lambda0, and each run's populations are sampled at
-t = k*Delta for k = 0..d^2.  These samples are y_k = C A^k Lambda0,
-with output selector C and vectorized propagator A = e^(L Delta), so
-the Markov parameters C A^k = y_k Lambda0^-1 determine A by one shifted
+When only the populations (diagonal of rho_t) are observable, the network is
+re-initialized in d^2 linearly independent states, the columns of Lambda0,
+and each run's populations are sampled at t = k*Delta for k = 0..d^2.  These
+samples are y_k = C A^k Lambda0, with output selector C and vectorized
+propagator A = e^(L Delta) = conj(U) kron U, U = exp(-i H Delta/hbar); row i
+of C A^k is vec(U^k[i,:]^T conj(U^k[i,:])), so the simulation never forms A.
+The Markov parameters C A^k = y_k Lambda0^-1 determine A by one shifted
 least-squares solve whenever the pair (C, A) is observable, i.e.
-[C; CA; ...; CA^(d^2-1)] has full column rank (the eigensystem
-realization idea of Ho & Kalman and of Juang & Pappa).  The generator
-is the principal logarithm L = log(A)/Delta, and the network
-Hamiltonian follows from L up to the identity gauge.
+[C; CA; ...; CA^(d^2-1)] has full column rank (the eigensystem realization
+idea of Ho & Kalman and of Juang & Pappa).  The generator is the principal
+logarithm L = log(A)/Delta, and the network Hamiltonian follows from L up to
+the identity gauge.
 
 The sampling period is Delta = hbar/||H||_2, H traceless
 (``sampling_period``).  Every phase (lambda_j - lambda_k)*Delta/hbar of A is then at most 2 in
@@ -55,20 +56,6 @@ class UnobservableError(RuntimeError):
     """The (C, A) pair is not observable; the generator is not unique."""
 
 
-def diagonal_selector(d: int) -> np.ndarray:
-    """Output matrix C with C @ vec(rho) = diag(rho).
-
-    Row k has its single 1 at vec position (k-1)*d + k (1-based), the
-    column-stacked index of the k-th diagonal entry.
-    """
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    c = np.zeros((d, d * d))
-    for k in range(d):
-        c[k, k * d + k] = 1.0
-    return c
-
-
 def sampling_period(h: np.ndarray, hbar: float = 1.0) -> float:
     """The sampling period Delta = hbar/||H||_2 of the populations.
 
@@ -89,43 +76,41 @@ def sampling_period(h: np.ndarray, hbar: float = 1.0) -> float:
 # sampled outputs, generator reconstruction and Hamiltonian extraction
 # ---------------------------------------------------------------------------
 
-def _markov_parameters(a: np.ndarray, order: int) -> np.ndarray:
-    """The Markov parameters G_k = C A^k for k = 0..order, shape (order + 1, d, n).
+def _markov_parameters(u: np.ndarray, order: int) -> np.ndarray:
+    """The Markov parameters G_k = C A^k for k = 0..order, shape (order + 1, d, d^2).
 
-    The d x n selector rows are propagated, not the n = d^2 states: each
-    power costs 2 d n^2, not n^3.
+    Row i of C A^k reads entry (i, i) of U^k X U^-k, so G_k[i, b*d + a] =
+    U^k[i, a] conj(U^k[i, b]) under column stacking: each power costs one
+    d x d product.  U^0 = I gives the diagonal selector C exactly.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    n = a.shape[0]
-    d = math.isqrt(n)
-    if d * d != n:
-        raise ValueError(f"propagator size {n} is not a perfect square")
-    g = np.empty((order + 1, d, n), dtype=complex)
-    g[0] = diagonal_selector(d)
+    d = u.shape[0]
+    powers = np.empty((order + 1, d, d), dtype=complex)
+    powers[0] = np.eye(d)
     for k in range(order):
-        g[k + 1] = g[k] @ a
-    return g
+        powers[k + 1] = powers[k] @ u
+    return (powers.conj()[:, :, :, None] * powers[:, :, None, :]).reshape(order + 1, d, d * d)
 
 
-def output_stacks(a: np.ndarray, lambda0: np.ndarray, order: int) -> np.ndarray:
+def output_stacks(u: np.ndarray, lambda0: np.ndarray, order: int) -> np.ndarray:
     """Sampled outputs ys[k] = C A^k Lambda0 for k = 0..order.
 
     Column i of ys[k], shape (d, d^2), holds the populations at t = k*Delta
-    of the run started in column i of Lambda0, when A = e^(L Delta).
+    of the run started in column i of Lambda0, when u = ``dynamics.propagator(h, Delta)``.
     """
-    return _markov_parameters(a, order) @ np.asarray(lambda0, dtype=complex)
+    return _markov_parameters(u, order) @ np.asarray(lambda0, dtype=complex)
 
 
-def observability_rank(a: np.ndarray, rtol: float = DEFAULT_RTOL) -> tuple[int, bool]:
+def observability_rank(u: np.ndarray, rtol: float = DEFAULT_RTOL) -> tuple[int, bool]:
     """Numerical rank of the observability stack and the full-rank flag.
 
-    ``a`` is the sampled propagator e^(L Delta) (``dynamics.propagator``
-    at ``sampling_period``).  The stack [C; CA; ...; CA^(n-1)], C the
-    diagonal selector, holds the Markov parameters themselves.
+    ``u`` is the d x d propagator at ``sampling_period`` (``dynamics.propagator``).
+    The stack [C; CA; ...; CA^(n-1)], n = d^2, C the diagonal selector,
+    holds the Markov parameters themselves.
     """
-    n = a.shape[0]
-    stack = _markov_parameters(a, n - 1).reshape(-1, n)
+    n = u.shape[0] ** 2
+    stack = _markov_parameters(u, n - 1).reshape(-1, n)
     rank = numerical_rank(np.linalg.svd(stack, compute_uv=False), rtol)
     return rank, rank == n
 

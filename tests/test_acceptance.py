@@ -447,10 +447,10 @@ class TestCriterion7PartialInformationRoundTrip:
                     break
             lv = liouvillian(h)
             period = sampling_period(h)
-            a = propagator(h, period)
-            _, obs = observability_rank(a)
+            u = propagator(h, period)
+            _, obs = observability_rank(u)
             for lambda0 in (identity_initial_batch(d), physical_initial_batch(d)[0]):
-                ys = output_stacks(a, lambda0, d * d)
+                ys = output_stacks(u, lambda0, d * d)
                 if obs:
                     observable += 1
                     l_hat = reconstruct_liouvillian(ys, lambda0, period)
@@ -477,8 +477,8 @@ class TestCriterion7PartialInformationRoundTrip:
         for i in range(100):
             d = 2 if i % 2 == 0 else 3
             h = random_admissible(rng, d)
-            a = propagator(h, sampling_period(h))
-            rank, _ = observability_rank(a)
+            u = propagator(h, sampling_period(h))
+            rank, _ = observability_rank(u)
             if rank > d * d - 1:
                 violations += 1
         ok = violations == 0

@@ -307,6 +307,45 @@ class TestPartialIdentify:
         assert "not observable" in capsys.readouterr().err
 
 
+class TestFlagAndInputChecks:
+    @staticmethod
+    def argv(verb, tmp_path):
+        h_path = tmp_path / "h.json"
+        save_matrix(h_path, np.array([[1.0, 1.0], [1.0, -1.0]]))
+        return {
+            "simulate": ("simulate", "--hamiltonian", h_path, "--tau", 1.0, "--dt", 0.1,
+                         "--out", tmp_path / "t.csv"),
+            "identify": ("identify", "--trajectory", tmp_path / "t.csv"),
+            "observability": ("observability", "--hamiltonian", h_path),
+            "partial-identify": ("partial-identify", "--hamiltonian", h_path),
+        }[verb]
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("flag, verb", [
+        ("--hbar", "simulate"), ("--hbar", "identify"), ("--hbar", "observability"),
+        ("--hbar", "partial-identify"), ("--rtol", "identify"), ("--rtol", "observability"),
+        ("--rtol", "partial-identify"),
+    ])
+    def test_nonpositive_flag_exits_2(self, tmp_path, capsys, flag, verb, value):
+        # hbar = 0 gave a NaN trajectory or a ZeroDivisionError, rtol = 0 full rank
+        with pytest.raises(SystemExit) as exc:
+            run(*self.argv(verb, tmp_path), flag, value)
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("verb", ["simulate", "observability", "partial-identify"])
+    def test_one_node_hamiltonian_exits_2(self, tmp_path, capsys, verb):
+        # a 1 x 1 H has a zero generator: its relative error divided round-off by 1e-300
+        argv = self.argv(verb, tmp_path)
+        save_matrix(tmp_path / "h.json", np.array([[1.0]]))
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {tmp_path / 'h.json'}: ")
+        assert "d >= 2" in err
+        assert not (tmp_path / "t.csv").exists()
+
+
 class TestDecompose:
     def test_prints_and_writes(self, tmp_path, capsys):
         out_dir = tmp_path / "dec"

@@ -10,6 +10,7 @@ from qnetid.dynamics import (
     exact_gram,
     liouvillian,
     propagate,
+    propagator,
     read_trajectory_csv,
     sample_times,
     sample_trajectory,
@@ -148,6 +149,39 @@ class TestUnitaryConjugate:
         x = rng.normal(size=(3, 3))
         back = unitary_conjugate(h, unitary_conjugate(h, x, 0.9), -0.9)
         assert np.allclose(back, x, atol=1e-12)
+
+
+class TestPropagator:
+    def test_matches_matrix_exponential(self):
+        # U against expm of -iHt/hbar, and the vectorized propagator
+        # conj(U) kron U against expm of the generator
+        rng = np.random.default_rng(9)
+        t, hbar = 0.7, 0.5
+        for d in (2, 3, 5):
+            h = random_hermitian(rng, d)
+            u = propagator(h, t, hbar)
+            assert u.shape == (d, d)
+            assert np.linalg.norm(u - scipy.linalg.expm(-1j * h * t / hbar)) <= 1e-12
+            e_lt = scipy.linalg.expm(liouvillian(h, hbar) * t)
+            assert np.linalg.norm(np.kron(u.conj(), u) - e_lt) <= 1e-11
+
+
+class TestHbarGuard:
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda hbar: liouvillian(SX, hbar), id="liouvillian"),
+        pytest.param(lambda hbar: propagator(SX, 1.0, hbar), id="propagator"),
+        pytest.param(lambda hbar: unitary_conjugate(SX, SX, 1.0, hbar), id="unitary_conjugate"),
+        pytest.param(lambda hbar: propagate(SX, E1, 1.0, hbar), id="propagate"),
+        pytest.param(lambda hbar: sample_trajectory(SX, E1, 1.0, 0.1, hbar),
+                     id="sample_trajectory"),
+        pytest.param(lambda hbar: exact_gram(SX, E1, 1.0, hbar), id="exact_gram"),
+        pytest.param(lambda hbar: trapezoid_grams(SX, E1, 1.0, 0.1, (1,), hbar),
+                     id="trapezoid_grams"),
+    ])
+    def test_rejects_nonpositive(self, call, hbar):
+        with pytest.raises(ValueError, match="hbar must be positive"):
+            call(hbar)
 
 
 class TestSampleTrajectory:

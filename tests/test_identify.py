@@ -117,6 +117,12 @@ class TestBuildQ:
         q = build_Q(random_density(rng, 4), random_density(rng, 4), hbar=0.5)
         assert np.array_equal(q, -q.conj().T)
 
+    @pytest.mark.parametrize("hbar", [0.0, -1.0])
+    def test_rejects_nonpositive_hbar(self, hbar):
+        # Q = 0 at hbar = 0 would pass as "no interaction detected"
+        with pytest.raises(ValueError, match="hbar must be positive"):
+            build_Q(E1, np.diag([0.0, 1.0]), hbar=hbar)
+
     def test_rejects_non_skew(self):
         # rho_tau - rho_0 is not Hermitian, so i*hbar*(rho_tau - rho_0) is not skew
         rho_tau = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
@@ -221,6 +227,13 @@ class TestRealifiedSystem:
 
 
 class TestSolveCommutator:
+    @pytest.mark.parametrize("rtol", [0.0, -1e-9])
+    def test_rejects_nonpositive_rtol(self, rtol):
+        # the check is numerical_rank's, the one rank rule
+        p = exact_gram(SX, E1, 1.0)
+        with pytest.raises(ValueError, match="rtol must be positive"):
+            solve_commutator(p, build_Q(E1, propagate(SX, E1, 1.0)), rtol=rtol)
+
     def test_identity_p_non_unique(self):
         rep = solve_commutator(np.eye(3), np.zeros((3, 3)))
         assert rep.outcome == "non_unique"
@@ -420,6 +433,10 @@ class TestCommutantDimension:
         p = np.zeros((4, 4))
         p[0, 0] = 3.0
         assert commutant_dimension(p) == 6  # (d-1)(d-2) on the untouched block
+
+    def test_rejects_nonpositive_rtol(self):
+        with pytest.raises(ValueError, match="rtol must be positive"):
+            commutant_dimension(np.diag([1.0, 2.0]), rtol=0.0)
 
     def test_real_coupling_class(self):
         assert commutant_dimension(np.eye(3), real_coupling=True) == 3

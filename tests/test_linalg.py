@@ -99,6 +99,13 @@ class TestNumericalRank:
     def test_table(self, s, rtol, rank):
         assert numerical_rank(np.asarray(s, dtype=float), rtol) == rank
 
+    @pytest.mark.parametrize("s", [[], [1.0, 0.5]])
+    @pytest.mark.parametrize("rtol", [0.0, -1e-9, np.nan])
+    def test_rejects_nonpositive_rtol(self, s, rtol):
+        # rtol = 0 would count every nonzero singular value: full rank
+        with pytest.raises(ValueError, match="rtol must be positive"):
+            numerical_rank(np.asarray(s, dtype=float), rtol)
+
     def test_matches_svd_of_deficient_matrix(self):
         rng = np.random.default_rng(21)
         full = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))

@@ -8,10 +8,11 @@ from qnetid.dynamics import (
     sample_trajectory,
     unitary_conjugate,
 )
-from qnetid.linalg import spectral_norm, vec
+from qnetid.linalg import DEFAULT_RTOL, numerical_rank, spectral_norm, vec
+from qnetid.netmodel import erdos_renyi
 from qnetid.partialinfo import (
     UnobservableError,
-    diagonal_selector,
+    _markov_parameters,
     extract_hamiltonian,
     identity_initial_batch,
     observability_rank,
@@ -38,9 +39,24 @@ def hermitian_with_diagonal(rng, d, norm=1.0):
 
 
 def sampled(h, hbar=1.0):
-    """(propagator, period) at the sampling period of H."""
+    """(U, period): the d x d propagator at the sampling period of H."""
     period = sampling_period(h, hbar)
     return propagator(h, period, hbar), period
+
+
+def dense_markov_parameters(u, order):
+    """Oracle for the Markov parameters: C A^k for k = 0..order with the
+    vectorized propagator A = conj(U) kron U formed densely and the
+    diagonal selector C written out entry by entry."""
+    d = u.shape[0]
+    a = np.kron(u.conj(), u)
+    c = np.zeros((d, d * d), dtype=complex)
+    for i in range(d):
+        c[i, i * d + i] = 1.0  # vec position of entry (i, i), column stacking
+    g = [c]
+    for _ in range(order):
+        g.append(g[-1] @ a)
+    return np.array(g)
 
 
 def populations(h, rho0, tau, dt):
@@ -52,33 +68,20 @@ def populations(h, rho0, tau, dt):
 
 def identify(h, lambda0, hbar=1.0):
     """Generator reconstructed from the populations of the batch ``lambda0``."""
-    a, period = sampled(h, hbar)
+    u, period = sampled(h, hbar)
     d = h.shape[0]
-    return reconstruct_liouvillian(output_stacks(a, lambda0, d * d), lambda0, period)
+    return reconstruct_liouvillian(output_stacks(u, lambda0, d * d), lambda0, period)
 
 
 class TestDiagonalSelector:
-    def test_d2_positions(self):
-        c = diagonal_selector(2)
-        assert c.shape == (2, 4)
-        assert c[0, 0] == 1.0 and c[1, 3] == 1.0
-        assert c.sum() == 2.0
-
     def test_selects_diagonal(self):
+        # the order-zero Markov parameter is the selector C exactly: U^0 = I
         rng = np.random.default_rng(0)
         for d in (2, 3, 5):
-            c = diagonal_selector(d)
-            m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            assert np.array_equal(c @ vec(m), np.diag(m))
-
-    def test_ones_on_identity(self):
-        for d in (1, 2, 4):
-            assert np.array_equal(diagonal_selector(d) @ vec(np.eye(d)), np.ones(d))
-
-    def test_annihilates_admissible(self):
-        rng = np.random.default_rng(1)
-        h = random_admissible(rng, 4)
-        assert np.array_equal(diagonal_selector(4) @ vec(h), np.zeros(4))
+            u, _ = sampled(random_hermitian(rng, d))
+            c = output_stacks(u, identity_initial_batch(d), 0)[0]
+            rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            assert np.array_equal(c @ vec(rho), np.diag(rho))
 
 
 class TestSamplingPeriod:
@@ -103,7 +106,7 @@ class TestSamplingPeriod:
     def test_zero_hamiltonian_floored(self):
         assert np.isfinite(sampling_period(np.zeros((3, 3))))
         assert np.array_equal(propagator(np.zeros((2, 2)), sampling_period(np.zeros((2, 2)))),
-                              np.eye(4))
+                              np.eye(2))
 
 
 class TestObservabilityRank:
@@ -128,12 +131,21 @@ class TestObservabilityRank:
         for _ in range(25):
             d = int(rng.integers(2, 5))
             h = random_admissible(rng, d)
-            a, _ = sampled(h)
-            stack = output_stacks(a, identity_initial_batch(d), d * d - 1).reshape(-1, d * d)
+            u, _ = sampled(h)
+            stack = output_stacks(u, identity_initial_batch(d), d * d - 1).reshape(-1, d * d)
             residual = np.max(np.abs(stack @ vec(h)))
             assert residual <= 1e-12 * spectral_norm(stack) * max(spectral_norm(h), 1.0)
-            rank, _ = observability_rank(a)
+            rank, _ = observability_rank(u)
             assert rank <= d * d - 1
+
+    def test_rejects_nonpositive_rtol(self):
+        # rtol = 0 would report every nonzero singular value: full rank
+        u, period = sampled(SX)
+        lam0 = identity_initial_batch(2)
+        with pytest.raises(ValueError, match="rtol must be positive"):
+            observability_rank(u, rtol=0.0)
+        with pytest.raises(ValueError, match="rtol must be positive"):
+            reconstruct_liouvillian(output_stacks(u, lam0, 4), lam0, period, rtol=0.0)
 
     def test_full_rank_at_d6(self):
         # the powers of the unitary propagator keep unit scale, so the
@@ -143,11 +155,54 @@ class TestObservabilityRank:
         assert observability_rank(sampled(h)[0]) == (36, True)
 
 
+def spin_x(j2):
+    """J_x of spin j = j2/2, d = j2 + 1: an equally spaced spectrum."""
+    m = j2 / 2 - np.arange(j2)  # J_+ |m - 1> = sqrt(j(j+1) - m(m-1)) |m>
+    off = 0.5 * np.sqrt(j2 / 2 * (j2 / 2 + 1) - m * (m - 1))
+    return (np.diag(off, 1) + np.diag(off, -1)).astype(complex)
+
+
+def observability_family(rng, per_kind):
+    """(h, expected observable or None) over d = 2..7: random Hermitian,
+    zero-diagonal Erdos-Renyi graphs (never observable), the same with a
+    random diagonal potential, a path with a linear potential, and spin-2
+    J_x (rank 15 of 25: its equally spaced gaps coincide)."""
+    for d in range(2, 8):
+        for _ in range(per_kind):
+            yield random_hermitian(rng, d), True
+            adj = erdos_renyi(d, 0.5, rng).astype(complex)
+            yield adj, False
+            yield adj + np.diag(rng.uniform(-1.0, 1.0, d)), None
+        path = np.diag(np.ones(d - 1), 1)
+        yield path + path.T + np.diag(np.arange(d) / d), None
+    yield spin_x(4), False
+
+
+class TestObservabilityFamily:
+    def test_rank_matches_dense_oracle(self):
+        # the rank of the stack built from the powers of U equals the rank
+        # of the stack of the dense C A^k on every member of the family
+        rng = np.random.default_rng(2017)
+        cases = 0
+        for h, expected in observability_family(rng, 40):
+            d = h.shape[0]
+            u, _ = sampled(h)
+            oracle = dense_markov_parameters(u, d * d - 1).reshape(-1, d * d)
+            oracle_rank = numerical_rank(np.linalg.svd(oracle, compute_uv=False), DEFAULT_RTOL)
+            rank, observable = observability_rank(u)
+            assert rank == oracle_rank, (d, h)
+            if expected is not None:
+                assert observable == expected, (d, h)
+            cases += 1
+        assert cases == 727
+        assert observability_rank(sampled(spin_x(4))[0]) == (15, False)
+
+
 class TestOutputStacks:
     def test_order_zero(self):
         ys = output_stacks(sampled(H_OBS)[0], identity_initial_batch(2), 0)
         assert ys.shape == (1, 2, 4)
-        assert np.array_equal(ys[0], diagonal_selector(2))
+        assert np.array_equal(ys[0], [[1, 0, 0, 0], [0, 0, 0, 1]])
 
     def test_zero_generator(self):
         ys = output_stacks(sampled(np.zeros((2, 2)))[0], identity_initial_batch(2), 3)
@@ -155,24 +210,25 @@ class TestOutputStacks:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 6])
     def test_matches_per_power_products(self, d):
-        # the batched product of the Markov parameters with Lambda0 does
+        # the Markov parameters from the powers of U match C A^k of the
+        # dense A = conj(U) kron U; the batched product with Lambda0 does
         # the arithmetic of one product per power, so equals it bit for bit
         rng = np.random.default_rng(50 + d)
-        a, _ = sampled(random_hermitian(rng, d, norm=1.0))
+        u, _ = sampled(random_hermitian(rng, d, norm=1.0))
+        g = _markov_parameters(u, d * d)
+        assert np.max(np.abs(g - dense_markov_parameters(u, d * d))) <= 1e-13
         for lam0 in (identity_initial_batch(d), physical_initial_batch(d)[0]):
-            g = diagonal_selector(d).astype(complex)
-            for k, y in enumerate(output_stacks(a, lam0, d * d)):
-                assert np.array_equal(y, g @ lam0), k
-                g = g @ a
+            for k, y in enumerate(output_stacks(u, lam0, d * d)):
+                assert np.array_equal(y, g[k] @ lam0), k
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_matches_unitary_conjugate(self, d):
         # column i of ys[k] is diag(U^k X_i U^-k), X_i = column i of Lambda0
         rng = np.random.default_rng(30 + d)
         h = random_hermitian(rng, d, norm=1.0)
-        a, period = sampled(h)
+        u, period = sampled(h)
         for lam0 in (identity_initial_batch(d), physical_initial_batch(d)[0]):
-            ys = output_stacks(a, lam0, d * d)
+            ys = output_stacks(u, lam0, d * d)
             for k in range(d * d + 1):
                 ref = np.array([np.diag(unitary_conjugate(h, x.reshape((d, d), order="F"), k * period))
                                 for x in lam0.T]).T
@@ -193,17 +249,17 @@ class TestReconstructLiouvillian:
             identify(SX, identity_initial_batch(2))
 
     def test_incomplete_stacks_rejected(self):
-        a, period = sampled(H_OBS)
-        ys = output_stacks(a, identity_initial_batch(2), 2)
+        u, period = sampled(H_OBS)
+        ys = output_stacks(u, identity_initial_batch(2), 2)
         with pytest.raises(ValueError, match="incomplete"):
             reconstruct_liouvillian(ys, identity_initial_batch(2), period)
 
     def test_singular_lambda0_rejected(self):
         lam = np.eye(4, dtype=complex)
         lam[:, 3] = lam[:, 2]
-        a, period = sampled(H_OBS)
+        u, period = sampled(H_OBS)
         with pytest.raises(ValueError, match="singular"):
-            reconstruct_liouvillian(output_stacks(a, lam, 4), lam, period)
+            reconstruct_liouvillian(output_stacks(u, lam, 4), lam, period)
 
     def test_physical_batch_roundtrip(self):
         lam0, states = physical_initial_batch(2)
@@ -235,10 +291,10 @@ class TestReconstructLiouvillian:
             reconstruct_liouvillian(ys, lam0, period)
 
     def test_nonpositive_period_rejected(self):
-        a, _ = sampled(H_OBS)
+        u, _ = sampled(H_OBS)
         lam0 = identity_initial_batch(2)
         with pytest.raises(ValueError, match="period"):
-            reconstruct_liouvillian(output_stacks(a, lam0, 4), lam0, 0.0)
+            reconstruct_liouvillian(output_stacks(u, lam0, 4), lam0, 0.0)
 
 
 class TestExtractHamiltonian:
@@ -362,9 +418,9 @@ class TestRoundTripInvariant:
             d = int(rng.integers(2, 4))
             h = hermitian_with_diagonal(rng, d)
             lv = liouvillian(h)
-            a, period = sampled(h)
-            rank, obs = observability_rank(a)
-            ys = output_stacks(a, identity_initial_batch(d), d * d)
+            u, period = sampled(h)
+            rank, obs = observability_rank(u)
+            ys = output_stacks(u, identity_initial_batch(d), d * d)
             if obs:
                 seen_observable += 1
                 l_hat = reconstruct_liouvillian(ys, identity_initial_batch(d), period)
