@@ -15,6 +15,7 @@ solvability and error curves.
 __version__ = "0.1.0"
 
 from .linalg import (
+    ConfigError,
     hermitize,
     load_matrix,
     numerical_rank,
@@ -65,7 +66,6 @@ from .partialinfo import (
 )
 from .sweep import (
     CellRecord,
-    ConfigError,
     SweepConfig,
     SweepResult,
     TrialRecord,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ABS_FLOOR, HERMITIAN_RTOL, check_positive, hermitize
+from .linalg import ABS_FLOOR, HERMITIAN_RTOL, ConfigError, check_positive, hermitize
 
 #: tolerated negative eigenvalue on density operators (round-off slack)
 PSD_TOL = 1e-10
@@ -72,19 +72,18 @@ def _check_grid(times: np.ndarray) -> None:
 def sample_times(tau: float, dt: float) -> np.ndarray:
     """The sampling grid t_k = k*dt, k = 0..n, with t_n = tau exactly.
 
-    This is the one rule for which (tau, dt) pairs are accepted: n is
-    tau/dt rounded, and it must be positive with |tau - n*dt| at most
-    ``GRID_RTOL * dt`` (the last step's deviation from dt).  The grid is
-    then checked as ``Trajectory`` checks it, so every accepted pair
-    yields a valid trajectory.  Raises ValueError otherwise.
+    This is the one rule for which (tau, dt) pairs are accepted: both are
+    positive and finite, and n, tau/dt rounded, is positive with |tau - n*dt|
+    at most ``GRID_RTOL * dt`` (the last step's deviation from dt).  The grid
+    is then checked as ``Trajectory`` checks it, so every accepted pair
+    yields a valid trajectory.  Raises ConfigError otherwise.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    n = int(round(tau / dt))
+    check_positive("tau", tau)
+    check_positive("dt", dt)
+    ratio = float(tau) / float(dt)  # Python floats overflow to inf without a warning
+    n = round(ratio) if np.isfinite(ratio) else 0
     if n < 1 or abs(tau - n * dt) > GRID_RTOL * dt:
-        raise ValueError(f"tau/dt = {tau / dt!r} is not a positive integer")
+        raise ConfigError(f"tau/dt = {float(tau)!r}/{float(dt)!r} is not a positive integer")
     times = np.arange(n + 1) * dt
     times[-1] = tau  # kill accumulated grid round-off at the endpoint
     _check_grid(times)
@@ -166,10 +165,10 @@ def propagate(h: np.ndarray, rho0: np.ndarray, t: float, hbar: float = 1.0) -> n
     """Propagate a density operator: rho_t = U rho_0 U†.
 
     Exact for time-independent H (no step-size error); preserves trace,
-    Hermiticity and the spectrum of rho_0.
+    Hermiticity and the spectrum of rho_0.  t must be finite.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not (np.isfinite(t) and t >= 0):
+        raise ConfigError("t must be nonnegative")
     rho0 = check_density(rho0, "rho0")
     rho_t = unitary_conjugate(h, rho0, t, hbar)
     return 0.5 * (rho_t + rho_t.conj().T)
@@ -178,7 +177,7 @@ def propagate(h: np.ndarray, rho0: np.ndarray, t: float, hbar: float = 1.0) -> n
 def _eigenbasis(h: np.ndarray, rho0: np.ndarray, hbar: float):
     """The checked rho0, the eigenvalues w and eigenvectors V of H, and
     rho0 in that eigenbasis, V-dagger rho0 V; raises ValueError on an
-    invalid rho0, one whose shape does not match H, or hbar <= 0."""
+    invalid rho0, one whose shape does not match H, or a bad hbar."""
     check_positive("hbar", hbar)
     rho0 = check_density(rho0, "rho0")
     h = hermitize(h)
@@ -190,12 +189,12 @@ def _eigenbasis(h: np.ndarray, rho0: np.ndarray, hbar: float):
 
 
 def check_subsample(n_s: int, subsample: int) -> None:
-    """Raise ValueError unless ``subsample`` is a positive divisor of the
+    """Raise ConfigError unless ``subsample`` is a positive divisor of the
     number of sampling intervals ``n_s``."""
     if subsample < 1:
-        raise ValueError("subsample must be a positive integer")
+        raise ConfigError("subsample must be a positive integer")
     if n_s % subsample != 0:
-        raise ValueError(f"subsample {subsample} does not divide n_s = {n_s}")
+        raise ConfigError(f"subsample {subsample} does not divide n_s = {n_s}")
 
 
 def sample_trajectory(
@@ -258,8 +257,7 @@ def exact_gram(h: np.ndarray, rho0: np.ndarray, tau: float, hbar: float = 1.0) -
     degenerate frequencies.  Serves as the quadrature-free oracle for
     trapezoid-based estimates.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    check_positive("tau", tau)
     _, w, v, rho_eig = _eigenbasis(h, rho0, hbar)
     p = v @ (rho_eig * _mode_factors((w[:, None] - w[None, :]) / hbar, tau)) @ v.conj().T
     return 0.5 * (p + p.conj().T)

@@ -2,7 +2,8 @@
 
 Column-stacking vectorization, Hermitian symmetrization, the one
 numerical-rank rule, spectral norm, and the JSON matrix file format
-shared by the whole package.
+shared by the whole package; also ``ConfigError``, raised by every check of
+a parameter (not of data), and ``check_positive``, the one positivity rule.
 
 The vectorization convention is column stacking throughout:
 ``vec(M)[(j-1)*d + i] = M[i, j]`` (1-based), i.e. the first column of M
@@ -13,6 +14,7 @@ particular ``vec(A X B) = (B^T kron A) vec(X)``.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -51,10 +53,14 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
+class ConfigError(ValueError):
+    """An invalid parameter (not invalid data); the message names it."""
+
+
 def check_positive(name: str, value: float) -> None:
-    """Raise ValueError("<name> must be positive") unless value > 0 (NaN is not)."""
-    if not value > 0:
-        raise ValueError(f"{name} must be positive")
+    """Raise ConfigError unless value is a finite number above 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{name} must be positive and finite, got {float(value)!r}")
 
 
 def numerical_rank(s: np.ndarray, rtol: float) -> int:

@@ -12,6 +12,8 @@ import hashlib
 
 import numpy as np
 
+from .linalg import ConfigError
+
 #: resampling cap when conditioning on connected graphs
 MAX_CONNECTED_DRAWS = 100_000
 
@@ -37,9 +39,9 @@ def erdos_renyi(d: int, p_link: float, rng) -> np.ndarray:
     may be a numpy Generator or a plain seed.
     """
     if d < 2:
-        raise ValueError("d must be at least 2")
+        raise ConfigError(f"d must be at least 2, got {d}")
     if not 0.0 <= p_link <= 1.0:
-        raise ValueError("p_link must be in [0, 1]")
+        raise ConfigError(f"p_link must be in [0, 1], got {p_link}")
     gen = np.random.default_rng(rng)
     iu = np.triu_indices(d, k=1)
     draws = gen.random(len(iu[0])) < p_link
@@ -67,8 +69,10 @@ def is_connected(adjacency: np.ndarray) -> bool:
 def connected_erdos_renyi(d: int, p_link: float, rng) -> np.ndarray:
     """Draw ``erdos_renyi`` graphs from ``rng`` until one is connected.
 
-    Raises RuntimeError after MAX_CONNECTED_DRAWS disconnected draws.
+    Raises ConfigError at p_link = 0, RuntimeError after MAX_CONNECTED_DRAWS.
     """
+    if p_link == 0:
+        raise ConfigError("no graph is connected at p_link = 0")
     gen = np.random.default_rng(rng)
     for _ in range(MAX_CONNECTED_DRAWS):
         adjacency = erdos_renyi(d, p_link, gen)
@@ -81,7 +85,7 @@ def connected_erdos_renyi(d: int, p_link: float, rng) -> np.ndarray:
 def basis_density(d: int, k: int) -> np.ndarray:
     """Density operator e_k e_k^T with only node k excited (1-based k)."""
     if not 1 <= k <= d:
-        raise ValueError(f"node index {k} out of range 1..{d}")
+        raise ConfigError(f"node index {k} out of range 1..{d}")
     rho = np.zeros((d, d), dtype=complex)
     rho[k - 1, k - 1] = 1.0
     return rho

@@ -37,6 +37,7 @@ from .dynamics import liouvillian
 from .linalg import (
     ABS_FLOOR,
     DEFAULT_RTOL,
+    check_positive,
     hermitize,
     matrix_from_json,
     matrix_to_json,
@@ -65,8 +66,9 @@ def sampling_period(h: np.ndarray, hbar: float = 1.0) -> float:
     artifacts of the powers of L).  With it ||H|| Delta/hbar = 1 < pi/2,
     so the principal logarithm of the sampled propagator is the
     generator.  A zero traceless part has no time scale; its norm is
-    floored at ABS_FLOOR.
+    floored at ABS_FLOOR.  hbar must be positive (ConfigError).
     """
+    check_positive("hbar", hbar)
     h = hermitize(h)
     h = h - (np.trace(h) / h.shape[0]) * np.eye(h.shape[0])
     return hbar / max(spectral_norm(h), ABS_FLOOR)
@@ -133,8 +135,7 @@ def reconstruct_liouvillian(
     n = lambda0.shape[0]
     if lambda0.shape != (n, n):
         raise ValueError("Lambda0 must be square (columns = vectorized initial states)")
-    if period <= 0:
-        raise ValueError("period must be positive")
+    check_positive("period", period)
     if len(ys) < n + 1:
         raise ValueError(f"{len(ys)} output samples are incomplete; need {n + 1}")
     if numerical_rank(np.linalg.svd(lambda0, compute_uv=False), rtol) < n:

@@ -35,13 +35,9 @@ from functools import partial
 import numpy as np
 
 from .identify import build_Q, solve_commutator
-from .linalg import spectral_norm
+from .linalg import ConfigError, check_positive, spectral_norm
 from .netmodel import basis_density, connected_erdos_renyi, derive_seed
-from .dynamics import sample_times, trapezoid_grams
-
-
-class ConfigError(ValueError):
-    """Invalid sweep configuration; message lists every violation."""
+from .dynamics import check_subsample, sample_times, trapezoid_grams
 
 
 def _fits(value, default) -> bool:
@@ -76,15 +72,20 @@ class SweepConfig:
         object.__setattr__(self, "taus", tuple(self.taus))
         object.__setattr__(self, "subsamples", tuple(self.subsamples))
 
-    def n_samples(self, tau: float) -> int:
-        return int(round(tau / self.dt))
-
     @property
     def d_values(self) -> list[int]:
         return list(range(self.d_min, self.d_max + 1))
 
     def validate(self) -> list[str]:
+        """Every violation, once; the library's checks judge tau, dt, divisors, hbar, rtol."""
         errors = []
+
+        def note(check, *args):
+            try:
+                return check(*args)
+            except ConfigError as exc:
+                errors.append(str(exc))
+
         if self.d_min < 2:
             errors.append(f"d_min must be >= 2, got {self.d_min}")
         if self.d_max < self.d_min:
@@ -94,32 +95,20 @@ class SweepConfig:
                           "sweeps draw connected graphs, and none is connected at 0")
         if not self.taus:
             errors.append("at least one tau is required")
-        if self.dt <= 0:
-            errors.append(f"dt must be positive, got {self.dt}")
-        for tau in self.taus:
-            if tau <= 0:
-                errors.append(f"tau must be positive, got {tau}")
-                continue
-            if self.dt > 0:
-                try:
-                    n = len(sample_times(tau, self.dt)) - 1
-                except ValueError:
-                    errors.append(f"dt {self.dt} does not divide tau {tau}")
-                    continue
-                for sub in self.subsamples:
-                    if sub >= 1 and n % sub != 0:
-                        errors.append(f"subsample {sub} does not divide n_s = {n} (tau = {tau})")
         if not self.subsamples:
             errors.append("at least one subsample divisor is required")
-        if any(s < 1 for s in self.subsamples):
-            errors.append("subsample divisors must be positive")
+        note(check_positive, "dt", self.dt)
+        for tau in self.taus:
+            times = note(sample_times, tau, self.dt)
+            # without a grid, n_s = 0 leaves only each divisor's sign to check
+            n_s = 0 if times is None else len(times) - 1
+            for sub in self.subsamples:
+                note(check_subsample, n_s, sub)
         if self.trials < 1:
             errors.append(f"trials must be >= 1, got {self.trials}")
-        if self.hbar <= 0:
-            errors.append(f"hbar must be positive, got {self.hbar}")
-        if self.rtol <= 0:
-            errors.append(f"rtol must be positive, got {self.rtol}")
-        return errors
+        note(check_positive, "hbar", self.hbar)
+        note(check_positive, "rtol", self.rtol)
+        return list(dict.fromkeys(errors))
 
     def validated(self) -> "SweepConfig":
         errors = self.validate()
@@ -296,6 +285,7 @@ def _run_row(cfg: SweepConfig, d: int, tau: float) -> tuple[list[CellRecord], li
     first failure in seed order is raised; the pending trials are cancelled.
     """
     subsamples = sorted(cfg.subsamples, reverse=True)
+    n_s = len(sample_times(tau, cfg.dt)) - 1
     seeds = [derive_seed(cfg.seed, d, tau, trial) for trial in range(cfg.trials)]
     run_trial = partial(run_benchmark_trial, d, tau, subsamples, cfg=cfg)
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -308,7 +298,7 @@ def _run_row(cfg: SweepConfig, d: int, tau: float) -> tuple[list[CellRecord], li
             outcomes = list(pool.map(run_trial, seeds))
     records, trials = [], []
     for i, subsample in enumerate(subsamples):
-        n_tilde = cfg.n_samples(tau) // subsample
+        n_tilde = n_s // subsample
         cell = [
             TrialRecord(d, tau, n_tilde, trial, seed, *outcome[i])
             for trial, (seed, outcome) in enumerate(zip(seeds, outcomes))

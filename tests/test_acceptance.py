@@ -31,6 +31,7 @@ from qnetid.dynamics import (
     liouvillian,
     propagate,
     propagator,
+    sample_times,
     sample_trajectory,
     unitary_conjugate,
 )
@@ -284,7 +285,7 @@ class TestCriterion3ErrorBenchmark:
             failures.extend(golden_mismatches(name, res.records))
             pairs, problems = cell_trials(res)
             failures.extend(problems)
-            n_s = cfg.n_samples(tau)
+            n_s = len(sample_times(tau, cfg.dt)) - 1
             medians = {(rec.d, n_s // rec.n_tilde): rec.eps_median for rec in res.records}
             cells = {(rec.d, n_s // rec.n_tilde): cell for rec, cell in pairs}
             for rec, cell in pairs:

@@ -3,8 +3,15 @@ import json
 import numpy as np
 import pytest
 
+from qnetid import cli
 from qnetid.cli import main
-from qnetid.dynamics import Trajectory, propagator, read_trajectory_csv, write_trajectory_csv
+from qnetid.dynamics import (
+    Trajectory,
+    propagator,
+    read_trajectory_csv,
+    sample_trajectory,
+    write_trajectory_csv,
+)
 from qnetid.linalg import hermitize, load_matrix, save_matrix, spectral_norm
 from qnetid.partialinfo import (
     extract_hamiltonian,
@@ -103,7 +110,7 @@ class TestSimulateIdentify:
         # no draw at p = 0 is connected; the redraw loop must not start
         assert run("simulate", "--er-d", 3, "--er-p", 0, "--connected-only",
                    "--tau", 1.0, "--dt", 0.1, "--out", tmp_path / "t.csv") == 2
-        assert "--er-p 0" in capsys.readouterr().err
+        assert "no graph is connected at p_link = 0" in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
 
     def test_missing_file_exits_2(self, tmp_path):
@@ -312,27 +319,69 @@ class TestFlagAndInputChecks:
     def argv(verb, tmp_path):
         h_path = tmp_path / "h.json"
         save_matrix(h_path, np.array([[1.0, 1.0], [1.0, -1.0]]))
+        traj = tmp_path / "in.csv"  # n_s = 10
+        write_trajectory_csv(sample_trajectory(SX, np.diag([1.0, 0.0]), 1.0, 0.1), traj)
         return {
             "simulate": ("simulate", "--hamiltonian", h_path, "--tau", 1.0, "--dt", 0.1,
                          "--out", tmp_path / "t.csv"),
-            "identify": ("identify", "--trajectory", tmp_path / "t.csv"),
+            "simulate-er": ("simulate", "--er-d", 3, "--tau", 1.0, "--dt", 0.1,
+                            "--out", tmp_path / "t.csv"),
+            "identify": ("identify", "--trajectory", traj, "--out", tmp_path / "r.json"),
             "observability": ("observability", "--hamiltonian", h_path),
-            "partial-identify": ("partial-identify", "--hamiltonian", h_path),
+            "partial-identify": ("partial-identify", "--hamiltonian", h_path,
+                                 "--out", tmp_path / "s.json", "--save-outputs", tmp_path / "b"),
+            "sweep": ("sweep", "solvability", "--d-max", 2, "--trials", 1,
+                      "--out-dir", tmp_path / "out"),
         }[verb]
 
-    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    def run_rejected(self, tmp_path, capsys, verb, *flags) -> str:
+        """Run a verb whose flags the library rejects: exit 2, no traceback,
+        no file written; returns stderr."""
+        argv = self.argv(verb, tmp_path)
+        inputs = set(tmp_path.iterdir())
+        capsys.readouterr()
+        assert run(*argv, *flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "Traceback" not in err
+        assert set(tmp_path.iterdir()) == inputs
+        return err
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "-inf"])
     @pytest.mark.parametrize("flag, verb", [
         ("--hbar", "simulate"), ("--hbar", "identify"), ("--hbar", "observability"),
         ("--hbar", "partial-identify"), ("--rtol", "identify"), ("--rtol", "observability"),
-        ("--rtol", "partial-identify"),
+        ("--rtol", "partial-identify"), ("--hbar", "sweep"), ("--rtol", "sweep"),
     ])
     def test_nonpositive_flag_exits_2(self, tmp_path, capsys, flag, verb, value):
-        # hbar = 0 gave a NaN trajectory or a ZeroDivisionError, rtol = 0 full rank
-        with pytest.raises(SystemExit) as exc:
-            run(*self.argv(verb, tmp_path), flag, value)
-        assert exc.value.code == 2
-        assert f"argument {flag}: must be positive" in capsys.readouterr().err
-        assert not (tmp_path / "t.csv").exists()
+        # hbar = 0 gave a NaN trajectory or a ZeroDivisionError, rtol = 0 full rank;
+        # the flags are parsed as plain floats and checked by the library
+        err = self.run_rejected(tmp_path, capsys, verb, f"{flag}={value}")
+        sweep = "invalid sweep configuration:\n  " if verb == "sweep" else ""
+        assert err.startswith(f"configuration error: {sweep}{flag[2:]} must be positive")
+
+    @pytest.mark.parametrize("verb, flags, named", [
+        ("sweep", ("--hbar", "nan"), "hbar must be positive and finite, got nan"),
+        ("sweep", ("--rtol", "nan"), "rtol must be positive and finite, got nan"),
+        ("sweep", ("--hbar", "inf"), "hbar must be positive and finite, got inf"),
+        ("sweep", ("--tau", "inf"), "tau must be positive and finite, got inf"),
+        ("sweep", ("--tau", "1e300", "--dt", "1e-300"), "tau/dt = 1e+300/1e-300 is not"),
+        ("simulate", ("--tau", "inf"), "tau must be positive and finite, got inf"),
+        ("simulate", ("--tau", "1", "--dt", "0.3"), "tau/dt = 1.0/0.3 is not"),
+        ("simulate", ("--hbar", "inf"), "hbar must be positive and finite, got inf"),
+        ("simulate-er", ("--er-p", "2"), "p_link must be in [0, 1], got 2.0"),
+        ("simulate-er", ("--er-p", "nan"), "p_link must be in [0, 1], got nan"),
+        ("simulate-er", ("--er-d", "1"), "d must be at least 2, got 1"),
+        ("simulate", ("--excite-node", "9"), "node index 9 out of range 1..2"),
+        ("identify", ("--rtol", "inf"), "rtol must be positive and finite, got inf"),
+        ("identify", ("--hbar", "inf"), "hbar must be positive and finite, got inf"),
+        ("identify", ("--subsample", "3"), "subsample 3 does not divide n_s = 10"),
+        ("observability", ("--hbar", "inf"), "hbar must be positive and finite, got inf"),
+        ("partial-identify", ("--hbar", "inf"), "hbar must be positive and finite, got inf"),
+    ])
+    def test_invalid_parameter_exits_2(self, tmp_path, capsys, verb, flags, named):
+        # each of these crashed with a traceback (exit 1), passed with a wrong
+        # answer (exit 0) or was reported as a numerical failure (exit 3)
+        assert named in self.run_rejected(tmp_path, capsys, verb, *flags)
 
     @pytest.mark.parametrize("verb", ["simulate", "observability", "partial-identify"])
     def test_one_node_hamiltonian_exits_2(self, tmp_path, capsys, verb):
@@ -344,6 +393,17 @@ class TestFlagAndInputChecks:
         assert err.startswith(f"configuration error: {tmp_path / 'h.json'}: ")
         assert "d >= 2" in err
         assert not (tmp_path / "t.csv").exists()
+
+
+class TestParser:
+    def test_calls_share_no_state(self, monkeypatch):
+        # the parser is built once per process; each call still parses afresh
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, "sweep", lambda args: seen.append(args.taus) or 0)
+        assert run("sweep", "error", "--tau", 1, "--tau", 2, "--out-dir", "o") == 0
+        assert run("sweep", "error", "--out-dir", "o") == 0
+        assert seen == [[1.0, 2.0], None]
+        assert cli._build_parser() is cli._build_parser()
 
 
 class TestDecompose:

@@ -19,7 +19,7 @@ from qnetid.dynamics import (
     write_trajectory_csv,
 )
 from qnetid.identify import build_P_trapezoid, identify_topology
-from qnetid.linalg import spectral_norm, vec
+from qnetid.linalg import ConfigError, spectral_norm, vec
 from qnetid.sweep import SweepConfig, benchmark_network
 
 from conftest import random_density, random_hermitian
@@ -131,6 +131,12 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(SX, E1, -1.0)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_time(self, t):
+        # t = NaN or inf gave an all-NaN state
+        with pytest.raises(ConfigError, match="t must be nonnegative"):
+            propagate(SX, E1, t)
+
 
 class TestUnitaryConjugate:
     def test_linear_extension(self):
@@ -167,7 +173,7 @@ class TestPropagator:
 
 
 class TestHbarGuard:
-    @pytest.mark.parametrize("hbar", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, np.nan, np.inf])
     @pytest.mark.parametrize("call", [
         pytest.param(lambda hbar: liouvillian(SX, hbar), id="liouvillian"),
         pytest.param(lambda hbar: propagator(SX, 1.0, hbar), id="propagator"),
@@ -226,13 +232,22 @@ class TestSampleTrajectory:
         errors = SweepConfig(taus=(tau,), dt=dt, subsamples=(1,)).validate()
         try:
             traj = sample_trajectory(SX, E1, tau, dt)
-        except ValueError as exc:
+        except ConfigError as exc:
             assert "integer" in str(exc)
-            assert errors == [f"dt {dt} does not divide tau {tau}"]
+            assert errors == [str(exc)]
         else:
             assert errors == []
-            assert traj.n_samples == SweepConfig(dt=dt).n_samples(tau)
+            assert traj.n_samples == len(sample_times(tau, dt)) - 1
             assert traj.times[-1] == tau
+
+    @pytest.mark.parametrize("tau, dt, message", [
+        (np.inf, 0.1, "tau must be positive and finite, got inf"),
+        (1.0, np.nan, "dt must be positive and finite, got nan"),
+        (1e300, 1e-300, "tau/dt = 1e+300/1e-300 is not a positive integer"),  # overflows
+    ])
+    def test_rejects_non_finite_grid(self, tau, dt, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            sample_times(tau, dt)
 
     def test_grid_of_existing_configs_unchanged(self):
         for tau in (1.0, 2.0, 3.0):
@@ -271,6 +286,11 @@ class TestSampleTrajectory:
 
 
 class TestExactGram:
+    @pytest.mark.parametrize("tau", [0.0, np.nan, np.inf])
+    def test_rejects_bad_tau(self, tau):
+        with pytest.raises(ConfigError, match="tau must be positive"):
+            exact_gram(SX, E1, tau)
+
     def test_zero_hamiltonian(self):
         p = exact_gram(np.zeros((2, 2)), E1, 2.5)
         assert np.allclose(p, 2.5 * E1, atol=1e-14)

@@ -5,6 +5,8 @@ import qnetid
 from qnetid.linalg import (
     ABS_FLOOR,
     EPS,
+    ConfigError,
+    check_positive,
     hermitize,
     load_matrix,
     matrix_from_json,
@@ -100,7 +102,7 @@ class TestNumericalRank:
         assert numerical_rank(np.asarray(s, dtype=float), rtol) == rank
 
     @pytest.mark.parametrize("s", [[], [1.0, 0.5]])
-    @pytest.mark.parametrize("rtol", [0.0, -1e-9, np.nan])
+    @pytest.mark.parametrize("rtol", [0.0, -1e-9, np.nan, np.inf])
     def test_rejects_nonpositive_rtol(self, s, rtol):
         # rtol = 0 would count every nonzero singular value: full rank
         with pytest.raises(ValueError, match="rtol must be positive"):
@@ -113,6 +115,18 @@ class TestNumericalRank:
         assert numerical_rank(np.linalg.svd(full, compute_uv=False), 1e-9) == 3
         assert numerical_rank(np.linalg.svd(deficient, compute_uv=False), 1e-9) == 2
         assert numerical_rank(np.linalg.svd(np.zeros((3, 2)), compute_uv=False), 1e-9) == 0
+
+
+class TestCheckPositive:
+    @pytest.mark.parametrize("value", [0, -1.0, np.nan, np.inf, -np.inf])
+    def test_rejects_all_but_positive_finite(self, value):
+        with pytest.raises(ConfigError, match=r"^x must be positive and finite, got "):
+            check_positive("x", value)
+        assert issubclass(ConfigError, ValueError)
+
+    @pytest.mark.parametrize("value", [1e-300, 1, 1e300])
+    def test_accepts_positive_finite(self, value):
+        check_positive("x", value)
 
 
 class TestSpectralNorm:
@@ -174,3 +188,6 @@ class TestExports:
         assert len(qnetid.__all__) == len(set(qnetid.__all__))
         missing = [name for name in qnetid.__all__ if not hasattr(qnetid, name)]
         assert missing == []
+
+    def test_one_config_error(self):
+        assert qnetid.ConfigError is qnetid.sweep.ConfigError is qnetid.linalg.ConfigError

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qnetid import netmodel
+from qnetid.linalg import ConfigError
 from qnetid.netmodel import (
     basis_density,
     connected_erdos_renyi,
@@ -48,10 +49,9 @@ class TestErdosRenyi:
         assert abs(mean - 217.5) <= 3 * stderr
 
     def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            erdos_renyi(1, 0.5, 0)
-        with pytest.raises(ValueError):
-            erdos_renyi(3, 1.5, 0)
+        for d, p in [(1, 0.5), (3, 1.5), (3, -0.1), (3, float("nan"))]:
+            with pytest.raises(ConfigError, match="d must be|p_link must be"):
+                erdos_renyi(d, p, 0)
 
 
 class TestConnectivity:
@@ -80,6 +80,11 @@ class TestConnectivity:
     def test_connected_draw_is_capped(self, monkeypatch):
         monkeypatch.setattr(netmodel, "MAX_CONNECTED_DRAWS", 5)
         with pytest.raises(RuntimeError, match="no connected graph after 5 draws"):
+            connected_erdos_renyi(4, 1e-300, 0)  # p = 0 is rejected before any draw
+
+    def test_connected_draw_rejects_p_zero_up_front(self, monkeypatch):
+        monkeypatch.setattr(netmodel, "erdos_renyi", None)  # no draw is made
+        with pytest.raises(ConfigError, match="p_link = 0"):
             connected_erdos_renyi(4, 0.0, 0)
 
 
@@ -99,9 +104,9 @@ class TestBasisDensity:
         assert np.array_equal(basis_density(5, 3), np.outer(e3, e3).astype(complex))
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             basis_density(3, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             basis_density(3, 4)
 
 

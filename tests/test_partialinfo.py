@@ -8,7 +8,7 @@ from qnetid.dynamics import (
     sample_trajectory,
     unitary_conjugate,
 )
-from qnetid.linalg import DEFAULT_RTOL, numerical_rank, spectral_norm, vec
+from qnetid.linalg import DEFAULT_RTOL, ConfigError, numerical_rank, spectral_norm, vec
 from qnetid.netmodel import erdos_renyi
 from qnetid.partialinfo import (
     UnobservableError,
@@ -107,6 +107,12 @@ class TestSamplingPeriod:
         assert np.isfinite(sampling_period(np.zeros((3, 3))))
         assert np.array_equal(propagator(np.zeros((2, 2)), sampling_period(np.zeros((2, 2)))),
                               np.eye(2))
+
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_hbar(self, hbar):
+        # hbar = 0 gave a zero period, hbar = inf an infinite one
+        with pytest.raises(ConfigError, match="hbar must be positive"):
+            sampling_period(SX, hbar)
 
 
 class TestObservabilityRank:
@@ -293,8 +299,9 @@ class TestReconstructLiouvillian:
     def test_nonpositive_period_rejected(self):
         u, _ = sampled(H_OBS)
         lam0 = identity_initial_batch(2)
-        with pytest.raises(ValueError, match="period"):
-            reconstruct_liouvillian(output_stacks(u, lam0, 4), lam0, 0.0)
+        for period in (0.0, np.nan, np.inf):
+            with pytest.raises(ConfigError, match="period must be positive"):
+                reconstruct_liouvillian(output_stacks(u, lam0, 4), lam0, period)
 
 
 class TestExtractHamiltonian:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import qnetid.sweep
-from qnetid.dynamics import trapezoid_grams
+from qnetid.dynamics import sample_times, trapezoid_grams
 from qnetid.netmodel import derive_seed
 from qnetid.sweep import (
     CSV_HEADER,
@@ -46,15 +46,24 @@ class TestConfigValidation:
         errors = cfg.validate()
         joined = "\n".join(errors)
         for token in ("d_min", "d_max", "p_link", "tau must be positive",
-                      "does not divide", "subsample divisors", "trials",
-                      "hbar", "rtol"):
+                      "tau/dt = 1.0/0.3 is not a positive integer",
+                      "subsample must be a positive integer", "trials",
+                      "hbar must be positive", "rtol must be positive"):
             assert token in joined
-        assert len(errors) >= 9
+        assert len(errors) == 9
 
     def test_zero_subsample_listed_not_raised(self):
         # on a dividing grid, a zero divisor is reported, not divided by
         errors = SweepConfig(taus=(1.0,), subsamples=(0, 5)).validate()
-        assert errors == ["subsample divisors must be positive"]
+        assert errors == ["subsample must be a positive integer"]
+
+    def test_non_finite_values_listed_once(self):
+        errors = SweepConfig(hbar=np.nan, rtol=np.inf, taus=(np.inf, 1.0)).validate()
+        assert errors == ["tau must be positive and finite, got inf",
+                          "hbar must be positive and finite, got nan",
+                          "rtol must be positive and finite, got inf"]
+        errors = SweepConfig(dt=-1.0, taus=(1.0, 2.0)).validate()
+        assert errors == ["dt must be positive and finite, got -1.0"]
 
     def test_validated_raises(self):
         with pytest.raises(ConfigError, match="p_link"):
@@ -242,7 +251,7 @@ class TestSweep:
                               subsamples=(20, 1), trials=100)
             res = run_sweep(cfg)
             by_sub = {rec.n_tilde: rec.solvability_mean for rec in res.records}
-            n_s = cfg.n_samples(3.0)
+            n_s = len(sample_times(3.0, cfg.dt)) - 1
             assert abs(by_sub[n_s] - by_sub[n_s // 20]) <= 0.05
 
 
