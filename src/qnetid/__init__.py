@@ -42,9 +42,7 @@ from .netmodel import (
     is_connected,
 )
 from .identify import (
-    AdmissibleEmbedding,
     IdentificationReport,
-    admissible_embedding,
     build_P_trapezoid,
     build_Q,
     commutant_dimension,
@@ -76,7 +74,6 @@ from .sweep import (
 from .svgplot import emit_plot
 
 __all__ = [
-    "AdmissibleEmbedding",
     "CellRecord",
     "ConfigError",
     "IdentificationReport",
@@ -85,7 +82,6 @@ __all__ = [
     "Trajectory",
     "TrialRecord",
     "UnobservableError",
-    "admissible_embedding",
     "basis_density",
     "build_P_trapezoid",
     "build_Q",

@@ -150,12 +150,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_json(path):
-    """Parse a JSON input file; one that does not parse is a ConfigError
-    that names the file."""
+    """Parse a JSON input file; one that does not parse (JSONDecodeError,
+    an integer beyond str's digit limit, ...) is a ConfigError that names the file."""
     with open(path) as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -173,11 +173,13 @@ def _load_matrix(path, key=None) -> np.ndarray:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _load_hermitian(path, key=None) -> np.ndarray:
-    """A Hermitian matrix of at least 2 x 2 (a network of two nodes or more)."""
+def _load_hermitian(path, key=None, d=None) -> np.ndarray:
+    """A Hermitian network matrix: at least 2 x 2, and d x d when d is given."""
     h = hermitize(_load_matrix(path, key))
     if h.shape[0] < 2:
         raise ConfigError(f"{path}: a network needs d >= 2 nodes, got a {h.shape} matrix")
+    if d not in (None, h.shape[0]):
+        raise ConfigError(f"{path}: expected d = {d} nodes, got a {h.shape} matrix")
     return h
 
 
@@ -204,8 +206,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_identify(args) -> int:
     traj = read_trajectory_csv(args.trajectory)
-    h0 = _load_hermitian(args.h0) if args.h0 else None
-    truth = _load_hermitian(args.truth) if args.truth else None
+    h0, truth = (_load_hermitian(path, d=traj.dim) if path else None
+                 for path in (args.h0, args.truth))
     report = identify_topology(
         traj,
         subsample=args.subsample,

@@ -61,7 +61,7 @@ counts as solvable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -103,55 +103,25 @@ def _pairs(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return i, j, k
 
 
-@dataclass(frozen=True)
-class AdmissibleEmbedding:
-    """Linear map from real parameters to an admissible matrix M.
+def _to_matrix(theta: np.ndarray, d: int, real_coupling: bool) -> np.ndarray:
+    """The admissible matrix of the parameters theta.
 
-    Parameters are ordered by upper-triangle pair (i < j, row-major); in
-    the full class each pair contributes (x_ij, y_ij) with
-    M_ij = x_ij + i y_ij and M_ji its conjugate, in the real-coupling
-    class just x_ij.  ``to_matrix`` scatters them into the upper triangle
-    and their conjugates into the lower one, so every matrix in the range
+    Parameters are ordered by upper-triangle pair (as ``_pairs``); in the
+    full class each pair contributes (x_ij, y_ij) with M_ij = x_ij + i y_ij,
+    in the real-coupling class just x_ij.  They are scattered into the
+    upper triangle and their conjugates into the lower one, so the matrix
     is exactly Hermitian with exactly zero diagonal and no constraint rows
-    are ever needed.  ``from_matrix`` reads them back from the upper
-    triangle.
+    are ever needed.
     """
-
-    dim: int
-    real_coupling: bool
-
-    @property
-    def n_params(self) -> int:
-        n_pairs = self.dim * (self.dim - 1) // 2
-        return n_pairs if self.real_coupling else 2 * n_pairs
-
-    def to_matrix(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.n_params,):
-            raise ValueError(f"expected {self.n_params} parameters, got {theta.shape}")
-        i, j, _ = _pairs(self.dim)
-        if self.real_coupling:
-            m = np.zeros((self.dim, self.dim))
-            m[i, j] = m[j, i] = theta
-        else:
-            m = np.zeros((self.dim, self.dim), dtype=complex)
-            m[i, j] = theta[0::2] + 1j * theta[1::2]
-            m[j, i] = m[i, j].conj()
-        return m
-
-    def from_matrix(self, m: np.ndarray) -> np.ndarray:
-        i, j, _ = _pairs(self.dim)
-        upper = np.asarray(m, dtype=complex)[i, j]
-        if self.real_coupling:
-            return upper.real
-        return np.column_stack([upper.real, upper.imag]).ravel()
-
-
-def admissible_embedding(d: int, real_coupling: bool = False) -> AdmissibleEmbedding:
-    """Build the admissible parametrization for dimension d (d >= 2)."""
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    return AdmissibleEmbedding(dim=d, real_coupling=real_coupling)
+    i, j, _ = _pairs(d)
+    if real_coupling:
+        m = np.zeros((d, d))
+        m[i, j] = m[j, i] = theta
+    else:
+        m = np.zeros((d, d), dtype=complex)
+        m[i, j] = theta[0::2] + 1j * theta[1::2]
+        m[j, i] = m[i, j].conj()
+    return m
 
 
 def _halve(x: np.ndarray) -> np.ndarray:
@@ -171,21 +141,24 @@ def _halve(x: np.ndarray) -> np.ndarray:
     return out.T.reshape(x.shape[:-2] + (d * d,))
 
 
-def _realified_system(p: np.ndarray, embedding: AdmissibleEmbedding) -> np.ndarray:
+def _realified_system(p: np.ndarray, real_coupling: bool) -> np.ndarray:
     """Real coefficient matrix of theta -> [M(theta), P], halved.
 
     Column k is ``_halve`` of [X_k, P], with X_k the admissible matrix of
-    parameter k.  These commutators are written in closed form (module
-    docstring) into a complex stack laid out [row, column, pair, x/y],
-    so that each entry's parameters lie side by side in memory.
+    parameter k: one column per parameter.  These commutators are written
+    in closed form (module docstring) into a complex stack laid out
+    [row, column, pair, x/y], so that each entry's parameters lie side by
+    side in memory.
     """
-    d = embedding.dim
+    d = p.shape[0]
+    if d < 2:
+        raise ValueError("d must be at least 2")
     i, j, k = _pairs(d)
     # (source, its sign-flipped copy for the row-j and column-i pieces) per
     # column kind: x_ij takes P itself; y_ij = i * [E_ij - E_ji, P] takes
     # i * P, written part by part so that no complex product rounds a zero
     parts = [(p, p)]
-    if not embedding.real_coupling:
+    if not real_coupling:
         ip = np.empty_like(p)
         ip.real, ip.imag = -p.imag, p.real
         parts.append((ip, -ip))
@@ -249,6 +222,10 @@ def build_Q(
 # solver and report
 # ---------------------------------------------------------------------------
 
+#: report fields written under "parameters", after the caller's entries
+_PARAMETER_FIELDS = ("label_rank", "real_coupling", "rtol", "label_rtol", "commutes_with_p")
+
+
 @dataclass
 class IdentificationReport:
     """Outcome of one commutator-equation identification."""
@@ -271,26 +248,10 @@ class IdentificationReport:
     parameters: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "rank": self.rank,
-            "required_rank": self.required_rank,
-            "residual": self.residual,
-            "solvability": self.solvability,
-            "epsilon": self.epsilon,
-            "sigma_min_retained": self.sigma_min_retained,
-            "sigma_max_discarded": self.sigma_max_discarded,
-            "seed": self.seed,
-            "parameters": dict(
-                self.parameters,
-                label_rank=self.label_rank,
-                real_coupling=self.real_coupling,
-                rtol=self.rtol,
-                label_rtol=self.label_rtol,
-                commutes_with_p=self.commutes_with_p,
-            ),
-            "m_hat": matrix_to_json(self.m_hat),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["parameters"] = dict(self.parameters, **{k: out.pop(k) for k in _PARAMETER_FIELDS})
+        out["m_hat"] = matrix_to_json(self.m_hat)
+        return out
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -329,8 +290,7 @@ def solve_commutator(
         raise ValueError(f"P and Q must be square with equal shape, got {p.shape} vs {q.shape}")
     d = p.shape[0]
 
-    embedding = admissible_embedding(d, real_coupling=real_coupling)
-    a = _realified_system(p, embedding)
+    a = _realified_system(p, real_coupling)
     b = _halve(q)
 
     # gelsd cuts s_i <= rtol * s_0, the complement of numerical_rank's rule
@@ -343,12 +303,12 @@ def solve_commutator(
     label_rtol = 2 * d * d * EPS
     label_rank = numerical_rank(s, label_rtol)
 
-    m_hat = embedding.to_matrix(theta)
+    m_hat = _to_matrix(theta, d, real_coupling)
 
     m_comm_p = commutator(m_hat, p)
     residual = spectral_norm(m_comm_p - q) / max(spectral_norm(q), EPS)
 
-    required = embedding.n_params
+    required = a.shape[1]  # the parameter count of the admissible class
     if rank < required:
         outcome = "non_unique"
     elif residual <= RESIDUAL_RTOL:
@@ -390,18 +350,19 @@ def commutant_dimension(p: np.ndarray, rtol: float = DEFAULT_RTOL, real_coupling
     means the identification problem has a unique solution.  P is
     taken to be Hermitian, as in ``solve_commutator``.
     """
-    p = np.asarray(p, dtype=complex)
-    embedding = admissible_embedding(p.shape[0], real_coupling=real_coupling)
-    a = _realified_system(p, embedding)
-    return embedding.n_params - numerical_rank(np.linalg.svd(a, compute_uv=False), rtol)
+    a = _realified_system(np.asarray(p, dtype=complex), real_coupling)
+    return a.shape[1] - numerical_rank(np.linalg.svd(a, compute_uv=False), rtol)
 
 
 def relative_error(m_hat: np.ndarray, truth: np.ndarray) -> float:
     """Relative reconstruction error ||m_hat - truth||_2 / ||truth||_2."""
+    m_hat, truth = np.asarray(m_hat), np.asarray(truth)
+    if m_hat.shape != truth.shape:
+        raise ValueError(f"estimate and truth differ in shape: {m_hat.shape} vs {truth.shape}")
     scale = spectral_norm(truth)
     if scale <= 0.0:
         raise ValueError("relative error is undefined for a zero ground truth")
-    return spectral_norm(np.asarray(m_hat) - np.asarray(truth)) / scale
+    return spectral_norm(m_hat - truth) / scale
 
 
 def identify_topology(

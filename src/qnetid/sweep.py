@@ -51,6 +51,17 @@ def _fits(value, default) -> bool:
     return isinstance(value, int) or isinstance(value, type(default))
 
 
+def _as_float(key, value, default):
+    """A value that fits a float field, or each element of a tuple of floats,
+    as a float; a value of any other field as it is."""
+    if isinstance(default, tuple):
+        return [_as_float(key, v, default[0]) for v in value]
+    try:
+        return float(value) if isinstance(default, float) else value
+    except OverflowError:
+        raise ConfigError(f"{key} = {str(value)[:60]}... is too large for a float") from None
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Sweep parameters.  ``validate`` reports all violations at once."""
@@ -131,9 +142,7 @@ class SweepConfig:
                  for key, value in obj.items() if not _fits(value, getattr(cls, key))]
         if wrong:
             raise ConfigError(f"config values of the wrong type: {'; '.join(wrong)}")
-        if "taus" in obj:
-            obj = {**obj, "taus": [float(t) for t in obj["taus"]]}
-        return cls(**obj)
+        return cls(**{key: _as_float(key, value, getattr(cls, key)) for key, value in obj.items()})
 
     def override(self, **kwargs) -> "SweepConfig":
         return replace(self, **{k: v for k, v in kwargs.items() if v is not None})

@@ -332,7 +332,15 @@ class TestFlagAndInputChecks:
                                  "--out", tmp_path / "s.json", "--save-outputs", tmp_path / "b"),
             "sweep": ("sweep", "solvability", "--d-max", 2, "--trials", 1,
                       "--out-dir", tmp_path / "out"),
+            "decompose": ("decompose", "--out-dir", tmp_path / "dec"),
         }[verb]
+
+    @staticmethod
+    def write_probe_inputs(tmp_path):
+        """Input files named by the probes of ``test_invalid_parameter_exits_2``."""
+        save_matrix(tmp_path / "h3.json", np.eye(3))
+        (tmp_path / "hbar_overflow.json").write_text('{"hbar": 1' + "0" * 400 + "}")
+        (tmp_path / "tau_overflow.json").write_text('{"taus": [1' + "0" * 400 + "]}")
 
     def run_rejected(self, tmp_path, capsys, verb, *flags) -> str:
         """Run a verb whose flags the library rejects: exit 2, no traceback,
@@ -377,10 +385,19 @@ class TestFlagAndInputChecks:
         ("identify", ("--subsample", "3"), "subsample 3 does not divide n_s = 10"),
         ("observability", ("--hbar", "inf"), "hbar must be positive and finite, got inf"),
         ("partial-identify", ("--hbar", "inf"), "hbar must be positive and finite, got inf"),
+        ("sweep", ("--config", "hbar_overflow.json"), "hbar = 1000"),
+        ("sweep", ("--config", "tau_overflow.json"), "taus = 1000"),
+        ("decompose", ("--dim", "4", "--k", "9", "--j", "1"), "indices (9, 1) out of range 1..4"),
+        ("decompose", ("--dim", "0", "--k", "1", "--j", "1"), "dimension d must be at least 1"),
+        ("identify", ("--truth", "h3.json"), "h3.json: expected d = 2 nodes, got a (3, 3) matrix"),
+        ("identify", ("--h0", "h3.json"), "h3.json: expected d = 2 nodes, got a (3, 3) matrix"),
     ])
-    def test_invalid_parameter_exits_2(self, tmp_path, capsys, verb, flags, named):
+    def test_invalid_parameter_exits_2(self, tmp_path, capsys, monkeypatch, verb, flags, named):
         # each of these crashed with a traceback (exit 1), passed with a wrong
-        # answer (exit 0) or was reported as a numerical failure (exit 3)
+        # answer (exit 0) or was reported as a numerical failure (exit 3);
+        # the probes' input files are named relative to tmp_path
+        self.write_probe_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
         assert named in self.run_rejected(tmp_path, capsys, verb, *flags)
 
     @pytest.mark.parametrize("verb", ["simulate", "observability", "partial-identify"])
@@ -421,8 +438,11 @@ class TestDecompose:
         target[0, 1] = 1.0
         assert np.max(np.abs(acc - target)) <= 1e-14
 
-    def test_bad_index_exits_3(self, tmp_path):
-        assert run("decompose", "--dim", 3, "--k", 0, "--j", 2) == 3
+    def test_bad_index_exits_2(self, tmp_path, capsys):
+        # an index check is a parameter check; it was reported as a numerical failure
+        assert run("decompose", "--dim", 3, "--k", 0, "--j", 2, "--out-dir", tmp_path / "d") == 2
+        assert capsys.readouterr().err.startswith("configuration error: indices (0, 2)")
+        assert not (tmp_path / "d").exists()
 
 
 class TestJsonInputs:
@@ -453,6 +473,17 @@ class TestJsonInputs:
         assert run(*argv, bad) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {bad}: Expecting property name")
+
+    @pytest.mark.parametrize("flag", ["--config", "--truth", "--rho0"])
+    def test_integer_beyond_digit_limit_names_the_file(self, tmp_path, capsys, flag):
+        # json raises a plain ValueError for it, which exited 3 as a numerical failure
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"hbar": 1' + "0" * 5000 + "}")
+        argv = self.argv_reading(flag, tmp_path)
+        capsys.readouterr()
+        assert run(*argv, bad) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {bad}: Exceeds the limit")
 
     @pytest.mark.parametrize("flag", ["--report", "--hamiltonian", "--truth", "--h0",
                                       "--rho0"])

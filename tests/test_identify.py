@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,7 +9,7 @@ from qnetid.dynamics import Trajectory, exact_gram, propagate, sample_trajectory
 from qnetid.identify import (
     _halve,
     _realified_system,
-    admissible_embedding,
+    _to_matrix,
     build_P_trapezoid,
     build_Q,
     commutant_dimension,
@@ -131,49 +133,51 @@ class TestBuildQ:
 
 
 class TestAdmissibleEmbedding:
+    """The parametrization: ``_to_matrix`` writes the matrix of the
+    parameters, and the realified system has one column per parameter,
+    in the same order."""
+
     def test_two_parameters_d2(self):
-        emb = admissible_embedding(2)
-        assert emb.n_params == 2
-        assert np.array_equal(emb.to_matrix(np.array([1.0, 0.0])), SX)
+        assert np.array_equal(_to_matrix(np.array([1.0, 0.0]), 2, False), SX)
         assert np.array_equal(
-            emb.to_matrix(np.array([0.0, 1.0])), np.array([[0, 1j], [-1j, 0]])
+            _to_matrix(np.array([0.0, 1.0]), 2, False), np.array([[0, 1j], [-1j, 0]])
         )
 
     def test_admissible_by_construction(self):
         rng = np.random.default_rng(4)
-        for d in (2, 3, 5):
-            emb = admissible_embedding(d)
-            theta = rng.normal(size=emb.n_params)
-            m = emb.to_matrix(theta)
-            assert np.array_equal(np.diag(m), np.zeros(d))
-            assert np.array_equal(m, m.conj().T)
-            assert np.allclose(emb.from_matrix(m), theta)
+        for real_coupling in (False, True):
+            for d in (2, 3, 5, 8):
+                theta = rng.normal(size=d * (d - 1) // (2 if real_coupling else 1))
+                m = _to_matrix(theta, d, real_coupling)
+                assert np.array_equal(np.diag(m), np.zeros(d))
+                assert np.array_equal(m, m.conj().T)
+                assert np.isrealobj(m) == real_coupling
 
     def test_real_coupling_class(self):
-        emb = admissible_embedding(3, real_coupling=True)
-        assert emb.n_params == 3
-        m = emb.to_matrix(np.array([1.0, 2.0, 3.0]))
-        assert np.array_equal(m, m.T)
+        m = _to_matrix(np.array([1.0, 2.0, 3.0]), 3, True)
+        assert np.array_equal(m, [[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
         assert np.isrealobj(m)
 
     def test_parameter_count(self):
+        rng = np.random.default_rng(5)
         for d in (2, 4, 7):
-            assert admissible_embedding(d).n_params == d * (d - 1)
-            assert admissible_embedding(d, real_coupling=True).n_params == d * (d - 1) // 2
+            p = random_hermitian(rng, d)
+            for real_coupling, count in ((False, d * (d - 1)), (True, d * (d - 1) // 2)):
+                assert _realified_system(p, real_coupling).shape == (d * d, count)
+                rep = solve_commutator(p, np.zeros((d, d)), real_coupling=real_coupling)
+                assert rep.required_rank == count
 
     @pytest.mark.parametrize("real_coupling", [False, True])
-    def test_roundtrip_exact(self, real_coupling):
+    def test_columns_follow_parameters(self, real_coupling):
+        # column k of the system is the halved [X_k, P] of the matrix X_k
+        # that _to_matrix writes for the k-th unit vector
         rng = np.random.default_rng(6)
-        for d in (2, 3, 5, 8):
-            emb = admissible_embedding(d, real_coupling=real_coupling)
-            theta = rng.normal(size=emb.n_params)
-            m = emb.to_matrix(theta)
-            assert np.array_equal(emb.from_matrix(m), theta)
-            assert np.array_equal(np.diag(m), np.zeros(d))
-            assert np.array_equal(m, m.conj().T)
-            assert np.isrealobj(m) == real_coupling
-            admissible = random_admissible(rng, d, real=real_coupling)
-            assert np.array_equal(emb.to_matrix(emb.from_matrix(admissible)), admissible)
+        for d in (2, 3, 5):
+            p = random_hermitian(rng, d)
+            a = _realified_system(p, real_coupling)
+            for k, e_k in enumerate(np.eye(a.shape[1])):
+                x_k = _to_matrix(e_k, d, real_coupling)
+                assert np.array_equal(a[:, k], _halve(commutator(x_k, p)))
 
 
 def _sweep_draw(d, trial, tau=3.0):
@@ -198,9 +202,7 @@ class TestRealifiedSystem:
             p = np.diag(rng.normal(size=d)).astype(complex)
         else:
             _, p, _ = _sweep_draw(d, 0, tau=2.0)
-        emb = admissible_embedding(d, real_coupling=real_coupling)
-        a = _realified_system(p, emb)
-        assert a.shape == (d * d, emb.n_params)
+        a = _realified_system(p, real_coupling)
         assert np.array_equal(a, halve_reference(kron_reference_system(p, real_coupling), d))
         q = commutator(random_admissible(rng, d, real=real_coupling), p)
         b = np.concatenate([vec(q).real, vec(q).imag])
@@ -214,7 +216,7 @@ class TestRealifiedSystem:
         # system survive it up to rounding
         for trial in range(2):
             _, p, q = _sweep_draw(d, trial)
-            a = _realified_system(p, admissible_embedding(d, real_coupling=real_coupling))
+            a = _realified_system(p, real_coupling)
             b = _halve(q)
             a_full = kron_reference_system(p, real_coupling)
             b_full = np.concatenate([vec(q).real, vec(q).imag])
@@ -277,10 +279,17 @@ class TestSolveCommutator:
         with pytest.raises(ValueError, match="square"):
             solve_commutator(np.eye(3), np.zeros((2, 2)))
 
+    def test_rejects_one_node(self):
+        p = np.ones((1, 1), dtype=complex)
+        with pytest.raises(ValueError, match="d must be at least 2"):
+            solve_commutator(p, np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="d must be at least 2"):
+            commutant_dimension(p)
+
     def test_records_configured_label_rtol(self):
         p = exact_gram(SX, E1, 1.0)
         q = build_Q(E1, propagate(SX, E1, 1.0))
-        system = _realified_system(p, admissible_embedding(2))
+        system = _realified_system(p, False)
         # the label cut is max(m, n) * eps of the unhalved 2d^2-row
         # system, twice the halved system's d^2 rows
         assert system.shape == (4, 2)
@@ -292,35 +301,41 @@ class TestSolveCommutator:
         assert rep.sigma_max_discarded <= rep.sigma_min_retained
 
     def test_report_json_fields(self, tmp_path):
+        # the whole layout: the report's fields, five of them under
+        # "parameters" next to the caller's entries, and m_hat as a matrix object
         rep = solve_commutator(np.diag([2.0, 1.0]).astype(complex), np.zeros((2, 2)))
         rep.seed = 17
+        rep.parameters["hbar"] = 0.5
+        zeros = [[0.0, 0.0], [0.0, 0.0]]
+        expected = {
+            "outcome": "unique",
+            "rank": 2,
+            "required_rank": 2,
+            "residual": 0.0,
+            "solvability": 1,
+            "epsilon": None,
+            "sigma_min_retained": float(np.sqrt(2.0)),
+            "sigma_max_discarded": 0.0,
+            "seed": 17,
+            "parameters": {
+                "hbar": 0.5,
+                "label_rank": 2,
+                "real_coupling": False,
+                "rtol": 1e-9,
+                "label_rtol": 8 * EPS,
+                "commutes_with_p": None,
+            },
+            "m_hat": {"rows": 2, "cols": 2, "re": zeros, "im": zeros},
+        }
+        assert rep.to_json() == expected
         path = tmp_path / "report.json"
         rep.save(path)
-        import json
-
-        obj = json.loads(path.read_text())
-        for key in (
-            "outcome",
-            "rank",
-            "required_rank",
-            "residual",
-            "solvability",
-            "epsilon",
-            "sigma_min_retained",
-            "sigma_max_discarded",
-            "seed",
-            "parameters",
-            "m_hat",
-        ):
-            assert key in obj
-        assert obj["seed"] == 17
-        assert obj["m_hat"]["rows"] == 2
+        assert json.loads(path.read_text()) == expected
 
     def test_brute_force_equivalence(self):
         # the least-squares solution matches dense normal equations when well conditioned
         rng = np.random.default_rng(5)
         for d in (2, 3):
-            emb = admissible_embedding(d)
             m_true = random_admissible(rng, d)
             p = random_density(rng, d) + 0.5 * np.eye(d)
             q = commutator(m_true, p)
@@ -329,8 +344,9 @@ class TestSolveCommutator:
             a = kron_reference_system(p, real_coupling=False)
             b = np.concatenate([vec(q).real, vec(q).imag])
             theta_ne = np.linalg.solve(a.T @ a, a.T @ b)
-            theta = emb.from_matrix(rep.m_hat)
-            assert np.linalg.norm(theta - theta_ne) <= 1e-8
+            # each parameter appears twice in the matrix: the norm is sqrt(2) times theta's
+            m_ne = _to_matrix(theta_ne, d, False)
+            assert np.linalg.norm(rep.m_hat - m_ne) / np.sqrt(2) <= 1e-8
 
 
 def _svd_reference_solve(a, b, rtol):
@@ -351,11 +367,10 @@ class TestLeastSquaresSolve:
     @pytest.mark.parametrize("d", [10, 20])
     def test_matches_svd_reference(self, d, real_coupling, lstsq_calls):
         _, p, q = _sweep_draw(d, 0)
-        emb = admissible_embedding(d, real_coupling=real_coupling)
-        a, b = _realified_system(p, emb), _halve(q)
+        a, b = _realified_system(p, real_coupling), _halve(q)
         rep = solve_commutator(p, q, real_coupling=real_coupling)
         theta_ref, s_ref = _svd_reference_solve(a, b, rep.rtol)
-        theta = emb.from_matrix(rep.m_hat)
+        m_ref = _to_matrix(theta_ref, d, real_coupling)
         # both solves are backward stable, so they differ by rounding times
         # the retained conditioning: 1e-10 relative in the real class.  In
         # the full class, real-valued data leave the imaginary parts barely
@@ -364,7 +379,8 @@ class TestLeastSquaresSolve:
         kappa = s_ref[0] / s_ref[rep.rank - 1]
         eta = np.linalg.norm(a @ theta_ref - b) / (s_ref[0] * np.linalg.norm(theta_ref))
         tol = 1e-10 if real_coupling else 10 * EPS * kappa * (1 + kappa * eta)
-        assert np.linalg.norm(theta - theta_ref) <= tol * np.linalg.norm(theta_ref)
+        # (both norms are sqrt(2) times those of the parameters)
+        assert np.linalg.norm(rep.m_hat - m_ref) <= tol * np.linalg.norm(m_ref)
         [call] = lstsq_calls
         assert call["rcond"] == rep.rtol
         assert np.max(np.abs(call["s"] - s_ref)) <= 1e-14 * s_ref[0]
@@ -382,13 +398,12 @@ class TestLeastSquaresSolve:
         h = random_hermitian(np.random.default_rng(1), 6)
         p = p + 1e-11 * spectral_norm(p) / spectral_norm(h) * h
         q = commutator(adjacency.astype(complex), p)
-        emb = admissible_embedding(6)
-        a, b = _realified_system(p, emb), _halve(q)
+        a, b = _realified_system(p, False), _halve(q)
         rep = solve_commutator(p, q)
         assert rep.outcome == "non_unique" and rep.rank == rep.required_rank - 2
         theta_ref, _ = _svd_reference_solve(a, b, rep.rtol)
-        theta = emb.from_matrix(rep.m_hat)
-        assert np.linalg.norm(theta - theta_ref) <= 1e-10 * np.linalg.norm(theta_ref)
+        m_ref = _to_matrix(theta_ref, 6, False)
+        assert np.linalg.norm(rep.m_hat - m_ref) <= 1e-10 * np.linalg.norm(m_ref)
         untruncated = np.linalg.lstsq(a, b)[0]
         assert np.linalg.norm(untruncated - theta_ref) > 0.1 * np.linalg.norm(theta_ref)
 
@@ -397,7 +412,7 @@ class TestLeastSquaresSolve:
         # would keep and invert its singular values
         _, p, q = _sweep_draw(5, 0)
         p = 1e-15 * p
-        a = _realified_system(p, admissible_embedding(5))
+        a = _realified_system(p, False)
         assert np.linalg.svd(a, compute_uv=False)[0] < ABS_FLOOR
         assert np.linalg.lstsq(a, _halve(q), rcond=DEFAULT_RTOL)[2] > 0
         rep = solve_commutator(p, q)
@@ -456,6 +471,11 @@ class TestRelativeError:
     def test_zero_truth_rejected(self):
         with pytest.raises(ValueError, match="zero ground truth"):
             relative_error(SX, np.zeros((2, 2)))
+
+    def test_shape_mismatch_rejected(self):
+        # a (1, 3) truth used to broadcast against the 3 x 3 estimate
+        with pytest.raises(ValueError, match=r"differ in shape: \(3, 3\) vs \(1, 3\)"):
+            relative_error(np.eye(3), np.ones((1, 3)))
 
 
 class TestIdentifyTopology:
@@ -594,8 +614,7 @@ def assume_labels_decided(rep, p, real_coupling):
     enough for m_hat to carry 1e-10 relative.  Returns the condition
     number of the retained spectrum.
     """
-    s = np.linalg.svd(_realified_system(p, admissible_embedding(p.shape[0], real_coupling)),
-                      compute_uv=False)
+    s = np.linalg.svd(_realified_system(p, real_coupling), compute_uv=False)
     assume(not rep.label_rtol / 1e3 < s[-1] / s[0] < rep.label_rtol * 1e3)
     assume(rep.sigma_min_retained >= 1e-5 * s[0])
     assume(rep.sigma_max_discarded <= rep.label_rtol / 1e3 * s[0])

@@ -396,10 +396,13 @@ class TestPhysicalDecomposition:
             check_density(rho)
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
+        # parameter checks: ConfigError, a ValueError
+        with pytest.raises(ConfigError, match=r"indices \(0, 2\) out of range 1..3"):
             physical_decomposition(3, 0, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"indices \(1, 4\) out of range 1..3"):
             physical_decomposition(3, 1, 4)
+        with pytest.raises(ConfigError, match="dimension d must be at least 1, got 0"):
+            physical_decomposition(0, 1, 1)
 
     def test_propagation_linearity(self):
         # evolving the terms and recombining equals evolving |k><j| directly

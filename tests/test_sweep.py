@@ -85,6 +85,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unknown"):
             SweepConfig.from_json({"bogus": 1})
 
+    def test_float_fields_become_floats(self):
+        cfg = SweepConfig.from_json({"hbar": 2, "taus": [1, 2.5], "subsamples": [5, 1]})
+        assert cfg == SweepConfig(hbar=2.0, taus=(1.0, 2.5), subsamples=(5, 1))
+        assert type(cfg.hbar) is float and type(cfg.subsamples[0]) is int
+        assert json.dumps(cfg.to_json()["hbar"]) == "2.0"
+
+    @pytest.mark.parametrize("obj", [{"hbar": 10**400}, {"taus": [1.0, 10**400]}])
+    def test_float_overflow_names_the_key(self, obj):
+        # a JSON integer beyond the float range ended in an OverflowError
+        [key] = obj
+        with pytest.raises(ConfigError, match=f"^{key} = 1000.* is too large for a float"):
+            SweepConfig.from_json(obj)
+
     def test_override_skips_none(self):
         cfg = TINY.override(trials=None, seed=99)
         assert cfg.trials == TINY.trials
