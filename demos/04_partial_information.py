@@ -22,7 +22,6 @@ import numpy as np
 
 from qnetid import (
     extract_hamiltonian,
-    identity_initial_batch,
     liouvillian,
     observability_rank,
     output_stacks,
@@ -45,7 +44,7 @@ rank, observable = observability_rank(u)
 print(f"pair rank {rank} of {d * d}: {'observable' if observable else 'not observable'}")
 
 # the canonical basis elements |k><j| as (non-physical) initializations
-lam0 = identity_initial_batch(d)
+lam0 = np.eye(d * d, dtype=complex)
 l_hat = reconstruct_liouvillian(output_stacks(u, lam0, d * d), lam0, delta)
 h_hat = extract_hamiltonian(l_hat)
 print(f"basis elements:    generator error {spectral_norm(l_hat - lv):.2e}, "

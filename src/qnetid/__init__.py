@@ -32,7 +32,6 @@ from .dynamics import (
     propagator,
     read_trajectory_csv,
     sample_trajectory,
-    unitary_conjugate,
     write_trajectory_csv,
 )
 from .netmodel import (
@@ -54,7 +53,6 @@ from .identify import (
 from .partialinfo import (
     UnobservableError,
     extract_hamiltonian,
-    identity_initial_batch,
     observability_rank,
     output_stacks,
     physical_decomposition,
@@ -95,7 +93,6 @@ __all__ = [
     "extract_hamiltonian",
     "hermitize",
     "identify_topology",
-    "identity_initial_batch",
     "is_connected",
     "liouvillian",
     "load_matrix",
@@ -117,7 +114,6 @@ __all__ = [
     "save_matrix",
     "solve_commutator",
     "spectral_norm",
-    "unitary_conjugate",
     "vec",
     "write_trajectory_csv",
 ]

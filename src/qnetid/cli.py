@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -26,11 +25,10 @@ from .dynamics import (
     write_trajectory_csv,
 )
 from .identify import identify_topology, relative_error
-from .linalg import ConfigError, hermitize, matrix_from_json, save_matrix
+from .linalg import ConfigError, hermitize, load_json, load_matrix, save_json, save_matrix
 from .netmodel import basis_density, connected_erdos_renyi, erdos_renyi
 from .partialinfo import (
     extract_hamiltonian,
-    identity_initial_batch,
     observability_rank,
     output_stacks,
     physical_decomposition,
@@ -149,37 +147,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_json(path):
-    """Parse a JSON input file; one that does not parse (JSONDecodeError,
-    an integer beyond str's digit limit, ...) is a ConfigError that names the file."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _load_matrix(path, key=None) -> np.ndarray:
-    """The matrix object of a JSON file, or the one under ``key`` of its
-    object; a file that holds none is a ConfigError that names it."""
-    obj = _load_json(path)
-    if key is not None:
-        if not isinstance(obj, dict) or key not in obj:
-            raise ConfigError(f"{path} is not an identification report: no {key!r} key")
-        obj = obj[key]
-    try:
-        return matrix_from_json(obj)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
 def _load_hermitian(path, key=None, d=None) -> np.ndarray:
-    """A Hermitian network matrix: at least 2 x 2, and d x d when d is given."""
-    h = hermitize(_load_matrix(path, key))
-    if h.shape[0] < 2:
-        raise ConfigError(f"{path}: a network needs d >= 2 nodes, got a {h.shape} matrix")
+    """A Hermitian matrix of a network: d x d when d is given, and at least 2 x 2."""
+    h = hermitize(load_matrix(path, key))
     if d not in (None, h.shape[0]):
         raise ConfigError(f"{path}: expected d = {d} nodes, got a {h.shape} matrix")
+    if h.shape[0] < 2:
+        raise ConfigError(f"{path}: a network needs d >= 2 nodes, got a {h.shape} matrix")
     return h
 
 
@@ -191,7 +165,7 @@ def _cmd_simulate(args) -> int:
         h = draw(args.er_d, args.er_p, np.random.default_rng(args.seed)).astype(complex)
     d = h.shape[0]
     if args.rho0:
-        rho0 = _load_matrix(args.rho0)
+        rho0 = _load_hermitian(args.rho0, d=d)
     else:
         node = 1 if args.excite_node is None else args.excite_node
         rho0 = basis_density(d, node)
@@ -230,7 +204,7 @@ def _cmd_identify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = SweepConfig.from_json(_load_json(args.config)) if args.config else SweepConfig()
+    cfg = SweepConfig.from_json(load_json(args.config)) if args.config else SweepConfig()
     cfg = cfg.override(
         real_coupling=False if args.general_coupling else None,
         **{f: getattr(args, f) for f in _SWEEP_OVERRIDES},
@@ -272,7 +246,7 @@ def _cmd_partial_identify(args) -> int:
         lambda0, states = physical_initial_batch(d)
         batch = "preparable states"
     else:
-        lambda0 = identity_initial_batch(d)
+        lambda0 = np.eye(d * d, dtype=complex)
         batch = "basis elements"
     mode = f"populations of the {batch}, sampled every {period:.6g}"
 
@@ -303,16 +277,13 @@ def _cmd_partial_identify(args) -> int:
         print(f"output batch written to {manifest.parent}")
 
     if args.out:
-        payload = {
+        save_json(args.out, {
             "observability_rank": d * d,
             "observable": True,
             "mode": mode,
             "generator_relative_error": gen_err,
             "hamiltonian_relative_error": ham_err,
-        }
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
     return EXIT_OK
 
 
@@ -329,9 +300,7 @@ def _cmd_decompose(args) -> int:
             name = f"state_{idx:02d}.json"
             save_matrix(out / name, rho)
             coeffs.append({"file": name, "re": coeff.real, "im": coeff.imag})
-        with open(out / "coefficients.json", "w") as fh:
-            json.dump({"k": args.k, "j": args.j, "terms": coeffs}, fh, indent=2)
-            fh.write("\n")
+        save_json(out / "coefficients.json", {"k": args.k, "j": args.j, "terms": coeffs})
         print(f"states written to {out}")
     return EXIT_OK
 

@@ -150,17 +150,6 @@ def propagator(h: np.ndarray, t: float, hbar: float = 1.0) -> np.ndarray:
     return (v * np.exp(-1j * w * (t / hbar))) @ v.conj().T
 
 
-def unitary_conjugate(h: np.ndarray, x: np.ndarray, t: float, hbar: float = 1.0) -> np.ndarray:
-    """Evolve an arbitrary matrix X by U X U† with U = ``propagator(h, t, hbar)``.
-
-    This is the linear extension of the state propagation to matrices
-    that need not be valid density operators (used e.g. to evolve the
-    terms of a basis-element decomposition); no state validation is done.
-    """
-    u = propagator(h, t, hbar)
-    return u @ np.asarray(x, dtype=complex) @ u.conj().T
-
-
 def propagate(h: np.ndarray, rho0: np.ndarray, t: float, hbar: float = 1.0) -> np.ndarray:
     """Propagate a density operator: rho_t = U rho_0 U†.
 
@@ -170,7 +159,8 @@ def propagate(h: np.ndarray, rho0: np.ndarray, t: float, hbar: float = 1.0) -> n
     if not (np.isfinite(t) and t >= 0):
         raise ConfigError("t must be nonnegative")
     rho0 = check_density(rho0, "rho0")
-    rho_t = unitary_conjugate(h, rho0, t, hbar)
+    u = propagator(h, t, hbar)
+    rho_t = u @ rho0 @ u.conj().T
     return 0.5 * (rho_t + rho_t.conj().T)
 
 

@@ -60,7 +60,6 @@ counts as solvable.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
@@ -75,6 +74,7 @@ from .linalg import (
     hermitize,
     matrix_to_json,
     numerical_rank,
+    save_json,
     spectral_norm,
 )
 
@@ -254,9 +254,7 @@ class IdentificationReport:
         return out
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        save_json(path, self.to_json())
 
 
 def solve_commutator(

@@ -1,9 +1,10 @@
 """Dense complex linear-algebra kernel.
 
 Column-stacking vectorization, Hermitian symmetrization, the one
-numerical-rank rule, spectral norm, and the JSON matrix file format
-shared by the whole package; also ``ConfigError``, raised by every check of
-a parameter (not of data), and ``check_positive``, the one positivity rule.
+numerical-rank rule, spectral norm, and the one reader and writer of the
+package's JSON files, the matrix format included; also ``ConfigError``,
+raised by every check of a parameter (not of data), and
+``check_positive``, the one positivity rule.
 
 The vectorization convention is column stacking throughout:
 ``vec(M)[(j-1)*d + i] = M[i, j]`` (1-based), i.e. the first column of M
@@ -84,8 +85,8 @@ def spectral_norm(a: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# matrix file format: {"rows": n, "cols": m, "re": [[...]], "im": [[...]]}
-# row-major nested arrays; exact round trip for IEEE-754 doubles
+# JSON files; the matrix format is {"rows": n, "cols": m, "re": [[...]],
+# "im": [[...]]}, row-major nested arrays, exact for IEEE-754 doubles
 # ---------------------------------------------------------------------------
 
 def matrix_to_json(m: np.ndarray) -> dict:
@@ -103,7 +104,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         rows, cols = int(obj["rows"]), int(obj["cols"])
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
     if re.shape != (rows, cols) or im.shape != (rows, cols):
         raise ValueError(
@@ -113,12 +114,39 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     return re + 1j * im
 
 
+def load_json(path):
+    """Parse a JSON file; one that does not parse (JSONDecodeError, an integer
+    beyond str's digit limit, ...) is a ConfigError that names the file."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+
+
+def save_json(path, obj) -> None:
+    """Write a JSON document: indent 2, sorted keys, a final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def save_matrix(path, m: np.ndarray) -> None:
+    """Write a matrix object on one line."""
     with open(path, "w") as fh:
         json.dump(matrix_to_json(m), fh)
         fh.write("\n")
 
 
-def load_matrix(path) -> np.ndarray:
-    with open(path) as fh:
-        return matrix_from_json(json.load(fh))
+def load_matrix(path, key=None) -> np.ndarray:
+    """The matrix object of a JSON file, or the one under ``key`` of its
+    object; a file that holds none is a ConfigError that names it."""
+    obj = load_json(path)
+    if key is not None:
+        if not isinstance(obj, dict) or key not in obj:
+            raise ConfigError(f"{path}: no {key!r} key")
+        obj = obj[key]
+    try:
+        return matrix_from_json(obj)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc

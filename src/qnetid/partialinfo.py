@@ -27,7 +27,6 @@ of the dynamics recombines the measured runs.
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 
@@ -40,9 +39,11 @@ from .linalg import (
     ConfigError,
     check_positive,
     hermitize,
+    load_json,
     matrix_from_json,
     matrix_to_json,
     numerical_rank,
+    save_json,
     spectral_norm,
     vec,
 )
@@ -162,9 +163,7 @@ def reconstruct_liouvillian(
     return (v * np.log(mu)) @ np.linalg.inv(v) / period
 
 
-def extract_hamiltonian(
-    l_hat: np.ndarray, hbar: float = 1.0, residual_rtol: float = GENERATOR_RESIDUAL_RTOL
-) -> np.ndarray:
+def extract_hamiltonian(l_hat: np.ndarray, hbar: float = 1.0) -> np.ndarray:
     """Invert L = -(i/hbar)(I kron H - H^T kron I) for Hermitian H.
 
     In closed form, H = (i*hbar/2d)(Tr_1 L - (Tr_2 L)^T), where Tr_1 and
@@ -174,9 +173,10 @@ def extract_hamiltonian(
     identity on traceless H, so the traceless Hermitian part of this H is
     the least-squares solution.  The map's kernel is the identity direction (H and H + c*I
     generate identical dynamics), so the traceless representative is
-    returned.  Inputs whose residual exceeds residual_rtol * ||L|| are
-    rejected as not being closed-system generators.  These tolerance
-    checks measure in the Frobenius norm.
+    returned.  Inputs that are not skew-Hermitian to SKEW_INPUT_RTOL, or
+    whose residual exceeds GENERATOR_RESIDUAL_RTOL * ||L||, are rejected as
+    not being closed-system generators.  Both checks measure in the
+    Frobenius norm.
     """
     l_hat = np.asarray(l_hat, dtype=complex)
     n = l_hat.shape[0]
@@ -185,7 +185,7 @@ def extract_hamiltonian(
         raise ValueError(f"generator shape {l_hat.shape} is not (d^2, d^2)")
     scale = max(np.linalg.norm(l_hat), ABS_FLOOR)
     skew = np.linalg.norm(l_hat + l_hat.conj().T)
-    if skew > max(SKEW_INPUT_RTOL, residual_rtol) * scale:
+    if skew > SKEW_INPUT_RTOL * scale:
         raise ValueError("input generator is not skew-Hermitian")
 
     l4 = l_hat.reshape(d, d, d, d)  # l4[p, i, q, j] = L[p*d + i, q*d + j]
@@ -194,10 +194,10 @@ def extract_hamiltonian(
     h_hat = 0.5 * (h_hat + h_hat.conj().T)
 
     residual = np.linalg.norm(liouvillian(h_hat, hbar) - l_hat)
-    if residual > residual_rtol * scale:
+    if residual > GENERATOR_RESIDUAL_RTOL * scale:
         raise ValueError(
             f"input is not a closed-system generator: residual {residual:.3e} "
-            f"exceeds {residual_rtol:.0e} * ||L|| (Frobenius)"
+            f"exceeds {GENERATOR_RESIDUAL_RTOL:.0e} * ||L|| (Frobenius)"
         )
     return h_hat
 
@@ -235,11 +235,6 @@ def physical_decomposition(d: int, k: int, j: int) -> list[tuple[np.ndarray, com
         (np.outer(ek, ek.conj()), -(1.0 + 1j) / 2.0),
         (np.outer(ej, ej.conj()), -(1.0 + 1j) / 2.0),
     ]
-
-
-def identity_initial_batch(d: int) -> np.ndarray:
-    """Default Lambda0: the d^2 x d^2 identity, columns vec(|k><j|)."""
-    return np.eye(d * d, dtype=complex)
 
 
 def physical_initial_batch(d: int) -> tuple[np.ndarray, list[tuple[np.ndarray, str]]]:
@@ -296,21 +291,22 @@ def write_output_batch(
         "lambda0": matrix_to_json(lambda0),
     }
     manifest_path = out_dir / "manifest.json"
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(manifest_path, manifest)
     return manifest_path
 
 
 def read_output_batch(manifest_path) -> tuple[np.ndarray, list[tuple[str, np.ndarray, np.ndarray]]]:
-    """Load a batch written by :func:`write_output_batch`."""
+    """Load a batch written by :func:`write_output_batch`; a manifest that
+    does not parse or lacks a key is a ConfigError that names it."""
     manifest_path = Path(manifest_path)
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    lambda0 = matrix_from_json(manifest["lambda0"])
+    manifest = load_json(manifest_path)
+    try:
+        lambda0, outputs = matrix_from_json(manifest["lambda0"]), manifest["outputs"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{manifest_path}: not a batch manifest: {exc!r}") from exc
     runs = []
-    for idx in sorted(manifest["outputs"], key=int):
-        name = manifest["outputs"][idx]
+    for idx in sorted(outputs, key=int):
+        name = outputs[idx]
         label = manifest.get("labels", {}).get(idx, name)
         rows = np.loadtxt(manifest_path.parent / name, delimiter=",", skiprows=1, ndmin=2)
         runs.append((label, rows[:, 0], rows[:, 1:]))

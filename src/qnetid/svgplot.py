@@ -9,7 +9,6 @@ error.
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from collections.abc import Mapping, Sequence
 from contextlib import nullcontext
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
@@ -79,9 +80,15 @@ class SweepConfig:
     real_coupling: bool = True
 
     def __post_init__(self):
-        # the element values are kept: derive_seed hashes repr(tau)
-        object.__setattr__(self, "taus", tuple(self.taus))
-        object.__setattr__(self, "subsamples", tuple(self.subsamples))
+        # derive_seed hashes repr(tau): a numpy scalar becomes the Python number
+        # its repr and the JSON preamble show; a Python int keeps its repr
+        def plain(value):
+            return value.item() if isinstance(value, np.generic) else value
+
+        for f in fields(self):
+            value = getattr(self, f.name)
+            value = tuple(map(plain, value)) if isinstance(f.default, tuple) else plain(value)
+            object.__setattr__(self, f.name, value)
 
     @property
     def d_values(self) -> list[int]:
@@ -101,6 +108,8 @@ class SweepConfig:
             errors.append(f"d_min must be >= 2, got {self.d_min}")
         if self.d_max < self.d_min:
             errors.append(f"d_max {self.d_max} is below d_min {self.d_min}")
+        if self.d_max - self.d_min >= sys.maxsize:
+            errors.append("d_max must be below d_min + sys.maxsize, the longest range of d")
         if not 0.0 < self.p_link <= 1.0:
             errors.append(f"p_link must be in (0, 1], got {self.p_link}: "
                           "sweeps draw connected graphs, and none is connected at 0")

@@ -33,7 +33,6 @@ from qnetid.dynamics import (
     propagator,
     sample_times,
     sample_trajectory,
-    unitary_conjugate,
 )
 from qnetid.identify import (
     build_P_trapezoid,
@@ -48,7 +47,6 @@ from qnetid.netmodel import basis_density, derive_seed
 from qnetid.partialinfo import (
     UnobservableError,
     extract_hamiltonian,
-    identity_initial_batch,
     observability_rank,
     output_stacks,
     physical_decomposition,
@@ -450,7 +448,7 @@ class TestCriterion7PartialInformationRoundTrip:
             period = sampling_period(h)
             u = propagator(h, period)
             _, obs = observability_rank(u)
-            for lambda0 in (identity_initial_batch(d), physical_initial_batch(d)[0]):
+            for lambda0 in (np.eye(d * d, dtype=complex), physical_initial_batch(d)[0]):
                 ys = output_stacks(u, lambda0, d * d)
                 if obs:
                     observable += 1
@@ -508,7 +506,8 @@ class TestCriterion8DecompositionIdentity:
                     terms = physical_decomposition(d, k, j)
                     acc = sum(c * rho for rho, c in terms)
                     worst_id = max(worst_id, float(np.max(np.abs(acc - target))))
-                    direct = unitary_conjugate(h, target, t)
+                    u = propagator(h, t)
+                    direct = u @ target @ u.conj().T
                     recombined = sum(c * propagate(h, rho, t) for rho, c in terms)
                     worst_prop = max(worst_prop, float(np.max(np.abs(direct - recombined))))
         ok = worst_id <= 1e-14 and worst_prop <= 1e-10

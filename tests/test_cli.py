@@ -113,6 +113,15 @@ class TestSimulateIdentify:
         assert "no graph is connected at p_link = 0" in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
 
+    def test_non_density_rho0_exits_3(self, tmp_path, capsys):
+        h_path, rho_path = tmp_path / "h.json", tmp_path / "rho.json"
+        save_matrix(h_path, SX)
+        save_matrix(rho_path, np.diag([2.0, 0.0]))
+        assert run("simulate", "--hamiltonian", h_path, "--rho0", rho_path, "--tau", 1.0,
+                   "--dt", 0.1, "--out", tmp_path / "t.csv") == 3
+        assert capsys.readouterr().err.startswith("numerical failure: rho0 has trace 2.0")
+        assert not (tmp_path / "t.csv").exists()
+
     def test_missing_file_exits_2(self, tmp_path):
         assert run("identify", "--trajectory", tmp_path / "absent.csv") == 2
 
@@ -307,6 +316,21 @@ class TestPartialIdentify:
                    "--save-outputs", tmp_path / "batch") == 0
         assert len(calls) == 1
 
+    def test_saved_outputs_same_in_both_modes(self, tmp_path):
+        # the batch holds the preparable runs whichever initializations identify
+        h_path = tmp_path / "h.json"
+        save_matrix(h_path, random_hermitian(np.random.default_rng(4), 3, norm=1.0))
+        batches = [tmp_path / "exact", tmp_path / "estimate"]
+        assert run("partial-identify", "--hamiltonian", h_path, "--save-outputs",
+                   batches[0]) == 0
+        assert run("partial-identify", "--hamiltonian", h_path, "--estimate",
+                   "--save-outputs", batches[1]) == 0
+        names = sorted(p.name for p in batches[0].iterdir())
+        assert len(names) == 10  # d^2 CSVs and the manifest
+        assert names == sorted(p.name for p in batches[1].iterdir())
+        for name in names:
+            assert (batches[0] / name).read_bytes() == (batches[1] / name).read_bytes(), name
+
     def test_unobservable_exits_3(self, tmp_path, capsys):
         h_path = tmp_path / "h.json"
         save_matrix(h_path, SX)
@@ -339,6 +363,7 @@ class TestFlagAndInputChecks:
     def write_probe_inputs(tmp_path):
         """Input files named by the probes of ``test_invalid_parameter_exits_2``."""
         save_matrix(tmp_path / "h3.json", np.eye(3))
+        save_matrix(tmp_path / "rho3.json", np.diag([1.0, 0.0, 0.0]))
         (tmp_path / "hbar_overflow.json").write_text('{"hbar": 1' + "0" * 400 + "}")
         (tmp_path / "tau_overflow.json").write_text('{"taus": [1' + "0" * 400 + "]}")
 
@@ -391,6 +416,8 @@ class TestFlagAndInputChecks:
         ("decompose", ("--dim", "0", "--k", "1", "--j", "1"), "dimension d must be at least 1"),
         ("identify", ("--truth", "h3.json"), "h3.json: expected d = 2 nodes, got a (3, 3) matrix"),
         ("identify", ("--h0", "h3.json"), "h3.json: expected d = 2 nodes, got a (3, 3) matrix"),
+        ("sweep", ("--d-max", "1" + "0" * 400), "d_max must be below d_min + sys.maxsize"),
+        ("simulate", ("--rho0", "rho3.json"), "rho3.json: expected d = 2 nodes, got a (3, 3)"),
     ])
     def test_invalid_parameter_exits_2(self, tmp_path, capsys, monkeypatch, verb, flags, named):
         # each of these crashed with a traceback (exit 1), passed with a wrong
@@ -429,7 +456,9 @@ class TestDecompose:
         assert run("decompose", "--dim", 3, "--k", 1, "--j", 2,
                    "--out-dir", out_dir) == 0
         assert "4 preparable state" in capsys.readouterr().out
-        coeffs = json.loads((out_dir / "coefficients.json").read_text())
+        text = (out_dir / "coefficients.json").read_text()
+        coeffs = json.loads(text)
+        assert text == json.dumps(coeffs, indent=2, sort_keys=True) + "\n"
         assert len(coeffs["terms"]) == 4
         acc = np.zeros((3, 3), dtype=complex)
         for term in coeffs["terms"]:

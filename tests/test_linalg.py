@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,12 @@ from qnetid.linalg import (
     ConfigError,
     check_positive,
     hermitize,
+    load_json,
     load_matrix,
     matrix_from_json,
     matrix_to_json,
     numerical_rank,
+    save_json,
     save_matrix,
     spectral_norm,
     vec,
@@ -181,6 +185,42 @@ class TestMatrixJson:
     def test_json_fields(self):
         obj = matrix_to_json(np.array([[1 + 2j]]))
         assert obj == {"rows": 1, "cols": 1, "re": [[1.0]], "im": [[2.0]]}
+
+    def test_unparsable_file_names_it(self, tmp_path):
+        # json's JSONDecodeError did not name the file
+        path = tmp_path / "bad.json"
+        path.write_text('{"rows": 2,')
+        for load in (load_json, load_matrix):
+            with pytest.raises(ConfigError, match=re.escape(f"{path}: Expecting property name")):
+                load(path)
+
+    @pytest.mark.parametrize("text", ['{"rows": 2}', '[1, 2]', '{"rows": 1e400, "cols": 1}'])
+    def test_non_matrix_object_names_the_file(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: malformed matrix object")):
+            load_matrix(path)
+
+    def test_missing_key_names_file_and_key(self, tmp_path):
+        path = tmp_path / "report.json"
+        for obj in ({"outcome": "unique"}, [1, 2]):
+            save_json(path, obj)
+            with pytest.raises(ConfigError, match=re.escape(f"{path}: no 'm_hat' key")):
+                load_matrix(path, "m_hat")
+        save_json(path, {"m_hat": matrix_to_json(SX)})
+        assert np.array_equal(load_matrix(path, "m_hat"), SX)
+
+    def test_save_json_layout(self, tmp_path):
+        # indent 2, sorted keys, one final newline; save_matrix stays on one line
+        path = tmp_path / "doc.json"
+        save_json(path, {"b": [1, 2.5], "a": {"y": None, "x": True}})
+        assert path.read_text() == (
+            '{\n  "a": {\n    "x": true,\n    "y": null\n  },\n'
+            '  "b": [\n    1,\n    2.5\n  ]\n}\n'
+        )
+        assert load_json(path) == {"a": {"x": True, "y": None}, "b": [1, 2.5]}
+        save_matrix(path, np.array([[1 + 2j]]))
+        assert path.read_text() == '{"rows": 1, "cols": 1, "re": [[1.0]], "im": [[2.0]]}\n'
 
 
 class TestExports:

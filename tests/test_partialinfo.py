@@ -6,7 +6,6 @@ from qnetid.dynamics import (
     propagate,
     propagator,
     sample_trajectory,
-    unitary_conjugate,
 )
 from qnetid.linalg import DEFAULT_RTOL, ConfigError, numerical_rank, spectral_norm, vec
 from qnetid.netmodel import erdos_renyi
@@ -14,7 +13,6 @@ from qnetid.partialinfo import (
     UnobservableError,
     _markov_parameters,
     extract_hamiltonian,
-    identity_initial_batch,
     observability_rank,
     output_stacks,
     physical_decomposition,
@@ -79,7 +77,7 @@ class TestDiagonalSelector:
         rng = np.random.default_rng(0)
         for d in (2, 3, 5):
             u, _ = sampled(random_hermitian(rng, d))
-            c = output_stacks(u, identity_initial_batch(d), 0)[0]
+            c = output_stacks(u, np.eye(d * d, dtype=complex), 0)[0]
             rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             assert np.array_equal(c @ vec(rho), np.diag(rho))
 
@@ -138,7 +136,7 @@ class TestObservabilityRank:
             d = int(rng.integers(2, 5))
             h = random_admissible(rng, d)
             u, _ = sampled(h)
-            stack = output_stacks(u, identity_initial_batch(d), d * d - 1).reshape(-1, d * d)
+            stack = output_stacks(u, np.eye(d * d, dtype=complex), d * d - 1).reshape(-1, d * d)
             residual = np.max(np.abs(stack @ vec(h)))
             assert residual <= 1e-12 * spectral_norm(stack) * max(spectral_norm(h), 1.0)
             rank, _ = observability_rank(u)
@@ -147,7 +145,7 @@ class TestObservabilityRank:
     def test_rejects_nonpositive_rtol(self):
         # rtol = 0 would report every nonzero singular value: full rank
         u, period = sampled(SX)
-        lam0 = identity_initial_batch(2)
+        lam0 = np.eye(4, dtype=complex)
         with pytest.raises(ValueError, match="rtol must be positive"):
             observability_rank(u, rtol=0.0)
         with pytest.raises(ValueError, match="rtol must be positive"):
@@ -206,12 +204,12 @@ class TestObservabilityFamily:
 
 class TestOutputStacks:
     def test_order_zero(self):
-        ys = output_stacks(sampled(H_OBS)[0], identity_initial_batch(2), 0)
+        ys = output_stacks(sampled(H_OBS)[0], np.eye(4, dtype=complex), 0)
         assert ys.shape == (1, 2, 4)
         assert np.array_equal(ys[0], [[1, 0, 0, 0], [0, 0, 0, 1]])
 
     def test_zero_generator(self):
-        ys = output_stacks(sampled(np.zeros((2, 2)))[0], identity_initial_batch(2), 3)
+        ys = output_stacks(sampled(np.zeros((2, 2)))[0], np.eye(4, dtype=complex), 3)
         assert np.array_equal(ys[1:], np.broadcast_to(ys[0], (3, 2, 4)))
 
     @pytest.mark.parametrize("d", [2, 3, 4, 6])
@@ -223,7 +221,7 @@ class TestOutputStacks:
         u, _ = sampled(random_hermitian(rng, d, norm=1.0))
         g = _markov_parameters(u, d * d)
         assert np.max(np.abs(g - dense_markov_parameters(u, d * d))) <= 1e-13
-        for lam0 in (identity_initial_batch(d), physical_initial_batch(d)[0]):
+        for lam0 in (np.eye(d * d, dtype=complex), physical_initial_batch(d)[0]):
             for k, y in enumerate(output_stacks(u, lam0, d * d)):
                 assert np.array_equal(y, g[k] @ lam0), k
 
@@ -233,32 +231,33 @@ class TestOutputStacks:
         rng = np.random.default_rng(30 + d)
         h = random_hermitian(rng, d, norm=1.0)
         u, period = sampled(h)
-        for lam0 in (identity_initial_batch(d), physical_initial_batch(d)[0]):
+        for lam0 in (np.eye(d * d, dtype=complex), physical_initial_batch(d)[0]):
             ys = output_stacks(u, lam0, d * d)
             for k in range(d * d + 1):
-                ref = np.array([np.diag(unitary_conjugate(h, x.reshape((d, d), order="F"), k * period))
+                u_k = propagator(h, k * period)
+                ref = np.array([np.diag(u_k @ x.reshape((d, d), order="F") @ u_k.conj().T)
                                 for x in lam0.T]).T
                 assert np.max(np.abs(ys[k] - ref)) <= 1e-13
 
 
 class TestReconstructLiouvillian:
     def test_exact_roundtrip(self):
-        l_hat = identify(H_OBS, identity_initial_batch(2))
+        l_hat = identify(H_OBS, np.eye(4, dtype=complex))
         assert spectral_norm(l_hat - liouvillian(H_OBS)) <= 1e-9
 
     def test_zero_generator_fails_rank(self):
         with pytest.raises(UnobservableError, match="rank 2"):
-            identify(np.zeros((2, 2)), identity_initial_batch(2))
+            identify(np.zeros((2, 2)), np.eye(4, dtype=complex))
 
     def test_unobservable_instance(self):
         with pytest.raises(UnobservableError, match="rank 3"):
-            identify(SX, identity_initial_batch(2))
+            identify(SX, np.eye(4, dtype=complex))
 
     def test_incomplete_stacks_rejected(self):
         u, period = sampled(H_OBS)
-        ys = output_stacks(u, identity_initial_batch(2), 2)
+        ys = output_stacks(u, np.eye(4, dtype=complex), 2)
         with pytest.raises(ValueError, match="incomplete"):
-            reconstruct_liouvillian(ys, identity_initial_batch(2), period)
+            reconstruct_liouvillian(ys, np.eye(4, dtype=complex), period)
 
     def test_singular_lambda0_rejected(self):
         lam = np.eye(4, dtype=complex)
@@ -291,14 +290,14 @@ class TestReconstructLiouvillian:
         h = random_hermitian(rng, 3, norm=1.0)
         w = np.linalg.eigvalsh(h)
         period = np.pi / (w[-1] - w[0])
-        lam0 = identity_initial_batch(3)
+        lam0 = np.eye(9, dtype=complex)
         ys = output_stacks(propagator(h, period), lam0, 9)
         with pytest.raises(ValueError, match="negative real axis"):
             reconstruct_liouvillian(ys, lam0, period)
 
     def test_nonpositive_period_rejected(self):
         u, _ = sampled(H_OBS)
-        lam0 = identity_initial_batch(2)
+        lam0 = np.eye(4, dtype=complex)
         for period in (0.0, np.nan, np.inf):
             with pytest.raises(ConfigError, match="period must be positive"):
                 reconstruct_liouvillian(output_stacks(u, lam0, 4), lam0, period)
@@ -362,13 +361,14 @@ class TestExtractHamiltonian:
 
     @pytest.mark.parametrize("noise", [0.0, 1e-4])
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
-    def test_matches_lstsq_reference(self, d, noise):
+    def test_matches_lstsq_reference(self, d, noise, monkeypatch):
+        monkeypatch.setattr("qnetid.partialinfo.GENERATOR_RESIDUAL_RTOL", 1e-3)
         rng = np.random.default_rng(100 + d)
         hbar = 0.7
         l_hat = liouvillian(random_hermitian(rng, d, norm=1.0), hbar)
         g = rng.normal(size=l_hat.shape) + 1j * rng.normal(size=l_hat.shape)
         l_hat = l_hat + noise * spectral_norm(l_hat) * 0.5 * (g - g.conj().T) / spectral_norm(g)
-        h_hat = extract_hamiltonian(l_hat, hbar, residual_rtol=1e-3)
+        h_hat = extract_hamiltonian(l_hat, hbar)
         assert abs(np.trace(h_hat)) <= 1e-14
         assert np.array_equal(h_hat, h_hat.conj().T)
         assert spectral_norm(h_hat - self.lstsq_reference(l_hat, hbar)) <= 1e-12
@@ -413,7 +413,8 @@ class TestPhysicalDecomposition:
             for k, j in [(1, 2), (1, d), (d - 1, d)]:
                 target = np.zeros((d, d), dtype=complex)
                 target[k - 1, j - 1] = 1.0
-                direct = unitary_conjugate(h, target, t)
+                u = propagator(h, t)
+                direct = u @ target @ u.conj().T
                 recombined = sum(
                     c * propagate(h, rho, t) for rho, c in physical_decomposition(d, k, j)
                 )
@@ -430,16 +431,16 @@ class TestRoundTripInvariant:
             lv = liouvillian(h)
             u, period = sampled(h)
             rank, obs = observability_rank(u)
-            ys = output_stacks(u, identity_initial_batch(d), d * d)
+            ys = output_stacks(u, np.eye(d * d, dtype=complex), d * d)
             if obs:
                 seen_observable += 1
-                l_hat = reconstruct_liouvillian(ys, identity_initial_batch(d), period)
+                l_hat = reconstruct_liouvillian(ys, np.eye(d * d, dtype=complex), period)
                 assert spectral_norm(l_hat - lv) <= 1e-8
                 h_traceless = h - np.trace(h) / d * np.eye(d)
                 assert spectral_norm(extract_hamiltonian(l_hat) - h_traceless) <= 1e-8
             else:
                 with pytest.raises(UnobservableError):
-                    reconstruct_liouvillian(ys, identity_initial_batch(d), period)
+                    reconstruct_liouvillian(ys, np.eye(d * d, dtype=complex), period)
         assert seen_observable > 0
 
 
@@ -479,3 +480,20 @@ class TestOutputBatchFiles:
             b"0,1,-0\n"
             b"0.5,4.9406564584124654e-324,1.0000000000000001e-05\n"
         )
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda text: text[:-3], "Expecting"),
+        (lambda text: text.replace('"lambda0"', '"lambda"'), "KeyError('lambda0')"),
+        (lambda text: text.replace('"outputs"', '"output"'), "KeyError('outputs')"),
+        (lambda text: text.replace('"rows"', '"r"'), "malformed matrix object"),
+        (lambda text: "[]", "TypeError("),
+    ], ids=["unparsable", "no-lambda0", "no-outputs", "bad-lambda0", "not-an-object"])
+    def test_bad_manifest_names_it(self, tmp_path, edit, named):
+        # these raised a bare JSONDecodeError or KeyError: 'lambda0'
+        manifest = write_output_batch(tmp_path / "b", [("node_1", np.array([0.0, 0.5]),
+                                                        np.eye(2))], np.eye(4, dtype=complex))
+        manifest.write_text(edit(manifest.read_text()))
+        with pytest.raises(ConfigError) as info:
+            read_output_batch(manifest)
+        assert str(info.value).startswith(f"{manifest}: ")
+        assert named in str(info.value)

@@ -65,6 +65,18 @@ class TestConfigValidation:
         errors = SweepConfig(dt=-1.0, taus=(1.0, 2.0)).validate()
         assert errors == ["dt must be positive and finite, got -1.0"]
 
+    def test_size_range_beyond_maxsize_listed(self):
+        # the longest range of d that can be listed has sys.maxsize sizes;
+        # one more size raised an OverflowError after the CSV preamble was written
+        longest = SweepConfig(d_max=2 + sys.maxsize - 1)
+        assert longest.validate() == []
+        assert len(range(longest.d_min, longest.d_max + 1)) == sys.maxsize
+        too_long = SweepConfig(d_max=2 + sys.maxsize)
+        assert too_long.validate() == ["d_max must be below d_min + sys.maxsize, "
+                                       "the longest range of d"]
+        with pytest.raises(OverflowError):
+            len(range(too_long.d_min, too_long.d_max + 1))
+
     def test_validated_raises(self):
         with pytest.raises(ConfigError, match="p_link"):
             SweepConfig(p_link=2.0).validated()
@@ -137,6 +149,26 @@ class TestSweep:
         assert rows[0]["d"] == 2
         assert rows[0]["trials"] == 4
         assert 0.0 <= rows[0]["solvability_mean"] <= 1.0
+
+    def test_numpy_scalars_same_as_python_numbers(self, tmp_path):
+        # derive_seed hashes repr(tau), and repr(np.float64(1.0)) is 'np.float64(1.0)':
+        # numpy-valued taus drew other networks under the same JSON preamble, and
+        # an int64 in trials failed to serialize after opening the CSV
+        numpy_cfg = SweepConfig(
+            seed=np.int64(11), d_min=np.int64(2), d_max=np.int64(3), p_link=np.float64(0.5),
+            taus=(np.float64(1.0), np.int64(2)), dt=np.float64(0.01),
+            subsamples=np.array([5, 1]), trials=np.int64(3), hbar=np.float64(1.0),
+            rtol=np.float64(1e-9), real_coupling=np.bool_(True),
+        )
+        python_cfg = SweepConfig(seed=11, d_min=2, d_max=3, p_link=0.5, taus=(1.0, 2),
+                                 subsamples=(5, 1), trials=3)
+        assert repr(numpy_cfg) == repr(python_cfg)  # no numpy scalar is left
+        assert [type(t) for t in numpy_cfg.taus] == [float, int]  # an int tau keeps its repr
+        a, b = tmp_path / "numpy.csv", tmp_path / "python.csv"
+        numpy_res, python_res = run_sweep(numpy_cfg, out_csv=a), run_sweep(python_cfg, out_csv=b)
+        assert numpy_res.trials == python_res.trials
+        assert numpy_res.records == python_res.records
+        assert a.read_bytes() == b.read_bytes()
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
