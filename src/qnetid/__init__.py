@@ -6,8 +6,8 @@ trajectories: the time integral P of the trajectory and the endpoint
 difference Q = i*hbar*(rho_tau - rho_0) pin the coupling matrix M down
 to the commutator equation [M, P] = Q, which is solved as a constrained
 linear system with an explicit uniqueness certificate.  A second route
-recovers the vectorized generator from populations sampled after d^2
-preparations, via an observability argument on the sampled propagator.
+recovers the Hamiltonian from populations sampled after d^2 preparations,
+via an observability argument on the sampled propagator.
 A benchmark harness sweeps random quantum-walk networks and renders
 solvability and error curves.
 """
@@ -27,7 +27,6 @@ from .dynamics import (
     Trajectory,
     check_density,
     exact_gram,
-    liouvillian,
     propagate,
     propagator,
     read_trajectory_csv,
@@ -52,12 +51,11 @@ from .identify import (
 )
 from .partialinfo import (
     UnobservableError,
-    extract_hamiltonian,
     observability_rank,
     output_stacks,
     physical_decomposition,
     physical_initial_batch,
-    reconstruct_liouvillian,
+    reconstruct_hamiltonian,
     sampling_period,
 )
 from .sweep import (
@@ -90,11 +88,9 @@ __all__ = [
     "emit_plot",
     "erdos_renyi",
     "exact_gram",
-    "extract_hamiltonian",
     "hermitize",
     "identify_topology",
     "is_connected",
-    "liouvillian",
     "load_matrix",
     "numerical_rank",
     "observability_rank",
@@ -105,7 +101,7 @@ __all__ = [
     "propagator",
     "read_sweep_csv",
     "read_trajectory_csv",
-    "reconstruct_liouvillian",
+    "reconstruct_hamiltonian",
     "relative_error",
     "run_benchmark_trial",
     "run_sweep",

@@ -3,8 +3,7 @@
 The state rho obeys d/dt rho = -(i/hbar) [H, rho] and is propagated
 exactly through the eigendecomposition of the (time-independent)
 Hermitian H: one decomposition per trajectory, unitary conjugation per
-sample.  The module also builds the vectorized generator
-L = -(i/hbar) (I kron H - H^T kron I) and the d x d propagator U = e^(-iHt/hbar),
+sample.  The module also builds the d x d propagator U = e^(-iHt/hbar),
 samples uniform-grid trajectories, and writes the time integral of rho
 in closed form: exactly, as an oracle for quadrature-based estimates, and
 as the composite trapezoid sum that a sampled trajectory would give.
@@ -126,24 +125,11 @@ class Trajectory:
         return len(self.times) - 1
 
 
-def liouvillian(h: np.ndarray, hbar: float = 1.0) -> np.ndarray:
-    """Vectorized generator L = -(i/hbar) (I kron H - H^T kron I).
-
-    Under column stacking, L @ vec(rho) = vec(-(i/hbar) [H, rho]).
-    L is skew-Hermitian by construction.
-    """
-    check_positive("hbar", hbar)
-    h = hermitize(h)
-    d = h.shape[0]
-    eye = np.eye(d)
-    return (-1j / hbar) * (np.kron(eye, h) - np.kron(h.T, eye))
-
-
 def propagator(h: np.ndarray, t: float, hbar: float = 1.0) -> np.ndarray:
     """The d x d propagator U = exp(-i H t / hbar), from one eigendecomposition of H.
 
-    The vectorized propagator e^(L t) is conj(U) kron U under column
-    stacking; it is never formed.
+    The vectorized propagator, vec(rho) -> vec(U rho U-dagger), is
+    conj(U) kron U under column stacking; it is never formed.
     """
     check_positive("hbar", hbar)
     w, v = np.linalg.eigh(hermitize(h))

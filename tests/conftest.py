@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qnetid.linalg import check_positive
 from qnetid.sweep import run_sweep
 
 from record_golden_sweeps import CONFIGS
@@ -12,6 +13,14 @@ def random_hermitian(rng, d, norm=None):
     if norm is not None:
         h = h * (norm / np.linalg.norm(h, 2))
     return h
+
+
+def liouvillian(h, hbar=1.0):
+    """Reference vectorized generator L = -(i/hbar) (I kron H - H^T kron I):
+    under column stacking L vec(rho) = vec(-(i/hbar) [H, rho])."""
+    check_positive("hbar", hbar)
+    eye = np.eye(h.shape[0])
+    return (-1j / hbar) * (np.kron(eye, h) - np.kron(h.T, eye))
 
 
 def random_density(rng, d):

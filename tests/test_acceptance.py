@@ -28,7 +28,6 @@ import pytest
 
 from qnetid.dynamics import (
     exact_gram,
-    liouvillian,
     propagate,
     propagator,
     sample_times,
@@ -46,12 +45,11 @@ from qnetid.linalg import spectral_norm
 from qnetid.netmodel import basis_density, derive_seed
 from qnetid.partialinfo import (
     UnobservableError,
-    extract_hamiltonian,
     observability_rank,
     output_stacks,
     physical_decomposition,
     physical_initial_batch,
-    reconstruct_liouvillian,
+    reconstruct_hamiltonian,
     sampling_period,
 )
 from qnetid.svgplot import emit_plot
@@ -61,7 +59,7 @@ from qnetid.sweep import (
     run_sweep,
 )
 
-from conftest import random_admissible, random_density, random_hermitian
+from conftest import liouvillian, random_admissible, random_density, random_hermitian
 from record_golden_sweeps import CONFIGS, LABEL_CONFIGS, LABEL_FIELDS
 
 MASTER_SEED = 0
@@ -431,8 +429,9 @@ class TestCriterion7PartialInformationRoundTrip:
     """Populations sampled every hbar/||H||_2 for random Hamiltonians with
     nonzero diagonal (the 100 draws with d in {2, 3}, then 25 each with
     d = 4, 5, 6), each from the basis-element batch and from the
-    preparable batch: observable pairs reconstruct the generator and the traceless
-    Hamiltonian to 1e-8, unobservable ones report failure; every
+    preparable batch: observable pairs reconstruct the traceless Hamiltonian,
+    and with it the generator (the reference Kronecker form of conftest.py),
+    to 1e-8, unobservable ones report failure; every
     zero-diagonal Hamiltonian is structurally unobservable."""
 
     def test_round_trip(self):
@@ -445,6 +444,7 @@ class TestCriterion7PartialInformationRoundTrip:
                 if np.max(np.abs(np.diag(h).real)) >= 0.1:
                     break
             lv = liouvillian(h)
+            h_traceless = h - np.trace(h) / d * np.eye(d)
             period = sampling_period(h)
             u = propagator(h, period)
             _, obs = observability_rank(u)
@@ -452,16 +452,13 @@ class TestCriterion7PartialInformationRoundTrip:
                 ys = output_stacks(u, lambda0, d * d)
                 if obs:
                     observable += 1
-                    l_hat = reconstruct_liouvillian(ys, lambda0, period)
-                    worst_l = max(worst_l, spectral_norm(l_hat - lv))
-                    h_traceless = h - np.trace(h) / d * np.eye(d)
-                    worst_h = max(
-                        worst_h, spectral_norm(extract_hamiltonian(l_hat) - h_traceless)
-                    )
+                    h_hat = reconstruct_hamiltonian(ys, lambda0, period)
+                    worst_l = max(worst_l, spectral_norm(liouvillian(h_hat) - lv))
+                    worst_h = max(worst_h, spectral_norm(h_hat - h_traceless))
                 else:
                     unobservable += 1
                     with pytest.raises(UnobservableError):
-                        reconstruct_liouvillian(ys, lambda0, period)
+                        reconstruct_hamiltonian(ys, lambda0, period)
         ok = worst_l <= 1e-8 and worst_h <= 1e-8
         report(
             "criterion 7 (partial-information round trip)", ok,

@@ -8,7 +8,6 @@ from qnetid.dynamics import (
     Trajectory,
     check_density,
     exact_gram,
-    liouvillian,
     propagate,
     propagator,
     read_trajectory_csv,
@@ -21,7 +20,7 @@ from qnetid.identify import build_P_trapezoid, identify_topology
 from qnetid.linalg import ConfigError, spectral_norm, vec
 from qnetid.sweep import SweepConfig, benchmark_network
 
-from conftest import random_density, random_hermitian
+from conftest import liouvillian, random_density, random_hermitian
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 E1 = np.diag([1.0, 0.0]).astype(complex)
@@ -56,6 +55,9 @@ class TestCheckDensity:
 
 
 class TestLiouvillian:
+    """The reference generator of conftest.py, the oracle of the
+    exponential checks below and of criterion 7."""
+
     def test_hand_computed_diagonal(self):
         out = liouvillian(np.diag([1.0, -1.0]).astype(complex))
         assert np.allclose(out, np.diag([0.0, 2.0j, -2.0j, 0.0]), atol=1e-14)
@@ -181,6 +183,7 @@ class TestPropagator:
 class TestHbarGuard:
     @pytest.mark.parametrize("hbar", [0.0, -1.0, np.nan, np.inf])
     @pytest.mark.parametrize("call", [
+        # the reference generator of conftest.py follows the same rule
         pytest.param(lambda hbar: liouvillian(SX, hbar), id="liouvillian"),
         pytest.param(lambda hbar: propagator(SX, 1.0, hbar), id="propagator"),
         pytest.param(lambda hbar: propagate(SX, E1, 1.0, hbar), id="propagate"),

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from qnetid.dynamics import (
-    liouvillian,
     propagate,
     propagator,
     sample_trajectory,
@@ -12,13 +11,12 @@ from qnetid.netmodel import erdos_renyi
 from qnetid.partialinfo import (
     UnobservableError,
     _markov_parameters,
-    extract_hamiltonian,
     observability_rank,
     output_stacks,
     physical_decomposition,
     physical_initial_batch,
     read_output_batch,
-    reconstruct_liouvillian,
+    reconstruct_hamiltonian,
     sampling_period,
     write_output_batch,
 )
@@ -42,12 +40,19 @@ def sampled(h, hbar=1.0):
     return propagator(h, period, hbar), period
 
 
-def dense_markov_parameters(u, order):
+def traceless(h):
+    return h - np.trace(h) / h.shape[0] * np.eye(h.shape[0])
+
+
+def dense_markov_parameters(u, order, channel=None):
     """Oracle for the Markov parameters: C A^k for k = 0..order with the
-    vectorized propagator A = conj(U) kron U formed densely and the
-    diagonal selector C written out entry by entry."""
+    vectorized propagator A = conj(U) kron U formed densely, followed by
+    the dense d^2 x d^2 ``channel`` when one is given, and the diagonal
+    selector C written out entry by entry."""
     d = u.shape[0]
     a = np.kron(u.conj(), u)
+    if channel is not None:
+        a = channel @ a
     c = np.zeros((d, d * d), dtype=complex)
     for i in range(d):
         c[i, i * d + i] = 1.0  # vec position of entry (i, i), column stacking
@@ -65,10 +70,10 @@ def populations(h, rho0, tau, dt):
 
 
 def identify(h, lambda0, hbar=1.0):
-    """Generator reconstructed from the populations of the batch ``lambda0``."""
+    """Hamiltonian reconstructed from the populations of the batch ``lambda0``."""
     u, period = sampled(h, hbar)
     d = h.shape[0]
-    return reconstruct_liouvillian(output_stacks(u, lambda0, d * d), lambda0, period)
+    return reconstruct_hamiltonian(output_stacks(u, lambda0, d * d), lambda0, period, hbar)
 
 
 class TestDiagonalSelector:
@@ -149,7 +154,7 @@ class TestObservabilityRank:
         with pytest.raises(ValueError, match="rtol must be positive"):
             observability_rank(u, rtol=0.0)
         with pytest.raises(ValueError, match="rtol must be positive"):
-            reconstruct_liouvillian(output_stacks(u, lam0, 4), lam0, period, rtol=0.0)
+            reconstruct_hamiltonian(output_stacks(u, lam0, 4), lam0, period, rtol=0.0)
 
     def test_full_rank_at_d6(self):
         # the powers of the unitary propagator keep unit scale, so the
@@ -212,6 +217,11 @@ class TestOutputStacks:
         ys = output_stacks(sampled(np.zeros((2, 2)))[0], np.eye(4, dtype=complex), 3)
         assert np.array_equal(ys[1:], np.broadcast_to(ys[0], (3, 2, 4)))
 
+    def test_rejects_negative_order(self):
+        # a parameter check: ConfigError, as every other one
+        with pytest.raises(ConfigError, match="order must be nonnegative, got -1"):
+            output_stacks(sampled(H_OBS)[0], np.eye(4, dtype=complex), -1)
+
     @pytest.mark.parametrize("d", [2, 3, 4, 6])
     def test_matches_per_power_products(self, d):
         # the Markov parameters from the powers of U match C A^k of the
@@ -241,9 +251,12 @@ class TestOutputStacks:
 
 
 class TestReconstructLiouvillian:
+    """``reconstruct_hamiltonian``, first half: the sampled Liouvillian
+    propagator A from the outputs, with its input, rank and phase checks,
+    judged by the Hamiltonian it yields."""
+
     def test_exact_roundtrip(self):
-        l_hat = identify(H_OBS, np.eye(4, dtype=complex))
-        assert spectral_norm(l_hat - liouvillian(H_OBS)) <= 1e-9
+        assert spectral_norm(identify(H_OBS, np.eye(4, dtype=complex)) - H_OBS) <= 1e-9
 
     def test_zero_generator_fails_rank(self):
         with pytest.raises(UnobservableError, match="rank 2"):
@@ -257,19 +270,38 @@ class TestReconstructLiouvillian:
         u, period = sampled(H_OBS)
         ys = output_stacks(u, np.eye(4, dtype=complex), 2)
         with pytest.raises(ValueError, match="incomplete"):
-            reconstruct_liouvillian(ys, np.eye(4, dtype=complex), period)
+            reconstruct_hamiltonian(ys, np.eye(4, dtype=complex), period)
+
+    @pytest.mark.parametrize("cut, shape", [
+        (np.s_[:, :1, :], r"\(1, 4\)"),
+        (np.s_[:, :, :3], r"\(2, 3\)"),
+    ], ids=["one-population", "three-runs"])
+    def test_output_shape_mismatch_rejected(self, cut, shape):
+        # one population per sample was reported as an unobservable pair,
+        # three runs for four states as numpy's matmul mismatch
+        u, period = sampled(H_OBS)
+        lam0 = np.eye(4, dtype=complex)
+        with pytest.raises(ValueError, match=rf"{shape} do not match Lambda0 of shape "
+                                             r"\(4, 4\): each must be \(d, d\^2\) = \(2, 4\)"):
+            reconstruct_hamiltonian(output_stacks(u, lam0, 4)[cut], lam0, period)
+
+    def test_non_square_lambda0_rejected(self):
+        u, period = sampled(H_OBS)
+        for lam in (np.eye(4, 3, dtype=complex), np.eye(3, dtype=complex)):
+            with pytest.raises(ValueError, match="Lambda0 must be square with d\\^2 rows"):
+                reconstruct_hamiltonian(output_stacks(u, np.eye(4), 4), lam, period)
 
     def test_singular_lambda0_rejected(self):
         lam = np.eye(4, dtype=complex)
         lam[:, 3] = lam[:, 2]
         u, period = sampled(H_OBS)
         with pytest.raises(ValueError, match="singular"):
-            reconstruct_liouvillian(output_stacks(u, lam, 4), lam, period)
+            reconstruct_hamiltonian(output_stacks(u, lam, 4), lam, period)
 
     def test_physical_batch_roundtrip(self):
         lam0, states = physical_initial_batch(2)
         assert lam0.shape == (4, 4)
-        assert spectral_norm(identify(H_OBS, lam0) - liouvillian(H_OBS)) <= 1e-9
+        assert spectral_norm(identify(H_OBS, lam0) - H_OBS) <= 1e-9
 
     def test_estimated_roundtrip(self):
         # measured-data path: populations of each preparable run, simulated
@@ -281,97 +313,100 @@ class TestReconstructLiouvillian:
         period = sampling_period(h)
         runs = [populations(h, rho, d * d * period, period)[1] for rho, _ in states]
         ys = np.stack(runs, axis=2)  # (d^2 + 1, d, d^2): ys[k][:, i] = run i at k * period
-        l_hat = reconstruct_liouvillian(ys, lam0, period)
-        assert spectral_norm(l_hat - liouvillian(h)) <= 1e-9
+        assert spectral_norm(reconstruct_hamiltonian(ys, lam0, period) - traceless(h)) <= 1e-9
 
     def test_principal_branch_guard(self):
-        # a period at which two eigenvalues of A reach e^(+-i pi) = -1
+        # a period at which two eigenvalues of U are antipodal: no H with
+        # eigenvalue spread below pi*hbar/period gives this U
         rng = np.random.default_rng(15)
         h = random_hermitian(rng, 3, norm=1.0)
         w = np.linalg.eigvalsh(h)
         period = np.pi / (w[-1] - w[0])
         lam0 = np.eye(9, dtype=complex)
         ys = output_stacks(propagator(h, period), lam0, 9)
-        with pytest.raises(ValueError, match="negative real axis"):
-            reconstruct_liouvillian(ys, lam0, period)
+        with pytest.raises(ValueError, match="spread over .* >= pi"):
+            reconstruct_hamiltonian(ys, lam0, period)
+        # just inside the branch the same H is recovered
+        ys = output_stacks(propagator(h, 0.99 * period), lam0, 9)
+        assert spectral_norm(reconstruct_hamiltonian(ys, lam0, 0.99 * period)
+                             - traceless(h)) <= 1e-9
 
     def test_nonpositive_period_rejected(self):
         u, _ = sampled(H_OBS)
         lam0 = np.eye(4, dtype=complex)
         for period in (0.0, np.nan, np.inf):
             with pytest.raises(ConfigError, match="period must be positive"):
-                reconstruct_liouvillian(output_stacks(u, lam0, 4), lam0, period)
+                reconstruct_hamiltonian(output_stacks(u, lam0, 4), lam0, period)
+        with pytest.raises(ConfigError, match="hbar must be positive"):
+            reconstruct_hamiltonian(output_stacks(u, lam0, 4), lam0, 1.0, hbar=0.0)
 
 
 class TestExtractHamiltonian:
+    """``reconstruct_hamiltonian``, second half: the traceless H from the
+    estimate of A, its gauge and hbar, and the closed-system check."""
+
     def test_roundtrip_traceless(self):
         rng = np.random.default_rng(6)
         for d in (2, 3):
-            h = random_hermitian(rng, d, norm=1.0)
-            h -= np.trace(h) / d * np.eye(d)
-            assert spectral_norm(extract_hamiltonian(liouvillian(h)) - h) <= 1e-9
+            h = traceless(random_hermitian(rng, d, norm=1.0))
+            h_hat = identify(h, np.eye(d * d, dtype=complex))
+            assert spectral_norm(h_hat - h) <= 1e-9
+            assert abs(np.trace(h_hat)) <= 1e-14
+            assert np.array_equal(h_hat, h_hat.conj().T)
 
     def test_gauge_invariance(self):
+        # H + 3I has the outputs of H and gives its traceless part
         rng = np.random.default_rng(7)
-        h = random_hermitian(rng, 3, norm=1.0)
-        h -= np.trace(h) / 3 * np.eye(3)
-        shifted = liouvillian(h + 3.0 * np.eye(3))
-        assert np.allclose(shifted, liouvillian(h), atol=1e-12)
-        assert spectral_norm(extract_hamiltonian(shifted) - h) <= 1e-9
+        h = traceless(random_hermitian(rng, 3, norm=1.0))
+        lam0 = np.eye(9, dtype=complex)
+        period = sampling_period(h)
+        ys = output_stacks(propagator(h, period), lam0, 9)
+        shifted = output_stacks(propagator(h + 3.0 * np.eye(3), period), lam0, 9)
+        assert np.allclose(shifted, ys, atol=1e-12)
+        assert spectral_norm(reconstruct_hamiltonian(shifted, lam0, period) - h) <= 1e-9
 
     def test_hbar_consistency(self):
         rng = np.random.default_rng(8)
-        h = random_hermitian(rng, 2, norm=1.0)
-        h -= np.trace(h) / 2 * np.eye(2)
-        assert spectral_norm(extract_hamiltonian(liouvillian(h, 0.5), 0.5) - h) <= 1e-9
-
-    def test_rejects_non_generator(self):
-        # random skew-Hermitian matrix is not of commutator form
-        rng = np.random.default_rng(9)
-        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        skew = 0.5 * (g - g.conj().T)
-        with pytest.raises(ValueError, match="not a closed-system generator"):
-            extract_hamiltonian(skew)
-
-    def test_rejects_non_skew(self):
-        with pytest.raises(ValueError, match="skew"):
-            extract_hamiltonian(np.eye(4))
+        h = traceless(random_hermitian(rng, 2, norm=1.0))
+        assert spectral_norm(identify(h, np.eye(4, dtype=complex), hbar=0.5) - h) <= 1e-9
 
     @staticmethod
-    def lstsq_reference(l_hat, hbar):
-        """Least squares over a Hermitian basis, its traceless Hermitian part."""
-        d = int(round(np.sqrt(l_hat.shape[0])))
-        basis = []
-        for i in range(d):
-            for j in range(i, d):
-                e = np.zeros((d, d), dtype=complex)
-                e[i, j] = e[j, i] = 1.0
-                basis.append(e)
-                if i < j:
-                    e = np.zeros((d, d), dtype=complex)
-                    e[i, j], e[j, i] = 1j, -1j
-                    basis.append(e)
-        t = np.array([vec(liouvillian(e, hbar)) for e in basis]).T
-        a = np.vstack([t.real, t.imag])
-        b = np.concatenate([vec(l_hat).real, vec(l_hat).imag])
-        theta, *_ = np.linalg.lstsq(a, b, rcond=None)
-        h = sum(th * e for th, e in zip(theta, basis))
-        h -= np.trace(h) / d * np.eye(d)
-        return 0.5 * (h + h.conj().T)
+    def channel_outputs(h, channel):
+        """(ys, Lambda0, period): the outputs of the basis-element batch when
+        the dense ``channel`` follows each step of the unitary evolution."""
+        d = h.shape[0]
+        u, period = sampled(h)
+        return dense_markov_parameters(u, d * d, channel), np.eye(d * d, dtype=complex), period
 
-    @pytest.mark.parametrize("noise", [0.0, 1e-4])
-    @pytest.mark.parametrize("d", [2, 3, 4, 5])
-    def test_matches_lstsq_reference(self, d, noise, monkeypatch):
-        monkeypatch.setattr("qnetid.partialinfo.GENERATOR_RESIDUAL_RTOL", 1e-3)
-        rng = np.random.default_rng(100 + d)
-        hbar = 0.7
-        l_hat = liouvillian(random_hermitian(rng, d, norm=1.0), hbar)
-        g = rng.normal(size=l_hat.shape) + 1j * rng.normal(size=l_hat.shape)
-        l_hat = l_hat + noise * spectral_norm(l_hat) * 0.5 * (g - g.conj().T) / spectral_norm(g)
-        h_hat = extract_hamiltonian(l_hat, hbar)
-        assert abs(np.trace(h_hat)) <= 1e-14
-        assert np.array_equal(h_hat, h_hat.conj().T)
-        assert spectral_norm(h_hat - self.lstsq_reference(l_hat, hbar)) <= 1e-12
+    def test_rejects_non_generator(self):
+        # the evolution of a d = 3 node network followed at each step by
+        # dephasing rho -> (1 - p) rho + p diag(rho): sigma_2/sigma_1 of the
+        # realigned propagator reads p/3
+        rng = np.random.default_rng(9)
+        h = hermitian_with_diagonal(rng, 3)
+        for p in (1e-3, 1e-6):
+            keep = np.full(9, 1.0 - p)
+            keep[::4] = 1.0
+            ys, lam0, period = self.channel_outputs(h, np.diag(keep))
+            with pytest.raises(ValueError, match=r"not a closed-system evolution: the realigned "
+                                                 r"propagator has sigma_2/sigma_1 3\.3\d\de-0"):
+                reconstruct_hamiltonian(ys, lam0, period)
+        ys, lam0, period = self.channel_outputs(h, np.eye(9))
+        assert spectral_norm(reconstruct_hamiltonian(ys, lam0, period) - traceless(h)) <= 1e-9
+
+    def test_rejects_non_skew(self):
+        # a non-unitary step, whose generator is not skew-Hermitian: a
+        # uniform loss of trace, and the no-jump evolution rho -> K rho K^H
+        # with K = diag(1, e^-gamma, 1) after U.  Both realign to rank one;
+        # the factor's non-unitarity rejects them
+        rng = np.random.default_rng(10)
+        h = hermitian_with_diagonal(rng, 3)
+        k = np.diag([1.0, np.exp(-1e-6), 1.0])
+        for channel in ((1.0 - 1e-6) * np.eye(9), np.kron(k, k)):
+            ys, lam0, period = self.channel_outputs(h, channel)
+            with pytest.raises(ValueError, match=r"not a closed-system evolution: .* "
+                                                 r"non-unitarity [12]\.\d+e-06"):
+                reconstruct_hamiltonian(ys, lam0, period)
 
 
 class TestPhysicalDecomposition:
@@ -428,19 +463,16 @@ class TestRoundTripInvariant:
         for _ in range(30):
             d = int(rng.integers(2, 4))
             h = hermitian_with_diagonal(rng, d)
-            lv = liouvillian(h)
             u, period = sampled(h)
             rank, obs = observability_rank(u)
             ys = output_stacks(u, np.eye(d * d, dtype=complex), d * d)
             if obs:
                 seen_observable += 1
-                l_hat = reconstruct_liouvillian(ys, np.eye(d * d, dtype=complex), period)
-                assert spectral_norm(l_hat - lv) <= 1e-8
-                h_traceless = h - np.trace(h) / d * np.eye(d)
-                assert spectral_norm(extract_hamiltonian(l_hat) - h_traceless) <= 1e-8
+                h_hat = reconstruct_hamiltonian(ys, np.eye(d * d, dtype=complex), period)
+                assert spectral_norm(h_hat - traceless(h)) <= 1e-8
             else:
                 with pytest.raises(UnobservableError):
-                    reconstruct_liouvillian(ys, np.eye(d * d, dtype=complex), period)
+                    reconstruct_hamiltonian(ys, np.eye(d * d, dtype=complex), period)
         assert seen_observable > 0
 
 
@@ -497,3 +529,43 @@ class TestOutputBatchFiles:
             read_output_batch(manifest)
         assert str(info.value).startswith(f"{manifest}: ")
         assert named in str(info.value)
+
+    @staticmethod
+    def batch(tmp_path, edit=None):
+        """A d = 2 batch of the four preparable runs, sampled every 0.05;
+        ``edit(k, times)`` may change the times of run k first."""
+        h = random_hermitian(np.random.default_rng(12), 2, norm=1.0)
+        lam0, states = physical_initial_batch(2)
+        runs = []
+        for k, (rho, label) in enumerate(states):
+            times, ys = populations(h, rho, 0.5, 0.05)
+            runs.append((label, edit(k, times.copy()) if edit else times, ys))
+        return write_output_batch(tmp_path / "batch", runs, lam0), runs
+
+    @pytest.mark.parametrize("run", [0, 2])
+    def test_moved_sample_time_rejected(self, tmp_path, run):
+        # one run's third time moved by 0.3 * Delta was read without complaint
+        def move(k, times):
+            times[2] += 0.3 * 0.05 * (k == run)
+            return times
+
+        manifest, _ = self.batch(tmp_path, move)
+        with pytest.raises(ValueError) as info:
+            read_output_batch(manifest)
+        assert str(info.value).startswith(f"{manifest}: run ")
+        assert ("not uniform" if run == 0 else "not sampled on the time grid") in str(info.value)
+
+    def test_grid_not_starting_at_zero_rejected(self, tmp_path):
+        manifest, _ = self.batch(tmp_path, lambda k, times: times + 0.05)
+        with pytest.raises(ValueError, match=r"time grid starts at 0\.05, not 0"):
+            read_output_batch(manifest)
+
+    @pytest.mark.parametrize("keep", [3, 5])
+    def test_run_count_mismatch_rejected(self, tmp_path, keep):
+        # a run count other than the number of Lambda0 columns was not checked
+        manifest, runs = self.batch(tmp_path)
+        lam0 = physical_initial_batch(2)[0]
+        runs = (runs + runs)[:keep]
+        manifest = write_output_batch(tmp_path / "other", runs, lam0)
+        with pytest.raises(ValueError, match=rf"{keep} runs, but Lambda0 has shape \(4, 4\)"):
+            read_output_batch(manifest)
