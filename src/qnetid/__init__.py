@@ -64,7 +64,7 @@ from .sweep import (
     SweepResult,
     TrialRecord,
     read_sweep_csv,
-    run_benchmark_trial,
+    run_benchmark_trials,
     run_sweep,
 )
 from .svgplot import emit_plot
@@ -103,7 +103,7 @@ __all__ = [
     "read_trajectory_csv",
     "reconstruct_hamiltonian",
     "relative_error",
-    "run_benchmark_trial",
+    "run_benchmark_trials",
     "run_sweep",
     "sample_trajectory",
     "sampling_period",

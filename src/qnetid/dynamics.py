@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ABS_FLOOR, HERMITIAN_RTOL, ConfigError, check_positive, hermitize
+from .linalg import ABS_FLOOR, HERMITIAN_RTOL, ConfigError, check_positive, hermitize, is_integer
 
 #: tolerated negative eigenvalue on density operators (round-off slack)
 PSD_TOL = 1e-10
@@ -34,18 +34,17 @@ GRID_RTOL = 1e-9
 
 
 def check_density(rho: np.ndarray, name: str = "rho") -> np.ndarray:
-    """Validate Hermiticity, positive semidefiniteness and unit trace.
-
-    Returns the symmetrized matrix; raises ValueError describing the
-    violated property otherwise.
+    """Validate Hermiticity, positive semidefiniteness and unit trace of
+    the matrices on the last two axes; return them symmetrized, or raise
+    ValueError naming the violated property of the first offending one.
     """
     rho = hermitize(np.asarray(rho, dtype=complex))
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"{name} has trace {tr!r}, expected 1")
-    wmin = float(np.linalg.eigvalsh(rho)[0])
-    if wmin < -PSD_TOL:
-        raise ValueError(f"{name} is not positive semidefinite (min eig {wmin:.3e})")
+    for tr in np.trace(rho, axis1=-2, axis2=-1).real.reshape(-1).tolist():
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise ValueError(f"{name} has trace {tr!r}, expected 1")
+    for wmin in np.linalg.eigvalsh(rho)[..., 0].reshape(-1).tolist():
+        if wmin < -PSD_TOL:
+            raise ValueError(f"{name} is not positive semidefinite (min eig {wmin:.3e})")
     return rho
 
 
@@ -146,29 +145,27 @@ def propagate(h: np.ndarray, rho0: np.ndarray, t: float, hbar: float = 1.0) -> n
         raise ConfigError("t must be nonnegative")
     rho0 = check_density(rho0, "rho0")
     u = propagator(h, t, hbar)
-    rho_t = u @ rho0 @ u.conj().T
-    return 0.5 * (rho_t + rho_t.conj().T)
+    return hermitize(u @ rho0 @ u.conj().T)
 
 
 def _eigenbasis(h: np.ndarray, rho0: np.ndarray, hbar: float):
     """The checked rho0, the eigenvalues w and eigenvectors V of H, and
-    rho0 in that eigenbasis, V-dagger rho0 V; raises ValueError on an
-    invalid rho0, one whose shape does not match H, or a bad hbar."""
+    rho0 in that eigenbasis, V-dagger rho0 V, per matrix of a stack; raises
+    ValueError on an invalid rho0, one whose shape is not H's, or a bad hbar."""
     check_positive("hbar", hbar)
     rho0 = check_density(rho0, "rho0")
     h = hermitize(h)
-    d = h.shape[0]
-    if rho0.shape != (d, d):
-        raise ValueError(f"rho0 shape {rho0.shape} does not match H dimension {d}")
+    if rho0.shape != h.shape:
+        raise ValueError(f"rho0 shape {rho0.shape} does not match H shape {h.shape}")
     w, v = np.linalg.eigh(h)
-    return rho0, w, v, v.conj().T @ rho0 @ v
+    return rho0, w, v, v.conj().swapaxes(-1, -2) @ rho0 @ v
 
 
 def check_subsample(n_s: int, subsample: int) -> None:
-    """Raise ConfigError unless ``subsample`` is a positive divisor of the
-    number of sampling intervals ``n_s``."""
-    if subsample < 1:
-        raise ConfigError("subsample must be a positive integer")
+    """Raise ConfigError unless ``subsample`` is a positive integer
+    (``is_integer``) dividing the number of sampling intervals ``n_s``."""
+    if not is_integer(subsample) or subsample < 1:
+        raise ConfigError(f"subsample must be a positive integer, got {subsample!r}")
     if n_s % subsample != 0:
         raise ConfigError(f"subsample {subsample} does not divide n_s = {n_s}")
 
@@ -235,8 +232,8 @@ def exact_gram(h: np.ndarray, rho0: np.ndarray, tau: float, hbar: float = 1.0) -
     """
     check_positive("tau", tau)
     _, w, v, rho_eig = _eigenbasis(h, rho0, hbar)
-    p = v @ (rho_eig * _mode_factors((w[:, None] - w[None, :]) / hbar, tau)) @ v.conj().T
-    return 0.5 * (p + p.conj().T)
+    return hermitize(v @ (rho_eig * _mode_factors((w[:, None] - w[None, :]) / hbar, tau))
+                     @ v.conj().T)
 
 
 def trapezoid_grams(
@@ -246,7 +243,7 @@ def trapezoid_grams(
     dt: float,
     subsamples: Sequence[int],
     hbar: float = 1.0,
-) -> tuple[np.ndarray, list[np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The endpoint state and the trapezoid integrals of a trajectory,
     without sampling it.
 
@@ -254,22 +251,24 @@ def trapezoid_grams(
     rho0, tau, dt, hbar)``, and for each divisor s of ``subsamples`` the
     composite trapezoid integral that ``build_P_trapezoid`` takes of that
     trajectory at subsample s: the sum on n/s panels of step s*dt, as
-    V (rho~ * T) V-dagger with the closed-form weights of ``_mode_factors``.
-    One eigendecomposition of H serves every divisor; the cost is O(d^3)
-    per divisor instead of O(n d^3).  Raises ValueError as
-    ``sample_trajectory`` and ``build_P_trapezoid`` would.
+    V (rho~ * T) V-dagger with the weights of ``_mode_factors``, on the axis
+    before the last two.  One eigendecomposition of H serves every divisor.
+    Stacks of H and rho0 run as one batch, each matrix as in a call of its
+    own.  Raises ValueError as ``sample_trajectory`` and
+    ``build_P_trapezoid`` would.
     """
     n = len(sample_times(tau, dt)) - 1
     for subsample in subsamples:
         check_subsample(n, subsample)
     _, w, v, rho_eig = _eigenbasis(h, rho0, hbar)
-    vh = v.conj().T
+    vh = v.conj().swapaxes(-1, -2)
     phase = np.exp(-1j * w * (n * dt / hbar))
-    rho_end = v @ (np.outer(phase, phase.conj()) * rho_eig) @ vh
+    rho_end = v @ ((phase[..., :, None] * phase.conj()[..., None, :]) * rho_eig) @ vh
     steps = np.array([tau / (n // s) for s in subsamples])[:, None, None]
-    p = v @ (rho_eig * _mode_factors((w[:, None] - w[None, :]) / hbar, tau, steps)) @ vh
-    p = 0.5 * (p + p.conj().transpose(0, 2, 1))
-    return 0.5 * (rho_end + rho_end.conj().T), list(p)
+    omega = (w[..., :, None] - w[..., None, :]) / hbar
+    v, vh, rho_eig, omega = (x[..., None, :, :] for x in (v, vh, rho_eig, omega))
+    p = v @ (rho_eig * _mode_factors(omega, tau, steps)) @ vh
+    return hermitize(rho_end), hermitize(p)
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,7 @@ def _pairs(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _to_matrix(theta: np.ndarray, d: int, real_coupling: bool) -> np.ndarray:
-    """The admissible matrix of the parameters theta.
+    """The admissible matrix of the parameters theta (on the last axis).
 
     Parameters are ordered by upper-triangle pair (as ``_pairs``); in the
     full class each pair contributes (x_ij, y_ij) with M_ij = x_ij + i y_ij,
@@ -114,13 +114,9 @@ def _to_matrix(theta: np.ndarray, d: int, real_coupling: bool) -> np.ndarray:
     are ever needed.
     """
     i, j, _ = _pairs(d)
-    if real_coupling:
-        m = np.zeros((d, d))
-        m[i, j] = m[j, i] = theta
-    else:
-        m = np.zeros((d, d), dtype=complex)
-        m[i, j] = theta[0::2] + 1j * theta[1::2]
-        m[j, i] = m[i, j].conj()
+    upper = theta if real_coupling else theta[..., 0::2] + 1j * theta[..., 1::2]
+    m = np.zeros(theta.shape[:-1] + (d, d), dtype=upper.dtype)
+    m[..., i, j], m[..., j, i] = upper, upper.conj()
     return m
 
 
@@ -142,15 +138,15 @@ def _halve(x: np.ndarray) -> np.ndarray:
 
 
 def _realified_system(p: np.ndarray, real_coupling: bool) -> np.ndarray:
-    """Real coefficient matrix of theta -> [M(theta), P], halved.
+    """Real coefficient matrix of theta -> [M(theta), P], halved, per P of a stack.
 
     Column k is ``_halve`` of [X_k, P], with X_k the admissible matrix of
     parameter k: one column per parameter.  These commutators are written
     in closed form (module docstring) into a complex stack laid out
-    [row, column, pair, x/y], so that each entry's parameters lie side by
-    side in memory.
+    [..., row, column, pair, x/y], so that each entry's parameters lie side
+    by side in memory.
     """
-    d = p.shape[0]
+    d = p.shape[-1]
     if d < 2:
         raise ValueError("d must be at least 2")
     i, j, k = _pairs(d)
@@ -162,14 +158,16 @@ def _realified_system(p: np.ndarray, real_coupling: bool) -> np.ndarray:
         ip = np.empty_like(p)
         ip.real, ip.imag = -p.imag, p.real
         parts.append((ip, -ip))
-    c = np.zeros((d, d, k.size, len(parts)), dtype=complex)
+    c = np.zeros(p.shape + (k.size, len(parts)), dtype=complex)
     for t, (src, flipped) in enumerate(parts):
         col = c[..., t]
-        col[i, :, k] += src[j]          # row i: P[j, :]
-        col[j, :, k] += flipped[i]      # row j: P[i, :]
-        col[:, j, k] -= src[:, i]       # column j: -P[:, i]
-        col[:, i, k] -= flipped[:, j]   # column i: -P[:, j]
-    return _halve(c.reshape(d, d, -1).transpose(2, 0, 1)).T
+        # indices on either side of a slice index the pair axis first
+        col[..., i, :, k] += np.moveaxis(src[..., j, :], -2, 0)      # row i: P[j, :]
+        col[..., j, :, k] += np.moveaxis(flipped[..., i, :], -2, 0)  # row j: P[i, :]
+        col[..., j, k] -= src[..., :, i]       # column j: -P[:, i]
+        col[..., i, k] -= flipped[..., :, j]   # column i: -P[:, j]
+    columns = np.moveaxis(c.reshape(p.shape + (-1,)), -1, -3)
+    return _halve(columns).swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +196,7 @@ def build_Q(
     known_h0: np.ndarray | None = None,
     p: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Endpoint data matrix Q = i*hbar*(rho_tau - rho_0), skew-Hermitian.
+    """Endpoint data matrix Q = i*hbar*(rho_tau - rho_0), skew-Hermitian, per pair of a stack.
 
     With a known node Hamiltonian H0, its contribution [H0, P] is
     subtracted so that the remaining equation targets the interaction
@@ -212,10 +210,11 @@ def build_Q(
         if p is None:
             raise ValueError("P is required when a known H0 is supplied")
         q = q - commutator(hermitize(known_h0), np.asarray(p, dtype=complex))
-    asym = np.linalg.norm(q + q.conj().T)
-    if asym > SKEW_RTOL * max(np.linalg.norm(q), ABS_FLOOR):
+    qh = q.conj().swapaxes(-1, -2)
+    scale = np.maximum(np.linalg.norm(q, axis=(-2, -1)), ABS_FLOOR)
+    if np.any(np.linalg.norm(q + qh, axis=(-2, -1)) > SKEW_RTOL * scale):
         raise ValueError("Q is not skew-Hermitian; check the input states")
-    return 0.5 * (q - q.conj().T)
+    return 0.5 * (q - qh)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +256,33 @@ class IdentificationReport:
         save_json(path, self.to_json())
 
 
+def solve_stack(p: np.ndarray, q: np.ndarray, rtol: float = DEFAULT_RTOL,
+                real_coupling: bool = False) -> tuple[np.ndarray, ...]:
+    """Admissible least-squares solutions of [M, P] = Q for each P on the
+    last two axes of ``p``, Q broadcasting against it: the core of
+    ``solve_commutator`` and of the sweeps.  The systems are realified and
+    halved as one stack; LAPACK's gelsd does not batch, so each is solved
+    by its own call.  Returns over the leading axes of ``p`` the estimates,
+    each system's singular values (one per parameter: full rank is rank
+    ``s.shape[-1]``), its rank at ``rtol`` and at ``_label_rtol(d)``.
+    """
+    d = p.shape[-1]
+    a = _realified_system(p, real_coupling)
+    b = np.broadcast_to(_halve(q), a.shape[:-1])
+    theta, s = np.empty(a.shape[:-2] + a.shape[-1:]), np.empty(a.shape[:-2] + a.shape[-1:])
+    for k in np.ndindex(a.shape[:-2]):
+        # gelsd cuts s_i <= rtol * s_0, the complement of numerical_rank's rule
+        theta[k], _, _, s[k] = np.linalg.lstsq(a[k], b[k], rcond=rtol)
+    rank = numerical_rank(s, rtol)
+    theta[rank == 0] = 0.0  # gelsd would invert an s_0 below ABS_FLOOR
+    return _to_matrix(theta, d, real_coupling), s, rank, numerical_rank(s, _label_rtol(d))
+
+
+def _label_rtol(d: int) -> float:
+    """max(m, n) * eps of the unhalved 2d^2-row system: halving moves no label."""
+    return 2 * d * d * EPS
+
+
 def solve_commutator(
     p: np.ndarray,
     q: np.ndarray,
@@ -265,62 +291,34 @@ def solve_commutator(
 ) -> IdentificationReport:
     """Solve [M, P] = Q for an admissible M and certify uniqueness.
 
-    The equation is realified on the admissible parametrization and
-    solved by LAPACK's gelsd: truncated minimum-norm least squares at
-    ``rtol``, forming neither U nor V.  ``outcome`` is 'unique' when
-    the system has full column rank at ``rtol`` and the solution's
-    relative equation residual is at most RESIDUAL_RTOL, 'non_unique'
-    when rank deficient (the minimum-norm estimate is still emitted,
-    untrusted), and 'inconsistent' when full rank but the residual is
-    large.  ``solvability`` is the rank-only label at the machine
-    tolerance 2d^2 * eps relative to sigma_max (module docstring).
-    A Q of zero with full rank yields the zero matrix and 'unique':
-    no interaction detected.
-
-    P is taken to be Hermitian and Q skew-Hermitian, as
-    ``build_P_trapezoid`` and ``build_Q`` return them: the halved system
-    (module docstring) keeps only the rows that these symmetries make
-    independent.  The residual is still measured on the full equation.
+    One system of ``solve_stack``: gelsd's truncated minimum-norm least
+    squares at ``rtol``.  ``outcome`` is 'unique' at full column rank with
+    a relative residual of the full equation at most RESIDUAL_RTOL,
+    'non_unique' when rank deficient (the minimum-norm estimate is still
+    emitted, untrusted), and 'inconsistent' at full rank with a large
+    residual.  ``solvability`` is the rank-only label at 2d^2 * eps
+    relative to sigma_max (module docstring).  A Q of zero with full rank
+    yields the zero matrix and 'unique': no interaction detected.  P is
+    taken to be Hermitian and Q skew-Hermitian, as ``build_P_trapezoid``
+    and ``build_Q`` return them: the halved system keeps only the rows
+    these symmetries make independent.
     """
-    p = np.asarray(p, dtype=complex)
-    q = np.asarray(q, dtype=complex)
+    p, q = np.asarray(p, dtype=complex), np.asarray(q, dtype=complex)
     if p.shape != q.shape or p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ValueError(f"P and Q must be square with equal shape, got {p.shape} vs {q.shape}")
-    d = p.shape[0]
-
-    a = _realified_system(p, real_coupling)
-    b = _halve(q)
-
-    # gelsd cuts s_i <= rtol * s_0, the complement of numerical_rank's rule
-    theta, _, _, s = np.linalg.lstsq(a, b, rcond=rtol)
-    rank = numerical_rank(s, rtol)
-    if rank == 0:
-        theta = np.zeros_like(theta)  # gelsd would invert an s_0 below ABS_FLOOR
-    # LAPACK-style machine tolerance max(m, n) * eps of the unhalved
-    # 2d^2-row system, kept so that halving moves no label
-    label_rtol = 2 * d * d * EPS
-    label_rank = numerical_rank(s, label_rtol)
-
-    m_hat = _to_matrix(theta, d, real_coupling)
+    m_hat, s, rank, label_rank = solve_stack(p, q, rtol, real_coupling)
 
     m_comm_p = commutator(m_hat, p)
     residual = spectral_norm(m_comm_p - q) / max(spectral_norm(q), EPS)
 
-    required = a.shape[1]  # the parameter count of the admissible class
-    if rank < required:
-        outcome = "non_unique"
-    elif residual <= RESIDUAL_RTOL:
-        outcome = "unique"
-    else:
-        outcome = "inconsistent"
+    required = s.size  # the parameter count of the admissible class
+    outcome = ("non_unique" if rank < required
+               else "unique" if residual <= RESIDUAL_RTOL else "inconsistent")
 
     # a tolerance-only flag, so measured in the Frobenius norm
     m_scale = np.linalg.norm(m_hat)
-    if m_scale <= ABS_FLOOR:
-        commutes = None
-    else:
-        comm_scale = m_scale * max(np.linalg.norm(p), ABS_FLOOR)
-        commutes = bool(np.linalg.norm(m_comm_p) <= 1e-10 * comm_scale)
+    commutes = None if m_scale <= ABS_FLOOR else bool(
+        np.linalg.norm(m_comm_p) <= 1e-10 * (m_scale * max(np.linalg.norm(p), ABS_FLOOR)))
 
     return IdentificationReport(
         outcome=outcome,
@@ -336,7 +334,7 @@ def solve_commutator(
         sigma_max_discarded=float(s[rank]) if rank < s.size else 0.0,
         real_coupling=real_coupling,
         rtol=float(rtol),
-        label_rtol=label_rtol,
+        label_rtol=_label_rtol(p.shape[0]),
     )
 
 
@@ -352,13 +350,14 @@ def commutant_dimension(p: np.ndarray, rtol: float = DEFAULT_RTOL, real_coupling
     return a.shape[1] - numerical_rank(np.linalg.svd(a, compute_uv=False), rtol)
 
 
-def relative_error(m_hat: np.ndarray, truth: np.ndarray) -> float:
-    """Relative reconstruction error ||m_hat - truth||_2 / ||truth||_2."""
+def relative_error(m_hat: np.ndarray, truth: np.ndarray):
+    """Relative reconstruction error ||m_hat - truth||_2 / ||truth||_2; over
+    stacks an array, the leading axes broadcasting (the matrix axes do not)."""
     m_hat, truth = np.asarray(m_hat), np.asarray(truth)
-    if m_hat.shape != truth.shape:
+    if m_hat.shape[-2:] != truth.shape[-2:]:
         raise ValueError(f"estimate and truth differ in shape: {m_hat.shape} vs {truth.shape}")
     scale = spectral_norm(truth)
-    if scale <= 0.0:
+    if np.any(scale <= 0.0):
         raise ValueError("relative error is undefined for a zero ground truth")
     return spectral_norm(m_hat - truth) / scale
 

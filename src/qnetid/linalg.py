@@ -4,7 +4,7 @@ Column-stacking vectorization, Hermitian symmetrization, the one
 numerical-rank rule, spectral norm, and the one reader and writer of the
 package's JSON files, the matrix format included; also ``ConfigError``,
 raised by every check of a parameter (not of data), and
-``check_positive``, the one positivity rule.
+``check_positive`` and ``is_integer``, the one positivity and integer rules.
 
 The vectorization convention is column stacking throughout:
 ``vec(M)[(j-1)*d + i] = M[i, j]`` (1-based), i.e. the first column of M
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from numbers import Integral
 
 import numpy as np
 
@@ -35,23 +36,21 @@ def vec(m: np.ndarray) -> np.ndarray:
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    """Return the Hermitian part (M + M†)/2, rejecting badly asymmetric input.
-
-    File round-off must not break Hermiticity invariants, so inputs are
-    symmetrized; anything with relative asymmetry above HERMITIAN_RTOL is
-    not round-off and is rejected.
+    """Return the Hermitian part (M + M†)/2 of the matrices on the last two
+    axes.  File round-off must not break Hermiticity invariants, so inputs
+    are symmetrized; a relative asymmetry above HERMITIAN_RTOL is not
+    round-off and is rejected (the largest of a stack in the message).
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    asym = np.linalg.norm(m - m.conj().T)
-    scale = max(np.linalg.norm(m), ABS_FLOOR)
-    if asym > HERMITIAN_RTOL * scale:
-        raise ValueError(
-            f"matrix is not Hermitian: relative asymmetry {asym / scale:.3e} "
-            f"exceeds {HERMITIAN_RTOL:.1e}"
-        )
-    return 0.5 * (m + m.conj().T)
+    mh = m.conj().swapaxes(-1, -2)
+    scale = np.maximum(np.linalg.norm(m, axis=(-2, -1)), ABS_FLOOR)
+    rel = np.linalg.norm(m - mh, axis=(-2, -1)) / scale
+    if np.any(rel > HERMITIAN_RTOL):
+        raise ValueError(f"matrix is not Hermitian: relative asymmetry {np.max(rel):.3e} "
+                         f"exceeds {HERMITIAN_RTOL:.1e}")
+    return 0.5 * (m + mh)
 
 
 class ConfigError(ValueError):
@@ -64,24 +63,27 @@ def check_positive(name: str, value: float) -> None:
         raise ConfigError(f"{name} must be positive and finite, got {float(value)!r}")
 
 
-def numerical_rank(s: np.ndarray, rtol: float) -> int:
-    """Numerical rank from descending singular values: #{s_i > rtol * s_0}.
+def is_integer(value) -> bool:
+    """The one integer rule: a ``numbers.Integral`` (numpy integers too), not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
-    rtol must be positive.  The rank is 0 when there are no singular values
-    or when the largest is below ABS_FLOOR (the matrix counts as zero).
-    """
+
+def numerical_rank(s: np.ndarray, rtol: float):
+    """Numerical rank #{s_i > rtol * s_0} of descending singular values on
+    the last axis; a stack's as an array.  rtol must be positive.  The rank
+    is 0 without singular values or when the largest is below ABS_FLOOR."""
     check_positive("rtol", rtol)
-    if s.size == 0 or s[0] < ABS_FLOOR:
-        return 0
-    return int(np.sum(s > rtol * s[0]))
+    s = np.asarray(s)
+    top = s[..., :1]
+    rank = np.sum((s > rtol * top) & (top >= ABS_FLOOR), axis=-1)
+    return int(rank) if s.ndim == 1 else rank
 
 
-def spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value (L2 operator norm)."""
+def spectral_norm(a: np.ndarray):
+    """Largest singular value (L2 operator norm); a stack's as an array."""
     a = np.asarray(a)
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    norms = np.linalg.svd(a, compute_uv=False)[..., 0] if a.size else np.zeros(a.shape[:-2])
+    return float(norms) if a.ndim <= 2 else norms
 
 
 # ---------------------------------------------------------------------------

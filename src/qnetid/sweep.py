@@ -1,26 +1,23 @@
 """Benchmark sweeps over random quantum-walk networks.
 
 For every cell (d, tau, n~) the harness draws ``trials`` independent
-Erdos-Renyi graphs with a uniformly chosen single-node excitation, runs
-the full-information identification pipeline, and aggregates the mean
-solvability label and the quartiles of the relative reconstruction
-error over solvable trials.  Per-trial seeds are derived from the master
-seed and (d, tau, trial), so any cell (and any single trial) is
-reproducible in isolation and cells can run in any order without
-changing a single record.
+Erdos-Renyi graphs with a uniformly chosen single-node excitation,
+identifies each, and aggregates the mean solvability label and the
+quartiles of the relative error over solvable trials.  Trial seeds
+derive from the master seed and (d, tau, trial), so any cell or trial is
+reproducible in isolation, in any order.  They ignore n~: the cells of a
+(d, tau) row share their networks, each decomposed once, with P at every
+divisor and the state behind Q in closed form (``trapezoid_grams``),
+equal to what sampling the trajectory and summing it would give.
 
-The seeds ignore n~, so the cells of one (d, tau) row share their
-networks: each network is drawn once per row and its Hamiltonian
-decomposed once.  No trajectory is sampled: the trapezoid integral P at
-every subsample divisor and the endpoint state behind Q come in closed
-form from that one eigendecomposition (``dynamics.trapezoid_grams``),
-equal to what sampling the trajectory and summing it would give.  The
-result keeps every trial's label and error next to the cell records
-they aggregate to.  The CSV's columns are ``CellRecord``'s fields, read
-back as their types, and its JSON preamble holds ``asdict`` of the config.
-
-Rows with d >= 16 run their trials on threads if BLAS leaves cores free
-(``OPENBLAS_NUM_THREADS=1`` on 2 cores); the outputs are the same bytes.
+A row below d = 16 runs as blocks of ``SOLVE_BLOCK`` systems (trials x
+divisors), each one stacked computation: one batched eigh, one stacked
+realified system, one gelsd call per system, one stacked norm.  From
+d = 16 on a block is one trial, run on threads if BLAS leaves cores free
+(``OPENBLAS_NUM_THREADS=1`` on 2 cores).  The outputs are the bytes of
+solving each system on its own.  The result keeps every trial's label
+and error next to its cell record; the CSV's columns are
+``CellRecord``'s fields, its JSON preamble ``asdict`` of the config.
 """
 
 from __future__ import annotations
@@ -35,10 +32,17 @@ from functools import partial
 
 import numpy as np
 
-from .identify import build_Q, solve_commutator
-from .linalg import ConfigError, check_positive, spectral_norm
+from .identify import build_Q, relative_error, solve_stack
+from .linalg import ConfigError, check_positive, is_integer
 from .netmodel import basis_density, connected_erdos_renyi, derive_seed
 from .dynamics import check_subsample, sample_times, trapezoid_grams
+
+#: systems (trials x divisors) per stacked block of a row below THREADED_D:
+#: at d = 12, 40 run as fast as a whole 400-system row in a tenth its memory
+SOLVE_BLOCK = 40
+#: rows from this size on run one trial per block, threaded if BLAS leaves
+#: cores free: at d = 28..30 stacking a 5-trial row was slower
+THREADED_D = 16
 
 
 def _fits(value, default) -> bool:
@@ -96,7 +100,8 @@ class SweepConfig:
 
     def validate(self) -> list[str]:
         """Every violation, once; the library's checks judge tau, dt, divisors, hbar, rtol."""
-        errors = []
+        errors = [f"{name} must be an integer, got {getattr(self, name)!r}"
+                  for name in ("d_min", "d_max", "trials") if not is_integer(getattr(self, name))]
 
         def note(check, *args):
             try:
@@ -124,6 +129,10 @@ class SweepConfig:
             n_s = 0 if times is None else len(times) - 1
             for sub in self.subsamples:
                 note(check_subsample, n_s, sub)
+        # 1 and 1.0 are one tau: both would label their cells (d, 1, n~)
+        for name, values in (("tau", self.taus), ("subsample divisor", self.subsamples)):
+            errors.extend(f"{name} {value!r} is listed more than once"
+                          for value in dict.fromkeys(v for v in values if values.count(v) > 1))
         if self.trials < 1:
             errors.append(f"trials must be >= 1, got {self.trials}")
         note(check_positive, "hbar", self.hbar)
@@ -235,40 +244,26 @@ def benchmark_network(d: int, trial_seed: int, cfg: SweepConfig) -> tuple[np.nda
     return adjacency, basis_density(d, node)
 
 
-def run_benchmark_trial(
-    d: int,
-    tau: float,
-    subsamples: Sequence[int],
-    trial_seed: int,
-    cfg: SweepConfig,
-) -> list[tuple[int, float | None]]:
-    """One seeded network draw, identified at every divisor.
+def run_benchmark_trials(d: int, tau: float, subsamples: Sequence[int], trial_seeds: Sequence[int],
+                         cfg: SweepConfig) -> list[list[tuple[int, float | None]]]:
+    """Seeded network draws, each identified at every divisor, as one
+    stacked computation.
 
-    The network is drawn and its Hamiltonian decomposed once
-    (``trapezoid_grams``): that gives the state at tau, hence Q, and the
-    trapezoid P of every divisor of ``subsamples`` in closed form, the
-    values that sampling the trajectory on the ``cfg.dt`` grid and
-    applying ``build_P_trapezoid`` would give, without the samples.  The
-    ground truth's norm is also computed once.  Each P is solved as
-    ``identify_topology`` would.  Returns one (solvability label,
-    relative error or None) per divisor, in the given order.  The error
-    is reported only for solvable trials with a nonzero ground truth.
+    One batch decomposition (``trapezoid_grams``) gives each state at tau,
+    hence Q, and the trapezoid P of every divisor, as sampling on the
+    ``cfg.dt`` grid and ``build_P_trapezoid`` would.  ``solve_stack``
+    solves each of the trials x divisors systems as ``identify_topology``
+    would; one ``relative_error`` call scores them (a connected network
+    is no zero truth).  Returns per trial seed one (solvability label,
+    relative error if solvable, else None) per divisor, in the given orders.
     """
-    adjacency, rho0 = benchmark_network(d, trial_seed, cfg)
-    rho_tau, grams = trapezoid_grams(
-        adjacency.astype(complex), rho0, tau, cfg.dt, subsamples, cfg.hbar
-    )
-    q = build_Q(rho0, rho_tau, hbar=cfg.hbar)
-    scale = spectral_norm(adjacency)
-    out = []
-    for p in grams:
-        report = solve_commutator(p, q, rtol=cfg.rtol, real_coupling=cfg.real_coupling)
-        label = report.solvability
-        eps = None
-        if label == 1 and scale > 0.0:
-            eps = spectral_norm(report.m_hat - adjacency) / scale
-        out.append((label, eps))
-    return out
+    adjacency, rho0 = map(np.stack, zip(*(benchmark_network(d, seed, cfg) for seed in trial_seeds)))
+    rho_tau, p = trapezoid_grams(adjacency.astype(complex), rho0, tau, cfg.dt, subsamples, cfg.hbar)
+    q = build_Q(rho0, rho_tau, hbar=cfg.hbar)[:, None]
+    m_hat, sigma, _, label_rank = solve_stack(p, q, cfg.rtol, cfg.real_coupling)
+    errors = relative_error(m_hat, adjacency[:, None])
+    return [[(int(ok), e if ok else None) for ok, e in zip(oks, row)]
+            for oks, row in zip((label_rank == sigma.shape[-1]).tolist(), errors.tolist())]
 
 
 def _quartiles(values: list[float]) -> tuple[float | None, float | None, float | None]:
@@ -283,9 +278,9 @@ def _trial_threads(d: int, trials: int, cores: int, environ: Mapping[str, str]) 
     """Threads for the trials of a row at size ``d``: as many as give each
     trial whole cores for its BLAS threads, read as OpenBLAS reads them (the
     first positive integer of OPENBLAS_, GOTO_ and OMP_NUM_THREADS, else
-    every core).  Below d = 16 a trial is too short to repay a thread: on 2
-    cores with 1 BLAS thread, 0.88x at d = 12 and 1.35x at d = 16."""
-    if d < 16:
+    every core).  Below ``THREADED_D`` a trial is too short to repay a thread:
+    on 2 cores with 1 BLAS thread, unstacked trials ran 0.88x at d = 12, 1.35x at d = 16."""
+    if d < THREADED_D:
         return 1
     names = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
     values = [environ.get(name, "").strip() for name in names]
@@ -298,22 +293,27 @@ def _run_row(cfg: SweepConfig, d: int, tau: float) -> tuple[list[CellRecord], li
     divisors descending.
 
     The trial seeds are independent of n~, so each trial's network is
-    drawn and decomposed once and identified at every divisor.  Trials run
-    on ``_trial_threads`` threads and are collected in seed order, so the
-    first failure in seed order is raised; the pending trials are cancelled.
+    drawn and decomposed once and identified at every divisor.  Blocks of
+    at most ``SOLVE_BLOCK`` systems (one trial at least; one trial from
+    ``THREADED_D`` on, on ``_trial_threads`` threads) are collected in
+    seed order, so the first failure in seed order is raised; the pending
+    blocks are cancelled.
     """
     subsamples = sorted(cfg.subsamples, reverse=True)
     n_s = len(sample_times(tau, cfg.dt)) - 1
     seeds = [derive_seed(cfg.seed, d, tau, trial) for trial in range(cfg.trials)]
-    run_trial = partial(run_benchmark_trial, d, tau, subsamples, cfg=cfg)
+    size = max(1, SOLVE_BLOCK // len(subsamples)) if d < THREADED_D else 1
+    blocks = [seeds[start:start + size] for start in range(0, len(seeds), size)]
+    run_block = partial(run_benchmark_trials, d, tau, subsamples, cfg=cfg)
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     threads = _trial_threads(d, cfg.trials, cores or 1, os.environ)
     if threads == 1:
-        outcomes = list(map(run_trial, seeds))
+        outcomes = list(map(run_block, blocks))
     else:
         from concurrent.futures import ThreadPoolExecutor  # not on `import qnetid`
         with ThreadPoolExecutor(threads) as pool:
-            outcomes = list(pool.map(run_trial, seeds))
+            outcomes = list(pool.map(run_block, blocks))
+    outcomes = [outcome for block in outcomes for outcome in block]
     records, trials = [], []
     for i, subsample in enumerate(subsamples):
         n_tilde = n_s // subsample

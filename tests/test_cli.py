@@ -197,6 +197,19 @@ class TestSweepPlot:
         assert run("sweep", "solvability", "--d-min", 5, "--d-max", 2,
                    "--out-dir", tmp_path) == 2
 
+    def test_repeated_taus_and_divisors_exit_2(self, tmp_path, capsys):
+        # each repeated value is named, 1 and 1.0 as one tau; the same cell
+        # was written once per repeat
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"subsamples": [5, 5], "taus": [1, 1.0], "d_min": 2,
+                                   "d_max": 2, "trials": 2}))
+        out_dir = tmp_path / "out"
+        assert run("sweep", "error", "--config", cfg, "--out-dir", out_dir) == 2
+        err = capsys.readouterr().err
+        assert "tau 1.0 is listed more than once" in err
+        assert "subsample divisor 5 is listed more than once" in err
+        assert not out_dir.exists()
+
     def test_bad_subsample_exits_2(self, tmp_path):
         assert run("sweep", "solvability", "--tau", 1.0, "--subsample", 7,
                    "--out-dir", tmp_path) == 2

@@ -7,6 +7,7 @@ import scipy.linalg
 from qnetid.dynamics import (
     Trajectory,
     check_density,
+    check_subsample,
     exact_gram,
     propagate,
     propagator,
@@ -52,6 +53,17 @@ class TestCheckDensity:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             check_density(np.array([[1.0, 1.0], [0.0, 0.0]]))
+
+    def test_stack_checked_matrix_by_matrix(self):
+        # a stack is checked as its matrices are, and the first offending
+        # one is reported
+        rng = np.random.default_rng(1)
+        stack = np.stack([random_density(rng, 3) for _ in range(4)])
+        assert np.array_equal(check_density(stack), np.stack([check_density(r) for r in stack]))
+        stack[1] *= 2.0
+        stack[3] *= 3.0
+        with pytest.raises(ValueError, match=r"^rho has trace 2\.0, expected 1$"):
+            check_density(stack)
 
 
 class TestLiouvillian:
@@ -395,6 +407,14 @@ class TestTrapezoidGrams:
         for sub, p in zip(subsamples, grams):
             ref = build_P_trapezoid(traj, subsample=sub)
             assert spectral_norm(p - ref) <= 1e-13 * spectral_norm(ref), sub
+
+    @pytest.mark.parametrize("subsample", [2.5, 5.0, True, "5"])
+    def test_non_integer_divisor_rejected(self, subsample):
+        # 2.5 passed, and slicing the samples then raised a TypeError
+        with pytest.raises(ConfigError, match=f"^subsample must be a positive integer, got "
+                                              f"{re.escape(repr(subsample))}$"):
+            check_subsample(100, subsample)
+        check_subsample(100, np.int64(5))
 
     def test_rejects_what_sampling_rejects(self):
         with pytest.raises(ValueError, match="not a positive integer"):

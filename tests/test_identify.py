@@ -472,6 +472,16 @@ class TestRelativeError:
         with pytest.raises(ValueError, match="zero ground truth"):
             relative_error(SX, np.zeros((2, 2)))
 
+    def test_stack_gives_each_estimate_its_error(self):
+        # leading axes broadcast, bit for bit the error of each pair alone
+        rng = np.random.default_rng(7)
+        truth = rng.normal(size=(3, 1, 4, 4))
+        m_hat = truth + 1e-3 * rng.normal(size=(3, 2, 4, 4))
+        errors = relative_error(m_hat, truth)
+        assert errors.shape == (3, 2)
+        assert errors.tolist() == [[relative_error(m, t[0]) for m in row]
+                                   for row, t in zip(m_hat, truth)]
+
     def test_shape_mismatch_rejected(self):
         # a (1, 3) truth used to broadcast against the 3 x 3 estimate
         with pytest.raises(ValueError, match=r"differ in shape: \(3, 3\) vs \(1, 3\)"):

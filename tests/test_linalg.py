@@ -105,6 +105,16 @@ class TestNumericalRank:
     def test_table(self, s, rtol, rank):
         assert numerical_rank(np.asarray(s, dtype=float), rtol) == rank
 
+    def test_stack_gives_each_vector_its_rank(self):
+        # an int for one vector; over a stack, each row's rank
+        s = np.array([[[3.0, 2.0, 1e-14], [0.5 * ABS_FLOOR, 1e-22, 0.0]],
+                      [[1.0, 2e-9, 1e-9], [3.0, 2.0, 1.0]]])
+        ranks = numerical_rank(s, 1e-9)
+        assert ranks.tolist() == [[numerical_rank(v, 1e-9) for v in row] for row in s]
+        assert ranks.tolist() == [[2, 0], [2, 3]]
+        assert type(numerical_rank(s[0, 0], 1e-9)) is int
+        assert numerical_rank(np.zeros((2, 0)), 1e-9).tolist() == [0, 0]
+
     @pytest.mark.parametrize("s", [[], [1.0, 0.5]])
     @pytest.mark.parametrize("rtol", [0.0, -1e-9, np.nan, np.inf])
     def test_rejects_nonpositive_rtol(self, s, rtol):
@@ -145,6 +155,16 @@ class TestSpectralNorm:
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         assert spectral_norm(a) == pytest.approx(np.linalg.svd(a, compute_uv=False)[0])
 
+    def test_stack_gives_each_matrix_its_norm(self):
+        # bit for bit the norm of each matrix on its own; a float for one
+        rng = np.random.default_rng(32)
+        stack = rng.normal(size=(2, 3, 4, 4))
+        norms = spectral_norm(stack)
+        assert norms.shape == (2, 3)
+        assert norms.tolist() == [[spectral_norm(m) for m in row] for row in stack]
+        assert type(spectral_norm(stack[0, 0])) is float
+        assert spectral_norm(np.zeros((2, 0, 0))).tolist() == [0.0, 0.0]
+
 
 class TestHermitize:
     def test_symmetrizes_roundoff(self):
@@ -155,6 +175,17 @@ class TestHermitize:
     def test_rejects_large_asymmetry(self):
         with pytest.raises(ValueError, match="asymmetry"):
             hermitize(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+    def test_stack_judged_matrix_by_matrix(self):
+        # one asymmetric matrix rejects the stack; a small matrix next to a
+        # large one is judged on its own scale
+        stack = np.stack([1e6 * SX, SX + 1e-14 * np.array([[0, 1j], [0, 0]])])
+        assert np.array_equal(hermitize(stack), np.stack([hermitize(m) for m in stack]))
+        stack[0, 0, 1] += 1.0
+        with pytest.raises(ValueError, match="asymmetry 1.000e-06"):
+            hermitize(stack)
+        with pytest.raises(ValueError, match="square"):
+            hermitize(np.zeros((2, 3, 2)))
 
 
 class TestMatrixJson:

@@ -5,26 +5,51 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qnetid.identify
 import qnetid.sweep
 from qnetid.dynamics import sample_times, trapezoid_grams
+from qnetid.identify import build_Q, solve_commutator
+from qnetid.linalg import spectral_norm
 from qnetid.netmodel import derive_seed
 from qnetid.sweep import (
     CSV_HEADER,
+    SOLVE_BLOCK,
     CellRecord,
     ConfigError,
     SweepConfig,
+    benchmark_network,
     read_sweep_csv,
-    run_benchmark_trial,
+    run_benchmark_trials,
     run_sweep,
 )
 
 TINY = SweepConfig(seed=11, d_min=2, d_max=3, taus=(1.0,), subsamples=(1,), trials=4)
+
+
+def one_system_route(cfg, d, tau, seed):
+    """(label, eps) per divisor, divisors descending, of one draw solved
+    system by system: one ``solve_commutator`` per divisor, scored by
+    ``spectral_norm`` of one matrix at a time."""
+    adjacency, rho0 = benchmark_network(d, seed, cfg)
+    subsamples = sorted(cfg.subsamples, reverse=True)
+    rho_tau, grams = trapezoid_grams(adjacency.astype(complex), rho0, tau, cfg.dt,
+                                     subsamples, cfg.hbar)
+    q = build_Q(rho0, rho_tau, hbar=cfg.hbar)
+    out = []
+    for p in grams:
+        report = solve_commutator(p, q, rtol=cfg.rtol, real_coupling=cfg.real_coupling)
+        eps = None
+        if report.solvability == 1:
+            eps = spectral_norm(report.m_hat - adjacency) / spectral_norm(adjacency)
+        out.append((report.solvability, eps))
+    return out
 
 
 class TestConfigValidation:
@@ -55,7 +80,39 @@ class TestConfigValidation:
     def test_zero_subsample_listed_not_raised(self):
         # on a dividing grid, a zero divisor is reported, not divided by
         errors = SweepConfig(taus=(1.0,), subsamples=(0, 5)).validate()
-        assert errors == ["subsample must be a positive integer"]
+        assert errors == ["subsample must be a positive integer, got 0"]
+
+    @pytest.mark.parametrize("subsample", [2.5, 5.0, True])
+    def test_non_integer_subsample_listed(self, subsample):
+        # 2.5 passed and wrote a cell with n_tilde = 40.0 that no trajectory
+        # grid can be subsampled at
+        cfg = SweepConfig(subsamples=(subsample,), d_min=2, d_max=2, trials=2)
+        assert cfg.validate() == [f"subsample must be a positive integer, got {subsample!r}"]
+        with pytest.raises(ConfigError, match="subsample must be a positive integer"):
+            run_sweep(cfg)
+
+    @pytest.mark.parametrize("name, value", [
+        ("d_min", 2.0), ("d_max", 3.5), ("trials", 2.5), ("trials", True),
+    ])
+    def test_non_integer_size_or_trials_listed(self, name, value):
+        # trials = 2.5 ended in a TypeError from range
+        cfg = SweepConfig(**{name: value})
+        assert f"{name} must be an integer, got {value!r}" in cfg.validate()
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            run_sweep(cfg)
+
+    def test_numpy_integers_accepted(self):
+        cfg = SweepConfig(d_min=np.int32(2), d_max=np.int64(3), trials=np.int16(2),
+                          subsamples=(np.int64(5), np.uint8(1)))
+        assert cfg.validate() == []
+
+    def test_repeated_taus_and_divisors_listed(self):
+        # each repeated value once, 1 and 1.0 as one tau; the same cell was
+        # computed once per repeat
+        cfg = SweepConfig(taus=(1, 2.0, 1.0, 2.0, 3.0), subsamples=(5, 1, 5))
+        assert cfg.validate() == ["tau 1 is listed more than once",
+                                  "tau 2.0 is listed more than once",
+                                  "subsample divisor 5 is listed more than once"]
 
     def test_non_finite_values_listed_once(self):
         errors = SweepConfig(hbar=np.nan, rtol=np.inf, taus=(np.inf, 1.0)).validate()
@@ -118,12 +175,13 @@ class TestConfigValidation:
 
 class TestTrial:
     def test_deterministic(self):
-        a = run_benchmark_trial(3, 1.0, (5, 1), 12345, TINY)
-        b = run_benchmark_trial(3, 1.0, (5, 1), 12345, TINY)
+        a = run_benchmark_trials(3, 1.0, (5, 1), [12345, 7], TINY)
+        b = run_benchmark_trials(3, 1.0, (5, 1), [12345, 7], TINY)
         assert a == b
 
     def test_solvable_has_epsilon(self):
-        for label, eps in run_benchmark_trial(3, 1.0, (5, 1), 7, TINY):
+        [outcome] = run_benchmark_trials(3, 1.0, (5, 1), [7], TINY)
+        for label, eps in outcome:
             if label == 1:
                 assert eps is not None and eps >= 0.0
             else:
@@ -132,8 +190,78 @@ class TestTrial:
     def test_one_result_per_divisor_in_order(self):
         # one decomposition serves every divisor: the results are those of
         # single-divisor trials on the same seed, in the given order
-        both = run_benchmark_trial(4, 1.0, (1, 20), 3, TINY)
-        assert both == [run_benchmark_trial(4, 1.0, (sub,), 3, TINY)[0] for sub in (1, 20)]
+        [both] = run_benchmark_trials(4, 1.0, (1, 20), [3], TINY)
+        assert both == [run_benchmark_trials(4, 1.0, (sub,), [3], TINY)[0][0] for sub in (1, 20)]
+
+    def test_stacked_trials_are_the_single_trials(self):
+        seeds = [3, 5, 8, 13, 21]
+        assert run_benchmark_trials(5, 1.0, (20, 1), seeds, TINY) == [
+            run_benchmark_trials(5, 1.0, (20, 1), [seed], TINY)[0] for seed in seeds
+        ]
+
+
+class TestStackedRow:
+    """The stacked row against the one-system route, draw by draw, on
+    seeds not used while the stacked row was written."""
+
+    @pytest.mark.parametrize("cfg", [
+        # real class, 13 trials: blocks of 10 and 3 trials at 4 divisors
+        SweepConfig(seed=61, d_min=2, d_max=12, taus=(2.0,), subsamples=(20, 10, 5, 1),
+                    trials=13),
+        # full class, 23 trials: blocks of 20 and 3 trials at 2 divisors
+        SweepConfig(seed=62, d_min=2, d_max=9, taus=(1.0,), subsamples=(10, 1), trials=23,
+                    real_coupling=False),
+        # criterion 1's class, where about a fifth of the draws is unsolvable;
+        # 50 trials: blocks of 40 and 10
+        SweepConfig(seed=63, d_min=5, d_max=6, taus=(3.0,), subsamples=(1,), trials=50),
+    ], ids=["real", "full", "criterion1"])
+    def test_labels_and_eps_equal_one_system_route(self, cfg):
+        trials = run_sweep(cfg).trials
+        width = len(cfg.subsamples) * cfg.trials
+        for row in range(len(trials) // width):
+            cells = trials[row * width:(row + 1) * width]
+            d, tau = cells[0].d, cells[0].tau
+            for trial in range(cfg.trials):
+                stacked = [(t.solvability, t.epsilon) for t in cells[trial::cfg.trials]]
+                seed = derive_seed(cfg.seed, d, tau, trial)
+                assert stacked == one_system_route(cfg, d, tau, seed), (d, trial)
+        if cfg.subsamples == (1,):
+            assert {t.solvability for t in trials} == {0, 1}
+
+    def test_no_stack_exceeds_the_block(self, monkeypatch):
+        # 100 trials at 4 divisors: blocks of 10 trials, 40 systems; no
+        # stacked argument or result holds more matrices (or realified
+        # systems) than the block
+        sizes = []
+
+        def recording(fn):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                for x in args + (out if isinstance(out, tuple) else (out,)):
+                    if isinstance(x, np.ndarray) and x.ndim > 2:
+                        sizes.append(int(np.prod(x.shape[:-2])))
+                return out
+            return wrapper
+
+        for module, name in ((qnetid.sweep, "trapezoid_grams"), (qnetid.sweep, "build_Q"),
+                             (qnetid.sweep, "solve_stack"), (qnetid.sweep, "relative_error"),
+                             (qnetid.identify, "_realified_system")):
+            monkeypatch.setattr(module, name, recording(getattr(module, name)))
+        run_sweep(SweepConfig(seed=64, d_min=12, d_max=12, taus=(2.0,), trials=100))
+        assert max(sizes) == SOLVE_BLOCK == 40
+
+    def test_peak_memory_bounded_by_the_block(self):
+        # a row of 100 trials peaks where one block of 10 trials does
+        peaks = {}
+        for trials in (10, 100):
+            cfg = SweepConfig(seed=65, d_min=12, d_max=12, taus=(2.0,), trials=trials)
+            tracemalloc.start()
+            try:
+                run_sweep(cfg)
+                peaks[trials] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[100] <= 1.2 * peaks[10]
 
 
 class TestSweep:
@@ -261,20 +389,30 @@ class TestSweep:
         assert wide_d3 == narrow.records
 
     @pytest.mark.parametrize("subsamples", [(1,), (20, 10, 5, 1)])
-    def test_one_simulation_per_network(self, monkeypatch, subsamples):
-        # one closed-form call per network serves every divisor
-        calls = []
+    @pytest.mark.parametrize("d_min, d_max", [(2, 3), (16, 16)])
+    def test_one_simulation_per_network(self, monkeypatch, subsamples, d_min, d_max):
+        # each network's Hamiltonian is decomposed once, whether stacked
+        # with others (d < 16) or on its own (d >= 16), and serves every
+        # divisor: the Hamiltonians decomposed are the networks drawn
+        hamiltonians, drawn = [], []
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return trapezoid_grams(*args, **kwargs)
+        def counting(h, *args, **kwargs):
+            hamiltonians.extend(h.reshape(-1, *h.shape[-2:]))
+            assert tuple(args[3]) == tuple(sorted(subsamples, reverse=True))
+            return trapezoid_grams(h, *args, **kwargs)
+
+        def drawing(d, seed, cfg):
+            drawn.append(benchmark_network(d, seed, cfg)[0])
+            return benchmark_network(d, seed, cfg)
 
         monkeypatch.setattr(qnetid.sweep, "trapezoid_grams", counting)
-        cfg = TINY.override(taus=(1.0, 2.0), subsamples=subsamples, trials=3)
+        monkeypatch.setattr(qnetid.sweep, "benchmark_network", drawing)
+        cfg = TINY.override(d_min=d_min, d_max=d_max, taus=(1.0, 2.0), subsamples=subsamples,
+                            trials=3)
         res = run_sweep(cfg)
         assert len(res.records) == len(cfg.d_values) * len(cfg.taus) * len(subsamples)
-        assert len(calls) == cfg.trials * len(cfg.d_values) * len(cfg.taus)
-        assert all(tuple(args[4]) == tuple(sorted(subsamples, reverse=True)) for args in calls)
+        assert len(hamiltonians) == len(drawn) == cfg.trials * len(cfg.d_values) * len(cfg.taus)
+        assert all(np.array_equal(h, a) for h, a in zip(hamiltonians, drawn))
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
@@ -354,51 +492,54 @@ class TestTrialThreads:
         assert qnetid.sweep._trial_threads(d, trials, cores, environ) == threads
 
     def test_threaded_rows_match_serial(self, tmp_path, monkeypatch):
-        # records, trials and CSV bytes do not depend on the thread count
+        # records, trials and CSV bytes do not depend on the thread count;
+        # the d = 16 row runs one trial per block
         cfg = SweepConfig(seed=0, d_min=15, d_max=16, taus=(3.0,), subsamples=(5, 1),
                           trials=3)
-        run_trial, threads_seen = qnetid.sweep.run_benchmark_trial, set()
+        run_block, blocks = qnetid.sweep.run_benchmark_trials, []
 
-        def recording(*args, **kwargs):
-            threads_seen.add(threading.get_ident())
-            return run_trial(*args, **kwargs)
+        def recording(d, tau, subsamples, seeds, cfg):
+            blocks.append((d, len(seeds), threading.get_ident()))
+            return run_block(d, tau, subsamples, seeds, cfg)
 
-        monkeypatch.setattr(qnetid.sweep, "run_benchmark_trial", recording)
+        monkeypatch.setattr(qnetid.sweep, "run_benchmark_trials", recording)
         runs = {}
         for threads in (1, 2):
             monkeypatch.setattr(qnetid.sweep, "_trial_threads", lambda *args, n=threads: n)
-            threads_seen.clear()
+            blocks.clear()
             out = tmp_path / f"{threads}.csv"
             runs[threads] = run_sweep(cfg, out_csv=out), out.read_bytes()
-            assert (threading.main_thread().ident in threads_seen) == (threads == 1)
+            assert sorted((d, n) for d, n, _ in blocks) == [(15, 3)] + [(16, 1)] * 3
+            on_main = {ident == threading.main_thread().ident for _, _, ident in blocks}
+            assert on_main == {threads == 1}
         (serial, serial_csv), (threaded, threaded_csv) = runs[1], runs[2]
         assert threaded.records == serial.records
         assert threaded.trials == serial.trials
         assert threaded_csv == serial_csv
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_first_failure_in_seed_order_raised(self, monkeypatch, threads):
-        # trials 1 and 3 fail: trial 1's error is raised, as in a serial
-        # run, the trials not yet started are cancelled, and no pool
-        # thread outlives the sweep
-        cfg = SweepConfig(seed=0, d_min=16, d_max=16, subsamples=(5,), trials=16)
-        seeds = [derive_seed(cfg.seed, 16, 3.0, trial) for trial in range(cfg.trials)]
+    @pytest.mark.parametrize("d, threads", [(12, 1), (16, 1), (16, 2)])
+    def test_first_failure_in_seed_order_raised(self, monkeypatch, d, threads):
+        # the draws of trials 1 and 3 are no densities: trial 1's error is
+        # raised, as in a serial run, whether the two share a stacked block
+        # (d = 12: blocks of 40 trials) or not; the blocks not yet started
+        # are cancelled, and no pool thread outlives the sweep
+        cfg = SweepConfig(seed=0, d_min=d, d_max=d, subsamples=(5,), trials=48)
+        seeds = [derive_seed(cfg.seed, d, 3.0, trial) for trial in range(cfg.trials)]
         calls = []
 
-        def trial(d, tau, subsamples, seed, cfg):
+        def draw(d, seed, cfg):
             calls.append(seed)
-            if seed in (seeds[1], seeds[3]):
-                raise RuntimeError(f"trial {seeds.index(seed)} fails")
-            time.sleep(0.05)
-            return [(1, 0.0)]
+            adjacency, rho0 = benchmark_network(d, seed, cfg)
+            time.sleep(0.01)
+            return adjacency, rho0 * {seeds[1]: 2.0, seeds[3]: 3.0}.get(seed, 1.0)
 
-        monkeypatch.setattr(qnetid.sweep, "run_benchmark_trial", trial)
+        monkeypatch.setattr(qnetid.sweep, "benchmark_network", draw)
         monkeypatch.setattr(qnetid.sweep, "_trial_threads", lambda *args: threads)
         running = set(threading.enumerate())
-        with pytest.raises(RuntimeError, match="^trial 1 fails$"):
+        with pytest.raises(ValueError, match=r"^rho0 has trace 2\.0, expected 1$"):
             run_sweep(cfg)
         if threads == 1:
-            assert calls == seeds[:2]
+            assert calls == seeds[:SOLVE_BLOCK if d < 16 else 2]
         else:
             assert len(calls) < cfg.trials
         assert set(threading.enumerate()) <= running
