@@ -389,11 +389,15 @@ class TestSweep:
         assert wide_d3 == narrow.records
 
     @pytest.mark.parametrize("subsamples", [(1,), (20, 10, 5, 1)])
-    @pytest.mark.parametrize("d_min, d_max", [(2, 3), (16, 16)])
-    def test_one_simulation_per_network(self, monkeypatch, subsamples, d_min, d_max):
+    def test_one_simulation_per_network(self, monkeypatch, subsamples):
         # each network's Hamiltonian is decomposed once, whether stacked
         # with others (d < 16) or on its own (d >= 16), and serves every
         # divisor: the Hamiltonians decomposed are the networks drawn
+        for d in (2, 16):
+            self.check_one_simulation_per_network(monkeypatch, subsamples, d)
+
+    @staticmethod
+    def check_one_simulation_per_network(monkeypatch, subsamples, d):
         hamiltonians, drawn = [], []
 
         def counting(h, *args, **kwargs):
@@ -407,7 +411,7 @@ class TestSweep:
 
         monkeypatch.setattr(qnetid.sweep, "trapezoid_grams", counting)
         monkeypatch.setattr(qnetid.sweep, "benchmark_network", drawing)
-        cfg = TINY.override(d_min=d_min, d_max=d_max, taus=(1.0, 2.0), subsamples=subsamples,
+        cfg = TINY.override(d_min=d, d_max=d + 1, taus=(1.0, 2.0), subsamples=subsamples,
                             trials=3)
         res = run_sweep(cfg)
         assert len(res.records) == len(cfg.d_values) * len(cfg.taus) * len(subsamples)
@@ -517,7 +521,9 @@ class TestTrialThreads:
         assert threaded.trials == serial.trials
         assert threaded_csv == serial_csv
 
-    @pytest.mark.parametrize("d, threads", [(12, 1), (16, 1), (16, 2)])
+    @pytest.mark.parametrize("d, threads", [pytest.param(12, 1, id="stacked"),
+                                            pytest.param(16, 1, id="1"),
+                                            pytest.param(16, 2, id="2")])
     def test_first_failure_in_seed_order_raised(self, monkeypatch, d, threads):
         # the draws of trials 1 and 3 are no densities: trial 1's error is
         # raised, as in a serial run, whether the two share a stacked block
