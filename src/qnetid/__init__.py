@@ -14,6 +14,8 @@ solvability and error curves.
 
 __version__ = "0.1.0"
 
+import types as _types
+
 from .linalg import (
     ConfigError,
     hermitize,
@@ -69,47 +71,6 @@ from .sweep import (
 )
 from .svgplot import emit_plot
 
-__all__ = [
-    "CellRecord",
-    "ConfigError",
-    "IdentificationReport",
-    "SweepConfig",
-    "SweepResult",
-    "Trajectory",
-    "TrialRecord",
-    "UnobservableError",
-    "basis_density",
-    "build_P_trapezoid",
-    "build_Q",
-    "check_density",
-    "commutant_dimension",
-    "commutator",
-    "derive_seed",
-    "emit_plot",
-    "erdos_renyi",
-    "exact_gram",
-    "hermitize",
-    "identify_topology",
-    "is_connected",
-    "load_matrix",
-    "numerical_rank",
-    "observability_rank",
-    "output_stacks",
-    "physical_decomposition",
-    "physical_initial_batch",
-    "propagate",
-    "propagator",
-    "read_sweep_csv",
-    "read_trajectory_csv",
-    "reconstruct_hamiltonian",
-    "relative_error",
-    "run_benchmark_trials",
-    "run_sweep",
-    "sample_trajectory",
-    "sampling_period",
-    "save_matrix",
-    "solve_commutator",
-    "spectral_norm",
-    "vec",
-    "write_trajectory_csv",
-]
+# the names imported above, none of them a module
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _types.ModuleType))

@@ -22,7 +22,7 @@ rows [Re vec; Im vec].  With M and P Hermitian, [M, P] is
 skew-Hermitian: its real part is antisymmetric and its imaginary part
 symmetric.  The coordinates are
 
-* sqrt(2) * Re of the entries (i, j), i < j row-major (as ``_pairs``),
+* sqrt(2) * Re of the entries (i, j), i < j row-major (as ``upper_pairs``),
 * sqrt(2) * Im of the same entries,
 * Im of the diagonal entries (i, i), i = 0..d-1.
 
@@ -33,9 +33,11 @@ rows add to A^T A and A^T b exactly what one row scaled by sqrt(2)
 adds, so both are unchanged: the halving is an orthogonal compression.
 The singular values, the right singular vectors and the least-squares
 theta are those of the 2d^2-row system in exact arithmetic, and differ
-only by rounding.  LAPACK's gelsd solves the halved system: it returns
-the singular values and the truncated minimum-norm theta without
-forming U or V.
+only by rounding.  The system is written in these coordinates directly:
+a pattern cached per (d, class) lists the about 4d nonzero coordinates
+of each column and the signed parts of P their row and column pieces read.
+LAPACK's gelsd solves the halved system: it returns the singular values
+and the truncated minimum-norm theta without forming U or V.
 
 Two parameter classes are supported:
 
@@ -76,6 +78,7 @@ from .linalg import (
     numerical_rank,
     save_json,
     spectral_norm,
+    upper_pairs,
 )
 
 #: relative residual above which a full-rank system is reported inconsistent
@@ -93,27 +96,17 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # admissible parametrization
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _pairs(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Upper-triangle pairs (i, j), i < j row-major, and their index k."""
-    i, j = np.triu_indices(d, 1)
-    k = np.arange(i.size)
-    for a in (i, j, k):
-        a.flags.writeable = False  # shared by every caller through the cache
-    return i, j, k
-
-
 def _to_matrix(theta: np.ndarray, d: int, real_coupling: bool) -> np.ndarray:
     """The admissible matrix of the parameters theta (on the last axis).
 
-    Parameters are ordered by upper-triangle pair (as ``_pairs``); in the
+    Parameters are ordered by upper-triangle pair (as ``upper_pairs``); in the
     full class each pair contributes (x_ij, y_ij) with M_ij = x_ij + i y_ij,
     in the real-coupling class just x_ij.  They are scattered into the
     upper triangle and their conjugates into the lower one, so the matrix
     is exactly Hermitian with exactly zero diagonal and no constraint rows
     are ever needed.
     """
-    i, j, _ = _pairs(d)
+    i, j, _ = upper_pairs(d)
     upper = theta if real_coupling else theta[..., 0::2] + 1j * theta[..., 1::2]
     m = np.zeros(theta.shape[:-1] + (d, d), dtype=upper.dtype)
     m[..., i, j], m[..., j, i] = upper, upper.conj()
@@ -123,51 +116,64 @@ def _to_matrix(theta: np.ndarray, d: int, real_coupling: bool) -> np.ndarray:
 def _halve(x: np.ndarray) -> np.ndarray:
     """The d^2 real coordinates (module docstring) of skew-Hermitian
     matrices on the last two axes of ``x``."""
-    d = x.shape[-1]
-    i, j, _ = _pairs(d)
-    n = i.size
-    stack = x.reshape(-1, d, d)
-    # written coordinate-major: the transposed coordinates of a stack of
-    # matrices, the halved system, are then contiguous
-    out = np.empty((d * d, stack.shape[0]))
-    out[:n] = stack.real[:, i, j].T
-    out[n : 2 * n] = stack.imag[:, i, j].T
-    out[2 * n :] = np.diagonal(stack, axis1=1, axis2=2).imag.T
-    out[: 2 * n] *= _SQRT2  # the off-diagonal coordinates stand for two rows each
-    return out.T.reshape(x.shape[:-2] + (d * d,))
+    i, j, _ = upper_pairs(x.shape[-1])
+    out = np.concatenate([x.real[..., i, j], x.imag[..., i, j],
+                          np.diagonal(x, axis1=-2, axis2=-1).imag], axis=-1)
+    out[..., : 2 * i.size] *= _SQRT2  # the off-diagonal coordinates stand for two rows each
+    return out
+
+
+@lru_cache(maxsize=None)
+def _system_pattern(d: int, real_coupling: bool) -> tuple[np.ndarray, ...]:
+    """(dst, first, second, scale), read-only: the halved systems, laid out
+    [system, parameter, coordinate], are zero but at the flat entries dst,
+    which hold scale * ((0 + v[first]) + v[second]), v being Re P, Im P,
+    -Re P, -Im P (each flat) and a zero.  ``first`` is the row piece of the
+    commutator entry (row i or j), ``second`` its column piece."""
+    i, j, k = upper_pairs(d)
+    n, dd, diag = k.size, d * d, np.arange(d)
+    # the entry (r, c) of each coordinate, and whether it takes the imaginary part
+    r, c = np.concatenate([i, i, diag])[:, None], np.concatenate([j, j, diag])[:, None]
+    im = np.arange(dd)[:, None] >= n
+    first, second = [], []
+    for q in [0] if real_coupling else [0, 1]:  # the column of X = i^q E_ij + i^-q E_ji
+        # row i of [X, P] is i^q P[j, :], row j i^-q P[i, :]; column j is
+        # -i^q P[:, i] = i^(q+2) P[:, i], column i i^(2-q) P[:, j].  Re and Im
+        # of i^e P are the blocks -e and 1 - e (mod 4) of v
+        row_e, col_e = np.where(r == i, q, -q), np.where(c == j, q + 2, 2 - q)
+        row_read = (im - row_e) % 4 * dd + (i + j - r) * d + c
+        col_read = (im - col_e) % 4 * dd + r * d + i + j - c
+        first.append(np.where((r == i) | (r == j), row_read, 4 * dd))
+        second.append(np.where((c == i) | (c == j), col_read, 4 * dd))
+    # parameters pair-major, x before y: [parameter, coordinate], flat
+    first, second = (np.stack(s, axis=-1).reshape(dd, -1).T.ravel() for s in (first, second))
+    dst = np.flatnonzero((first < 4 * dd) | (second < 4 * dd))
+    pattern = dst, first[dst], second[dst], np.where(dst % dd < 2 * n, _SQRT2, 1.0)
+    for array in pattern:
+        array.flags.writeable = False  # shared by every caller through the cache
+    return pattern
 
 
 def _realified_system(p: np.ndarray, real_coupling: bool) -> np.ndarray:
     """Real coefficient matrix of theta -> [M(theta), P], halved, per P of a stack.
 
-    Column k is ``_halve`` of [X_k, P], with X_k the admissible matrix of
-    parameter k: one column per parameter.  These commutators are written
-    in closed form (module docstring) into a complex stack laid out
-    [..., row, column, pair, x/y], so that each entry's parameters lie side
-    by side in memory.
+    Column k is ``_halve`` of [X_k, P], X_k the admissible matrix of
+    parameter k, with the rounding of adding the pieces into zeros: each
+    nonzero is (0 + row piece) + column piece, times sqrt(2) off the
+    diagonal (0 + -0 is +0).  Each system is Fortran-ordered, as gelsd takes it.
     """
     d = p.shape[-1]
     if d < 2:
         raise ValueError("d must be at least 2")
-    i, j, k = _pairs(d)
-    # (source, its sign-flipped copy for the row-j and column-i pieces) per
-    # column kind: x_ij takes P itself; y_ij = i * [E_ij - E_ji, P] takes
-    # i * P, written part by part so that no complex product rounds a zero
-    parts = [(p, p)]
-    if not real_coupling:
-        ip = np.empty_like(p)
-        ip.real, ip.imag = -p.imag, p.real
-        parts.append((ip, -ip))
-    c = np.zeros(p.shape + (k.size, len(parts)), dtype=complex)
-    for t, (src, flipped) in enumerate(parts):
-        col = c[..., t]
-        # indices on either side of a slice index the pair axis first
-        col[..., i, :, k] += np.moveaxis(src[..., j, :], -2, 0)      # row i: P[j, :]
-        col[..., j, :, k] += np.moveaxis(flipped[..., i, :], -2, 0)  # row j: P[i, :]
-        col[..., j, k] -= src[..., :, i]       # column j: -P[:, i]
-        col[..., i, k] -= flipped[..., :, j]   # column i: -P[:, j]
-    columns = np.moveaxis(c.reshape(p.shape + (-1,)), -1, -3)
-    return _halve(columns).swapaxes(-1, -2)
+    dst, first, second, scale = _system_pattern(d, real_coupling)
+    flat = np.asarray(p, dtype=complex).reshape(-1, d * d)
+    v = np.concatenate([flat.real, flat.imag, -flat.real, -flat.imag, np.zeros((len(flat), 1))], 1)
+    values = 0.0 + v[:, first]
+    values += v[:, second]
+    values *= scale
+    out = np.zeros((len(flat), (2 - real_coupling) * d * (d - 1) // 2 * d * d))
+    out[:, dst] = values
+    return out.reshape(p.shape[:-2] + (-1, d * d)).swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------

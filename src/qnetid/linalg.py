@@ -1,10 +1,10 @@
 """Dense complex linear-algebra kernel.
 
-Column-stacking vectorization, Hermitian symmetrization, the one
-numerical-rank rule, spectral norm, and the one reader and writer of the
-package's JSON files, the matrix format included; also ``ConfigError``,
-raised by every check of a parameter (not of data), and
-``check_positive`` and ``is_integer``, the one positivity and integer rules.
+Column-stacking vectorization, the one order of node pairs, Hermitian
+symmetrization, the one numerical-rank rule, spectral norm, and the one
+reader and writer of the package's JSON files, the matrix format
+included; also ``ConfigError``, raised by every check of a parameter
+(not of data), and the one positivity and integer rules.
 
 The vectorization convention is column stacking throughout:
 ``vec(M)[(j-1)*d + i] = M[i, j]`` (1-based), i.e. the first column of M
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
@@ -33,6 +34,16 @@ HERMITIAN_RTOL = 1e-10
 def vec(m: np.ndarray) -> np.ndarray:
     """Stack the columns of ``m`` into a single vector."""
     return np.asarray(m).reshape(-1, order="F")
+
+
+@lru_cache(maxsize=None)
+def upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Node pairs (i, j), i < j row-major, and their index k: read-only, as
+    every caller shares them."""
+    pairs = (*np.triu_indices(d, 1), np.arange(d * (d - 1) // 2))
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:

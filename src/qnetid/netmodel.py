@@ -12,7 +12,7 @@ import hashlib
 
 import numpy as np
 
-from .linalg import ConfigError
+from .linalg import ConfigError, upper_pairs
 
 #: resampling cap when conditioning on connected graphs
 MAX_CONNECTED_DRAWS = 100_000
@@ -43,10 +43,9 @@ def erdos_renyi(d: int, p_link: float, rng) -> np.ndarray:
     if not 0.0 <= p_link <= 1.0:
         raise ConfigError(f"p_link must be in [0, 1], got {p_link}")
     gen = np.random.default_rng(rng)
-    iu = np.triu_indices(d, k=1)
-    draws = gen.random(len(iu[0])) < p_link
+    i, j, _ = upper_pairs(d)
     a = np.zeros((d, d))
-    a[iu] = draws.astype(float)
+    a[i, j] = gen.random(i.size) < p_link
     return a + a.T
 
 

@@ -10,12 +10,13 @@ reproducible in isolation, in any order.  They ignore n~: the cells of a
 divisor and the state behind Q in closed form (``trapezoid_grams``),
 equal to what sampling the trajectory and summing it would give.
 
-A row below d = 16 runs as blocks of ``SOLVE_BLOCK`` systems (trials x
-divisors), each one stacked computation: one batched eigh, one stacked
-realified system, one gelsd call per system, one stacked norm.  From
-d = 16 on a block is one trial, run on threads if BLAS leaves cores free
-(``OPENBLAS_NUM_THREADS=1`` on 2 cores).  The outputs are the bytes of
-solving each system on its own.  The result keeps every trial's label
+A row runs as blocks of trials, each one stacked computation: one
+batched eigh, one stacked realified system, one gelsd call per system,
+one stacked norm.  From d = 9 on the blocks run on threads if BLAS leaves
+cores free (``OPENBLAS_NUM_THREADS=1`` on 2 cores), below d = 16 with at
+most ``SOLVE_BLOCK`` systems (trials x divisors) in flight over all
+threads; from d = 16 on a block is one trial.  The outputs are the bytes
+of solving each system on its own.  The result keeps every trial's label
 and error next to its cell record; the CSV's columns are
 ``CellRecord``'s fields, its JSON preamble ``asdict`` of the config.
 """
@@ -37,12 +38,13 @@ from .linalg import ConfigError, check_positive, is_integer
 from .netmodel import basis_density, connected_erdos_renyi, derive_seed
 from .dynamics import check_subsample, sample_times, trapezoid_grams
 
-#: systems (trials x divisors) per stacked block of a row below THREADED_D:
-#: at d = 12, 40 run as fast as a whole 400-system row in a tenth its memory
+#: systems (trials x divisors) in flight in a row below UNSTACKED_D, over its
+#: threads: at d = 12, 40 ran as fast as a 400-system row in a tenth its memory
 SOLVE_BLOCK = 40
-#: rows from this size on run one trial per block, threaded if BLAS leaves
-#: cores free: at d = 28..30 stacking a 5-trial row was slower
-THREADED_D = 16
+#: rows from this size on run one trial per block (stacking was slower at d = 28..30)
+UNSTACKED_D = 16
+#: rows from this size on run on threads if BLAS leaves cores free (``_trial_threads``)
+THREADED_D = 9
 
 
 def _fits(value, default) -> bool:
@@ -278,8 +280,10 @@ def _trial_threads(d: int, trials: int, cores: int, environ: Mapping[str, str]) 
     """Threads for the trials of a row at size ``d``: as many as give each
     trial whole cores for its BLAS threads, read as OpenBLAS reads them (the
     first positive integer of OPENBLAS_, GOTO_ and OMP_NUM_THREADS, else
-    every core).  Below ``THREADED_D`` a trial is too short to repay a thread:
-    on 2 cores with 1 BLAS thread, unstacked trials ran 0.88x at d = 12, 1.35x at d = 16."""
+    every core).  Below ``THREADED_D`` the handoffs of the interpreter lock
+    cost more than the second core gains: on 2 cores with 1 BLAS thread,
+    10-trial rows at 4 divisors ran 0.5-0.7x at d = 2..7, 1.01x at d = 8,
+    1.20x at d = 9 and 1.29x at d = 12 on 2 threads."""
     if d < THREADED_D:
         return 1
     names = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -293,21 +297,21 @@ def _run_row(cfg: SweepConfig, d: int, tau: float) -> tuple[list[CellRecord], li
     divisors descending.
 
     The trial seeds are independent of n~, so each trial's network is
-    drawn and decomposed once and identified at every divisor.  Blocks of
-    at most ``SOLVE_BLOCK`` systems (one trial at least; one trial from
-    ``THREADED_D`` on, on ``_trial_threads`` threads) are collected in
-    seed order, so the first failure in seed order is raised; the pending
-    blocks are cancelled.
+    drawn and decomposed once and identified at every divisor.  The
+    blocks run on ``_trial_threads`` threads, each of at most
+    ``SOLVE_BLOCK`` systems over all threads (one trial at least; one trial
+    from ``UNSTACKED_D`` on), and are collected in seed order, so the first
+    failure in seed order is raised; the pending blocks are cancelled.
     """
     subsamples = sorted(cfg.subsamples, reverse=True)
     n_s = len(sample_times(tau, cfg.dt)) - 1
     seeds = [derive_seed(cfg.seed, d, tau, trial) for trial in range(cfg.trials)]
-    size = max(1, SOLVE_BLOCK // len(subsamples)) if d < THREADED_D else 1
-    blocks = [seeds[start:start + size] for start in range(0, len(seeds), size)]
-    run_block = partial(run_benchmark_trials, d, tau, subsamples, cfg=cfg)
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     threads = _trial_threads(d, cfg.trials, cores or 1, os.environ)
-    if threads == 1:
+    size = max(1, SOLVE_BLOCK // (len(subsamples) * threads)) if d < UNSTACKED_D else 1
+    blocks = [seeds[start:start + size] for start in range(0, len(seeds), size)]
+    run_block = partial(run_benchmark_trials, d, tau, subsamples, cfg=cfg)
+    if min(threads, len(blocks)) == 1:
         outcomes = list(map(run_block, blocks))
     else:
         from concurrent.futures import ThreadPoolExecutor  # not on `import qnetid`

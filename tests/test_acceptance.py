@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qnetid.sweep
 from qnetid.dynamics import (
     exact_gram,
     propagate,
@@ -194,6 +195,16 @@ class TestCriterion1RoundTripSolvability:
         assert ok_records, "sweep trials differ from the records: " + "; ".join(unmatched_records)
         assert ok_small, f"mean solvability below 0.9 at d in 2..3: {detail}"
         assert ok_band, "label disagrees with the commutant condition: " + "; ".join(disagreements)
+
+    def test_golden_records_on_trial_threads(self, criterion1_sweep, monkeypatch):
+        # every row on two trial threads, whatever the BLAS setting: the
+        # stacked blocks are cut in half and run at once, and the records
+        # are still the golden ones and the trials the session run's
+        monkeypatch.setattr(qnetid.sweep, "_trial_threads", lambda *args: 2)
+        res = run_sweep(CONFIGS["criterion1"])
+        golden = golden_mismatches("criterion1", res.records)
+        assert not golden, "threaded records differ from the golden records: " + "; ".join(golden)
+        assert res.trials == criterion1_sweep[0].trials
 
 
 @pytest.mark.extended

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qnetid.dynamics import Trajectory, exact_gram, propagate, sample_trajectory
+from qnetid.dynamics import (
+    Trajectory,
+    exact_gram,
+    propagate,
+    sample_trajectory,
+    trapezoid_grams,
+)
 from qnetid.identify import (
     _halve,
     _realified_system,
@@ -46,7 +52,9 @@ def kron_reference_system(p, real_coupling):
                 cols.append(vec(ey))
     eye = np.eye(d)
     ps = (np.kron(p.T, eye) - np.kron(eye, p)) @ np.array(cols).T
-    return np.vstack([ps.real, ps.imag])
+    # an exactly zero sum of the product may be -0, as the BLAS kernel has it;
+    # the closed form's are +0 (0 + x), so the reference's are made so
+    return np.vstack([ps.real, ps.imag]) + 0.0
 
 
 def halve_reference(stack, d):
@@ -188,25 +196,50 @@ def _sweep_draw(d, trial, tau=3.0):
     return adjacency, build_P_trapezoid(traj, 5), build_Q(traj.states[0], traj.states[-1])
 
 
+def _sweep_grams(d, trials=10, tau=2.0):
+    """The trapezoid P of seed-0 sweep draws, stacked (trial, divisor) as a
+    sweep row stacks them, at the divisors (20, 10, 5, 1)."""
+    cfg = SweepConfig()
+    nets = [benchmark_network(d, derive_seed(0, d, tau, trial), cfg) for trial in range(trials)]
+    adjacency, rho0 = map(np.stack, zip(*nets))
+    return trapezoid_grams(adjacency.astype(complex), rho0, tau, cfg.dt, (20, 10, 5, 1))[1]
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
 class TestRealifiedSystem:
     @pytest.mark.parametrize("real_coupling", [False, True])
     @pytest.mark.parametrize("kind", ["hermitian", "diagonal", "sweep"])
-    @pytest.mark.parametrize("d", [2, 3, 5, 8, 13])
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 13, 16, 30])
     def test_equals_kron_reference(self, d, kind, real_coupling):
-        # the closed-form rows are the Kronecker product's halved rows,
-        # value for value, and the right-hand side is halved alike
+        # the closed-form rows are the Kronecker product's halved rows, bit
+        # for bit (signed zeros too), and the right-hand side is halved
+        # alike; below d = 16 also in a (10, 4) stack, trials x divisors as
+        # a sweep row stacks them
         rng = np.random.default_rng(100 + d)
         if kind == "hermitian":
             p = random_hermitian(rng, d)
+            stack = np.array([[random_hermitian(rng, d) for _ in range(4)] for _ in range(10)])
         elif kind == "diagonal":
             p = np.diag(rng.normal(size=d)).astype(complex)
+            stack = np.zeros((10, 4, d, d), dtype=complex)
+            stack[..., range(d), range(d)] = rng.normal(size=(10, 4, d))
         else:
             _, p, _ = _sweep_draw(d, 0, tau=2.0)
-        a = _realified_system(p, real_coupling)
-        assert np.array_equal(a, halve_reference(kron_reference_system(p, real_coupling), d))
+            stack = _sweep_grams(d)
+        a, ref = _realified_system(p, real_coupling), kron_reference_system(p, real_coupling)
+        assert np.array_equal(bits(a), bits(halve_reference(ref, d)))
+        if d < 16:
+            a = _realified_system(stack, real_coupling)
+            assert a.shape == stack.shape[:2] + (d * d, (2 - real_coupling) * d * (d - 1) // 2)
+            for k in np.ndindex(10, 4):
+                ref = halve_reference(kron_reference_system(stack[k], real_coupling), d)
+                assert np.array_equal(bits(a[k]), bits(ref)), k
         q = commutator(random_admissible(rng, d, real=real_coupling), p)
         b = np.concatenate([vec(q).real, vec(q).imag])
-        assert np.array_equal(_halve(q), halve_reference(b, d))
+        assert np.array_equal(bits(_halve(q)), bits(halve_reference(b, d)))
 
     @pytest.mark.parametrize("real_coupling", [False, True])
     @pytest.mark.parametrize("d", [10, 20])

@@ -229,10 +229,22 @@ class TestStackedRow:
             assert {t.solvability for t in trials} == {0, 1}
 
     def test_no_stack_exceeds_the_block(self, monkeypatch):
-        # 100 trials at 4 divisors: blocks of 10 trials, 40 systems; no
-        # stacked argument or result holds more matrices (or realified
-        # systems) than the block
-        sizes = []
+        # 100 trials at 4 divisors: blocks of 10 trials, 40 systems, on one
+        # thread and of 5 trials, 20 systems, on two; no stacked argument or
+        # result holds more matrices (or realified systems) than a block, and
+        # the blocks running at once hold at most SOLVE_BLOCK systems
+        sizes, running, lock = [], [0, 0], threading.Lock()  # systems now, most at once
+        run_block = qnetid.sweep.run_benchmark_trials
+
+        def counting(d, tau, subsamples, seeds, cfg):
+            with lock:
+                running[0] += len(seeds) * len(subsamples)
+                running[1] = max(running)
+            try:
+                return run_block(d, tau, subsamples, seeds, cfg)
+            finally:
+                with lock:
+                    running[0] -= len(seeds) * len(subsamples)
 
         def recording(fn):
             def wrapper(*args, **kwargs):
@@ -247,8 +259,15 @@ class TestStackedRow:
                              (qnetid.sweep, "solve_stack"), (qnetid.sweep, "relative_error"),
                              (qnetid.identify, "_realified_system")):
             monkeypatch.setattr(module, name, recording(getattr(module, name)))
-        run_sweep(SweepConfig(seed=64, d_min=12, d_max=12, taus=(2.0,), trials=100))
-        assert max(sizes) == SOLVE_BLOCK == 40
+        monkeypatch.setattr(qnetid.sweep, "run_benchmark_trials", counting)
+        for threads in (1, 2):
+            monkeypatch.setattr(qnetid.sweep, "_trial_threads", lambda *args, n=threads: n)
+            sizes.clear()
+            running[1] = 0
+            run_sweep(SweepConfig(seed=64, d_min=12, d_max=12, taus=(2.0,), trials=100))
+            assert max(sizes) == SOLVE_BLOCK // threads
+            assert running[0] == 0 and running[1] <= SOLVE_BLOCK
+        assert SOLVE_BLOCK == 40
 
     def test_peak_memory_bounded_by_the_block(self):
         # a row of 100 trials peaks where one block of 10 trials does
@@ -392,7 +411,8 @@ class TestSweep:
     def test_one_simulation_per_network(self, monkeypatch, subsamples):
         # each network's Hamiltonian is decomposed once, whether stacked
         # with others (d < 16) or on its own (d >= 16), and serves every
-        # divisor: the Hamiltonians decomposed are the networks drawn
+        # divisor: the Hamiltonians decomposed are the networks drawn, in
+        # whatever order trial threads decompose them
         for d in (2, 16):
             self.check_one_simulation_per_network(monkeypatch, subsamples, d)
 
@@ -416,7 +436,8 @@ class TestSweep:
         res = run_sweep(cfg)
         assert len(res.records) == len(cfg.d_values) * len(cfg.taus) * len(subsamples)
         assert len(hamiltonians) == len(drawn) == cfg.trials * len(cfg.d_values) * len(cfg.taus)
-        assert all(np.array_equal(h, a) for h, a in zip(hamiltonians, drawn))
+        assert (sorted(np.asarray(h, dtype=complex).tobytes() for h in hamiltonians)
+                == sorted(np.asarray(a, dtype=complex).tobytes() for a in drawn))
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
@@ -470,8 +491,9 @@ class TestTrials:
 
 class TestTrialThreads:
     @pytest.mark.parametrize("d, trials, cores, environ, threads", [
-        (12, 5, 2, {"OPENBLAS_NUM_THREADS": "1"}, 1),
-        (15, 5, 2, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+        (8, 5, 2, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+        (12, 5, 2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
+        (15, 5, 2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
         (16, 5, 2, {}, 1),
         (16, 5, 2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
         (16, 5, 2, {"OMP_NUM_THREADS": "1"}, 2),
@@ -486,20 +508,22 @@ class TestTrialThreads:
         (16, 5, 2, {"OPENBLAS_NUM_THREADS": "abc", "OMP_NUM_THREADS": "1"}, 2),
         (30, 5, 4, {"OPENBLAS_NUM_THREADS": "2"}, 2),
         (30, 3, 8, {"OPENBLAS_NUM_THREADS": "1"}, 3),
-    ], ids=["d12", "d15", "unpinned", "openblas1", "omp1", "goto1", "openblas2",
+    ], ids=["d8", "d12", "d15", "unpinned", "openblas1", "omp1", "goto1", "openblas2",
             "openblas-before-omp", "more-blas-than-cores", "one-core", "one-trial",
             "zero", "not-a-number", "not-a-number-then-omp", "two-per-trial",
             "one-per-trial"])
     def test_rule(self, d, trials, cores, environ, threads):
-        # threads only at d >= 16, only with whole cores per trial, and
+        # threads only at d >= 9, only with whole cores per trial, and
         # never more threads than trials
         assert qnetid.sweep._trial_threads(d, trials, cores, environ) == threads
 
     def test_threaded_rows_match_serial(self, tmp_path, monkeypatch):
         # records, trials and CSV bytes do not depend on the thread count;
-        # the d = 16 row runs one trial per block
-        cfg = SweepConfig(seed=0, d_min=15, d_max=16, taus=(3.0,), subsamples=(5, 1),
-                          trials=3)
+        # the stacked rows d = 12..15 are cut into blocks of at most
+        # SOLVE_BLOCK // (2 divisors x threads) = 20 or 10 of their 12
+        # trials, the d = 16 row runs one trial per block
+        cfg = SweepConfig(seed=0, d_min=12, d_max=16, taus=(3.0,), subsamples=(5, 1),
+                          trials=12)
         run_block, blocks = qnetid.sweep.run_benchmark_trials, []
 
         def recording(d, tau, subsamples, seeds, cfg):
@@ -513,7 +537,9 @@ class TestTrialThreads:
             blocks.clear()
             out = tmp_path / f"{threads}.csv"
             runs[threads] = run_sweep(cfg, out_csv=out), out.read_bytes()
-            assert sorted((d, n) for d, n, _ in blocks) == [(15, 3)] + [(16, 1)] * 3
+            sizes = {1: [12], 2: [10, 2]}[threads]
+            assert sorted((d, n) for d, n, _ in blocks) == sorted(
+                [(d, n) for d in range(12, 16) for n in sizes] + [(16, 1)] * 12)
             on_main = {ident == threading.main_thread().ident for _, _, ident in blocks}
             assert on_main == {threads == 1}
         (serial, serial_csv), (threaded, threaded_csv) = runs[1], runs[2]
