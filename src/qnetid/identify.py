@@ -171,7 +171,7 @@ def _realified_system(p: np.ndarray, real_coupling: bool) -> np.ndarray:
     values = 0.0 + v[:, first]
     values += v[:, second]
     values *= scale
-    out = np.zeros((len(flat), (2 - real_coupling) * d * (d - 1) // 2 * d * d))
+    out = np.zeros((len(flat), (1 if real_coupling else 2) * d * (d - 1) // 2 * d * d))
     out[:, dst] = values
     return out.reshape(p.shape[:-2] + (-1, d * d)).swapaxes(-1, -2)
 

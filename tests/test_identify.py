@@ -233,7 +233,7 @@ class TestRealifiedSystem:
         assert np.array_equal(bits(a), bits(halve_reference(ref, d)))
         if d < 16:
             a = _realified_system(stack, real_coupling)
-            assert a.shape == stack.shape[:2] + (d * d, (2 - real_coupling) * d * (d - 1) // 2)
+            assert a.shape == (10, 4, d * d, (1 if real_coupling else 2) * d * (d - 1) // 2)
             for k in np.ndindex(10, 4):
                 ref = halve_reference(kron_reference_system(stack[k], real_coupling), d)
                 assert np.array_equal(bits(a[k]), bits(ref)), k
