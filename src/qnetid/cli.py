@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,8 @@ from .dynamics import (
     write_trajectory_csv,
 )
 from .identify import identify_topology, relative_error
-from .linalg import ConfigError, hermitize, load_json, load_matrix, save_json, save_matrix
+from .linalg import (DEFAULT_RTOL, ConfigError, hermitize, load_json, load_matrix, save_json,
+                     save_matrix)
 from .netmodel import basis_density, connected_erdos_renyi, erdos_renyi
 from .partialinfo import (
     observability_rank,
@@ -41,10 +43,6 @@ from .svgplot import emit_plot
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-#: ``sweep`` flags whose destination is the SweepConfig field of that name
-_SWEEP_OVERRIDES = ("seed", "d_min", "d_max", "p_link", "taus", "dt", "subsamples",
-                    "trials", "hbar", "rtol")
 
 
 @functools.cache
@@ -81,29 +79,25 @@ def _build_parser() -> argparse.ArgumentParser:
     ident.add_argument("--hbar", type=float, default=1.0)
     ident.add_argument("--h0", help="matrix JSON of a known node Hamiltonian to subtract")
     ident.add_argument("--truth", help="matrix JSON of the true coupling matrix (for epsilon)")
-    ident.add_argument("--rtol", type=float, default=1e-9)
+    ident.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
     ident.add_argument("--general-coupling", action="store_true",
                        help="solve in the full admissible class instead of real couplings")
     ident.add_argument("--seed", type=int, default=None, help="seed recorded in the report")
     ident.add_argument("--out", help="write the identification report JSON here")
 
-    sw = sub.add_parser("sweep", help="benchmark sweeps over random networks")
+    sw = sub.add_parser("sweep", help="benchmark sweeps over random networks",
+                        description="each flag sets the SweepConfig field of its name")
     sw.add_argument("target", choices=("solvability", "error"))
     sw.add_argument("--config", help="JSON file with a sweep configuration")
-    sw.add_argument("--seed", type=int, default=None)
-    sw.add_argument("--d-min", type=int, default=None)
-    sw.add_argument("--d-max", type=int, default=None)
-    sw.add_argument("--p-link", type=float, default=None)
-    sw.add_argument("--tau", type=float, action="append", dest="taus", metavar="TAU",
-                    help="repeatable; evolution lengths")
-    sw.add_argument("--dt", type=float, default=None)
-    sw.add_argument("--subsample", type=int, action="append", dest="subsamples",
-                    metavar="SUBSAMPLE", help="repeatable; quadrature subsampling divisors")
-    sw.add_argument("--trials", type=int, default=None)
-    sw.add_argument("--hbar", type=float, default=None)
-    sw.add_argument("--rtol", type=float, default=None)
-    sw.add_argument("--general-coupling", action="store_true",
-                    help="identify in the full admissible class")
+    for f in fields(SweepConfig):
+        if isinstance(f.default, bool):  # real_coupling, cleared by the flag
+            sw.add_argument("--general-coupling", action="store_false", dest=f.name,
+                            default=None, help="identify in the full admissible class")
+        elif isinstance(f.default, tuple):  # taus and subsamples: --tau and --subsample
+            sw.add_argument(f"--{f.name[:-1]}", type=type(f.default[0]), action="append",
+                            dest=f.name, metavar=f.name[:-1].upper(), help="repeatable")
+        else:
+            sw.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default))
     sw.add_argument("--out-dir", required=True)
 
     obs = sub.add_parser("observability",
@@ -114,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     osrc.add_argument("--report", help="identification report JSON; checks its estimate "
                                        "(a-posteriori observability of the reconstruction)")
     obs.add_argument("--hbar", type=float, default=1.0)
-    obs.add_argument("--rtol", type=float, default=1e-9)
+    obs.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
 
     part = sub.add_parser("partial-identify",
                           help="recover the Hamiltonian from diagonal outputs only, "
@@ -122,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     part.add_argument("--hamiltonian", required=True,
                       help="matrix JSON with the network Hamiltonian to simulate")
     part.add_argument("--hbar", type=float, default=1.0)
-    part.add_argument("--rtol", type=float, default=1e-9)
+    part.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
     part.add_argument("--estimate", action="store_true",
                       help="identify from the populations of the d^2 preparable states "
                            "instead of the d^2 basis elements |k><j|")
@@ -203,14 +197,10 @@ def _cmd_identify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = SweepConfig.from_json(load_json(args.config)) if args.config else SweepConfig()
-    cfg = cfg.override(
-        real_coupling=False if args.general_coupling else None,
-        **{f: getattr(args, f) for f in _SWEEP_OVERRIDES},
-    ).validated()
+    cfg = cfg.override(**{f.name: getattr(args, f.name) for f in fields(SweepConfig)}).validated()
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_csv = out_dir / f"{args.target}.csv"
+    out_csv = Path(args.out_dir) / f"{args.target}.csv"
+    out_csv.parent.mkdir(parents=True, exist_ok=True)
     result = run_sweep(cfg, kind=args.target, out_csv=out_csv)
     print(f"wrote {len(result.records)} cells to {out_csv}")
     for curve, marks in result.critical_sizes().items():

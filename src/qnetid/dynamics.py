@@ -9,11 +9,13 @@ in closed form: exactly, as an oracle for quadrature-based estimates, and
 as the composite trapezoid sum that a sampled trajectory would give.
 Both weigh each eigenmode by a sinc, accurate to round-off at every
 frequency, zero and its aliases included.  Trajectory CSVs are written
-by ``np.savetxt`` and read by ``np.loadtxt``, one call each.
+by ``np.savetxt`` and read by ``np.loadtxt``, one call each, under a
+header checked field by field.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -84,7 +86,10 @@ def sample_times(tau: float, dt: float) -> np.ndarray:
         raise ConfigError(f"tau/dt = {float(tau)!r}/{float(dt)!r} is not a positive integer")
     times = np.arange(n + 1) * dt
     times[-1] = tau  # kill accumulated grid round-off at the endpoint
-    _check_grid(times)
+    try:
+        _check_grid(times)
+    except ValueError as exc:
+        raise ConfigError(f"tau/dt = {float(tau)!r}/{float(dt)!r}: {exc}") from None
     return times
 
 
@@ -97,7 +102,8 @@ class Trajectory:
     ``tau`` is the window length times[-1] - times[0].  The trapezoid
     integral assumes this grid, so construction raises ValueError unless
     there are at least two times, strictly increasing and uniform to
-    ``GRID_RTOL`` relative; they need not start at 0.
+    ``GRID_RTOL`` relative (they need not start at 0), and one d x d state
+    per time.
     """
 
     times: np.ndarray   # (n_s + 1,)
@@ -105,6 +111,10 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         _check_grid(self.times)
+        shape = np.shape(self.states)
+        if len(shape) != 3 or shape[0] != len(self.times) or shape[1] != shape[2]:
+            raise ValueError(f"states of shape {shape} are not one d x d matrix per "
+                             f"time; there are {len(self.times)} times")
 
     @property
     def dim(self) -> int:
@@ -276,10 +286,14 @@ def trapezoid_grams(
 # column-major (i, j) order; one row per sample; 17 significant digits
 # ---------------------------------------------------------------------------
 
+def _columns(d: int) -> list[str]:
+    """The header fields of a trajectory CSV of d x d states."""
+    return ["t"] + [f"{part}_{i}_{j}" for j in range(1, d + 1)
+                    for i in range(1, d + 1) for part in ("re", "im")]
+
+
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    d = traj.dim
-    header = ",".join(["t"] + [f"{part}_{i}_{j}" for j in range(1, d + 1)
-                               for i in range(1, d + 1) for part in ("re", "im")])
+    header = ",".join(_columns(traj.dim))
     # entry (i, j) of state k is flat[k, j, i]; the float view of a row
     # interleaves the real and imaginary parts of its entries
     flat = np.ascontiguousarray(traj.states.transpose(0, 2, 1), dtype=complex)
@@ -300,29 +314,27 @@ def _bad_data_row(lines, width: int) -> str:
     return "a data row is not a list of numbers"
 
 
-def read_trajectory_csv(path) -> Trajectory:
-    """Parse a trajectory CSV; raises ValueError on malformed input.
+def _read_rows(path, columns) -> np.ndarray:
+    """The data rows of a CSV whose first column is t, one row per line.
 
-    The data rows are read by ``np.loadtxt``: blank lines are skipped,
-    and a ragged row, a non-numeric field or a ``#`` line is an error
-    that names the file and the first such row.
-    Every entry must be finite.  The times are checked by ``Trajectory``:
-    at least two, strictly increasing and uniform to ``GRID_RTOL``
-    relative.  Every state must have trace 1 to ``TRACE_TOL`` and
-    relative Hermitian asymmetry (in the Frobenius norm) at most
-    ``HERMITIAN_RTOL``; all rows are checked at once, without an
-    eigendecomposition per sample.
+    The header must be ``columns(n)`` for the number n of its fields,
+    compared field by field.  The rows are read by one ``np.loadtxt``
+    call: blank lines are skipped, and a ragged row, a non-numeric field
+    or a ``#`` line is an error that names the first such row
+    (``_bad_data_row``).  Every entry must be finite.  Raises ValueError
+    naming the file.
     """
     with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if not header or header[0] != "t" or (len(header) - 1) % 2 != 0:
-            raise ValueError("malformed trajectory CSV header")
-        d = int(round(np.sqrt((len(header) - 1) / 2)))
-        if 2 * d * d + 1 != len(header):
-            raise ValueError("trajectory CSV header does not describe a square matrix")
+        names = fh.readline().strip().split(",")
+        header = columns(len(names))
+        if names != header:
+            k = next((k for k, pair in enumerate(zip(names, header)) if pair[0] != pair[1]), None)
+            raise ValueError(f"{path}: malformed CSV header: " + (
+                f"{len(names)} fields, not {len(header)}" if k is None
+                else f"field {k + 1} is {names[k]!r}, not {header[k]!r}"))
         with warnings.catch_warnings():
-            # numpy warns on a header without data rows; Trajectory then
-            # rejects it for having fewer than two samples
+            # numpy warns on a header without data rows; the callers then
+            # reject it for having fewer than two samples
             warnings.simplefilter("ignore", UserWarning)
             try:
                 rows = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
@@ -331,12 +343,30 @@ def read_trajectory_csv(path) -> Trajectory:
                 fh.readline()
                 raise ValueError(f"{path}: {_bad_data_row(fh, len(header))}") from None
     if rows.size and rows.shape[1] != len(header):
-        raise ValueError(f"{path}: trajectory CSV row length mismatch")
+        raise ValueError(f"{path}: CSV row length mismatch: {rows.shape[1]} fields, "
+                         f"not {len(header)}")
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         k = int(np.argmin(finite))
-        raise ValueError(f"trajectory CSV data row {k + 1} (t = {float(rows[k, 0])!r}) "
+        raise ValueError(f"{path}: data row {k + 1} (t = {float(rows[k, 0])!r}) "
                          "has a NaN or infinite entry")
+    return rows.reshape(-1, len(header))
+
+
+def read_trajectory_csv(path) -> Trajectory:
+    """Parse a trajectory CSV; raises ValueError on malformed input.
+
+    The header must be the writer's (``_columns``) for some d >= 1, and
+    the rows are read by ``_read_rows``: finite numbers, as many as the
+    header has fields.  The times are checked by ``Trajectory``:
+    at least two, strictly increasing and uniform to ``GRID_RTOL``
+    relative.  Every state must have trace 1 to ``TRACE_TOL`` and
+    relative Hermitian asymmetry (in the Frobenius norm) at most
+    ``HERMITIAN_RTOL``; all rows are checked at once, without an
+    eigendecomposition per sample.
+    """
+    rows = _read_rows(path, lambda n: _columns(max(1, math.isqrt((n - 1) // 2))))
+    d = math.isqrt(rows.shape[1] // 2)
     times = np.ascontiguousarray(rows[:, 0])
     flat = rows[:, 1::2] + 1j * rows[:, 2::2]
     states = np.ascontiguousarray(flat.reshape(-1, d, d).transpose(0, 2, 1))

@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import GRID_RTOL, _check_grid
+from .dynamics import GRID_RTOL, _check_grid, _read_rows
 from .linalg import (
     ABS_FLOOR,
     DEFAULT_RTOL,
@@ -257,6 +257,11 @@ def physical_initial_batch(d: int) -> tuple[np.ndarray, list[tuple[np.ndarray, s
 # measured-output batch files: one CSV per initialization + manifest
 # ---------------------------------------------------------------------------
 
+def _output_columns(d: int) -> list[str]:
+    """The header fields of an output CSV of a d-node network."""
+    return ["t"] + [f"y_{i}" for i in range(1, d + 1)]
+
+
 def write_output_batch(
     out_dir,
     runs: list[tuple[str, np.ndarray, np.ndarray]],
@@ -275,7 +280,7 @@ def write_output_batch(
     for idx, (label, times, ys) in enumerate(runs, start=1):
         ys = np.asarray(ys)
         name = f"output_{idx:03d}.csv"
-        header = ",".join(["t"] + [f"y_{i + 1}" for i in range(ys.shape[1])])
+        header = ",".join(_output_columns(ys.shape[1]))
         np.savetxt(out_dir / name, np.column_stack([times, ys]), fmt="%.17g", delimiter=",",
                    header=header, comments="")
         files[str(idx)] = name
@@ -296,6 +301,8 @@ def read_output_batch(manifest_path) -> tuple[np.ndarray, list[tuple[str, np.nda
     of another experiment, one without a run per column of Lambda0 on one
     time grid that starts at 0 and is uniform to ``GRID_RTOL``
     (``dynamics._check_grid``), is a ValueError that names the manifest.
+    Each run's CSV is read as strictly as a trajectory (``dynamics._read_rows``):
+    its header is ``t,y_1,...,y_d`` with d^2 runs, and its entries are finite.
     """
     manifest_path = Path(manifest_path)
     manifest = load_json(manifest_path)
@@ -306,11 +313,15 @@ def read_output_batch(manifest_path) -> tuple[np.ndarray, list[tuple[str, np.nda
     if lambda0.shape != (len(outputs), len(outputs)):
         raise ValueError(f"{manifest_path}: {len(outputs)} runs, but Lambda0 has shape "
                          f"{lambda0.shape}; a batch has one run per column")
+    d = math.isqrt(len(outputs))
+    if d < 1 or d * d != len(outputs):
+        raise ValueError(f"{manifest_path}: {len(outputs)} runs; a batch of a d-node "
+                         "network has d^2")
     runs = []
     for idx in sorted(outputs, key=int):
         name = outputs[idx]
         label = manifest.get("labels", {}).get(idx, name)
-        rows = np.loadtxt(manifest_path.parent / name, delimiter=",", skiprows=1, ndmin=2)
+        rows = _read_rows(manifest_path.parent / name, lambda n: _output_columns(d))
         runs.append((label, rows[:, 0], rows[:, 1:]))
     first, grid, _ = runs[0]
     try:

@@ -34,7 +34,7 @@ from functools import partial
 import numpy as np
 
 from .identify import build_Q, relative_error, solve_stack
-from .linalg import ConfigError, check_positive, is_integer
+from .linalg import DEFAULT_RTOL, ConfigError, check_positive
 from .netmodel import basis_density, connected_erdos_renyi, derive_seed
 from .dynamics import check_subsample, sample_times, trapezoid_grams
 
@@ -48,9 +48,9 @@ THREADED_D = 9
 
 
 def _fits(value, default) -> bool:
-    """Whether a parsed JSON value has the type of a field's default: an
-    integer is also a float, a boolean is neither, and a tuple field takes
-    a list or tuple of its elements' type."""
+    """The one type rule of a config field: the value has the type of the
+    field's default, where an integer is also a float, a boolean is
+    neither, and a tuple field takes a list or tuple of its elements' type."""
     if isinstance(default, tuple):
         return isinstance(value, (list, tuple)) and all(_fits(v, default[0]) for v in value)
     if isinstance(default, bool) or isinstance(value, bool):
@@ -58,20 +58,29 @@ def _fits(value, default) -> bool:
     return isinstance(value, int) or isinstance(value, type(default))
 
 
+def _kind(default) -> str:
+    """What ``_fits`` takes for a field with this default, in words."""
+    if isinstance(default, tuple):
+        return "a list of " + ("integers" if isinstance(default[0], int) else "numbers")
+    return {bool: "true or false", int: "an integer", float: "a number"}[type(default)]
+
+
 def _as_float(key, value, default):
     """A value that fits a float field, or each element of a tuple of floats,
-    as a float; a value of any other field as it is."""
-    if isinstance(default, tuple):
+    as a float; any other value as it is."""
+    if isinstance(default, tuple) and _fits(value, default):
         return [_as_float(key, v, default[0]) for v in value]
     try:
-        return float(value) if isinstance(default, float) else value
+        return float(value) if isinstance(default, float) and _fits(value, default) else value
     except OverflowError:
         raise ConfigError(f"{key} = {str(value)[:60]}... is too large for a float") from None
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Sweep parameters.  ``validate`` reports all violations at once."""
+    """Sweep parameters, the one declaration of a sweep: ``qnetid sweep``
+    has a flag per field, typed by its default, and ``validate`` reports
+    all violations at once."""
 
     seed: int = 0
     d_min: int = 2
@@ -82,18 +91,18 @@ class SweepConfig:
     subsamples: tuple[int, ...] = (20, 10, 5, 1)
     trials: int = 100
     hbar: float = 1.0
-    rtol: float = 1e-9
+    rtol: float = DEFAULT_RTOL
     real_coupling: bool = True
 
     def __post_init__(self):
-        # derive_seed hashes repr(tau): a numpy scalar becomes the Python number
-        # its repr and the JSON preamble show; a Python int keeps its repr
+        # derive_seed hashes repr(tau): numpy scalars and arrays become the Python
+        # numbers and tuples its repr and the JSON preamble show; a Python int stays
         def plain(value):
-            return value.item() if isinstance(value, np.generic) else value
+            return value.tolist() if isinstance(value, (np.generic, np.ndarray)) else value
 
         for f in fields(self):
-            value = getattr(self, f.name)
-            value = tuple(map(plain, value)) if isinstance(f.default, tuple) else plain(value)
+            value = plain(getattr(self, f.name))
+            value = tuple(map(plain, value)) if isinstance(value, (list, tuple)) else value
             object.__setattr__(self, f.name, value)
 
     @property
@@ -101,9 +110,12 @@ class SweepConfig:
         return list(range(self.d_min, self.d_max + 1))
 
     def validate(self) -> list[str]:
-        """Every violation, once; the library's checks judge tau, dt, divisors, hbar, rtol."""
-        errors = [f"{name} must be an integer, got {getattr(self, name)!r}"
-                  for name in ("d_min", "d_max", "trials") if not is_integer(getattr(self, name))]
+        """Every violation, once.  A field whose value does not fit its
+        default's type (``_fits``) is named, and the checks that read it are
+        skipped; the library's checks judge tau, dt, divisors, hbar, rtol."""
+        ok = {f.name: _fits(getattr(self, f.name), f.default) for f in fields(self)}
+        errors = [f"{f.name} must be {_kind(f.default)}, got {getattr(self, f.name)!r}"
+                  for f in fields(self) if not ok[f.name]]
 
         def note(check, *args):
             try:
@@ -111,34 +123,31 @@ class SweepConfig:
             except ConfigError as exc:
                 errors.append(str(exc))
 
-        if self.d_min < 2:
-            errors.append(f"d_min must be >= 2, got {self.d_min}")
-        if self.d_max < self.d_min:
+        for key, low in (("d_min", 2), ("trials", 1)):
+            if ok[key] and getattr(self, key) < low:
+                errors.append(f"{key} must be >= {low}, got {getattr(self, key)}")
+        if ok["d_min"] and ok["d_max"] and self.d_max < self.d_min:
             errors.append(f"d_max {self.d_max} is below d_min {self.d_min}")
-        if self.d_max - self.d_min >= sys.maxsize:
+        if ok["d_min"] and ok["d_max"] and self.d_max - self.d_min >= sys.maxsize:
             errors.append("d_max must be below d_min + sys.maxsize, the longest range of d")
-        if not 0.0 < self.p_link <= 1.0:
+        if ok["p_link"] and not 0.0 < self.p_link <= 1.0:
             errors.append(f"p_link must be in (0, 1], got {self.p_link}: "
                           "sweeps draw connected graphs, and none is connected at 0")
-        if not self.taus:
-            errors.append("at least one tau is required")
-        if not self.subsamples:
-            errors.append("at least one subsample divisor is required")
-        note(check_positive, "dt", self.dt)
-        for tau in self.taus:
-            times = note(sample_times, tau, self.dt)
-            # without a grid, n_s = 0 leaves only each divisor's sign to check
-            n_s = 0 if times is None else len(times) - 1
-            for sub in self.subsamples:
-                note(check_subsample, n_s, sub)
+        # without a grid, n_s = 0 leaves only each divisor's sign to check
+        for times in ((note(sample_times, tau, self.dt) for tau in self.taus)
+                      if ok["taus"] and ok["dt"] else [None]):
+            for sub in self.subsamples if ok["subsamples"] else ():
+                note(check_subsample, 0 if times is None else len(times) - 1, sub)
         # 1 and 1.0 are one tau: both would label their cells (d, 1, n~)
-        for name, values in (("tau", self.taus), ("subsample divisor", self.subsamples)):
+        for key, name in (("taus", "tau"), ("subsamples", "subsample divisor")):
+            values = getattr(self, key) if ok[key] else ()
+            if ok[key] and not values:
+                errors.append(f"at least one {name} is required")
             errors.extend(f"{name} {value!r} is listed more than once"
                           for value in dict.fromkeys(v for v in values if values.count(v) > 1))
-        if self.trials < 1:
-            errors.append(f"trials must be >= 1, got {self.trials}")
-        note(check_positive, "hbar", self.hbar)
-        note(check_positive, "rtol", self.rtol)
+        for key in ("dt", "hbar", "rtol"):
+            if ok[key]:
+                note(check_positive, key, getattr(self, key))
         return list(dict.fromkeys(errors))
 
     def validated(self) -> "SweepConfig":
@@ -158,10 +167,6 @@ class SweepConfig:
         unknown = set(obj) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        wrong = [f"{key} = {json.dumps(value)} (default {json.dumps(getattr(cls, key))})"
-                 for key, value in obj.items() if not _fits(value, getattr(cls, key))]
-        if wrong:
-            raise ConfigError(f"config values of the wrong type: {'; '.join(wrong)}")
         return cls(**{key: _as_float(key, value, getattr(cls, key)) for key, value in obj.items()})
 
     def override(self, **kwargs) -> "SweepConfig":
@@ -218,19 +223,13 @@ class SweepResult:
         Both are reported because the transition itself is the only
         well-defined object.
         """
-        out: dict[str, dict] = {}
         curves: dict[tuple[float, int], list[CellRecord]] = {}
         for rec in self.records:
             curves.setdefault((rec.tau, rec.n_tilde), []).append(rec)
-        for (tau, n_tilde), recs in sorted(curves.items()):
-            recs = sorted(recs, key=lambda r: r.d)
-            full = [r.d for r in recs if r.solvability_mean == 1.0]
-            zero = [r.d for r in recs if r.solvability_mean == 0.0]
-            out[f"tau={tau:g},n_tilde={n_tilde}"] = {
-                "last_full_d": max(full) if full else None,
-                "first_zero_d": min(zero) if zero else None,
-            }
-        return out
+        return {f"tau={tau:g},n_tilde={n_tilde}": {
+            "last_full_d": max((r.d for r in recs if r.solvability_mean == 1.0), default=None),
+            "first_zero_d": min((r.d for r in recs if r.solvability_mean == 0.0), default=None),
+        } for (tau, n_tilde), recs in sorted(curves.items())}
 
 
 def benchmark_network(d: int, trial_seed: int, cfg: SweepConfig) -> tuple[np.ndarray, np.ndarray]:

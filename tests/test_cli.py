@@ -1,8 +1,10 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import qnetid.dynamics
 from qnetid import cli
 from qnetid.cli import main
 from qnetid.dynamics import (
@@ -12,7 +14,7 @@ from qnetid.dynamics import (
     sample_trajectory,
     write_trajectory_csv,
 )
-from qnetid.linalg import hermitize, load_matrix, save_matrix, spectral_norm
+from qnetid.linalg import DEFAULT_RTOL, hermitize, load_matrix, save_matrix, spectral_norm
 from qnetid.partialinfo import (
     output_stacks,
     physical_initial_batch,
@@ -20,6 +22,7 @@ from qnetid.partialinfo import (
     reconstruct_hamiltonian,
     sampling_period,
 )
+from qnetid.sweep import SweepConfig, SweepResult
 
 from conftest import random_hermitian
 
@@ -177,13 +180,19 @@ class TestSweepPlot:
             assert exc.value.code == 2
 
     def test_wrongly_typed_config_values_exit_2(self, tmp_path, capsys):
+        # SweepConfig.validate's type rule names the field; before it, a string
+        # dt or a null hbar raised a bare TypeError in validate
         for key, value in (("d_min", "x"), ("taus", 3), ("trials", True),
-                           ("subsamples", [5.5]), ("real_coupling", "no")):
+                           ("subsamples", [5.5]), ("real_coupling", "no"), ("dt", "0.01"),
+                           ("taus", 3.0), ("p_link", "0.5"), ("hbar", None), ("seed", 1.5)):
             cfg = tmp_path / f"{key}.json"
             cfg.write_text(json.dumps({"d_max": 2, "trials": 1, key: value}))
             capsys.readouterr()
-            assert run("sweep", "solvability", "--config", cfg, "--out-dir", tmp_path) == 2
-            assert f"{key} = {json.dumps(value)}" in capsys.readouterr().err
+            out_dir = tmp_path / "out"
+            assert run("sweep", "solvability", "--config", cfg, "--out-dir", out_dir) == 2
+            err = capsys.readouterr().err
+            assert f"\n  {key} must be " in err and "Traceback" not in err
+            assert not out_dir.exists()
 
     def test_config_not_an_object_exits_2(self, tmp_path, capsys):
         for value, type_name in ((3, "int"), ([{"a": 1}], "list")):
@@ -208,6 +217,20 @@ class TestSweepPlot:
         err = capsys.readouterr().err
         assert "tau 1.0 is listed more than once" in err
         assert "subsample divisor 5 is listed more than once" in err
+        assert not out_dir.exists()
+
+    def test_non_uniform_grid_exits_2_with_the_other_violations(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # --tau 200000 --subsample 1 --rtol 0 exited 3 on the grid (2e7 samples,
+        # steps 2e-9 relative apart) and never named rtol; a 0 grid tolerance
+        # fails a 10-sample grid the same way
+        monkeypatch.setattr(qnetid.dynamics, "GRID_RTOL", 0.0)
+        out_dir = tmp_path / "out"
+        assert run("sweep", "solvability", "--tau", 1.0, "--dt", 0.1, "--subsample", 1,
+                   "--rtol", 0, "--out-dir", out_dir) == 2
+        err = capsys.readouterr().err
+        assert "\n  tau/dt = 1.0/0.1: trajectory times are not uniform" in err
+        assert "\n  rtol must be positive and finite, got 0.0" in err
         assert not out_dir.exists()
 
     def test_bad_subsample_exits_2(self, tmp_path):
@@ -459,6 +482,46 @@ class TestParser:
         assert run("sweep", "error", "--out-dir", "o") == 0
         assert seen == [[1.0, 2.0], None]
         assert cli._build_parser() is cli._build_parser()
+
+    def test_sweep_flags_equal_config_json(self, tmp_path, monkeypatch):
+        # each SweepConfig field has a flag; setting them all gives, field by
+        # field and type by type, the config that from_json makes of the same
+        # values, so the two routes cannot drift apart as fields are added
+        values = {"seed": 7, "d_min": 3, "d_max": 4, "p_link": 0.75, "taus": [1, 0.5],
+                  "dt": 0.05, "subsamples": [5, 1], "trials": 2, "hbar": 2, "rtol": 1e-8,
+                  "real_coupling": False}
+        assert list(values) == [f.name for f in fields(SweepConfig)]
+        assert all(values[f.name] != f.default for f in fields(SweepConfig))
+        sweep = cli._build_parser()._subparsers._group_actions[0].choices["sweep"]
+        argv = ["sweep", "error", "--out-dir", tmp_path / "out"]
+        for action in sweep._actions:
+            if action.dest not in values:
+                continue
+            flag, value = action.option_strings[0], values[action.dest]
+            if action.nargs == 0:  # --general-coupling, which clears real_coupling
+                argv.append(flag)
+            else:
+                for v in value if isinstance(value, list) else [value]:
+                    argv.extend([flag, v])
+        seen = []
+        monkeypatch.setattr(cli, "run_sweep", lambda cfg, kind, out_csv: seen.append(cfg)
+                            or SweepResult(kind, cfg))
+        assert run(*argv) == 0
+        [cfg] = seen
+        reference = SweepConfig.from_json(json.loads(json.dumps(values)))
+        for name in values:
+            got, want = getattr(cfg, name), getattr(reference, name)
+            assert got == want and type(got) is type(want), name
+            if isinstance(want, tuple):
+                assert list(map(type, got)) == list(map(type, want)), name
+
+    def test_rtol_defaults_are_the_library_default(self):
+        parser = cli._build_parser()
+        for argv in (["identify", "--trajectory", "t.csv"], ["observability", "--hamiltonian",
+                     "h.json"], ["partial-identify", "--hamiltonian", "h.json"]):
+            assert parser.parse_args(argv).rtol is DEFAULT_RTOL
+        assert parser.parse_args(["sweep", "error", "--out-dir", "o"]).rtol is None
+        assert SweepConfig().rtol is DEFAULT_RTOL
 
 
 class TestDecompose:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import qnetid.dynamics
 from qnetid.dynamics import (
     Trajectory,
     check_density,
@@ -269,6 +270,20 @@ class TestSampleTrajectory:
         with pytest.raises(ConfigError, match=re.escape(message)):
             sample_times(tau, dt)
 
+    def test_non_uniform_grid_is_a_config_error(self, monkeypatch):
+        # an accepted (tau, dt) whose grid round-off exceeds GRID_RTOL (tau =
+        # 200000, dt = 0.01 does, with 2e7 samples) was a ValueError, so the
+        # sweep config skipped it and the CLI called it a numerical failure;
+        # a 0 tolerance makes a 10-sample grid fail the same way
+        monkeypatch.setattr(qnetid.dynamics, "GRID_RTOL", 0.0)
+        assert 10 * 0.1 == 1.0 and len(set(np.diff(np.arange(11) * 0.1))) > 1
+        with pytest.raises(ConfigError, match=r"^tau/dt = 1\.0/0\.1: trajectory times are not "
+                                              r"uniform to 0 relative"):
+            sample_times(1.0, 0.1)
+        errors = SweepConfig(taus=(1.0,), dt=0.1, subsamples=(1,), rtol=0.0).validate()
+        assert [e.split(":")[0] for e in errors] == ["tau/dt = 1.0/0.1", "rtol must be positive "
+                                                     "and finite, got 0.0"]
+
     def test_grid_of_existing_configs_unchanged(self):
         for tau in (1.0, 2.0, 3.0):
             n = int(round(tau / 0.01))
@@ -439,6 +454,17 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="at least two"):
             Trajectory(times=traj.times[:1], states=traj.states[:1])
 
+    def test_rejects_states_not_matching_times(self):
+        # 101 times of a 201-sample run were accepted: identification then
+        # integrated all 201 states while tau read 1.0, another window
+        traj = sample_trajectory(SX, E1, 2.0, 0.01)
+        with pytest.raises(ValueError, match=r"states of shape \(201, 2, 2\) .* 101 times"):
+            Trajectory(times=traj.times[:101], states=traj.states)
+        for states in (traj.states[:, 0], traj.states[:, :1], traj.states[None]):
+            with pytest.raises(ValueError, match="not one d x d matrix per time"):
+                Trajectory(times=traj.times, states=states)
+        assert Trajectory(times=traj.times[:101], states=traj.states[:101]).tau == 1.0
+
 
 class TestTrajectoryCsv:
     def test_roundtrip_exact(self, tmp_path):
@@ -481,6 +507,44 @@ class TestTrajectoryCsv:
             with pytest.raises(ValueError, match=re.escape(message)) as exc:
                 read_trajectory_csv(bad)
             assert "usecols" not in str(exc.value)
+
+    def test_rejects_row_major_file_under_its_own_names(self, tmp_path):
+        # a d = 4 file written row-major under correct row-major names was read
+        # column-major, and identify returned -M with solvability 1 and no warning
+        adjacency, rho0 = benchmark_network(4, 0, SweepConfig())
+        traj = sample_trajectory(adjacency.astype(complex), rho0, 1.0, 0.01)
+        path = tmp_path / "row_major.csv"
+        names = ["t"] + [f"{part}_{i}_{j}" for i in range(1, 5) for j in range(1, 5)
+                         for part in ("re", "im")]
+        rows = np.column_stack([traj.times, traj.states.reshape(len(traj.times), -1).view(float)])
+        np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=",".join(names), comments="")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: malformed CSV header: field 4 is 're_1_2', not 're_2_1'")):
+            read_trajectory_csv(path)
+
+    @pytest.mark.parametrize("header, detail", [
+        ("t,a,b", "field 2 is 'a', not 're_1_1'"),
+        ("time,re_1_1,im_1_1", "field 1 is 'time', not 't'"),
+        ("t,im_1_1,re_1_1", "field 2 is 'im_1_1', not 're_1_1'"),
+        ("t", "1 fields, not 3"),
+        ("t,re_1_1,im_1_1,re_2_1", "4 fields, not 3"),
+    ])
+    def test_rejects_header_of_other_names(self, tmp_path, header, detail):
+        # only the column count was checked, so any names passed
+        path = tmp_path / "traj.csv"
+        path.write_text(f"{header}\n0,1,0\n0.5,1,0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: malformed CSV header: {detail}")):
+            read_trajectory_csv(path)
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 7])
+    def test_roundtrip_exact_at_every_size(self, tmp_path, d):
+        rng = np.random.default_rng(30 + d)
+        traj = sample_trajectory(random_hermitian(rng, d), random_density(rng, d), 0.3, 0.1)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, path)
+        back = read_trajectory_csv(path)
+        assert np.array_equal(back.times, traj.times)
+        assert np.array_equal(back.states, traj.states)
 
     def test_accepts_blank_lines_and_crlf(self, tmp_path):
         path = tmp_path / "traj.csv"

@@ -560,6 +560,40 @@ class TestOutputBatchFiles:
         with pytest.raises(ValueError, match=r"time grid starts at 0\.05, not 0"):
             read_output_batch(manifest)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0] + ",nan"] + lines[3:],
+         "data row 2 (t = 0.05) has a NaN or infinite entry"),
+        (lambda lines: [lines[0] + ",y_3"] + [line + ",0" for line in lines[1:]],
+         "malformed CSV header: 4 fields, not 3"),
+        (lambda lines: lines[:1] + [line + ",0" for line in lines[1:]],
+         "CSV row length mismatch: 4 fields, not 3"),
+        (lambda lines: lines[:3] + [lines[3] + ",0"] + lines[4:],
+         "data row 3 is "),
+        (lambda lines: ["t,p_1,p_2"] + lines[1:],
+         "malformed CSV header: field 2 is 'p_1', not 'y_1'"),
+        (lambda lines: ["t,y_2,y_1"] + lines[1:],
+         "malformed CSV header: field 2 is 'y_2', not 'y_1'"),
+    ], ids=["nan", "extra-column", "extra-column-unnamed", "ragged", "names", "order"])
+    def test_run_read_as_strictly_as_a_trajectory(self, tmp_path, edit, message):
+        # NaN populations, an extra population column and arbitrary header
+        # names were accepted; a ragged row was reported in numpy's words
+        manifest, _ = self.batch(tmp_path)
+        run = manifest.parent / "output_002.csv"
+        lines = run.read_text().splitlines()
+        assert lines[0] == "t,y_1,y_2"
+        run.write_text("\n".join(edit(lines)) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_output_batch(manifest)
+        assert str(info.value).startswith(f"{run}: {message}")
+        assert "usecols" not in str(info.value)
+
+    def test_run_count_not_a_square_rejected(self, tmp_path):
+        # a batch of a d-node network has d^2 runs, one per column of Lambda0
+        runs = self.batch(tmp_path)[1][:2]
+        manifest = write_output_batch(tmp_path / "two", runs, np.eye(2, dtype=complex))
+        with pytest.raises(ValueError, match=r"2 runs; a batch of a d-node network has d\^2"):
+            read_output_batch(manifest)
+
     @pytest.mark.parametrize("keep", [3, 5])
     def test_run_count_mismatch_rejected(self, tmp_path, keep):
         # a run count other than the number of Lambda0 columns was not checked

@@ -85,10 +85,10 @@ class TestConfigValidation:
     @pytest.mark.parametrize("subsample", [2.5, 5.0, True])
     def test_non_integer_subsample_listed(self, subsample):
         # 2.5 passed and wrote a cell with n_tilde = 40.0 that no trajectory
-        # grid can be subsampled at
+        # grid can be subsampled at; the type rule names the field once
         cfg = SweepConfig(subsamples=(subsample,), d_min=2, d_max=2, trials=2)
-        assert cfg.validate() == [f"subsample must be a positive integer, got {subsample!r}"]
-        with pytest.raises(ConfigError, match="subsample must be a positive integer"):
+        assert cfg.validate() == [f"subsamples must be a list of integers, got {(subsample,)!r}"]
+        with pytest.raises(ConfigError, match="subsamples must be a list of integers"):
             run_sweep(cfg)
 
     @pytest.mark.parametrize("name, value", [
@@ -100,6 +100,32 @@ class TestConfigValidation:
         assert f"{name} must be an integer, got {value!r}" in cfg.validate()
         with pytest.raises(ConfigError, match=f"{name} must be an integer"):
             run_sweep(cfg)
+
+    @pytest.mark.parametrize("name, value, kind", [
+        ("dt", "0.01", "a number"), ("taus", 3.0, "a list of numbers"),
+        ("p_link", "0.5", "a number"), ("hbar", None, "a number"),
+        ("real_coupling", "no", "true or false"), ("seed", 1.5, "an integer"),
+        ("subsamples", [5, "1"], "a list of integers"), ("rtol", [1e-9], "a number"),
+    ])
+    def test_mistyped_field_named_once(self, name, value, kind):
+        # the first four raised a bare TypeError in validate; "no" and 1.5
+        # validated clean and ran, the seed truncated to 1 by derive_seed
+        cfg = SweepConfig(**{name: value})
+        got = tuple(value) if isinstance(value, list) else value
+        assert cfg.validate() == [f"{name} must be {kind}, got {got!r}"]
+        with pytest.raises(ConfigError, match=f"{name} must be {kind}"):
+            run_sweep(cfg)
+
+    def test_mistyped_field_skips_its_range_checks(self):
+        # every other violation is still listed; none is derived from the
+        # mistyped values (dt = "0.1" is no grid to check the divisors on)
+        cfg = SweepConfig(d_min="3", d_max=1, dt="0.1", taus=(1.0, 1.0), subsamples=(0,),
+                          trials=0, hbar=-1.0)
+        assert cfg.validate() == [
+            "d_min must be an integer, got '3'", "dt must be a number, got '0.1'",
+            "trials must be >= 1, got 0", "subsample must be a positive integer, got 0",
+            "tau 1.0 is listed more than once", "hbar must be positive and finite, got -1.0",
+        ]
 
     def test_numpy_integers_accepted(self):
         cfg = SweepConfig(d_min=np.int32(2), d_max=np.int64(3), trials=np.int16(2),
