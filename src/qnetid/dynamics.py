@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ABS_FLOOR, HERMITIAN_RTOL, ConfigError, check_positive, hermitize, is_integer
+from .linalg import (ABS_FLOOR, HERMITIAN_RTOL, ConfigError, check_positive, hermitize,
+                     is_finite, is_integer)
 
 #: tolerated negative eigenvalue on density operators (round-off slack)
 PSD_TOL = 1e-10
@@ -138,9 +139,12 @@ def propagator(h: np.ndarray, t: float, hbar: float = 1.0) -> np.ndarray:
     """The d x d propagator U = exp(-i H t / hbar), from one eigendecomposition of H.
 
     The vectorized propagator, vec(rho) -> vec(U rho U-dagger), is
-    conj(U) kron U under column stacking; it is never formed.
+    conj(U) kron U under column stacking; it is never formed.  t must be
+    finite (``is_finite``).
     """
     check_positive("hbar", hbar)
+    if not is_finite(t):
+        raise ConfigError("t must be finite")
     w, v = np.linalg.eigh(hermitize(h))
     return (v * np.exp(-1j * w * (t / hbar))) @ v.conj().T
 
@@ -151,8 +155,8 @@ def propagate(h: np.ndarray, rho0: np.ndarray, t: float, hbar: float = 1.0) -> n
     Exact for time-independent H (no step-size error); preserves trace,
     Hermiticity and the spectrum of rho_0.  t must be finite.
     """
-    if not (np.isfinite(t) and t >= 0):
-        raise ConfigError("t must be nonnegative")
+    if not (is_finite(t) and t >= 0):
+        raise ConfigError("t must be nonnegative and finite")
     rho0 = check_density(rho0, "rho0")
     u = propagator(h, t, hbar)
     return hermitize(u @ rho0 @ u.conj().T)

@@ -4,7 +4,7 @@ Column-stacking vectorization, the one order of node pairs, Hermitian
 symmetrization, the one numerical-rank rule, spectral norm, and the one
 reader and writer of the package's JSON files, the matrix format
 included; also ``ConfigError``, raised by every check of a parameter
-(not of data), and the one positivity and integer rules.
+(not of data), and the one positivity, finiteness and integer rules.
 
 The vectorization convention is column stacking throughout:
 ``vec(M)[(j-1)*d + i] = M[i, j]`` (1-based), i.e. the first column of M
@@ -49,12 +49,13 @@ def upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Return the Hermitian part (M + M†)/2 of the matrices on the last two
     axes.  File round-off must not break Hermiticity invariants, so inputs
-    are symmetrized; a relative asymmetry above HERMITIAN_RTOL is not
-    round-off and is rejected (the largest of a stack in the message).
-    """
+    are symmetrized; a NaN or infinite entry, and a relative asymmetry above
+    HERMITIAN_RTOL (the largest of a stack in the message), are rejected."""
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix is not finite: it has a NaN or infinite entry")
     mh = m.conj().swapaxes(-1, -2)
     scale = np.maximum(np.linalg.norm(m, axis=(-2, -1)), ABS_FLOOR)
     rel = np.linalg.norm(m - mh, axis=(-2, -1)) / scale
@@ -69,9 +70,20 @@ class ConfigError(ValueError):
 
 
 def check_positive(name: str, value: float) -> None:
-    """Raise ConfigError unless value is a finite number above 0."""
-    if not (math.isfinite(value) and value > 0):
-        raise ConfigError(f"{name} must be positive and finite, got {float(value)!r}")
+    """Raise ConfigError unless value is a finite number (``is_finite``) above 0."""
+    if not (is_finite(value) and value > 0):
+        big = is_integer(value) and not is_finite(value)
+        shown = "an integer beyond the float range" if big else repr(float(value))
+        raise ConfigError(f"{name} must be positive and finite, got {shown}")
+
+
+def is_finite(value) -> bool:
+    """The one finiteness rule for a number: ``math.isfinite``, where an
+    integer beyond the float range is not finite (not an OverflowError)."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def is_integer(value) -> bool:
@@ -99,7 +111,8 @@ def spectral_norm(a: np.ndarray):
 
 # ---------------------------------------------------------------------------
 # JSON files; the matrix format is {"rows": n, "cols": m, "re": [[...]],
-# "im": [[...]]}, row-major nested arrays, exact for IEEE-754 doubles
+# "im": [[...]]}, row-major nested arrays of finite numbers, exact for
+# IEEE-754 doubles
 # ---------------------------------------------------------------------------
 
 def matrix_to_json(m: np.ndarray) -> dict:
@@ -124,6 +137,8 @@ def matrix_from_json(obj: dict) -> np.ndarray:
             f"matrix payload shape {re.shape}/{im.shape} does not match "
             f"declared {rows}x{cols}"
         )
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValueError("matrix entries must be finite, not NaN or Infinity")
     return re + 1j * im
 
 

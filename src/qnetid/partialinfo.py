@@ -131,9 +131,9 @@ def reconstruct_hamiltonian(ys: np.ndarray, lambda0: np.ndarray, period: float,
     ``ys`` holds ys[k] = C A^k Lambda0, each of shape (d, d^2), for
     k = 0..d^2 (``output_stacks``).  Inverts Lambda0 to obtain the Markov
     parameters G_k = C A^k, stacks O = [G_0; ...; G_(d^2-1)] and its shift
-    O' = [G_1; ...; G_(d^2)], and solves O A = O' in least squares.
-    Requires rank(O) = d^2, i.e. an observable pair; otherwise raises
-    UnobservableError.
+    O' = [G_1; ...; G_(d^2)], and solves O A = O' with LAPACK's gelsd, whose
+    singular values give rank(O).  Requires rank(O) = d^2, i.e. an
+    observable pair; otherwise raises UnobservableError.
 
     Under column stacking A[p*d + i, q*d + j] = conj(U)[p, q] U[i, j], so
     the realigned R[(p, q), (i, j)] = A[p*d + i, q*d + j] is the rank-one
@@ -169,14 +169,12 @@ def reconstruct_hamiltonian(ys: np.ndarray, lambda0: np.ndarray, period: float,
         raise ValueError("initial-state matrix is numerically singular; "
                          "states are not linearly independent")
     moments = ys @ np.linalg.inv(lambda0)
-    obs = moments[:n].reshape(-1, n)
-    shifted = moments[1:].reshape(-1, n)
-    u, s, vh = np.linalg.svd(obs, full_matrices=False)
+    a_hat, _, _, s = np.linalg.lstsq(moments[:n].reshape(-1, n), moments[1:].reshape(-1, n),
+                                     rcond=rtol)
     rank = numerical_rank(s, rtol)
     if rank < n:
         raise UnobservableError(f"observability rank {rank} < {n}: pair not observable, "
                                 "Hamiltonian not unique")
-    a_hat = vh.conj().T @ ((u.conj().T @ shifted) / s[:, None])
 
     _, s, vh = np.linalg.svd(a_hat.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(n, n))
     u_hat = np.sqrt(s[0]) * vh[0].reshape(d, d)
@@ -297,9 +295,10 @@ def write_output_batch(
 
 def read_output_batch(manifest_path) -> tuple[np.ndarray, list[tuple[str, np.ndarray, np.ndarray]]]:
     """Load a batch written by :func:`write_output_batch`; a manifest that
-    does not parse or lacks a key is a ConfigError that names it.  A batch
-    of another experiment, one without a run per column of Lambda0 on one
-    time grid that starts at 0 and is uniform to ``GRID_RTOL``
+    does not parse, lacks a key, or whose ``outputs`` is not an object keyed
+    by run numbers or ``labels`` not an object, is a ConfigError that names
+    it.  A batch of another experiment, one without a run per column of
+    Lambda0 on one time grid that starts at 0 and is uniform to ``GRID_RTOL``
     (``dynamics._check_grid``), is a ValueError that names the manifest.
     Each run's CSV is read as strictly as a trajectory (``dynamics._read_rows``):
     its header is ``t,y_1,...,y_d`` with d^2 runs, and its entries are finite.
@@ -310,6 +309,11 @@ def read_output_batch(manifest_path) -> tuple[np.ndarray, list[tuple[str, np.nda
         lambda0, outputs = matrix_from_json(manifest["lambda0"]), manifest["outputs"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{manifest_path}: not a batch manifest: {exc!r}") from exc
+    labels = manifest.get("labels", {})
+    if not (isinstance(outputs, dict) and isinstance(labels, dict)
+            and all(key.isdecimal() for key in outputs)):
+        raise ConfigError(f"{manifest_path}: not a batch manifest: 'outputs' must be an object "
+                          "keyed by run numbers, 'labels' an object")
     if lambda0.shape != (len(outputs), len(outputs)):
         raise ValueError(f"{manifest_path}: {len(outputs)} runs, but Lambda0 has shape "
                          f"{lambda0.shape}; a batch has one run per column")
@@ -320,7 +324,7 @@ def read_output_batch(manifest_path) -> tuple[np.ndarray, list[tuple[str, np.nda
     runs = []
     for idx in sorted(outputs, key=int):
         name = outputs[idx]
-        label = manifest.get("labels", {}).get(idx, name)
+        label = labels.get(idx, name)
         rows = _read_rows(manifest_path.parent / name, lambda n: _output_columns(d))
         runs.append((label, rows[:, 0], rows[:, 1:]))
     first, grid, _ = runs[0]

@@ -41,7 +41,7 @@ from .dynamics import check_subsample, sample_times, trapezoid_grams
 #: systems (trials x divisors) in flight in a row below UNSTACKED_D, over its
 #: threads: at d = 12, 40 ran as fast as a 400-system row in a tenth its memory
 SOLVE_BLOCK = 40
-#: rows from this size on run one trial per block (stacking was slower at d = 28..30)
+#: rows from this size on run one trial per block (stacking gained nothing at d = 28..30)
 UNSTACKED_D = 16
 #: rows from this size on run on threads if BLAS leaves cores free (``_trial_threads``)
 THREADED_D = 9
@@ -298,7 +298,8 @@ def _run_row(cfg: SweepConfig, d: int, tau: float) -> tuple[list[CellRecord], li
     The trial seeds are independent of n~, so each trial's network is
     drawn and decomposed once and identified at every divisor.  The
     blocks run on ``_trial_threads`` threads, each of at most
-    ``SOLVE_BLOCK`` systems over all threads (one trial at least; one trial
+    ``SOLVE_BLOCK`` systems over all threads and ceil(trials / threads)
+    trials, so that every thread gets a block (one trial at least; one trial
     from ``UNSTACKED_D`` on), and are collected in seed order, so the first
     failure in seed order is raised; the pending blocks are cancelled.
     """
@@ -307,7 +308,8 @@ def _run_row(cfg: SweepConfig, d: int, tau: float) -> tuple[list[CellRecord], li
     seeds = [derive_seed(cfg.seed, d, tau, trial) for trial in range(cfg.trials)]
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     threads = _trial_threads(d, cfg.trials, cores or 1, os.environ)
-    size = max(1, SOLVE_BLOCK // (len(subsamples) * threads)) if d < UNSTACKED_D else 1
+    size = (min(max(1, SOLVE_BLOCK // (len(subsamples) * threads)), -(-cfg.trials // threads))
+            if d < UNSTACKED_D else 1)
     blocks = [seeds[start:start + size] for start in range(0, len(seeds), size)]
     run_block = partial(run_benchmark_trials, d, tau, subsamples, cfg=cfg)
     if min(threads, len(blocks)) == 1:

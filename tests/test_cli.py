@@ -14,7 +14,8 @@ from qnetid.dynamics import (
     sample_trajectory,
     write_trajectory_csv,
 )
-from qnetid.linalg import DEFAULT_RTOL, hermitize, load_matrix, save_matrix, spectral_norm
+from qnetid.linalg import (DEFAULT_RTOL, hermitize, load_matrix, matrix_to_json, save_json,
+                           save_matrix, spectral_norm)
 from qnetid.partialinfo import (
     output_stacks,
     physical_initial_batch,
@@ -587,6 +588,39 @@ class TestJsonInputs:
         assert run(*argv, bad) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {bad}: Exceeds the limit")
+
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity"])
+    @pytest.mark.parametrize("verb, flag", [
+        ("simulate", "--hamiltonian"), ("simulate", "--rho0"), ("identify", "--h0"),
+        ("identify", "--truth"), ("observability", "--hamiltonian"),
+        ("observability", "--report"), ("partial-identify", "--hamiltonian"),
+    ])
+    def test_non_finite_matrix_entry_names_the_file(self, tmp_path, capsys, verb, flag, entry):
+        # Python's json parses NaN and Infinity: simulate wrote a trajectory of
+        # NaN rows and exited 0, the solvers exited 3 with "SVD did not converge"
+        good, traj = tmp_path / "h.json", tmp_path / "t.csv"
+        save_matrix(good, SX)
+        write_trajectory_csv(sample_trajectory(SX, np.diag([1.0, 0.0]), 1.0, 0.1), traj)
+        matrix = matrix_to_json(np.diag([1.0, 0.0]) if flag == "--rho0" else SX)
+        matrix["re"][0][0] = float(entry)
+        bad = tmp_path / "bad.json"
+        save_json(bad, {"m_hat": matrix} if flag == "--report" else matrix)
+        assert entry in bad.read_text()
+        argv = {
+            "simulate": ("--tau", 1.0, "--dt", 0.1, "--out", tmp_path / "out.csv")
+            + (("--hamiltonian", good) if flag == "--rho0" else ()),
+            "identify": ("--trajectory", traj, "--out", tmp_path / "r.json"),
+            "observability": (),
+            "partial-identify": ("--out", tmp_path / "s.json", "--save-outputs", tmp_path / "b"),
+        }[verb]
+        inputs = set(tmp_path.iterdir())
+        capsys.readouterr()
+        assert run(verb, *argv, flag, bad) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"configuration error: {bad}: matrix entries must be "
+                                       "finite")
+        assert captured.out == ""
+        assert set(tmp_path.iterdir()) == inputs
 
     @pytest.mark.parametrize("flag", ["--report", "--hamiltonian", "--truth", "--h0",
                                       "--rho0"])

@@ -139,6 +139,36 @@ class TestBuildQ:
         with pytest.raises(ValueError, match="not skew-Hermitian"):
             build_Q(E1, rho_tau)
 
+    def test_rejects_non_finite_states(self):
+        # NaN > tol is False, so a NaN state passed the skew check and gave a NaN Q
+        rho_tau = np.array([[np.nan, 0.0], [0.0, 0.5]], dtype=complex)
+        for args in ((E1, rho_tau), (np.stack([E1, rho_tau]), np.stack([E1, E1]))):
+            with pytest.raises(ValueError, match="not skew-Hermitian.*not finite"):
+                build_Q(*args)
+
+    @pytest.mark.parametrize("d", [2, 3, 7, 12, 20, 30])
+    def test_bits_of_the_explicit_skew_part(self, d):
+        # Q = -i hermitize(i q) is the skew part (q - q^H)/2 bit for bit, signed
+        # zeros included, as are its halved coordinates: on seed-0 sweep draws
+        # (10 trials, 4 divisors), with and without a known H0
+        def skew_part(rho0, rho_tau, known_h0=None, p=None):
+            q = 1j * (rho_tau - rho0)
+            if known_h0 is not None:
+                q = q - commutator(known_h0, p)
+            return 0.5 * (q - q.conj().swapaxes(-1, -2))
+
+        cfg, tau = SweepConfig(), 3.0
+        nets = [benchmark_network(d, derive_seed(0, d, tau, trial), cfg) for trial in range(10)]
+        adjacency, rho0 = map(np.stack, zip(*nets))
+        rho_tau, p = trapezoid_grams(adjacency.astype(complex), rho0, tau, cfg.dt, (20, 10, 5, 1))
+        h0 = np.diag(np.linspace(-1.0, 1.0, d)).astype(complex)
+        rho0, rho_tau = rho0[:, None], rho_tau[:, None]
+        for q, ref in ((build_Q(rho0, rho_tau), skew_part(rho0, rho_tau)),
+                       (build_Q(rho0, rho_tau, known_h0=h0, p=p),
+                        skew_part(rho0, rho_tau, h0, p))):
+            assert np.array_equal(bits(q), bits(ref))
+            assert np.array_equal(bits(_halve(q)), bits(_halve(ref)))
+
 
 class TestAdmissibleEmbedding:
     """The parametrization: ``_to_matrix`` writes the matrix of the

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import qnetid
+from qnetid.dynamics import propagate, propagator, sample_times
+from qnetid.identify import build_Q
 from qnetid.linalg import (
     ABS_FLOOR,
     EPS,
@@ -20,6 +22,8 @@ from qnetid.linalg import (
     spectral_norm,
     vec,
 )
+from qnetid.partialinfo import reconstruct_hamiltonian, sampling_period
+from qnetid.sweep import SweepConfig
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -142,6 +146,43 @@ class TestCheckPositive:
     def test_accepts_positive_finite(self, value):
         check_positive("x", value)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 10**400, -10**400],
+                             ids=["nan", "inf", "-inf", "1e400", "-1e400"])
+    @pytest.mark.parametrize("call, named", [
+        (lambda v: check_positive("x", v), "x must be positive and finite, got "),
+        (lambda v: sample_times(v, 0.01), "tau must be positive and finite"),
+        (lambda v: sample_times(1.0, v), "dt must be positive and finite"),
+        (lambda v: numerical_rank([1.0], v), "rtol must be positive and finite"),
+        (lambda v: propagator(SX, 1.0, v), "hbar must be positive and finite"),
+        (lambda v: propagator(SX, v), "t must be finite"),
+        (lambda v: propagate(SX, np.diag([1.0, 0.0]), v), "t must be nonnegative and finite"),
+        (lambda v: sampling_period(SX, v), "hbar must be positive and finite"),
+        (lambda v: build_Q(np.eye(2) / 2, np.eye(2) / 2, hbar=v), "hbar must be positive"),
+        (lambda v: reconstruct_hamiltonian(np.zeros((5, 2, 4)), np.eye(4), v),
+         "period must be positive and finite"),
+        (lambda v: SweepConfig(hbar=v).validated(), "\n  hbar must be positive and finite"),
+        (lambda v: SweepConfig(taus=(v,)).validated(), "\n  tau must be positive and finite"),
+        (lambda v: SweepConfig(dt=v).validated(), "\n  dt must be positive and finite"),
+        (lambda v: SweepConfig(rtol=v).validated(), "\n  rtol must be positive and finite"),
+    ], ids=["check_positive", "tau", "dt", "rtol", "propagator-hbar", "propagator-t",
+            "propagate-t", "sampling_period-hbar", "build_Q-hbar", "period", "sweep-hbar",
+            "sweep-tau", "sweep-dt", "sweep-rtol"])
+    def test_extreme_values_are_config_errors(self, call, named, value):
+        # an integer beyond the float range raised OverflowError from
+        # math.isfinite (TypeError from np.isfinite in propagate), and
+        # propagator returned a NaN matrix at t = NaN or inf
+        with pytest.raises(ConfigError) as info:
+            call(value)
+        assert named in str(info.value)
+
+    @pytest.mark.parametrize("value", [10**400, -10**400, 10**5000], ids=["1e400", "-1e400",
+                                                                          "1e5000"])
+    def test_integer_beyond_float_range_named_by_its_kind(self, value):
+        # not by its digits, which str refuses beyond 4300 of them
+        with pytest.raises(ConfigError, match=r"^x must be positive and finite, got an integer "
+                                              r"beyond the float range$"):
+            check_positive("x", value)
+
 
 class TestSpectralNorm:
     def test_diagonal(self):
@@ -187,6 +228,17 @@ class TestHermitize:
         with pytest.raises(ValueError, match="square"):
             hermitize(np.zeros((2, 3, 2)))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)],
+                             ids=["nan", "inf", "-inf", "imag-nan"])
+    def test_rejects_non_finite(self, entry):
+        # NaN > tol is False, so a NaN matrix passed as Hermitian; inf gave
+        # inf - inf.  Alone and in a stack, before any arithmetic warns
+        m = SX.copy()
+        m[0, 1] = entry
+        for x in (m, np.stack([SX, m]), np.stack([[m, SX]] * 2)):
+            with pytest.raises(ValueError, match=r"^matrix is not finite"):
+                hermitize(x)
+
 
 class TestMatrixJson:
     def test_roundtrip_exact(self, tmp_path):
@@ -208,6 +260,21 @@ class TestMatrixJson:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             matrix_from_json({"rows": 2, "cols": 2, "re": [[1.0, 2.0]], "im": [[0.0, 0.0]]})
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_non_finite_entries_rejected(self, tmp_path, text, part):
+        # Python's json parses NaN and +-Infinity: simulate wrote a NaN
+        # trajectory from such a Hamiltonian, the solvers hit "SVD did not converge"
+        obj = matrix_to_json(SX)
+        obj[part][1][0] = float(text)
+        path = tmp_path / "m.json"
+        save_json(path, obj)
+        assert text in path.read_text()
+        with pytest.raises(ValueError, match="^matrix entries must be finite"):
+            matrix_from_json(obj)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: matrix entries must be finite")):
+            load_matrix(path)
 
     def test_missing_keys_rejected(self):
         with pytest.raises(ValueError, match="malformed"):

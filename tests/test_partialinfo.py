@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -266,6 +268,20 @@ class TestReconstructLiouvillian:
         with pytest.raises(UnobservableError, match="rank 3"):
             identify(SX, np.eye(4, dtype=complex))
 
+    def test_solve_is_one_gelsd_call(self, lstsq_calls):
+        # O A = O' goes through LAPACK's gelsd, whose singular values are O's
+        # and give the rank, in place of an SVD with both factors
+        rng = np.random.default_rng(16)
+        h = hermitian_with_diagonal(rng, 3)
+        u, period = sampled(h)
+        lam0 = physical_initial_batch(3)[0]
+        ys = output_stacks(u, lam0, 9)
+        assert spectral_norm(reconstruct_hamiltonian(ys, lam0, period) - traceless(h)) <= 1e-9
+        [call] = lstsq_calls
+        s = np.linalg.svd((ys[:9] @ np.linalg.inv(lam0)).reshape(-1, 9), compute_uv=False)
+        assert call["rcond"] == DEFAULT_RTOL and call["rank"] == 9
+        assert np.max(np.abs(call["s"] - s)) <= 1e-14 * s[0]
+
     def test_incomplete_stacks_rejected(self):
         u, period = sampled(H_OBS)
         ys = output_stacks(u, np.eye(4, dtype=complex), 2)
@@ -476,6 +492,14 @@ class TestRoundTripInvariant:
         assert seen_observable > 0
 
 
+def edit_json(change):
+    """A manifest edit that changes the parsed object."""
+    return lambda text: json.dumps(change(json.loads(text)))
+
+
+FILE_MAP = "'outputs' must be an object keyed by run numbers, 'labels' an object"
+
+
 class TestOutputBatchFiles:
     def test_write_read_roundtrip(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -519,9 +543,15 @@ class TestOutputBatchFiles:
         (lambda text: text.replace('"outputs"', '"output"'), "KeyError('outputs')"),
         (lambda text: text.replace('"rows"', '"r"'), "malformed matrix object"),
         (lambda text: "[]", "TypeError("),
-    ], ids=["unparsable", "no-lambda0", "no-outputs", "bad-lambda0", "not-an-object"])
+        (edit_json(lambda obj: dict(obj, labels=list(obj["labels"].values()))), FILE_MAP),
+        (edit_json(lambda obj: dict(obj, outputs=list(obj["outputs"].values()))), FILE_MAP),
+        (edit_json(lambda obj: dict(obj, outputs={"x": obj["outputs"]["1"]})), FILE_MAP),
+    ], ids=["unparsable", "no-lambda0", "no-outputs", "bad-lambda0", "not-an-object",
+            "labels-list", "outputs-list", "outputs-key"])
     def test_bad_manifest_names_it(self, tmp_path, edit, named):
-        # these raised a bare JSONDecodeError or KeyError: 'lambda0'
+        # these raised a bare JSONDecodeError or KeyError: 'lambda0'; a labels
+        # list raised AttributeError, and an outputs list or key "x" a bare
+        # ValueError: invalid literal for int()
         manifest = write_output_batch(tmp_path / "b", [("node_1", np.array([0.0, 0.5]),
                                                         np.eye(2))], np.eye(4, dtype=complex))
         manifest.write_text(edit(manifest.read_text()))

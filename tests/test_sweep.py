@@ -546,8 +546,9 @@ class TestTrialThreads:
     def test_threaded_rows_match_serial(self, tmp_path, monkeypatch):
         # records, trials and CSV bytes do not depend on the thread count;
         # the stacked rows d = 12..15 are cut into blocks of at most
-        # SOLVE_BLOCK // (2 divisors x threads) = 20 or 10 of their 12
-        # trials, the d = 16 row runs one trial per block
+        # SOLVE_BLOCK // (2 divisors x threads) = 20 or 10 and at most
+        # ceil(12 / threads) = 12 or 6 of their 12 trials, the d = 16 row
+        # runs one trial per block
         cfg = SweepConfig(seed=0, d_min=12, d_max=16, taus=(3.0,), subsamples=(5, 1),
                           trials=12)
         run_block, blocks = qnetid.sweep.run_benchmark_trials, []
@@ -563,7 +564,7 @@ class TestTrialThreads:
             blocks.clear()
             out = tmp_path / f"{threads}.csv"
             runs[threads] = run_sweep(cfg, out_csv=out), out.read_bytes()
-            sizes = {1: [12], 2: [10, 2]}[threads]
+            sizes = {1: [12], 2: [6, 6]}[threads]
             assert sorted((d, n) for d, n, _ in blocks) == sorted(
                 [(d, n) for d in range(12, 16) for n in sizes] + [(16, 1)] * 12)
             on_main = {ident == threading.main_thread().ident for _, _, ident in blocks}
@@ -572,6 +573,28 @@ class TestTrialThreads:
         assert threaded.records == serial.records
         assert threaded.trials == serial.trials
         assert threaded_csv == serial_csv
+
+    def test_small_row_split_over_the_threads(self, monkeypatch):
+        # a row that fits in one block (10 trials at one divisor, d = 12) ran
+        # on the calling thread alone; it is cut into one 5-trial block per
+        # thread, with the records of a serial run
+        cfg = SweepConfig(seed=0, d_min=12, d_max=12, taus=(3.0,), subsamples=(5,), trials=10)
+        run_block, blocks = qnetid.sweep.run_benchmark_trials, []
+
+        def recording(d, tau, subsamples, seeds, cfg):
+            blocks.append((len(seeds), threading.get_ident()))
+            return run_block(d, tau, subsamples, seeds, cfg)
+
+        monkeypatch.setattr(qnetid.sweep, "run_benchmark_trials", recording)
+        results = {}
+        for threads in (1, 2):
+            monkeypatch.setattr(qnetid.sweep, "_trial_threads", lambda *args, n=threads: n)
+            blocks.clear()
+            results[threads] = run_sweep(cfg)
+            assert [n for n, _ in blocks] == {1: [10], 2: [5, 5]}[threads]
+        assert threading.main_thread().ident not in {ident for _, ident in blocks}
+        assert results[2].records == results[1].records
+        assert results[2].trials == results[1].trials
 
     @pytest.mark.parametrize("d, threads", [pytest.param(12, 1, id="stacked"),
                                             pytest.param(16, 1, id="1"),
