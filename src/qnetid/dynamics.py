@@ -34,6 +34,8 @@ TRACE_TOL = 1e-10
 SAMPLE_BLOCK = 16
 #: relative spread of the sampling steps tolerated in a trajectory
 GRID_RTOL = 1e-9
+#: times per block of ``grid_intervals``'s check of a grid it does not hold
+GRID_BLOCK = 2**16
 
 
 def check_density(rho: np.ndarray, name: str = "rho") -> np.ndarray:
@@ -51,33 +53,43 @@ def check_density(rho: np.ndarray, name: str = "rho") -> np.ndarray:
     return rho
 
 
-def _check_grid(times: np.ndarray) -> None:
-    """Raise ValueError unless ``times`` is a uniform sampling grid.
-
-    That is at least two times, strictly increasing, every step within
-    ``GRID_RTOL`` relative of the mean step.
-    """
-    if len(times) < 2:
-        raise ValueError("a trajectory needs at least two samples")
-    steps = np.diff(times)
-    if not np.all(steps > 0):
+def _check_steps(low, high, span, count: int) -> None:
+    """Raise ValueError unless ``count`` steps from ``low`` to ``high``, in
+    all ``span``, are those of a uniform sampling grid: strictly increasing
+    times, every step within ``GRID_RTOL`` relative of the mean step.  The
+    extremes decide: rounding is monotone, so no step deviates from the
+    mean by more (as rounded) than the smallest or the largest does."""
+    if not low > 0:
         raise ValueError("trajectory times are not strictly increasing")
-    step = (times[-1] - times[0]) / len(steps)
-    if np.max(np.abs(steps - step)) > GRID_RTOL * step:
+    step = span / count
+    if np.max(np.abs(np.array([low, high]) - step)) > GRID_RTOL * step:
         raise ValueError(
             f"trajectory times are not uniform to {GRID_RTOL:g} relative "
-            f"(steps {steps.min():.17g} to {steps.max():.17g})"
+            f"(steps {low:.17g} to {high:.17g})"
         )
 
 
-def sample_times(tau: float, dt: float) -> np.ndarray:
-    """The sampling grid t_k = k*dt, k = 0..n, with t_n = tau exactly.
+def _check_grid(times: np.ndarray) -> None:
+    """Raise ValueError unless ``times``, at least two, are a uniform
+    sampling grid (``_check_steps``)."""
+    if len(times) < 2:
+        raise ValueError("a trajectory needs at least two samples")
+    steps = np.diff(times)
+    _check_steps(steps.min(), steps.max(), times[-1] - times[0], len(steps))
+
+
+def grid_intervals(tau: float, dt: float) -> int:
+    """The number n of steps of the sampling grid t_k = k*dt, k = 0..n,
+    with t_n = tau exactly (``sample_times``).
 
     This is the one rule for which (tau, dt) pairs are accepted: both are
     positive and finite, and n, tau/dt rounded, is positive with |tau - n*dt|
     at most ``GRID_RTOL * dt`` (the last step's deviation from dt).  The grid
     is then checked as ``Trajectory`` checks it, so every accepted pair
-    yields a valid trajectory.  Raises ConfigError otherwise.
+    yields a valid trajectory.  The check takes the grid's times a block of
+    ``GRID_BLOCK`` at a time, each computed as in the whole grid, so it
+    holds O(``GRID_BLOCK``) memory and still reads the extreme steps of the
+    whole grid.  Raises ConfigError otherwise.
     """
     check_positive("tau", tau)
     check_positive("dt", dt)
@@ -85,12 +97,25 @@ def sample_times(tau: float, dt: float) -> np.ndarray:
     n = round(ratio) if np.isfinite(ratio) else 0
     if n < 1 or abs(tau - n * dt) > GRID_RTOL * dt:
         raise ConfigError(f"tau/dt = {float(tau)!r}/{float(dt)!r} is not a positive integer")
-    times = np.arange(n + 1) * dt
-    times[-1] = tau  # kill accumulated grid round-off at the endpoint
+    low, high = np.inf, -np.inf
+    for start in range(0, n, GRID_BLOCK):
+        times = np.arange(start, min(start + GRID_BLOCK, n) + 1) * dt
+        if start + GRID_BLOCK >= n:
+            times[-1] = tau  # kill accumulated grid round-off at the endpoint
+        steps = np.diff(times)
+        low, high = min(low, steps.min()), max(high, steps.max())
     try:
-        _check_grid(times)
+        _check_steps(low, high, times[-1], n)  # t_0 = 0 * dt = 0
     except ValueError as exc:
         raise ConfigError(f"tau/dt = {float(tau)!r}/{float(dt)!r}: {exc}") from None
+    return n
+
+
+def sample_times(tau: float, dt: float) -> np.ndarray:
+    """The sampling grid t_k = k*dt, k = 0..n, with t_n = tau exactly, of
+    every (tau, dt) pair that ``grid_intervals`` accepts."""
+    times = np.arange(grid_intervals(tau, dt) + 1) * dt
+    times[-1] = tau
     return times
 
 
@@ -189,7 +214,7 @@ def sample_trajectory(
 ) -> Trajectory:
     """Sample rho_t on the uniform grid t_k = k*dt, k = 0..tau/dt.
 
-    tau/dt must be an integer by the rule of ``sample_times``; a single
+    tau/dt must be an integer by the rule of ``grid_intervals``; a single
     eigendecomposition of H is reused for every sample.  The samples are
     propagated in blocks of ``SAMPLE_BLOCK`` as batched matmuls; every
     entry goes through the same floating-point operations as a per-sample
@@ -271,7 +296,7 @@ def trapezoid_grams(
     own.  Raises ValueError as ``sample_trajectory`` and
     ``build_P_trapezoid`` would.
     """
-    n = len(sample_times(tau, dt)) - 1
+    n = grid_intervals(tau, dt)
     for subsample in subsamples:
         check_subsample(n, subsample)
     _, w, v, rho_eig = _eigenbasis(h, rho0, hbar)

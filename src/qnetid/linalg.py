@@ -127,11 +127,14 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = obj["rows"], obj["cols"]
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
+    if not (is_integer(rows) and is_integer(cols)):
+        raise ValueError(f"malformed matrix object: rows and cols must be integers, "
+                         f"got {rows!r} and {cols!r}")
     if re.shape != (rows, cols) or im.shape != (rows, cols):
         raise ValueError(
             f"matrix payload shape {re.shape}/{im.shape} does not match "

@@ -12,11 +12,11 @@ equal to what sampling the trajectory and summing it would give.
 
 A row runs as blocks of trials, each one stacked computation: one
 batched eigh, one stacked realified system, one gelsd call per system,
-one stacked norm.  From d = 9 on the blocks run on threads if BLAS leaves
-cores free (``OPENBLAS_NUM_THREADS=1`` on 2 cores), below d = 16 with at
-most ``SOLVE_BLOCK`` systems (trials x divisors) in flight over all
-threads; from d = 16 on a block is one trial.  The outputs are the bytes
-of solving each system on its own.  The result keeps every trial's label
+one stacked norm.  One memory rule sizes the blocks: those in flight
+hold at most ``SOLVE_BYTES`` of realified systems (trials x divisors) over
+all threads, and each at least one trial.  From d = 9 on the blocks run
+on threads if BLAS leaves cores free (``OPENBLAS_NUM_THREADS=1`` on 2
+cores).  The outputs are the bytes of solving each system on its own.  The result keeps every trial's label
 and error next to its cell record; the CSV's columns are
 ``CellRecord``'s fields, its JSON preamble ``asdict`` of the config.
 """
@@ -36,13 +36,11 @@ import numpy as np
 from .identify import build_Q, relative_error, solve_stack
 from .linalg import DEFAULT_RTOL, ConfigError, check_positive
 from .netmodel import basis_density, connected_erdos_renyi, derive_seed
-from .dynamics import check_subsample, sample_times, trapezoid_grams
+from .dynamics import check_subsample, grid_intervals, trapezoid_grams
 
-#: systems (trials x divisors) in flight in a row below UNSTACKED_D, over its
-#: threads: at d = 12, 40 ran as fast as a 400-system row in a tenth its memory
-SOLVE_BLOCK = 40
-#: rows from this size on run one trial per block (stacking gained nothing at d = 28..30)
-UNSTACKED_D = 16
+#: bytes of realified systems (8 d^2 n each, n parameters) a row holds in flight over
+#: its threads: the 3 MB of 40 real-class systems at d = 12 (at d = 30 one fits)
+SOLVE_BYTES = 3 * 2**20
 #: rows from this size on run on threads if BLAS leaves cores free (``_trial_threads``)
 THREADED_D = 9
 
@@ -134,10 +132,10 @@ class SweepConfig:
             errors.append(f"p_link must be in (0, 1], got {self.p_link}: "
                           "sweeps draw connected graphs, and none is connected at 0")
         # without a grid, n_s = 0 leaves only each divisor's sign to check
-        for times in ((note(sample_times, tau, self.dt) for tau in self.taus)
-                      if ok["taus"] and ok["dt"] else [None]):
+        for n_s in ((note(grid_intervals, tau, self.dt) for tau in self.taus)
+                    if ok["taus"] and ok["dt"] else [None]):
             for sub in self.subsamples if ok["subsamples"] else ():
-                note(check_subsample, 0 if times is None else len(times) - 1, sub)
+                note(check_subsample, n_s or 0, sub)
         # 1 and 1.0 are one tau: both would label their cells (d, 1, n~)
         for key, name in (("taus", "tau"), ("subsamples", "subsample divisor")):
             values = getattr(self, key) if ok[key] else ()
@@ -298,18 +296,19 @@ def _run_row(cfg: SweepConfig, d: int, tau: float) -> tuple[list[CellRecord], li
     The trial seeds are independent of n~, so each trial's network is
     drawn and decomposed once and identified at every divisor.  The
     blocks run on ``_trial_threads`` threads, each of at most
-    ``SOLVE_BLOCK`` systems over all threads and ceil(trials / threads)
-    trials, so that every thread gets a block (one trial at least; one trial
-    from ``UNSTACKED_D`` on), and are collected in seed order, so the first
-    failure in seed order is raised; the pending blocks are cancelled.
+    ``SOLVE_BYTES`` of realified systems over all threads (one trial at
+    least) and ceil(trials / threads) trials, so that every thread gets a
+    block, and are collected in seed order, so the first failure in seed
+    order is raised; the pending blocks are cancelled.
     """
     subsamples = sorted(cfg.subsamples, reverse=True)
-    n_s = len(sample_times(tau, cfg.dt)) - 1
+    n_s = grid_intervals(tau, cfg.dt)
     seeds = [derive_seed(cfg.seed, d, tau, trial) for trial in range(cfg.trials)]
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     threads = _trial_threads(d, cfg.trials, cores or 1, os.environ)
-    size = (min(max(1, SOLVE_BLOCK // (len(subsamples) * threads)), -(-cfg.trials // threads))
-            if d < UNSTACKED_D else 1)
+    system = 8 * d * d * d * (d - 1) // (2 if cfg.real_coupling else 1)  # bytes: d^2 x n
+    size = min(max(1, SOLVE_BYTES // (system * len(subsamples) * threads)),
+               -(-cfg.trials // threads))
     blocks = [seeds[start:start + size] for start in range(0, len(seeds), size)]
     run_block = partial(run_benchmark_trials, d, tau, subsamples, cfg=cfg)
     if min(threads, len(blocks)) == 1:

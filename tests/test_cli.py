@@ -634,3 +634,18 @@ class TestJsonInputs:
         assert run(*argv, bad) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {bad}: malformed matrix object")
+
+    @pytest.mark.parametrize("rows, cols", [(2.9, True), ("2", 1)], ids=["float-bool", "string"])
+    @pytest.mark.parametrize("flag", ["--report", "--hamiltonian", "--truth", "--h0",
+                                      "--rho0"])
+    def test_non_integer_matrix_size_names_the_file(self, tmp_path, capsys, flag, rows, cols):
+        # the sizes went through int(), so these loaded with a 2 x 1 payload
+        bad = tmp_path / "bad.json"
+        matrix = {"rows": rows, "cols": cols, "re": [[1.0], [2.0]], "im": [[0.0], [0.0]]}
+        bad.write_text(json.dumps({"m_hat": matrix} if flag == "--report" else matrix))
+        argv = self.argv_reading(flag, tmp_path)
+        capsys.readouterr()
+        assert run(*argv, bad) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {bad}: malformed matrix object: rows and "
+                              f"cols must be integers, got {rows!r} and {cols!r}")

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from qnetid.dynamics import (
     check_density,
     check_subsample,
     exact_gram,
+    grid_intervals,
     propagate,
     propagator,
     read_trajectory_csv,
@@ -318,6 +320,75 @@ class TestSampleTrajectory:
         assert np.array_equal(traj.states[0], rho0)
         for t, st in zip(traj.times, traj.states):
             assert np.max(np.abs(st - propagate(h, rho0, t))) <= 1e-14
+
+
+def whole_grid_rule(tau, dt):
+    """The grid rule as written before it took the grid in blocks: the
+    whole grid and all its steps at once.  Returns the grid, or the message
+    of its ConfigError."""
+    rtol, pair = qnetid.dynamics.GRID_RTOL, f"tau/dt = {float(tau)!r}/{float(dt)!r}"
+    ratio = float(tau) / float(dt)
+    n = round(ratio) if np.isfinite(ratio) else 0
+    if n < 1 or abs(tau - n * dt) > rtol * dt:
+        return f"{pair} is not a positive integer"
+    times = np.arange(n + 1) * dt
+    times[-1] = tau
+    steps = np.diff(times)
+    if not np.all(steps > 0):
+        return f"{pair}: trajectory times are not strictly increasing"
+    step = (times[-1] - times[0]) / len(steps)
+    if np.max(np.abs(steps - step)) > rtol * step:
+        return (f"{pair}: trajectory times are not uniform to {rtol:g} relative "
+                f"(steps {steps.min():.17g} to {steps.max():.17g})")
+    return times
+
+
+class TestGridIntervals:
+    @pytest.mark.parametrize("block", [3, 64, 2**16])
+    def test_same_grid_and_verdict_as_the_whole_grid(self, monkeypatch, block):
+        # on both sides of each grid's own uniformity boundary (its largest
+        # relative step deviation r as the tolerance, and just below it) and
+        # of the rule's tolerance on tau - n*dt, and with taus off n*dt within
+        # that tolerance, whose last step decides some verdicts; whatever the
+        # block
+        monkeypatch.setattr(qnetid.dynamics, "GRID_BLOCK", block)
+        kinds = set()
+        for dt in (0.01, 0.1, 0.3, 1 / 3, 0.7, 2.5):
+            for n in (1, 2, 3, 64, 65, 200, 1001):
+                grid = np.arange(n + 1) * dt
+                steps = np.diff(grid)
+                r = float(np.max(np.abs(steps - grid[-1] / n)) / (grid[-1] / n))
+                off = [(n * dt + f * rtol * dt, rtol)
+                       for rtol in (1e-15, 1e-14) for f in (-0.99, -0.5, 0.5, 0.99)]
+                for tau, rtol in [(n * dt, r), (n * dt, r * (1 - 1e-6)), (n * dt, 1e-9),
+                                  (n * dt + 2e-9 * dt, 1e-9), (n * dt - 5e-10 * dt, 1e-9)] + off:
+                    monkeypatch.setattr(qnetid.dynamics, "GRID_RTOL", rtol)
+                    expected = whole_grid_rule(tau, dt)
+                    try:
+                        got = sample_times(tau, dt)
+                    except ConfigError as exc:
+                        assert str(exc) == expected, (tau, dt, rtol)
+                        kinds.add("uniform" if "uniform" in expected else "integer")
+                    else:
+                        assert got.tobytes() == expected.tobytes(), (tau, dt, rtol)
+                        assert grid_intervals(tau, dt) == n
+                        kinds.add("accepted")
+        assert kinds == {"accepted", "integer", "uniform"}
+
+    def test_validation_holds_a_block_of_the_grid(self):
+        # the 2e7-sample grid of tau = 200000 at dt = 0.01 is rejected with
+        # the extreme steps of the whole grid, as the whole-grid check gave,
+        # in a few MB: that check peaked at 610 MiB under tracemalloc
+        tracemalloc.start()
+        try:
+            errors = SweepConfig(taus=(200000.0,), subsamples=(1,), rtol=0.0).validate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert errors == ["tau/dt = 200000.0/0.01: trajectory times are not uniform to 1e-09 "
+                          "relative (steps 0.0099999999802093953 to 0.010000000009313226)",
+                          "rtol must be positive and finite, got 0.0"]
+        assert peak < 16 * 2**20
 
 
 class TestExactGram:

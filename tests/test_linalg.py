@@ -280,6 +280,18 @@ class TestMatrixJson:
         with pytest.raises(ValueError, match="malformed"):
             matrix_from_json({"rows": 1})
 
+    @pytest.mark.parametrize("rows, cols", [(2.9, True), ("2", 1), (2.0, 1), (2, None)])
+    def test_sizes_are_integers(self, tmp_path, rows, cols):
+        # is_integer judges the sizes; int() took 2.9 as 2 and True as 1
+        obj = {"rows": rows, "cols": cols, "re": [[1.0], [2.0]], "im": [[0.0], [0.0]]}
+        with pytest.raises(ValueError, match="^malformed matrix object: rows and cols must be "
+                                             "integers"):
+            matrix_from_json(obj)
+        path = tmp_path / "m.json"
+        save_json(path, obj)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: malformed matrix object")):
+            load_matrix(path)
+
     def test_json_fields(self):
         obj = matrix_to_json(np.array([[1 + 2j]]))
         assert obj == {"rows": 1, "cols": 1, "re": [[1.0]], "im": [[2.0]]}

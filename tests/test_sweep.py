@@ -20,7 +20,7 @@ from qnetid.linalg import spectral_norm
 from qnetid.netmodel import derive_seed
 from qnetid.sweep import (
     CSV_HEADER,
-    SOLVE_BLOCK,
+    SOLVE_BYTES,
     CellRecord,
     ConfigError,
     SweepConfig,
@@ -231,17 +231,22 @@ class TestStackedRow:
     seeds not used while the stacked row was written."""
 
     @pytest.mark.parametrize("cfg", [
-        # real class, 13 trials: blocks of 10 and 3 trials at 4 divisors
+        # real class, 13 trials at 4 divisors: at d = 12 blocks of 10 and 3
+        # trials on one thread, of 5, 5 and 3 on two
         SweepConfig(seed=61, d_min=2, d_max=12, taus=(2.0,), subsamples=(20, 10, 5, 1),
                     trials=13),
-        # full class, 23 trials: blocks of 20 and 3 trials at 2 divisors
-        SweepConfig(seed=62, d_min=2, d_max=9, taus=(1.0,), subsamples=(10, 1), trials=23,
+        # full class, 23 trials at 2 divisors: at d = 10 blocks of 21 and 2
+        # trials on one thread, of 10, 10 and 3 on two
+        SweepConfig(seed=62, d_min=2, d_max=10, taus=(1.0,), subsamples=(10, 1), trials=23,
                     real_coupling=False),
         # criterion 1's class, where about a fifth of the draws is unsolvable;
-        # 50 trials: blocks of 40 and 10
+        # 50 trials under a budget of 40 systems at d = 5: blocks of 40 and 10
+        # trials at d = 5, of 18, 18 and 14 at d = 6
         SweepConfig(seed=63, d_min=5, d_max=6, taus=(3.0,), subsamples=(1,), trials=50),
     ], ids=["real", "full", "criterion1"])
-    def test_labels_and_eps_equal_one_system_route(self, cfg):
+    def test_labels_and_eps_equal_one_system_route(self, cfg, monkeypatch):
+        if cfg.subsamples == (1,):
+            monkeypatch.setattr(qnetid.sweep, "SOLVE_BYTES", 40 * 8 * 5 * 5 * 10)
         trials = run_sweep(cfg).trials
         width = len(cfg.subsamples) * cfg.trials
         for row in range(len(trials) // width):
@@ -255,58 +260,79 @@ class TestStackedRow:
             assert {t.solvability for t in trials} == {0, 1}
 
     def test_no_stack_exceeds_the_block(self, monkeypatch):
-        # 100 trials at 4 divisors: blocks of 10 trials, 40 systems, on one
-        # thread and of 5 trials, 20 systems, on two; no stacked argument or
-        # result holds more matrices (or realified systems) than a block, and
-        # the blocks running at once hold at most SOLVE_BLOCK systems
-        sizes, running, lock = [], [0, 0], threading.Lock()  # systems now, most at once
-        run_block = qnetid.sweep.run_benchmark_trials
+        # d = 12 rows at 4 divisors: a real-class system is 76 032 bytes, so
+        # blocks of 10 trials (40 systems, 2.9 MiB) on one thread and of 5 on
+        # two; a full-class system is twice that, so blocks of 5 and of 2.  No
+        # stacked argument or result holds more matrices (or realified
+        # systems) than a block, and the realified systems in flight over all
+        # threads hold at most SOLVE_BYTES
+        sizes_seen, lock = [], threading.Lock()
+        held, flight = threading.local(), [0, 0]  # bytes now, most at once
+        run_block, realify = qnetid.sweep.run_benchmark_trials, qnetid.identify._realified_system
 
         def counting(d, tau, subsamples, seeds, cfg):
-            with lock:
-                running[0] += len(seeds) * len(subsamples)
-                running[1] = max(running)
+            held.bytes = 0
             try:
                 return run_block(d, tau, subsamples, seeds, cfg)
             finally:
                 with lock:
-                    running[0] -= len(seeds) * len(subsamples)
+                    flight[0] -= held.bytes
+
+        def realified(p, real_coupling):
+            out = realify(p, real_coupling)
+            with lock:
+                held.bytes += out.nbytes
+                flight[0] += out.nbytes
+                flight[1] = max(flight)
+            return out
 
         def recording(fn):
             def wrapper(*args, **kwargs):
                 out = fn(*args, **kwargs)
                 for x in args + (out if isinstance(out, tuple) else (out,)):
                     if isinstance(x, np.ndarray) and x.ndim > 2:
-                        sizes.append(int(np.prod(x.shape[:-2])))
+                        sizes_seen.append(int(np.prod(x.shape[:-2])))
                 return out
             return wrapper
 
+        monkeypatch.setattr(qnetid.identify, "_realified_system", realified)
         for module, name in ((qnetid.sweep, "trapezoid_grams"), (qnetid.sweep, "build_Q"),
                              (qnetid.sweep, "solve_stack"), (qnetid.sweep, "relative_error"),
                              (qnetid.identify, "_realified_system")):
             monkeypatch.setattr(module, name, recording(getattr(module, name)))
         monkeypatch.setattr(qnetid.sweep, "run_benchmark_trials", counting)
-        for threads in (1, 2):
-            monkeypatch.setattr(qnetid.sweep, "_trial_threads", lambda *args, n=threads: n)
-            sizes.clear()
-            running[1] = 0
-            run_sweep(SweepConfig(seed=64, d_min=12, d_max=12, taus=(2.0,), trials=100))
-            assert max(sizes) == SOLVE_BLOCK // threads
-            assert running[0] == 0 and running[1] <= SOLVE_BLOCK
-        assert SOLVE_BLOCK == 40
+        for real_coupling, trials, sizes in ((True, 100, {1: 10, 2: 5}),
+                                             (False, 12, {1: 5, 2: 2})):
+            system = 144 * 66 * 8 * (1 if real_coupling else 2)
+            for threads in (1, 2):
+                monkeypatch.setattr(qnetid.sweep, "_trial_threads", lambda *args, n=threads: n)
+                sizes_seen.clear()
+                flight[1] = 0
+                run_sweep(SweepConfig(seed=64, d_min=12, d_max=12, taus=(2.0,), trials=trials,
+                                      real_coupling=real_coupling))
+                assert max(sizes_seen) == 4 * sizes[threads]
+                assert flight[0] == 0 and flight[1] <= SOLVE_BYTES
+                if threads == 1:
+                    assert flight[1] == 4 * sizes[1] * system
+        assert SOLVE_BYTES == 3 * 2**20
 
     def test_peak_memory_bounded_by_the_block(self):
-        # a row of 100 trials peaks where one block of 10 trials does
-        peaks = {}
-        for trials in (10, 100):
-            cfg = SweepConfig(seed=65, d_min=12, d_max=12, taus=(2.0,), trials=trials)
-            tracemalloc.start()
-            try:
-                run_sweep(cfg)
-                peaks[trials] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peaks[100] <= 1.2 * peaks[10]
+        # a d = 12 row of many trials peaks where one block does: 10 trials
+        # on one thread or 5 on each of two, in the real class at 4 divisors
+        # and in the full class at 2
+        for real_coupling, subsamples, trials in ((True, (20, 10, 5, 1), (10, 100)),
+                                                  (False, (5, 1), (10, 40))):
+            peaks = {}
+            for n in trials:
+                cfg = SweepConfig(seed=65, d_min=12, d_max=12, taus=(2.0,),
+                                  subsamples=subsamples, trials=n, real_coupling=real_coupling)
+                tracemalloc.start()
+                try:
+                    run_sweep(cfg)
+                    peaks[n] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert peaks[trials[1]] <= 1.2 * peaks[trials[0]], real_coupling
 
 
 class TestSweep:
@@ -545,10 +571,9 @@ class TestTrialThreads:
 
     def test_threaded_rows_match_serial(self, tmp_path, monkeypatch):
         # records, trials and CSV bytes do not depend on the thread count;
-        # the stacked rows d = 12..15 are cut into blocks of at most
-        # SOLVE_BLOCK // (2 divisors x threads) = 20 or 10 and at most
-        # ceil(12 / threads) = 12 or 6 of their 12 trials, the d = 16 row
-        # runs one trial per block
+        # the rows are cut into blocks of at most SOLVE_BYTES // (2 divisors
+        # x threads x 8 d^2 n bytes) and at most ceil(12 / threads) of their
+        # 12 trials, so that larger rows run more, smaller blocks
         cfg = SweepConfig(seed=0, d_min=12, d_max=16, taus=(3.0,), subsamples=(5, 1),
                           trials=12)
         run_block, blocks = qnetid.sweep.run_benchmark_trials, []
@@ -564,9 +589,11 @@ class TestTrialThreads:
             blocks.clear()
             out = tmp_path / f"{threads}.csv"
             runs[threads] = run_sweep(cfg, out_csv=out), out.read_bytes()
-            sizes = {1: [12], 2: [6, 6]}[threads]
+            sizes = {1: {12: [12], 13: [12], 14: [11, 1], 15: [8, 4], 16: [6, 6]},
+                     2: {12: [6, 6], 13: [6, 6], 14: [5, 5, 2], 15: [4, 4, 4],
+                         16: [3, 3, 3, 3]}}[threads]
             assert sorted((d, n) for d, n, _ in blocks) == sorted(
-                [(d, n) for d in range(12, 16) for n in sizes] + [(16, 1)] * 12)
+                (d, n) for d, row in sizes.items() for n in row)
             on_main = {ident == threading.main_thread().ident for _, _, ident in blocks}
             assert on_main == {threads == 1}
         (serial, serial_csv), (threaded, threaded_csv) = runs[1], runs[2]
@@ -596,14 +623,41 @@ class TestTrialThreads:
         assert results[2].records == results[1].records
         assert results[2].trials == results[1].trials
 
-    @pytest.mark.parametrize("d, threads", [pytest.param(12, 1, id="stacked"),
-                                            pytest.param(16, 1, id="1"),
-                                            pytest.param(16, 2, id="2")])
-    def test_first_failure_in_seed_order_raised(self, monkeypatch, d, threads):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_bench_rows_keep_their_blocks(self, monkeypatch, threads):
+        # the err-grid rows (10 trials at 4 divisors: tau = 1 at d = 2..8,
+        # tau = 2 at d = 2..12) and the transition rows (5 trials at one
+        # divisor, d = 28..30) of the benchmark are cut as the count rule
+        # before the byte budget cut them: 40 systems below d = 16 over all
+        # threads, one trial per block from d = 16 on
+        blocks = []
+
+        def recording(d, tau, subsamples, seeds, cfg):
+            blocks.append((d, tau, len(seeds)))
+            return [[(0, None)] * len(subsamples) for _ in seeds]
+
+        monkeypatch.setattr(qnetid.sweep, "run_benchmark_trials", recording)
+        monkeypatch.setattr(qnetid.sweep, "_trial_threads", lambda *args: threads)
+        for tau, d_max, subsamples, trials, d_min in ((1.0, 8, (20, 10, 5, 1), 10, 2),
+                                                      (2.0, 12, (20, 10, 5, 1), 10, 2),
+                                                      (3.0, 30, (5,), 5, 28)):
+            run_sweep(SweepConfig(d_min=d_min, d_max=d_max, taus=(tau,), subsamples=subsamples,
+                                  trials=trials))
+        err_grid = {1: [10], 2: [5, 5]}[threads]
+        assert sorted(blocks) == sorted(
+            [(d, 1.0, n) for d in range(2, 9) for n in err_grid]
+            + [(d, 2.0, n) for d in range(2, 13) for n in err_grid]
+            + [(d, 3.0, 1) for d in range(28, 31) for _ in range(5)])
+
+    @pytest.mark.parametrize("d, threads, drawn", [pytest.param(12, 1, 41, id="stacked"),
+                                                   pytest.param(26, 1, 2, id="1"),
+                                                   pytest.param(16, 2, None, id="2")])
+    def test_first_failure_in_seed_order_raised(self, monkeypatch, d, threads, drawn):
         # the draws of trials 1 and 3 are no densities: trial 1's error is
         # raised, as in a serial run, whether the two share a stacked block
-        # (d = 12: blocks of 40 trials) or not; the blocks not yet started
-        # are cancelled, and no pool thread outlives the sweep
+        # (d = 12: blocks of 41 trials at one divisor) or not (d = 26: one
+        # 1.8 MB system a block); the blocks not yet started are cancelled,
+        # and no pool thread outlives the sweep
         cfg = SweepConfig(seed=0, d_min=d, d_max=d, subsamples=(5,), trials=48)
         seeds = [derive_seed(cfg.seed, d, 3.0, trial) for trial in range(cfg.trials)]
         calls = []
@@ -620,7 +674,7 @@ class TestTrialThreads:
         with pytest.raises(ValueError, match=r"^rho0 has trace 2\.0, expected 1$"):
             run_sweep(cfg)
         if threads == 1:
-            assert calls == seeds[:SOLVE_BLOCK if d < 16 else 2]
+            assert calls == seeds[:drawn]  # up to the end of trial 1's block
         else:
             assert len(calls) < cfg.trials
         assert set(threading.enumerate()) <= running
