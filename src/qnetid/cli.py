@@ -2,9 +2,10 @@
 
 Verbs: simulate, identify, sweep solvability|error, observability,
 partial-identify, decompose, plot.  Exit codes: 0 on success, 2 for a
-``ConfigError`` (the library checks the flag values) or a missing or malformed
-input file, 3 for numerical failures and invalid data (partial sweep CSVs
-are flushed row by row, so whatever completed survives).
+``ConfigError`` (the library checks the flag values, ``SweepConfig.validate``
+a sweep's, naming the field), a malformed input file or any path error
+(``OSError``), 3 for numerical failures and invalid data (partial sweep
+CSVs are flushed row by row, so whatever completed survives).
 """
 
 from __future__ import annotations
@@ -153,6 +154,8 @@ def _cmd_simulate(args) -> int:
     if args.hamiltonian is not None:
         h = _load_hermitian(args.hamiltonian)
     else:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         draw = connected_erdos_renyi if args.connected_only else erdos_renyi
         h = draw(args.er_d, args.er_p, np.random.default_rng(args.seed)).astype(complex)
     d = h.shape[0]
@@ -309,7 +312,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:

@@ -34,7 +34,7 @@ from functools import partial
 import numpy as np
 
 from .identify import build_Q, relative_error, solve_stack
-from .linalg import DEFAULT_RTOL, ConfigError, check_positive
+from .linalg import DEFAULT_RTOL, ConfigError, check_positive, is_finite, is_integer
 from .netmodel import basis_density, connected_erdos_renyi, derive_seed
 from .dynamics import check_subsample, grid_intervals, trapezoid_grams
 
@@ -63,17 +63,6 @@ def _kind(default) -> str:
     return {bool: "true or false", int: "an integer", float: "a number"}[type(default)]
 
 
-def _as_float(key, value, default):
-    """A value that fits a float field, or each element of a tuple of floats,
-    as a float; any other value as it is."""
-    if isinstance(default, tuple) and _fits(value, default):
-        return [_as_float(key, v, default[0]) for v in value]
-    try:
-        return float(value) if isinstance(default, float) and _fits(value, default) else value
-    except OverflowError:
-        raise ConfigError(f"{key} = {str(value)[:60]}... is too large for a float") from None
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """Sweep parameters, the one declaration of a sweep: ``qnetid sweep``
@@ -93,14 +82,20 @@ class SweepConfig:
     real_coupling: bool = True
 
     def __post_init__(self):
-        # derive_seed hashes repr(tau): numpy scalars and arrays become the Python
-        # numbers and tuples its repr and the JSON preamble show; a Python int stays
-        def plain(value):
-            return value.tolist() if isinstance(value, (np.generic, np.ndarray)) else value
+        # the one normalisation of every route (library, JSON, flags), as derive_seed
+        # hashes repr(tau): numpy scalars and arrays become Python numbers, lists
+        # tuples, and a finite integer in a float field or in taus a float; any
+        # other value stays for validate to name
+        def plain(value, default):
+            value = value.tolist() if isinstance(value, (np.generic, np.ndarray)) else value
+            as_float = isinstance(default, float) and is_integer(value) and is_finite(value)
+            return float(value) if as_float else value
 
         for f in fields(self):
-            value = plain(getattr(self, f.name))
-            value = tuple(map(plain, value)) if isinstance(value, (list, tuple)) else value
+            value = plain(getattr(self, f.name), f.default)
+            if isinstance(value, (list, tuple)):
+                element = f.default[0] if isinstance(f.default, tuple) else None
+                value = tuple(plain(v, element) for v in value)
             object.__setattr__(self, f.name, value)
 
     @property
@@ -165,7 +160,7 @@ class SweepConfig:
         unknown = set(obj) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**{key: _as_float(key, value, getattr(cls, key)) for key, value in obj.items()})
+        return cls(**obj)
 
     def override(self, **kwargs) -> "SweepConfig":
         return replace(self, **{k: v for k, v in kwargs.items() if v is not None})

@@ -392,6 +392,7 @@ class TestFlagAndInputChecks:
             "sweep": ("sweep", "solvability", "--d-max", 2, "--trials", 1,
                       "--out-dir", tmp_path / "out"),
             "decompose": ("decompose", "--out-dir", tmp_path / "dec"),
+            "plot": ("plot", "--kind", "error", "--out", tmp_path / "p.svg"),
         }[verb]
 
     @staticmethod
@@ -445,8 +446,10 @@ class TestFlagAndInputChecks:
         ("identify", ("--subsample", "3"), "subsample 3 does not divide n_s = 10"),
         ("observability", ("--hbar", "inf"), "hbar must be positive and finite, got inf"),
         ("partial-identify", ("--hbar", "inf"), "hbar must be positive and finite, got inf"),
-        ("sweep", ("--config", "hbar_overflow.json"), "hbar = 1000"),
-        ("sweep", ("--config", "tau_overflow.json"), "taus = 1000"),
+        ("sweep", ("--config", "hbar_overflow.json"),
+         "hbar must be positive and finite, got an integer beyond the float range"),
+        ("sweep", ("--config", "tau_overflow.json"),
+         "tau must be positive and finite, got an integer beyond the float range"),
         ("decompose", ("--dim", "4", "--k", "9", "--j", "1"), "indices (9, 1) out of range 1..4"),
         ("decompose", ("--dim", "0", "--k", "1", "--j", "1"), "dimension d must be at least 1"),
         ("identify", ("--truth", "h3.json"), "h3.json: expected d = 2 nodes, got a (3, 3) matrix"),
@@ -461,6 +464,24 @@ class TestFlagAndInputChecks:
         self.write_probe_inputs(tmp_path)
         monkeypatch.chdir(tmp_path)
         assert named in self.run_rejected(tmp_path, capsys, verb, *flags)
+
+    @pytest.mark.parametrize("verb, flags, named", [
+        ("sweep", ("--out-dir", "a_file"), "File exists: 'a_file'"),
+        ("simulate", ("--out", "a_dir"), "Is a directory: 'a_dir'"),
+        ("simulate", ("--hamiltonian", "a_dir"), "Is a directory: 'a_dir'"),
+        ("identify", ("--trajectory", "a_dir"), "Is a directory: 'a_dir'"),
+        ("plot", ("--csv", "a_dir"), "Is a directory: 'a_dir'"),
+        ("simulate-er", ("--seed", "-1"), "--seed must be a non-negative integer, got -1"),
+    ])
+    def test_path_error_exits_2(self, tmp_path, capsys, monkeypatch, verb, flags, named):
+        # a path of the wrong kind ended in a traceback (FileExistsError,
+        # IsADirectoryError), a negative seed in a numerical failure (exit 3)
+        (tmp_path / "a_dir").mkdir()
+        (tmp_path / "a_file").write_text("x\n")
+        monkeypatch.chdir(tmp_path)
+        assert named in self.run_rejected(tmp_path, capsys, verb, *flags)
+        assert not any((tmp_path / "a_dir").iterdir())
+        assert (tmp_path / "a_file").read_text() == "x\n"
 
     @pytest.mark.parametrize("verb", ["simulate", "observability", "partial-identify"])
     def test_one_node_hamiltonian_exits_2(self, tmp_path, capsys, verb):
@@ -486,8 +507,9 @@ class TestParser:
 
     def test_sweep_flags_equal_config_json(self, tmp_path, monkeypatch):
         # each SweepConfig field has a flag; setting them all gives, field by
-        # field and type by type, the config that from_json makes of the same
-        # values, so the two routes cannot drift apart as fields are added
+        # field and type by type, the config that from_json and the library
+        # make of the same values, so the three routes cannot drift apart as
+        # fields are added (an int tau drew other networks than its float)
         values = {"seed": 7, "d_min": 3, "d_max": 4, "p_link": 0.75, "taus": [1, 0.5],
                   "dt": 0.05, "subsamples": [5, 1], "trials": 2, "hbar": 2, "rtol": 1e-8,
                   "real_coupling": False}
@@ -510,11 +532,14 @@ class TestParser:
         assert run(*argv) == 0
         [cfg] = seen
         reference = SweepConfig.from_json(json.loads(json.dumps(values)))
-        for name in values:
-            got, want = getattr(cfg, name), getattr(reference, name)
-            assert got == want and type(got) is type(want), name
-            if isinstance(want, tuple):
-                assert list(map(type, got)) == list(map(type, want)), name
+        for route in (cfg, SweepConfig(**values)):
+            assert route == reference
+            for name in values:
+                got, want = getattr(route, name), getattr(reference, name)
+                assert got == want and type(got) is type(want), name
+                if isinstance(want, tuple):
+                    assert list(map(type, got)) == list(map(type, want)), name
+        assert reference.taus == (1.0, 0.5) and type(reference.hbar) is float
 
     def test_rtol_defaults_are_the_library_default(self):
         parser = cli._build_parser()
