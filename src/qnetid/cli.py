@@ -154,10 +154,8 @@ def _cmd_simulate(args) -> int:
     if args.hamiltonian is not None:
         h = _load_hermitian(args.hamiltonian)
     else:
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         draw = connected_erdos_renyi if args.connected_only else erdos_renyi
-        h = draw(args.er_d, args.er_p, np.random.default_rng(args.seed)).astype(complex)
+        h = draw(args.er_d, args.er_p, args.seed).astype(complex)
     d = h.shape[0]
     if args.rho0:
         rho0 = _load_hermitian(args.rho0, d=d)

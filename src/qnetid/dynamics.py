@@ -86,28 +86,36 @@ def grid_intervals(tau: float, dt: float) -> int:
     positive and finite, and n, tau/dt rounded, is positive with |tau - n*dt|
     at most ``GRID_RTOL * dt`` (the last step's deviation from dt).  The grid
     is then checked as ``Trajectory`` checks it, so every accepted pair
-    yields a valid trajectory.  The check takes the grid's times a block of
-    ``GRID_BLOCK`` at a time, each computed as in the whole grid, so it
-    holds O(``GRID_BLOCK``) memory and still reads the extreme steps of the
-    whole grid.  Raises ConfigError otherwise.
+    yields a valid trajectory.  When dt = m 2^e, m odd, with n m < 2^53,
+    every k*dt is exact, so every step is dt but the last, tau - (n-1)*dt,
+    and those two are checked.  Otherwise the check takes the grid's times
+    a block of ``GRID_BLOCK`` at a time, each computed as in the whole grid,
+    so it holds O(``GRID_BLOCK``) memory and still reads the extreme steps
+    of the whole grid.  Raises ConfigError otherwise.
     """
     check_positive("tau", tau)
     check_positive("dt", dt)
-    ratio = float(tau) / float(dt)  # Python floats overflow to inf without a warning
+    tau, dt = float(tau), float(dt)
+    ratio = tau / dt  # Python floats overflow to inf without a warning
     n = round(ratio) if np.isfinite(ratio) else 0
     if n < 1 or abs(tau - n * dt) > GRID_RTOL * dt:
-        raise ConfigError(f"tau/dt = {float(tau)!r}/{float(dt)!r} is not a positive integer")
-    low, high = np.inf, -np.inf
-    for start in range(0, n, GRID_BLOCK):
-        times = np.arange(start, min(start + GRID_BLOCK, n) + 1) * dt
-        if start + GRID_BLOCK >= n:
-            times[-1] = tau  # kill accumulated grid round-off at the endpoint
-        steps = np.diff(times)
-        low, high = min(low, steps.min()), max(high, steps.max())
+        raise ConfigError(f"tau/dt = {tau!r}/{dt!r} is not a positive integer")
+    numerator = dt.as_integer_ratio()[0]
+    if n * (numerator // (numerator & -numerator)) < 2**53:
+        last = tau - (n - 1) * dt
+        low, high = (min(dt, last), max(dt, last)) if n > 1 else (last, last)
+    else:
+        low, high = np.inf, -np.inf
+        for start in range(0, n, GRID_BLOCK):
+            times = np.arange(start, min(start + GRID_BLOCK, n) + 1) * dt
+            if start + GRID_BLOCK >= n:
+                times[-1] = tau  # kill accumulated grid round-off at the endpoint
+            steps = np.diff(times)
+            low, high = min(low, steps.min()), max(high, steps.max())
     try:
-        _check_steps(low, high, times[-1], n)  # t_0 = 0 * dt = 0
+        _check_steps(low, high, tau, n)  # t_0 = 0 * dt = 0
     except ValueError as exc:
-        raise ConfigError(f"tau/dt = {float(tau)!r}/{float(dt)!r}: {exc}") from None
+        raise ConfigError(f"tau/dt = {tau!r}/{dt!r}: {exc}") from None
     return n
 
 

@@ -269,11 +269,13 @@ def solve_stack(p: np.ndarray, q: np.ndarray, rtol: float = DEFAULT_RTOL,
     """
     d = p.shape[-1]
     a = _realified_system(p, real_coupling)
-    b = np.broadcast_to(_halve(q), a.shape[:-1])
-    theta, s = np.empty(a.shape[:-2] + a.shape[-1:]), np.empty(a.shape[:-2] + a.shape[-1:])
-    for k in np.ndindex(a.shape[:-2]):
+    systems = a.reshape((-1,) + a.shape[-2:])  # a view: (systems, rows, parameters)
+    rhs = np.broadcast_to(_halve(q), a.shape[:-1]).reshape(len(systems), -1)
+    theta, s = np.empty((len(systems), a.shape[-1])), np.empty((len(systems), a.shape[-1]))
+    for k in range(len(systems)):
         # gelsd cuts s_i <= rtol * s_0, the complement of numerical_rank's rule
-        theta[k], _, _, s[k] = np.linalg.lstsq(a[k], b[k], rcond=rtol)
+        theta[k], _, _, s[k] = np.linalg.lstsq(systems[k], rhs[k], rcond=rtol)
+    theta, s = theta.reshape(a.shape[:-2] + (-1,)), s.reshape(a.shape[:-2] + (-1,))
     rank = numerical_rank(s, rtol)
     theta[rank == 0] = 0.0  # gelsd would invert an s_0 below ABS_FLOOR
     return _to_matrix(theta, d, real_coupling), s, rank, numerical_rank(s, _label_rtol(d))

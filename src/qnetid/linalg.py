@@ -72,9 +72,15 @@ class ConfigError(ValueError):
 def check_positive(name: str, value: float) -> None:
     """Raise ConfigError unless value is a finite number (``is_finite``) above 0."""
     if not (is_finite(value) and value > 0):
-        big = is_integer(value) and not is_finite(value)
-        shown = "an integer beyond the float range" if big else repr(float(value))
-        raise ConfigError(f"{name} must be positive and finite, got {shown}")
+        raise ConfigError(f"{name} must be positive and finite, got {shown_number(value)}")
+
+
+def shown_number(value) -> str:
+    """A number as a message shows it: the repr of its float, or, for an
+    integer beyond the float range, those words instead of its digits."""
+    if is_integer(value) and not is_finite(value):
+        return "an integer beyond the float range"
+    return repr(float(value))
 
 
 def is_finite(value) -> bool:

@@ -12,7 +12,7 @@ import hashlib
 
 import numpy as np
 
-from .linalg import ConfigError, upper_pairs
+from .linalg import ConfigError, is_integer, upper_pairs
 
 #: resampling cap when conditioning on connected graphs
 MAX_CONNECTED_DRAWS = 100_000
@@ -31,18 +31,26 @@ def derive_seed(master_seed: int, *parts) -> int:
     return (int(master_seed) ^ int.from_bytes(digest[:8], "little")) & (2**64 - 1)
 
 
+def _generator(rng) -> np.random.Generator:
+    """``np.random.default_rng(rng)``: a Generator is returned as it is, a
+    seed seeds a new one.  A negative integer seed is a ConfigError."""
+    if is_integer(rng) and rng < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {rng}")
+    return np.random.default_rng(rng)
+
+
 def erdos_renyi(d: int, p_link: float, rng) -> np.ndarray:
     """Sample an Erdos-Renyi adjacency matrix on d nodes.
 
     Each of the C(d, 2) undirected links is included independently with
     probability p_link; weights are 1, the diagonal is zero.  ``rng``
-    may be a numpy Generator or a plain seed.
+    may be a numpy Generator or a plain seed (``_generator``).
     """
     if d < 2:
         raise ConfigError(f"d must be at least 2, got {d}")
     if not 0.0 <= p_link <= 1.0:
         raise ConfigError(f"p_link must be in [0, 1], got {p_link}")
-    gen = np.random.default_rng(rng)
+    gen = _generator(rng)
     i, j, _ = upper_pairs(d)
     a = np.zeros((d, d))
     a[i, j] = gen.random(i.size) < p_link
@@ -50,19 +58,19 @@ def erdos_renyi(d: int, p_link: float, rng) -> np.ndarray:
 
 
 def is_connected(adjacency: np.ndarray) -> bool:
-    """Breadth-first reachability of every node from node 0."""
-    a = np.asarray(adjacency)
-    d = a.shape[0]
-    seen = np.zeros(d, dtype=bool)
+    """Depth-first reachability of every node from node 0, on the rows of
+    ``adjacency != 0`` as Python lists: at a sweep's sizes a numpy call per
+    node costs several times the whole search."""
+    rows = (np.asarray(adjacency) != 0).tolist()
+    seen = [False] * len(rows)
     seen[0] = True
-    frontier = [0]
-    while frontier:
-        u = frontier.pop()
-        for v in np.nonzero(a[u])[0]:
-            if not seen[v]:
+    stack = [0]
+    while stack:
+        for v, linked in enumerate(rows[stack.pop()]):
+            if linked and not seen[v]:
                 seen[v] = True
-                frontier.append(int(v))
-    return bool(seen.all())
+                stack.append(v)
+    return all(seen)
 
 
 def connected_erdos_renyi(d: int, p_link: float, rng) -> np.ndarray:
@@ -72,7 +80,7 @@ def connected_erdos_renyi(d: int, p_link: float, rng) -> np.ndarray:
     """
     if p_link == 0:
         raise ConfigError("no graph is connected at p_link = 0")
-    gen = np.random.default_rng(rng)
+    gen = _generator(rng)
     for _ in range(MAX_CONNECTED_DRAWS):
         adjacency = erdos_renyi(d, p_link, gen)
         if is_connected(adjacency):

@@ -471,11 +471,12 @@ class TestFlagAndInputChecks:
         ("simulate", ("--hamiltonian", "a_dir"), "Is a directory: 'a_dir'"),
         ("identify", ("--trajectory", "a_dir"), "Is a directory: 'a_dir'"),
         ("plot", ("--csv", "a_dir"), "Is a directory: 'a_dir'"),
-        ("simulate-er", ("--seed", "-1"), "--seed must be a non-negative integer, got -1"),
+        ("simulate-er", ("--seed", "-1"), "seed must be a non-negative integer, got -1"),
     ])
     def test_path_error_exits_2(self, tmp_path, capsys, monkeypatch, verb, flags, named):
         # a path of the wrong kind ended in a traceback (FileExistsError,
-        # IsADirectoryError), a negative seed in a numerical failure (exit 3)
+        # IsADirectoryError), a negative seed in a numerical failure (exit 3);
+        # the seed is judged by netmodel, which names it
         (tmp_path / "a_dir").mkdir()
         (tmp_path / "a_file").write_text("x\n")
         monkeypatch.chdir(tmp_path)

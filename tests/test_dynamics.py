@@ -1,4 +1,5 @@
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -374,6 +375,42 @@ class TestGridIntervals:
                         assert grid_intervals(tau, dt) == n
                         kinds.add("accepted")
         assert kinds == {"accepted", "integer", "uniform"}
+
+    def test_exact_grids_same_verdict_as_the_whole_grid(self, monkeypatch):
+        # dt = m 2^e, m odd, n m < 2^53: every k*dt is exact, so only dt and
+        # the last step are checked, with the verdict and message of the
+        # whole grid; taus on both sides of the rule's tolerance on
+        # tau - n*dt.  Such a grid's last step deviates from tau/n by less
+        # than tau - n*dt, so it is never rejected as not uniform
+        rng = np.random.default_rng(29)
+        kinds = set()
+        for rtol in (1e-9, 1e-15):
+            monkeypatch.setattr(qnetid.dynamics, "GRID_RTOL", rtol)
+            for _ in range(1500):
+                m = float(rng.choice([1, 3, 5, 7, 11, 1001, 2**20 + 1]))
+                dt = m * 2.0 ** int(rng.integers(-20, 8))
+                n = int(rng.integers(1, 400))
+                f = float(rng.choice([0.0, 1.0, -1.0, 0.999, 1.001, rng.uniform(-2, 2)]))
+                tau = n * dt + f * rtol * dt if rng.random() < 0.5 else n * dt * (1 + f * rtol)
+                tau = [tau, np.nextafter(tau, 0.0), np.nextafter(tau, np.inf)][rng.integers(3)]
+                expected = whole_grid_rule(tau, dt)
+                if isinstance(expected, str):
+                    with pytest.raises(ConfigError) as exc:
+                        grid_intervals(tau, dt)
+                    assert str(exc.value) == expected, (tau, dt, rtol)
+                    kinds.add("uniform" if "uniform" in expected else "integer")
+                else:
+                    assert grid_intervals(tau, dt) == n
+                    assert sample_times(tau, dt).tobytes() == expected.tobytes()
+                    kinds.add("accepted")
+        assert kinds == {"accepted", "integer"}
+
+    def test_long_exact_grid_accepted_without_its_steps(self):
+        # the 1e12 steps of tau = 1e12 at dt = 1 took about an hour step by step
+        start = time.perf_counter()
+        assert grid_intervals(1e12, 1.0) == 10**12
+        assert SweepConfig(taus=(1e12,), dt=1.0).validate() == []
+        assert time.perf_counter() - start < 0.1
 
     def test_validation_holds_a_block_of_the_grid(self):
         # the 2e7-sample grid of tau = 200000 at dt = 0.01 is rejected with

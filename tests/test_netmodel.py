@@ -53,6 +53,14 @@ class TestErdosRenyi:
             with pytest.raises(ConfigError, match="d must be|p_link must be"):
                 erdos_renyi(d, p, 0)
 
+    @pytest.mark.parametrize("draw", [erdos_renyi, connected_erdos_renyi])
+    @pytest.mark.parametrize("seed", [-1, np.int64(-7), -2**70])
+    def test_negative_seed_is_a_config_error(self, draw, seed):
+        # numpy's own error named no seed: "expected non-negative integer"
+        with pytest.raises(ConfigError, match=f"^seed must be a non-negative integer, "
+                                              f"got {int(seed)}$"):
+            draw(3, 0.5, seed)
+
 
 class TestConnectivity:
     def test_connected_path(self):
@@ -63,6 +71,27 @@ class TestConnectivity:
         a = np.zeros((3, 3))
         a[0, 1] = a[1, 0] = 1.0
         assert not is_connected(a)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 12, 20, 30])
+    def test_agrees_with_reachability_oracle(self, d):
+        # node 0 reaches every node iff the first row of (I + A)^(d-1) as a
+        # boolean matrix power has no zero; sparse draws give both verdicts,
+        # and one graph per d has only its last node isolated
+        rng = np.random.default_rng(d)
+        graphs = [erdos_renyi(d, p, rng) for p in (0.05, 0.1, 0.2, 0.3, 0.5) for _ in range(6)]
+        isolated = np.ones((d, d)) - np.eye(d)
+        isolated[-1, :] = isolated[:, -1] = 0.0
+        verdicts = set()
+        for a in graphs + [isolated, 2.5 * (graphs[0] + isolated)]:
+            step = (np.eye(d) + a) != 0
+            reach = step
+            for _ in range(d - 2):
+                reach = (reach.astype(int) @ step.astype(int)) != 0
+            expected = bool(reach[0].all())
+            assert is_connected(a) is expected
+            verdicts.add(expected)
+        assert verdicts == {True, False}
+        assert not is_connected(isolated)
 
     def test_connected_draw_redraws_from_the_same_stream(self):
         # the graph and the stream state of erdos_renyi redrawn by hand

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qnetid.identify
 import qnetid.sweep
@@ -197,6 +199,13 @@ class TestConfigValidation:
             assert cfg.validate() == [message]
             with pytest.raises(ConfigError, match=f"\n  {message}$"):
                 cfg.validated()
+
+    @pytest.mark.parametrize("p_link", [10**400, -10**400])
+    def test_p_link_beyond_the_float_range_not_printed(self, p_link):
+        # its 401 digits made a 489-character message
+        assert SweepConfig(p_link=p_link).validate() == [
+            "p_link must be in (0, 1], got an integer beyond the float range: "
+            "sweeps draw connected graphs, and none is connected at 0"]
 
     def test_override_skips_none(self):
         cfg = TINY.override(trials=None, seed=99)
@@ -537,6 +546,30 @@ class TestSweep:
             assert abs(by_sub[n_s] - by_sub[n_s // 20]) <= 0.05
 
 
+class TestQuartiles:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=100)
+           | st.lists(st.sampled_from([0.0, 1e-3, 0.5, -2.0, 1e300, -1e300]), min_size=1,
+                      max_size=100)
+           | st.floats(allow_nan=False, allow_infinity=False).map(lambda v: [v]))
+    def test_equals_numpy_percentile_bit_for_bit(self, values):
+        # np.percentile is the reference: equal float.hex, overflowing lerps
+        # included.  Where -0.0 and 0.0 are both present, which zero stands at
+        # an order statistic is up to numpy's partition, so a zero result may
+        # differ in its sign alone; relative errors are never -0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = [float(v) for v in np.percentile(values, [50.0, 25.0, 75.0])]
+        got = qnetid.sweep._quartiles(list(values))
+        signed_zeros = {str(v) for v in values if v == 0} == {"0.0", "-0.0"}
+        if signed_zeros:
+            assert got == tuple(expected)
+        else:
+            assert [v.hex() for v in got] == [v.hex() for v in expected]
+
+    def test_empty(self):
+        assert qnetid.sweep._quartiles([]) == (None, None, None)
+
+
 class TestTrials:
     @pytest.mark.parametrize("subsamples", [(1,), (20, 10, 5, 1)])
     def test_one_trial_per_divisor_in_record_order(self, subsamples):
@@ -711,17 +744,30 @@ class TestTrialThreads:
         run_sweep(TINY)
         assert seen == [3] * len(TINY.d_values)
 
-    def test_import_and_small_sweep_leave_concurrent_futures_unloaded(self):
+    def test_import_and_small_sweep_leave_concurrent_futures_unloaded(self, small_sweep_modules):
         # the pool's module is imported by threaded rows only, so that it
         # does not add to the import and first-sweep time of every run
-        code = ("import sys, qnetid; "
-                "qnetid.run_sweep(qnetid.SweepConfig(d_min=3, d_max=3, trials=2)); "
-                "assert 'concurrent.futures' not in sys.modules")
-        src = Path(qnetid.sweep.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=str(src))
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        assert "concurrent.futures" not in small_sweep_modules
+
+    def test_import_and_small_sweep_leave_numpy_ma_unloaded(self, small_sweep_modules):
+        # np.percentile's np.unique imported numpy.ma, about 20 ms of a
+        # process's first sweep; the quartiles are plain Python
+        assert "numpy.ma" not in small_sweep_modules
+
+
+@pytest.fixture(scope="module")
+def small_sweep_modules() -> set[str]:
+    """The modules loaded by ``import qnetid`` and one tiny sweep, in a
+    fresh interpreter."""
+    code = ("import sys, qnetid; "
+            "qnetid.run_sweep(qnetid.SweepConfig(d_min=3, d_max=3, trials=2)); "
+            "print(' '.join(sys.modules))")
+    src = Path(qnetid.sweep.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
 
 
 class TestReadSweepCsv:
