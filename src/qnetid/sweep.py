@@ -265,7 +265,8 @@ def _quartiles(values: list[float]) -> tuple[float | None, float | None, float |
     """(median, q1, q3), the order of CellRecord's eps fields; None if empty.
 
     numpy's default percentile (Hyndman & Fan type 7) in plain Python, with
-    its floating-point operations, so the same bits: the virtual index
+    its floating-point operations, so the same bits (a list holding both
+    -0.0 and 0.0 may give a zero of the other sign): the virtual index
     (n - 1) q, and its lerp a + (b - a) g, or b - (b - a)(1 - g) from
     g = 1/2.  A cell's ten values take a few us, where ``np.percentile``
     took about 70 us and its first call imported ``numpy.ma``."""
