@@ -103,12 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     obs = sub.add_parser("observability",
                          help="rank test of the diagonal-output pair, sampled every "
-                              "hbar/||H||_2")
-    osrc = obs.add_mutually_exclusive_group(required=True)
-    osrc.add_argument("--hamiltonian", help="matrix JSON with the Hamiltonian")
-    osrc.add_argument("--report", help="identification report JSON; checks its estimate "
-                                       "(a-posteriori observability of the reconstruction)")
-    obs.add_argument("--hbar", type=float, default=1.0)
+                              "hbar/||H||_2 (hbar cancels)")
+    obs.add_argument("--hamiltonian", required=True, help="matrix JSON with the Hamiltonian")
     obs.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
 
     part = sub.add_parser("partial-identify",
@@ -140,13 +136,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_hermitian(path, key=None, d=None) -> np.ndarray:
+def _check_network(path, shape) -> None:
+    """Reject a network file whose d x d matrices (of ``shape``) have d < 2."""
+    if shape[0] < 2:
+        raise ConfigError(f"{path}: a network needs d >= 2 nodes, got a {shape} matrix")
+
+
+def _load_hermitian(path, d=None) -> np.ndarray:
     """A Hermitian matrix of a network: d x d when d is given, and at least 2 x 2."""
-    h = hermitize(load_matrix(path, key))
+    m = load_matrix(path)
+    try:
+        h = hermitize(m)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if d not in (None, h.shape[0]):
         raise ConfigError(f"{path}: expected d = {d} nodes, got a {h.shape} matrix")
-    if h.shape[0] < 2:
-        raise ConfigError(f"{path}: a network needs d >= 2 nodes, got a {h.shape} matrix")
+    _check_network(path, h.shape)
     return h
 
 
@@ -173,6 +178,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_identify(args) -> int:
     traj = read_trajectory_csv(args.trajectory)
+    _check_network(args.trajectory, traj.states.shape[1:])
     h0, truth = (_load_hermitian(path, d=traj.dim) if path else None
                  for path in (args.h0, args.truth))
     report = identify_topology(
@@ -211,15 +217,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_observability(args) -> int:
-    if args.hamiltonian:
-        h = _load_hermitian(args.hamiltonian)
-        source = args.hamiltonian
-    else:
-        h = _load_hermitian(args.report, "m_hat")
-        source = f"{args.report} (reconstructed estimate)"
-    u = propagator(h, sampling_period(h, args.hbar), args.hbar)
-    rank, observable = observability_rank(u, args.rtol)
-    print(f"source: {source}")
+    # hbar cancels at the sampling period: U = exp(-i H/||H_tl||_2)
+    h = _load_hermitian(args.hamiltonian)
+    rank, observable = observability_rank(propagator(h, sampling_period(h)), args.rtol)
+    print(f"source: {args.hamiltonian}")
     print(f"observability rank: {rank} of {h.shape[0] ** 2}")
     print(f"observable: {'yes' if observable else 'no'}")
     return EXIT_OK

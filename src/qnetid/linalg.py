@@ -175,14 +175,10 @@ def save_matrix(path, m: np.ndarray) -> None:
         fh.write("\n")
 
 
-def load_matrix(path, key=None) -> np.ndarray:
-    """The matrix object of a JSON file, or the one under ``key`` of its
-    object; a file that holds none is a ConfigError that names it."""
+def load_matrix(path) -> np.ndarray:
+    """The matrix object of a JSON file; a file that holds none is a
+    ConfigError that names it."""
     obj = load_json(path)
-    if key is not None:
-        if not isinstance(obj, dict) or key not in obj:
-            raise ConfigError(f"{path}: no {key!r} key")
-        obj = obj[key]
     try:
         return matrix_from_json(obj)
     except ValueError as exc:

@@ -1,5 +1,8 @@
 import json
+import re
+import shlex
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -265,21 +268,14 @@ class TestObservability:
         assert "observable: no" in out
         assert "rank: 3 of 4" in out
 
-    def test_report_without_m_hat_exits_2(self, tmp_path, capsys):
-        report = tmp_path / "r.json"
-        report.write_text(json.dumps({"outcome": "unique"}))
-        assert run("observability", "--report", report) == 2
-        assert "'m_hat'" in capsys.readouterr().err
-
-    def test_posterior_check_from_report(self, tmp_path, capsys):
-        h_path = tmp_path / "h.json"
-        save_matrix(h_path, SX)
-        traj = tmp_path / "t.csv"
-        run("simulate", "--hamiltonian", h_path, "--tau", 1.0, "--dt", 0.01, "--out", traj)
-        report = tmp_path / "r.json"
-        run("identify", "--trajectory", traj, "--out", report)
-        assert run("observability", "--report", report) == 0
-        assert "reconstructed estimate" in capsys.readouterr().out
+    def test_answer_depends_on_the_hamiltonian_alone(self):
+        # hbar cancels at the sampling period and an identify estimate has a
+        # zero diagonal, so neither is an input of the verb
+        parser = cli._build_parser()
+        args = parser.parse_args(["observability", "--hamiltonian", "h.json"])
+        assert sorted(vars(args)) == ["command", "hamiltonian", "rtol"]
+        with pytest.raises(SystemExit):
+            parser.parse_args(["observability"])
 
 
 class TestPartialIdentify:
@@ -402,6 +398,8 @@ class TestFlagAndInputChecks:
         save_matrix(tmp_path / "rho3.json", np.diag([1.0, 0.0, 0.0]))
         (tmp_path / "hbar_overflow.json").write_text('{"hbar": 1' + "0" * 400 + "}")
         (tmp_path / "tau_overflow.json").write_text('{"taus": [1' + "0" * 400 + "]}")
+        write_trajectory_csv(sample_trajectory(np.zeros((1, 1)), np.eye(1), 1.0, 0.1),
+                             tmp_path / "one_node.csv")
 
     def run_rejected(self, tmp_path, capsys, verb, *flags) -> str:
         """Run a verb whose flags the library rejects: exit 2, no traceback,
@@ -417,7 +415,7 @@ class TestFlagAndInputChecks:
 
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "-inf"])
     @pytest.mark.parametrize("flag, verb", [
-        ("--hbar", "simulate"), ("--hbar", "identify"), ("--hbar", "observability"),
+        ("--hbar", "simulate"), ("--hbar", "identify"),
         ("--hbar", "partial-identify"), ("--rtol", "identify"), ("--rtol", "observability"),
         ("--rtol", "partial-identify"), ("--hbar", "sweep"), ("--rtol", "sweep"),
     ])
@@ -444,7 +442,9 @@ class TestFlagAndInputChecks:
         ("identify", ("--rtol", "inf"), "rtol must be positive and finite, got inf"),
         ("identify", ("--hbar", "inf"), "hbar must be positive and finite, got inf"),
         ("identify", ("--subsample", "3"), "subsample 3 does not divide n_s = 10"),
-        ("observability", ("--hbar", "inf"), "hbar must be positive and finite, got inf"),
+        # a one-node trajectory was a numerical failure (exit 3) that named no file
+        ("identify", ("--trajectory", "one_node.csv"),
+         "one_node.csv: a network needs d >= 2 nodes, got a (1, 1) matrix"),
         ("partial-identify", ("--hbar", "inf"), "hbar must be positive and finite, got inf"),
         ("sweep", ("--config", "hbar_overflow.json"),
          "hbar must be positive and finite, got an integer beyond the float range"),
@@ -542,6 +542,23 @@ class TestParser:
                     assert list(map(type, got)) == list(map(type, want)), name
         assert reference.taus == (1.0, 0.5) and type(reference.hbar) is float
 
+    def test_readme_commands_parse(self):
+        # every qnetid line of README's bash blocks, continuations joined and
+        # trailing comments cut, is a command line the parser accepts
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        script = "\n".join(re.findall(r"```bash\n(.*?)```", readme, re.S)).replace("\\\n", " ")
+        parser = cli._build_parser()
+        commands = 0
+        for line in script.splitlines():
+            head = re.match(r"(\w+=\S* +)*qnetid ", line)  # after any environment settings
+            if head:
+                commands += 1
+                try:
+                    parser.parse_args(shlex.split(line[head.end():], comments=True))
+                except SystemExit:
+                    pytest.fail(f"README command does not parse: {line}")
+        assert commands >= 10
+
     def test_rtol_defaults_are_the_library_default(self):
         parser = cli._build_parser()
         for argv in (["identify", "--trajectory", "t.csv"], ["observability", "--hamiltonian",
@@ -585,7 +602,6 @@ class TestJsonInputs:
                    "--out", traj) == 0
         return {
             "--config": ("sweep", "solvability", "--out-dir", tmp_path),
-            "--report": ("observability",),
             "--hamiltonian": ("observability",),
             "--truth": ("identify", "--trajectory", traj),
             "--h0": ("identify", "--trajectory", traj),
@@ -593,8 +609,8 @@ class TestJsonInputs:
                        "--out", traj),
         }[flag] + (flag,)
 
-    @pytest.mark.parametrize("flag", ["--config", "--report", "--hamiltonian", "--truth",
-                                      "--h0", "--rho0"])
+    @pytest.mark.parametrize("flag", ["--config", "--hamiltonian", "--truth", "--h0",
+                                      "--rho0"])
     def test_unparsable_json_names_the_file(self, tmp_path, capsys, flag):
         bad = tmp_path / "bad.json"
         bad.write_text('{"d_max": 2,')
@@ -619,7 +635,7 @@ class TestJsonInputs:
     @pytest.mark.parametrize("verb, flag", [
         ("simulate", "--hamiltonian"), ("simulate", "--rho0"), ("identify", "--h0"),
         ("identify", "--truth"), ("observability", "--hamiltonian"),
-        ("observability", "--report"), ("partial-identify", "--hamiltonian"),
+        ("partial-identify", "--hamiltonian"),
     ])
     def test_non_finite_matrix_entry_names_the_file(self, tmp_path, capsys, verb, flag, entry):
         # Python's json parses NaN and Infinity: simulate wrote a trajectory of
@@ -630,7 +646,7 @@ class TestJsonInputs:
         matrix = matrix_to_json(np.diag([1.0, 0.0]) if flag == "--rho0" else SX)
         matrix["re"][0][0] = float(entry)
         bad = tmp_path / "bad.json"
-        save_json(bad, {"m_hat": matrix} if flag == "--report" else matrix)
+        save_json(bad, matrix)
         assert entry in bad.read_text()
         argv = {
             "simulate": ("--tau", 1.0, "--dt", 0.1, "--out", tmp_path / "out.csv")
@@ -648,27 +664,36 @@ class TestJsonInputs:
         assert captured.out == ""
         assert set(tmp_path.iterdir()) == inputs
 
-    @pytest.mark.parametrize("flag", ["--report", "--hamiltonian", "--truth", "--h0",
-                                      "--rho0"])
+    @pytest.mark.parametrize("flag", ["--hamiltonian", "--truth", "--h0", "--rho0"])
     def test_malformed_matrix_names_the_file(self, tmp_path, capsys, flag):
         # JSON that parses but holds no matrix object is a configuration error
         bad = tmp_path / "bad.json"
-        matrix = {"rows": 2}
-        bad.write_text(json.dumps({"m_hat": matrix} if flag == "--report" else matrix))
+        bad.write_text(json.dumps({"rows": 2}))
         argv = self.argv_reading(flag, tmp_path)
         capsys.readouterr()
         assert run(*argv, bad) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {bad}: malformed matrix object")
 
+    @pytest.mark.parametrize("flag", ["--hamiltonian", "--truth", "--h0", "--rho0"])
+    def test_non_hermitian_matrix_names_the_file(self, tmp_path, capsys, flag):
+        # hermitize's message named no file, though identify reads two or three
+        bad = tmp_path / "bad.json"
+        save_matrix(bad, np.array([[0.0, 1.0], [0.0, 0.0]]))
+        argv = self.argv_reading(flag, tmp_path)
+        capsys.readouterr()
+        assert run(*argv, bad) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: {bad}: matrix is not Hermitian: relative "
+                              "asymmetry 1.414e+00")
+
     @pytest.mark.parametrize("rows, cols", [(2.9, True), ("2", 1)], ids=["float-bool", "string"])
-    @pytest.mark.parametrize("flag", ["--report", "--hamiltonian", "--truth", "--h0",
-                                      "--rho0"])
+    @pytest.mark.parametrize("flag", ["--hamiltonian", "--truth", "--h0", "--rho0"])
     def test_non_integer_matrix_size_names_the_file(self, tmp_path, capsys, flag, rows, cols):
         # the sizes went through int(), so these loaded with a 2 x 1 payload
         bad = tmp_path / "bad.json"
         matrix = {"rows": rows, "cols": cols, "re": [[1.0], [2.0]], "im": [[0.0], [0.0]]}
-        bad.write_text(json.dumps({"m_hat": matrix} if flag == "--report" else matrix))
+        bad.write_text(json.dumps(matrix))
         argv = self.argv_reading(flag, tmp_path)
         capsys.readouterr()
         assert run(*argv, bad) == 2

@@ -311,15 +311,6 @@ class TestMatrixJson:
         with pytest.raises(ConfigError, match=re.escape(f"{path}: malformed matrix object")):
             load_matrix(path)
 
-    def test_missing_key_names_file_and_key(self, tmp_path):
-        path = tmp_path / "report.json"
-        for obj in ({"outcome": "unique"}, [1, 2]):
-            save_json(path, obj)
-            with pytest.raises(ConfigError, match=re.escape(f"{path}: no 'm_hat' key")):
-                load_matrix(path, "m_hat")
-        save_json(path, {"m_hat": matrix_to_json(SX)})
-        assert np.array_equal(load_matrix(path, "m_hat"), SX)
-
     def test_save_json_layout(self, tmp_path):
         # indent 2, sorted keys, one final newline; save_matrix stays on one line
         path = tmp_path / "doc.json"

@@ -8,8 +8,9 @@ from qnetid.dynamics import (
     propagator,
     sample_trajectory,
 )
+from qnetid.identify import identify_topology
 from qnetid.linalg import DEFAULT_RTOL, ConfigError, numerical_rank, spectral_norm, vec
-from qnetid.netmodel import erdos_renyi
+from qnetid.netmodel import basis_density, erdos_renyi
 from qnetid.partialinfo import (
     UnobservableError,
     _markov_parameters,
@@ -44,6 +45,17 @@ def sampled(h, hbar=1.0):
 
 def traceless(h):
     return h - np.trace(h) / h.shape[0] * np.eye(h.shape[0])
+
+
+def identified_estimates():
+    """``identify_topology`` estimates from seeded trajectories of random
+    admissible networks, d = 2..6, two per coupling class."""
+    rng = np.random.default_rng(23)
+    for d in range(2, 7):
+        for real in (True, False, True, False):
+            truth = random_admissible(rng, d, real=real)
+            traj = sample_trajectory(truth, basis_density(d, 1), 1.0, 0.05)
+            yield identify_topology(traj, real_coupling=real).m_hat
 
 
 def dense_markov_parameters(u, order, channel=None):
@@ -137,11 +149,13 @@ class TestObservabilityRank:
         assert not obs
 
     def test_structural_unobservability(self):
-        # A vec(H) = vec(H) and C vec(H) = 0 for every zero-diagonal H != 0
+        # A vec(H) = vec(H) and C vec(H) = 0 for every zero-diagonal H != 0;
+        # identify_topology's estimates are such H, so checking one tells nothing
         rng = np.random.default_rng(2)
-        for _ in range(25):
-            d = int(rng.integers(2, 5))
-            h = random_admissible(rng, d)
+        zero_diagonal = [random_admissible(rng, int(rng.integers(2, 5))) for _ in range(25)]
+        for h in zero_diagonal + list(identified_estimates()):
+            d = h.shape[0]
+            assert not np.diag(h).any()
             u, _ = sampled(h)
             stack = output_stacks(u, np.eye(d * d, dtype=complex), d * d - 1).reshape(-1, d * d)
             residual = np.max(np.abs(stack @ vec(h)))
@@ -207,6 +221,18 @@ class TestObservabilityFamily:
             cases += 1
         assert cases == 727
         assert observability_rank(sampled(spin_x(4))[0]) == (15, False)
+
+    def test_hbar_cancels_at_the_sampling_period(self):
+        # U = exp(-i H/||H_tl||_2) at the period hbar/||H_tl||_2, whatever
+        # hbar: the rank test of H needs no hbar
+        rng = np.random.default_rng(2017)
+        for h, _ in observability_family(rng, 3):
+            u = sampled(h)[0]
+            rank = observability_rank(u)
+            for hbar in (0.5, 0.7, 2.0, 1e3):
+                u_hbar = sampled(h, hbar)[0]
+                assert np.max(np.abs(u_hbar - u)) <= 1e-14, hbar
+                assert observability_rank(u_hbar) == rank, (hbar, h)
 
 
 class TestOutputStacks:
