@@ -26,8 +26,8 @@ from .dynamics import (
     write_trajectory_csv,
 )
 from .identify import identify_topology, relative_error
-from .linalg import (DEFAULT_RTOL, ConfigError, hermitize, load_json, load_matrix, save_json,
-                     save_matrix)
+from .linalg import (DEFAULT_RTOL, ConfigError, check_network_size, hermitize, load_json,
+                     load_matrix, save_json, save_matrix)
 from .netmodel import basis_density, connected_erdos_renyi, erdos_renyi
 from .partialinfo import (
     observability_rank,
@@ -136,22 +136,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_network(path, shape) -> None:
-    """Reject a network file whose d x d matrices (of ``shape``) have d < 2."""
-    if shape[0] < 2:
-        raise ConfigError(f"{path}: a network needs d >= 2 nodes, got a {shape} matrix")
-
-
 def _load_hermitian(path, d=None) -> np.ndarray:
-    """A Hermitian matrix of a network: d x d when d is given, and at least 2 x 2."""
+    """A Hermitian matrix of a network (``check_network_size``), d x d when d is given."""
     m = load_matrix(path)
     try:
         h = hermitize(m)
+        if d not in (None, h.shape[0]):
+            raise ConfigError(f"expected d = {d} nodes, got a {h.shape} matrix")
+        check_network_size(h.shape[0])
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    if d not in (None, h.shape[0]):
-        raise ConfigError(f"{path}: expected d = {d} nodes, got a {h.shape} matrix")
-    _check_network(path, h.shape)
+        raise type(exc)(f"{path}: {exc}") from exc
     return h
 
 
@@ -178,7 +172,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_identify(args) -> int:
     traj = read_trajectory_csv(args.trajectory)
-    _check_network(args.trajectory, traj.states.shape[1:])
+    try:
+        check_network_size(traj.dim)
+    except ConfigError as exc:
+        raise ConfigError(f"{args.trajectory}: {exc}") from None
     h0, truth = (_load_hermitian(path, d=traj.dim) if path else None
                  for path in (args.h0, args.truth))
     report = identify_topology(

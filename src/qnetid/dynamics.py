@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (ABS_FLOOR, HERMITIAN_RTOL, ConfigError, check_positive, hermitize,
-                     is_finite, is_integer)
+from .linalg import ConfigError, check_positive, hermitize, is_finite, is_integer
 
 #: tolerated negative eigenvalue on density operators (round-off slack)
 PSD_TOL = 1e-10
@@ -38,15 +37,21 @@ GRID_RTOL = 1e-9
 GRID_BLOCK = 2**16
 
 
-def check_density(rho: np.ndarray, name: str = "rho") -> np.ndarray:
-    """Validate Hermiticity, positive semidefiniteness and unit trace of
-    the matrices on the last two axes; return them symmetrized, or raise
-    ValueError naming the violated property of the first offending one.
-    """
-    rho = hermitize(np.asarray(rho, dtype=complex))
+def _unit_trace(rho: np.ndarray, name: str) -> np.ndarray:
+    """``hermitize(rho)``; ValueError names the first trace off 1 by over ``TRACE_TOL``."""
+    rho = hermitize(rho)
     for tr in np.trace(rho, axis1=-2, axis2=-1).real.reshape(-1).tolist():
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"{name} has trace {tr!r}, expected 1")
+    return rho
+
+
+def check_density(rho: np.ndarray, name: str = "rho") -> np.ndarray:
+    """Validate Hermiticity, unit trace (``_unit_trace``) and positive
+    semidefiniteness of the matrices on the last two axes; return them
+    symmetrized, or raise ValueError naming the violated property of the
+    first offending one."""
+    rho = _unit_trace(rho, name)
     for wmin in np.linalg.eigvalsh(rho)[..., 0].reshape(-1).tolist():
         if wmin < -PSD_TOL:
             raise ValueError(f"{name} is not positive semidefinite (min eig {wmin:.3e})")
@@ -391,35 +396,21 @@ def _read_rows(path, columns) -> np.ndarray:
 
 
 def read_trajectory_csv(path) -> Trajectory:
-    """Parse a trajectory CSV; raises ValueError on malformed input.
+    """Parse a trajectory CSV; raises ValueError naming the file on malformed input.
 
     The header must be the writer's (``_columns``) for some d >= 1, and
     the rows are read by ``_read_rows``: finite numbers, as many as the
-    header has fields.  The times are checked by ``Trajectory``:
-    at least two, strictly increasing and uniform to ``GRID_RTOL``
-    relative.  Every state must have trace 1 to ``TRACE_TOL`` and
-    relative Hermitian asymmetry (in the Frobenius norm) at most
-    ``HERMITIAN_RTOL``; all rows are checked at once, without an
-    eigendecomposition per sample.
+    header has fields.  The states are returned hermitized, each of trace
+    1 (``_unit_trace``: no eigendecomposition per sample), on times that
+    ``Trajectory`` checks: at least two, strictly increasing and uniform to
+    ``GRID_RTOL`` relative.
     """
     rows = _read_rows(path, lambda n: _columns(max(1, math.isqrt((n - 1) // 2))))
     d = math.isqrt(rows.shape[1] // 2)
-    times = np.ascontiguousarray(rows[:, 0])
     flat = rows[:, 1::2] + 1j * rows[:, 2::2]
     states = np.ascontiguousarray(flat.reshape(-1, d, d).transpose(0, 2, 1))
-    traj = Trajectory(times=times, states=states)
-    traces = np.trace(traj.states, axis1=1, axis2=2)
-    off_trace = np.abs(traces - 1.0) > TRACE_TOL
-    if off_trace.any():
-        k = int(np.argmax(off_trace))
-        raise ValueError(f"state at t = {float(times[k])!r} has trace "
-                         f"{complex(traces[k])}, expected 1")
-    asym = np.linalg.norm(traj.states - traj.states.conj().transpose(0, 2, 1), axis=(1, 2))
-    rel_asym = asym / np.maximum(np.linalg.norm(traj.states, axis=(1, 2)), ABS_FLOOR)
-    if np.any(rel_asym > HERMITIAN_RTOL):
-        k = int(np.argmax(rel_asym))
-        raise ValueError(
-            f"state at t = {float(times[k])!r} is not Hermitian: relative asymmetry "
-            f"{rel_asym[k]:.3e} exceeds {HERMITIAN_RTOL:.1e}"
-        )
-    return traj
+    try:
+        return Trajectory(times=np.ascontiguousarray(rows[:, 0]),
+                          states=_unit_trace(states, "a state"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -72,6 +72,7 @@ from .linalg import (
     ABS_FLOOR,
     DEFAULT_RTOL,
     EPS,
+    check_network_size,
     check_positive,
     hermitize,
     matrix_to_json,
@@ -161,8 +162,7 @@ def _realified_system(p: np.ndarray, real_coupling: bool) -> np.ndarray:
     diagonal (0 + -0 is +0).  Each system is Fortran-ordered, as gelsd takes it.
     """
     d = p.shape[-1]
-    if d < 2:
-        raise ValueError("d must be at least 2")
+    check_network_size(d)
     dst, first, second, scale = _system_pattern(d, real_coupling)
     flat = np.asarray(p, dtype=complex).reshape(-1, d * d)
     v = np.concatenate([flat.real, flat.imag, -flat.real, -flat.imag, np.zeros((len(flat), 1))], 1)

@@ -4,7 +4,7 @@ Column-stacking vectorization, the one order of node pairs, Hermitian
 symmetrization, the one numerical-rank rule, spectral norm, and the one
 reader and writer of the package's JSON files, the matrix format
 included; also ``ConfigError``, raised by every check of a parameter
-(not of data), and the one positivity, finiteness and integer rules.
+(not of data), and the one positivity, finiteness, integer and d >= 2 rules.
 
 The vectorization convention is column stacking throughout:
 ``vec(M)[(j-1)*d + i] = M[i, j]`` (1-based), i.e. the first column of M
@@ -73,6 +73,12 @@ def check_positive(name: str, value: float) -> None:
     """Raise ConfigError unless value is a finite number (``is_finite``) above 0."""
     if not (is_finite(value) and value > 0):
         raise ConfigError(f"{name} must be positive and finite, got {shown_number(value)}")
+
+
+def check_network_size(d: int) -> None:
+    """The one network-size rule: a network has d >= 2 nodes (ConfigError)."""
+    if d < 2:
+        raise ConfigError(f"d must be at least 2, got {d}")
 
 
 def shown_number(value) -> str:

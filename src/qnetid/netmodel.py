@@ -12,7 +12,7 @@ import hashlib
 
 import numpy as np
 
-from .linalg import ConfigError, is_integer, upper_pairs
+from .linalg import ConfigError, check_network_size, is_integer, upper_pairs
 
 #: resampling cap when conditioning on connected graphs
 MAX_CONNECTED_DRAWS = 100_000
@@ -46,8 +46,7 @@ def erdos_renyi(d: int, p_link: float, rng) -> np.ndarray:
     probability p_link; weights are 1, the diagonal is zero.  ``rng``
     may be a numpy Generator or a plain seed (``_generator``).
     """
-    if d < 2:
-        raise ConfigError(f"d must be at least 2, got {d}")
+    check_network_size(d)
     if not 0.0 <= p_link <= 1.0:
         raise ConfigError(f"p_link must be in [0, 1], got {p_link}")
     gen = _generator(rng)

@@ -124,6 +124,15 @@ def observability_rank(u: np.ndarray, rtol: float = DEFAULT_RTOL) -> tuple[int, 
     return rank, rank == n
 
 
+def _nodes_of_batch(lambda0: np.ndarray) -> int:
+    """The one Lambda0 shape rule: d^2 x d^2 for d >= 1 nodes; returns d, else ValueError."""
+    d = math.isqrt(lambda0.shape[0])
+    if d < 1 or lambda0.shape != (d * d, d * d):
+        raise ValueError(f"Lambda0 must be square with d^2 rows (columns = vectorized "
+                         f"initial states), got shape {lambda0.shape}")
+    return d
+
+
 def reconstruct_hamiltonian(ys: np.ndarray, lambda0: np.ndarray, period: float,
                             hbar: float = 1.0, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     """Recover the traceless Hamiltonian from populations sampled every ``period``.
@@ -152,11 +161,8 @@ def reconstruct_hamiltonian(ys: np.ndarray, lambda0: np.ndarray, period: float,
     exists (ValueError).
     """
     lambda0 = np.asarray(lambda0, dtype=complex)
-    n = lambda0.shape[0]
-    d = math.isqrt(n)
-    if lambda0.shape != (n, n) or d * d != n:
-        raise ValueError(f"Lambda0 must be square with d^2 rows (columns = vectorized "
-                         f"initial states), got shape {lambda0.shape}")
+    d = _nodes_of_batch(lambda0)
+    n = d * d
     check_positive("period", period)
     check_positive("hbar", hbar)
     if len(ys) < n + 1:
@@ -297,9 +303,9 @@ def read_output_batch(manifest_path) -> tuple[np.ndarray, list[tuple[str, np.nda
     """Load a batch written by :func:`write_output_batch`; a manifest that
     does not parse, lacks a key, or whose ``outputs`` is not an object keyed
     by run numbers or ``labels`` not an object, is a ConfigError that names
-    it.  A batch of another experiment, one without a run per column of
-    Lambda0 on one time grid that starts at 0 and is uniform to ``GRID_RTOL``
-    (``dynamics._check_grid``), is a ValueError that names the manifest.
+    it.  A batch of another experiment (a Lambda0 not d^2 x d^2, or not a
+    run per column of it on one time grid that starts at 0 and is uniform to
+    ``GRID_RTOL``, ``dynamics._check_grid``) is a ValueError naming the manifest.
     Each run's CSV is read as strictly as a trajectory (``dynamics._read_rows``):
     its header is ``t,y_1,...,y_d`` with d^2 runs, and its entries are finite.
     """
@@ -314,13 +320,13 @@ def read_output_batch(manifest_path) -> tuple[np.ndarray, list[tuple[str, np.nda
             and all(key.isdecimal() for key in outputs)):
         raise ConfigError(f"{manifest_path}: not a batch manifest: 'outputs' must be an object "
                           "keyed by run numbers, 'labels' an object")
-    if lambda0.shape != (len(outputs), len(outputs)):
+    try:
+        d = _nodes_of_batch(lambda0)
+    except ValueError as exc:
+        raise ValueError(f"{manifest_path}: {exc}") from None
+    if len(outputs) != d * d:
         raise ValueError(f"{manifest_path}: {len(outputs)} runs, but Lambda0 has shape "
                          f"{lambda0.shape}; a batch has one run per column")
-    d = math.isqrt(len(outputs))
-    if d < 1 or d * d != len(outputs):
-        raise ValueError(f"{manifest_path}: {len(outputs)} runs; a batch of a d-node "
-                         "network has d^2")
     runs = []
     for idx in sorted(outputs, key=int):
         name = outputs[idx]

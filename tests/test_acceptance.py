@@ -1,7 +1,8 @@
 """Acceptance suite: one test per benchmark criterion, printed pass/fail.
 
-Criterion 2 (the d = 30 transition sweep) takes a few minutes and is
-opt-in: run it with `QNETID_EXTENDED=1 pytest tests/test_acceptance.py`.
+Criterion 2 (the d = 30 transition sweep) takes 17-19 s with one BLAS
+thread and 38-40 s unpinned, on 2 cores, and is opt-in: run it with
+`QNETID_EXTENDED=1 pytest tests/test_acceptance.py`.
 One of its cells (d = 26..30, 5 draws per d) runs in tier 1, checked
 draw by draw against golden labels.
 
@@ -210,7 +211,7 @@ class TestCriterion1RoundTripSolvability:
 @pytest.mark.extended
 @pytest.mark.skipif(
     not os.environ.get("QNETID_EXTENDED"),
-    reason="transition sweep to d=30 takes minutes; set QNETID_EXTENDED=1",
+    reason="transition sweep to d=30 takes 17-40 s; set QNETID_EXTENDED=1",
 )
 class TestCriterion2CriticalSize:
     """tau=3, p=0.5, d swept to 30 (quadrature on n_s/5 samples): the mean

@@ -74,10 +74,25 @@ class TestSimulateIdentify:
         obj = json.loads(report.read_text())
         assert obj["required_rank"] == 2  # d(d-1) parameters at d=2
 
-    def test_malformed_trajectory_exits_3(self, tmp_path):
+    def test_malformed_trajectory_exits_3(self, tmp_path, capsys):
+        # past the header and the data rows, the content errors named no
+        # file, and the trace was printed as a complex number
         bad = tmp_path / "bad.csv"
-        bad.write_text("x,y\n1,2\n")
-        assert run("identify", "--trajectory", bad) == 3
+        pure, doubled, skewed = "1,0,0,0,0,0,0,0", "2,0,0,0,0,0,0,0", "1,0,0.5,0,0,0,0,0"
+        for rows, message in [
+            (None, "malformed CSV header"),
+            ([(0, pure), (0.2, pure), (0.1, pure)], "trajectory times are not strictly increasing"),
+            ([(0, pure), (0.1, pure), (0.3, pure)], "trajectory times are not uniform"),
+            ([(0, pure), (0.1, doubled)], "a state has trace 2.0, expected 1"),
+            ([(0, pure), (0.1, skewed)], "matrix is not Hermitian: relative asymmetry"),
+            ([(0, pure)], "a trajectory needs at least two samples"),
+        ]:
+            bad.write_text("x,y\n1,2\n" if rows is None else "\n".join(
+                ["t,re_1_1,im_1_1,re_2_1,im_2_1,re_1_2,im_1_2,re_2_2,im_2_2"]
+                + [f"{t},{state}" for t, state in rows]) + "\n")
+            capsys.readouterr()
+            assert run("identify", "--trajectory", bad) == 3
+            assert capsys.readouterr().err.startswith(f"numerical failure: {bad}: {message}")
 
     def test_non_uniform_trajectory_exits_3(self, tmp_path):
         h_path = tmp_path / "h.json"
@@ -444,7 +459,7 @@ class TestFlagAndInputChecks:
         ("identify", ("--subsample", "3"), "subsample 3 does not divide n_s = 10"),
         # a one-node trajectory was a numerical failure (exit 3) that named no file
         ("identify", ("--trajectory", "one_node.csv"),
-         "one_node.csv: a network needs d >= 2 nodes, got a (1, 1) matrix"),
+         "one_node.csv: d must be at least 2, got 1"),
         ("partial-identify", ("--hbar", "inf"), "hbar must be positive and finite, got inf"),
         ("sweep", ("--config", "hbar_overflow.json"),
          "hbar must be positive and finite, got an integer beyond the float range"),
@@ -492,7 +507,7 @@ class TestFlagAndInputChecks:
         assert run(*argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {tmp_path / 'h.json'}: ")
-        assert "d >= 2" in err
+        assert "d must be at least 2, got 1" in err
         assert not (tmp_path / "t.csv").exists()
 
 

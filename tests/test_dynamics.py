@@ -22,7 +22,7 @@ from qnetid.dynamics import (
     write_trajectory_csv,
 )
 from qnetid.identify import build_P_trapezoid, identify_topology
-from qnetid.linalg import ConfigError, spectral_norm, vec
+from qnetid.linalg import ConfigError, hermitize, spectral_norm, vec
 from qnetid.sweep import SweepConfig, benchmark_network
 
 from conftest import liouvillian, random_density, random_hermitian
@@ -732,6 +732,8 @@ class TestTrajectoryCsv:
         write_trajectory_csv(Trajectory(times=traj.times, states=states), path)
         with pytest.raises(ValueError, match="not Hermitian"):
             read_trajectory_csv(path)
-        states[3, 0, 1] -= 1e-6 - 1e-12  # round-off-sized asymmetry passes
+        states[3, 0, 1] -= 1e-6 - 1e-12  # round-off-sized asymmetry passes, symmetrized
         write_trajectory_csv(Trajectory(times=traj.times, states=states), path)
-        assert np.array_equal(read_trajectory_csv(path).states, states)
+        assert np.array_equal(read_trajectory_csv(path).states, hermitize(states))
+        write_trajectory_csv(traj, path)  # exactly Hermitian states read back bit for bit
+        assert read_trajectory_csv(path).states.tobytes() == traj.states.tobytes()
