@@ -4,7 +4,8 @@ Column-stacking vectorization, the one order of node pairs, Hermitian
 symmetrization, the one numerical-rank rule, spectral norm, and the one
 reader and writer of the package's JSON files, the matrix format
 included; also ``ConfigError``, raised by every check of a parameter
-(not of data), and the one positivity, finiteness, integer and d >= 2 rules.
+(not of data), the one positivity, finiteness, integer and d >= 2 rules,
+and the hold of numpy's OpenBLAS at one thread.
 
 The vectorization convention is column stacking throughout:
 ``vec(M)[(j-1)*d + i] = M[i, j]`` (1-based), i.e. the first column of M
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import ExitStack, contextmanager
 from functools import lru_cache
 from numbers import Integral
 
@@ -119,6 +121,33 @@ def spectral_norm(a: np.ndarray):
     a = np.asarray(a)
     norms = np.linalg.svd(a, compute_uv=False)[..., 0] if a.size else np.zeros(a.shape[:-2])
     return float(norms) if a.ndim <= 2 else norms
+
+
+@lru_cache(maxsize=None)
+def _openblas_threads():
+    """numpy's OpenBLAS thread-count getter and setter, or None; found on first use."""
+    import ctypes  # numpy has loaded it
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, put.argtypes, put.restype = [], [ctypes.c_int], None
+    return get, put
+
+
+@contextmanager
+def one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread, whatever OPENBLAS_NUM_THREADS
+    started it with, and restore its count on exit, exceptions included.
+    Yields whether it could: under another BLAS it does nothing."""
+    calls = _openblas_threads()
+    with ExitStack() as restore:
+        if calls is not None:
+            get, put = calls
+            restore.callback(put, get())
+            put(1)
+        yield calls is not None
 
 
 # ---------------------------------------------------------------------------

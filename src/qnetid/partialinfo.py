@@ -214,8 +214,6 @@ def physical_decomposition(d: int, k: int, j: int) -> list[tuple[np.ndarray, com
     term is a rank-one density operator and the identity is exact in
     floating point.
     """
-    if d < 1:
-        raise ConfigError(f"dimension d must be at least 1, got {d}")
     if not (1 <= k <= d and 1 <= j <= d):
         raise ConfigError(f"indices ({k}, {j}) out of range 1..{d}")
     ek = np.zeros(d, dtype=complex)

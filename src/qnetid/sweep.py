@@ -14,11 +14,13 @@ A row runs as blocks of trials, each one stacked computation: one
 batched eigh, one stacked realified system, one gelsd call per system,
 one stacked norm.  One memory rule sizes the blocks: those in flight
 hold at most ``SOLVE_BYTES`` of realified systems (trials x divisors) over
-all threads, and each at least one trial.  From d = 9 on the blocks run
-on threads if BLAS leaves cores free (``OPENBLAS_NUM_THREADS=1`` on 2
-cores).  The outputs are the bytes of solving each system on its own.  The result keeps every trial's label
-and error next to its cell record; the CSV's columns are
-``CellRecord``'s fields, its JSON preamble ``asdict`` of the config.
+all threads, and each at least one trial.  A sweep holds numpy's OpenBLAS
+at one thread and then restores it; from d = 9 on its blocks run on
+threads, one per core (more than 2 cores are untested), or serially under
+another BLAS.  The outputs are the bytes of solving each system on its
+own.  The result keeps every trial's label and error next to its cell
+record; the CSV's columns are ``CellRecord``'s fields, its JSON preamble
+``asdict`` of the config.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from functools import partial
@@ -35,14 +37,14 @@ import numpy as np
 
 from .identify import build_Q, relative_error, solve_stack
 from .linalg import (DEFAULT_RTOL, ConfigError, check_positive, is_finite, is_integer,
-                     shown_number)
+                     one_blas_thread, shown_number)
 from .netmodel import basis_density, connected_erdos_renyi, derive_seed
 from .dynamics import check_subsample, grid_intervals, trapezoid_grams
 
 #: bytes of realified systems (8 d^2 n each, n parameters) a row holds in flight over
 #: its threads: the 3 MB of 40 real-class systems at d = 12 (at d = 30 one fits)
 SOLVE_BYTES = 3 * 2**20
-#: rows from this size on run on threads if BLAS leaves cores free (``_trial_threads``)
+#: rows from this size on run on trial threads (``_trial_threads``)
 THREADED_D = 9
 
 
@@ -287,23 +289,19 @@ def _quartiles(values: list[float]) -> tuple[float | None, float | None, float |
     return quantile(0.5), quantile(0.25), quantile(0.75)
 
 
-def _trial_threads(d: int, trials: int, cores: int, environ: Mapping[str, str]) -> int:
-    """Threads for the trials of a row at size ``d``: as many as give each
-    trial whole cores for its BLAS threads, read as OpenBLAS reads them (the
-    first positive integer of OPENBLAS_, GOTO_ and OMP_NUM_THREADS, else
-    every core).  Below ``THREADED_D`` the handoffs of the interpreter lock
+def _trial_threads(d: int, trials: int, cores: int) -> int:
+    """Threads for the trials of a row at size ``d``, one per core and
+    trial, for the one BLAS thread a sweep holds (``run_sweep`` runs rows
+    serially under a BLAS it cannot hold; hosts of more than 2 cores are
+    untested).  Below ``THREADED_D`` the handoffs of the interpreter lock
     cost more than the second core gains: on 2 cores with 1 BLAS thread,
     10-trial rows at 4 divisors ran 0.5-0.7x at d = 2..7, 1.01x at d = 8,
     1.20x at d = 9 and 1.29x at d = 12 on 2 threads."""
-    if d < THREADED_D:
-        return 1
-    names = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-    values = [environ.get(name, "").strip() for name in names]
-    blas = next((int(v) for v in values if v.isdecimal() and int(v) > 0), cores)
-    return max(1, min(trials, cores // blas))
+    return 1 if d < THREADED_D else max(1, min(trials, cores))
 
 
-def _run_row(cfg: SweepConfig, d: int, tau: float) -> tuple[list[CellRecord], list[TrialRecord]]:
+def _run_row(cfg: SweepConfig, d: int, tau: float,
+             threaded: bool) -> tuple[list[CellRecord], list[TrialRecord]]:
     """The records and trials of every subsample divisor at (d, tau),
     divisors descending.
 
@@ -319,7 +317,7 @@ def _run_row(cfg: SweepConfig, d: int, tau: float) -> tuple[list[CellRecord], li
     n_s = grid_intervals(tau, cfg.dt)
     seeds = [derive_seed(cfg.seed, d, tau, trial) for trial in range(cfg.trials)]
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    threads = _trial_threads(d, cfg.trials, cores or 1, os.environ)
+    threads = _trial_threads(d, cfg.trials, cores or 1) if threaded else 1
     system = 8 * d * d * d * (d - 1) // (2 if cfg.real_coupling else 1)  # bytes: d^2 x n
     size = min(max(1, SOLVE_BYTES // (system * len(subsamples) * threads)),
                -(-cfg.trials // threads))
@@ -362,14 +360,15 @@ def run_sweep(cfg: SweepConfig, kind: str = "solvability", out_csv=None) -> Swee
     """
     cfg = cfg.validated()
     result = SweepResult(kind=kind, config=cfg)
-    with (nullcontext() if out_csv is None else open(out_csv, "w", newline="")) as fh:
+    with (nullcontext() if out_csv is None else open(out_csv, "w", newline="")) as fh, \
+            one_blas_thread() as threaded:
         if fh is not None:
             preamble = json.dumps({"kind": kind, "config": cfg.to_json()}, sort_keys=True)
             fh.write(f"# {preamble}\n{CSV_HEADER}\n")
             fh.flush()
         for d in cfg.d_values:
             for tau in cfg.taus:
-                records, trials = _run_row(cfg, d, tau)
+                records, trials = _run_row(cfg, d, tau, threaded)
                 result.records.extend(records)
                 result.trials.extend(trials)
                 if fh is not None:

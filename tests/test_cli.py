@@ -466,7 +466,7 @@ class TestFlagAndInputChecks:
         ("sweep", ("--config", "tau_overflow.json"),
          "tau must be positive and finite, got an integer beyond the float range"),
         ("decompose", ("--dim", "4", "--k", "9", "--j", "1"), "indices (9, 1) out of range 1..4"),
-        ("decompose", ("--dim", "0", "--k", "1", "--j", "1"), "dimension d must be at least 1"),
+        ("decompose", ("--dim", "0", "--k", "1", "--j", "1"), "indices (1, 1) out of range 1..0"),
         ("identify", ("--truth", "h3.json"), "h3.json: expected d = 2 nodes, got a (3, 3) matrix"),
         ("identify", ("--h0", "h3.json"), "h3.json: expected d = 2 nodes, got a (3, 3) matrix"),
         ("sweep", ("--d-max", "1" + "0" * 400), "d_max must be below d_min + sys.maxsize"),

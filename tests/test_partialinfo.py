@@ -479,7 +479,7 @@ class TestPhysicalDecomposition:
             physical_decomposition(3, 0, 2)
         with pytest.raises(ConfigError, match=r"indices \(1, 4\) out of range 1..3"):
             physical_decomposition(3, 1, 4)
-        with pytest.raises(ConfigError, match="dimension d must be at least 1, got 0"):
+        with pytest.raises(ConfigError, match=r"indices \(1, 1\) out of range 1..0"):
             physical_decomposition(0, 1, 1)
 
     def test_propagation_linearity(self):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qnetid.identify
+import qnetid.linalg
 import qnetid.sweep
 from qnetid.dynamics import sample_times, trapezoid_grams
 from qnetid.identify import build_Q, solve_commutator
@@ -439,7 +440,7 @@ class TestSweep:
             3: [CellRecord(3, 1.0, 100, 4, 1.0, 1e-05, 2.5e-07, 0.30000000000000004, 11),
                 CellRecord(3, 1.0, 20, 4, 0.0, None, None, None, 11)],
         }
-        monkeypatch.setattr(qnetid.sweep, "_run_row", lambda cfg, d, tau: (rows[d], []))
+        monkeypatch.setattr(qnetid.sweep, "_run_row", lambda cfg, d, tau, threaded: (rows[d], []))
         out = tmp_path / "s.csv"
         res = run_sweep(TINY, out_csv=out)
         assert out.read_text() == (
@@ -597,32 +598,86 @@ class TestTrials:
 
 
 class TestTrialThreads:
-    @pytest.mark.parametrize("d, trials, cores, environ, threads", [
-        (8, 5, 2, {"OPENBLAS_NUM_THREADS": "1"}, 1),
-        (12, 5, 2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
-        (15, 5, 2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
-        (16, 5, 2, {}, 1),
-        (16, 5, 2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
-        (16, 5, 2, {"OMP_NUM_THREADS": "1"}, 2),
-        (16, 5, 2, {"GOTO_NUM_THREADS": "1"}, 2),
-        (16, 5, 2, {"OPENBLAS_NUM_THREADS": "2"}, 1),
-        (16, 5, 2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
-        (16, 5, 2, {"OPENBLAS_NUM_THREADS": "4"}, 1),
-        (16, 5, 1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
-        (16, 1, 2, {"OPENBLAS_NUM_THREADS": "1"}, 1),
-        (16, 5, 2, {"OPENBLAS_NUM_THREADS": "0"}, 1),
-        (16, 5, 2, {"OPENBLAS_NUM_THREADS": "abc"}, 1),
-        (16, 5, 2, {"OPENBLAS_NUM_THREADS": "abc", "OMP_NUM_THREADS": "1"}, 2),
-        (30, 5, 4, {"OPENBLAS_NUM_THREADS": "2"}, 2),
-        (30, 3, 8, {"OPENBLAS_NUM_THREADS": "1"}, 3),
-    ], ids=["d8", "d12", "d15", "unpinned", "openblas1", "omp1", "goto1", "openblas2",
-            "openblas-before-omp", "more-blas-than-cores", "one-core", "one-trial",
-            "zero", "not-a-number", "not-a-number-then-omp", "two-per-trial",
-            "one-per-trial"])
-    def test_rule(self, d, trials, cores, environ, threads):
-        # threads only at d >= 9, only with whole cores per trial, and
-        # never more threads than trials
-        assert qnetid.sweep._trial_threads(d, trials, cores, environ) == threads
+    @pytest.mark.parametrize("d, trials, cores, threads", [
+        (8, 5, 2, 1),
+        (12, 5, 2, 2),
+        (15, 5, 2, 2),
+        (16, 5, 1, 1),
+        (16, 1, 2, 1),
+        (30, 3, 8, 3),
+    ], ids=["d8", "d12", "d15", "one-core", "one-trial", "one-per-trial"])
+    def test_rule(self, d, trials, cores, threads):
+        # threads only at d >= 9, one per core, and never more threads
+        # than trials
+        assert qnetid.sweep._trial_threads(d, trials, cores) == threads
+
+    def test_environment_picks_no_bits(self):
+        # a sweep holds numpy's OpenBLAS at one thread itself: with
+        # OPENBLAS_NUM_THREADS unset, at 1 and at 2, the d = 26..27 draws
+        # (whose rtol-truncated solves move with any change of rounding)
+        # get the same labels and eps bits
+        code = ("import qnetid; cfg = qnetid.SweepConfig(d_min=26, d_max=27, subsamples=(5,), "
+                "trials=5); print([(t.solvability, None if t.epsilon is None else "
+                "t.epsilon.hex()) for t in qnetid.run_sweep(cfg).trials])")
+        src = Path(qnetid.sweep.__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(src)
+        runs = []
+        for blas in ({}, {"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}):
+            proc = subprocess.run([sys.executable, "-c", code], env={**env, **blas},
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            runs.append(proc.stdout)
+        assert runs[1] == runs[0] == runs[2]
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+    def test_blas_threads_restored(self, monkeypatch, fails):
+        # the blocks run at one BLAS thread, and the count the sweep found
+        # is back when it returns or raises
+        calls = qnetid.linalg._openblas_threads()
+        if calls is None:
+            pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
+        get, put = calls
+        run_block, seen = qnetid.sweep.run_benchmark_trials, []
+
+        def recording(*args, **kwargs):
+            seen.append(get())
+            if fails:
+                raise RuntimeError("block failed")
+            return run_block(*args, **kwargs)
+
+        monkeypatch.setattr(qnetid.sweep, "run_benchmark_trials", recording)
+        before = get()
+        put(2)
+        try:
+            if fails:
+                with pytest.raises(RuntimeError, match="block failed"):
+                    run_sweep(TINY)
+            else:
+                run_sweep(TINY)
+            assert get() == 2
+        finally:
+            put(before)
+        assert seen and set(seen) == {1}
+
+    def test_rows_serial_under_another_blas(self, monkeypatch):
+        # without numpy's OpenBLAS symbols the hold does nothing and says
+        # so, and a row that would run on threads runs on the calling thread
+        cfg = SweepConfig(seed=0, d_min=12, d_max=12, taus=(3.0,), subsamples=(5,), trials=10)
+        threaded = run_sweep(cfg)
+        run_block, idents = qnetid.sweep.run_benchmark_trials, set()
+
+        def recording(*args, **kwargs):
+            idents.add(threading.get_ident())
+            return run_block(*args, **kwargs)
+
+        monkeypatch.setattr(qnetid.sweep, "run_benchmark_trials", recording)
+        monkeypatch.setattr(qnetid.linalg, "_openblas_threads", lambda: None)
+        with qnetid.linalg.one_blas_thread() as held:
+            assert held is False
+        serial = run_sweep(cfg)
+        assert idents == {threading.main_thread().ident}
+        assert serial.trials == threaded.trials
 
     def test_threaded_rows_match_serial(self, tmp_path, monkeypatch):
         # records, trials and CSV bytes do not depend on the thread count;
@@ -740,7 +795,7 @@ class TestTrialThreads:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         monkeypatch.setattr(qnetid.sweep, "_trial_threads",
-                            lambda d, trials, cores, environ: seen.append(cores) or 1)
+                            lambda d, trials, cores: seen.append(cores) or 1)
         run_sweep(TINY)
         assert seen == [3] * len(TINY.d_values)
 
