@@ -1,6 +1,6 @@
 """Acceptance suite: one test per benchmark criterion, printed pass/fail.
 
-Criterion 2 (the d = 2..30 transition sweep, about 16 s on 2 cores)
+Criterion 2 (the d = 2..30 transition sweep, 17-20 s on 2 cores)
 checks the curve; one of its cells (d = 26..30, 5 draws per d) is also
 checked draw by draw against golden labels.
 
