@@ -77,6 +77,7 @@ from .linalg import (
     hermitize,
     matrix_to_json,
     numerical_rank,
+    one_blas_thread,
     save_json,
     spectral_norm,
     upper_pairs,
@@ -286,6 +287,7 @@ def _label_rtol(d: int) -> float:
     return 2 * d * d * EPS
 
 
+@one_blas_thread()
 def solve_commutator(
     p: np.ndarray,
     q: np.ndarray,
@@ -294,17 +296,17 @@ def solve_commutator(
 ) -> IdentificationReport:
     """Solve [M, P] = Q for an admissible M and certify uniqueness.
 
-    One system of ``solve_stack``: gelsd's truncated minimum-norm least
-    squares at ``rtol``.  ``outcome`` is 'unique' at full column rank with
-    a relative residual of the full equation at most RESIDUAL_RTOL,
+    One system of ``solve_stack``: gelsd's truncated minimum-norm least squares
+    at ``rtol``, held at one BLAS thread (``one_blas_thread``) whatever
+    OPENBLAS_NUM_THREADS says.  ``outcome`` is 'unique' at full column rank
+    with a relative residual of the full equation at most RESIDUAL_RTOL,
     'non_unique' when rank deficient (the minimum-norm estimate is still
-    emitted, untrusted), and 'inconsistent' at full rank with a large
-    residual.  ``solvability`` is the rank-only label at 2d^2 * eps
-    relative to sigma_max (module docstring).  A Q of zero with full rank
-    yields the zero matrix and 'unique': no interaction detected.  P is
-    taken to be Hermitian and Q skew-Hermitian, as ``build_P_trapezoid``
-    and ``build_Q`` return them: the halved system keeps only the rows
-    these symmetries make independent.
+    emitted, untrusted), and 'inconsistent' at full rank with a large residual.
+    ``solvability`` is the rank-only label at 2d^2 * eps relative to sigma_max
+    (module docstring).  A Q of zero with full rank yields the zero matrix and
+    'unique': no interaction detected.  P is taken to be Hermitian and Q
+    skew-Hermitian, as ``build_P_trapezoid`` and ``build_Q`` return them: the
+    halved system keeps only the rows these symmetries make independent.
     """
     p, q = np.asarray(p, dtype=complex), np.asarray(q, dtype=complex)
     if p.shape != q.shape or p.ndim != 2 or p.shape[0] != p.shape[1]:

@@ -60,7 +60,7 @@ def hermitize(m: np.ndarray) -> np.ndarray:
         raise ValueError("matrix is not finite: it has a NaN or infinite entry")
     mh = m.conj().swapaxes(-1, -2)
     scale = np.maximum(np.linalg.norm(m, axis=(-2, -1)), ABS_FLOOR)
-    rel = np.linalg.norm(m - mh, axis=(-2, -1)) / scale
+    rel = np.sqrt(np.square(np.abs(m - mh)).sum(axis=(-2, -1))) / scale
     if np.any(rel > HERMITIAN_RTOL):
         raise ValueError(f"matrix is not Hermitian: relative asymmetry {np.max(rel):.3e} "
                          f"exceeds {HERMITIAN_RTOL:.1e}")
@@ -138,9 +138,9 @@ def _openblas_threads():
 
 @contextmanager
 def one_blas_thread():
-    """Hold numpy's OpenBLAS at one thread, whatever OPENBLAS_NUM_THREADS
-    started it with, and restore its count on exit, exceptions included.
-    Yields whether it could: under another BLAS it does nothing."""
+    """Hold numpy's OpenBLAS at one thread and restore its count on exit, exceptions
+    included; yields False, doing nothing, under another BLAS.  Entered one thread
+    at a time by run_sweep, solve_commutator and reconstruct_hamiltonian."""
     calls = _openblas_threads()
     with ExitStack() as restore:
         if calls is not None:

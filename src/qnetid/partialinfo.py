@@ -47,6 +47,7 @@ from .linalg import (
     matrix_from_json,
     matrix_to_json,
     numerical_rank,
+    one_blas_thread,
     save_json,
     spectral_norm,
     vec,
@@ -133,6 +134,7 @@ def _nodes_of_batch(lambda0: np.ndarray) -> int:
     return d
 
 
+@one_blas_thread()
 def reconstruct_hamiltonian(ys: np.ndarray, lambda0: np.ndarray, period: float,
                             hbar: float = 1.0, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     """Recover the traceless Hamiltonian from populations sampled every ``period``.
@@ -158,7 +160,7 @@ def reconstruct_hamiltonian(ys: np.ndarray, lambda0: np.ndarray, period: float,
     of U, is the unique traceless H whose eigenvalue spread is below
     pi*hbar/period; ``sampling_period`` guarantees a spread of at most 2
     in these units.  When max theta - min theta >= pi(1 - rtol) no such H
-    exists (ValueError).
+    exists (ValueError).  Holds one BLAS thread throughout (``one_blas_thread``).
     """
     lambda0 = np.asarray(lambda0, dtype=complex)
     d = _nodes_of_batch(lambda0)

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qnetid
 from qnetid.linalg import check_positive
 from qnetid.sweep import run_sweep
 
@@ -36,6 +42,20 @@ def random_admissible(rng, d, real=False):
         h = 0.5 * (h + h.T)
     np.fill_diagonal(h, 0.0)
     return h
+
+
+def under_each_blas_setting(code):
+    """The standard output of ``code`` run by a fresh interpreter with
+    OPENBLAS_NUM_THREADS unset, at 1 and at 2, in that order."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(qnetid.__file__).resolve().parents[1])
+    runs = []
+    for blas in ({}, {"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}):
+        proc = subprocess.run([sys.executable, "-c", code], env={**env, **blas},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(proc.stdout)
+    return runs
 
 
 def lstsq_recorder(calls):

@@ -227,6 +227,26 @@ class TestCriterion2CriticalSize:
         assert first_zero is not None and first_zero > d_c, detail
 
 
+class TestCriterion2WindowMovesTransition:
+    """The critical size is set by the observation window, not by d alone:
+    seed 0, 10 draws per d, full sampling, real class.  At tau = 1.5 every
+    draw at d = 20..22 reads 0 (17..19 read 1), and at tau = 6 every draw
+    at d = 28..30 reads 1, where tau = 3 gives 0.10, 0.00 and 0.00."""
+
+    @pytest.mark.parametrize("tau, d_min, d_max, label", [
+        (1.5, 20, 22, 0.0),
+        (6.0, 28, 30, 1.0),
+    ], ids=["short-window", "long-window"])
+    def test_transition_moves_with_tau(self, tau, d_min, d_max, label):
+        cfg = SweepConfig(seed=MASTER_SEED, d_min=d_min, d_max=d_max, taus=(tau,),
+                          subsamples=(1,), trials=10)
+        curve = {rec.d: rec.solvability_mean for rec in run_sweep(cfg).records}
+        detail = f"tau={tau:g}: " + " ".join(f"{d}:{v:.2f}" for d, v in sorted(curve.items()))
+        ok = curve == {d: label for d in range(d_min, d_max + 1)}
+        report("criterion 2 (critical size moves with tau)", ok, detail)
+        assert ok, detail
+
+
 class TestCriterion2GoldenCell:
     """The seed-0 cell d = 26..30, tau = 3, n~ = n_s/5, 5 draws per d, in
     tier 1: every draw's solvability label equals its golden label.

@@ -1,4 +1,5 @@
 import re
+import textwrap
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from qnetid.linalg import (
 )
 from qnetid.partialinfo import reconstruct_hamiltonian, sampling_period
 from qnetid.sweep import SweepConfig
+
+from conftest import under_each_blas_setting
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -332,3 +335,42 @@ class TestExports:
 
     def test_one_config_error(self):
         assert qnetid.ConfigError is qnetid.sweep.ConfigError is qnetid.linalg.ConfigError
+
+
+class TestOneBlasThread:
+    def test_reports_pick_no_bits(self):
+        # identify and partial-identify hold numpy's OpenBLAS at one thread:
+        # with OPENBLAS_NUM_THREADS unset, at 1 and at 2, the d = 26 report
+        # and the d = 7, 8 estimates (which a second BLAS thread moves when
+        # unheld) are the same bits
+        code = textwrap.dedent("""\
+            import hashlib, json
+            import numpy as np
+            from qnetid import (basis_density, erdos_renyi, identify_topology,
+                                output_stacks, physical_initial_batch, propagator,
+                                reconstruct_hamiltonian, sample_trajectory, sampling_period)
+            adjacency = erdos_renyi(26, 0.5, 7)
+            traj = sample_trajectory(adjacency, basis_density(26, 1), 3.0, 0.01)
+            report = identify_topology(traj, subsample=5, truth=adjacency, real_coupling=True)
+            print("identify", json.dumps(report.to_json(), sort_keys=True))
+            for d in (7, 8):
+                for seed in (0, 1):
+                    rng = np.random.default_rng(seed)
+                    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                    h = 0.5 * (g + g.conj().T)
+                    h = h * (1.0 / np.linalg.norm(h, 2))
+                    period = sampling_period(h)
+                    lambda0 = physical_initial_batch(d)[0]
+                    ys = output_stacks(propagator(h, period), lambda0, d * d)
+                    h_hat = reconstruct_hamiltonian(ys, lambda0, period)
+                    print(d, seed, hashlib.sha256(h_hat.tobytes()).hexdigest())
+            """)
+        unset, one, two = under_each_blas_setting(code)
+        assert one.splitlines() == unset.splitlines() == two.splitlines()
+
+    def test_import_looks_up_nothing(self):
+        # the decorators are made at import; the library is found on the
+        # first solve, so that import qnetid stays as cheap as before
+        code = ("import qnetid, qnetid.linalg; "
+                "print(qnetid.linalg._openblas_threads.cache_info().currsize)")
+        assert under_each_blas_setting(code) == ["0\n"] * 3

@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 import qnetid.identify
 import qnetid.linalg
 import qnetid.sweep
-from qnetid.dynamics import sample_times, trapezoid_grams
+from qnetid.dynamics import propagator, sample_times, trapezoid_grams
 from qnetid.identify import build_Q, solve_commutator
 from qnetid.linalg import spectral_norm
 from qnetid.netmodel import derive_seed
+from qnetid.partialinfo import (output_stacks, physical_initial_batch, reconstruct_hamiltonian,
+                                sampling_period)
 from qnetid.sweep import (
     CSV_HEADER,
     SOLVE_BYTES,
@@ -32,6 +34,8 @@ from qnetid.sweep import (
     run_benchmark_trials,
     run_sweep,
 )
+
+from conftest import random_hermitian, under_each_blas_setting
 
 TINY = SweepConfig(seed=11, d_min=2, d_max=3, taus=(1.0,), subsamples=(1,), trials=4)
 
@@ -619,46 +623,52 @@ class TestTrialThreads:
         code = ("import qnetid; cfg = qnetid.SweepConfig(d_min=26, d_max=27, subsamples=(5,), "
                 "trials=5); print([(t.solvability, None if t.epsilon is None else "
                 "t.epsilon.hex()) for t in qnetid.run_sweep(cfg).trials])")
-        src = Path(qnetid.sweep.__file__).resolve().parents[1]
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        env["PYTHONPATH"] = str(src)
-        runs = []
-        for blas in ({}, {"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}):
-            proc = subprocess.run([sys.executable, "-c", code], env={**env, **blas},
-                                  capture_output=True, text=True, timeout=120)
-            assert proc.returncode == 0, proc.stderr
-            runs.append(proc.stdout)
-        assert runs[1] == runs[0] == runs[2]
+        unset, one, two = under_each_blas_setting(code)
+        assert one == unset == two
 
     @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
     def test_blas_threads_restored(self, monkeypatch, fails):
-        # the blocks run at one BLAS thread, and the count the sweep found
-        # is back when it returns or raises
+        # the solves of a sweep, of solve_commutator and of
+        # reconstruct_hamiltonian run at one BLAS thread, and the count the
+        # caller set is back when each returns or raises
         calls = qnetid.linalg._openblas_threads()
         if calls is None:
             pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
         get, put = calls
-        run_block, seen = qnetid.sweep.run_benchmark_trials, []
+        rng = np.random.default_rng(5)
+        h = random_hermitian(rng, 3, norm=1.0)
+        p, m = random_hermitian(rng, 3), random_hermitian(rng, 3)
+        period = sampling_period(h)
+        lambda0 = physical_initial_batch(3)[0]
+        ys = output_stacks(propagator(h, period), lambda0, 9)
+        entries = {
+            "run_sweep": lambda: run_sweep(TINY),
+            "solve_commutator": lambda: solve_commutator(p, m @ p - p @ m),
+            "reconstruct_hamiltonian": lambda: reconstruct_hamiltonian(ys, lambda0, period),
+        }
+        lstsq, seen = np.linalg.lstsq, []
 
         def recording(*args, **kwargs):
             seen.append(get())
             if fails:
-                raise RuntimeError("block failed")
-            return run_block(*args, **kwargs)
+                raise RuntimeError("solve failed")
+            return lstsq(*args, **kwargs)
 
-        monkeypatch.setattr(qnetid.sweep, "run_benchmark_trials", recording)
+        monkeypatch.setattr(np.linalg, "lstsq", recording)
         before = get()
         put(2)
         try:
-            if fails:
-                with pytest.raises(RuntimeError, match="block failed"):
-                    run_sweep(TINY)
-            else:
-                run_sweep(TINY)
-            assert get() == 2
+            for name, entry in entries.items():
+                seen.clear()
+                if fails:
+                    with pytest.raises(RuntimeError, match="solve failed"):
+                        entry()
+                else:
+                    entry()
+                assert get() == 2, name
+                assert seen and set(seen) == {1}, name
         finally:
             put(before)
-        assert seen and set(seen) == {1}
 
     def test_rows_serial_under_another_blas(self, monkeypatch):
         # without numpy's OpenBLAS symbols the hold does nothing and says
