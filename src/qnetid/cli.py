@@ -27,7 +27,7 @@ from .dynamics import (
 )
 from .identify import identify_topology, relative_error
 from .linalg import (DEFAULT_RTOL, ConfigError, check_network_size, hermitize, load_json,
-                     load_matrix, save_json, save_matrix)
+                     load_matrix, naming, save_json, save_matrix)
 from .netmodel import basis_density, connected_erdos_renyi, erdos_renyi
 from .partialinfo import (
     observability_rank,
@@ -139,13 +139,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_hermitian(path, d=None) -> np.ndarray:
     """A Hermitian matrix of a network (``check_network_size``), d x d when d is given."""
     m = load_matrix(path)
-    try:
+    with naming(path):
         h = hermitize(m)
         if d not in (None, h.shape[0]):
             raise ConfigError(f"expected d = {d} nodes, got a {h.shape} matrix")
         check_network_size(h.shape[0])
-    except ValueError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
     return h
 
 
@@ -172,10 +170,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_identify(args) -> int:
     traj = read_trajectory_csv(args.trajectory)
-    try:
+    with naming(args.trajectory):
         check_network_size(traj.dim)
-    except ConfigError as exc:
-        raise ConfigError(f"{args.trajectory}: {exc}") from None
     h0, truth = (_load_hermitian(path, d=traj.dim) if path else None
                  for path in (args.h0, args.truth))
     report = identify_topology(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ConfigError, check_positive, hermitize, is_finite, is_integer
+from .linalg import ConfigError, check_positive, hermitize, is_finite, is_integer, naming
 
 #: tolerated negative eigenvalue on density operators (round-off slack)
 PSD_TOL = 1e-10
@@ -117,10 +117,8 @@ def grid_intervals(tau: float, dt: float) -> int:
                 times[-1] = tau  # kill accumulated grid round-off at the endpoint
             steps = np.diff(times)
             low, high = min(low, steps.min()), max(high, steps.max())
-    try:
+    with naming(lambda: f"tau/dt = {tau!r}/{dt!r}", ConfigError):
         _check_steps(low, high, tau, n)  # t_0 = 0 * dt = 0
-    except ValueError as exc:
-        raise ConfigError(f"tau/dt = {tau!r}/{dt!r}: {exc}") from None
     return n
 
 
@@ -363,15 +361,15 @@ def _read_rows(path, columns) -> np.ndarray:
     compared field by field.  The rows are read by one ``np.loadtxt``
     call: blank lines are skipped, and a ragged row, a non-numeric field
     or a ``#`` line is an error that names the first such row
-    (``_bad_data_row``).  Every entry must be finite.  Raises ValueError
-    naming the file.
+    (``_bad_data_row``).  Every entry must be finite.  Every ValueError,
+    a line that is not UTF-8 included, names the file (``naming``).
     """
-    with open(path) as fh:
+    with naming(path), open(path) as fh:
         names = fh.readline().strip().split(",")
         header = columns(len(names))
         if names != header:
             k = next((k for k, pair in enumerate(zip(names, header)) if pair[0] != pair[1]), None)
-            raise ValueError(f"{path}: malformed CSV header: " + (
+            raise ValueError("malformed CSV header: " + (
                 f"{len(names)} fields, not {len(header)}" if k is None
                 else f"field {k + 1} is {names[k]!r}, not {header[k]!r}"))
         with warnings.catch_warnings():
@@ -383,16 +381,16 @@ def _read_rows(path, columns) -> np.ndarray:
             except ValueError:
                 fh.seek(0)
                 fh.readline()
-                raise ValueError(f"{path}: {_bad_data_row(fh, len(header))}") from None
-    if rows.size and rows.shape[1] != len(header):
-        raise ValueError(f"{path}: CSV row length mismatch: {rows.shape[1]} fields, "
-                         f"not {len(header)}")
-    finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        raise ValueError(f"{path}: data row {k + 1} (t = {float(rows[k, 0])!r}) "
-                         "has a NaN or infinite entry")
-    return rows.reshape(-1, len(header))
+                raise ValueError(_bad_data_row(fh, len(header)))
+        if rows.size and rows.shape[1] != len(header):
+            raise ValueError(f"CSV row length mismatch: {rows.shape[1]} fields, "
+                             f"not {len(header)}")
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise ValueError(f"data row {k + 1} (t = {float(rows[k, 0])!r}) "
+                             "has a NaN or infinite entry")
+        return rows.reshape(-1, len(header))
 
 
 def read_trajectory_csv(path) -> Trajectory:
@@ -409,8 +407,6 @@ def read_trajectory_csv(path) -> Trajectory:
     d = math.isqrt(rows.shape[1] // 2)
     flat = rows[:, 1::2] + 1j * rows[:, 2::2]
     states = np.ascontiguousarray(flat.reshape(-1, d, d).transpose(0, 2, 1))
-    try:
+    with naming(path):
         return Trajectory(times=np.ascontiguousarray(rows[:, 0]),
                           states=_unit_trace(states, "a state"))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None

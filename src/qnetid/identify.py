@@ -76,6 +76,7 @@ from .linalg import (
     check_positive,
     hermitize,
     matrix_to_json,
+    naming,
     numerical_rank,
     one_blas_thread,
     save_json,
@@ -213,10 +214,9 @@ def build_Q(
         if p is None:
             raise ValueError("P is required when a known H0 is supplied")
         q = q - commutator(hermitize(known_h0), np.asarray(p, dtype=complex))
-    try:  # Q is skew-Hermitian exactly when iQ is Hermitian; +-i moves no bit
+    # Q is skew-Hermitian exactly when iQ is Hermitian; +-i moves no bit
+    with naming("Q is not skew-Hermitian; check the input states"):
         return -1j * hermitize(1j * q)
-    except ValueError as exc:
-        raise ValueError(f"Q is not skew-Hermitian; check the input states: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ Column-stacking vectorization, the one order of node pairs, Hermitian
 symmetrization, the one numerical-rank rule, spectral norm, and the one
 reader and writer of the package's JSON files, the matrix format
 included; also ``ConfigError``, raised by every check of a parameter
-(not of data), the one positivity, finiteness, integer and d >= 2 rules,
-and the hold of numpy's OpenBLAS at one thread.
+(not of data), ``naming``, the one way an input names itself in errors,
+the one positivity, finiteness, integer and d >= 2 rules, and the hold
+of numpy's OpenBLAS at one thread.
 
 The vectorization convention is column stacking throughout:
 ``vec(M)[(j-1)*d + i] = M[i, j]`` (1-based), i.e. the first column of M
@@ -69,6 +70,18 @@ def hermitize(m: np.ndarray) -> np.ndarray:
 
 class ConfigError(ValueError):
     """An invalid parameter (not invalid data); the message names it."""
+
+
+@contextmanager
+def naming(source, error=None):
+    """Re-raise a ValueError from inside as ``"<source>: <reason>"``, from None:
+    as ``error`` if given, else a ConfigError as one and any other as a plain
+    ValueError.  A callable ``source`` is called only on such an error."""
+    try:
+        yield
+    except ValueError as exc:
+        kind = error or (ConfigError if isinstance(exc, ConfigError) else ValueError)
+        raise kind(f"{source() if callable(source) else source}: {exc}") from None
 
 
 def check_positive(name: str, value: float) -> None:
@@ -189,11 +202,8 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 def load_json(path):
     """Parse a JSON file; one that does not parse (JSONDecodeError, an integer
     beyond str's digit limit, ...) is a ConfigError that names the file."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+    with naming(path, ConfigError), open(path) as fh:
+        return json.load(fh)
 
 
 def save_json(path, obj) -> None:
@@ -214,7 +224,5 @@ def load_matrix(path) -> np.ndarray:
     """The matrix object of a JSON file; a file that holds none is a
     ConfigError that names it."""
     obj = load_json(path)
-    try:
+    with naming(path, ConfigError):
         return matrix_from_json(obj)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc

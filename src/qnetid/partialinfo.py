@@ -46,6 +46,7 @@ from .linalg import (
     load_json,
     matrix_from_json,
     matrix_to_json,
+    naming,
     numerical_rank,
     one_blas_thread,
     save_json,
@@ -311,22 +312,20 @@ def read_output_batch(manifest_path) -> tuple[np.ndarray, list[tuple[str, np.nda
     """
     manifest_path = Path(manifest_path)
     manifest = load_json(manifest_path)
-    try:
-        lambda0, outputs = matrix_from_json(manifest["lambda0"]), manifest["outputs"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{manifest_path}: not a batch manifest: {exc!r}") from exc
-    labels = manifest.get("labels", {})
-    if not (isinstance(outputs, dict) and isinstance(labels, dict)
-            and all(key.isdecimal() for key in outputs)):
-        raise ConfigError(f"{manifest_path}: not a batch manifest: 'outputs' must be an object "
-                          "keyed by run numbers, 'labels' an object")
-    try:
+    with naming(manifest_path):
+        try:
+            lambda0, outputs = matrix_from_json(manifest["lambda0"]), manifest["outputs"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"not a batch manifest: {exc!r}")
+        labels = manifest.get("labels", {})
+        if not (isinstance(outputs, dict) and isinstance(labels, dict)
+                and all(key.isdecimal() for key in outputs)):
+            raise ConfigError("not a batch manifest: 'outputs' must be an object keyed by run "
+                              "numbers, 'labels' an object")
         d = _nodes_of_batch(lambda0)
-    except ValueError as exc:
-        raise ValueError(f"{manifest_path}: {exc}") from None
-    if len(outputs) != d * d:
-        raise ValueError(f"{manifest_path}: {len(outputs)} runs, but Lambda0 has shape "
-                         f"{lambda0.shape}; a batch has one run per column")
+        if len(outputs) != d * d:
+            raise ValueError(f"{len(outputs)} runs, but Lambda0 has shape {lambda0.shape}; "
+                             "a batch has one run per column")
     runs = []
     for idx in sorted(outputs, key=int):
         name = outputs[idx]
@@ -334,15 +333,13 @@ def read_output_batch(manifest_path) -> tuple[np.ndarray, list[tuple[str, np.nda
         rows = _read_rows(manifest_path.parent / name, lambda n: _output_columns(d))
         runs.append((label, rows[:, 0], rows[:, 1:]))
     first, grid, _ = runs[0]
-    try:
-        _check_grid(grid)
-    except ValueError as exc:
-        raise ValueError(f"{manifest_path}: run {first!r}: {exc}") from None
-    slack = GRID_RTOL * (grid[-1] - grid[0]) / (len(grid) - 1)
-    if abs(grid[0]) > slack:
-        raise ValueError(f"{manifest_path}: the time grid starts at {float(grid[0])!r}, not 0")
-    for label, times, _ in runs:
-        if times.shape != grid.shape or not np.all(np.abs(times - grid) <= slack):
-            raise ValueError(f"{manifest_path}: run {label!r} is not sampled on the "
-                             f"time grid of run {first!r}")
+    with naming(manifest_path):
+        with naming(f"run {first!r}"):
+            _check_grid(grid)
+        slack = GRID_RTOL * (grid[-1] - grid[0]) / (len(grid) - 1)
+        if abs(grid[0]) > slack:
+            raise ValueError(f"the time grid starts at {float(grid[0])!r}, not 0")
+        for label, times, _ in runs:
+            if times.shape != grid.shape or not np.all(np.abs(times - grid) <= slack):
+                raise ValueError(f"run {label!r} is not sampled on the time grid of run {first!r}")
     return lambda0, runs

@@ -36,7 +36,7 @@ from functools import partial
 import numpy as np
 
 from .identify import build_Q, relative_error, solve_stack
-from .linalg import (DEFAULT_RTOL, ConfigError, check_positive, is_finite, is_integer,
+from .linalg import (DEFAULT_RTOL, ConfigError, check_positive, is_finite, is_integer, naming,
                      one_blas_thread, shown_number)
 from .netmodel import basis_density, connected_erdos_renyi, derive_seed
 from .dynamics import check_subsample, grid_intervals, trapezoid_grams
@@ -379,16 +379,16 @@ def run_sweep(cfg: SweepConfig, kind: str = "solvability", out_csv=None) -> Swee
 
 def read_sweep_csv(path) -> list[dict]:
     """Parse a sweep CSV back into row dictionaries: ``CellRecord``'s
-    ``int`` fields as int, the others as float, an empty field as None.
-    Every error names the file and the line."""
+    ``int`` fields as int, the others as float, an empty field as None,
+    each finite.  Every error names the file, and the line where there is one."""
     types = {f.name: int if f.type == "int" else float for f in fields(CellRecord)}
     rows, header = [], False
-    with open(path) as fh:
+    with naming(path), open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            try:
+            with naming(f"line {lineno}"):
                 if not header:
                     if line != CSV_HEADER:
                         raise ValueError(f"unexpected sweep CSV header: {line!r}")
@@ -399,8 +399,8 @@ def read_sweep_csv(path) -> list[dict]:
                     raise ValueError(f"malformed sweep CSV row: {line!r}")
                 rows.append({key: None if val == "" else kind(val)
                              for (key, kind), val in zip(types.items(), parts)})
-            except ValueError as exc:
-                raise ValueError(f"{path} line {lineno}: {exc}") from None
+                if not all(is_finite(v) for v in rows[-1].values() if v is not None):
+                    raise ValueError(f"non-finite value in sweep CSV row: {line!r}")
     if not header:
         raise ValueError(f"{path} contains no CSV header")
     return rows

@@ -26,7 +26,7 @@ from qnetid.partialinfo import (
     reconstruct_hamiltonian,
     sampling_period,
 )
-from qnetid.sweep import SweepConfig, SweepResult
+from qnetid.sweep import CSV_HEADER, SweepConfig, SweepResult
 
 from conftest import random_hermitian
 
@@ -257,6 +257,28 @@ class TestSweepPlot:
                    "--out-dir", tmp_path) == 2
         assert run("sweep", "solvability", "--tau", 1.0, "--subsample", 0,
                    "--out-dir", tmp_path) == 2
+
+    def test_empty_taus_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"taus": []}))
+        out_dir = tmp_path / "out"
+        assert run("sweep", "error", "--config", cfg, "--out-dir", out_dir) == 2
+        assert "\n  at least one tau is required" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("kind", ["solvability", "error"])
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    def test_non_finite_value_exits_3(self, tmp_path, capsys, kind, value):
+        # a solvability plot wrote cy="nan" and exited 0; an error plot died
+        # with an uncaught OverflowError
+        csv, svg = tmp_path / "s.csv", tmp_path / "s.svg"
+        column = 4 if kind == "solvability" else 5
+        fields = "2,3.0,300,4,1.0,0.01,0.01,0.01,0".split(",")
+        bad = ["3"] + fields[1:column] + [value] + fields[column + 1:]
+        csv.write_text(f"{CSV_HEADER}\n{','.join(fields)}\n{','.join(bad)}\n")
+        assert run("plot", "--csv", csv, "--kind", kind, "--out", svg) == 3
+        assert capsys.readouterr().err.startswith(f"numerical failure: {csv}: line 3: ")
+        assert not svg.exists()
 
 
 class TestObservability:
@@ -509,6 +531,36 @@ class TestFlagAndInputChecks:
         assert err.startswith(f"configuration error: {tmp_path / 'h.json'}: ")
         assert "d must be at least 2, got 1" in err
         assert not (tmp_path / "t.csv").exists()
+
+
+class TestNonUtf8Inputs:
+    """A byte 0xff in a reader's file: the message starts with that file's path."""
+
+    def test_trajectory_csv(self, tmp_path, capsys):
+        traj = tmp_path / "t.csv"
+        assert run("simulate", "--er-d", 2, "--tau", 1.0, "--dt", 0.1, "--out", traj) == 0
+        with traj.open("ab") as fh:
+            fh.write(b"\xff\n")
+        capsys.readouterr()
+        assert run("identify", "--trajectory", traj) == 3
+        assert capsys.readouterr().err.startswith(f"numerical failure: {traj}: 'utf-8' codec")
+
+    def test_sweep_csv(self, tmp_path, capsys):
+        csv = tmp_path / "s.csv"
+        csv.write_bytes(f"{CSV_HEADER}\n".encode() + b"2,1.0,10,4,\xff,,,,0\n")
+        assert run("plot", "--csv", csv, "--kind", "solvability",
+                   "--out", tmp_path / "s.svg") == 3
+        assert capsys.readouterr().err.startswith(f"numerical failure: {csv}: 'utf-8' codec")
+
+    def test_output_batch_run_csv(self, tmp_path):
+        h_path, batch = tmp_path / "h.json", tmp_path / "batch"
+        save_matrix(h_path, np.array([[1.0, 1.0], [1.0, -1.0]]))
+        assert run("partial-identify", "--hamiltonian", h_path, "--save-outputs", batch) == 0
+        with (batch / "output_002.csv").open("ab") as fh:
+            fh.write(b"\xff\n")
+        with pytest.raises(ValueError) as info:
+            read_output_batch(batch / "manifest.json")
+        assert str(info.value).startswith(f"{batch / 'output_002.csv'}: 'utf-8' codec")
 
 
 class TestParser:

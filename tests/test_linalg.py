@@ -17,6 +17,7 @@ from qnetid.linalg import (
     load_matrix,
     matrix_from_json,
     matrix_to_json,
+    naming,
     numerical_rank,
     save_json,
     save_matrix,
@@ -185,6 +186,49 @@ class TestCheckPositive:
         with pytest.raises(ConfigError, match=r"^x must be positive and finite, got an integer "
                                               r"beyond the float range$"):
             check_positive("x", value)
+
+
+class TestNaming:
+    @pytest.mark.parametrize("raised, error, expected", [
+        (ValueError("bad"), None, ValueError),
+        (ConfigError("bad"), None, ConfigError),
+        (ValueError("bad"), ConfigError, ConfigError),
+        (ConfigError("bad"), ValueError, ValueError),
+    ])
+    def test_prefixes_the_source(self, raised, error, expected):
+        with pytest.raises(ValueError) as info:
+            with naming("f.csv", error):
+                raise raised
+        assert type(info.value) is expected and str(info.value) == "f.csv: bad"
+        assert info.value.__cause__ is None and info.value.__suppress_context__
+
+    def test_decode_error_becomes_a_plain_value_error(self):
+        # UnicodeDecodeError's constructor takes five arguments, so its own
+        # type cannot carry the prefixed message
+        with pytest.raises(ValueError) as info:
+            with naming("f.csv"):
+                b"\xff".decode()
+        assert type(info.value) is ValueError
+        assert str(info.value).startswith("f.csv: 'utf-8' codec can't decode byte 0xff")
+
+    def test_callable_source_called_only_on_failure(self):
+        calls = []
+
+        def source():
+            calls.append(1)
+            return "tau/dt = 1.0/0.1"
+
+        with naming(source, ConfigError):
+            pass
+        assert calls == []
+        with pytest.raises(ConfigError, match=r"^tau/dt = 1\.0/0\.1: bad$"):
+            with naming(source, ConfigError):
+                raise ValueError("bad")
+
+    def test_other_errors_pass_unnamed(self):
+        with pytest.raises(KeyError):
+            with naming("f.csv"):
+                raise KeyError("k")
 
 
 class TestSpectralNorm:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from qnetid.svgplot import emit_plot
@@ -62,3 +64,20 @@ class TestEmitPlot:
     def test_embeds_config_comment(self, sweep_csv, tmp_path):
         out = emit_plot(sweep_csv, "solvability", tmp_path / "c.svg")
         assert '"seed": 21' in out.read_text()
+
+    def test_no_preamble_no_comment(self, sweep_csv, tmp_path):
+        csv = tmp_path / "bare.csv"
+        csv.write_text("".join(line for line in sweep_csv.read_text().splitlines(True)
+                               if not line.startswith("#")))
+        text = emit_plot(csv, "solvability", tmp_path / "bare.svg").read_text()
+        assert "<!--" not in text and "polyline" in text
+
+    def test_error_medians_in_one_decade(self, tmp_path):
+        # every median 0.01: floor and ceil of log10 agree, so the axis is
+        # widened to the one decade 1e-2..1e-1
+        csv = tmp_path / "flat.csv"
+        csv.write_text(CSV_HEADER + "\n" + "".join(
+            f"{d},1.0,10,4,1.0,0.01,0.01,0.01,0\n" for d in (2, 3)))
+        text = emit_plot(csv, "error", tmp_path / "flat.svg").read_text()
+        ticks = re.findall(r">(1e-?\d+)</text>", text)
+        assert ticks == ["1e-2", "1e-1"]

@@ -84,6 +84,13 @@ class TestConfigValidation:
             assert token in joined
         assert len(errors) == 9
 
+    @pytest.mark.parametrize("key, message", [
+        ("taus", "at least one tau is required"),
+        ("subsamples", "at least one subsample divisor is required"),
+    ])
+    def test_empty_taus_and_subsamples_listed(self, key, message):
+        assert SweepConfig(**{key: ()}).validate() == [message]
+
     def test_zero_subsample_listed_not_raised(self):
         # on a dividing grid, a zero divisor is reported, not divided by
         errors = SweepConfig(taus=(1.0,), subsamples=(0, 5)).validate()
@@ -851,11 +858,16 @@ class TestReadSweepCsv:
     @pytest.mark.parametrize("row, message", [
         ("2,3.0,300,4,abc,,,,0", "line 3: could not convert string to float: 'abc'"),
         ("2.5,3.0,300,4,1.0,,,,0", "line 3: invalid literal for int() with base 10: '2.5'"),
-    ], ids=["float-column", "int-column"])
+        # sweeps write no such value; plot drew nan as cy="nan", or an error
+        # plot died with an OverflowError
+        *((row, f"line 3: non-finite value in sweep CSV row: {row!r}") for row in (
+            "2,3.0,300,4,nan,,,,0", "2,3.0,300,4,1.0,inf,,,0", "2,3.0,300,4,1.0,0.1,-inf,0.2,0",
+            "2,3.0,300,1" + "0" * 400 + ",1.0,,,,0")),
+    ], ids=["float-column", "int-column", "nan", "inf", "minus-inf", "integer-beyond-float"])
     def test_bad_value_names_file_and_line(self, tmp_path, row, message):
         bad = tmp_path / "bad.csv"
         bad.write_text(f"# preamble\n{CSV_HEADER}\n{row}\n")
-        with pytest.raises(ValueError, match=re.escape(f"{bad} {message}")):
+        with pytest.raises(ValueError, match=re.escape(f"{bad}: {message}")):
             read_sweep_csv(bad)
 
     def test_empty_file_rejected(self, tmp_path):
