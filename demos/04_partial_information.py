@@ -2,10 +2,10 @@
 
 When only diag(rho_t) is measurable, a single trajectory is not enough:
 the network must be re-initialized in d^2 linearly independent states.
-Their populations, sampled every Delta = hbar/||H||_2, are the Markov
+Their populations, sampled every Delta = 1/||H||_2, are the Markov
 parameters C A^k of the vectorized propagator A = conj(U) kron U.  The
 simulation below builds them from the powers of the d x d propagator
-U = exp(-i H Delta/hbar) alone.  When the (selector, propagator) pair is
+U = exp(-i H Delta) alone.  When the (selector, propagator) pair is
 observable the Markov parameters determine A.  Realigned, A is the
 rank-one vec(conj U) vec(U)^T, so its dominant singular pair gives U up
 to a phase and its second singular value certifies a closed-system
@@ -37,7 +37,7 @@ d = 2
 h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)  # coupled, detuned nodes (traceless)
 delta = sampling_period(h)
 u = propagator(h, delta)
-print(f"sampling period hbar/||H|| = {delta:.4f}")
+print(f"sampling period 1/||H|| = {delta:.4f}")
 
 rank, observable = observability_rank(u)
 print(f"pair rank {rank} of {d * d}: {'observable' if observable else 'not observable'}")

@@ -53,7 +53,7 @@ print(f"  outcome={obj['outcome']} solvability={obj['solvability']} "
       f"epsilon={obj['epsilon']:.2e}")
 
 # diagonal-output batch: one CSV per initialization plus a manifest, with
-# the populations sampled every hbar/||H||_2, as partial-identify saves them
+# the populations sampled every 1/||H||_2, as partial-identify saves them
 lam0, states = physical_initial_batch(2)
 h2 = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
 period = sampling_period(h2)

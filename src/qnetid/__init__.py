@@ -2,12 +2,12 @@
 
 The package identifies the interaction structure (hence the topology) of
 an autonomous quantum network from sampled density-operator
-trajectories: the time integral P of the trajectory and the endpoint
-difference Q = i*hbar*(rho_tau - rho_0) pin the coupling matrix M down
-to the commutator equation [M, P] = Q, which is solved as a constrained
-linear system with an explicit uniqueness certificate.  A second route
-recovers the Hamiltonian from populations sampled after d^2 preparations,
-via an observability argument on the sampled propagator.
+trajectories (hbar = 1): the time integral P of the trajectory and the
+endpoint difference Q = i*(rho_tau - rho_0) pin the coupling matrix M
+down to the commutator equation [M, P] = Q, which is solved as a
+constrained linear system with an explicit uniqueness certificate.  A
+second route recovers the Hamiltonian from populations sampled after
+d^2 preparations, via an observability argument on the sampled propagator.
 A benchmark harness sweeps random quantum-walk networks and renders
 solvability and error curves.
 """

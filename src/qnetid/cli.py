@@ -69,7 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="start from the basis state of this node (1-based, default 1)")
     sim.add_argument("--tau", type=float, required=True)
     sim.add_argument("--dt", type=float, required=True)
-    sim.add_argument("--hbar", type=float, default=1.0)
     sim.add_argument("--out", required=True, help="trajectory CSV to write")
     sim.add_argument("--save-hamiltonian", help="also save the (generated) Hamiltonian")
 
@@ -77,7 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ident.add_argument("--trajectory", required=True, help="trajectory CSV from 'simulate'")
     ident.add_argument("--subsample", type=int, default=1,
                        help="quadrature subsampling divisor of n_s")
-    ident.add_argument("--hbar", type=float, default=1.0)
     ident.add_argument("--h0", help="matrix JSON of a known node Hamiltonian to subtract")
     ident.add_argument("--truth", help="matrix JSON of the true coupling matrix (for epsilon)")
     ident.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
@@ -102,17 +100,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--out-dir", required=True)
 
     obs = sub.add_parser("observability",
-                         help="rank test of the diagonal-output pair, sampled every "
-                              "hbar/||H||_2 (hbar cancels)")
+                         help="rank test of the diagonal-output pair, sampled every 1/||H||_2")
     obs.add_argument("--hamiltonian", required=True, help="matrix JSON with the Hamiltonian")
     obs.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
 
     part = sub.add_parser("partial-identify",
                           help="recover the Hamiltonian from diagonal outputs only, "
-                               "sampled every hbar/||H||_2")
+                               "sampled every 1/||H||_2")
     part.add_argument("--hamiltonian", required=True,
                       help="matrix JSON with the network Hamiltonian to simulate")
-    part.add_argument("--hbar", type=float, default=1.0)
     part.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
     part.add_argument("--estimate", action="store_true",
                       help="identify from the populations of the d^2 preparable states "
@@ -159,7 +155,7 @@ def _cmd_simulate(args) -> int:
     else:
         node = 1 if args.excite_node is None else args.excite_node
         rho0 = basis_density(d, node)
-    traj = sample_trajectory(h, rho0, args.tau, args.dt, args.hbar)
+    traj = sample_trajectory(h, rho0, args.tau, args.dt)
     write_trajectory_csv(traj, args.out)
     if args.save_hamiltonian:
         save_matrix(args.save_hamiltonian, h)
@@ -177,7 +173,6 @@ def _cmd_identify(args) -> int:
     report = identify_topology(
         traj,
         subsample=args.subsample,
-        hbar=args.hbar,
         known_h0=h0,
         truth=truth,
         rtol=args.rtol,
@@ -196,7 +191,9 @@ def _cmd_identify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = SweepConfig.from_json(load_json(args.config)) if args.config else SweepConfig()
+    obj = load_json(args.config) if args.config else {}
+    with naming(args.config):
+        cfg = SweepConfig.from_json(obj)
     cfg = cfg.override(**{f.name: getattr(args, f.name) for f in fields(SweepConfig)}).validated()
 
     out_csv = Path(args.out_dir) / f"{args.target}.csv"
@@ -210,7 +207,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_observability(args) -> int:
-    # hbar cancels at the sampling period: U = exp(-i H/||H_tl||_2)
     h = _load_hermitian(args.hamiltonian)
     rank, observable = observability_rank(propagator(h, sampling_period(h)), args.rtol)
     print(f"source: {args.hamiltonian}")
@@ -222,8 +218,8 @@ def _cmd_observability(args) -> int:
 def _cmd_partial_identify(args) -> int:
     h = _load_hermitian(args.hamiltonian)
     d = h.shape[0]
-    period = sampling_period(h, args.hbar)
-    u = propagator(h, period, args.hbar)
+    period = sampling_period(h)
+    u = propagator(h, period)
 
     if args.estimate:
         lambda0, states = physical_initial_batch(d)
@@ -236,7 +232,7 @@ def _cmd_partial_identify(args) -> int:
     # the observability stack has full rank n = d^2 once this returns; it
     # raises UnobservableError, naming the rank, otherwise
     ys = output_stacks(u, lambda0, d * d)
-    h_hat = reconstruct_hamiltonian(ys, lambda0, period, args.hbar, args.rtol)
+    h_hat = reconstruct_hamiltonian(ys, lambda0, period, rtol=args.rtol)
     print(f"observability rank: {d * d} of {d * d} (observable)")
     ham_err = relative_error(h_hat, h - (np.trace(h) / d) * np.eye(d))
     print(f"mode: {mode}")

@@ -1,9 +1,9 @@
 """Closed-system network dynamics in the density-operator picture.
 
-The state rho obeys d/dt rho = -(i/hbar) [H, rho] and is propagated
+The state rho obeys d/dt rho = -i [H, rho] (hbar = 1) and is propagated
 exactly through the eigendecomposition of the (time-independent)
 Hermitian H: one decomposition per trajectory, unitary conjugation per
-sample.  The module also builds the d x d propagator U = e^(-iHt/hbar),
+sample.  The module also builds the d x d propagator U = e^(-iHt),
 samples uniform-grid trajectories, and writes the time integral of rho
 in closed form: exactly, as an oracle for quadrature-based estimates, and
 as the composite trapezoid sum that a sampled trajectory would give.
@@ -171,21 +171,20 @@ class Trajectory:
         return len(self.times) - 1
 
 
-def propagator(h: np.ndarray, t: float, hbar: float = 1.0) -> np.ndarray:
-    """The d x d propagator U = exp(-i H t / hbar), from one eigendecomposition of H.
+def propagator(h: np.ndarray, t: float) -> np.ndarray:
+    """The d x d propagator U = exp(-i H t), from one eigendecomposition of H.
 
     The vectorized propagator, vec(rho) -> vec(U rho U-dagger), is
     conj(U) kron U under column stacking; it is never formed.  t must be
     finite (``is_finite``).
     """
-    check_positive("hbar", hbar)
     if not is_finite(t):
         raise ConfigError("t must be finite")
     w, v = np.linalg.eigh(hermitize(h))
-    return (v * np.exp(-1j * w * (t / hbar))) @ v.conj().T
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
-def propagate(h: np.ndarray, rho0: np.ndarray, t: float, hbar: float = 1.0) -> np.ndarray:
+def propagate(h: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
     """Propagate a density operator: rho_t = U rho_0 U†.
 
     Exact for time-independent H (no step-size error); preserves trace,
@@ -194,15 +193,14 @@ def propagate(h: np.ndarray, rho0: np.ndarray, t: float, hbar: float = 1.0) -> n
     if not (is_finite(t) and t >= 0):
         raise ConfigError("t must be nonnegative and finite")
     rho0 = check_density(rho0, "rho0")
-    u = propagator(h, t, hbar)
+    u = propagator(h, t)
     return hermitize(u @ rho0 @ u.conj().T)
 
 
-def _eigenbasis(h: np.ndarray, rho0: np.ndarray, hbar: float):
+def _eigenbasis(h: np.ndarray, rho0: np.ndarray):
     """The checked rho0, the eigenvalues w and eigenvectors V of H, and
     rho0 in that eigenbasis, V-dagger rho0 V, per matrix of a stack; raises
-    ValueError on an invalid rho0, one whose shape is not H's, or a bad hbar."""
-    check_positive("hbar", hbar)
+    ValueError on an invalid rho0 or one whose shape is not H's."""
     rho0 = check_density(rho0, "rho0")
     h = hermitize(h)
     if rho0.shape != h.shape:
@@ -220,9 +218,7 @@ def check_subsample(n_s: int, subsample: int) -> None:
         raise ConfigError(f"subsample {subsample} does not divide n_s = {n_s}")
 
 
-def sample_trajectory(
-    h: np.ndarray, rho0: np.ndarray, tau: float, dt: float, hbar: float = 1.0
-) -> Trajectory:
+def sample_trajectory(h: np.ndarray, rho0: np.ndarray, tau: float, dt: float) -> Trajectory:
     """Sample rho_t on the uniform grid t_k = k*dt, k = 0..tau/dt.
 
     tau/dt must be an integer by the rule of ``grid_intervals``; a single
@@ -233,13 +229,13 @@ def sample_trajectory(
     keep the batch temporaries in cache).
     """
     times = sample_times(tau, dt)
-    rho0, w, v, rho_eig = _eigenbasis(h, rho0, hbar)
+    rho0, w, v, rho_eig = _eigenbasis(h, rho0)
     vh = v.conj().T
     d = len(w)
     # every sample, the last too, is propagated to k*dt: it differs from
     # times[-1] = tau only within the grid tolerance
     k_dt = np.arange(len(times)) * dt
-    phase = np.exp(-1j * w[None, :] * (k_dt[:, None] / hbar))
+    phase = np.exp(-1j * w[None, :] * k_dt[:, None])
     states = np.empty((len(times), d, d), dtype=complex)
     states[0] = rho0  # the t = 0 propagator is the identity, exactly
     for start in range(1, len(times), SAMPLE_BLOCK):
@@ -271,18 +267,18 @@ def _mode_factors(omega: np.ndarray, tau: float, step=None) -> np.ndarray:
     return tau * np.cos(x) * np.sinc(n * x / np.pi) / np.sinc(x / np.pi) * np.exp(-1j * n * x)
 
 
-def exact_gram(h: np.ndarray, rho0: np.ndarray, tau: float, hbar: float = 1.0) -> np.ndarray:
+def exact_gram(h: np.ndarray, rho0: np.ndarray, tau: float) -> np.ndarray:
     """Closed form of the time integral of rho_t over [0, tau].
 
     In the eigenbasis of H the integrand factorizes mode by mode:
     entry (j, k) integrates to rho~_jk * (exp(-i w_jk tau) - 1)/(-i w_jk)
-    with w_jk = (lambda_j - lambda_k)/hbar, and to rho~_jk * tau on the
+    with w_jk = lambda_j - lambda_k, and to rho~_jk * tau on the
     degenerate frequencies.  Serves as the quadrature-free oracle for
     trapezoid-based estimates.
     """
     check_positive("tau", tau)
-    _, w, v, rho_eig = _eigenbasis(h, rho0, hbar)
-    return hermitize(v @ (rho_eig * _mode_factors((w[:, None] - w[None, :]) / hbar, tau))
+    _, w, v, rho_eig = _eigenbasis(h, rho0)
+    return hermitize(v @ (rho_eig * _mode_factors(w[:, None] - w[None, :], tau))
                      @ v.conj().T)
 
 
@@ -292,13 +288,12 @@ def trapezoid_grams(
     tau: float,
     dt: float,
     subsamples: Sequence[int],
-    hbar: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The endpoint state and the trapezoid integrals of a trajectory,
     without sampling it.
 
     Returns rho_t at t = n*dt, the last sample of ``sample_trajectory(h,
-    rho0, tau, dt, hbar)``, and for each divisor s of ``subsamples`` the
+    rho0, tau, dt)``, and for each divisor s of ``subsamples`` the
     composite trapezoid integral that ``build_P_trapezoid`` takes of that
     trajectory at subsample s: the sum on n/s panels of step s*dt, as
     V (rho~ * T) V-dagger with the weights of ``_mode_factors``, on the axis
@@ -310,12 +305,12 @@ def trapezoid_grams(
     n = grid_intervals(tau, dt)
     for subsample in subsamples:
         check_subsample(n, subsample)
-    _, w, v, rho_eig = _eigenbasis(h, rho0, hbar)
+    _, w, v, rho_eig = _eigenbasis(h, rho0)
     vh = v.conj().swapaxes(-1, -2)
-    phase = np.exp(-1j * w * (n * dt / hbar))
+    phase = np.exp(-1j * w * (n * dt))
     rho_end = v @ ((phase[..., :, None] * phase.conj()[..., None, :]) * rho_eig) @ vh
     steps = np.array([tau / (n // s) for s in subsamples])[:, None, None]
-    omega = (w[..., :, None] - w[..., None, :]) / hbar
+    omega = w[..., :, None] - w[..., None, :]
     v, vh, rho_eig, omega = (x[..., None, :, :] for x in (v, vh, rho_eig, omega))
     p = v @ (rho_eig * _mode_factors(omega, tau, steps)) @ vh
     return hermitize(rho_end), hermitize(p)

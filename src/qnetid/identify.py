@@ -1,7 +1,7 @@
 """Full-information coupling-matrix identification.
 
 Given the time integral P of a measured trajectory and the endpoint
-difference Q = i*hbar*(rho_tau - rho_0), the coupling matrix is the
+difference Q = i*(rho_tau - rho_0) (hbar = 1), the coupling matrix is the
 admissible (Hermitian, zero-diagonal) solution M of the commutator
 equation [M, P] = Q.  Restricting M to an explicit real parametrization
 of the admissible set keeps the constraints exact and makes the
@@ -73,7 +73,6 @@ from .linalg import (
     DEFAULT_RTOL,
     EPS,
     check_network_size,
-    check_positive,
     hermitize,
     matrix_to_json,
     naming,
@@ -198,18 +197,16 @@ def build_P_trapezoid(traj: Trajectory, subsample: int = 1) -> np.ndarray:
 def build_Q(
     rho0: np.ndarray,
     rho_tau: np.ndarray,
-    hbar: float = 1.0,
     known_h0: np.ndarray | None = None,
     p: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Endpoint data matrix Q = i*hbar*(rho_tau - rho_0), skew-Hermitian, per pair of a stack.
+    """Endpoint data matrix Q = i*(rho_tau - rho_0), skew-Hermitian, per pair of a stack.
 
     With a known node Hamiltonian H0, its contribution [H0, P] is
     subtracted so that the remaining equation targets the interaction
-    part only; P is then required.  Raises ValueError unless hbar > 0.
+    part only; P is then required.
     """
-    check_positive("hbar", hbar)
-    q = 1j * hbar * np.subtract(rho_tau, rho0, dtype=complex)
+    q = 1j * np.subtract(rho_tau, rho0, dtype=complex)
     if known_h0 is not None:
         if p is None:
             raise ValueError("P is required when a known H0 is supplied")
@@ -370,7 +367,6 @@ def relative_error(m_hat: np.ndarray, truth: np.ndarray):
 def identify_topology(
     traj: Trajectory,
     subsample: int = 1,
-    hbar: float = 1.0,
     known_h0: np.ndarray | None = None,
     truth: np.ndarray | None = None,
     rtol: float = DEFAULT_RTOL,
@@ -383,9 +379,9 @@ def identify_topology(
     is undefined).
     """
     p = build_P_trapezoid(traj, subsample=subsample)
-    q = build_Q(traj.states[0], traj.states[-1], hbar=hbar, known_h0=known_h0, p=p)
+    q = build_Q(traj.states[0], traj.states[-1], known_h0=known_h0, p=p)
     report = solve_commutator(p, q, rtol=rtol, real_coupling=real_coupling)
     if truth is not None and np.any(truth):
         report.epsilon = relative_error(report.m_hat, truth)
-    report.parameters.update(subsample=int(subsample), hbar=float(hbar))
+    report.parameters.update(subsample=int(subsample))
     return report

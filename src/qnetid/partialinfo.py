@@ -4,7 +4,7 @@ When only the populations (diagonal of rho_t) are observable, the network is
 re-initialized in d^2 linearly independent states, the columns of Lambda0,
 and each run's populations are sampled at t = k*Delta for k = 0..d^2.  These
 samples are y_k = C A^k Lambda0, with output selector C and vectorized
-propagator A = conj(U) kron U, U = exp(-i H Delta/hbar); row i
+propagator A = conj(U) kron U, U = exp(-i H Delta); row i
 of C A^k is vec(U^k[i,:]^T conj(U^k[i,:])), so the simulation never forms A.
 The Markov parameters C A^k = y_k Lambda0^-1 determine A by one shifted
 least-squares solve whenever the pair (C, A) is observable, i.e.
@@ -16,8 +16,8 @@ and the rest measures the distance from a closed-system evolution.  The
 network Hamiltonian follows from the eigenphases of U up to the identity
 gauge.
 
-The sampling period is Delta = hbar/||H||_2, H traceless
-(``sampling_period``).  The eigenphases -lambda_j*Delta/hbar of U then
+The sampling period is Delta = 1/||H||_2 (hbar = 1), H traceless
+(``sampling_period``).  The eigenphases -lambda_j*Delta of U then
 spread over at most 2, below pi, so they fix the traceless H, and distinct
 gaps lambda_j - lambda_k of H stay distinct eigenvalues of A: the sampled
 pair is observable exactly when the continuous-time one is.  A is
@@ -66,21 +66,20 @@ class UnobservableError(RuntimeError):
     """The (C, A) pair is not observable; the Hamiltonian is not unique."""
 
 
-def sampling_period(h: np.ndarray, hbar: float = 1.0) -> float:
-    """The sampling period Delta = hbar/||H||_2 of the populations.
+def sampling_period(h: np.ndarray) -> float:
+    """The sampling period Delta = 1/||H||_2 of the populations.
 
     H is taken in the traceless gauge: H and H + c*I generate the same
     dynamics, and an energy offset must not shrink the period (powers
     of A close to the identity bring back the rank artifacts of the
-    powers of the generator).  With it ||H|| Delta/hbar = 1, so the
+    powers of the generator).  With it ||H|| Delta = 1, so the
     eigenphases of the sampled propagator spread over at most 2 < pi and
     determine H.  A zero traceless part has no time scale; its norm is
-    floored at ABS_FLOOR.  hbar must be positive (ConfigError).
+    floored at ABS_FLOOR.
     """
-    check_positive("hbar", hbar)
     h = hermitize(h)
     h = h - (np.trace(h) / h.shape[0]) * np.eye(h.shape[0])
-    return hbar / max(spectral_norm(h), ABS_FLOOR)
+    return 1 / max(spectral_norm(h), ABS_FLOOR)
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +135,8 @@ def _nodes_of_batch(lambda0: np.ndarray) -> int:
 
 
 @one_blas_thread()
-def reconstruct_hamiltonian(ys: np.ndarray, lambda0: np.ndarray, period: float,
-                            hbar: float = 1.0, rtol: float = DEFAULT_RTOL) -> np.ndarray:
+def reconstruct_hamiltonian(ys: np.ndarray, lambda0: np.ndarray, period: float, *,
+                            rtol: float = DEFAULT_RTOL) -> np.ndarray:
     """Recover the traceless Hamiltonian from populations sampled every ``period``.
 
     ``ys`` holds ys[k] = C A^k Lambda0, each of shape (d, d^2), for
@@ -157,9 +156,9 @@ def reconstruct_hamiltonian(ys: np.ndarray, lambda0: np.ndarray, period: float,
 
     The eigenvalues mu of U, rotated by the angle of their sum, have
     angles theta.  The result, the Hermitian part of
-    -(hbar/period) V diag(theta - mean theta) V^-1 with V the eigenvectors
+    -(1/period) V diag(theta - mean theta) V^-1 with V the eigenvectors
     of U, is the unique traceless H whose eigenvalue spread is below
-    pi*hbar/period; ``sampling_period`` guarantees a spread of at most 2
+    pi/period; ``sampling_period`` guarantees a spread of at most 2
     in these units.  When max theta - min theta >= pi(1 - rtol) no such H
     exists (ValueError).  Holds one BLAS thread throughout (``one_blas_thread``).
     """
@@ -167,7 +166,6 @@ def reconstruct_hamiltonian(ys: np.ndarray, lambda0: np.ndarray, period: float,
     d = _nodes_of_batch(lambda0)
     n = d * d
     check_positive("period", period)
-    check_positive("hbar", hbar)
     if len(ys) < n + 1:
         raise ValueError(f"{len(ys)} output samples are incomplete; need {n + 1}")
     ys = np.asarray(ys[: n + 1])
@@ -200,7 +198,7 @@ def reconstruct_hamiltonian(ys: np.ndarray, lambda0: np.ndarray, period: float,
     if not spread < np.pi * (1 - rtol):
         raise ValueError(f"the eigenphases of the sampled propagator spread over {spread:.6g}"
                          " >= pi: the period is too long to determine the Hamiltonian")
-    h_hat = (-hbar / period) * (v * (theta - theta.mean())) @ np.linalg.inv(v)
+    h_hat = (-1 / period) * (v * (theta - theta.mean())) @ np.linalg.inv(v)
     return 0.5 * (h_hat + h_hat.conj().T)
 
 

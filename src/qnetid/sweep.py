@@ -80,7 +80,6 @@ class SweepConfig:
     dt: float = 0.01
     subsamples: tuple[int, ...] = (20, 10, 5, 1)
     trials: int = 100
-    hbar: float = 1.0
     rtol: float = DEFAULT_RTOL
     real_coupling: bool = True
 
@@ -108,7 +107,7 @@ class SweepConfig:
     def validate(self) -> list[str]:
         """Every violation, once.  A field whose value does not fit its
         default's type (``_fits``) is named, and the checks that read it are
-        skipped; the library's checks judge tau, dt, divisors, hbar, rtol."""
+        skipped; the library's checks judge tau, dt, divisors, rtol."""
         ok = {f.name: _fits(getattr(self, f.name), f.default) for f in fields(self)}
         errors = [f"{f.name} must be {_kind(f.default)}, got {getattr(self, f.name)!r}"
                   for f in fields(self) if not ok[f.name]]
@@ -141,7 +140,7 @@ class SweepConfig:
                 errors.append(f"at least one {name} is required")
             errors.extend(f"{name} {value!r} is listed more than once"
                           for value in dict.fromkeys(v for v in values if values.count(v) > 1))
-        for key in ("dt", "hbar", "rtol"):
+        for key in ("dt", "rtol"):
             if ok[key]:
                 note(check_positive, key, getattr(self, key))
         return list(dict.fromkeys(errors))
@@ -255,8 +254,8 @@ def run_benchmark_trials(d: int, tau: float, subsamples: Sequence[int], trial_se
     relative error if solvable, else None) per divisor, in the given orders.
     """
     adjacency, rho0 = map(np.stack, zip(*(benchmark_network(d, seed, cfg) for seed in trial_seeds)))
-    rho_tau, p = trapezoid_grams(adjacency.astype(complex), rho0, tau, cfg.dt, subsamples, cfg.hbar)
-    q = build_Q(rho0, rho_tau, hbar=cfg.hbar)[:, None]
+    rho_tau, p = trapezoid_grams(adjacency.astype(complex), rho0, tau, cfg.dt, subsamples)
+    q = build_Q(rho0, rho_tau)[:, None]
     m_hat, sigma, _, label_rank = solve_stack(p, q, cfg.rtol, cfg.real_coupling)
     errors = relative_error(m_hat, adjacency[:, None])
     return [[(int(ok), e if ok else None) for ok, e in zip(oks, row)]

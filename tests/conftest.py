@@ -21,12 +21,11 @@ def random_hermitian(rng, d, norm=None):
     return h
 
 
-def liouvillian(h, hbar=1.0):
-    """Reference vectorized generator L = -(i/hbar) (I kron H - H^T kron I):
-    under column stacking L vec(rho) = vec(-(i/hbar) [H, rho])."""
-    check_positive("hbar", hbar)
+def liouvillian(h):
+    """Reference vectorized generator L = -i (I kron H - H^T kron I):
+    under column stacking L vec(rho) = vec(-i [H, rho])."""
     eye = np.eye(h.shape[0])
-    return (-1j / hbar) * (np.kron(eye, h) - np.kron(h.T, eye))
+    return -1j * (np.kron(eye, h) - np.kron(h.T, eye))
 
 
 def random_density(rng, d):

@@ -170,7 +170,7 @@ class TestCriterion1RoundTripSolvability:
             for t in cell:
                 seed = derive_seed(cfg.seed, rec.d, rec.tau, t.trial)
                 adjacency, rho0 = benchmark_network(rec.d, seed, cfg)
-                p_exact = exact_gram(adjacency.astype(complex), rho0, rec.tau, cfg.hbar)
+                p_exact = exact_gram(adjacency.astype(complex), rho0, rec.tau)
                 dim = commutant_dimension(
                     p_exact, rtol=COMMUTANT_RTOL, real_coupling=cfg.real_coupling
                 )
@@ -322,8 +322,8 @@ class TestCriterion3ErrorBenchmark:
                     adjacency, rho0 = benchmark_network(d, seed, cfg)
                     h = adjacency.astype(complex)
                     exact = solve_commutator(
-                        exact_gram(h, rho0, tau, cfg.hbar),
-                        build_Q(rho0, propagate(h, rho0, tau, cfg.hbar), hbar=cfg.hbar),
+                        exact_gram(h, rho0, tau),
+                        build_Q(rho0, propagate(h, rho0, tau)),
                         rtol=cfg.rtol, real_coupling=cfg.real_coupling,
                     )
                     eps_exact = relative_error(exact.m_hat, adjacency)
@@ -450,7 +450,7 @@ class TestCriterion6TrapezoidConvergence:
 
 
 class TestCriterion7PartialInformationRoundTrip:
-    """Populations sampled every hbar/||H||_2 for random Hamiltonians with
+    """Populations sampled every 1/||H||_2 for random Hamiltonians with
     nonzero diagonal (the 100 draws with d in {2, 3}, then 25 each with
     d = 4, 5, 6), each from the basis-element batch and from the
     preparable batch: observable pairs reconstruct the traceless Hamiltonian,

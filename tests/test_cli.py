@@ -173,12 +173,12 @@ class TestSweepPlot:
         out_dir = tmp_path / "o"
         assert run("sweep", "error", "--seed", 7, "--d-min", 3, "--d-max", 3,
                    "--p-link", 0.75, "--tau", 0.5, "--tau", 0.25, "--dt", 0.05,
-                   "--subsample", 5, "--subsample", 1, "--trials", 2, "--hbar", 0.5,
+                   "--subsample", 5, "--subsample", 1, "--trials", 2,
                    "--rtol", 1e-8, "--general-coupling", "--out-dir", out_dir) == 0
         preamble = (out_dir / "error.csv").read_text().splitlines()[0]
         assert json.loads(preamble[2:])["config"] == {
             "seed": 7, "d_min": 3, "d_max": 3, "p_link": 0.75, "taus": [0.5, 0.25],
-            "dt": 0.05, "subsamples": [5, 1], "trials": 2, "hbar": 0.5, "rtol": 1e-8,
+            "dt": 0.05, "subsamples": [5, 1], "trials": 2, "rtol": 1e-8,
             "real_coupling": False,
         }
 
@@ -189,21 +189,35 @@ class TestSweepPlot:
             cfg.write_text(json.dumps({"d_max": 2, "trials": 1, key: value}))
             assert run("sweep", "solvability", "--config", cfg, "--out-dir", tmp_path) == 2
 
+    @pytest.mark.parametrize("content", ['{"tauz": [1]}', "[1]", '{"hbar": 1.0}'],
+                             ids=["unknown-key", "not-an-object", "removed-key"])
+    def test_config_errors_name_the_file(self, tmp_path, capsys, content):
+        # from_json's two rejections named no file; hbar is a removed key
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(content)
+        capsys.readouterr()
+        assert run("sweep", "solvability", "--config", cfg, "--out-dir", tmp_path / "o") == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {cfg}: ")
+
     def test_removed_flags_exit_2(self, tmp_path):
         sweep = ("sweep", "solvability", "--out-dir", tmp_path)
         for argv in (sweep + ("--label-rtol", 1e-12), sweep + ("--extended",),
-                     sweep + ("--allow-disconnected",),
-                     ("identify", "--trajectory", tmp_path / "t.csv", "--label-rtol", 1e-12)):
+                     sweep + ("--allow-disconnected",), sweep + ("--hbar", 1.0),
+                     ("identify", "--trajectory", tmp_path / "t.csv", "--label-rtol", 1e-12),
+                     ("identify", "--trajectory", tmp_path / "t.csv", "--hbar", 1.0),
+                     ("simulate", "--er-d", 4, "--tau", 1, "--dt", 0.1, "--out",
+                      tmp_path / "t.csv", "--hbar", 1.0),
+                     ("partial-identify", "--hamiltonian", tmp_path / "h.json", "--hbar", 1.0)):
             with pytest.raises(SystemExit) as exc:
                 run(*argv)
             assert exc.value.code == 2
 
     def test_wrongly_typed_config_values_exit_2(self, tmp_path, capsys):
         # SweepConfig.validate's type rule names the field; before it, a string
-        # dt or a null hbar raised a bare TypeError in validate
+        # dt or a null float field raised a bare TypeError in validate
         for key, value in (("d_min", "x"), ("taus", 3), ("trials", True),
                            ("subsamples", [5.5]), ("real_coupling", "no"), ("dt", "0.01"),
-                           ("taus", 3.0), ("p_link", "0.5"), ("hbar", None), ("seed", 1.5)):
+                           ("taus", 3.0), ("p_link", "0.5"), ("rtol", None), ("seed", 1.5)):
             cfg = tmp_path / f"{key}.json"
             cfg.write_text(json.dumps({"d_max": 2, "trials": 1, key: value}))
             capsys.readouterr()
@@ -306,8 +320,8 @@ class TestObservability:
         assert "rank: 3 of 4" in out
 
     def test_answer_depends_on_the_hamiltonian_alone(self):
-        # hbar cancels at the sampling period and an identify estimate has a
-        # zero diagonal, so neither is an input of the verb
+        # the sampling period is a function of H and an identify estimate has
+        # a zero diagonal, so neither is an input of the verb
         parser = cli._build_parser()
         args = parser.parse_args(["observability", "--hamiltonian", "h.json"])
         assert sorted(vars(args)) == ["command", "hamiltonian", "rtol"]
@@ -433,7 +447,7 @@ class TestFlagAndInputChecks:
         """Input files named by the probes of ``test_invalid_parameter_exits_2``."""
         save_matrix(tmp_path / "h3.json", np.eye(3))
         save_matrix(tmp_path / "rho3.json", np.diag([1.0, 0.0, 0.0]))
-        (tmp_path / "hbar_overflow.json").write_text('{"hbar": 1' + "0" * 400 + "}")
+        (tmp_path / "rtol_overflow.json").write_text('{"rtol": 1' + "0" * 400 + "}")
         (tmp_path / "tau_overflow.json").write_text('{"taus": [1' + "0" * 400 + "]}")
         write_trajectory_csv(sample_trajectory(np.zeros((1, 1)), np.eye(1), 1.0, 0.1),
                              tmp_path / "one_node.csv")
@@ -452,39 +466,38 @@ class TestFlagAndInputChecks:
 
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "-inf"])
     @pytest.mark.parametrize("flag, verb", [
-        ("--hbar", "simulate"), ("--hbar", "identify"),
-        ("--hbar", "partial-identify"), ("--rtol", "identify"), ("--rtol", "observability"),
-        ("--rtol", "partial-identify"), ("--hbar", "sweep"), ("--rtol", "sweep"),
+        ("--rtol", "identify"), ("--rtol", "observability"), ("--rtol", "partial-identify"),
+        ("--rtol", "sweep"),
     ])
     def test_nonpositive_flag_exits_2(self, tmp_path, capsys, flag, verb, value):
-        # hbar = 0 gave a NaN trajectory or a ZeroDivisionError, rtol = 0 full rank;
+        # rtol = 0 gave full rank;
         # the flags are parsed as plain floats and checked by the library
         err = self.run_rejected(tmp_path, capsys, verb, f"{flag}={value}")
         sweep = "invalid sweep configuration:\n  " if verb == "sweep" else ""
         assert err.startswith(f"configuration error: {sweep}{flag[2:]} must be positive")
 
     @pytest.mark.parametrize("verb, flags, named", [
-        ("sweep", ("--hbar", "nan"), "hbar must be positive and finite, got nan"),
+        ("sweep", ("--dt", "nan"), "dt must be positive and finite, got nan"),
         ("sweep", ("--rtol", "nan"), "rtol must be positive and finite, got nan"),
-        ("sweep", ("--hbar", "inf"), "hbar must be positive and finite, got inf"),
+        ("sweep", ("--dt", "inf"), "dt must be positive and finite, got inf"),
         ("sweep", ("--tau", "inf"), "tau must be positive and finite, got inf"),
         ("sweep", ("--tau", "1e300", "--dt", "1e-300"), "tau/dt = 1e+300/1e-300 is not"),
         ("simulate", ("--tau", "inf"), "tau must be positive and finite, got inf"),
         ("simulate", ("--tau", "1", "--dt", "0.3"), "tau/dt = 1.0/0.3 is not"),
-        ("simulate", ("--hbar", "inf"), "hbar must be positive and finite, got inf"),
+        ("simulate", ("--dt", "inf"), "dt must be positive and finite, got inf"),
         ("simulate-er", ("--er-p", "2"), "p_link must be in [0, 1], got 2.0"),
         ("simulate-er", ("--er-p", "nan"), "p_link must be in [0, 1], got nan"),
         ("simulate-er", ("--er-d", "1"), "d must be at least 2, got 1"),
         ("simulate", ("--excite-node", "9"), "node index 9 out of range 1..2"),
         ("identify", ("--rtol", "inf"), "rtol must be positive and finite, got inf"),
-        ("identify", ("--hbar", "inf"), "hbar must be positive and finite, got inf"),
+        ("identify", ("--rtol", "nan"), "rtol must be positive and finite, got nan"),
         ("identify", ("--subsample", "3"), "subsample 3 does not divide n_s = 10"),
         # a one-node trajectory was a numerical failure (exit 3) that named no file
         ("identify", ("--trajectory", "one_node.csv"),
          "one_node.csv: d must be at least 2, got 1"),
-        ("partial-identify", ("--hbar", "inf"), "hbar must be positive and finite, got inf"),
-        ("sweep", ("--config", "hbar_overflow.json"),
-         "hbar must be positive and finite, got an integer beyond the float range"),
+        ("partial-identify", ("--rtol", "inf"), "rtol must be positive and finite, got inf"),
+        ("sweep", ("--config", "rtol_overflow.json"),
+         "rtol must be positive and finite, got an integer beyond the float range"),
         ("sweep", ("--config", "tau_overflow.json"),
          "tau must be positive and finite, got an integer beyond the float range"),
         ("decompose", ("--dim", "4", "--k", "9", "--j", "1"), "indices (9, 1) out of range 1..4"),
@@ -578,8 +591,8 @@ class TestParser:
         # field and type by type, the config that from_json and the library
         # make of the same values, so the three routes cannot drift apart as
         # fields are added (an int tau drew other networks than its float)
-        values = {"seed": 7, "d_min": 3, "d_max": 4, "p_link": 0.75, "taus": [1, 0.5],
-                  "dt": 0.05, "subsamples": [5, 1], "trials": 2, "hbar": 2, "rtol": 1e-8,
+        values = {"seed": 7, "d_min": 3, "d_max": 4, "p_link": 1, "taus": [1, 0.5],
+                  "dt": 0.05, "subsamples": [5, 1], "trials": 2, "rtol": 1e-8,
                   "real_coupling": False}
         assert list(values) == [f.name for f in fields(SweepConfig)]
         assert all(values[f.name] != f.default for f in fields(SweepConfig))
@@ -607,7 +620,7 @@ class TestParser:
                 assert got == want and type(got) is type(want), name
                 if isinstance(want, tuple):
                     assert list(map(type, got)) == list(map(type, want)), name
-        assert reference.taus == (1.0, 0.5) and type(reference.hbar) is float
+        assert reference.taus == (1.0, 0.5) and type(reference.p_link) is float
 
     def test_readme_commands_parse(self):
         # every qnetid line of README's bash blocks, continuations joined and
@@ -691,7 +704,7 @@ class TestJsonInputs:
     def test_integer_beyond_digit_limit_names_the_file(self, tmp_path, capsys, flag):
         # json raises a plain ValueError for it, which exited 3 as a numerical failure
         bad = tmp_path / "bad.json"
-        bad.write_text('{"hbar": 1' + "0" * 5000 + "}")
+        bad.write_text('{"dt": 1' + "0" * 5000 + "}")
         argv = self.argv_reading(flag, tmp_path)
         capsys.readouterr()
         assert run(*argv, bad) == 2

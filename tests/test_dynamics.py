@@ -89,17 +89,8 @@ class TestLiouvillian:
 
     def test_skew_hermitian(self):
         rng = np.random.default_rng(2)
-        lv = liouvillian(random_hermitian(rng, 3), hbar=0.7)
+        lv = liouvillian(random_hermitian(rng, 3))
         assert spectral_norm(lv + lv.conj().T) <= 1e-12 * spectral_norm(lv)
-
-    def test_hbar_scaling(self):
-        rng = np.random.default_rng(3)
-        h = random_hermitian(rng, 3)
-        assert np.allclose(liouvillian(h, hbar=2.0), 0.5 * liouvillian(h), atol=1e-14)
-
-    def test_rejects_bad_hbar(self):
-        with pytest.raises(ValueError):
-            liouvillian(SX, hbar=0.0)
 
 
 class TestPropagate:
@@ -183,35 +174,17 @@ class TestUnitaryConjugate:
 
 class TestPropagator:
     def test_matches_matrix_exponential(self):
-        # U against expm of -iHt/hbar, and the vectorized propagator
+        # U against expm of -iHt, and the vectorized propagator
         # conj(U) kron U against expm of the generator
         rng = np.random.default_rng(9)
-        t, hbar = 0.7, 0.5
+        t = 1.4
         for d in (2, 3, 5):
             h = random_hermitian(rng, d)
-            u = propagator(h, t, hbar)
+            u = propagator(h, t)
             assert u.shape == (d, d)
-            assert np.linalg.norm(u - scipy.linalg.expm(-1j * h * t / hbar)) <= 1e-12
-            e_lt = scipy.linalg.expm(liouvillian(h, hbar) * t)
+            assert np.linalg.norm(u - scipy.linalg.expm(-1j * h * t)) <= 1e-12
+            e_lt = scipy.linalg.expm(liouvillian(h) * t)
             assert np.linalg.norm(np.kron(u.conj(), u) - e_lt) <= 1e-11
-
-
-class TestHbarGuard:
-    @pytest.mark.parametrize("hbar", [0.0, -1.0, np.nan, np.inf])
-    @pytest.mark.parametrize("call", [
-        # the reference generator of conftest.py follows the same rule
-        pytest.param(lambda hbar: liouvillian(SX, hbar), id="liouvillian"),
-        pytest.param(lambda hbar: propagator(SX, 1.0, hbar), id="propagator"),
-        pytest.param(lambda hbar: propagate(SX, E1, 1.0, hbar), id="propagate"),
-        pytest.param(lambda hbar: sample_trajectory(SX, E1, 1.0, 0.1, hbar),
-                     id="sample_trajectory"),
-        pytest.param(lambda hbar: exact_gram(SX, E1, 1.0, hbar), id="exact_gram"),
-        pytest.param(lambda hbar: trapezoid_grams(SX, E1, 1.0, 0.1, (1,), hbar),
-                     id="trapezoid_grams"),
-    ])
-    def test_rejects_nonpositive(self, call, hbar):
-        with pytest.raises(ValueError, match="hbar must be positive"):
-            call(hbar)
 
 
 class TestSampleTrajectory:

@@ -6,7 +6,6 @@ import pytest
 
 import qnetid
 from qnetid.dynamics import propagate, propagator, sample_times
-from qnetid.identify import build_Q
 from qnetid.linalg import (
     ABS_FLOOR,
     EPS,
@@ -24,7 +23,7 @@ from qnetid.linalg import (
     spectral_norm,
     vec,
 )
-from qnetid.partialinfo import reconstruct_hamiltonian, sampling_period
+from qnetid.partialinfo import reconstruct_hamiltonian
 from qnetid.sweep import SweepConfig
 
 from conftest import under_each_blas_setting
@@ -157,20 +156,16 @@ class TestCheckPositive:
         (lambda v: sample_times(v, 0.01), "tau must be positive and finite"),
         (lambda v: sample_times(1.0, v), "dt must be positive and finite"),
         (lambda v: numerical_rank([1.0], v), "rtol must be positive and finite"),
-        (lambda v: propagator(SX, 1.0, v), "hbar must be positive and finite"),
         (lambda v: propagator(SX, v), "t must be finite"),
         (lambda v: propagate(SX, np.diag([1.0, 0.0]), v), "t must be nonnegative and finite"),
-        (lambda v: sampling_period(SX, v), "hbar must be positive and finite"),
-        (lambda v: build_Q(np.eye(2) / 2, np.eye(2) / 2, hbar=v), "hbar must be positive"),
         (lambda v: reconstruct_hamiltonian(np.zeros((5, 2, 4)), np.eye(4), v),
          "period must be positive and finite"),
-        (lambda v: SweepConfig(hbar=v).validated(), "\n  hbar must be positive and finite"),
+        (lambda v: SweepConfig(p_link=v).validated(), "\n  p_link must be in (0, 1], got "),
         (lambda v: SweepConfig(taus=(v,)).validated(), "\n  tau must be positive and finite"),
         (lambda v: SweepConfig(dt=v).validated(), "\n  dt must be positive and finite"),
         (lambda v: SweepConfig(rtol=v).validated(), "\n  rtol must be positive and finite"),
-    ], ids=["check_positive", "tau", "dt", "rtol", "propagator-hbar", "propagator-t",
-            "propagate-t", "sampling_period-hbar", "build_Q-hbar", "period", "sweep-hbar",
-            "sweep-tau", "sweep-dt", "sweep-rtol"])
+    ], ids=["check_positive", "tau", "dt", "rtol", "propagator-t", "propagate-t", "period",
+            "sweep-p_link", "sweep-tau", "sweep-dt", "sweep-rtol"])
     def test_extreme_values_are_config_errors(self, call, named, value):
         # an integer beyond the float range raised OverflowError from
         # math.isfinite (TypeError from np.isfinite in propagate), and

@@ -37,10 +37,10 @@ def hermitian_with_diagonal(rng, d, norm=1.0):
             return h
 
 
-def sampled(h, hbar=1.0):
+def sampled(h):
     """(U, period): the d x d propagator at the sampling period of H."""
-    period = sampling_period(h, hbar)
-    return propagator(h, period, hbar), period
+    period = sampling_period(h)
+    return propagator(h, period), period
 
 
 def traceless(h):
@@ -83,11 +83,11 @@ def populations(h, rho0, tau, dt):
     return traj.times, np.einsum("kii->ki", traj.states).real
 
 
-def identify(h, lambda0, hbar=1.0):
+def identify(h, lambda0):
     """Hamiltonian reconstructed from the populations of the batch ``lambda0``."""
-    u, period = sampled(h, hbar)
+    u, period = sampled(h)
     d = h.shape[0]
-    return reconstruct_hamiltonian(output_stacks(u, lambda0, d * d), lambda0, period, hbar)
+    return reconstruct_hamiltonian(output_stacks(u, lambda0, d * d), lambda0, period)
 
 
 class TestDiagonalSelector:
@@ -107,8 +107,7 @@ class TestSamplingPeriod:
         for d in (2, 4, 6):
             h = random_hermitian(rng, d)
             h -= np.trace(h) / d * np.eye(d)
-            hbar = 0.7
-            assert spectral_norm(h) * sampling_period(h, hbar) / hbar == pytest.approx(1.0)
+            assert spectral_norm(h) * sampling_period(h) == pytest.approx(1.0)
 
     def test_energy_offset_invariant(self):
         # an offset c*I changes neither the dynamics nor the period, so
@@ -124,12 +123,6 @@ class TestSamplingPeriod:
         assert np.isfinite(sampling_period(np.zeros((3, 3))))
         assert np.array_equal(propagator(np.zeros((2, 2)), sampling_period(np.zeros((2, 2)))),
                               np.eye(2))
-
-    @pytest.mark.parametrize("hbar", [0.0, -1.0, np.nan, np.inf])
-    def test_rejects_bad_hbar(self, hbar):
-        # hbar = 0 gave a zero period, hbar = inf an infinite one
-        with pytest.raises(ConfigError, match="hbar must be positive"):
-            sampling_period(SX, hbar)
 
 
 class TestObservabilityRank:
@@ -221,18 +214,6 @@ class TestObservabilityFamily:
             cases += 1
         assert cases == 727
         assert observability_rank(sampled(spin_x(4))[0]) == (15, False)
-
-    def test_hbar_cancels_at_the_sampling_period(self):
-        # U = exp(-i H/||H_tl||_2) at the period hbar/||H_tl||_2, whatever
-        # hbar: the rank test of H needs no hbar
-        rng = np.random.default_rng(2017)
-        for h, _ in observability_family(rng, 3):
-            u = sampled(h)[0]
-            rank = observability_rank(u)
-            for hbar in (0.5, 0.7, 2.0, 1e3):
-                u_hbar = sampled(h, hbar)[0]
-                assert np.max(np.abs(u_hbar - u)) <= 1e-14, hbar
-                assert observability_rank(u_hbar) == rank, (hbar, h)
 
 
 class TestOutputStacks:
@@ -360,7 +341,7 @@ class TestReconstructLiouvillian:
 
     def test_principal_branch_guard(self):
         # a period at which two eigenvalues of U are antipodal: no H with
-        # eigenvalue spread below pi*hbar/period gives this U
+        # eigenvalue spread below pi/period gives this U
         rng = np.random.default_rng(15)
         h = random_hermitian(rng, 3, norm=1.0)
         w = np.linalg.eigvalsh(h)
@@ -380,13 +361,11 @@ class TestReconstructLiouvillian:
         for period in (0.0, np.nan, np.inf):
             with pytest.raises(ConfigError, match="period must be positive"):
                 reconstruct_hamiltonian(output_stacks(u, lam0, 4), lam0, period)
-        with pytest.raises(ConfigError, match="hbar must be positive"):
-            reconstruct_hamiltonian(output_stacks(u, lam0, 4), lam0, 1.0, hbar=0.0)
 
 
 class TestExtractHamiltonian:
     """``reconstruct_hamiltonian``, second half: the traceless H from the
-    estimate of A, its gauge and hbar, and the closed-system check."""
+    estimate of A, its gauge, and the closed-system check."""
 
     def test_roundtrip_traceless(self):
         rng = np.random.default_rng(6)
@@ -407,11 +386,6 @@ class TestExtractHamiltonian:
         shifted = output_stacks(propagator(h + 3.0 * np.eye(3), period), lam0, 9)
         assert np.allclose(shifted, ys, atol=1e-12)
         assert spectral_norm(reconstruct_hamiltonian(shifted, lam0, period) - h) <= 1e-9
-
-    def test_hbar_consistency(self):
-        rng = np.random.default_rng(8)
-        h = traceless(random_hermitian(rng, 2, norm=1.0))
-        assert spectral_norm(identify(h, np.eye(4, dtype=complex), hbar=0.5) - h) <= 1e-9
 
     @staticmethod
     def channel_outputs(h, channel):

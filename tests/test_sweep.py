@@ -46,9 +46,8 @@ def one_system_route(cfg, d, tau, seed):
     ``spectral_norm`` of one matrix at a time."""
     adjacency, rho0 = benchmark_network(d, seed, cfg)
     subsamples = sorted(cfg.subsamples, reverse=True)
-    rho_tau, grams = trapezoid_grams(adjacency.astype(complex), rho0, tau, cfg.dt,
-                                     subsamples, cfg.hbar)
-    q = build_Q(rho0, rho_tau, hbar=cfg.hbar)
+    rho_tau, grams = trapezoid_grams(adjacency.astype(complex), rho0, tau, cfg.dt, subsamples)
+    q = build_Q(rho0, rho_tau)
     out = []
     for p in grams:
         report = solve_commutator(p, q, rtol=cfg.rtol, real_coupling=cfg.real_coupling)
@@ -72,7 +71,6 @@ class TestConfigValidation:
             dt=0.3,
             subsamples=(0,),
             trials=0,
-            hbar=0.0,
             rtol=0.0,
         )
         errors = cfg.validate()
@@ -80,9 +78,9 @@ class TestConfigValidation:
         for token in ("d_min", "d_max", "p_link", "tau must be positive",
                       "tau/dt = 1.0/0.3 is not a positive integer",
                       "subsample must be a positive integer", "trials",
-                      "hbar must be positive", "rtol must be positive"):
+                      "rtol must be positive"):
             assert token in joined
-        assert len(errors) == 9
+        assert len(errors) == 8
 
     @pytest.mark.parametrize("key, message", [
         ("taus", "at least one tau is required"),
@@ -117,7 +115,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("name, value, kind", [
         ("dt", "0.01", "a number"), ("taus", 3.0, "a list of numbers"),
-        ("p_link", "0.5", "a number"), ("hbar", None, "a number"),
+        ("p_link", "0.5", "a number"), ("dt", None, "a number"),
         ("real_coupling", "no", "true or false"), ("seed", 1.5, "an integer"),
         ("subsamples", [5, "1"], "a list of integers"), ("rtol", [1e-9], "a number"),
     ])
@@ -134,11 +132,11 @@ class TestConfigValidation:
         # every other violation is still listed; none is derived from the
         # mistyped values (dt = "0.1" is no grid to check the divisors on)
         cfg = SweepConfig(d_min="3", d_max=1, dt="0.1", taus=(1.0, 1.0), subsamples=(0,),
-                          trials=0, hbar=-1.0)
+                          trials=0, rtol=-1.0)
         assert cfg.validate() == [
             "d_min must be an integer, got '3'", "dt must be a number, got '0.1'",
             "trials must be >= 1, got 0", "subsample must be a positive integer, got 0",
-            "tau 1.0 is listed more than once", "hbar must be positive and finite, got -1.0",
+            "tau 1.0 is listed more than once", "rtol must be positive and finite, got -1.0",
         ]
 
     def test_numpy_integers_accepted(self):
@@ -155,9 +153,10 @@ class TestConfigValidation:
                                   "subsample divisor 5 is listed more than once"]
 
     def test_non_finite_values_listed_once(self):
-        errors = SweepConfig(hbar=np.nan, rtol=np.inf, taus=(np.inf, 1.0)).validate()
-        assert errors == ["tau must be positive and finite, got inf",
-                          "hbar must be positive and finite, got nan",
+        errors = SweepConfig(p_link=np.nan, rtol=np.inf, taus=(np.inf, 1.0)).validate()
+        assert errors == ["p_link must be in (0, 1], got nan: sweeps draw connected graphs, "
+                          "and none is connected at 0",
+                          "tau must be positive and finite, got inf",
                           "rtol must be positive and finite, got inf"]
         errors = SweepConfig(dt=-1.0, taus=(1.0, 2.0)).validate()
         assert errors == ["dt must be positive and finite, got -1.0"]
@@ -195,12 +194,12 @@ class TestConfigValidation:
             SweepConfig.from_json({"bogus": 1})
 
     def test_float_fields_become_floats(self):
-        cfg = SweepConfig.from_json({"hbar": 2, "taus": [1, 2.5], "subsamples": [5, 1]})
-        assert cfg == SweepConfig(hbar=2.0, taus=(1.0, 2.5), subsamples=(5, 1))
-        assert type(cfg.hbar) is float and type(cfg.subsamples[0]) is int
-        assert json.dumps(cfg.to_json()["hbar"]) == "2.0"
+        cfg = SweepConfig.from_json({"p_link": 1, "taus": [1, 2.5], "subsamples": [5, 1]})
+        assert cfg == SweepConfig(p_link=1.0, taus=(1.0, 2.5), subsamples=(5, 1))
+        assert type(cfg.p_link) is float and type(cfg.subsamples[0]) is int
+        assert json.dumps(cfg.to_json()["p_link"]) == "1.0"
 
-    @pytest.mark.parametrize("obj", [{"hbar": 10**400}, {"taus": [1.0, 10**400]}])
+    @pytest.mark.parametrize("obj", [{"rtol": 10**400}, {"taus": [1.0, 10**400]}])
     def test_float_overflow_names_the_key(self, obj):
         # a JSON integer beyond the float range ended in an OverflowError; it
         # stays an integer, and validate names its field on every route
@@ -382,8 +381,8 @@ class TestSweep:
         numpy_cfg = SweepConfig(
             seed=np.int64(11), d_min=np.int64(2), d_max=np.int64(3), p_link=np.float64(0.5),
             taus=(np.float64(1.0), np.int64(2)), dt=np.float64(0.01),
-            subsamples=np.array([5, 1]), trials=np.int64(3), hbar=np.float64(1.0),
-            rtol=np.float64(1e-9), real_coupling=np.bool_(True),
+            subsamples=np.array([5, 1]), trials=np.int64(3), rtol=np.float64(1e-9),
+            real_coupling=np.bool_(True),
         )
         python_cfg = SweepConfig(seed=11, d_min=2, d_max=3, p_link=0.5, taus=(1.0, 2),
                                  subsamples=(5, 1), trials=3)
@@ -399,7 +398,7 @@ class TestSweep:
         SweepConfig(seed=0, d_min=4, d_max=5, taus=(3,), subsamples=(1,), trials=5),
         SweepConfig(seed=np.int64(0), d_min=np.int64(4), d_max=np.int64(5),
                     taus=np.array([3.0]), dt=np.float64(0.01), subsamples=np.array([1]),
-                    trials=np.int64(5), hbar=np.int64(1)),
+                    trials=np.int64(5), p_link=np.int64(1)),
     ], ids=["int-tau", "numpy"])
     def test_preamble_reproduces_the_csv(self, tmp_path, cfg):
         # the config in a CSV's preamble, read back by from_json, reruns to the
@@ -455,7 +454,7 @@ class TestSweep:
         out = tmp_path / "s.csv"
         res = run_sweep(TINY, out_csv=out)
         assert out.read_text() == (
-            '# {"config": {"d_max": 3, "d_min": 2, "dt": 0.01, "hbar": 1.0, "p_link": 0.5, '
+            '# {"config": {"d_max": 3, "d_min": 2, "dt": 0.01, "p_link": 0.5, '
             '"real_coupling": true, "rtol": 1e-09, "seed": 11, "subsamples": [1], '
             '"taus": [1.0], "trials": 4}, "kind": "solvability"}\n'
             "d,tau,n_tilde,trials,solvability_mean,eps_median,eps_q1,eps_q3,seed\n"
