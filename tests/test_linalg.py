@@ -160,12 +160,14 @@ class TestCheckPositive:
         (lambda v: propagate(SX, np.diag([1.0, 0.0]), v), "t must be nonnegative and finite"),
         (lambda v: reconstruct_hamiltonian(np.zeros((5, 2, 4)), np.eye(4), v),
          "period must be positive and finite"),
+        # a config that still holds the removed hbar key is refused whatever its value
+        (lambda v: SweepConfig.from_json({"hbar": v}), "unknown config keys: ['hbar']"),
         (lambda v: SweepConfig(p_link=v).validated(), "\n  p_link must be in (0, 1], got "),
         (lambda v: SweepConfig(taus=(v,)).validated(), "\n  tau must be positive and finite"),
         (lambda v: SweepConfig(dt=v).validated(), "\n  dt must be positive and finite"),
         (lambda v: SweepConfig(rtol=v).validated(), "\n  rtol must be positive and finite"),
     ], ids=["check_positive", "tau", "dt", "rtol", "propagator-t", "propagate-t", "period",
-            "sweep-p_link", "sweep-tau", "sweep-dt", "sweep-rtol"])
+            "sweep-hbar", "sweep-p_link", "sweep-tau", "sweep-dt", "sweep-rtol"])
     def test_extreme_values_are_config_errors(self, call, named, value):
         # an integer beyond the float range raised OverflowError from
         # math.isfinite (TypeError from np.isfinite in propagate), and
