@@ -2,9 +2,9 @@
 
 When only diag(rho_t) is measurable, a single trajectory is not enough:
 the network must be re-initialized in d^2 linearly independent states.
-Their populations, sampled every Delta = 1/||H||_2, are the Markov
-parameters C A^k of the vectorized propagator A = conj(U) kron U.  The
-simulation below builds them from the powers of the d x d propagator
+Their populations, sampled every Delta = 1/||H - tr(H)/d I||_2, are the
+Markov parameters C A^k of the vectorized propagator A = conj(U) kron U.
+The simulation below builds them from the powers of the d x d propagator
 U = exp(-i H Delta) alone.  When the (selector, propagator) pair is
 observable the Markov parameters determine A.  Realigned, A is the
 rank-one vec(conj U) vec(U)^T, so its dominant singular pair gives U up
@@ -27,30 +27,28 @@ from qnetid import (
     output_stacks,
     physical_decomposition,
     physical_initial_batch,
-    propagator,
     reconstruct_hamiltonian,
-    sampling_period,
+    sampled_propagator,
     spectral_norm,
 )
 
 d = 2
 h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)  # coupled, detuned nodes (traceless)
-delta = sampling_period(h)
-u = propagator(h, delta)
-print(f"sampling period 1/||H|| = {delta:.4f}")
+u, delta = sampled_propagator(h)
+print(f"sampling period 1/||H - tr(H)/d I|| = {delta:.4f}")
 
-rank, observable = observability_rank(u)
+rank, observable = observability_rank(h)
 print(f"pair rank {rank} of {d * d}: {'observable' if observable else 'not observable'}")
 
 # the canonical basis elements |k><j| as (non-physical) initializations
 lam0 = np.eye(d * d, dtype=complex)
-h_hat = reconstruct_hamiltonian(output_stacks(u, lam0, d * d), lam0, delta)
+h_hat = reconstruct_hamiltonian(output_stacks(u, lam0), lam0, delta)
 print(f"basis elements:    Hamiltonian error {spectral_norm(h_hat - h):.2e}")
 
 # measured-data route: the populations of d^2 preparable states
 lam_phys, states = physical_initial_batch(d)
 print(f"\npreparable initializations: {[label for _, label in states]}")
-h_est = reconstruct_hamiltonian(output_stacks(u, lam_phys, d * d), lam_phys, delta)
+h_est = reconstruct_hamiltonian(output_stacks(u, lam_phys), lam_phys, delta)
 print(f"preparable states: Hamiltonian error {spectral_norm(h_est - h):.2e} "
       f"from {d * d + 1} population samples per run")
 
@@ -75,6 +73,6 @@ for rho, coeff in terms:
 
 # and the structural obstruction for bare coupling matrices
 sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-rank, observable = observability_rank(propagator(sx, sampling_period(sx)))
+rank, observable = observability_rank(sx)
 print(f"\nbare coupling matrix: rank {rank} of {d * d} -> "
       f"{'observable' if observable else 'not observable (structural)'}")

@@ -16,10 +16,9 @@ from qnetid import (
     load_matrix,
     output_stacks,
     physical_initial_batch,
-    propagator,
     read_trajectory_csv,
     sample_trajectory,
-    sampling_period,
+    sampled_propagator,
     save_matrix,
     write_trajectory_csv,
 )
@@ -53,12 +52,12 @@ print(f"  outcome={obj['outcome']} solvability={obj['solvability']} "
       f"epsilon={obj['epsilon']:.2e}")
 
 # diagonal-output batch: one CSV per initialization plus a manifest, with
-# the populations sampled every 1/||H||_2, as partial-identify saves them
+# the populations sampled every 1/||H - tr(H)/d I||_2, as partial-identify saves them
 lam0, states = physical_initial_batch(2)
 h2 = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
-period = sampling_period(h2)
+u, period = sampled_propagator(h2)
 n = lam0.shape[0]  # d^2 runs, each sampled at t = k * period for k = 0..d^2
-pops = output_stacks(propagator(h2, period), lam0, n).real
+pops = output_stacks(u, lam0).real
 times = period * np.arange(n + 1)
 runs = [(label, times, pops[:, :, i]) for i, (_, label) in enumerate(states)]
 manifest = write_output_batch(out / "batch", runs, lam0)

@@ -58,7 +58,7 @@ from .partialinfo import (
     physical_decomposition,
     physical_initial_batch,
     reconstruct_hamiltonian,
-    sampling_period,
+    sampled_propagator,
 )
 from .sweep import (
     CellRecord,

@@ -19,12 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import (
-    propagator,
-    read_trajectory_csv,
-    sample_trajectory,
-    write_trajectory_csv,
-)
+from .dynamics import read_trajectory_csv, sample_trajectory, write_trajectory_csv
 from .identify import identify_topology, relative_error
 from .linalg import (DEFAULT_RTOL, ConfigError, check_network_size, hermitize, load_json,
                      load_matrix, naming, save_json, save_matrix)
@@ -35,7 +30,7 @@ from .partialinfo import (
     physical_decomposition,
     physical_initial_batch,
     reconstruct_hamiltonian,
-    sampling_period,
+    sampled_propagator,
     write_output_batch,
 )
 from .sweep import SweepConfig, run_sweep
@@ -100,13 +95,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--out-dir", required=True)
 
     obs = sub.add_parser("observability",
-                         help="rank test of the diagonal-output pair, sampled every 1/||H||_2")
+                         help="rank test of the diagonal-output pair, "
+                              "sampled every 1/||H - tr(H)/d I||_2")
     obs.add_argument("--hamiltonian", required=True, help="matrix JSON with the Hamiltonian")
     obs.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
 
     part = sub.add_parser("partial-identify",
                           help="recover the Hamiltonian from diagonal outputs only, "
-                               "sampled every 1/||H||_2")
+                               "sampled every 1/||H - tr(H)/d I||_2")
     part.add_argument("--hamiltonian", required=True,
                       help="matrix JSON with the network Hamiltonian to simulate")
     part.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
@@ -208,7 +204,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_observability(args) -> int:
     h = _load_hermitian(args.hamiltonian)
-    rank, observable = observability_rank(propagator(h, sampling_period(h)), args.rtol)
+    rank, observable = observability_rank(h, args.rtol)
     print(f"source: {args.hamiltonian}")
     print(f"observability rank: {rank} of {h.shape[0] ** 2}")
     print(f"observable: {'yes' if observable else 'no'}")
@@ -218,8 +214,7 @@ def _cmd_observability(args) -> int:
 def _cmd_partial_identify(args) -> int:
     h = _load_hermitian(args.hamiltonian)
     d = h.shape[0]
-    period = sampling_period(h)
-    u = propagator(h, period)
+    u, period = sampled_propagator(h)
 
     if args.estimate:
         lambda0, states = physical_initial_batch(d)
@@ -231,7 +226,7 @@ def _cmd_partial_identify(args) -> int:
 
     # the observability stack has full rank n = d^2 once this returns; it
     # raises UnobservableError, naming the rank, otherwise
-    ys = output_stacks(u, lambda0, d * d)
+    ys = output_stacks(u, lambda0)
     h_hat = reconstruct_hamiltonian(ys, lambda0, period, rtol=args.rtol)
     print(f"observability rank: {d * d} of {d * d} (observable)")
     ham_err = relative_error(h_hat, h - (np.trace(h) / d) * np.eye(d))
@@ -239,11 +234,11 @@ def _cmd_partial_identify(args) -> int:
     print(f"hamiltonian relative error: {ham_err:.3e} (traceless gauge)")
 
     if args.save_outputs:
-        # the batch holds the preparable runs; in estimate mode these are
-        # the samples the identification used
+        # the batch holds the preparable runs: the samples of the estimate, or
+        # in exact mode the basis-element samples applied to the preparable states
         if not args.estimate:
             lambda0, states = physical_initial_batch(d)
-            ys = output_stacks(u, lambda0, d * d)
+            ys = ys @ lambda0
         pops = ys.real
         times = period * np.arange(d * d + 1)
         runs = [(label, times, pops[:, :, i]) for i, (_, label) in enumerate(states)]

@@ -180,7 +180,11 @@ def propagator(h: np.ndarray, t: float) -> np.ndarray:
     """
     if not is_finite(t):
         raise ConfigError("t must be finite")
-    w, v = np.linalg.eigh(hermitize(h))
+    return _eigen_propagator(*np.linalg.eigh(hermitize(h)), t)
+
+
+def _eigen_propagator(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
+    """U = V exp(-i w t) V-dagger from the eigenvalues w and eigenvectors V of H."""
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 

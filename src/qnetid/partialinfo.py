@@ -16,13 +16,13 @@ and the rest measures the distance from a closed-system evolution.  The
 network Hamiltonian follows from the eigenphases of U up to the identity
 gauge.
 
-The sampling period is Delta = 1/||H||_2 (hbar = 1), H traceless
-(``sampling_period``).  The eigenphases -lambda_j*Delta of U then
-spread over at most 2, below pi, so they fix the traceless H, and distinct
-gaps lambda_j - lambda_k of H stay distinct eigenvalues of A: the sampled
-pair is observable exactly when the continuous-time one is.  A is
-unitary, so its stack carries no scaling artifact of the kind the powers
-of the generator have.
+The sampling period is Delta = 1/||H - tr(H)/d I||_2 (hbar = 1), set by
+the traceless part of H; ``sampled_propagator`` returns it with U.  The
+eigenphases -lambda_j*Delta of U then spread over at most 2, below pi, so
+they fix the traceless H, and distinct gaps lambda_j - lambda_k of H stay
+distinct eigenvalues of A: the sampled pair is observable exactly when
+the continuous-time one is.  A is unitary, so its stack carries no
+scaling artifact of the kind the powers of the generator have.
 
 Basis elements |k><j| with k != j are not valid states; they are mapped
 onto four preparable states by an exact decomposition, and the linearity
@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import GRID_RTOL, _check_grid, _read_rows
+from .dynamics import GRID_RTOL, _check_grid, _eigen_propagator, _read_rows
 from .linalg import (
     ABS_FLOOR,
     DEFAULT_RTOL,
@@ -66,20 +66,20 @@ class UnobservableError(RuntimeError):
     """The (C, A) pair is not observable; the Hamiltonian is not unique."""
 
 
-def sampling_period(h: np.ndarray) -> float:
-    """The sampling period Delta = 1/||H||_2 of the populations.
+def sampled_propagator(h: np.ndarray) -> tuple[np.ndarray, float]:
+    """(U, Delta): the propagator U = exp(-i H Delta) at the sampling period
+    Delta = 1/||H - tr(H)/d I||_2 of the populations, from one eigendecomposition of H.
 
-    H is taken in the traceless gauge: H and H + c*I generate the same
-    dynamics, and an energy offset must not shrink the period (powers
+    The period is that of the traceless part: H and H + c*I generate the
+    same dynamics, and an energy offset must not shrink the period (powers
     of A close to the identity bring back the rank artifacts of the
-    powers of the generator).  With it ||H|| Delta = 1, so the
-    eigenphases of the sampled propagator spread over at most 2 < pi and
-    determine H.  A zero traceless part has no time scale; its norm is
-    floored at ABS_FLOOR.
+    powers of the generator).  With it the eigenphases of U spread over at
+    most 2 < pi and determine H.  A zero traceless part has no time scale;
+    its norm, the largest |lambda_j - mean lambda|, is floored at ABS_FLOOR.
     """
-    h = hermitize(h)
-    h = h - (np.trace(h) / h.shape[0]) * np.eye(h.shape[0])
-    return 1 / max(spectral_norm(h), ABS_FLOOR)
+    w, v = np.linalg.eigh(hermitize(h))
+    period = 1 / max(np.max(np.abs(w - w.mean())), ABS_FLOOR)
+    return _eigen_propagator(w, v, period), period
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +93,6 @@ def _markov_parameters(u: np.ndarray, order: int) -> np.ndarray:
     U^k[i, a] conj(U^k[i, b]) under column stacking: each power costs one
     d x d product.  U^0 = I gives the diagonal selector C exactly.
     """
-    if order < 0:
-        raise ConfigError(f"order must be nonnegative, got {order}")
     d = u.shape[0]
     powers = np.empty((order + 1, d, d), dtype=complex)
     powers[0] = np.eye(d)
@@ -103,22 +101,22 @@ def _markov_parameters(u: np.ndarray, order: int) -> np.ndarray:
     return (powers.conj()[:, :, :, None] * powers[:, :, None, :]).reshape(order + 1, d, d * d)
 
 
-def output_stacks(u: np.ndarray, lambda0: np.ndarray, order: int) -> np.ndarray:
-    """Sampled outputs ys[k] = C A^k Lambda0 for k = 0..order.
+def output_stacks(u: np.ndarray, lambda0: np.ndarray) -> np.ndarray:
+    """Sampled outputs ys[k] = C A^k Lambda0 for k = 0..d^2 (``reconstruct_hamiltonian``'s input).
 
     Column i of ys[k], shape (d, d^2), holds the populations at t = k*Delta
-    of the run started in column i of Lambda0, when u = ``dynamics.propagator(h, Delta)``.
+    of the run started in column i of Lambda0, when (u, Delta) = ``sampled_propagator(h)``.
     """
-    return _markov_parameters(u, order) @ np.asarray(lambda0, dtype=complex)
+    return _markov_parameters(u, u.shape[0] ** 2) @ np.asarray(lambda0, dtype=complex)
 
 
-def observability_rank(u: np.ndarray, rtol: float = DEFAULT_RTOL) -> tuple[int, bool]:
-    """Numerical rank of the observability stack and the full-rank flag.
+def observability_rank(h: np.ndarray, rtol: float = DEFAULT_RTOL) -> tuple[int, bool]:
+    """Numerical rank of the observability stack of H's populations and the full-rank flag.
 
-    ``u`` is the d x d propagator at ``sampling_period`` (``dynamics.propagator``).
-    The stack [C; CA; ...; CA^(n-1)], n = d^2, C the diagonal selector,
-    holds the Markov parameters themselves.
+    The stack [C; CA; ...; CA^(n-1)], n = d^2, C the diagonal selector and A
+    sampled every Delta (``sampled_propagator``), holds the Markov parameters.
     """
+    u, _ = sampled_propagator(h)
     n = u.shape[0] ** 2
     stack = _markov_parameters(u, n - 1).reshape(-1, n)
     rank = numerical_rank(np.linalg.svd(stack, compute_uv=False), rtol)
@@ -158,7 +156,7 @@ def reconstruct_hamiltonian(ys: np.ndarray, lambda0: np.ndarray, period: float, 
     angles theta.  The result, the Hermitian part of
     -(1/period) V diag(theta - mean theta) V^-1 with V the eigenvectors
     of U, is the unique traceless H whose eigenvalue spread is below
-    pi/period; ``sampling_period`` guarantees a spread of at most 2
+    pi/period; ``sampled_propagator`` guarantees a spread of at most 2
     in these units.  When max theta - min theta >= pi(1 - rtol) no such H
     exists (ValueError).  Holds one BLAS thread throughout (``one_blas_thread``).
     """

@@ -57,6 +57,18 @@ def under_each_blas_setting(code):
     return runs
 
 
+def openblas_core():
+    """The kernel numpy's bundled OpenBLAS runs (``OPENBLAS_CORETYPE`` picks
+    it before numpy loads), or None under another BLAS."""
+    import ctypes
+    try:
+        core = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_openblas_get_corename64_
+    except (OSError, AttributeError):
+        return None
+    core.argtypes, core.restype = [], ctypes.c_char_p
+    return core().decode()
+
+
 def lstsq_recorder(calls):
     """A stand-in for np.linalg.lstsq that appends the rcond, rank and
     singular values of every call to ``calls``."""

@@ -19,7 +19,11 @@ the golden seed-0 records in ``golden_sweeps.json``.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -49,7 +53,7 @@ from qnetid.partialinfo import (
     physical_decomposition,
     physical_initial_batch,
     reconstruct_hamiltonian,
-    sampling_period,
+    sampled_propagator,
 )
 from qnetid.svgplot import emit_plot
 from qnetid.sweep import (
@@ -58,7 +62,8 @@ from qnetid.sweep import (
     run_sweep,
 )
 
-from conftest import liouvillian, random_admissible, random_density, random_hermitian
+from conftest import (liouvillian, openblas_core, random_admissible, random_density,
+                      random_hermitian)
 from record_golden_sweeps import CONFIGS, LABEL_CONFIGS, LABEL_FIELDS
 
 MASTER_SEED = 0
@@ -95,6 +100,16 @@ def golden_mismatches(name: str, records) -> list[str]:
             ):
                 out.append(f"{cell}: {key} {got} differs from golden {want}")
     return out
+
+
+def label_mismatches(name: str, trials) -> list[str]:
+    """Where the per-draw labels ``trials``, dicts of ``LABEL_FIELDS``, differ
+    from the golden draws ``name``: every draw must match exactly."""
+    golden = json.loads(GOLDEN_SWEEPS.read_text())[name]
+    differ = [f"{g} != golden {w}" for g, w in zip(trials, golden) if g != w]
+    if len(trials) != len(golden):
+        differ.append(f"{len(trials)} draws, golden has {len(golden)}")
+    return differ
 
 
 def report(criterion: str, passed: bool, detail: str) -> bool:
@@ -265,15 +280,56 @@ class TestCriterion2GoldenCell:
     def test_labels_draw_by_draw(self):
         name = "extended_d26_30"
         res = run_sweep(LABEL_CONFIGS[name])
-        golden = json.loads(GOLDEN_SWEEPS.read_text())[name]
         got = [{f: getattr(t, f) for f in LABEL_FIELDS} for t in res.trials]
-        differ = [f"{g} != golden {w}" for g, w in zip(got, golden) if g != w]
-        if len(got) != len(golden):
-            differ.append(f"{len(got)} draws, golden has {len(golden)}")
+        differ = label_mismatches(name, got)
         curve = " ".join(f"d={rec.d}:{rec.solvability_mean:.1f}" for rec in res.records)
         report("criterion 2 golden cell (labels draw by draw)", not differ,
                f"{len(got)} draws; {curve}; {len(differ)} differ")
         assert not differ, "labels differ from the golden draws: " + "; ".join(differ)
+
+
+#: a fresh interpreter that runs the criterion-1 config and the golden cell
+#: and prints its OpenBLAS kernel, the records and the per-draw labels
+OTHER_KERNEL_RUN = """\
+import dataclasses, json
+from conftest import openblas_core
+from record_golden_sweeps import CONFIGS, LABEL_CONFIGS, LABEL_FIELDS
+from qnetid.sweep import run_sweep
+print(json.dumps({
+    "core": openblas_core(),
+    "criterion1": [dataclasses.asdict(r) for r in run_sweep(CONFIGS["criterion1"]).records],
+    "extended_d26_30": [{f: getattr(t, f) for f in LABEL_FIELDS}
+                        for t in run_sweep(LABEL_CONFIGS["extended_d26_30"]).trials],
+}))
+"""
+
+
+class TestGoldenRecordsOnAnotherKernel:
+    """The golden records do not depend on the host's BLAS kernel: numpy's
+    OpenBLAS, run on another x86-64 kernel (``OPENBLAS_CORETYPE``), gives
+    the criterion-1 records within the golden rules (quartiles to 1e-9)
+    and every label of the golden cell.  Per-draw eps at d >= 20 are
+    kernel-specific and not compared."""
+
+    def test_criterion1_and_golden_cell(self):
+        host = openblas_core()
+        if host is None:
+            pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
+        kernel = "Sandybridge" if host == "Haswell" else "Haswell"
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ, OPENBLAS_CORETYPE=kernel, PYTHONPATH=os.pathsep.join(
+            [str(Path(qnetid.sweep.__file__).resolve().parents[1]), str(tests)]))
+        proc = subprocess.run([sys.executable, "-c", OTHER_KERNEL_RUN], env=env, cwd=tests,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["core"] not in (None, host), f"the child ran {out['core']}, the host {host}"
+        differ = golden_mismatches("criterion1", [SimpleNamespace(**r) for r in out["criterion1"]])
+        differ += label_mismatches("extended_d26_30", out["extended_d26_30"])
+        report("golden records on another BLAS kernel", not differ,
+               f"{out['core']} (host {host}); {len(differ)} differ")
+        assert not differ, (f"records differ from the golden ones on {out['core']}: "
+                            + "; ".join(differ))
 
 
 class TestCriterion3ErrorBenchmark:
@@ -469,11 +525,10 @@ class TestCriterion7PartialInformationRoundTrip:
                     break
             lv = liouvillian(h)
             h_traceless = h - np.trace(h) / d * np.eye(d)
-            period = sampling_period(h)
-            u = propagator(h, period)
-            _, obs = observability_rank(u)
+            u, period = sampled_propagator(h)
+            _, obs = observability_rank(h)
             for lambda0 in (np.eye(d * d, dtype=complex), physical_initial_batch(d)[0]):
-                ys = output_stacks(u, lambda0, d * d)
+                ys = output_stacks(u, lambda0)
                 if obs:
                     observable += 1
                     h_hat = reconstruct_hamiltonian(ys, lambda0, period)
@@ -497,8 +552,7 @@ class TestCriterion7PartialInformationRoundTrip:
         for i in range(100):
             d = 2 if i % 2 == 0 else 3
             h = random_admissible(rng, d)
-            u = propagator(h, sampling_period(h))
-            rank, _ = observability_rank(u)
+            rank, _ = observability_rank(h)
             if rank > d * d - 1:
                 violations += 1
         ok = violations == 0

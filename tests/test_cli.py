@@ -12,7 +12,6 @@ from qnetid import cli
 from qnetid.cli import main
 from qnetid.dynamics import (
     Trajectory,
-    propagator,
     read_trajectory_csv,
     sample_trajectory,
     write_trajectory_csv,
@@ -24,7 +23,7 @@ from qnetid.partialinfo import (
     physical_initial_batch,
     read_output_batch,
     reconstruct_hamiltonian,
-    sampling_period,
+    sampled_propagator,
 )
 from qnetid.sweep import CSV_HEADER, SweepConfig, SweepResult
 
@@ -371,9 +370,9 @@ class TestPartialIdentify:
                        "--save-outputs", batch) == 0
 
             h = hermitize(load_matrix(h_path))
-            period = sampling_period(h)
+            u, period = sampled_propagator(h)
             lambda0, _ = physical_initial_batch(d)
-            ys = output_stacks(propagator(h, period), lambda0, d * d)
+            ys = output_stacks(u, lambda0)
             h_estimate = reconstruct_hamiltonian(ys, lambda0, period)
 
             lambda0_saved, runs = read_output_batch(batch / "manifest.json")
@@ -384,7 +383,9 @@ class TestPartialIdentify:
             assert spectral_norm(h_saved - h_estimate) <= 1e-12 * spectral_norm(h_estimate)
 
     def test_estimate_outputs_computed_once(self, tmp_path, monkeypatch):
-        # the saved batch reuses the stack the estimate was computed from
+        # one simulation per call: the saved batch reuses the stack the
+        # estimate was computed from, and in exact mode the basis-element
+        # stack applied to the preparable states
         calls = []
 
         def counting(*args):
@@ -394,9 +395,27 @@ class TestPartialIdentify:
         monkeypatch.setattr("qnetid.cli.output_stacks", counting)
         h_path = tmp_path / "h.json"
         save_matrix(h_path, np.array([[1.0, 1.0], [1.0, -1.0]]))
-        assert run("partial-identify", "--hamiltonian", h_path, "--estimate",
-                   "--save-outputs", tmp_path / "batch") == 0
-        assert len(calls) == 1
+        for mode in ((), ("--estimate",)):
+            for save in ((), ("--save-outputs", tmp_path / f"batch{len(mode)}")):
+                calls.clear()
+                assert run("partial-identify", "--hamiltonian", h_path, *mode, *save) == 0
+                assert len(calls) == 1, (mode, save)
+
+    def test_one_decomposition_per_hamiltonian(self, tmp_path, monkeypatch):
+        # one eigh of H gives the period and the propagator; the five SVDs
+        # are Lambda0's rank, the realigned estimate, its factor's
+        # non-unitarity and the two norms of the relative error
+        calls = []
+        for name in ("eigh", "svd"):
+            call = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, call=call, name=name, **kw:
+                                calls.append(name) or call(*a, **kw))
+        h_path = tmp_path / "h.json"
+        save_matrix(h_path, random_hermitian(np.random.default_rng(8), 3, norm=1.0))
+        for flags in ((), ("--estimate",), ("--save-outputs", tmp_path / "batch")):
+            calls.clear()
+            assert run("partial-identify", "--hamiltonian", h_path, *flags) == 0
+            assert (calls.count("eigh"), calls.count("svd")) == (1, 5), flags
 
     def test_saved_outputs_same_in_both_modes(self, tmp_path):
         # the batch holds the preparable runs whichever initializations identify

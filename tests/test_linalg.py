@@ -388,8 +388,8 @@ class TestOneBlasThread:
             import hashlib, json
             import numpy as np
             from qnetid import (basis_density, erdos_renyi, identify_topology,
-                                output_stacks, physical_initial_batch, propagator,
-                                reconstruct_hamiltonian, sample_trajectory, sampling_period)
+                                output_stacks, physical_initial_batch,
+                                reconstruct_hamiltonian, sample_trajectory, sampled_propagator)
             adjacency = erdos_renyi(26, 0.5, 7)
             traj = sample_trajectory(adjacency, basis_density(26, 1), 3.0, 0.01)
             report = identify_topology(traj, subsample=5, truth=adjacency, real_coupling=True)
@@ -400,9 +400,9 @@ class TestOneBlasThread:
                     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
                     h = 0.5 * (g + g.conj().T)
                     h = h * (1.0 / np.linalg.norm(h, 2))
-                    period = sampling_period(h)
+                    u, period = sampled_propagator(h)
                     lambda0 = physical_initial_batch(d)[0]
-                    ys = output_stacks(propagator(h, period), lambda0, d * d)
+                    ys = output_stacks(u, lambda0)
                     h_hat = reconstruct_hamiltonian(ys, lambda0, period)
                     print(d, seed, hashlib.sha256(h_hat.tobytes()).hexdigest())
             """)

@@ -20,7 +20,7 @@ from qnetid.partialinfo import (
     physical_initial_batch,
     read_output_batch,
     reconstruct_hamiltonian,
-    sampling_period,
+    sampled_propagator,
     write_output_batch,
 )
 
@@ -35,12 +35,6 @@ def hermitian_with_diagonal(rng, d, norm=1.0):
         h = random_hermitian(rng, d, norm=norm)
         if np.max(np.abs(np.diag(h).real)) >= 0.1:
             return h
-
-
-def sampled(h):
-    """(U, period): the d x d propagator at the sampling period of H."""
-    period = sampling_period(h)
-    return propagator(h, period), period
 
 
 def traceless(h):
@@ -85,9 +79,8 @@ def populations(h, rho0, tau, dt):
 
 def identify(h, lambda0):
     """Hamiltonian reconstructed from the populations of the batch ``lambda0``."""
-    u, period = sampled(h)
-    d = h.shape[0]
-    return reconstruct_hamiltonian(output_stacks(u, lambda0, d * d), lambda0, period)
+    u, period = sampled_propagator(h)
+    return reconstruct_hamiltonian(output_stacks(u, lambda0), lambda0, period)
 
 
 class TestDiagonalSelector:
@@ -95,8 +88,8 @@ class TestDiagonalSelector:
         # the order-zero Markov parameter is the selector C exactly: U^0 = I
         rng = np.random.default_rng(0)
         for d in (2, 3, 5):
-            u, _ = sampled(random_hermitian(rng, d))
-            c = output_stacks(u, np.eye(d * d, dtype=complex), 0)[0]
+            u, _ = sampled_propagator(random_hermitian(rng, d))
+            c = output_stacks(u, np.eye(d * d, dtype=complex))[0]
             rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             assert np.array_equal(c @ vec(rho), np.diag(rho))
 
@@ -107,7 +100,21 @@ class TestSamplingPeriod:
         for d in (2, 4, 6):
             h = random_hermitian(rng, d)
             h -= np.trace(h) / d * np.eye(d)
-            assert spectral_norm(h) * sampling_period(h) == pytest.approx(1.0)
+            assert spectral_norm(h) * sampled_propagator(h)[1] == pytest.approx(1.0)
+
+    def test_one_eigendecomposition(self, monkeypatch):
+        # the period and U come from one eigh of H, and U is the propagator
+        # at that period bit for bit; the period is 1/||H - tr(H)/d I||_2
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        rng = np.random.default_rng(24)
+        for d in (2, 3, 5, 7):
+            h = hermitian_with_diagonal(rng, d) + float(rng.normal()) * np.eye(d)
+            calls.clear()
+            u, period = sampled_propagator(h)
+            assert len(calls) == 1
+            assert np.array_equal(u, propagator(h, period))
+            assert period == pytest.approx(1 / spectral_norm(traceless(h)), rel=2e-15)
 
     def test_energy_offset_invariant(self):
         # an offset c*I changes neither the dynamics nor the period, so
@@ -116,28 +123,28 @@ class TestSamplingPeriod:
         h = hermitian_with_diagonal(rng, 5)
         for c in (10.0, 100.0, -1e3):
             shifted = h + c * np.eye(5)
-            assert sampling_period(shifted) == pytest.approx(sampling_period(h), rel=1e-12)
-            assert observability_rank(sampled(shifted)[0]) == (25, True)
+            assert sampled_propagator(shifted)[1] == pytest.approx(sampled_propagator(h)[1],
+                                                                   rel=1e-12)
+            assert observability_rank(shifted) == (25, True)
 
     def test_zero_hamiltonian_floored(self):
-        assert np.isfinite(sampling_period(np.zeros((3, 3))))
-        assert np.array_equal(propagator(np.zeros((2, 2)), sampling_period(np.zeros((2, 2)))),
-                              np.eye(2))
+        assert np.isfinite(sampled_propagator(np.zeros((3, 3)))[1])
+        assert np.array_equal(sampled_propagator(np.zeros((2, 2)))[0], np.eye(2))
 
 
 class TestObservabilityRank:
     def test_zero_generator(self):
-        rank, obs = observability_rank(sampled(np.zeros((2, 2)))[0])
+        rank, obs = observability_rank(np.zeros((2, 2)))
         assert rank == 2
         assert not obs
 
     def test_observable_pair(self):
-        rank, obs = observability_rank(sampled(H_OBS)[0])
+        rank, obs = observability_rank(H_OBS)
         assert rank == 4
         assert obs
 
     def test_zero_diagonal_unobservable(self):
-        rank, obs = observability_rank(sampled(SX)[0])
+        rank, obs = observability_rank(SX)
         assert rank == 3
         assert not obs
 
@@ -149,28 +156,28 @@ class TestObservabilityRank:
         for h in zero_diagonal + list(identified_estimates()):
             d = h.shape[0]
             assert not np.diag(h).any()
-            u, _ = sampled(h)
-            stack = output_stacks(u, np.eye(d * d, dtype=complex), d * d - 1).reshape(-1, d * d)
+            u, _ = sampled_propagator(h)
+            stack = output_stacks(u, np.eye(d * d, dtype=complex))[:-1].reshape(-1, d * d)
             residual = np.max(np.abs(stack @ vec(h)))
             assert residual <= 1e-12 * spectral_norm(stack) * max(spectral_norm(h), 1.0)
-            rank, _ = observability_rank(u)
+            rank, _ = observability_rank(h)
             assert rank <= d * d - 1
 
     def test_rejects_nonpositive_rtol(self):
         # rtol = 0 would report every nonzero singular value: full rank
-        u, period = sampled(SX)
+        u, period = sampled_propagator(SX)
         lam0 = np.eye(4, dtype=complex)
         with pytest.raises(ValueError, match="rtol must be positive"):
-            observability_rank(u, rtol=0.0)
+            observability_rank(SX, rtol=0.0)
         with pytest.raises(ValueError, match="rtol must be positive"):
-            reconstruct_hamiltonian(output_stacks(u, lam0, 4), lam0, period, rtol=0.0)
+            reconstruct_hamiltonian(output_stacks(u, lam0), lam0, period, rtol=0.0)
 
     def test_full_rank_at_d6(self):
         # the powers of the unitary propagator keep unit scale, so the
         # stack has no rank artifact of the kind the powers of L have
         rng = np.random.default_rng(21)
         h = hermitian_with_diagonal(rng, 6)
-        assert observability_rank(sampled(h)[0]) == (36, True)
+        assert observability_rank(h) == (36, True)
 
 
 def spin_x(j2):
@@ -204,32 +211,28 @@ class TestObservabilityFamily:
         cases = 0
         for h, expected in observability_family(rng, 40):
             d = h.shape[0]
-            u, _ = sampled(h)
+            u, _ = sampled_propagator(h)
             oracle = dense_markov_parameters(u, d * d - 1).reshape(-1, d * d)
             oracle_rank = numerical_rank(np.linalg.svd(oracle, compute_uv=False), DEFAULT_RTOL)
-            rank, observable = observability_rank(u)
+            rank, observable = observability_rank(h)
             assert rank == oracle_rank, (d, h)
             if expected is not None:
                 assert observable == expected, (d, h)
             cases += 1
         assert cases == 727
-        assert observability_rank(sampled(spin_x(4))[0]) == (15, False)
+        assert observability_rank(spin_x(4)) == (15, False)
 
 
 class TestOutputStacks:
     def test_order_zero(self):
-        ys = output_stacks(sampled(H_OBS)[0], np.eye(4, dtype=complex), 0)
-        assert ys.shape == (1, 2, 4)
+        # d^2 + 1 samples, the order-zero one the selector applied to Lambda0
+        ys = output_stacks(sampled_propagator(H_OBS)[0], np.eye(4, dtype=complex))
+        assert ys.shape == (5, 2, 4)
         assert np.array_equal(ys[0], [[1, 0, 0, 0], [0, 0, 0, 1]])
 
     def test_zero_generator(self):
-        ys = output_stacks(sampled(np.zeros((2, 2)))[0], np.eye(4, dtype=complex), 3)
-        assert np.array_equal(ys[1:], np.broadcast_to(ys[0], (3, 2, 4)))
-
-    def test_rejects_negative_order(self):
-        # a parameter check: ConfigError, as every other one
-        with pytest.raises(ConfigError, match="order must be nonnegative, got -1"):
-            output_stacks(sampled(H_OBS)[0], np.eye(4, dtype=complex), -1)
+        ys = output_stacks(sampled_propagator(np.zeros((2, 2)))[0], np.eye(4, dtype=complex))
+        assert np.array_equal(ys[1:], np.broadcast_to(ys[0], (4, 2, 4)))
 
     @pytest.mark.parametrize("d", [2, 3, 4, 6])
     def test_matches_per_power_products(self, d):
@@ -237,11 +240,11 @@ class TestOutputStacks:
         # dense A = conj(U) kron U; the batched product with Lambda0 does
         # the arithmetic of one product per power, so equals it bit for bit
         rng = np.random.default_rng(50 + d)
-        u, _ = sampled(random_hermitian(rng, d, norm=1.0))
+        u, _ = sampled_propagator(random_hermitian(rng, d, norm=1.0))
         g = _markov_parameters(u, d * d)
         assert np.max(np.abs(g - dense_markov_parameters(u, d * d))) <= 1e-13
         for lam0 in (np.eye(d * d, dtype=complex), physical_initial_batch(d)[0]):
-            for k, y in enumerate(output_stacks(u, lam0, d * d)):
+            for k, y in enumerate(output_stacks(u, lam0)):
                 assert np.array_equal(y, g[k] @ lam0), k
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
@@ -249,9 +252,9 @@ class TestOutputStacks:
         # column i of ys[k] is diag(U^k X_i U^-k), X_i = column i of Lambda0
         rng = np.random.default_rng(30 + d)
         h = random_hermitian(rng, d, norm=1.0)
-        u, period = sampled(h)
+        u, period = sampled_propagator(h)
         for lam0 in (np.eye(d * d, dtype=complex), physical_initial_batch(d)[0]):
-            ys = output_stacks(u, lam0, d * d)
+            ys = output_stacks(u, lam0)
             for k in range(d * d + 1):
                 u_k = propagator(h, k * period)
                 ref = np.array([np.diag(u_k @ x.reshape((d, d), order="F") @ u_k.conj().T)
@@ -280,9 +283,9 @@ class TestReconstructLiouvillian:
         # and give the rank, in place of an SVD with both factors
         rng = np.random.default_rng(16)
         h = hermitian_with_diagonal(rng, 3)
-        u, period = sampled(h)
+        u, period = sampled_propagator(h)
         lam0 = physical_initial_batch(3)[0]
-        ys = output_stacks(u, lam0, 9)
+        ys = output_stacks(u, lam0)
         assert spectral_norm(reconstruct_hamiltonian(ys, lam0, period) - traceless(h)) <= 1e-9
         [call] = lstsq_calls
         s = np.linalg.svd((ys[:9] @ np.linalg.inv(lam0)).reshape(-1, 9), compute_uv=False)
@@ -290,8 +293,8 @@ class TestReconstructLiouvillian:
         assert np.max(np.abs(call["s"] - s)) <= 1e-14 * s[0]
 
     def test_incomplete_stacks_rejected(self):
-        u, period = sampled(H_OBS)
-        ys = output_stacks(u, np.eye(4, dtype=complex), 2)
+        u, period = sampled_propagator(H_OBS)
+        ys = output_stacks(u, np.eye(4, dtype=complex))[:3]
         with pytest.raises(ValueError, match="incomplete"):
             reconstruct_hamiltonian(ys, np.eye(4, dtype=complex), period)
 
@@ -302,25 +305,25 @@ class TestReconstructLiouvillian:
     def test_output_shape_mismatch_rejected(self, cut, shape):
         # one population per sample was reported as an unobservable pair,
         # three runs for four states as numpy's matmul mismatch
-        u, period = sampled(H_OBS)
+        u, period = sampled_propagator(H_OBS)
         lam0 = np.eye(4, dtype=complex)
         with pytest.raises(ValueError, match=rf"{shape} do not match Lambda0 of shape "
                                              r"\(4, 4\): each must be \(d, d\^2\) = \(2, 4\)"):
-            reconstruct_hamiltonian(output_stacks(u, lam0, 4)[cut], lam0, period)
+            reconstruct_hamiltonian(output_stacks(u, lam0)[cut], lam0, period)
 
     def test_non_square_lambda0_rejected(self):
-        u, period = sampled(H_OBS)
+        u, period = sampled_propagator(H_OBS)
         # a 0 x 0 Lambda0 (d = 0) failed in numpy's reshape
         for lam in (np.eye(4, 3, dtype=complex), np.eye(3, dtype=complex), np.eye(0)):
             with pytest.raises(ValueError, match="Lambda0 must be square with d\\^2 rows"):
-                reconstruct_hamiltonian(output_stacks(u, np.eye(4), 4), lam, period)
+                reconstruct_hamiltonian(output_stacks(u, np.eye(4)), lam, period)
 
     def test_singular_lambda0_rejected(self):
         lam = np.eye(4, dtype=complex)
         lam[:, 3] = lam[:, 2]
-        u, period = sampled(H_OBS)
+        u, period = sampled_propagator(H_OBS)
         with pytest.raises(ValueError, match="singular"):
-            reconstruct_hamiltonian(output_stacks(u, lam, 4), lam, period)
+            reconstruct_hamiltonian(output_stacks(u, lam), lam, period)
 
     def test_physical_batch_roundtrip(self):
         lam0, states = physical_initial_batch(2)
@@ -334,7 +337,7 @@ class TestReconstructLiouvillian:
         d = 3
         h = hermitian_with_diagonal(rng, d)
         lam0, states = physical_initial_batch(d)
-        period = sampling_period(h)
+        period = sampled_propagator(h)[1]
         runs = [populations(h, rho, d * d * period, period)[1] for rho, _ in states]
         ys = np.stack(runs, axis=2)  # (d^2 + 1, d, d^2): ys[k][:, i] = run i at k * period
         assert spectral_norm(reconstruct_hamiltonian(ys, lam0, period) - traceless(h)) <= 1e-9
@@ -347,20 +350,20 @@ class TestReconstructLiouvillian:
         w = np.linalg.eigvalsh(h)
         period = np.pi / (w[-1] - w[0])
         lam0 = np.eye(9, dtype=complex)
-        ys = output_stacks(propagator(h, period), lam0, 9)
+        ys = output_stacks(propagator(h, period), lam0)
         with pytest.raises(ValueError, match="spread over .* >= pi"):
             reconstruct_hamiltonian(ys, lam0, period)
         # just inside the branch the same H is recovered
-        ys = output_stacks(propagator(h, 0.99 * period), lam0, 9)
+        ys = output_stacks(propagator(h, 0.99 * period), lam0)
         assert spectral_norm(reconstruct_hamiltonian(ys, lam0, 0.99 * period)
                              - traceless(h)) <= 1e-9
 
     def test_nonpositive_period_rejected(self):
-        u, _ = sampled(H_OBS)
+        u, _ = sampled_propagator(H_OBS)
         lam0 = np.eye(4, dtype=complex)
         for period in (0.0, np.nan, np.inf):
             with pytest.raises(ConfigError, match="period must be positive"):
-                reconstruct_hamiltonian(output_stacks(u, lam0, 4), lam0, period)
+                reconstruct_hamiltonian(output_stacks(u, lam0), lam0, period)
 
 
 class TestExtractHamiltonian:
@@ -381,9 +384,9 @@ class TestExtractHamiltonian:
         rng = np.random.default_rng(7)
         h = traceless(random_hermitian(rng, 3, norm=1.0))
         lam0 = np.eye(9, dtype=complex)
-        period = sampling_period(h)
-        ys = output_stacks(propagator(h, period), lam0, 9)
-        shifted = output_stacks(propagator(h + 3.0 * np.eye(3), period), lam0, 9)
+        u, period = sampled_propagator(h)
+        ys = output_stacks(u, lam0)
+        shifted = output_stacks(propagator(h + 3.0 * np.eye(3), period), lam0)
         assert np.allclose(shifted, ys, atol=1e-12)
         assert spectral_norm(reconstruct_hamiltonian(shifted, lam0, period) - h) <= 1e-9
 
@@ -392,7 +395,7 @@ class TestExtractHamiltonian:
         """(ys, Lambda0, period): the outputs of the basis-element batch when
         the dense ``channel`` follows each step of the unitary evolution."""
         d = h.shape[0]
-        u, period = sampled(h)
+        u, period = sampled_propagator(h)
         return dense_markov_parameters(u, d * d, channel), np.eye(d * d, dtype=complex), period
 
     def test_rejects_non_generator(self):
@@ -480,9 +483,9 @@ class TestRoundTripInvariant:
         for _ in range(30):
             d = int(rng.integers(2, 4))
             h = hermitian_with_diagonal(rng, d)
-            u, period = sampled(h)
-            rank, obs = observability_rank(u)
-            ys = output_stacks(u, np.eye(d * d, dtype=complex), d * d)
+            u, period = sampled_propagator(h)
+            rank, obs = observability_rank(h)
+            ys = output_stacks(u, np.eye(d * d, dtype=complex))
             if obs:
                 seen_observable += 1
                 h_hat = reconstruct_hamiltonian(ys, np.eye(d * d, dtype=complex), period)

@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 import qnetid.identify
 import qnetid.linalg
 import qnetid.sweep
-from qnetid.dynamics import propagator, sample_times, trapezoid_grams
+from qnetid.dynamics import sample_times, trapezoid_grams
 from qnetid.identify import build_Q, solve_commutator
 from qnetid.linalg import spectral_norm
 from qnetid.netmodel import derive_seed
 from qnetid.partialinfo import (output_stacks, physical_initial_batch, reconstruct_hamiltonian,
-                                sampling_period)
+                                sampled_propagator)
 from qnetid.sweep import (
     CSV_HEADER,
     SOLVE_BYTES,
@@ -644,9 +644,9 @@ class TestTrialThreads:
         rng = np.random.default_rng(5)
         h = random_hermitian(rng, 3, norm=1.0)
         p, m = random_hermitian(rng, 3), random_hermitian(rng, 3)
-        period = sampling_period(h)
+        u, period = sampled_propagator(h)
         lambda0 = physical_initial_batch(3)[0]
-        ys = output_stacks(propagator(h, period), lambda0, 9)
+        ys = output_stacks(u, lambda0)
         entries = {
             "run_sweep": lambda: run_sweep(TINY),
             "solve_commutator": lambda: solve_commutator(p, m @ p - p @ m),
