@@ -25,7 +25,6 @@ from qnetid import (
     build_Q,
     commutant_dimension,
     exact_gram,
-    propagate,
     sample_trajectory,
     solve_commutator,
 )
@@ -44,7 +43,7 @@ print("1. maximally mixed state, any network")
 h = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)  # path graph
 rho0 = np.eye(3, dtype=complex) / 3
 p = exact_gram(h, rho0, TAU)
-q = build_Q(rho0, propagate(h, rho0, TAU))
+q = build_Q(rho0, sample_trajectory(h, rho0, TAU, TAU).states[-1])
 print("   ", verdicts(p, q))
 
 print("2. excitation on an isolated node (edge 1-2, node 3 isolated)")
@@ -52,7 +51,7 @@ h = np.zeros((3, 3), dtype=complex)
 h[0, 1] = h[1, 0] = 1.0
 rho0 = basis_density(3, 3)
 p = exact_gram(h, rho0, TAU)
-q = build_Q(rho0, propagate(h, rho0, TAU))
+q = build_Q(rho0, sample_trajectory(h, rho0, TAU, TAU).states[-1])
 print("   ", verdicts(p, q))
 print("    (the 1-2 edge never influences the data; no method can see it)")
 
@@ -71,5 +70,5 @@ print("4. healthy instance for comparison (path graph, end excitation)")
 h = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
 rho0 = basis_density(3, 1)
 p = exact_gram(h, rho0, TAU)
-q = build_Q(rho0, propagate(h, rho0, TAU))
+q = build_Q(rho0, sample_trajectory(h, rho0, TAU, TAU).states[-1])
 print("   ", verdicts(p, q))

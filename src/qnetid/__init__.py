@@ -29,8 +29,6 @@ from .dynamics import (
     Trajectory,
     check_density,
     exact_gram,
-    propagate,
-    propagator,
     read_trajectory_csv,
     sample_trajectory,
     write_trajectory_csv,

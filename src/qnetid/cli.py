@@ -76,7 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ident.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
     ident.add_argument("--general-coupling", action="store_true",
                        help="solve in the full admissible class instead of real couplings")
-    ident.add_argument("--seed", type=int, default=None, help="seed recorded in the report")
     ident.add_argument("--out", help="write the identification report JSON here")
 
     sw = sub.add_parser("sweep", help="benchmark sweeps over random networks",
@@ -174,7 +173,6 @@ def _cmd_identify(args) -> int:
         rtol=args.rtol,
         real_coupling=not args.general_coupling,
     )
-    report.seed = args.seed
     print(f"outcome:     {report.outcome}")
     print(f"solvability: {report.solvability} (rank {report.label_rank}/{report.required_rank})")
     print(f"residual:    {report.residual:.3e}")

@@ -3,10 +3,10 @@
 The state rho obeys d/dt rho = -i [H, rho] (hbar = 1) and is propagated
 exactly through the eigendecomposition of the (time-independent)
 Hermitian H: one decomposition per trajectory, unitary conjugation per
-sample.  The module also builds the d x d propagator U = e^(-iHt),
-samples uniform-grid trajectories, and writes the time integral of rho
-in closed form: exactly, as an oracle for quadrature-based estimates, and
-as the composite trapezoid sum that a sampled trajectory would give.
+sample.  The module samples uniform-grid trajectories, and writes the
+time integral of rho in closed form: exactly, as an oracle for
+quadrature-based estimates, and as the composite trapezoid sum that a
+sampled trajectory would give.
 Both weigh each eigenmode by a sinc, accurate to round-off at every
 frequency, zero and its aliases included.  Trajectory CSVs are written
 by ``np.savetxt`` and read by ``np.loadtxt``, one call each, under a
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ConfigError, check_positive, hermitize, is_finite, is_integer, naming
+from .linalg import ConfigError, check_positive, hermitize, is_integer, naming
 
 #: tolerated negative eigenvalue on density operators (round-off slack)
 PSD_TOL = 1e-10
@@ -95,8 +95,10 @@ def grid_intervals(tau: float, dt: float) -> int:
     every k*dt is exact, so every step is dt but the last, tau - (n-1)*dt,
     and those two are checked.  Otherwise the check takes the grid's times
     a block of ``GRID_BLOCK`` at a time, each computed as in the whole grid,
-    so it holds O(``GRID_BLOCK``) memory and still reads the extreme steps
-    of the whole grid.  Raises ConfigError otherwise.
+    so it holds O(``GRID_BLOCK``) memory, and checks the extreme steps so
+    far after each block: the extremes only widen, so the verdict is the
+    whole grid's, and a grid that fails stops at the first block that
+    fails, naming the extremes up to it.  Raises ConfigError otherwise.
     """
     check_positive("tau", tau)
     check_positive("dt", dt)
@@ -106,10 +108,12 @@ def grid_intervals(tau: float, dt: float) -> int:
     if n < 1 or abs(tau - n * dt) > GRID_RTOL * dt:
         raise ConfigError(f"tau/dt = {tau!r}/{dt!r} is not a positive integer")
     numerator = dt.as_integer_ratio()[0]
-    if n * (numerator // (numerator & -numerator)) < 2**53:
-        last = tau - (n - 1) * dt
-        low, high = (min(dt, last), max(dt, last)) if n > 1 else (last, last)
-    else:
+    with naming(lambda: f"tau/dt = {tau!r}/{dt!r}", ConfigError):
+        if n * (numerator // (numerator & -numerator)) < 2**53:
+            last = tau - (n - 1) * dt
+            low, high = (min(dt, last), max(dt, last)) if n > 1 else (last, last)
+            _check_steps(low, high, tau, n)  # t_0 = 0 * dt = 0
+            return n
         low, high = np.inf, -np.inf
         for start in range(0, n, GRID_BLOCK):
             times = np.arange(start, min(start + GRID_BLOCK, n) + 1) * dt
@@ -117,8 +121,7 @@ def grid_intervals(tau: float, dt: float) -> int:
                 times[-1] = tau  # kill accumulated grid round-off at the endpoint
             steps = np.diff(times)
             low, high = min(low, steps.min()), max(high, steps.max())
-    with naming(lambda: f"tau/dt = {tau!r}/{dt!r}", ConfigError):
-        _check_steps(low, high, tau, n)  # t_0 = 0 * dt = 0
+            _check_steps(low, high, tau, n)
     return n
 
 
@@ -158,10 +161,6 @@ class Trajectory:
         return self.states.shape[1]
 
     @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    @property
     def tau(self) -> float:
         return float(self.times[-1] - self.times[0])
 
@@ -169,36 +168,6 @@ class Trajectory:
     def n_samples(self) -> int:
         """Number of sampling intervals n_s (so len(times) == n_s + 1)."""
         return len(self.times) - 1
-
-
-def propagator(h: np.ndarray, t: float) -> np.ndarray:
-    """The d x d propagator U = exp(-i H t), from one eigendecomposition of H.
-
-    The vectorized propagator, vec(rho) -> vec(U rho U-dagger), is
-    conj(U) kron U under column stacking; it is never formed.  t must be
-    finite (``is_finite``).
-    """
-    if not is_finite(t):
-        raise ConfigError("t must be finite")
-    return _eigen_propagator(*np.linalg.eigh(hermitize(h)), t)
-
-
-def _eigen_propagator(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
-    """U = V exp(-i w t) V-dagger from the eigenvalues w and eigenvectors V of H."""
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
-
-
-def propagate(h: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
-    """Propagate a density operator: rho_t = U rho_0 U†.
-
-    Exact for time-independent H (no step-size error); preserves trace,
-    Hermiticity and the spectrum of rho_0.  t must be finite.
-    """
-    if not (is_finite(t) and t >= 0):
-        raise ConfigError("t must be nonnegative and finite")
-    rho0 = check_density(rho0, "rho0")
-    u = propagator(h, t)
-    return hermitize(u @ rho0 @ u.conj().T)
 
 
 def _eigenbasis(h: np.ndarray, rho0: np.ndarray):

@@ -242,7 +242,6 @@ class IdentificationReport:
     real_coupling: bool
     rtol: float
     label_rtol: float
-    seed: int | None = None
     parameters: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:

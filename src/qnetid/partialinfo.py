@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import GRID_RTOL, _check_grid, _eigen_propagator, _read_rows
+from .dynamics import GRID_RTOL, _check_grid, _read_rows
 from .linalg import (
     ABS_FLOOR,
     DEFAULT_RTOL,
@@ -79,7 +79,7 @@ def sampled_propagator(h: np.ndarray) -> tuple[np.ndarray, float]:
     """
     w, v = np.linalg.eigh(hermitize(h))
     period = 1 / max(np.max(np.abs(w - w.mean())), ABS_FLOOR)
-    return _eigen_propagator(w, v, period), period
+    return (v * np.exp(-1j * w * period)) @ v.conj().T, period
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import qnetid
-from qnetid.linalg import check_positive
+from qnetid.linalg import hermitize
 from qnetid.sweep import run_sweep
 
 from record_golden_sweeps import CONFIGS
@@ -26,6 +27,13 @@ def liouvillian(h):
     under column stacking L vec(rho) = vec(-i [H, rho])."""
     eye = np.eye(h.shape[0])
     return -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+
+
+def expm_propagate(h, rho, t):
+    """Reference propagation U rho U-dagger, U = expm(-i H t) by scipy:
+    independent of the eigendecomposition qnetid propagates through."""
+    u = scipy.linalg.expm(-1j * np.asarray(h) * t)
+    return hermitize(u @ rho @ u.conj().T)
 
 
 def random_density(rng, d):

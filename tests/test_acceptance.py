@@ -27,12 +27,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import qnetid.sweep
 from qnetid.dynamics import (
     exact_gram,
-    propagate,
-    propagator,
     sample_times,
     sample_trajectory,
 )
@@ -62,8 +61,8 @@ from qnetid.sweep import (
     run_sweep,
 )
 
-from conftest import (liouvillian, openblas_core, random_admissible, random_density,
-                      random_hermitian)
+from conftest import (expm_propagate, liouvillian, openblas_core, random_admissible,
+                      random_density, random_hermitian)
 from record_golden_sweeps import CONFIGS, LABEL_CONFIGS, LABEL_FIELDS
 
 MASTER_SEED = 0
@@ -379,7 +378,7 @@ class TestCriterion3ErrorBenchmark:
                     h = adjacency.astype(complex)
                     exact = solve_commutator(
                         exact_gram(h, rho0, tau),
-                        build_Q(rho0, propagate(h, rho0, tau)),
+                        build_Q(rho0, expm_propagate(h, rho0, tau)),
                         rtol=cfg.rtol, real_coupling=cfg.real_coupling,
                     )
                     eps_exact = relative_error(exact.m_hat, adjacency)
@@ -427,7 +426,7 @@ class TestCriterion4IntegrationIdentity:
             rho0 = random_density(rng, d)
             tau = float(rng.uniform(0.5, 3.0))
             p = exact_gram(h, rho0, tau)
-            q = build_Q(rho0, propagate(h, rho0, tau))
+            q = build_Q(rho0, expm_propagate(h, rho0, tau))
             worst = max(worst, spectral_norm(commutator(h, p) - q) / spectral_norm(q))
         ok = worst <= 1e-9
         report("criterion 4 (integration identity)", ok, f"worst relative residual {worst:.2e}")
@@ -581,9 +580,9 @@ class TestCriterion8DecompositionIdentity:
                     terms = physical_decomposition(d, k, j)
                     acc = sum(c * rho for rho, c in terms)
                     worst_id = max(worst_id, float(np.max(np.abs(acc - target))))
-                    u = propagator(h, t)
+                    u = scipy.linalg.expm(-1j * h * t)
                     direct = u @ target @ u.conj().T
-                    recombined = sum(c * propagate(h, rho, t) for rho, c in terms)
+                    recombined = sum(c * expm_propagate(h, rho, t) for rho, c in terms)
                     worst_prop = max(worst_prop, float(np.max(np.abs(direct - recombined))))
         ok = worst_id <= 1e-14 and worst_prop <= 1e-10
         report("criterion 8 (decomposition identity)", ok,

@@ -204,6 +204,7 @@ class TestSweepPlot:
                      sweep + ("--allow-disconnected",), sweep + ("--hbar", 1.0),
                      ("identify", "--trajectory", tmp_path / "t.csv", "--label-rtol", 1e-12),
                      ("identify", "--trajectory", tmp_path / "t.csv", "--hbar", 1.0),
+                     ("identify", "--trajectory", tmp_path / "t.csv", "--seed", 3),
                      ("simulate", "--er-d", 4, "--tau", 1, "--dt", 0.1, "--out",
                       tmp_path / "t.csv", "--hbar", 1.0),
                      ("partial-identify", "--hamiltonian", tmp_path / "h.json", "--hbar", 1.0)):

@@ -1,3 +1,4 @@
+import itertools
 import re
 import time
 import tracemalloc
@@ -13,8 +14,6 @@ from qnetid.dynamics import (
     check_subsample,
     exact_gram,
     grid_intervals,
-    propagate,
-    propagator,
     read_trajectory_csv,
     sample_times,
     sample_trajectory,
@@ -23,9 +22,10 @@ from qnetid.dynamics import (
 )
 from qnetid.identify import build_P_trapezoid, identify_topology
 from qnetid.linalg import ConfigError, hermitize, spectral_norm, vec
+from qnetid.partialinfo import sampled_propagator
 from qnetid.sweep import SweepConfig, benchmark_network
 
-from conftest import liouvillian, random_density, random_hermitian
+from conftest import expm_propagate, liouvillian, random_density, random_hermitian
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 E1 = np.diag([1.0, 0.0]).astype(complex)
@@ -93,27 +93,35 @@ class TestLiouvillian:
         assert spectral_norm(lv + lv.conj().T) <= 1e-12 * spectral_norm(lv)
 
 
+def endpoint(h, rho0, t):
+    """rho0 propagated to time t: the last sample of a one-step trajectory."""
+    return sample_trajectory(h, rho0, t, t).states[-1]
+
+
 class TestPropagate:
+    """The propagation of a state, read at the end of ``sample_trajectory``."""
+
     def test_time_zero_identity(self):
         rng = np.random.default_rng(4)
         rho = random_density(rng, 3)
-        assert np.allclose(propagate(random_hermitian(rng, 3), rho, 0.0), rho, atol=1e-13)
+        traj = sample_trajectory(random_hermitian(rng, 3), rho, 0.5, 0.5)
+        assert np.allclose(traj.states[0], rho, atol=1e-13)
 
     def test_two_level_flip(self):
         # U(pi/2) under sigma_x maps |1><1| to |2><2|
-        out = propagate(SX, E1, np.pi / 2)
+        out = endpoint(SX, E1, np.pi / 2)
         assert np.allclose(out, np.diag([0.0, 1.0]), atol=1e-12)
 
     def test_stationary_state(self):
         h = np.diag([1.0, -1.0]).astype(complex)
         for t in (0.3, 1.7, 9.1):
-            assert np.allclose(propagate(h, E1, t), E1, atol=1e-13)
+            assert np.allclose(endpoint(h, E1, t), E1, atol=1e-13)
 
     def test_preserves_invariants(self):
         rng = np.random.default_rng(5)
         h = random_hermitian(rng, 4)
         rho = random_density(rng, 4)
-        out = propagate(h, rho, 2.1)
+        out = endpoint(h, rho, 2.1)
         assert abs(np.trace(out).real - 1.0) <= 1e-12
         assert np.array_equal(out, out.conj().T)
         w_in = np.linalg.eigvalsh(rho)
@@ -127,63 +135,36 @@ class TestPropagate:
             h = random_hermitian(rng, d)
             rho = random_density(rng, d)
             t = float(rng.uniform(0.2, 2.0))
-            direct = vec(propagate(h, rho, t))
+            direct = vec(endpoint(h, rho, t))
             via_l = scipy.linalg.expm(liouvillian(h) * t) @ vec(rho)
             assert np.linalg.norm(direct - via_l) <= 1e-9 * np.linalg.norm(via_l)
 
     def test_rejects_invalid_state(self):
-        with pytest.raises(ValueError):
-            propagate(SX, np.diag([2.0, -1.0]), 1.0)
+        with pytest.raises(ValueError, match="rho0 is not positive semidefinite"):
+            endpoint(SX, np.diag([2.0, -1.0]), 1.0)
 
     def test_rejects_negative_time(self):
-        with pytest.raises(ValueError):
-            propagate(SX, E1, -1.0)
+        with pytest.raises(ConfigError, match="tau must be positive and finite"):
+            endpoint(SX, E1, -1.0)
 
     @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_time(self, t):
-        # t = NaN or inf gave an all-NaN state
-        with pytest.raises(ConfigError, match="t must be nonnegative"):
-            propagate(SX, E1, t)
-
-
-class TestUnitaryConjugate:
-    """X -> U X U-dagger with U = propagator(h, t), on matrices that are not states."""
-
-    @staticmethod
-    def conjugate(h, x, t):
-        u = propagator(h, t)
-        return u @ x @ u.conj().T
-
-    def test_linear_extension(self):
-        rng = np.random.default_rng(7)
-        h = random_hermitian(rng, 3)
-        x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        y = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        t = 0.8
-        lhs = self.conjugate(h, 2.0 * x + 3.0 * y, t)
-        rhs = 2.0 * self.conjugate(h, x, t) + 3.0 * self.conjugate(h, y, t)
-        assert np.allclose(lhs, rhs, atol=1e-12)
-
-    def test_negative_time_inverts(self):
-        rng = np.random.default_rng(8)
-        h = random_hermitian(rng, 3)
-        x = rng.normal(size=(3, 3))
-        back = self.conjugate(h, self.conjugate(h, x, 0.9), -0.9)
-        assert np.allclose(back, x, atol=1e-12)
+        with pytest.raises(ConfigError, match="tau must be positive and finite"):
+            endpoint(SX, E1, t)
 
 
 class TestPropagator:
     def test_matches_matrix_exponential(self):
-        # U against expm of -iHt, and the vectorized propagator
-        # conj(U) kron U against expm of the generator
+        # U from its one builder, ``sampled_propagator``, against expm of
+        # -iH Delta, and the vectorized propagator conj(U) kron U against
+        # expm of the generator, with and without an energy offset
         rng = np.random.default_rng(9)
-        t = 1.4
-        for d in (2, 3, 5):
-            h = random_hermitian(rng, d)
-            u = propagator(h, t)
+        for d, offset in itertools.product(range(2, 8), (0.0, float(rng.normal()), 100.0)):
+            h = random_hermitian(rng, d) + offset * np.eye(d)
+            u, period = sampled_propagator(h)
             assert u.shape == (d, d)
-            assert np.linalg.norm(u - scipy.linalg.expm(-1j * h * t)) <= 1e-12
-            e_lt = scipy.linalg.expm(liouvillian(h) * t)
+            assert np.max(np.abs(u - scipy.linalg.expm(-1j * h * period))) <= 1e-12
+            e_lt = scipy.linalg.expm(liouvillian(h) * period)
             assert np.linalg.norm(np.kron(u.conj(), u) - e_lt) <= 1e-11
 
 
@@ -195,7 +176,7 @@ class TestSampleTrajectory:
         assert traj.times[0] == 0.0
         assert traj.times[-1] == 1.0
         assert np.array_equal(traj.states[0], E1)
-        assert traj.dt == pytest.approx(0.01)
+        assert np.allclose(np.diff(traj.times), 0.01, rtol=1e-12, atol=0)
 
     def test_constant_for_zero_hamiltonian(self):
         traj = sample_trajectory(np.zeros((2, 2)), E1, 0.5, 0.1)
@@ -281,8 +262,8 @@ class TestSampleTrajectory:
 
     @pytest.mark.parametrize("n_s", [1, 15, 16, 17, 33])
     def test_block_edges_match_propagate(self, n_s):
-        # sample counts around the propagation block size; a mixed state
-        # has coherences in every entry
+        # sample counts around the propagation block size, against an
+        # expm reference; a mixed state has coherences in every entry
         rng = np.random.default_rng(40 + n_s)
         h = random_hermitian(rng, 4)
         rho0 = random_density(rng, 4)
@@ -293,13 +274,15 @@ class TestSampleTrajectory:
         assert traj.times[-1] == tau
         assert np.array_equal(traj.states[0], rho0)
         for t, st in zip(traj.times, traj.states):
-            assert np.max(np.abs(st - propagate(h, rho0, t))) <= 1e-14
+            assert np.max(np.abs(st - expm_propagate(h, rho0, t))) <= 1e-14
 
 
-def whole_grid_rule(tau, dt):
-    """The grid rule as written before it took the grid in blocks: the
-    whole grid and all its steps at once.  Returns the grid, or the message
-    of its ConfigError."""
+def whole_grid_rule(tau, dt, block=None):
+    """The grid rule on the whole grid and all its steps at once.  Returns
+    the grid, or the message of its ConfigError.  With ``block``, a grid
+    that fails names the extreme steps up to the first block of ``block``
+    steps at whose end the steps so far fail; otherwise those of the whole
+    grid."""
     rtol, pair = qnetid.dynamics.GRID_RTOL, f"tau/dt = {float(tau)!r}/{float(dt)!r}"
     ratio = float(tau) / float(dt)
     n = round(ratio) if np.isfinite(ratio) else 0
@@ -308,12 +291,15 @@ def whole_grid_rule(tau, dt):
     times = np.arange(n + 1) * dt
     times[-1] = tau
     steps = np.diff(times)
-    if not np.all(steps > 0):
-        return f"{pair}: trajectory times are not strictly increasing"
     step = (times[-1] - times[0]) / len(steps)
-    if np.max(np.abs(steps - step)) > rtol * step:
-        return (f"{pair}: trajectory times are not uniform to {rtol:g} relative "
-                f"(steps {steps.min():.17g} to {steps.max():.17g})")
+    size = block or n
+    for end in range(size, n + size, size):
+        seen = steps[:end]
+        if not np.all(seen > 0):
+            return f"{pair}: trajectory times are not strictly increasing"
+        if np.max(np.abs(seen - step)) > rtol * step:
+            return (f"{pair}: trajectory times are not uniform to {rtol:g} relative "
+                    f"(steps {seen.min():.17g} to {seen.max():.17g})")
     return times
 
 
@@ -324,7 +310,7 @@ class TestGridIntervals:
         # relative step deviation r as the tolerance, and just below it) and
         # of the rule's tolerance on tau - n*dt, and with taus off n*dt within
         # that tolerance, whose last step decides some verdicts; whatever the
-        # block
+        # block, with the extremes up to the first block that fails
         monkeypatch.setattr(qnetid.dynamics, "GRID_BLOCK", block)
         kinds = set()
         for dt in (0.01, 0.1, 0.3, 1 / 3, 0.7, 2.5):
@@ -337,7 +323,7 @@ class TestGridIntervals:
                 for tau, rtol in [(n * dt, r), (n * dt, r * (1 - 1e-6)), (n * dt, 1e-9),
                                   (n * dt + 2e-9 * dt, 1e-9), (n * dt - 5e-10 * dt, 1e-9)] + off:
                     monkeypatch.setattr(qnetid.dynamics, "GRID_RTOL", rtol)
-                    expected = whole_grid_rule(tau, dt)
+                    expected = whole_grid_rule(tau, dt, block)
                     try:
                         got = sample_times(tau, dt)
                     except ConfigError as exc:
@@ -384,6 +370,15 @@ class TestGridIntervals:
         assert grid_intervals(1e12, 1.0) == 10**12
         assert SweepConfig(taus=(1e12,), dt=1.0).validate() == []
         assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("tau, dt", [(1e12, 0.1), (1.0, 1e-9)])
+    def test_failing_long_grid_stops_at_its_first_failing_block(self, tau, dt):
+        # the grid was scanned to its end before it was rejected: about
+        # 2.9 s per 1e9 steps, hours for the 1e13 steps of tau = 1e12
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match=r"trajectory times are not uniform"):
+            grid_intervals(tau, dt)
+        assert time.perf_counter() - start < 1.0
 
     def test_validation_holds_a_block_of_the_grid(self):
         # the 2e7-sample grid of tau = 200000 at dt = 0.01 is rejected with
@@ -655,7 +650,7 @@ class TestTrajectoryCsv:
         back = read_trajectory_csv(path)
         assert back.times[0] == 1.0
         assert back.tau == pytest.approx(0.4, rel=1e-12)
-        assert back.dt == pytest.approx(0.1, rel=1e-12)
+        assert np.allclose(np.diff(back.times), 0.1, rtol=1e-12, atol=0)
 
     def test_rejects_non_uniform_times(self, tmp_path):
         traj = sample_trajectory(SX, E1, 1.0, 0.1)

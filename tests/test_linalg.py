@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import qnetid
-from qnetid.dynamics import propagate, propagator, sample_times
+from qnetid.dynamics import sample_times
 from qnetid.linalg import (
     ABS_FLOOR,
     EPS,
@@ -156,8 +156,6 @@ class TestCheckPositive:
         (lambda v: sample_times(v, 0.01), "tau must be positive and finite"),
         (lambda v: sample_times(1.0, v), "dt must be positive and finite"),
         (lambda v: numerical_rank([1.0], v), "rtol must be positive and finite"),
-        (lambda v: propagator(SX, v), "t must be finite"),
-        (lambda v: propagate(SX, np.diag([1.0, 0.0]), v), "t must be nonnegative and finite"),
         (lambda v: reconstruct_hamiltonian(np.zeros((5, 2, 4)), np.eye(4), v),
          "period must be positive and finite"),
         # a config that still holds the removed hbar key is refused whatever its value
@@ -166,12 +164,11 @@ class TestCheckPositive:
         (lambda v: SweepConfig(taus=(v,)).validated(), "\n  tau must be positive and finite"),
         (lambda v: SweepConfig(dt=v).validated(), "\n  dt must be positive and finite"),
         (lambda v: SweepConfig(rtol=v).validated(), "\n  rtol must be positive and finite"),
-    ], ids=["check_positive", "tau", "dt", "rtol", "propagator-t", "propagate-t", "period",
+    ], ids=["check_positive", "tau", "dt", "rtol", "period",
             "sweep-hbar", "sweep-p_link", "sweep-tau", "sweep-dt", "sweep-rtol"])
     def test_extreme_values_are_config_errors(self, call, named, value):
         # an integer beyond the float range raised OverflowError from
-        # math.isfinite (TypeError from np.isfinite in propagate), and
-        # propagator returned a NaN matrix at t = NaN or inf
+        # math.isfinite
         with pytest.raises(ConfigError) as info:
             call(value)
         assert named in str(info.value)

@@ -2,12 +2,9 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from qnetid.dynamics import (
-    propagate,
-    propagator,
-    sample_trajectory,
-)
+from qnetid.dynamics import sample_trajectory
 from qnetid.identify import identify_topology
 from qnetid.linalg import DEFAULT_RTOL, ConfigError, numerical_rank, spectral_norm, vec
 from qnetid.netmodel import basis_density, erdos_renyi
@@ -24,7 +21,7 @@ from qnetid.partialinfo import (
     write_output_batch,
 )
 
-from conftest import random_admissible, random_hermitian
+from conftest import expm_propagate, random_admissible, random_hermitian
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 H_OBS = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
@@ -103,17 +100,16 @@ class TestSamplingPeriod:
             assert spectral_norm(h) * sampled_propagator(h)[1] == pytest.approx(1.0)
 
     def test_one_eigendecomposition(self, monkeypatch):
-        # the period and U come from one eigh of H, and U is the propagator
-        # at that period bit for bit; the period is 1/||H - tr(H)/d I||_2
+        # the period and U come from one eigh of H, and the period is
+        # 1/||H - tr(H)/d I||_2 (TestPropagator checks U against expm)
         eigh, calls = np.linalg.eigh, []
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
         rng = np.random.default_rng(24)
         for d in (2, 3, 5, 7):
             h = hermitian_with_diagonal(rng, d) + float(rng.normal()) * np.eye(d)
             calls.clear()
-            u, period = sampled_propagator(h)
+            period = sampled_propagator(h)[1]
             assert len(calls) == 1
-            assert np.array_equal(u, propagator(h, period))
             assert period == pytest.approx(1 / spectral_norm(traceless(h)), rel=2e-15)
 
     def test_energy_offset_invariant(self):
@@ -256,7 +252,7 @@ class TestOutputStacks:
         for lam0 in (np.eye(d * d, dtype=complex), physical_initial_batch(d)[0]):
             ys = output_stacks(u, lam0)
             for k in range(d * d + 1):
-                u_k = propagator(h, k * period)
+                u_k = scipy.linalg.expm(-1j * h * (k * period))
                 ref = np.array([np.diag(u_k @ x.reshape((d, d), order="F") @ u_k.conj().T)
                                 for x in lam0.T]).T
                 assert np.max(np.abs(ys[k] - ref)) <= 1e-13
@@ -350,11 +346,11 @@ class TestReconstructLiouvillian:
         w = np.linalg.eigvalsh(h)
         period = np.pi / (w[-1] - w[0])
         lam0 = np.eye(9, dtype=complex)
-        ys = output_stacks(propagator(h, period), lam0)
+        ys = output_stacks(scipy.linalg.expm(-1j * h * period), lam0)
         with pytest.raises(ValueError, match="spread over .* >= pi"):
             reconstruct_hamiltonian(ys, lam0, period)
         # just inside the branch the same H is recovered
-        ys = output_stacks(propagator(h, 0.99 * period), lam0)
+        ys = output_stacks(scipy.linalg.expm(-1j * h * (0.99 * period)), lam0)
         assert spectral_norm(reconstruct_hamiltonian(ys, lam0, 0.99 * period)
                              - traceless(h)) <= 1e-9
 
@@ -386,7 +382,7 @@ class TestExtractHamiltonian:
         lam0 = np.eye(9, dtype=complex)
         u, period = sampled_propagator(h)
         ys = output_stacks(u, lam0)
-        shifted = output_stacks(propagator(h + 3.0 * np.eye(3), period), lam0)
+        shifted = output_stacks(scipy.linalg.expm(-1j * (h + 3.0 * np.eye(3)) * period), lam0)
         assert np.allclose(shifted, ys, atol=1e-12)
         assert spectral_norm(reconstruct_hamiltonian(shifted, lam0, period) - h) <= 1e-9
 
@@ -468,10 +464,10 @@ class TestPhysicalDecomposition:
             for k, j in [(1, 2), (1, d), (d - 1, d)]:
                 target = np.zeros((d, d), dtype=complex)
                 target[k - 1, j - 1] = 1.0
-                u = propagator(h, t)
+                u = scipy.linalg.expm(-1j * h * t)
                 direct = u @ target @ u.conj().T
                 recombined = sum(
-                    c * propagate(h, rho, t) for rho, c in physical_decomposition(d, k, j)
+                    c * expm_propagate(h, rho, t) for rho, c in physical_decomposition(d, k, j)
                 )
                 assert np.max(np.abs(direct - recombined)) <= 1e-10
 

@@ -1,0 +1,53 @@
+"""Every public function and class of qnetid has a caller in the package.
+
+A name in ``qnetid.__all__`` that no module of ``src/qnetid`` uses, other
+than its own definition and ``__init__``'s export, serves only its tests:
+it is either deleted or named below as a test oracle.
+"""
+
+import ast
+import inspect
+from pathlib import Path
+
+import qnetid
+
+#: public names kept as independent oracles of the tests, with no caller
+TEST_ORACLES = {"exact_gram", "commutant_dimension"}
+
+
+def referenced_names(source: str, names: set) -> set:
+    """The names of ``names`` that ``source`` reads as a name or an
+    attribute outside the definition of the function or class of that name."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names:
+            owner = node.name
+        ident = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if ident in names and ident != owner:
+            found.add(ident)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_every_public_function_and_class_has_a_caller():
+    package = Path(qnetid.__file__).parent
+    public = {name for name in qnetid.__all__
+              if inspect.isfunction(getattr(qnetid, name)) or inspect.isclass(getattr(qnetid, name))}
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name != "__init__.py":
+            used |= referenced_names(path.read_text(), public)
+    assert sorted(public - used - TEST_ORACLES) == []
+    # an oracle that gains a caller leaves the list
+    assert TEST_ORACLES <= public - used
+
+
+def test_a_name_read_only_by_its_own_definition_has_no_caller():
+    source = ("def f(n):\n    return f(n - 1) if n else 0\n\n"
+              "class C:\n    def m(self):\n        return C\n\n"
+              "def g():\n    return qnetid.h()\n")
+    assert referenced_names(source, {"f", "C", "h", "k"}) == {"h"}
