@@ -21,8 +21,8 @@ import numpy as np
 from . import __version__
 from .dynamics import read_trajectory_csv, sample_trajectory, write_trajectory_csv
 from .identify import identify_topology, relative_error
-from .linalg import (DEFAULT_RTOL, ConfigError, check_network_size, hermitize, load_json,
-                     load_matrix, naming, save_json, save_matrix)
+from .linalg import (ConfigError, check_network_size, hermitize, load_json, load_matrix, naming,
+                     save_json, save_matrix)
 from .netmodel import basis_density, connected_erdos_renyi, erdos_renyi
 from .partialinfo import (
     observability_rank,
@@ -73,7 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="quadrature subsampling divisor of n_s")
     ident.add_argument("--h0", help="matrix JSON of a known node Hamiltonian to subtract")
     ident.add_argument("--truth", help="matrix JSON of the true coupling matrix (for epsilon)")
-    ident.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
     ident.add_argument("--general-coupling", action="store_true",
                        help="solve in the full admissible class instead of real couplings")
     ident.add_argument("--out", help="write the identification report JSON here")
@@ -97,14 +96,12 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="rank test of the diagonal-output pair, "
                               "sampled every 1/||H - tr(H)/d I||_2")
     obs.add_argument("--hamiltonian", required=True, help="matrix JSON with the Hamiltonian")
-    obs.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
 
     part = sub.add_parser("partial-identify",
                           help="recover the Hamiltonian from diagonal outputs only, "
                                "sampled every 1/||H - tr(H)/d I||_2")
     part.add_argument("--hamiltonian", required=True,
                       help="matrix JSON with the network Hamiltonian to simulate")
-    part.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
     part.add_argument("--estimate", action="store_true",
                       help="identify from the populations of the d^2 preparable states "
                            "instead of the d^2 basis elements |k><j|")
@@ -170,7 +167,6 @@ def _cmd_identify(args) -> int:
         subsample=args.subsample,
         known_h0=h0,
         truth=truth,
-        rtol=args.rtol,
         real_coupling=not args.general_coupling,
     )
     print(f"outcome:     {report.outcome}")
@@ -202,7 +198,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_observability(args) -> int:
     h = _load_hermitian(args.hamiltonian)
-    rank, observable = observability_rank(h, args.rtol)
+    rank, observable = observability_rank(h)
     print(f"source: {args.hamiltonian}")
     print(f"observability rank: {rank} of {h.shape[0] ** 2}")
     print(f"observable: {'yes' if observable else 'no'}")
@@ -225,7 +221,7 @@ def _cmd_partial_identify(args) -> int:
     # the observability stack has full rank n = d^2 once this returns; it
     # raises UnobservableError, naming the rank, otherwise
     ys = output_stacks(u, lambda0)
-    h_hat = reconstruct_hamiltonian(ys, lambda0, period, rtol=args.rtol)
+    h_hat = reconstruct_hamiltonian(ys, lambda0, period)
     print(f"observability rank: {d * d} of {d * d} (observable)")
     ham_err = relative_error(h_hat, h - (np.trace(h) / d) * np.eye(d))
     print(f"mode: {mode}")

@@ -50,8 +50,8 @@ Two parameter classes are supported:
   graphs whose data degenerate the full class.
 
 Each report carries two verdicts.  ``outcome`` is the conservative
-uniqueness certificate: full column rank at the configured relative
-tolerance plus a small equation residual.  ``solvability`` is the
+uniqueness certificate: full column rank at the one relative tolerance
+``DEFAULT_RTOL`` (1e-9) plus a small equation residual.  ``solvability`` is the
 classical full-rank label of the stacked linear system at an
 LAPACK-style machine tolerance, 2d^2 * eps relative to sigma_max: the
 max(m, n) of the unhalved system, kept so that the halving moves no
@@ -240,7 +240,7 @@ class IdentificationReport:
     sigma_min_retained: float
     sigma_max_discarded: float
     real_coupling: bool
-    rtol: float
+    rtol: float                  # DEFAULT_RTOL, stated in the report JSON
     label_rtol: float
     parameters: dict = field(default_factory=dict)
 
@@ -254,7 +254,7 @@ class IdentificationReport:
         save_json(path, self.to_json())
 
 
-def solve_stack(p: np.ndarray, q: np.ndarray, rtol: float = DEFAULT_RTOL,
+def solve_stack(p: np.ndarray, q: np.ndarray,
                 real_coupling: bool = False) -> tuple[np.ndarray, ...]:
     """Admissible least-squares solutions of [M, P] = Q for each P on the
     last two axes of ``p``, Q broadcasting against it: the core of
@@ -262,7 +262,7 @@ def solve_stack(p: np.ndarray, q: np.ndarray, rtol: float = DEFAULT_RTOL,
     halved as one stack; LAPACK's gelsd does not batch, so each is solved
     by its own call.  Returns over the leading axes of ``p`` the estimates,
     each system's singular values (one per parameter: full rank is rank
-    ``s.shape[-1]``), its rank at ``rtol`` and at ``_label_rtol(d)``.
+    ``s.shape[-1]``), its rank at ``DEFAULT_RTOL`` and at ``_label_rtol(d)``.
     """
     d = p.shape[-1]
     a = _realified_system(p, real_coupling)
@@ -270,10 +270,10 @@ def solve_stack(p: np.ndarray, q: np.ndarray, rtol: float = DEFAULT_RTOL,
     rhs = np.broadcast_to(_halve(q), a.shape[:-1]).reshape(len(systems), -1)
     theta, s = np.empty((len(systems), a.shape[-1])), np.empty((len(systems), a.shape[-1]))
     for k in range(len(systems)):
-        # gelsd cuts s_i <= rtol * s_0, the complement of numerical_rank's rule
-        theta[k], _, _, s[k] = np.linalg.lstsq(systems[k], rhs[k], rcond=rtol)
+        # gelsd cuts s_i <= rcond * s_0, the complement of numerical_rank's rule
+        theta[k], _, _, s[k] = np.linalg.lstsq(systems[k], rhs[k], rcond=DEFAULT_RTOL)
     theta, s = theta.reshape(a.shape[:-2] + (-1,)), s.reshape(a.shape[:-2] + (-1,))
-    rank = numerical_rank(s, rtol)
+    rank = numerical_rank(s, DEFAULT_RTOL)
     theta[rank == 0] = 0.0  # gelsd would invert an s_0 below ABS_FLOOR
     return _to_matrix(theta, d, real_coupling), s, rank, numerical_rank(s, _label_rtol(d))
 
@@ -287,13 +287,12 @@ def _label_rtol(d: int) -> float:
 def solve_commutator(
     p: np.ndarray,
     q: np.ndarray,
-    rtol: float = DEFAULT_RTOL,
     real_coupling: bool = False,
 ) -> IdentificationReport:
     """Solve [M, P] = Q for an admissible M and certify uniqueness.
 
     One system of ``solve_stack``: gelsd's truncated minimum-norm least squares
-    at ``rtol``, held at one BLAS thread (``one_blas_thread``) whatever
+    at ``DEFAULT_RTOL``, held at one BLAS thread (``one_blas_thread``) whatever
     OPENBLAS_NUM_THREADS says.  ``outcome`` is 'unique' at full column rank
     with a relative residual of the full equation at most RESIDUAL_RTOL,
     'non_unique' when rank deficient (the minimum-norm estimate is still
@@ -307,7 +306,7 @@ def solve_commutator(
     p, q = np.asarray(p, dtype=complex), np.asarray(q, dtype=complex)
     if p.shape != q.shape or p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ValueError(f"P and Q must be square with equal shape, got {p.shape} vs {q.shape}")
-    m_hat, s, rank, label_rank = solve_stack(p, q, rtol, real_coupling)
+    m_hat, s, rank, label_rank = solve_stack(p, q, real_coupling)
 
     m_comm_p = commutator(m_hat, p)
     residual = spectral_norm(m_comm_p - q) / max(spectral_norm(q), EPS)
@@ -334,21 +333,21 @@ def solve_commutator(
         sigma_min_retained=float(s[rank - 1]) if rank > 0 else 0.0,
         sigma_max_discarded=float(s[rank]) if rank < s.size else 0.0,
         real_coupling=real_coupling,
-        rtol=float(rtol),
+        rtol=DEFAULT_RTOL,
         label_rtol=_label_rtol(p.shape[0]),
     )
 
 
-def commutant_dimension(p: np.ndarray, rtol: float = DEFAULT_RTOL, real_coupling: bool = False) -> int:
+def commutant_dimension(p: np.ndarray, real_coupling: bool = False) -> int:
     """Dimension of the admissible commutant of P.
 
     Counts the independent nonzero admissible matrices commuting with P
-    (nullity of the homogeneous realified system at ``rtol``); zero
+    (nullity of the homogeneous realified system at ``DEFAULT_RTOL``); zero
     means the identification problem has a unique solution.  P is
     taken to be Hermitian, as in ``solve_commutator``.
     """
     a = _realified_system(np.asarray(p, dtype=complex), real_coupling)
-    return a.shape[1] - numerical_rank(np.linalg.svd(a, compute_uv=False), rtol)
+    return a.shape[1] - numerical_rank(np.linalg.svd(a, compute_uv=False), DEFAULT_RTOL)
 
 
 def relative_error(m_hat: np.ndarray, truth: np.ndarray):
@@ -368,7 +367,6 @@ def identify_topology(
     subsample: int = 1,
     known_h0: np.ndarray | None = None,
     truth: np.ndarray | None = None,
-    rtol: float = DEFAULT_RTOL,
     real_coupling: bool = False,
 ) -> IdentificationReport:
     """Full pipeline: trapezoid P, endpoint Q, solve, score.
@@ -379,7 +377,7 @@ def identify_topology(
     """
     p = build_P_trapezoid(traj, subsample=subsample)
     q = build_Q(traj.states[0], traj.states[-1], known_h0=known_h0, p=p)
-    report = solve_commutator(p, q, rtol=rtol, real_coupling=real_coupling)
+    report = solve_commutator(p, q, real_coupling=real_coupling)
     if truth is not None and np.any(truth):
         report.epsilon = relative_error(report.m_hat, truth)
     report.parameters.update(subsample=int(subsample))

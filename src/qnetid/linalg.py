@@ -26,7 +26,7 @@ import numpy as np
 
 EPS = float(np.finfo(float).eps)
 
-#: relative singular-value threshold for numerical rank decisions
+#: the one relative singular-value cut of every rank certificate; no caller sets another
 DEFAULT_RTOL = 1e-9
 #: if the largest singular value is below this, the matrix counts as zero
 ABS_FLOOR = 1e-12

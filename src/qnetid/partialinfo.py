@@ -110,7 +110,7 @@ def output_stacks(u: np.ndarray, lambda0: np.ndarray) -> np.ndarray:
     return _markov_parameters(u, u.shape[0] ** 2) @ np.asarray(lambda0, dtype=complex)
 
 
-def observability_rank(h: np.ndarray, rtol: float = DEFAULT_RTOL) -> tuple[int, bool]:
+def observability_rank(h: np.ndarray) -> tuple[int, bool]:
     """Numerical rank of the observability stack of H's populations and the full-rank flag.
 
     The stack [C; CA; ...; CA^(n-1)], n = d^2, C the diagonal selector and A
@@ -119,7 +119,7 @@ def observability_rank(h: np.ndarray, rtol: float = DEFAULT_RTOL) -> tuple[int, 
     u, _ = sampled_propagator(h)
     n = u.shape[0] ** 2
     stack = _markov_parameters(u, n - 1).reshape(-1, n)
-    rank = numerical_rank(np.linalg.svd(stack, compute_uv=False), rtol)
+    rank = numerical_rank(np.linalg.svd(stack, compute_uv=False), DEFAULT_RTOL)
     return rank, rank == n
 
 
@@ -133,8 +133,7 @@ def _nodes_of_batch(lambda0: np.ndarray) -> int:
 
 
 @one_blas_thread()
-def reconstruct_hamiltonian(ys: np.ndarray, lambda0: np.ndarray, period: float, *,
-                            rtol: float = DEFAULT_RTOL) -> np.ndarray:
+def reconstruct_hamiltonian(ys: np.ndarray, lambda0: np.ndarray, period: float) -> np.ndarray:
     """Recover the traceless Hamiltonian from populations sampled every ``period``.
 
     ``ys`` holds ys[k] = C A^k Lambda0, each of shape (d, d^2), for
@@ -157,7 +156,7 @@ def reconstruct_hamiltonian(ys: np.ndarray, lambda0: np.ndarray, period: float, 
     -(1/period) V diag(theta - mean theta) V^-1 with V the eigenvectors
     of U, is the unique traceless H whose eigenvalue spread is below
     pi/period; ``sampled_propagator`` guarantees a spread of at most 2
-    in these units.  When max theta - min theta >= pi(1 - rtol) no such H
+    in these units.  When max theta - min theta >= pi(1 - DEFAULT_RTOL) no such H
     exists (ValueError).  Holds one BLAS thread throughout (``one_blas_thread``).
     """
     lambda0 = np.asarray(lambda0, dtype=complex)
@@ -170,13 +169,13 @@ def reconstruct_hamiltonian(ys: np.ndarray, lambda0: np.ndarray, period: float, 
     if ys.shape[1:] != (d, n):
         raise ValueError(f"output samples of shape {ys.shape[1:]} do not match Lambda0 of "
                          f"shape {lambda0.shape}: each must be (d, d^2) = {(d, n)}")
-    if numerical_rank(np.linalg.svd(lambda0, compute_uv=False), rtol) < n:
+    if numerical_rank(np.linalg.svd(lambda0, compute_uv=False), DEFAULT_RTOL) < n:
         raise ValueError("initial-state matrix is numerically singular; "
                          "states are not linearly independent")
     moments = ys @ np.linalg.inv(lambda0)
     a_hat, _, _, s = np.linalg.lstsq(moments[:n].reshape(-1, n), moments[1:].reshape(-1, n),
-                                     rcond=rtol)
-    rank = numerical_rank(s, rtol)
+                                     rcond=DEFAULT_RTOL)
+    rank = numerical_rank(s, DEFAULT_RTOL)
     if rank < n:
         raise UnobservableError(f"observability rank {rank} < {n}: pair not observable, "
                                 "Hamiltonian not unique")
@@ -193,7 +192,7 @@ def reconstruct_hamiltonian(ys: np.ndarray, lambda0: np.ndarray, period: float, 
     mu, v = np.linalg.eig(u_hat)
     theta = np.angle(mu * np.exp(-1j * np.angle(mu.sum())))
     spread = np.ptp(theta)
-    if not spread < np.pi * (1 - rtol):
+    if not spread < np.pi * (1 - DEFAULT_RTOL):
         raise ValueError(f"the eigenphases of the sampled propagator spread over {spread:.6g}"
                          " >= pi: the period is too long to determine the Hamiltonian")
     h_hat = (-1 / period) * (v * (theta - theta.mean())) @ np.linalg.inv(v)
@@ -298,11 +297,11 @@ def write_output_batch(
 
 def read_output_batch(manifest_path) -> tuple[np.ndarray, list[tuple[str, np.ndarray, np.ndarray]]]:
     """Load a batch written by :func:`write_output_batch`; a manifest that
-    does not parse, lacks a key, or whose ``outputs`` is not an object keyed
-    by run numbers or ``labels`` not an object, is a ConfigError that names
-    it.  A batch of another experiment (a Lambda0 not d^2 x d^2, or not a
-    run per column of it on one time grid that starts at 0 and is uniform to
-    ``GRID_RTOL``, ``dynamics._check_grid``) is a ValueError naming the manifest.
+    does not parse, lacks a key, or whose ``outputs`` is not an object of file
+    names keyed by run numbers or ``labels`` not an object, is a ConfigError
+    that names it.  A batch of another experiment (a Lambda0 not d^2 x d^2, or
+    not a run per column of it on one time grid that starts at 0 and is uniform
+    to ``GRID_RTOL``, ``dynamics._check_grid``) is a ValueError naming the manifest.
     Each run's CSV is read as strictly as a trajectory (``dynamics._read_rows``):
     its header is ``t,y_1,...,y_d`` with d^2 runs, and its entries are finite.
     """
@@ -315,9 +314,9 @@ def read_output_batch(manifest_path) -> tuple[np.ndarray, list[tuple[str, np.nda
             raise ConfigError(f"not a batch manifest: {exc!r}")
         labels = manifest.get("labels", {})
         if not (isinstance(outputs, dict) and isinstance(labels, dict)
-                and all(key.isdecimal() for key in outputs)):
-            raise ConfigError("not a batch manifest: 'outputs' must be an object keyed by run "
-                              "numbers, 'labels' an object")
+                and all(k.isdecimal() and isinstance(v, str) for k, v in outputs.items())):
+            raise ConfigError("not a batch manifest: 'outputs' must be an object of file names "
+                              "keyed by run numbers, 'labels' an object")
         d = _nodes_of_batch(lambda0)
         if len(outputs) != d * d:
             raise ValueError(f"{len(outputs)} runs, but Lambda0 has shape {lambda0.shape}; "

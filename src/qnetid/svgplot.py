@@ -10,6 +10,7 @@ error.
 from __future__ import annotations
 
 import math
+import re
 from pathlib import Path
 
 from .sweep import read_sweep_csv
@@ -102,8 +103,8 @@ def emit_plot(csv_path, kind: str, out_path) -> Path:
     )
     config = _read_config_comment(csv_path)
     if config:
-        escaped = config.replace("--", "- -")
-        out.append(f"<!-- {escaped} -->")
+        # a comment holds no "--": every hyphen before another is set apart
+        out.append(f"<!-- {re.sub('-(?=-)', '- ', config)} -->")
     out.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
 
     # axes

@@ -36,8 +36,8 @@ from functools import partial
 import numpy as np
 
 from .identify import build_Q, relative_error, solve_stack
-from .linalg import (DEFAULT_RTOL, ConfigError, check_positive, is_finite, is_integer, naming,
-                     one_blas_thread, shown_number)
+from .linalg import (ConfigError, check_positive, is_finite, is_integer, naming, one_blas_thread,
+                     shown_number)
 from .netmodel import basis_density, connected_erdos_renyi, derive_seed
 from .dynamics import check_subsample, grid_intervals, trapezoid_grams
 
@@ -80,7 +80,6 @@ class SweepConfig:
     dt: float = 0.01
     subsamples: tuple[int, ...] = (20, 10, 5, 1)
     trials: int = 100
-    rtol: float = DEFAULT_RTOL
     real_coupling: bool = True
 
     def __post_init__(self):
@@ -107,7 +106,7 @@ class SweepConfig:
     def validate(self) -> list[str]:
         """Every violation, once.  A field whose value does not fit its
         default's type (``_fits``) is named, and the checks that read it are
-        skipped; the library's checks judge tau, dt, divisors, rtol."""
+        skipped; the library's checks judge tau, dt and divisors."""
         ok = {f.name: _fits(getattr(self, f.name), f.default) for f in fields(self)}
         errors = [f"{f.name} must be {_kind(f.default)}, got {getattr(self, f.name)!r}"
                   for f in fields(self) if not ok[f.name]]
@@ -140,9 +139,8 @@ class SweepConfig:
                 errors.append(f"at least one {name} is required")
             errors.extend(f"{name} {value!r} is listed more than once"
                           for value in dict.fromkeys(v for v in values if values.count(v) > 1))
-        for key in ("dt", "rtol"):
-            if ok[key]:
-                note(check_positive, key, getattr(self, key))
+        if ok["dt"]:
+            note(check_positive, "dt", self.dt)
         return list(dict.fromkeys(errors))
 
     def validated(self) -> "SweepConfig":
@@ -256,7 +254,7 @@ def run_benchmark_trials(d: int, tau: float, subsamples: Sequence[int], trial_se
     adjacency, rho0 = map(np.stack, zip(*(benchmark_network(d, seed, cfg) for seed in trial_seeds)))
     rho_tau, p = trapezoid_grams(adjacency.astype(complex), rho0, tau, cfg.dt, subsamples)
     q = build_Q(rho0, rho_tau)[:, None]
-    m_hat, sigma, _, label_rank = solve_stack(p, q, cfg.rtol, cfg.real_coupling)
+    m_hat, sigma, _, label_rank = solve_stack(p, q, cfg.real_coupling)
     errors = relative_error(m_hat, adjacency[:, None])
     return [[(int(ok), e if ok else None) for ok, e in zip(oks, row)]
             for oks, row in zip((label_rank == sigma.shape[-1]).tolist(), errors.tolist())]

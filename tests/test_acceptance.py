@@ -43,7 +43,7 @@ from qnetid.identify import (
     relative_error,
     solve_commutator,
 )
-from qnetid.linalg import spectral_norm
+from qnetid.linalg import DEFAULT_RTOL, spectral_norm
 from qnetid.netmodel import basis_density, derive_seed
 from qnetid.partialinfo import (
     UnobservableError,
@@ -66,10 +66,10 @@ from conftest import (expm_propagate, liouvillian, openblas_core, random_admissi
 from record_golden_sweeps import CONFIGS, LABEL_CONFIGS, LABEL_FIELDS
 
 MASTER_SEED = 0
-#: relative rank cut for the admissible commutant of the exact P; on the
-#: criterion-1 draws sigma_min/sigma_max is <= 1e-15 on the unsolvable
-#: ones and >= 1e-5 on the solvable ones, so the verdict does not hinge
-#: on this value
+#: relative rank cut for the admissible commutant of the exact P, the
+#: DEFAULT_RTOL that commutant_dimension cuts at; on the criterion-1 draws
+#: sigma_min/sigma_max is <= 1e-15 on the unsolvable ones and >= 1e-5 on
+#: the solvable ones, so the verdict does not hinge on this value
 COMMUTANT_RTOL = 1e-9
 #: golden records of the seed-0 sweeps of criteria 1 and 3
 GOLDEN_SWEEPS = Path(__file__).with_name("golden_sweeps.json")
@@ -170,6 +170,7 @@ class TestCriterion1RoundTripSolvability:
     The sweep's trial labels must average to each record's solvability."""
 
     def test_solvability_plateau(self, criterion1_sweep):
+        assert COMMUTANT_RTOL == DEFAULT_RTOL  # the cut commutant_dimension applies
         cfg = CONFIGS["criterion1"]
         res, _ = criterion1_sweep
         sbar = {rec.d: rec.solvability_mean for rec in res.records}
@@ -185,9 +186,7 @@ class TestCriterion1RoundTripSolvability:
                 seed = derive_seed(cfg.seed, rec.d, rec.tau, t.trial)
                 adjacency, rho0 = benchmark_network(rec.d, seed, cfg)
                 p_exact = exact_gram(adjacency.astype(complex), rho0, rec.tau)
-                dim = commutant_dimension(
-                    p_exact, rtol=COMMUTANT_RTOL, real_coupling=cfg.real_coupling
-                )
+                dim = commutant_dimension(p_exact, real_coupling=cfg.real_coupling)
                 if dim == 0:
                     identifiable_labels.append(t.solvability)
                 if t.solvability != int(dim == 0):
@@ -379,7 +378,7 @@ class TestCriterion3ErrorBenchmark:
                     exact = solve_commutator(
                         exact_gram(h, rho0, tau),
                         build_Q(rho0, expm_propagate(h, rho0, tau)),
-                        rtol=cfg.rtol, real_coupling=cfg.real_coupling,
+                        real_coupling=cfg.real_coupling,
                     )
                     eps_exact = relative_error(exact.m_hat, adjacency)
                     worst_exact = max(worst_exact, eps_exact)

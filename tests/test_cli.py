@@ -173,17 +173,16 @@ class TestSweepPlot:
         assert run("sweep", "error", "--seed", 7, "--d-min", 3, "--d-max", 3,
                    "--p-link", 0.75, "--tau", 0.5, "--tau", 0.25, "--dt", 0.05,
                    "--subsample", 5, "--subsample", 1, "--trials", 2,
-                   "--rtol", 1e-8, "--general-coupling", "--out-dir", out_dir) == 0
+                   "--general-coupling", "--out-dir", out_dir) == 0
         preamble = (out_dir / "error.csv").read_text().splitlines()[0]
         assert json.loads(preamble[2:])["config"] == {
             "seed": 7, "d_min": 3, "d_max": 3, "p_link": 0.75, "taus": [0.5, 0.25],
-            "dt": 0.05, "subsamples": [5, 1], "trials": 2, "rtol": 1e-8,
-            "real_coupling": False,
+            "dt": 0.05, "subsamples": [5, 1], "trials": 2, "real_coupling": False,
         }
 
     def test_removed_config_keys_exit_2(self, tmp_path):
         for key, value in (("jobs", 2), ("timing", True), ("label_rtol", 1e-12),
-                           ("connected_only", False)):
+                           ("connected_only", False), ("rtol", 1e-9)):
             cfg = tmp_path / f"{key}.json"
             cfg.write_text(json.dumps({"d_max": 2, "trials": 1, key: value}))
             assert run("sweep", "solvability", "--config", cfg, "--out-dir", tmp_path) == 2
@@ -207,7 +206,11 @@ class TestSweepPlot:
                      ("identify", "--trajectory", tmp_path / "t.csv", "--seed", 3),
                      ("simulate", "--er-d", 4, "--tau", 1, "--dt", 0.1, "--out",
                       tmp_path / "t.csv", "--hbar", 1.0),
-                     ("partial-identify", "--hamiltonian", tmp_path / "h.json", "--hbar", 1.0)):
+                     ("partial-identify", "--hamiltonian", tmp_path / "h.json", "--hbar", 1.0),
+                     sweep + ("--rtol", 1e-9),
+                     ("identify", "--trajectory", tmp_path / "t.csv", "--rtol", 1e-9),
+                     ("observability", "--hamiltonian", tmp_path / "h.json", "--rtol", 1e-9),
+                     ("partial-identify", "--hamiltonian", tmp_path / "h.json", "--rtol", 1e-9)):
             with pytest.raises(SystemExit) as exc:
                 run(*argv)
             assert exc.value.code == 2
@@ -217,7 +220,7 @@ class TestSweepPlot:
         # dt or a null float field raised a bare TypeError in validate
         for key, value in (("d_min", "x"), ("taus", 3), ("trials", True),
                            ("subsamples", [5.5]), ("real_coupling", "no"), ("dt", "0.01"),
-                           ("taus", 3.0), ("p_link", "0.5"), ("rtol", None), ("seed", 1.5)):
+                           ("taus", 3.0), ("p_link", "0.5"), ("dt", None), ("seed", 1.5)):
             cfg = tmp_path / f"{key}.json"
             cfg.write_text(json.dumps({"d_max": 2, "trials": 1, key: value}))
             capsys.readouterr()
@@ -254,16 +257,16 @@ class TestSweepPlot:
 
     def test_non_uniform_grid_exits_2_with_the_other_violations(self, tmp_path, capsys,
                                                                 monkeypatch):
-        # --tau 200000 --subsample 1 --rtol 0 exited 3 on the grid (2e7 samples,
-        # steps 2e-9 relative apart) and never named rtol; a 0 grid tolerance
+        # --tau 200000 --subsample 1 --trials 0 exited 3 on the grid (2e7 samples,
+        # steps 2e-9 relative apart) and never named trials; a 0 grid tolerance
         # fails a 10-sample grid the same way
         monkeypatch.setattr(qnetid.dynamics, "GRID_RTOL", 0.0)
         out_dir = tmp_path / "out"
         assert run("sweep", "solvability", "--tau", 1.0, "--dt", 0.1, "--subsample", 1,
-                   "--rtol", 0, "--out-dir", out_dir) == 2
+                   "--trials", 0, "--out-dir", out_dir) == 2
         err = capsys.readouterr().err
         assert "\n  tau/dt = 1.0/0.1: trajectory times are not uniform" in err
-        assert "\n  rtol must be positive and finite, got 0.0" in err
+        assert "\n  trials must be >= 1, got 0" in err
         assert not out_dir.exists()
 
     def test_bad_subsample_exits_2(self, tmp_path):
@@ -324,7 +327,7 @@ class TestObservability:
         # a zero diagonal, so neither is an input of the verb
         parser = cli._build_parser()
         args = parser.parse_args(["observability", "--hamiltonian", "h.json"])
-        assert sorted(vars(args)) == ["command", "hamiltonian", "rtol"]
+        assert sorted(vars(args)) == ["command", "hamiltonian"]
         with pytest.raises(SystemExit):
             parser.parse_args(["observability"])
 
@@ -467,7 +470,7 @@ class TestFlagAndInputChecks:
         """Input files named by the probes of ``test_invalid_parameter_exits_2``."""
         save_matrix(tmp_path / "h3.json", np.eye(3))
         save_matrix(tmp_path / "rho3.json", np.diag([1.0, 0.0, 0.0]))
-        (tmp_path / "rtol_overflow.json").write_text('{"rtol": 1' + "0" * 400 + "}")
+        (tmp_path / "config.json").write_text('{"rtol": 1e-09}')  # a config of the removed key
         (tmp_path / "tau_overflow.json").write_text('{"taus": [1' + "0" * 400 + "]}")
         write_trajectory_csv(sample_trajectory(np.zeros((1, 1)), np.eye(1), 1.0, 0.1),
                              tmp_path / "one_node.csv")
@@ -490,15 +493,20 @@ class TestFlagAndInputChecks:
         ("--rtol", "sweep"),
     ])
     def test_nonpositive_flag_exits_2(self, tmp_path, capsys, flag, verb, value):
-        # rtol = 0 gave full rank;
-        # the flags are parsed as plain floats and checked by the library
-        err = self.run_rejected(tmp_path, capsys, verb, f"{flag}={value}")
-        sweep = "invalid sweep configuration:\n  " if verb == "sweep" else ""
-        assert err.startswith(f"configuration error: {sweep}{flag[2:]} must be positive")
+        # rtol = 0 gave full rank, and the library's check refused it; the flag
+        # is gone, so every value of it, these included, is an unknown argument
+        argv = self.argv(verb, tmp_path)
+        inputs = set(tmp_path.iterdir())
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, f"{flag}={value}")
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}={value}" in capsys.readouterr().err
+        assert set(tmp_path.iterdir()) == inputs
 
     @pytest.mark.parametrize("verb, flags, named", [
         ("sweep", ("--dt", "nan"), "dt must be positive and finite, got nan"),
-        ("sweep", ("--rtol", "nan"), "rtol must be positive and finite, got nan"),
+        ("sweep", ("--p-link", "nan"), "p_link must be in (0, 1], got nan"),
         ("sweep", ("--dt", "inf"), "dt must be positive and finite, got inf"),
         ("sweep", ("--tau", "inf"), "tau must be positive and finite, got inf"),
         ("sweep", ("--tau", "1e300", "--dt", "1e-300"), "tau/dt = 1e+300/1e-300 is not"),
@@ -509,15 +517,15 @@ class TestFlagAndInputChecks:
         ("simulate-er", ("--er-p", "nan"), "p_link must be in [0, 1], got nan"),
         ("simulate-er", ("--er-d", "1"), "d must be at least 2, got 1"),
         ("simulate", ("--excite-node", "9"), "node index 9 out of range 1..2"),
-        ("identify", ("--rtol", "inf"), "rtol must be positive and finite, got inf"),
-        ("identify", ("--rtol", "nan"), "rtol must be positive and finite, got nan"),
+        ("identify", ("--subsample", "0"), "subsample must be a positive integer, got 0"),
+        ("identify", ("--truth", "config.json"), "config.json: malformed matrix object"),
         ("identify", ("--subsample", "3"), "subsample 3 does not divide n_s = 10"),
         # a one-node trajectory was a numerical failure (exit 3) that named no file
         ("identify", ("--trajectory", "one_node.csv"),
          "one_node.csv: d must be at least 2, got 1"),
-        ("partial-identify", ("--rtol", "inf"), "rtol must be positive and finite, got inf"),
-        ("sweep", ("--config", "rtol_overflow.json"),
-         "rtol must be positive and finite, got an integer beyond the float range"),
+        ("partial-identify", ("--hamiltonian", "config.json"),
+         "config.json: malformed matrix object"),
+        ("sweep", ("--config", "config.json"), "config.json: unknown config keys: ['rtol']"),
         ("sweep", ("--config", "tau_overflow.json"),
          "tau must be positive and finite, got an integer beyond the float range"),
         ("decompose", ("--dim", "4", "--k", "9", "--j", "1"), "indices (9, 1) out of range 1..4"),
@@ -612,8 +620,7 @@ class TestParser:
         # make of the same values, so the three routes cannot drift apart as
         # fields are added (an int tau drew other networks than its float)
         values = {"seed": 7, "d_min": 3, "d_max": 4, "p_link": 1, "taus": [1, 0.5],
-                  "dt": 0.05, "subsamples": [5, 1], "trials": 2, "rtol": 1e-8,
-                  "real_coupling": False}
+                  "dt": 0.05, "subsamples": [5, 1], "trials": 2, "real_coupling": False}
         assert list(values) == [f.name for f in fields(SweepConfig)]
         assert all(values[f.name] != f.default for f in fields(SweepConfig))
         sweep = cli._build_parser()._subparsers._group_actions[0].choices["sweep"]
@@ -660,12 +667,13 @@ class TestParser:
         assert commands >= 10
 
     def test_rtol_defaults_are_the_library_default(self):
-        parser = cli._build_parser()
-        for argv in (["identify", "--trajectory", "t.csv"], ["observability", "--hamiltonian",
-                     "h.json"], ["partial-identify", "--hamiltonian", "h.json"]):
-            assert parser.parse_args(argv).rtol is DEFAULT_RTOL
-        assert parser.parse_args(["sweep", "error", "--out-dir", "o"]).rtol is None
-        assert SweepConfig().rtol is DEFAULT_RTOL
+        # the rank cut is the library's one constant, and no verb or sweep
+        # config can set another: moving it moves every certificate
+        assert DEFAULT_RTOL == 1e-9
+        subparsers = cli._build_parser()._subparsers._group_actions[0].choices
+        for verb, parser in subparsers.items():
+            assert "rtol" not in {action.dest for action in parser._actions}, verb
+        assert "rtol" not in {f.name for f in fields(SweepConfig)}
 
 
 class TestDecompose:

@@ -237,9 +237,9 @@ class TestSampleTrajectory:
         with pytest.raises(ConfigError, match=r"^tau/dt = 1\.0/0\.1: trajectory times are not "
                                               r"uniform to 0 relative"):
             sample_times(1.0, 0.1)
-        errors = SweepConfig(taus=(1.0,), dt=0.1, subsamples=(1,), rtol=0.0).validate()
-        assert [e.split(":")[0] for e in errors] == ["tau/dt = 1.0/0.1", "rtol must be positive "
-                                                     "and finite, got 0.0"]
+        errors = SweepConfig(taus=(1.0,), dt=0.1, subsamples=(1,), trials=0).validate()
+        assert [e.split(":")[0] for e in errors] == ["trials must be >= 1, got 0",
+                                                     "tau/dt = 1.0/0.1"]
 
     def test_grid_of_existing_configs_unchanged(self):
         for tau in (1.0, 2.0, 3.0):
@@ -386,13 +386,13 @@ class TestGridIntervals:
         # in a few MB: that check peaked at 610 MiB under tracemalloc
         tracemalloc.start()
         try:
-            errors = SweepConfig(taus=(200000.0,), subsamples=(1,), rtol=0.0).validate()
+            errors = SweepConfig(taus=(200000.0,), subsamples=(1,), trials=0).validate()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert errors == ["tau/dt = 200000.0/0.01: trajectory times are not uniform to 1e-09 "
-                          "relative (steps 0.0099999999802093953 to 0.010000000009313226)",
-                          "rtol must be positive and finite, got 0.0"]
+        assert errors == ["trials must be >= 1, got 0",
+                          "tau/dt = 200000.0/0.01: trajectory times are not uniform to 1e-09 "
+                          "relative (steps 0.0099999999802093953 to 0.010000000009313226)"]
         assert peak < 16 * 2**20
 
 

@@ -287,9 +287,10 @@ class TestRealifiedSystem:
 class TestSolveCommutator:
     @pytest.mark.parametrize("rtol", [0.0, -1e-9])
     def test_rejects_nonpositive_rtol(self, rtol):
-        # the check is numerical_rank's, the one rank rule
+        # numerical_rank refused these; the cut is now DEFAULT_RTOL alone, so
+        # any rtol, these included, is refused as an argument
         p = exact_gram(SX, E1, 1.0)
-        with pytest.raises(ValueError, match="rtol must be positive"):
+        with pytest.raises(TypeError, match="rtol"):
             solve_commutator(p, build_Q(E1, expm_propagate(SX, E1, 1.0)), rtol=rtol)
 
     def test_identity_p_non_unique(self):
@@ -504,7 +505,8 @@ class TestCommutantDimension:
         assert commutant_dimension(p) == 6  # (d-1)(d-2) on the untouched block
 
     def test_rejects_nonpositive_rtol(self):
-        with pytest.raises(ValueError, match="rtol must be positive"):
+        # the cut is DEFAULT_RTOL alone: an rtol is refused as an argument
+        with pytest.raises(TypeError, match="rtol"):
             commutant_dimension(np.diag([1.0, 2.0]), rtol=0.0)
 
     def test_real_coupling_class(self):

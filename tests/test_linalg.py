@@ -163,7 +163,8 @@ class TestCheckPositive:
         (lambda v: SweepConfig(p_link=v).validated(), "\n  p_link must be in (0, 1], got "),
         (lambda v: SweepConfig(taus=(v,)).validated(), "\n  tau must be positive and finite"),
         (lambda v: SweepConfig(dt=v).validated(), "\n  dt must be positive and finite"),
-        (lambda v: SweepConfig(rtol=v).validated(), "\n  rtol must be positive and finite"),
+        # and so is one that still holds the removed rtol key
+        (lambda v: SweepConfig.from_json({"rtol": v}), "unknown config keys: ['rtol']"),
     ], ids=["check_positive", "tau", "dt", "rtol", "period",
             "sweep-hbar", "sweep-p_link", "sweep-tau", "sweep-dt", "sweep-rtol"])
     def test_extreme_values_are_config_errors(self, call, named, value):

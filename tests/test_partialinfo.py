@@ -160,12 +160,13 @@ class TestObservabilityRank:
             assert rank <= d * d - 1
 
     def test_rejects_nonpositive_rtol(self):
-        # rtol = 0 would report every nonzero singular value: full rank
+        # rtol = 0 would report every nonzero singular value: full rank; the
+        # cut is DEFAULT_RTOL alone, so an rtol is refused as an argument
         u, period = sampled_propagator(SX)
         lam0 = np.eye(4, dtype=complex)
-        with pytest.raises(ValueError, match="rtol must be positive"):
+        with pytest.raises(TypeError, match="rtol"):
             observability_rank(SX, rtol=0.0)
-        with pytest.raises(ValueError, match="rtol must be positive"):
+        with pytest.raises(TypeError, match="rtol"):
             reconstruct_hamiltonian(output_stacks(u, lam0), lam0, period, rtol=0.0)
 
     def test_full_rank_at_d6(self):
@@ -497,7 +498,7 @@ def edit_json(change):
     return lambda text: json.dumps(change(json.loads(text)))
 
 
-FILE_MAP = "'outputs' must be an object keyed by run numbers, 'labels' an object"
+FILE_MAP = "'outputs' must be an object of file names keyed by run numbers, 'labels' an object"
 
 
 class TestOutputBatchFiles:
@@ -546,12 +547,14 @@ class TestOutputBatchFiles:
         (edit_json(lambda obj: dict(obj, labels=list(obj["labels"].values()))), FILE_MAP),
         (edit_json(lambda obj: dict(obj, outputs=list(obj["outputs"].values()))), FILE_MAP),
         (edit_json(lambda obj: dict(obj, outputs={"x": obj["outputs"]["1"]})), FILE_MAP),
+        (edit_json(lambda obj: dict(obj, outputs={"1": 5, "2": None})), FILE_MAP),
     ], ids=["unparsable", "no-lambda0", "no-outputs", "bad-lambda0", "not-an-object",
-            "labels-list", "outputs-list", "outputs-key"])
+            "labels-list", "outputs-list", "outputs-key", "outputs-not-names"])
     def test_bad_manifest_names_it(self, tmp_path, edit, named):
         # these raised a bare JSONDecodeError or KeyError: 'lambda0'; a labels
-        # list raised AttributeError, and an outputs list or key "x" a bare
-        # ValueError: invalid literal for int()
+        # list raised AttributeError, an outputs list or key "x" a bare
+        # ValueError: invalid literal for int(), and file names 5 and null a
+        # TypeError from joining them to the manifest's directory
         manifest = write_output_batch(tmp_path / "b", [("node_1", np.array([0.0, 0.5]),
                                                         np.eye(2))], np.eye(4, dtype=complex))
         manifest.write_text(edit(manifest.read_text()))

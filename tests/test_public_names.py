@@ -1,18 +1,25 @@
-"""Every public function and class of qnetid has a caller in the package.
+"""Every public function and class of qnetid has a caller in the package,
+and the package has the count of settable values recorded here.
 
 A name in ``qnetid.__all__`` that no module of ``src/qnetid`` uses, other
 than its own definition and ``__init__``'s export, serves only its tests:
 it is either deleted or named below as a test oracle.
 """
 
+import argparse
 import ast
 import inspect
+from dataclasses import fields
 from pathlib import Path
 
 import qnetid
+from qnetid import cli
 
 #: public names kept as independent oracles of the tests, with no caller
 TEST_ORACLES = {"exact_gram", "commutant_dimension"}
+#: the package's count of settable values (``settable_values``), pinned so
+#: that a change that adds or removes one states the new count here
+SETTABLE_VALUES = 121
 
 
 def referenced_names(source: str, names: set) -> set:
@@ -51,3 +58,18 @@ def test_a_name_read_only_by_its_own_definition_has_no_caller():
               "class C:\n    def m(self):\n        return C\n\n"
               "def g():\n    return qnetid.h()\n")
     assert referenced_names(source, {"f", "C", "h", "k"}) == {"h"}
+
+
+def settable_values() -> int:
+    """The arguments of every CLI verb but help, plus the ``SweepConfig``
+    fields, plus the parameters of the functions in ``qnetid.__all__``."""
+    verbs = cli._build_parser()._subparsers._group_actions[0].choices.values()
+    flags = sum(not isinstance(action, argparse._HelpAction)
+                for verb in verbs for action in verb._actions)
+    public = [getattr(qnetid, name) for name in qnetid.__all__]
+    params = sum(len(inspect.signature(f).parameters) for f in public if inspect.isfunction(f))
+    return flags + len(fields(qnetid.SweepConfig)) + params
+
+
+def test_settable_values_are_recorded():
+    assert settable_values() == SETTABLE_VALUES

@@ -1,4 +1,5 @@
 import re
+from xml.dom import minidom
 
 import pytest
 
@@ -71,6 +72,16 @@ class TestEmitPlot:
                                if not line.startswith("#")))
         text = emit_plot(csv, "solvability", tmp_path / "bare.svg").read_text()
         assert "<!--" not in text and "polyline" in text
+
+    def test_comment_with_hyphen_runs_is_well_formed(self, sweep_csv, tmp_path):
+        # "--" turned into "- -" left "--" in any run of three hyphens, and
+        # an XML comment may hold no "--"
+        csv = tmp_path / "hyphens.csv"
+        body = sweep_csv.read_text().split("\n", 1)[1]
+        csv.write_text("# a---b\n" + body)
+        svg = emit_plot(csv, "solvability", tmp_path / "hyphens.svg")
+        root = minidom.parse(str(svg)).documentElement
+        assert root.tagName == "svg" and "<!-- a- - -b -->" in svg.read_text()
 
     def test_error_medians_in_one_decade(self, tmp_path):
         # every median 0.01: floor and ceil of log10 agree, so the axis is

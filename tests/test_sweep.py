@@ -50,7 +50,7 @@ def one_system_route(cfg, d, tau, seed):
     q = build_Q(rho0, rho_tau)
     out = []
     for p in grams:
-        report = solve_commutator(p, q, rtol=cfg.rtol, real_coupling=cfg.real_coupling)
+        report = solve_commutator(p, q, real_coupling=cfg.real_coupling)
         eps = None
         if report.solvability == 1:
             eps = spectral_norm(report.m_hat - adjacency) / spectral_norm(adjacency)
@@ -71,16 +71,14 @@ class TestConfigValidation:
             dt=0.3,
             subsamples=(0,),
             trials=0,
-            rtol=0.0,
         )
         errors = cfg.validate()
         joined = "\n".join(errors)
         for token in ("d_min", "d_max", "p_link", "tau must be positive",
                       "tau/dt = 1.0/0.3 is not a positive integer",
-                      "subsample must be a positive integer", "trials",
-                      "rtol must be positive"):
+                      "subsample must be a positive integer", "trials"):
             assert token in joined
-        assert len(errors) == 8
+        assert len(errors) == 7
 
     @pytest.mark.parametrize("key, message", [
         ("taus", "at least one tau is required"),
@@ -117,7 +115,7 @@ class TestConfigValidation:
         ("dt", "0.01", "a number"), ("taus", 3.0, "a list of numbers"),
         ("p_link", "0.5", "a number"), ("dt", None, "a number"),
         ("real_coupling", "no", "true or false"), ("seed", 1.5, "an integer"),
-        ("subsamples", [5, "1"], "a list of integers"), ("rtol", [1e-9], "a number"),
+        ("subsamples", [5, "1"], "a list of integers"), ("p_link", [0.5], "a number"),
     ])
     def test_mistyped_field_named_once(self, name, value, kind):
         # the first four raised a bare TypeError in validate; "no" and 1.5
@@ -132,11 +130,13 @@ class TestConfigValidation:
         # every other violation is still listed; none is derived from the
         # mistyped values (dt = "0.1" is no grid to check the divisors on)
         cfg = SweepConfig(d_min="3", d_max=1, dt="0.1", taus=(1.0, 1.0), subsamples=(0,),
-                          trials=0, rtol=-1.0)
+                          trials=0, p_link=-1.0)
         assert cfg.validate() == [
             "d_min must be an integer, got '3'", "dt must be a number, got '0.1'",
-            "trials must be >= 1, got 0", "subsample must be a positive integer, got 0",
-            "tau 1.0 is listed more than once", "rtol must be positive and finite, got -1.0",
+            "trials must be >= 1, got 0",
+            "p_link must be in (0, 1], got -1.0: sweeps draw connected graphs, and none is "
+            "connected at 0",
+            "subsample must be a positive integer, got 0", "tau 1.0 is listed more than once",
         ]
 
     def test_numpy_integers_accepted(self):
@@ -153,11 +153,11 @@ class TestConfigValidation:
                                   "subsample divisor 5 is listed more than once"]
 
     def test_non_finite_values_listed_once(self):
-        errors = SweepConfig(p_link=np.nan, rtol=np.inf, taus=(np.inf, 1.0)).validate()
+        errors = SweepConfig(p_link=np.nan, dt=np.inf, taus=(np.inf, 1.0)).validate()
         assert errors == ["p_link must be in (0, 1], got nan: sweeps draw connected graphs, "
                           "and none is connected at 0",
                           "tau must be positive and finite, got inf",
-                          "rtol must be positive and finite, got inf"]
+                          "dt must be positive and finite, got inf"]
         errors = SweepConfig(dt=-1.0, taus=(1.0, 2.0)).validate()
         assert errors == ["dt must be positive and finite, got -1.0"]
 
@@ -184,7 +184,7 @@ class TestConfigValidation:
         assert SweepConfig(p_link=1.0).validate() == []
 
     def test_json_roundtrip(self):
-        cfg = SweepConfig(seed=3, taus=(1.0, 2.0), subsamples=(5, 1), rtol=1e-8,
+        cfg = SweepConfig(seed=3, taus=(1.0, 2.0), subsamples=(5, 1), dt=0.05,
                           real_coupling=False)
         back = SweepConfig.from_json(cfg.to_json())
         assert back == cfg
@@ -199,7 +199,7 @@ class TestConfigValidation:
         assert type(cfg.p_link) is float and type(cfg.subsamples[0]) is int
         assert json.dumps(cfg.to_json()["p_link"]) == "1.0"
 
-    @pytest.mark.parametrize("obj", [{"rtol": 10**400}, {"taus": [1.0, 10**400]}])
+    @pytest.mark.parametrize("obj", [{"dt": 10**400}, {"taus": [1.0, 10**400]}])
     def test_float_overflow_names_the_key(self, obj):
         # a JSON integer beyond the float range ended in an OverflowError; it
         # stays an integer, and validate names its field on every route
@@ -381,8 +381,7 @@ class TestSweep:
         numpy_cfg = SweepConfig(
             seed=np.int64(11), d_min=np.int64(2), d_max=np.int64(3), p_link=np.float64(0.5),
             taus=(np.float64(1.0), np.int64(2)), dt=np.float64(0.01),
-            subsamples=np.array([5, 1]), trials=np.int64(3), rtol=np.float64(1e-9),
-            real_coupling=np.bool_(True),
+            subsamples=np.array([5, 1]), trials=np.int64(3), real_coupling=np.bool_(True),
         )
         python_cfg = SweepConfig(seed=11, d_min=2, d_max=3, p_link=0.5, taus=(1.0, 2),
                                  subsamples=(5, 1), trials=3)
@@ -455,7 +454,7 @@ class TestSweep:
         res = run_sweep(TINY, out_csv=out)
         assert out.read_text() == (
             '# {"config": {"d_max": 3, "d_min": 2, "dt": 0.01, "p_link": 0.5, '
-            '"real_coupling": true, "rtol": 1e-09, "seed": 11, "subsamples": [1], '
+            '"real_coupling": true, "seed": 11, "subsamples": [1], '
             '"taus": [1.0], "trials": 4}, "kind": "solvability"}\n'
             "d,tau,n_tilde,trials,solvability_mean,eps_median,eps_q1,eps_q3,seed\n"
             "2,1,100,4,0.30000000000000004,,,,11\n"
