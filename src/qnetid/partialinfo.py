@@ -86,41 +86,41 @@ def sampled_propagator(h: np.ndarray) -> tuple[np.ndarray, float]:
 # sampled outputs and Hamiltonian reconstruction
 # ---------------------------------------------------------------------------
 
-def _markov_parameters(u: np.ndarray, order: int) -> np.ndarray:
-    """The Markov parameters G_k = C A^k for k = 0..order, shape (order + 1, d, d^2).
-
-    Row i of C A^k reads entry (i, i) of U^k X U^-k, so G_k[i, b*d + a] =
-    U^k[i, a] conj(U^k[i, b]) under column stacking: each power costs one
-    d x d product.  U^0 = I gives the diagonal selector C exactly.
-    """
-    d = u.shape[0]
-    powers = np.empty((order + 1, d, d), dtype=complex)
-    powers[0] = np.eye(d)
-    for k in range(order):
-        powers[k + 1] = powers[k] @ u
-    return (powers.conj()[:, :, :, None] * powers[:, :, None, :]).reshape(order + 1, d, d * d)
-
-
 def output_stacks(u: np.ndarray, lambda0: np.ndarray) -> np.ndarray:
     """Sampled outputs ys[k] = C A^k Lambda0 for k = 0..d^2 (``reconstruct_hamiltonian``'s input).
 
     Column i of ys[k], shape (d, d^2), holds the populations at t = k*Delta
     of the run started in column i of Lambda0, when (u, Delta) = ``sampled_propagator(h)``.
+    Row i of C A^k reads entry (i, i) of U^k X U^-k, so (C A^k)[i, b*d + a] = U^k[i, a]
+    conj(U^k[i, b]) under column stacking, one d x d product per power; U^0 = I gives C.
     """
-    return _markov_parameters(u, u.shape[0] ** 2) @ np.asarray(lambda0, dtype=complex)
+    d = u.shape[0]
+    powers = np.empty((d * d + 1, d, d), dtype=complex)
+    powers[0] = np.eye(d)
+    for k in range(d * d):
+        powers[k + 1] = powers[k] @ u
+    markov = (powers.conj()[:, :, :, None] * powers[:, :, None, :]).reshape(-1, d, d * d)
+    return markov @ np.asarray(lambda0, dtype=complex)
 
 
 def observability_rank(h: np.ndarray) -> tuple[int, bool]:
-    """Numerical rank of the observability stack of H's populations and the full-rank flag.
+    """Numerical rank of the observability stack [C; CA; ...; CA^(d^2-1)] and the full-rank flag.
 
-    The stack [C; CA; ...; CA^(n-1)], n = d^2, C the diagonal selector and A
-    sampled every Delta (``sampled_propagator``), holds the Markov parameters.
+    A has eigenvectors vec(v_a v_b^H), which C maps to v_a o conj(v_b), with eigenvalues that
+    are equal only for equal gaps lambda_a - lambda_b (module docstring).  So the rank is the
+    sum over runs of equal gaps (sorted, apart by at most DEFAULT_RTOL * max(spectral width,
+    ABS_FLOOR)) of the rank of their images (Popov-Belevitch-Hautus), one SVD call per run length.
     """
-    u, _ = sampled_propagator(h)
-    n = u.shape[0] ** 2
-    stack = _markov_parameters(u, n - 1).reshape(-1, n)
-    rank = numerical_rank(np.linalg.svd(stack, compute_uv=False), DEFAULT_RTOL)
-    return rank, rank == n
+    w, v = np.linalg.eigh(hermitize(h))
+    gaps = (w[:, None] - w[None, :]).ravel()
+    order = np.argsort(gaps)
+    cuts = np.flatnonzero(np.diff(gaps[order]) > DEFAULT_RTOL * max(w[-1] - w[0], ABS_FLOOR))
+    images = (v[:, :, None] * v.conj()[:, None, :]).reshape(-1, v.size)[:, order]
+    runs = np.split(images, cuts + 1, axis=1)
+    rank = sum(int(numerical_rank(np.linalg.svd(np.array([r for r in runs if r.shape[1] == m]),
+                                                compute_uv=False), DEFAULT_RTOL).sum())
+               for m in {r.shape[1] for r in runs})
+    return rank, rank == v.size
 
 
 def _nodes_of_batch(lambda0: np.ndarray) -> int:
@@ -300,7 +300,7 @@ def read_output_batch(manifest_path) -> tuple[np.ndarray, list[tuple[str, np.nda
     does not parse, lacks a key, or whose ``outputs`` is not an object of file
     names keyed by run numbers or ``labels`` not an object, is a ConfigError
     that names it.  A batch of another experiment (a Lambda0 not d^2 x d^2, or
-    not a run per column of it on one time grid that starts at 0 and is uniform
+    not runs 1..d^2, one per column of it, on one time grid that starts at 0 and is uniform
     to ``GRID_RTOL``, ``dynamics._check_grid``) is a ValueError naming the manifest.
     Each run's CSV is read as strictly as a trajectory (``dynamics._read_rows``):
     its header is ``t,y_1,...,y_d`` with d^2 runs, and its entries are finite.
@@ -318,9 +318,9 @@ def read_output_batch(manifest_path) -> tuple[np.ndarray, list[tuple[str, np.nda
             raise ConfigError("not a batch manifest: 'outputs' must be an object of file names "
                               "keyed by run numbers, 'labels' an object")
         d = _nodes_of_batch(lambda0)
-        if len(outputs) != d * d:
-            raise ValueError(f"{len(outputs)} runs, but Lambda0 has shape {lambda0.shape}; "
-                             "a batch has one run per column")
+        if set(outputs) != {str(k) for k in range(1, d * d + 1)}:
+            raise ValueError(f"{len(outputs)} runs, but Lambda0 has shape {lambda0.shape}; a batch "
+                             f"has runs 1..{d * d}, one per column, not {', '.join(outputs)}")
     runs = []
     for idx in sorted(outputs, key=int):
         name = outputs[idx]

@@ -36,6 +36,12 @@ def run(*argv) -> int:
     return main([str(a) for a in argv])
 
 
+def probe(serial, verb, flags, named):
+    """A rejected invocation, its id fixed by its serial number, so that
+    adding or deleting a case renames no other."""
+    return pytest.param(verb, flags, named, id=f"{verb}-flags{serial}-{named}")
+
+
 class TestSimulateIdentify:
     def test_roundtrip_with_files(self, tmp_path, capsys):
         h_path = tmp_path / "h.json"
@@ -505,35 +511,41 @@ class TestFlagAndInputChecks:
         assert set(tmp_path.iterdir()) == inputs
 
     @pytest.mark.parametrize("verb, flags, named", [
-        ("sweep", ("--dt", "nan"), "dt must be positive and finite, got nan"),
-        ("sweep", ("--p-link", "nan"), "p_link must be in (0, 1], got nan"),
-        ("sweep", ("--dt", "inf"), "dt must be positive and finite, got inf"),
-        ("sweep", ("--tau", "inf"), "tau must be positive and finite, got inf"),
-        ("sweep", ("--tau", "1e300", "--dt", "1e-300"), "tau/dt = 1e+300/1e-300 is not"),
-        ("simulate", ("--tau", "inf"), "tau must be positive and finite, got inf"),
-        ("simulate", ("--tau", "1", "--dt", "0.3"), "tau/dt = 1.0/0.3 is not"),
-        ("simulate", ("--dt", "inf"), "dt must be positive and finite, got inf"),
-        ("simulate-er", ("--er-p", "2"), "p_link must be in [0, 1], got 2.0"),
-        ("simulate-er", ("--er-p", "nan"), "p_link must be in [0, 1], got nan"),
-        ("simulate-er", ("--er-d", "1"), "d must be at least 2, got 1"),
-        ("simulate", ("--excite-node", "9"), "node index 9 out of range 1..2"),
-        ("identify", ("--subsample", "0"), "subsample must be a positive integer, got 0"),
-        ("identify", ("--truth", "config.json"), "config.json: malformed matrix object"),
-        ("identify", ("--subsample", "3"), "subsample 3 does not divide n_s = 10"),
+        probe(0, "sweep", ("--dt", "nan"), "dt must be positive and finite, got nan"),
+        probe(1, "sweep", ("--p-link", "nan"), "p_link must be in (0, 1], got nan"),
+        probe(2, "sweep", ("--dt", "inf"), "dt must be positive and finite, got inf"),
+        probe(3, "sweep", ("--tau", "inf"), "tau must be positive and finite, got inf"),
+        probe(4, "sweep", ("--tau", "1e300", "--dt", "1e-300"), "tau/dt = 1e+300/1e-300 is not"),
+        probe(5, "simulate", ("--tau", "inf"), "tau must be positive and finite, got inf"),
+        probe(6, "simulate", ("--tau", "1", "--dt", "0.3"), "tau/dt = 1.0/0.3 is not"),
+        probe(7, "simulate", ("--dt", "inf"), "dt must be positive and finite, got inf"),
+        probe(8, "simulate-er", ("--er-p", "2"), "p_link must be in [0, 1], got 2.0"),
+        probe(9, "simulate-er", ("--er-p", "nan"), "p_link must be in [0, 1], got nan"),
+        probe(10, "simulate-er", ("--er-d", "1"), "d must be at least 2, got 1"),
+        probe(11, "simulate", ("--excite-node", "9"), "node index 9 out of range 1..2"),
+        probe(12, "identify", ("--subsample", "0"), "subsample must be a positive integer, got 0"),
+        probe(13, "identify", ("--truth", "config.json"), "config.json: malformed matrix object"),
+        probe(14, "identify", ("--subsample", "3"), "subsample 3 does not divide n_s = 10"),
         # a one-node trajectory was a numerical failure (exit 3) that named no file
-        ("identify", ("--trajectory", "one_node.csv"),
-         "one_node.csv: d must be at least 2, got 1"),
-        ("partial-identify", ("--hamiltonian", "config.json"),
-         "config.json: malformed matrix object"),
-        ("sweep", ("--config", "config.json"), "config.json: unknown config keys: ['rtol']"),
-        ("sweep", ("--config", "tau_overflow.json"),
-         "tau must be positive and finite, got an integer beyond the float range"),
-        ("decompose", ("--dim", "4", "--k", "9", "--j", "1"), "indices (9, 1) out of range 1..4"),
-        ("decompose", ("--dim", "0", "--k", "1", "--j", "1"), "indices (1, 1) out of range 1..0"),
-        ("identify", ("--truth", "h3.json"), "h3.json: expected d = 2 nodes, got a (3, 3) matrix"),
-        ("identify", ("--h0", "h3.json"), "h3.json: expected d = 2 nodes, got a (3, 3) matrix"),
-        ("sweep", ("--d-max", "1" + "0" * 400), "d_max must be below d_min + sys.maxsize"),
-        ("simulate", ("--rho0", "rho3.json"), "rho3.json: expected d = 2 nodes, got a (3, 3)"),
+        probe(15, "identify", ("--trajectory", "one_node.csv"),
+                  "one_node.csv: d must be at least 2, got 1"),
+        probe(16, "partial-identify", ("--hamiltonian", "config.json"),
+                  "config.json: malformed matrix object"),
+        probe(17, "sweep", ("--config", "config.json"),
+                  "config.json: unknown config keys: ['rtol']"),
+        probe(18, "sweep", ("--config", "tau_overflow.json"),
+                  "tau must be positive and finite, got an integer beyond the float range"),
+        probe(19, "decompose", ("--dim", "4", "--k", "9", "--j", "1"),
+                  "indices (9, 1) out of range 1..4"),
+        probe(20, "decompose", ("--dim", "0", "--k", "1", "--j", "1"),
+                  "indices (1, 1) out of range 1..0"),
+        probe(21, "identify", ("--truth", "h3.json"),
+                  "h3.json: expected d = 2 nodes, got a (3, 3) matrix"),
+        probe(22, "identify", ("--h0", "h3.json"),
+                  "h3.json: expected d = 2 nodes, got a (3, 3) matrix"),
+        probe(23, "sweep", ("--d-max", "1" + "0" * 400), "d_max must be below d_min + sys.maxsize"),
+        probe(24, "simulate", ("--rho0", "rho3.json"),
+                  "rho3.json: expected d = 2 nodes, got a (3, 3)"),
     ])
     def test_invalid_parameter_exits_2(self, tmp_path, capsys, monkeypatch, verb, flags, named):
         # each of these crashed with a traceback (exit 1), passed with a wrong

@@ -10,7 +10,6 @@ from qnetid.linalg import DEFAULT_RTOL, ConfigError, numerical_rank, spectral_no
 from qnetid.netmodel import basis_density, erdos_renyi
 from qnetid.partialinfo import (
     UnobservableError,
-    _markov_parameters,
     observability_rank,
     output_stacks,
     physical_decomposition,
@@ -202,8 +201,8 @@ def observability_family(rng, per_kind):
 
 class TestObservabilityFamily:
     def test_rank_matches_dense_oracle(self):
-        # the rank of the stack built from the powers of U equals the rank
-        # of the stack of the dense C A^k on every member of the family
+        # the rank summed over H's runs of equal gaps equals the rank of
+        # the stack of the dense C A^k on every member of the family
         rng = np.random.default_rng(2017)
         cases = 0
         for h, expected in observability_family(rng, 40):
@@ -219,6 +218,37 @@ class TestObservabilityFamily:
         assert cases == 727
         assert observability_rank(spin_x(4)) == (15, False)
 
+    @pytest.mark.parametrize("delta, rank", [
+        (1e-2, 23), (1e-4, 23), (1e-6, 23), (1e-7, 23), (1e-8, 23),
+        (1e-10, 15), (1e-11, 15), (1e-12, 15), (0.0, 15),
+    ])
+    def test_split_gaps_near_the_cut(self, delta, rank):
+        # spin-2 J_x with its eigenvalues moved by delta*r: its equal gaps
+        # split apart.  Both rules read the split at delta >= 1e-8 and the
+        # coincidence at delta <= 1e-10; at 1e-9 they straddle the cut
+        # (stack 19, gap runs 15), so that delta is asserted by neither
+        w0, v = np.linalg.eigh(spin_x(4))
+        r = np.random.default_rng(9).normal(size=5)
+        h = (v * (w0 + delta * r)) @ v.conj().T
+        u, _ = sampled_propagator(h)
+        oracle = dense_markov_parameters(u, 24).reshape(-1, 25)
+        assert numerical_rank(np.linalg.svd(oracle, compute_uv=False), DEFAULT_RTOL) == rank
+        assert observability_rank(h) == (rank, False)
+
+    def test_no_svd_taller_than_d(self, monkeypatch):
+        # the rank comes from d-row blocks of H's eigenvectors, stacked by
+        # run length, not from the d^3 x d^2 stack of the powers of U
+        svd, shapes = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, **kwargs: shapes.append(a.shape) or svd(a, **kwargs))
+        rng = np.random.default_rng(26)
+        for d in range(2, 7):
+            for h, expected in ((hermitian_with_diagonal(rng, d), (d * d, True)),
+                                (np.zeros((d, d)), (d, False))):
+                shapes.clear()
+                assert observability_rank(h) == expected
+                assert shapes and max(shape[-2] for shape in shapes) <= d, (d, shapes)
+
 
 class TestOutputStacks:
     def test_order_zero(self):
@@ -233,12 +263,13 @@ class TestOutputStacks:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 6])
     def test_matches_per_power_products(self, d):
-        # the Markov parameters from the powers of U match C A^k of the
-        # dense A = conj(U) kron U; the batched product with Lambda0 does
-        # the arithmetic of one product per power, so equals it bit for bit
+        # the Markov parameters, output_stacks of the identity batch, match
+        # C A^k of the dense A = conj(U) kron U; the batched product with
+        # Lambda0 does the arithmetic of one product per power, so equals it
+        # bit for bit
         rng = np.random.default_rng(50 + d)
         u, _ = sampled_propagator(random_hermitian(rng, d, norm=1.0))
-        g = _markov_parameters(u, d * d)
+        g = output_stacks(u, np.eye(d * d, dtype=complex))
         assert np.max(np.abs(g - dense_markov_parameters(u, d * d))) <= 1e-13
         for lam0 in (np.eye(d * d, dtype=complex), physical_initial_batch(d)[0]):
             for k, y in enumerate(output_stacks(u, lam0)):
@@ -629,12 +660,23 @@ class TestOutputBatchFiles:
                                              r"got shape \(2, 2\)"):
             read_output_batch(manifest)
 
-    @pytest.mark.parametrize("keep", [3, 5])
-    def test_run_count_mismatch_rejected(self, tmp_path, keep):
-        # a run count other than the number of Lambda0 columns was not checked
-        manifest, runs = self.batch(tmp_path)
+    @pytest.mark.parametrize("keys", [
+        pytest.param(["1", "2", "3"], id="3"),
+        pytest.param(["1", "2", "3", "4", "5"], id="5"),
+        # four runs, but run 7 was read as column 4 of Lambda0 and "01" as column 2
+        pytest.param(["1", "2", "3", "7"], id="gap"),
+        pytest.param(["1", "01", "3", "4"], id="leading-zero"),
+    ])
+    def test_run_count_mismatch_rejected(self, tmp_path, keys):
+        # runs other than 1..d^2, one per column of Lambda0, were not checked
+        _, runs = self.batch(tmp_path)
         lam0 = physical_initial_batch(2)[0]
-        runs = (runs + runs)[:keep]
-        manifest = write_output_batch(tmp_path / "other", runs, lam0)
-        with pytest.raises(ValueError, match=rf"{keep} runs, but Lambda0 has shape \(4, 4\)"):
+        manifest = write_output_batch(tmp_path / "other", (runs + runs)[:len(keys)], lam0)
+        data = json.loads(manifest.read_text())
+        for key in ("outputs", "labels"):
+            data[key] = dict(zip(keys, data[key].values()))
+        manifest.write_text(json.dumps(data))
+        with pytest.raises(ValueError) as info:
             read_output_batch(manifest)
+        assert str(info.value) == (f"{manifest}: {len(keys)} runs, but Lambda0 has shape (4, 4); "
+                                   f"a batch has runs 1..4, one per column, not {', '.join(keys)}")

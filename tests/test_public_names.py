@@ -1,9 +1,11 @@
 """Every public function and class of qnetid has a caller in the package,
 and the package has the count of settable values recorded here.
 
-A name in ``qnetid.__all__`` that no module of ``src/qnetid`` uses, other
-than its own definition and ``__init__``'s export, serves only its tests:
-it is either deleted or named below as a test oracle.
+A public function or class defined at module level in ``src/qnetid``,
+exported in ``qnetid.__all__`` or not, that no module of the package uses,
+other than its own definition and ``__init__``'s export, serves only its
+tests: it is either deleted, named below as a test oracle, or named as
+pending with the roadmap item that gives it its caller.
 """
 
 import argparse
@@ -17,6 +19,9 @@ from qnetid import cli
 
 #: public names kept as independent oracles of the tests, with no caller
 TEST_ORACLES = {"exact_gram", "commutant_dimension"}
+#: public names whose caller is still to come: ``read_output_batch`` is to
+#: be read by a populations-route CLI verb (ROADMAP item 20)
+PENDING = {"read_output_batch"}
 #: the package's count of settable values (``settable_values``), pinned so
 #: that a change that adds or removes one states the new count here
 SETTABLE_VALUES = 121
@@ -40,17 +45,26 @@ def referenced_names(source: str, names: set) -> set:
     return found
 
 
+def public_definitions(source: str) -> set:
+    """The names of the functions and classes that ``source`` defines at
+    module level without a leading underscore."""
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+
+
 def test_every_public_function_and_class_has_a_caller():
-    package = Path(qnetid.__file__).parent
-    public = {name for name in qnetid.__all__
-              if inspect.isfunction(getattr(qnetid, name)) or inspect.isclass(getattr(qnetid, name))}
+    sources = {path.name: path.read_text() for path in Path(qnetid.__file__).parent.glob("*.py")}
+    public = set().union(*map(public_definitions, sources.values()))
+    # the exported functions and classes are among them
+    assert {name for name in qnetid.__all__ if inspect.isfunction(getattr(qnetid, name))
+            or inspect.isclass(getattr(qnetid, name))} <= public
     used = set()
-    for path in package.glob("*.py"):
-        if path.name != "__init__.py":
-            used |= referenced_names(path.read_text(), public)
-    assert sorted(public - used - TEST_ORACLES) == []
-    # an oracle that gains a caller leaves the list
-    assert TEST_ORACLES <= public - used
+    for name, source in sources.items():
+        if name != "__init__.py":
+            used |= referenced_names(source, public)
+    assert sorted(public - used - TEST_ORACLES - PENDING) == []
+    # an oracle or a pending name that gains a caller leaves its list
+    assert TEST_ORACLES | PENDING <= public - used
 
 
 def test_a_name_read_only_by_its_own_definition_has_no_caller():
