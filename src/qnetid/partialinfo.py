@@ -109,7 +109,8 @@ def observability_rank(h: np.ndarray) -> tuple[int, bool]:
     A has eigenvectors vec(v_a v_b^H), which C maps to v_a o conj(v_b), with eigenvalues that
     are equal only for equal gaps lambda_a - lambda_b (module docstring).  So the rank is the
     sum over runs of equal gaps (sorted, apart by at most DEFAULT_RTOL * max(spectral width,
-    ABS_FLOOR)) of the rank of their images (Popov-Belevitch-Hautus), one SVD call per run length.
+    ABS_FLOOR)) of the rank of their images (Popov-Belevitch-Hautus).  Every run's singular
+    values are cut against the largest of all runs, as the stack's are against its sigma_1.
     """
     w, v = np.linalg.eigh(hermitize(h))
     gaps = (w[:, None] - w[None, :]).ravel()
@@ -117,9 +118,8 @@ def observability_rank(h: np.ndarray) -> tuple[int, bool]:
     cuts = np.flatnonzero(np.diff(gaps[order]) > DEFAULT_RTOL * max(w[-1] - w[0], ABS_FLOOR))
     images = (v[:, :, None] * v.conj()[:, None, :]).reshape(-1, v.size)[:, order]
     runs = np.split(images, cuts + 1, axis=1)
-    rank = sum(int(numerical_rank(np.linalg.svd(np.array([r for r in runs if r.shape[1] == m]),
-                                                compute_uv=False), DEFAULT_RTOL).sum())
-               for m in {r.shape[1] for r in runs})
+    s = np.concatenate([np.linalg.svd(run, compute_uv=False) for run in runs])
+    rank = numerical_rank(np.sort(s)[::-1], DEFAULT_RTOL)
     return rank, rank == v.size
 
 

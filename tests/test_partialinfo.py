@@ -235,9 +235,27 @@ class TestObservabilityFamily:
         assert numerical_rank(np.linalg.svd(oracle, compute_uv=False), DEFAULT_RTOL) == rank
         assert observability_rank(h) == (rank, False)
 
+    @pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-10, 1e-11, 1e-12])
+    @pytest.mark.parametrize("h, full, cut", [
+        (lambda e: [[0, e], [e, 1]], 4, 2),
+        (lambda e: [[0, 1, 0], [1, 0.3, e], [0, e, 1.7]], 9, 5),
+    ], ids=["pair", "chain3"])
+    def test_weak_coupling_matches_dense_oracle(self, h, full, cut, eps):
+        # a coupling eps gives gap runs of their own whose images have norm
+        # about eps: they count at 1e-9 of the largest singular value of all
+        # runs, as in the stack, not at 1e-9 of their own.  Both rules read
+        # full rank at eps >= 1e-8 and lose the weak modes at eps <= 1e-10;
+        # between, they straddle the cut (chain3 at 1e-9: stack 6, runs 9)
+        h = np.array(h(eps), dtype=float)
+        d = h.shape[0]
+        oracle = dense_markov_parameters(sampled_propagator(h)[0], d * d - 1).reshape(-1, d * d)
+        rank = full if eps >= 1e-8 else cut
+        assert numerical_rank(np.linalg.svd(oracle, compute_uv=False), DEFAULT_RTOL) == rank
+        assert observability_rank(h) == (rank, rank == d * d)
+
     def test_no_svd_taller_than_d(self, monkeypatch):
-        # the rank comes from d-row blocks of H's eigenvectors, stacked by
-        # run length, not from the d^3 x d^2 stack of the powers of U
+        # the rank comes from d-row blocks of H's eigenvectors, one per run
+        # of equal gaps, not from the d^3 x d^2 stack of the powers of U
         svd, shapes = np.linalg.svd, []
         monkeypatch.setattr(np.linalg, "svd",
                             lambda a, **kwargs: shapes.append(a.shape) or svd(a, **kwargs))
