@@ -275,24 +275,15 @@ def write_output_batch(
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    files = {}
-    labels = {}
+    files, labels = {}, {}
     for idx, (label, times, ys) in enumerate(runs, start=1):
         ys = np.asarray(ys)
-        name = f"output_{idx:03d}.csv"
-        header = ",".join(_output_columns(ys.shape[1]))
-        np.savetxt(out_dir / name, np.column_stack([times, ys]), fmt="%.17g", delimiter=",",
-                   header=header, comments="")
-        files[str(idx)] = name
-        labels[str(idx)] = label
-    manifest = {
-        "outputs": files,
-        "labels": labels,
-        "lambda0": matrix_to_json(lambda0),
-    }
-    manifest_path = out_dir / "manifest.json"
-    save_json(manifest_path, manifest)
-    return manifest_path
+        files[str(idx)], labels[str(idx)] = f"output_{idx:03d}.csv", label
+        np.savetxt(out_dir / files[str(idx)], np.column_stack([times, ys]), fmt="%.17g",
+                   delimiter=",", header=",".join(_output_columns(ys.shape[1])), comments="")
+    save_json(out_dir / "manifest.json",
+              {"outputs": files, "labels": labels, "lambda0": matrix_to_json(lambda0)})
+    return out_dir / "manifest.json"
 
 
 def read_output_batch(manifest_path) -> tuple[np.ndarray, list[tuple[str, np.ndarray, np.ndarray]]]:

@@ -30,14 +30,6 @@ AXIS_LABELS = {
 }
 
 
-def _read_config_comment(csv_path) -> str | None:
-    with open(csv_path) as fh:
-        first = fh.readline().strip()
-    if first.startswith("#"):
-        return first[1:].strip()
-    return None
-
-
 def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
@@ -101,7 +93,9 @@ def emit_plot(csv_path, kind: str, out_path) -> Path:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">'
     )
-    config = _read_config_comment(csv_path)
+    with open(csv_path) as fh:  # the sweep CSV's JSON preamble, if it has one
+        first = fh.readline().strip()
+    config = first[1:].strip() if first.startswith("#") else ""
     if config:
         # a comment holds no "--": every hyphen before another is set apart
         out.append(f"<!-- {re.sub('-(?=-)', '- ', config)} -->")

@@ -14,10 +14,11 @@ A row runs as blocks of trials, each one stacked computation: one
 batched eigh, one stacked realified system, one gelsd call per system,
 one stacked norm.  One memory rule sizes the blocks: those in flight
 hold at most ``SOLVE_BYTES`` of realified systems (trials x divisors) over
-all threads, and each at least one trial.  A sweep holds numpy's OpenBLAS
-at one thread and then restores it; from d = 9 on its blocks run on
-threads, one per core (more than 2 cores are untested), or serially under
-another BLAS.  The outputs are the bytes of solving each system on its
+all workers, and each at least one trial.  A sweep holds numpy's OpenBLAS
+at one thread and then restores it; from d = 6 on its blocks run on one
+pool of forked processes kept until exit, one per core (more than 2 cores
+are untested), or serially under another BLAS or in a process running
+other threads.  The outputs are the bytes of solving each system on its
 own.  The result keeps every trial's label and error next to its cell
 record; the CSV's columns are ``CellRecord``'s fields, its JSON preamble
 ``asdict`` of the config.
@@ -25,9 +26,11 @@ record; the CSV's columns are ``CellRecord``'s fields, its JSON preamble
 
 from __future__ import annotations
 
+import atexit
 import json
 import os
 import sys
+import threading
 from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
@@ -42,10 +45,11 @@ from .netmodel import basis_density, connected_erdos_renyi, derive_seed
 from .dynamics import check_subsample, grid_intervals, trapezoid_grams
 
 #: bytes of realified systems (8 d^2 n each, n parameters) a row holds in flight over
-#: its threads: the 3 MB of 40 real-class systems at d = 12 (at d = 30 one fits)
+#: its workers: the 3 MB of 40 real-class systems at d = 12 (at d = 30 one fits)
 SOLVE_BYTES = 3 * 2**20
-#: rows from this size on run on trial threads (``_trial_threads``)
-THREADED_D = 9
+#: rows from this size on run on the trial pool (``_trial_workers``)
+PROCESS_D = 6
+_pools = {}  # os.getpid() -> the trial pool that process forked: a child never uses its parent's
 
 
 def _fits(value, default) -> bool:
@@ -286,46 +290,53 @@ def _quartiles(values: list[float]) -> tuple[float | None, float | None, float |
     return quantile(0.5), quantile(0.25), quantile(0.75)
 
 
-def _trial_threads(d: int, trials: int, cores: int) -> int:
-    """Threads for the trials of a row at size ``d``, one per core and
-    trial, for the one BLAS thread a sweep holds (``run_sweep`` runs rows
-    serially under a BLAS it cannot hold; hosts of more than 2 cores are
-    untested).  Below ``THREADED_D`` the handoffs of the interpreter lock
-    cost more than the second core gains: on 2 cores with 1 BLAS thread,
-    10-trial rows at 4 divisors ran 0.5-0.7x at d = 2..7, 1.01x at d = 8,
-    1.20x at d = 9 and 1.29x at d = 12 on 2 threads."""
-    return 1 if d < THREADED_D else max(1, min(trials, cores))
+def _trial_workers(d: int, trials: int, cores: int) -> int:
+    """Worker processes for a row at size ``d``, one per core and trial:
+    below ``PROCESS_D`` handing blocks over costs about what a second core
+    gains.  On 2 cores at 1 BLAS thread the benchmark's err-grid ran faster
+    with processes from d = 6 than from d = 8 (README, row execution)."""
+    return 1 if d < PROCESS_D else max(1, min(trials, cores))
 
 
 def _run_row(cfg: SweepConfig, d: int, tau: float,
-             threaded: bool) -> tuple[list[CellRecord], list[TrialRecord]]:
+             held: bool) -> tuple[list[CellRecord], list[TrialRecord]]:
     """The records and trials of every subsample divisor at (d, tau),
     divisors descending.
 
     The trial seeds are independent of n~, so each trial's network is
-    drawn and decomposed once and identified at every divisor.  The
-    blocks run on ``_trial_threads`` threads, each of at most
-    ``SOLVE_BYTES`` of realified systems over all threads (one trial at
-    least) and ceil(trials / threads) trials, so that every thread gets a
-    block, and are collected in seed order, so the first failure in seed
-    order is raised; the pending blocks are cancelled.
+    drawn and decomposed once and identified at every divisor.  The blocks,
+    each of at most ``SOLVE_BYTES`` of realified systems over all workers
+    (one trial at least) and ceil(trials / workers) trials, so that every
+    worker gets one, run on ``_trial_workers`` processes if the sweep
+    ``held`` one BLAS thread, and are collected in seed order: the first
+    failure in seed order is raised, and the pending blocks are cancelled.
     """
     subsamples = sorted(cfg.subsamples, reverse=True)
     n_s = grid_intervals(tau, cfg.dt)
     seeds = [derive_seed(cfg.seed, d, tau, trial) for trial in range(cfg.trials)]
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    threads = _trial_threads(d, cfg.trials, cores or 1) if threaded else 1
+    workers = _trial_workers(d, cfg.trials, cores or 1) if held else 1
     system = 8 * d * d * d * (d - 1) // (2 if cfg.real_coupling else 1)  # bytes: d^2 x n
-    size = min(max(1, SOLVE_BYTES // (system * len(subsamples) * threads)),
-               -(-cfg.trials // threads))
+    size = min(max(1, SOLVE_BYTES // (system * len(subsamples) * workers)),
+               -(-cfg.trials // workers))
     blocks = [seeds[start:start + size] for start in range(0, len(seeds), size)]
     run_block = partial(run_benchmark_trials, d, tau, subsamples, cfg=cfg)
-    if min(threads, len(blocks)) == 1:
-        outcomes = list(map(run_block, blocks))
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # not on `import qnetid`
-        with ThreadPoolExecutor(threads) as pool:
-            outcomes = list(pool.map(run_block, blocks))
+    pooled = min(workers, len(blocks)) > 1
+    if pooled and os.getpid() not in _pools and threading.active_count() == 1:
+        # forked inside the hold, at one BLAS thread, by one thread (forking a threaded process
+        # is deprecated from Python 3.12); shut down at exit, not collected in module teardown
+        from concurrent.futures import ProcessPoolExecutor  # neither import on `import qnetid`
+        from multiprocessing import get_context
+        pool = _pools[os.getpid()] = ProcessPoolExecutor(cores, mp_context=get_context("fork"))
+        atexit.register(pool.shutdown)
+    pool = _pools.get(os.getpid()) if pooled else None
+    try:
+        outcomes = list(map(run_block, blocks) if pool is None else pool.map(run_block, blocks))
+    except RuntimeError as exc:  # a broken pool is dropped: the next pooled row forks another
+        from concurrent.futures import BrokenExecutor
+        if isinstance(exc, BrokenExecutor):
+            _pools.pop(os.getpid()).shutdown()
+        raise
     outcomes = [outcome for block in outcomes for outcome in block]
     records, trials = [], []
     for i, subsample in enumerate(subsamples):
@@ -358,14 +369,14 @@ def run_sweep(cfg: SweepConfig, kind: str = "solvability", out_csv=None) -> Swee
     cfg = cfg.validated()
     result = SweepResult(kind=kind, config=cfg)
     with (nullcontext() if out_csv is None else open(out_csv, "w", newline="")) as fh, \
-            one_blas_thread() as threaded:
+            one_blas_thread() as held:
         if fh is not None:
             preamble = json.dumps({"kind": kind, "config": cfg.to_json()}, sort_keys=True)
             fh.write(f"# {preamble}\n{CSV_HEADER}\n")
             fh.flush()
         for d in cfg.d_values:
             for tau in cfg.taus:
-                records, trials = _run_row(cfg, d, tau, threaded)
+                records, trials = _run_row(cfg, d, tau, held)
                 result.records.extend(records)
                 result.trials.extend(trials)
                 if fh is not None:

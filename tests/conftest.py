@@ -1,4 +1,5 @@
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 import scipy.linalg
 
 import qnetid
+import qnetid.sweep
 from qnetid.linalg import hermitize
 from qnetid.sweep import run_sweep
 
@@ -98,12 +100,72 @@ def lstsq_calls(monkeypatch):
     return calls
 
 
+class WorkerLog:
+    """A list that the sweep's forked workers append to as well: each
+    process appends ``(pid, item)`` to its own file under ``directory``,
+    since a worker's memory is its own, and ``read`` returns them all, in
+    order within a process."""
+
+    def __init__(self, directory):
+        self.directory = Path(directory)
+        self.directory.mkdir(parents=True, exist_ok=True)
+
+    def append(self, item):
+        with open(self.directory / f"{os.getpid()}.pickle", "ab") as fh:
+            pickle.dump((os.getpid(), item), fh)
+
+    def read(self) -> list:
+        entries = []
+        for path in sorted(self.directory.glob("*.pickle")):
+            with open(path, "rb") as fh:
+                while fh.peek(1):
+                    entries.append(pickle.load(fh))
+        return entries
+
+    def clear(self):
+        for path in self.directory.glob("*.pickle"):
+            path.unlink()
+
+
+def end_pool():
+    """Shut this process's trial pool down; its next pooled row forks another."""
+    pool = qnetid.sweep._pools.pop(os.getpid(), None)
+    if pool is not None:
+        pool.shutdown()
+
+
+@pytest.fixture
+def fresh_pool():
+    """End the process's trial pool before and after the test, so that the
+    workers of its pooled rows are forked under its patches, and no later
+    test inherits them."""
+    end_pool()
+    yield
+    end_pool()
+
+
+@pytest.fixture(autouse=True)
+def no_patched_pool(request):
+    """A trial pool forked while a test's monkeypatches held keeps them:
+    end it with that test."""
+    before = qnetid.sweep._pools.get(os.getpid())
+    yield
+    if ("monkeypatch" in request.fixturenames
+            and qnetid.sweep._pools.get(os.getpid()) not in (None, before)):
+        end_pool()
+
+
 @pytest.fixture(scope="session")
-def criterion1_sweep():
-    """The seed-0 criterion-1 sweep, run once for the session with its
-    np.linalg.lstsq calls recorded: (SweepResult, calls)."""
-    calls = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(np.linalg, "lstsq", lstsq_recorder(calls))
-        res = run_sweep(CONFIGS["criterion1"])
-    return res, calls
+def criterion1_sweep(tmp_path_factory):
+    """The seed-0 criterion-1 sweep, run once for the session with the
+    np.linalg.lstsq calls of every process recorded: (SweepResult, calls).
+    Its pool is forked under the recorder and ended with the sweep."""
+    calls = WorkerLog(tmp_path_factory.mktemp("lstsq"))
+    end_pool()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "lstsq", lstsq_recorder(calls))
+            res = run_sweep(CONFIGS["criterion1"])
+    finally:
+        end_pool()
+    return res, [call for _, call in calls.read()]

@@ -61,7 +61,7 @@ from qnetid.sweep import (
     run_sweep,
 )
 
-from conftest import (expm_propagate, liouvillian, openblas_core, random_admissible,
+from conftest import (WorkerLog, expm_propagate, liouvillian, openblas_core, random_admissible,
                       random_density, random_hermitian)
 from record_golden_sweeps import CONFIGS, LABEL_CONFIGS, LABEL_FIELDS
 
@@ -207,12 +207,19 @@ class TestCriterion1RoundTripSolvability:
         assert ok_small, f"mean solvability below 0.9 at d in 2..3: {detail}"
         assert ok_band, "label disagrees with the commutant condition: " + "; ".join(disagreements)
 
-    def test_golden_records_on_trial_threads(self, criterion1_sweep, monkeypatch):
-        # every row on two trial threads, whatever the BLAS setting: the
-        # stacked blocks are cut in half and run at once, and the records
-        # are still the golden ones and the trials the session run's
-        monkeypatch.setattr(qnetid.sweep, "_trial_threads", lambda *args: 2)
+    def test_golden_records_on_trial_threads(self, criterion1_sweep, monkeypatch, fresh_pool,
+                                             tmp_path):
+        # every row on two worker processes, whatever the BLAS setting: the
+        # stacked blocks are cut in half and run at once, none in the
+        # calling process, and the records are still the golden ones and
+        # the trials the session run's
+        blocks, grams = WorkerLog(tmp_path), qnetid.sweep.trapezoid_grams
+        monkeypatch.setattr(qnetid.sweep, "trapezoid_grams",
+                            lambda h, *args: blocks.append(len(h)) or grams(h, *args))
+        monkeypatch.setattr(qnetid.sweep, "_trial_workers", lambda *args: 2)
         res = run_sweep(CONFIGS["criterion1"])
+        pids = {pid for pid, _ in blocks.read()}
+        assert pids and os.getpid() not in pids
         golden = golden_mismatches("criterion1", res.records)
         assert not golden, "threaded records differ from the golden records: " + "; ".join(golden)
         assert res.trials == criterion1_sweep[0].trials

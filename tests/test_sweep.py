@@ -1,12 +1,16 @@
 import json
+import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +39,16 @@ from qnetid.sweep import (
     run_sweep,
 )
 
-from conftest import random_hermitian, under_each_blas_setting
+from conftest import WorkerLog, random_hermitian, under_each_blas_setting
 
 TINY = SweepConfig(seed=11, d_min=2, d_max=3, taus=(1.0,), subsamples=(1,), trials=4)
+
+
+def no_trials(log, d, tau, subsamples, seeds, cfg):
+    """A stand-in for ``run_benchmark_trials`` that logs its block and
+    identifies nothing; module level, so that a worker unpickles it."""
+    log.append((d, tau, len(seeds)))
+    return [[(0, None)] * len(subsamples) for _ in seeds]
 
 
 def one_system_route(cfg, d, tau, seed):
@@ -284,80 +295,111 @@ class TestStackedRow:
         if cfg.subsamples == (1,):
             assert {t.solvability for t in trials} == {0, 1}
 
-    def test_no_stack_exceeds_the_block(self, monkeypatch):
+    def test_no_stack_exceeds_the_block(self, monkeypatch, fresh_pool, tmp_path):
         # d = 12 rows at 4 divisors: a real-class system is 76 032 bytes, so
-        # blocks of 10 trials (40 systems, 2.9 MiB) on one thread and of 5 on
-        # two; a full-class system is twice that, so blocks of 5 and of 2.  No
-        # stacked argument or result holds more matrices (or realified
-        # systems) than a block, and the realified systems in flight over all
-        # threads hold at most SOLVE_BYTES
-        sizes_seen, lock = [], threading.Lock()
-        held, flight = threading.local(), [0, 0]  # bytes now, most at once
-        run_block, realify = qnetid.sweep.run_benchmark_trials, qnetid.identify._realified_system
-
-        def counting(d, tau, subsamples, seeds, cfg):
-            held.bytes = 0
-            try:
-                return run_block(d, tau, subsamples, seeds, cfg)
-            finally:
-                with lock:
-                    flight[0] -= held.bytes
+        # blocks of 10 trials (40 systems, 2.9 MiB) in one process and of 5
+        # on two workers; a full-class system is twice that, so blocks of 5
+        # and of 2.  No stacked argument or result holds more matrices (or
+        # realified systems) than a block, and the realified systems in
+        # flight over all workers hold at most SOLVE_BYTES.  The counters are
+        # shared memory, made before the test's pool forks its workers
+        sizes_seen = WorkerLog(tmp_path)
+        flight = multiprocessing.get_context("fork").Array("q", 2)  # bytes now, most at once
+        held = [0]  # of this process's block: a worker runs one at a time
+        realify, score = qnetid.identify._realified_system, qnetid.sweep.relative_error
 
         def realified(p, real_coupling):
             out = realify(p, real_coupling)
-            with lock:
-                held.bytes += out.nbytes
+            held[0] += out.nbytes
+            with flight.get_lock():
                 flight[0] += out.nbytes
-                flight[1] = max(flight)
+                flight[1] = max(flight[:])
+            return out
+
+        def scored(*args):  # the block's last stacked call
+            out = score(*args)
+            with flight.get_lock():
+                flight[0] -= held[0]
+            held[0] = 0
             return out
 
         def recording(fn):
             def wrapper(*args, **kwargs):
                 out = fn(*args, **kwargs)
-                for x in args + (out if isinstance(out, tuple) else (out,)):
-                    if isinstance(x, np.ndarray) and x.ndim > 2:
-                        sizes_seen.append(int(np.prod(x.shape[:-2])))
+                arrays = args + (out if isinstance(out, tuple) else (out,))
+                sizes_seen.append(max((int(np.prod(x.shape[:-2])) for x in arrays
+                                       if isinstance(x, np.ndarray) and x.ndim > 2), default=0))
                 return out
             return wrapper
 
         monkeypatch.setattr(qnetid.identify, "_realified_system", realified)
+        monkeypatch.setattr(qnetid.sweep, "relative_error", scored)
         for module, name in ((qnetid.sweep, "trapezoid_grams"), (qnetid.sweep, "build_Q"),
                              (qnetid.sweep, "solve_stack"), (qnetid.sweep, "relative_error"),
                              (qnetid.identify, "_realified_system")):
             monkeypatch.setattr(module, name, recording(getattr(module, name)))
-        monkeypatch.setattr(qnetid.sweep, "run_benchmark_trials", counting)
         for real_coupling, trials, sizes in ((True, 100, {1: 10, 2: 5}),
                                              (False, 12, {1: 5, 2: 2})):
             system = 144 * 66 * 8 * (1 if real_coupling else 2)
-            for threads in (1, 2):
-                monkeypatch.setattr(qnetid.sweep, "_trial_threads", lambda *args, n=threads: n)
+            for workers in (1, 2):
+                monkeypatch.setattr(qnetid.sweep, "_trial_workers", lambda *args, n=workers: n)
                 sizes_seen.clear()
                 flight[1] = 0
                 run_sweep(SweepConfig(seed=64, d_min=12, d_max=12, taus=(2.0,), trials=trials,
                                       real_coupling=real_coupling))
-                assert max(sizes_seen) == 4 * sizes[threads]
+                pids, seen = zip(*sizes_seen.read())
+                assert max(seen) == 4 * sizes[workers]
+                assert (os.getpid() in pids) == (workers == 1)
                 assert flight[0] == 0 and flight[1] <= SOLVE_BYTES
-                if threads == 1:
+                if workers == 1:
                     assert flight[1] == 4 * sizes[1] * system
         assert SOLVE_BYTES == 3 * 2**20
 
-    def test_peak_memory_bounded_by_the_block(self):
+    def test_peak_memory_bounded_by_the_block(self, monkeypatch, fresh_pool):
         # a d = 12 row of many trials peaks where one block does: 10 trials
-        # on one thread or 5 on each of two, in the real class at 4 divisors
-        # and in the full class at 2
+        # in the calling process or 5 in each of two workers, in the real
+        # class at 4 divisors and in the full class at 2.  A worker traces
+        # its blocks from their first stacked call to their last, and keeps
+        # the highest peak in shared memory made before the pool forks
+        parent, peak = os.getpid(), multiprocessing.get_context("fork").Value("q", 0)
+        grams, score = qnetid.sweep.trapezoid_grams, qnetid.sweep.relative_error
+
+        def traced_grams(*args):
+            if os.getpid() != parent:
+                tracemalloc.start()
+            return grams(*args)
+
+        def traced_score(*args):
+            out = score(*args)
+            if os.getpid() != parent:
+                with peak.get_lock():
+                    peak.value = max(peak.value, tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+            return out
+
+        monkeypatch.setattr(qnetid.sweep, "trapezoid_grams", traced_grams)
+        monkeypatch.setattr(qnetid.sweep, "relative_error", traced_score)
         for real_coupling, subsamples, trials in ((True, (20, 10, 5, 1), (10, 100)),
                                                   (False, (5, 1), (10, 40))):
-            peaks = {}
-            for n in trials:
-                cfg = SweepConfig(seed=65, d_min=12, d_max=12, taus=(2.0,),
-                                  subsamples=subsamples, trials=n, real_coupling=real_coupling)
-                tracemalloc.start()
-                try:
-                    run_sweep(cfg)
-                    peaks[n] = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-            assert peaks[trials[1]] <= 1.2 * peaks[trials[0]], real_coupling
+            for workers in (1, 2):
+                monkeypatch.setattr(qnetid.sweep, "_trial_workers", lambda *args, n=workers: n)
+                peaks = {}
+                for n in trials:
+                    cfg = SweepConfig(seed=65, d_min=12, d_max=12, taus=(2.0,),
+                                      subsamples=subsamples, trials=n,
+                                      real_coupling=real_coupling)
+                    peak.value = 0
+                    if workers == 2:  # the workers must not fork while the caller traces
+                        run_sweep(cfg)
+                        peaks[n] = peak.value
+                        continue
+                    tracemalloc.start()
+                    try:
+                        run_sweep(cfg)
+                        peaks[n] = tracemalloc.get_traced_memory()[1]
+                    finally:
+                        tracemalloc.stop()
+                assert 0 < peaks[trials[1]] <= 1.2 * peaks[trials[0]], (real_coupling, workers)
 
 
 class TestSweep:
@@ -501,20 +543,21 @@ class TestSweep:
         assert wide_d3 == narrow.records
 
     @pytest.mark.parametrize("subsamples", [(1,), (20, 10, 5, 1)])
-    def test_one_simulation_per_network(self, monkeypatch, subsamples):
+    def test_one_simulation_per_network(self, monkeypatch, fresh_pool, tmp_path, subsamples):
         # each network's Hamiltonian is decomposed once, whether stacked
         # with others (d < 16) or on its own (d >= 16), and serves every
         # divisor: the Hamiltonians decomposed are the networks drawn, in
-        # whatever order trial threads decompose them
+        # whatever order and process the workers decompose them
         for d in (2, 16):
-            self.check_one_simulation_per_network(monkeypatch, subsamples, d)
+            self.check_one_simulation_per_network(monkeypatch, tmp_path / str(d), subsamples, d)
 
     @staticmethod
-    def check_one_simulation_per_network(monkeypatch, subsamples, d):
-        hamiltonians, drawn = [], []
+    def check_one_simulation_per_network(monkeypatch, log, subsamples, d):
+        hamiltonians, drawn = WorkerLog(log / "decomposed"), WorkerLog(log / "drawn")
 
         def counting(h, *args, **kwargs):
-            hamiltonians.extend(h.reshape(-1, *h.shape[-2:]))
+            for one in h.reshape(-1, *h.shape[-2:]):
+                hamiltonians.append(one)
             assert tuple(args[3]) == tuple(sorted(subsamples, reverse=True))
             return trapezoid_grams(h, *args, **kwargs)
 
@@ -527,6 +570,7 @@ class TestSweep:
         cfg = TINY.override(d_min=d, d_max=d + 1, taus=(1.0, 2.0), subsamples=subsamples,
                             trials=3)
         res = run_sweep(cfg)
+        hamiltonians, drawn = [[h for _, h in log.read()] for log in (hamiltonians, drawn)]
         assert len(res.records) == len(cfg.d_values) * len(cfg.taus) * len(subsamples)
         assert len(hamiltonians) == len(drawn) == cfg.trials * len(cfg.d_values) * len(cfg.taus)
         assert (sorted(np.asarray(h, dtype=complex).tobytes() for h in hamiltonians)
@@ -607,18 +651,22 @@ class TestTrials:
 
 
 class TestTrialThreads:
-    @pytest.mark.parametrize("d, trials, cores, threads", [
-        (8, 5, 2, 1),
+    """The trial pool's worker processes; the class and its tests keep the
+    names they had when rows ran on trial threads."""
+
+    @pytest.mark.parametrize("d, trials, cores, workers", [
+        (5, 5, 2, 1),
+        (8, 5, 2, 2),
         (12, 5, 2, 2),
         (15, 5, 2, 2),
         (16, 5, 1, 1),
         (16, 1, 2, 1),
         (30, 3, 8, 3),
-    ], ids=["d8", "d12", "d15", "one-core", "one-trial", "one-per-trial"])
-    def test_rule(self, d, trials, cores, threads):
-        # threads only at d >= 9, one per core, and never more threads
+    ], ids=["d5", "d8", "d12", "d15", "one-core", "one-trial", "one-per-trial"])
+    def test_rule(self, d, trials, cores, workers):
+        # workers only at d >= 6, one per core, and never more workers
         # than trials
-        assert qnetid.sweep._trial_threads(d, trials, cores) == threads
+        assert qnetid.sweep._trial_workers(d, trials, cores) == workers
 
     def test_environment_picks_no_bits(self):
         # a sweep holds numpy's OpenBLAS at one thread itself: with
@@ -677,7 +725,7 @@ class TestTrialThreads:
 
     def test_rows_serial_under_another_blas(self, monkeypatch):
         # without numpy's OpenBLAS symbols the hold does nothing and says
-        # so, and a row that would run on threads runs on the calling thread
+        # so, and a row that would run on the pool runs on the calling thread
         cfg = SweepConfig(seed=0, d_min=12, d_max=12, taus=(3.0,), subsamples=(5,), trials=10)
         threaded = run_sweep(cfg)
         run_block, idents = qnetid.sweep.run_benchmark_trials, set()
@@ -694,98 +742,95 @@ class TestTrialThreads:
         assert idents == {threading.main_thread().ident}
         assert serial.trials == threaded.trials
 
-    def test_threaded_rows_match_serial(self, tmp_path, monkeypatch):
-        # records, trials and CSV bytes do not depend on the thread count;
+    def test_threaded_rows_match_serial(self, tmp_path, monkeypatch, fresh_pool):
+        # records, trials and CSV bytes do not depend on the worker count;
         # the rows are cut into blocks of at most SOLVE_BYTES // (2 divisors
-        # x threads x 8 d^2 n bytes) and at most ceil(12 / threads) of their
-        # 12 trials, so that larger rows run more, smaller blocks
+        # x workers x 8 d^2 n bytes) and at most ceil(12 / workers) of their
+        # 12 trials, so that larger rows run more, smaller blocks, in the
+        # calling process alone or in the workers alone
         cfg = SweepConfig(seed=0, d_min=12, d_max=16, taus=(3.0,), subsamples=(5, 1),
                           trials=12)
-        run_block, blocks = qnetid.sweep.run_benchmark_trials, []
+        blocks, grams = WorkerLog(tmp_path / "blocks"), qnetid.sweep.trapezoid_grams
 
-        def recording(d, tau, subsamples, seeds, cfg):
-            blocks.append((d, len(seeds), threading.get_ident()))
-            return run_block(d, tau, subsamples, seeds, cfg)
+        def logging_grams(h, *args):  # one call per block
+            blocks.append((h.shape[-1], len(h)))
+            return grams(h, *args)
 
-        monkeypatch.setattr(qnetid.sweep, "run_benchmark_trials", recording)
+        monkeypatch.setattr(qnetid.sweep, "trapezoid_grams", logging_grams)
         runs = {}
-        for threads in (1, 2):
-            monkeypatch.setattr(qnetid.sweep, "_trial_threads", lambda *args, n=threads: n)
+        for workers in (1, 2):
+            monkeypatch.setattr(qnetid.sweep, "_trial_workers", lambda *args, n=workers: n)
             blocks.clear()
-            out = tmp_path / f"{threads}.csv"
-            runs[threads] = run_sweep(cfg, out_csv=out), out.read_bytes()
+            out = tmp_path / f"{workers}.csv"
+            runs[workers] = run_sweep(cfg, out_csv=out), out.read_bytes()
             sizes = {1: {12: [12], 13: [12], 14: [11, 1], 15: [8, 4], 16: [6, 6]},
                      2: {12: [6, 6], 13: [6, 6], 14: [5, 5, 2], 15: [4, 4, 4],
-                         16: [3, 3, 3, 3]}}[threads]
-            assert sorted((d, n) for d, n, _ in blocks) == sorted(
+                         16: [3, 3, 3, 3]}}[workers]
+            assert sorted(shape for _, shape in blocks.read()) == sorted(
                 (d, n) for d, row in sizes.items() for n in row)
-            on_main = {ident == threading.main_thread().ident for _, _, ident in blocks}
-            assert on_main == {threads == 1}
-        (serial, serial_csv), (threaded, threaded_csv) = runs[1], runs[2]
-        assert threaded.records == serial.records
-        assert threaded.trials == serial.trials
-        assert threaded_csv == serial_csv
+            assert {pid == os.getpid() for pid, _ in blocks.read()} == {workers == 1}
+        (serial, serial_csv), (pooled, pooled_csv) = runs[1], runs[2]
+        assert pooled.records == serial.records
+        assert pooled.trials == serial.trials
+        assert pooled_csv == serial_csv
 
-    def test_small_row_split_over_the_threads(self, monkeypatch):
-        # a row that fits in one block (10 trials at one divisor, d = 12) ran
-        # on the calling thread alone; it is cut into one 5-trial block per
-        # thread, with the records of a serial run
+    def test_small_row_split_over_the_threads(self, monkeypatch, fresh_pool, tmp_path):
+        # a row that fits in one block (10 trials at one divisor, d = 12)
+        # ran in the calling process alone; it is cut into one 5-trial block
+        # per worker, with the records of a serial run
         cfg = SweepConfig(seed=0, d_min=12, d_max=12, taus=(3.0,), subsamples=(5,), trials=10)
-        run_block, blocks = qnetid.sweep.run_benchmark_trials, []
-
-        def recording(d, tau, subsamples, seeds, cfg):
-            blocks.append((len(seeds), threading.get_ident()))
-            return run_block(d, tau, subsamples, seeds, cfg)
-
-        monkeypatch.setattr(qnetid.sweep, "run_benchmark_trials", recording)
+        blocks, grams = WorkerLog(tmp_path), qnetid.sweep.trapezoid_grams
+        monkeypatch.setattr(qnetid.sweep, "trapezoid_grams",
+                            lambda h, *args: blocks.append(len(h)) or grams(h, *args))
         results = {}
-        for threads in (1, 2):
-            monkeypatch.setattr(qnetid.sweep, "_trial_threads", lambda *args, n=threads: n)
+        for workers in (1, 2):
+            monkeypatch.setattr(qnetid.sweep, "_trial_workers", lambda *args, n=workers: n)
             blocks.clear()
-            results[threads] = run_sweep(cfg)
-            assert [n for n, _ in blocks] == {1: [10], 2: [5, 5]}[threads]
-        assert threading.main_thread().ident not in {ident for _, ident in blocks}
+            results[workers] = run_sweep(cfg)
+            assert sorted(n for _, n in blocks.read()) == {1: [10], 2: [5, 5]}[workers]
+            assert {pid == os.getpid() for pid, _ in blocks.read()} == {workers == 1}
         assert results[2].records == results[1].records
         assert results[2].trials == results[1].trials
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_bench_rows_keep_their_blocks(self, monkeypatch, threads):
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_bench_rows_keep_their_blocks(self, monkeypatch, fresh_pool, tmp_path, cores):
         # the err-grid rows (10 trials at 4 divisors: tau = 1 at d = 2..8,
         # tau = 2 at d = 2..12) and the transition rows (5 trials at one
         # divisor, d = 28..30) of the benchmark are cut as the count rule
         # before the byte budget cut them: 40 systems below d = 16 over all
-        # threads, one trial per block from d = 16 on
-        blocks = []
-
-        def recording(d, tau, subsamples, seeds, cfg):
-            blocks.append((d, tau, len(seeds)))
-            return [[(0, None)] * len(subsamples) for _ in seeds]
-
-        monkeypatch.setattr(qnetid.sweep, "run_benchmark_trials", recording)
-        monkeypatch.setattr(qnetid.sweep, "_trial_threads", lambda *args: threads)
+        # workers, one trial per block from d = 16 on.  On 2 cores the
+        # err-grid rows run two 5-trial blocks from PROCESS_D = 6 on
+        blocks = WorkerLog(tmp_path)
+        monkeypatch.setattr(qnetid.sweep, "run_benchmark_trials", partial(no_trials, blocks))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
         for tau, d_max, subsamples, trials, d_min in ((1.0, 8, (20, 10, 5, 1), 10, 2),
                                                       (2.0, 12, (20, 10, 5, 1), 10, 2),
                                                       (3.0, 30, (5,), 5, 28)):
             run_sweep(SweepConfig(d_min=d_min, d_max=d_max, taus=(tau,), subsamples=subsamples,
                                   trials=trials))
-        err_grid = {1: [10], 2: [5, 5]}[threads]
-        assert sorted(blocks) == sorted(
-            [(d, 1.0, n) for d in range(2, 9) for n in err_grid]
-            + [(d, 2.0, n) for d in range(2, 13) for n in err_grid]
+
+        def err_grid(d):
+            return [10] if cores == 1 or d < 6 else [5, 5]
+
+        assert sorted(block for _, block in blocks.read()) == sorted(
+            [(d, 1.0, n) for d in range(2, 9) for n in err_grid(d)]
+            + [(d, 2.0, n) for d in range(2, 13) for n in err_grid(d)]
             + [(d, 3.0, 1) for d in range(28, 31) for _ in range(5)])
 
-    @pytest.mark.parametrize("d, threads, drawn", [pytest.param(12, 1, 41, id="stacked"),
+    @pytest.mark.parametrize("d, workers, drawn", [pytest.param(12, 1, 41, id="stacked"),
                                                    pytest.param(26, 1, 2, id="1"),
                                                    pytest.param(16, 2, None, id="2")])
-    def test_first_failure_in_seed_order_raised(self, monkeypatch, d, threads, drawn):
+    def test_first_failure_in_seed_order_raised(self, monkeypatch, fresh_pool, tmp_path, d,
+                                                workers, drawn):
         # the draws of trials 1 and 3 are no densities: trial 1's error is
         # raised, as in a serial run, whether the two share a stacked block
         # (d = 12: blocks of 41 trials at one divisor) or not (d = 26: one
-        # 1.8 MB system a block); the blocks not yet started are cancelled,
-        # and no pool thread outlives the sweep
+        # 1.8 MB system a block); on two workers the blocks not yet started
+        # are cancelled, and the pool's workers are all the children left;
+        # in the calling process no thread outlives the sweep
         cfg = SweepConfig(seed=0, d_min=d, d_max=d, subsamples=(5,), trials=48)
         seeds = [derive_seed(cfg.seed, d, 3.0, trial) for trial in range(cfg.trials)]
-        calls = []
+        calls = WorkerLog(tmp_path)
 
         def draw(d, seed, cfg):
             calls.append(seed)
@@ -794,30 +839,126 @@ class TestTrialThreads:
             return adjacency, rho0 * {seeds[1]: 2.0, seeds[3]: 3.0}.get(seed, 1.0)
 
         monkeypatch.setattr(qnetid.sweep, "benchmark_network", draw)
-        monkeypatch.setattr(qnetid.sweep, "_trial_threads", lambda *args: threads)
+        monkeypatch.setattr(qnetid.sweep, "_trial_workers", lambda *args: workers)
         running = set(threading.enumerate())
         with pytest.raises(ValueError, match=r"^rho0 has trace 2\.0, expected 1$"):
             run_sweep(cfg)
-        if threads == 1:
+        calls = [seed for _, seed in calls.read()]
+        if workers == 1:
             assert calls == seeds[:drawn]  # up to the end of trial 1's block
+            assert set(threading.enumerate()) <= running
         else:
             assert len(calls) < cfg.trials
-        assert set(threading.enumerate()) <= running
+            assert 0 < len(multiprocessing.active_children()) <= len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+    def test_workers_end_with_the_interpreter(self, fails):
+        # a process that ran pooled rows exits cleanly, whether its sweep
+        # returned or raised, and leaves none of its workers running
+        code = (
+            "import multiprocessing, qnetid, qnetid.sweep as sweep\n"
+            f"fails = {fails}\n"
+            "draw = sweep.benchmark_network\n"
+            "def bad(d, seed, cfg):\n"
+            "    a, rho0 = draw(d, seed, cfg)\n"
+            "    return a, 2 * rho0\n"
+            "if fails:\n"
+            "    sweep.benchmark_network = bad\n"
+            "cfg = qnetid.SweepConfig(d_min=8, d_max=9, subsamples=(5,), trials=4)\n"
+            "try:\n"
+            "    qnetid.run_sweep(cfg)\n"
+            "except ValueError:\n"
+            "    assert fails\n"
+            "else:\n"
+            "    assert not fails\n"
+            "print(*(p.pid for p in multiprocessing.active_children()))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(qnetid.sweep.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        pids = [int(pid) for pid in proc.stdout.split()]
+        assert pids
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_killed_worker_fails_only_its_row(self, monkeypatch, fresh_pool):
+        # a worker of the test's own pool killed mid-row fails that row; the
+        # next sweep runs, with the trials of a serial run
+        cfg = SweepConfig(seed=0, d_min=10, d_max=10, subsamples=(5,), trials=8)
+        parent, victim = os.getpid(), derive_seed(cfg.seed, 10, 3.0, 5)
+
+        def killing(d, seed, cfg):
+            if seed == victim and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return benchmark_network(d, seed, cfg)
+
+        monkeypatch.setattr(qnetid.sweep, "benchmark_network", killing)
+        with pytest.raises(BrokenProcessPool):
+            run_sweep(cfg)
+        monkeypatch.setattr(qnetid.sweep, "benchmark_network", benchmark_network)
+        pooled = run_sweep(cfg)
+        monkeypatch.setattr(qnetid.sweep, "_trial_workers", lambda *args: 1)
+        assert pooled.trials == run_sweep(cfg).trials
+
+    def test_threaded_caller_makes_no_pool(self):
+        # a process that runs another thread forks no pool: its pooled
+        # rows run serially, start no process and no thread, and give the
+        # records and trials of a serial run
+        code = ("import json, multiprocessing, threading, qnetid, qnetid.sweep\n"
+                "cfg = qnetid.SweepConfig(d_min=10, d_max=11, subsamples=(5, 1), trials=6)\n"
+                "stop = threading.Event()\n"
+                "threading.Thread(target=stop.wait).start()\n"
+                "res = qnetid.run_sweep(cfg)\n"
+                "seen = [len(multiprocessing.active_children()), threading.active_count()]\n"
+                "stop.set()\n"
+                "qnetid.sweep._trial_workers = lambda *args: 1\n"
+                "serial = qnetid.run_sweep(cfg)\n"
+                "same = [res.records == serial.records, res.trials == serial.trials]\n"
+                "print(json.dumps(seen + same))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(qnetid.sweep.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout) == [0, 2, True, True]
+
+    def test_workers_hold_one_blas_thread(self, monkeypatch, fresh_pool, tmp_path):
+        # the workers are forked inside the sweep's hold: each solves at one
+        # BLAS thread, also in a later sweep, while the caller's count is 2
+        calls = qnetid.linalg._openblas_threads()
+        if calls is None:
+            pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
+        get, put = calls
+        counts, solve = WorkerLog(tmp_path), qnetid.sweep.solve_stack
+        monkeypatch.setattr(qnetid.sweep, "solve_stack",
+                            lambda *args: counts.append(get()) or solve(*args))
+        cfg = SweepConfig(seed=0, d_min=8, d_max=8, subsamples=(5,), trials=4)
+        before = get()
+        put(2)
+        try:
+            run_sweep(cfg)
+            run_sweep(cfg)
+            assert get() == 2
+        finally:
+            put(before)
+        pids, seen = zip(*counts.read())
+        assert set(seen) == {1} and len(seen) == 4 and os.getpid() not in pids
 
     def test_cores_without_sched_getaffinity(self, monkeypatch):
         # platforms without affinity masks fall back to the CPU count
         seen = []
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        monkeypatch.setattr(qnetid.sweep, "_trial_threads",
+        monkeypatch.setattr(qnetid.sweep, "_trial_workers",
                             lambda d, trials, cores: seen.append(cores) or 1)
         run_sweep(TINY)
         assert seen == [3] * len(TINY.d_values)
 
     def test_import_and_small_sweep_leave_concurrent_futures_unloaded(self, small_sweep_modules):
-        # the pool's module is imported by threaded rows only, so that it
-        # does not add to the import and first-sweep time of every run
+        # the pool's modules are imported by pooled rows only, so that they
+        # do not add to the import and first-sweep time of every run
         assert "concurrent.futures" not in small_sweep_modules
+        assert "multiprocessing" not in small_sweep_modules
 
     def test_import_and_small_sweep_leave_numpy_ma_unloaded(self, small_sweep_modules):
         # np.percentile's np.unique imported numpy.ma, about 20 ms of a
