@@ -254,22 +254,30 @@ class IdentificationReport:
         save_json(path, self.to_json())
 
 
-def solve_stack(p: np.ndarray, q: np.ndarray,
-                real_coupling: bool = False) -> tuple[np.ndarray, ...]:
+def solve_stack(p: np.ndarray, q: np.ndarray, real_coupling: bool = False,
+                values_first: bool | np.ndarray = False) -> tuple[np.ndarray, ...]:
     """Admissible least-squares solutions of [M, P] = Q for each P on the
     last two axes of ``p``, Q broadcasting against it: the core of
     ``solve_commutator`` and of the sweeps.  The systems are realified and
     halved as one stack; LAPACK's gelsd does not batch, so each is solved
-    by its own call.  Returns over the leading axes of ``p`` the estimates,
-    each system's singular values (one per parameter: full rank is rank
-    ``s.shape[-1]``), its rank at ``DEFAULT_RTOL`` and at ``_label_rtol(d)``.
+    by its own call, but one set in the mask ``values_first`` (over the
+    leading axes) takes a values-only SVD first, and keeps its singular
+    values and a zero estimate if below full rank at ``_label_rtol(d)``.
+    Returns over the leading axes of ``p`` the estimates, each system's
+    singular values (one per parameter: full rank is rank ``s.shape[-1]``),
+    its rank at ``DEFAULT_RTOL`` and at ``_label_rtol(d)``.
     """
     d = p.shape[-1]
     a = _realified_system(p, real_coupling)
     systems = a.reshape((-1,) + a.shape[-2:])  # a view: (systems, rows, parameters)
     rhs = np.broadcast_to(_halve(q), a.shape[:-1]).reshape(len(systems), -1)
-    theta, s = np.empty((len(systems), a.shape[-1])), np.empty((len(systems), a.shape[-1]))
+    values_first = np.broadcast_to(values_first, a.shape[:-2]).ravel()
+    theta, s = np.zeros((len(systems), a.shape[-1])), np.empty((len(systems), a.shape[-1]))
     for k in range(len(systems)):
+        if values_first[k]:
+            s[k] = np.linalg.svd(systems[k], compute_uv=False)
+            if numerical_rank(s[k], _label_rtol(d)) < s.shape[-1]:
+                continue
         # gelsd cuts s_i <= rcond * s_0, the complement of numerical_rank's rule
         theta[k], _, _, s[k] = np.linalg.lstsq(systems[k], rhs[k], rcond=DEFAULT_RTOL)
     theta, s = theta.reshape(a.shape[:-2] + (-1,)), s.reshape(a.shape[:-2] + (-1,))

@@ -11,7 +11,8 @@ divisor and the state behind Q in closed form (``trapezoid_grams``),
 equal to what sampling the trajectory and summing it would give.
 
 A row runs as blocks of trials, each one stacked computation: one
-batched eigh, one stacked realified system, one gelsd call per system,
+batched eigh, one stacked realified system, one gelsd call per system
+but those a values-only SVD labels 0 first (``run_benchmark_trials``),
 one stacked norm.  One memory rule sizes the blocks: those in flight
 hold at most ``SOLVE_BYTES`` of realified systems (trials x divisors) over
 all workers, and each at least one trial.  A sweep holds numpy's OpenBLAS
@@ -38,9 +39,9 @@ from functools import partial
 
 import numpy as np
 
-from .identify import build_Q, relative_error, solve_stack
-from .linalg import (ConfigError, check_positive, is_finite, is_integer, naming, one_blas_thread,
-                     shown_number)
+from .identify import _label_rtol, build_Q, relative_error, solve_stack
+from .linalg import (ConfigError, check_positive, is_finite, is_integer, naming, numerical_rank,
+                     one_blas_thread, shown_number)
 from .netmodel import basis_density, connected_erdos_renyi, derive_seed
 from .dynamics import check_subsample, grid_intervals, trapezoid_grams
 
@@ -50,6 +51,7 @@ SOLVE_BYTES = 3 * 2**20
 #: rows from this size on run on the trial pool (``_trial_workers``)
 PROCESS_D = 6
 _pools = {}  # os.getpid() -> the trial pool that process forked: a child never uses its parent's
+_exit_hook = None  # _end_pool once registered with atexit, by the process's first pool
 
 
 def _fits(value, default) -> bool:
@@ -250,15 +252,19 @@ def run_benchmark_trials(d: int, tau: float, subsamples: Sequence[int], trial_se
     One batch decomposition (``trapezoid_grams``) gives each state at tau,
     hence Q, and the trapezoid P of every divisor, as sampling on the
     ``cfg.dt`` grid and ``build_P_trapezoid`` would.  ``solve_stack``
-    solves each of the trials x divisors systems as ``identify_topology``
-    would; one ``relative_error`` call scores them (a connected network
-    is no zero truth).  Returns per trial seed one (solvability label,
-    relative error if solvable, else None) per divisor, in the given orders.
+    labels each of the trials x divisors systems as ``identify_topology``
+    would, a values-only SVD first where the trial's finest P has rank
+    r < d/2 at the label cut (one batched eigvalsh); one ``relative_error``
+    call scores them (a connected network is no zero truth).  Returns per
+    trial seed one (solvability label, relative error if solvable, else
+    None) per divisor, in the given orders.
     """
     adjacency, rho0 = map(np.stack, zip(*(benchmark_network(d, seed, cfg) for seed in trial_seeds)))
     rho_tau, p = trapezoid_grams(adjacency.astype(complex), rho0, tau, cfg.dt, subsamples)
     q = build_Q(rho0, rho_tau)[:, None]
-    m_hat, sigma, _, label_rank = solve_stack(p, q, cfg.real_coupling)
+    finest = p[:, subsamples.index(min(subsamples))]
+    r = numerical_rank(np.linalg.eigvalsh(finest)[:, ::-1], _label_rtol(d))
+    m_hat, sigma, _, label_rank = solve_stack(p, q, cfg.real_coupling, (d > 2 * r)[:, None])
     errors = relative_error(m_hat, adjacency[:, None])
     return [[(int(ok), e if ok else None) for ok, e in zip(oks, row)]
             for oks, row in zip((label_rank == sigma.shape[-1]).tolist(), errors.tolist())]
@@ -298,6 +304,12 @@ def _trial_workers(d: int, trials: int, cores: int) -> int:
     return 1 if d < PROCESS_D else max(1, min(trials, cores))
 
 
+def _end_pool():
+    """Shut down and drop this process's trial pool, if it has one."""
+    if os.getpid() in _pools:
+        _pools.pop(os.getpid()).shutdown()
+
+
 def _run_row(cfg: SweepConfig, d: int, tau: float,
              held: bool) -> tuple[list[CellRecord], list[TrialRecord]]:
     """The records and trials of every subsample divisor at (d, tau),
@@ -324,18 +336,19 @@ def _run_row(cfg: SweepConfig, d: int, tau: float,
     pooled = min(workers, len(blocks)) > 1
     if pooled and os.getpid() not in _pools and threading.active_count() == 1:
         # forked inside the hold, at one BLAS thread, by one thread (forking a threaded process
-        # is deprecated from Python 3.12); shut down at exit, not collected in module teardown
+        # is deprecated from Python 3.12); one exit hook shuts down whichever pool is current
         from concurrent.futures import ProcessPoolExecutor  # neither import on `import qnetid`
         from multiprocessing import get_context
-        pool = _pools[os.getpid()] = ProcessPoolExecutor(cores, mp_context=get_context("fork"))
-        atexit.register(pool.shutdown)
+        global _exit_hook
+        _pools[os.getpid()] = ProcessPoolExecutor(cores, mp_context=get_context("fork"))
+        _exit_hook = _exit_hook or atexit.register(_end_pool)
     pool = _pools.get(os.getpid()) if pooled else None
     try:
         outcomes = list(map(run_block, blocks) if pool is None else pool.map(run_block, blocks))
     except RuntimeError as exc:  # a broken pool is dropped: the next pooled row forks another
         from concurrent.futures import BrokenExecutor
         if isinstance(exc, BrokenExecutor):
-            _pools.pop(os.getpid()).shutdown()
+            _end_pool()
         raise
     outcomes = [outcome for block in outcomes for outcome in block]
     records, trials = [], []

@@ -11,9 +11,9 @@ import scipy.linalg
 import qnetid
 import qnetid.sweep
 from qnetid.linalg import hermitize
-from qnetid.sweep import run_sweep
+from qnetid.sweep import _end_pool, run_sweep
 
-from record_golden_sweeps import CONFIGS
+from record_golden_sweeps import CONFIGS, LABEL_CONFIGS
 
 
 def random_hermitian(rng, d, norm=None):
@@ -92,6 +92,20 @@ def lstsq_recorder(calls):
     return spy
 
 
+def values_svd_recorder(calls):
+    """A stand-in for np.linalg.svd that appends the row count and singular
+    values of every values-only SVD of one matrix to ``calls``."""
+    svd = np.linalg.svd
+
+    def spy(a, full_matrices=True, compute_uv=True, hermitian=False):
+        out = svd(a, full_matrices, compute_uv, hermitian)
+        if not compute_uv and np.ndim(a) == 2:
+            calls.append({"rows": len(a), "s": out})
+        return out
+
+    return spy
+
+
 @pytest.fixture
 def lstsq_calls(monkeypatch):
     """Record every np.linalg.lstsq call of one test."""
@@ -127,21 +141,14 @@ class WorkerLog:
             path.unlink()
 
 
-def end_pool():
-    """Shut this process's trial pool down; its next pooled row forks another."""
-    pool = qnetid.sweep._pools.pop(os.getpid(), None)
-    if pool is not None:
-        pool.shutdown()
-
-
 @pytest.fixture
 def fresh_pool():
     """End the process's trial pool before and after the test, so that the
     workers of its pooled rows are forked under its patches, and no later
     test inherits them."""
-    end_pool()
+    _end_pool()
     yield
-    end_pool()
+    _end_pool()
 
 
 @pytest.fixture(autouse=True)
@@ -152,20 +159,35 @@ def no_patched_pool(request):
     yield
     if ("monkeypatch" in request.fixturenames
             and qnetid.sweep._pools.get(os.getpid()) not in (None, before)):
-        end_pool()
+        _end_pool()
 
 
 @pytest.fixture(scope="session")
 def criterion1_sweep(tmp_path_factory):
     """The seed-0 criterion-1 sweep, run once for the session with the
-    np.linalg.lstsq calls of every process recorded: (SweepResult, calls).
-    Its pool is forked under the recorder and ended with the sweep."""
+    np.linalg.lstsq calls and the values-only SVDs of one system of every
+    process recorded, in one list: (SweepResult, calls).  Its pool is
+    forked under the recorders and ended with the sweep."""
     calls = WorkerLog(tmp_path_factory.mktemp("lstsq"))
-    end_pool()
+    _end_pool()
     try:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(np.linalg, "lstsq", lstsq_recorder(calls))
+            mp.setattr(np.linalg, "svd", values_svd_recorder(calls))
             res = run_sweep(CONFIGS["criterion1"])
     finally:
-        end_pool()
+        _end_pool()
     return res, [call for _, call in calls.read()]
+
+
+@pytest.fixture(scope="session")
+def criterion3_sweeps():
+    """The seed-0 criterion-3 error sweeps, run once for the session: name -> SweepResult."""
+    return {name: run_sweep(CONFIGS[name], kind="error")
+            for name in ("criterion3_tau1", "criterion3_tau2")}
+
+
+@pytest.fixture(scope="session")
+def golden_cell_sweep():
+    """The seed-0 d = 26..30 golden cell, run once for the session."""
+    return run_sweep(LABEL_CONFIGS["extended_d26_30"])

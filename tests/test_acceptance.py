@@ -36,6 +36,9 @@ from qnetid.dynamics import (
     sample_trajectory,
 )
 from qnetid.identify import (
+    _halve,
+    _label_rtol,
+    _realified_system,
     build_P_trapezoid,
     build_Q,
     commutant_dimension,
@@ -43,7 +46,7 @@ from qnetid.identify import (
     relative_error,
     solve_commutator,
 )
-from qnetid.linalg import DEFAULT_RTOL, spectral_norm
+from qnetid.linalg import DEFAULT_RTOL, numerical_rank, spectral_norm
 from qnetid.netmodel import basis_density, derive_seed
 from qnetid.partialinfo import (
     UnobservableError,
@@ -282,15 +285,66 @@ class TestCriterion2GoldenCell:
     number below 1e6) keep their 1e-9 eps gate on the quartiles: the
     same change moved those quartiles by at most 7e-11."""
 
-    def test_labels_draw_by_draw(self):
+    def test_labels_draw_by_draw(self, golden_cell_sweep):
         name = "extended_d26_30"
-        res = run_sweep(LABEL_CONFIGS[name])
+        res = golden_cell_sweep
         got = [{f: getattr(t, f) for f in LABEL_FIELDS} for t in res.trials]
         differ = label_mismatches(name, got)
         curve = " ".join(f"d={rec.d}:{rec.solvability_mean:.1f}" for rec in res.records)
         report("criterion 2 golden cell (labels draw by draw)", not differ,
                f"{len(got)} draws; {curve}; {len(differ)} differ")
         assert not differ, "labels differ from the golden draws: " + "; ".join(differ)
+
+
+class TestLabelsFromSingularValues:
+    """A sweep labels a trial whose finest P has rank r < d / 2 at the label
+    cut from values-only SVDs first: a system below full rank keeps that
+    label and no estimate, a system at full rank is solved by gelsd as
+    before.  Neither path moves a label or an eps bit of the golden
+    sweeps."""
+
+    def test_every_system_labelled_first(self, criterion1_sweep, criterion3_sweeps,
+                                         golden_cell_sweep, monkeypatch, fresh_pool):
+        # every system takes the values-only SVD first, so each label-1 system
+        # also takes the gelsd fallback; the workers fork under the patch
+        solve = qnetid.sweep.solve_stack
+        monkeypatch.setattr(qnetid.sweep, "solve_stack",
+                            lambda p, q, real_coupling, first: solve(p, q, real_coupling, True))
+        for name, plain in [("criterion1", criterion1_sweep[0]), *criterion3_sweeps.items()]:
+            res = run_sweep(CONFIGS[name], kind=plain.kind)
+            assert not golden_mismatches(name, res.records)
+            assert (res.records, res.trials) == (plain.records, plain.trials), name
+        res = run_sweep(LABEL_CONFIGS["extended_d26_30"])
+        got = [{f: getattr(t, f) for f in LABEL_FIELDS} for t in res.trials]
+        assert not label_mismatches("extended_d26_30", got)
+        assert res.trials == golden_cell_sweep.trials
+
+    def test_flagged_systems_keep_their_label_and_no_eps(self, golden_cell_sweep, monkeypatch):
+        # the golden cell run serially, each block's P, Q and flags recorded:
+        # on every flagged system the values-only singular values give the
+        # label rank of gelsd's, and a flagged label-0 trial has no eps
+        blocks, solve = [], qnetid.sweep.solve_stack
+
+        def recording(p, q, real_coupling, first):
+            blocks.append((p, np.broadcast_to(q, p.shape), np.broadcast_to(first, p.shape[:-2])))
+            return solve(p, q, real_coupling, first)
+
+        monkeypatch.setattr(qnetid.sweep, "solve_stack", recording)
+        monkeypatch.setattr(qnetid.sweep, "_trial_workers", lambda *args: 1)
+        res = run_sweep(LABEL_CONFIGS["extended_d26_30"])
+        assert res.trials == golden_cell_sweep.trials
+        ranks = []
+        for p, q, first in blocks:
+            cut = _label_rtol(p.shape[-1])
+            for p_k, q_k in zip(p[first], q[first]):
+                a = _realified_system(p_k, True)
+                s = np.linalg.lstsq(a, _halve(q_k), rcond=DEFAULT_RTOL)[3]
+                ranks.append((numerical_rank(np.linalg.svd(a, compute_uv=False), cut),
+                              numerical_rank(s, cut)))
+        assert ranks and all(mine == gelsd for mine, gelsd in ranks)
+        flagged = np.concatenate([first[:, 0] for _, _, first in blocks])  # one divisor
+        label_0 = [t for t, f in zip(res.trials, flagged) if f and t.solvability == 0]
+        assert label_0 and all(t.epsilon is None for t in label_0)
 
 
 #: a fresh interpreter that runs the criterion-1 config and the golden cell
@@ -354,15 +408,14 @@ class TestCriterion3ErrorBenchmark:
     The sweep's trial errors must reproduce each record's quartiles.
     """
 
-    def test_error_medians(self):
+    def test_error_medians(self, criterion3_sweeps):
         failures = []
         lines = []
         worst_exact = 0.0
         ratios = {}
-        for name in ("criterion3_tau1", "criterion3_tau2"):
+        for name, res in criterion3_sweeps.items():
             cfg = CONFIGS[name]
             (tau,) = cfg.taus
-            res = run_sweep(cfg, kind="error")
             failures.extend(golden_mismatches(name, res.records))
             pairs, problems = cell_trials(res)
             failures.extend(problems)

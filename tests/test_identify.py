@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from qnetid.dynamics import (
 )
 from qnetid.identify import (
     _halve,
+    _label_rtol,
     _realified_system,
     _to_matrix,
     build_P_trapezoid,
@@ -22,6 +24,7 @@ from qnetid.identify import (
     identify_topology,
     relative_error,
     solve_commutator,
+    solve_stack,
 )
 from qnetid.linalg import ABS_FLOOR, DEFAULT_RTOL, EPS, numerical_rank, spectral_norm, vec
 from qnetid.netmodel import basis_density, derive_seed, erdos_renyi, is_connected
@@ -475,13 +478,33 @@ class TestLeastSquaresSolve:
         assert rep.outcome == "non_unique"
         assert not np.any(rep.m_hat)
 
+    def test_values_first_solves_full_rank_systems_alone(self, lstsq_calls):
+        # a full-rank and a rank-deficient full-class draw, stacked: labelled
+        # from a values-only SVD first, the full-rank one is solved by gelsd
+        # to the same bits, the deficient one is not solved and keeps the
+        # values-only singular values, its label rank and a zero estimate
+        _, p, q = map(np.stack, zip(*(_sweep_draw(6, trial) for trial in (3, 0))))
+        plain = solve_stack(p, q)
+        lstsq_calls.clear()
+        first = solve_stack(p, q, values_first=True)
+        assert len(lstsq_calls) == 1
+        assert plain[3].tolist() == first[3].tolist() == [30, 28]
+        assert all(np.array_equal(x[0], y[0]) for x, y in zip(plain, first))
+        assert not np.any(first[0][1])
+        s = np.linalg.svd(_realified_system(p[1], False), compute_uv=False)
+        assert np.array_equal(first[1][1], s)
+
     def test_lstsq_rank_is_the_rank_rule_on_criterion1(self, criterion1_sweep):
-        # every draw of the seed-0 criterion-1 sweep: gelsd's own rank is
-        # numerical_rank of the singular values it returns
+        # every draw of the seed-0 criterion-1 sweep is solved by gelsd but
+        # those a values-only SVD labels 0 first (the sweep's prediction);
+        # gelsd's own rank is numerical_rank of the singular values it returns
         cfg = CONFIGS["criterion1"]
         _, calls = criterion1_sweep
-        assert len(calls) == (cfg.d_max - cfg.d_min + 1) * cfg.trials
-        mismatched = [c for c in calls if c["rank"] != numerical_rank(c["s"], c["rcond"])]
+        gelsd = [c for c in calls if "rank" in c]
+        labelled_0 = [c for c in calls if "rank" not in c and c["s"].size > numerical_rank(
+            c["s"], _label_rtol(math.isqrt(c["rows"])))]
+        assert len(gelsd) + len(labelled_0) == (cfg.d_max - cfg.d_min + 1) * cfg.trials
+        mismatched = [c for c in gelsd if c["rank"] != numerical_rank(c["s"], c["rcond"])]
         assert not mismatched
 
 

@@ -1,3 +1,4 @@
+import atexit
 import json
 import multiprocessing
 import os
@@ -42,6 +43,21 @@ from qnetid.sweep import (
 from conftest import WorkerLog, random_hermitian, under_each_blas_setting
 
 TINY = SweepConfig(seed=11, d_min=2, d_max=3, taus=(1.0,), subsamples=(1,), trials=4)
+#: a pooled row whose trial 5 ``killing_draw`` ends
+KILLED = SweepConfig(seed=0, d_min=10, d_max=10, subsamples=(5,), trials=8)
+
+
+def killing_draw(cfg):
+    """A stand-in for ``benchmark_network`` that kills the worker process
+    drawing trial 5 of ``cfg``'s one row."""
+    parent, victim = os.getpid(), derive_seed(cfg.seed, cfg.d_min, cfg.taus[0], 5)
+
+    def killing(d, seed, cfg):
+        if seed == victim and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return benchmark_network(d, seed, cfg)
+
+    return killing
 
 
 def no_trials(log, d, tau, subsamples, seeds, cfg):
@@ -885,21 +901,45 @@ class TestTrialThreads:
     def test_killed_worker_fails_only_its_row(self, monkeypatch, fresh_pool):
         # a worker of the test's own pool killed mid-row fails that row; the
         # next sweep runs, with the trials of a serial run
-        cfg = SweepConfig(seed=0, d_min=10, d_max=10, subsamples=(5,), trials=8)
-        parent, victim = os.getpid(), derive_seed(cfg.seed, 10, 3.0, 5)
-
-        def killing(d, seed, cfg):
-            if seed == victim and os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return benchmark_network(d, seed, cfg)
-
-        monkeypatch.setattr(qnetid.sweep, "benchmark_network", killing)
+        monkeypatch.setattr(qnetid.sweep, "benchmark_network", killing_draw(KILLED))
         with pytest.raises(BrokenProcessPool):
-            run_sweep(cfg)
+            run_sweep(KILLED)
         monkeypatch.setattr(qnetid.sweep, "benchmark_network", benchmark_network)
-        pooled = run_sweep(cfg)
+        pooled = run_sweep(KILLED)
         monkeypatch.setattr(qnetid.sweep, "_trial_workers", lambda *args: 1)
-        assert pooled.trials == run_sweep(cfg).trials
+        assert pooled.trials == run_sweep(KILLED).trials
+
+    def test_one_exit_hook_however_many_pools(self, monkeypatch, fresh_pool):
+        # three pools dropped after a killed worker, then a fourth that runs
+        # a sweep: the process holds at most one exit callback more
+        before = atexit._ncallbacks()
+        monkeypatch.setattr(qnetid.sweep, "benchmark_network", killing_draw(KILLED))
+        for _ in range(3):
+            with pytest.raises(BrokenProcessPool):
+                run_sweep(KILLED)
+        monkeypatch.setattr(qnetid.sweep, "benchmark_network", benchmark_network)
+        run_sweep(KILLED)
+        assert atexit._ncallbacks() <= before + 1
+
+    def test_pool_ends_before_module_teardown(self, tmp_path):
+        # a pytest run of a module that also holds a hypothesis test keeps the
+        # pool alive into module teardown: without the sweep's exit hook it
+        # passed, then printed "Exception ignored in: ... weakref_cb" and an
+        # AttributeError from concurrent.futures at exit
+        (tmp_path / "test_pooled.py").write_text(
+            "from hypothesis import given, strategies as st\n"
+            "import qnetid\n\n\n"
+            "@given(st.integers())\n"
+            "def test_given(value):\n"
+            "    pass\n\n\n"
+            "def test_pooled_sweep():\n"
+            "    qnetid.run_sweep(qnetid.SweepConfig(d_min=8, d_max=8, subsamples=(5,), trials=4))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(qnetid.sweep.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                               "test_pooled.py"], cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stdout
+        assert "Exception ignored" not in proc.stderr, proc.stderr
 
     def test_threaded_caller_makes_no_pool(self):
         # a process that runs another thread forks no pool: its pooled
