@@ -40,7 +40,9 @@ print(f"sampling period 1/||H - tr(H)/d I|| = {delta:.4f}")
 rank, observable = observability_rank(h)
 print(f"pair rank {rank} of {d * d}: {'observable' if observable else 'not observable'}")
 
-# the canonical basis elements |k><j| as (non-physical) initializations
+# the library's oracle, not a CLI mode: the basis elements |k><j| as
+# initializations (Lambda0 = I); those with k != j are not states, so no
+# experiment can prepare them
 lam0 = np.eye(d * d, dtype=complex)
 h_hat = reconstruct_hamiltonian(output_stacks(u, lam0), lam0, delta)
 print(f"basis elements:    Hamiltonian error {spectral_norm(h_hat - h):.2e}")

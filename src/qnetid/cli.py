@@ -98,16 +98,13 @@ def _build_parser() -> argparse.ArgumentParser:
     obs.add_argument("--hamiltonian", required=True, help="matrix JSON with the Hamiltonian")
 
     part = sub.add_parser("partial-identify",
-                          help="recover the Hamiltonian from diagonal outputs only, "
-                               "sampled every 1/||H - tr(H)/d I||_2")
+                          help="recover the Hamiltonian from the populations of d^2 "
+                               "preparable states, sampled every 1/||H - tr(H)/d I||_2")
     part.add_argument("--hamiltonian", required=True,
                       help="matrix JSON with the network Hamiltonian to simulate")
-    part.add_argument("--estimate", action="store_true",
-                      help="identify from the populations of the d^2 preparable states "
-                           "instead of the d^2 basis elements |k><j|")
     part.add_argument("--save-outputs",
-                      help="directory for the populations of the d^2 preparable states "
-                           "at t = k*period, k = 0..d^2, one CSV per state")
+                      help="directory for the samples identified from: the populations of "
+                           "each state at t = k*period, k = 0..d^2, one CSV per state")
     part.add_argument("--out", help="write a summary JSON here")
 
     dec = sub.add_parser("decompose", help="physical decomposition of a basis element |k><j|")
@@ -209,14 +206,8 @@ def _cmd_partial_identify(args) -> int:
     h = _load_hermitian(args.hamiltonian)
     d = h.shape[0]
     u, period = sampled_propagator(h)
-
-    if args.estimate:
-        lambda0, states = physical_initial_batch(d)
-        batch = "preparable states"
-    else:
-        lambda0 = np.eye(d * d, dtype=complex)
-        batch = "basis elements"
-    mode = f"populations of the {batch}, sampled every {period:.6g}"
+    lambda0, states = physical_initial_batch(d)
+    mode = f"populations of the preparable states, sampled every {period:.6g}"
 
     # the observability stack has full rank n = d^2 once this returns; it
     # raises UnobservableError, naming the rank, otherwise
@@ -228,14 +219,8 @@ def _cmd_partial_identify(args) -> int:
     print(f"hamiltonian relative error: {ham_err:.3e} (traceless gauge)")
 
     if args.save_outputs:
-        # the batch holds the preparable runs: the samples of the estimate, or
-        # in exact mode the basis-element samples applied to the preparable states
-        if not args.estimate:
-            lambda0, states = physical_initial_batch(d)
-            ys = ys @ lambda0
-        pops = ys.real
         times = period * np.arange(d * d + 1)
-        runs = [(label, times, pops[:, :, i]) for i, (_, label) in enumerate(states)]
+        runs = [(label, times, ys[:, :, i].real) for i, (_, label) in enumerate(states)]
         manifest = write_output_batch(args.save_outputs, runs, lambda0)
         print(f"output batch written to {manifest.parent}")
 

@@ -32,6 +32,7 @@ of the dynamics recombines the measured runs.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -55,10 +56,11 @@ from .linalg import (
 )
 
 #: cut on sigma_2/sigma_1 of the realigned estimate of A and on the
-#: non-unitarity ||U^H U - I||_2 of its factor.  Both read <= 1.2e-13 on
-#: the bench's partial-info and partial-census inputs (seeds 0..2) and on
-#: criterion 7; a d = 3 step dephased by p = 1e-6 reads 3.3e-7 and 6.7e-7.
-#: The cut is the geometric midpoint of 1.2e-13 and 3.3e-7, rounded down.
+#: non-unitarity ||U^H U - I||_2 of its factor.  From the preparable states
+#: the larger reads <= 1.8e-13 on the bench's partial-info inputs (d = 2..4,
+#: seeds 0..2), 5.0e-14 at its census sizes d = 5, 6 and 2.9e-14 on criterion
+#: 7; a d = 3 step dephased by p = 1e-6 reads 3.3e-7 and 6.7e-7.  The cut is
+#: the geometric midpoint of 1.8e-13 and 3.3e-7 (2.4e-10), rounded down.
 CLOSED_SYSTEM_RTOL = 1e-10
 
 
@@ -232,15 +234,18 @@ def physical_decomposition(d: int, k: int, j: int) -> list[tuple[np.ndarray, com
     ]
 
 
-def physical_initial_batch(d: int) -> tuple[np.ndarray, list[tuple[np.ndarray, str]]]:
+@lru_cache(maxsize=None)
+def physical_initial_batch(d: int) -> tuple[np.ndarray, tuple[tuple[np.ndarray, str], ...]]:
     """A batch of d^2 linearly independent *preparable* states.
 
     Returns (Lambda0, states): the projectors |k><k| for every node, then
     the |+> and |+y> superposition projectors for every pair k < j -
     exactly the states the basis-element decomposition is built from.
     Columns of Lambda0 are the vectorized states, Lambda0 is invertible.
+    Cached per d, so a process that sees a d again builds nothing: the
+    arrays are read-only and ``states`` a tuple, as every caller shares them.
     """
-    states: list[tuple[np.ndarray, str]] = []
+    states = []
     for k in range(1, d + 1):
         (rho, _), = physical_decomposition(d, k, k)
         states.append((rho, f"node_{k}"))
@@ -250,7 +255,9 @@ def physical_initial_batch(d: int) -> tuple[np.ndarray, list[tuple[np.ndarray, s
             states.append((terms[0][0], f"plus_{k}_{j}"))
             states.append((terms[1][0], f"plus_y_{k}_{j}"))
     lambda0 = np.array([vec(rho) for rho, _ in states]).T
-    return lambda0, states
+    for a in [lambda0] + [rho for rho, _ in states]:
+        a.flags.writeable = False
+    return lambda0, tuple(states)
 
 
 # ---------------------------------------------------------------------------

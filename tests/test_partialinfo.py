@@ -218,6 +218,26 @@ class TestObservabilityFamily:
         assert cases == 727
         assert observability_rank(spin_x(4)) == (15, False)
 
+    def test_preparable_route_agrees(self):
+        # partial-identify's one route, Lambda0 from physical_initial_batch,
+        # fails with UnobservableError on exactly the members that
+        # observability_rank reads unobservable, and recovers H on the rest
+        rng = np.random.default_rng(2017)
+        observable = 0
+        for h, _ in observability_family(rng, 40):
+            d = h.shape[0]
+            u, period = sampled_propagator(h)
+            lam0 = physical_initial_batch(d)[0]
+            ys = output_stacks(u, lam0)
+            if observability_rank(h)[1]:
+                h_hat = reconstruct_hamiltonian(ys, lam0, period)
+                assert spectral_norm(h_hat - traceless(h)) <= 1e-9 * spectral_norm(h), (d, h)
+                observable += 1
+            else:
+                with pytest.raises(UnobservableError):
+                    reconstruct_hamiltonian(ys, lam0, period)
+        assert observable == 416  # of 727
+
     @pytest.mark.parametrize("delta, rank", [
         (1e-2, 23), (1e-4, 23), (1e-6, 23), (1e-7, 23), (1e-8, 23),
         (1e-10, 15), (1e-11, 15), (1e-12, 15), (0.0, 15),
